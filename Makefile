@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-hot race-tcp race-tcp-stress race-shm race-cont race-eager chaos chaos-sim chaos-tcp bench bench-smoke figures mpixrun-smoke ci
+.PHONY: all build test vet race race-hot race-transport race-tcp race-shm race-cont race-eager chaos chaos-sim chaos-tcp bench bench-smoke figures mpixrun-smoke ci
 
 all: build test
 
@@ -27,34 +27,30 @@ race-hot:
 	$(GO) test -race -count=1 -short ./internal/core/ ./internal/mpi/ \
 		./internal/nic/ ./internal/fabric/ ./internal/metrics/ ./internal/trace/
 
-# Race-detector pass over the TCP transport: the framing/coalescing
-# layer itself, the multiprocess-world tests that drive MPI traffic
-# over loopback sockets, and the facade's sim/tcp matrix.
-race-tcp:
-	$(GO) test -race -count=1 ./internal/transport/...
+# Race-detector pass over every byte transport (tcp, shm, the composite
+# router, the framing they share, the conformance battery) and the
+# datatype engine, selected by package: a new or renamed test cannot
+# fall out of it the way it could fall out of a -run list. -timeout
+# because a reactor or doorbell regression's native failure mode is a
+# lost wakeup, i.e. a hang.
+race-transport:
+	$(GO) test -race -count=1 -timeout 5m ./internal/transport/... ./internal/datatype/
+
+# The transport pass plus the multiprocess-world tests that drive MPI
+# traffic over loopback sockets and the facade's sim/tcp/shm matrix
+# (which holds the send-buffer ownership cases).
+race-tcp: race-transport
 	$(GO) test -race -count=1 -run 'TestRemote' ./internal/mpi/
 	$(GO) test -race -count=1 -run 'TestMatrix' ./mpix/
 
-# Race-detector pass over the reactor stress surface: the transport
-# conformance battery (sim and tcp factories), the multi-rank ×
-# multi-VCI seeded stress pingpong crossing the coalescing boundaries,
-# and the partial-write resume tests. -timeout because a reactor
-# regression's native failure mode is a lost wakeup, i.e. a hang.
-race-tcp-stress:
-	$(GO) test -race -count=1 -timeout 5m \
-		-run 'TestConformance|TestReactorStress|TestOutQueue' \
-		./internal/transport/...
-
-# Race-detector pass over the shared-memory transport and the
-# node-aware composite router: the mmap ring/doorbell layer, the
-# composite conformance matrix, and the multiprocess composite worlds
-# (shm intra-node leg under real MPI traffic). The steady-state allocs
-# gate runs in a separate non-race pass — race instrumentation
-# allocates and would mask the 0 allocs/op bar.
-race-shm:
-	$(GO) test -race -count=1 -timeout 5m ./internal/transport/shm/ ./internal/transport/composite/
+# The transport pass plus the multiprocess composite worlds (shm
+# intra-node leg under real MPI traffic). The steady-state allocation
+# gates run in a separate non-race pass — race instrumentation
+# allocates and would mask the 0 allocs/op and bytes-per-message bars.
+race-shm: race-transport
 	$(GO) test -race -count=1 -timeout 5m -run 'TestRemoteComposite' ./internal/mpi/
 	$(GO) test -count=1 -run 'TestShmSteadyStateAllocs' ./internal/transport/shm/
+	$(GO) test -count=1 -run 'TestRemoteCompositeLargeMessageAllocs' ./internal/mpi/
 
 # Race-detector pass over the continuation machinery: the core
 # run-queue (Defer/drain), the MPIX Continue layer (CAS completion
@@ -142,8 +138,8 @@ mpixrun-smoke:
 
 # The PR gate: vet, build, the fast suite, the race pass over the
 # instrumented hot-path packages (includes the trylock/pool fast path
-# in core, mpi and nic), the TCP-transport race pass, the shm/composite
-# race pass, the continuation race pass, the relaxed-allreduce race
-# pass, the process-failure chaos matrix, the benchmark smoke, and the
-# multiprocess launcher smoke.
-ci: vet build test race-hot race-tcp race-tcp-stress race-shm race-cont race-eager chaos-tcp bench-smoke mpixrun-smoke
+# in core, mpi and nic), the transport race pass with its tcp and
+# shm/composite world passes, the continuation race pass, the
+# relaxed-allreduce race pass, the process-failure chaos matrix, the
+# benchmark smoke, and the multiprocess launcher smoke.
+ci: vet build test race-hot race-tcp race-shm race-cont race-eager chaos-tcp bench-smoke mpixrun-smoke

@@ -227,8 +227,30 @@ func BufferSpan(count int, d *Datatype) int {
 
 // Pack gathers count elements laid out as d in src into the contiguous
 // dst, returning the number of bytes written. dst must have at least
-// PackedSize(count, d) capacity.
+// PackedSize(count, d) capacity. count elements of a Contig type are
+// one run in memory and move as one copy; gapped layouts walk their
+// blocks.
 func Pack(dst, src []byte, count int, d *Datatype) int {
+	if d.Contig() {
+		n := count * d.size
+		return copy(dst[:n], src[:n])
+	}
+	return packBlocks(dst, src, count, d)
+}
+
+// Unpack scatters contiguous src bytes into dst laid out as d,
+// returning the number of bytes consumed.
+func Unpack(dst, src []byte, count int, d *Datatype) int {
+	if d.Contig() {
+		n := count * d.size
+		return copy(dst[:n], src[:n])
+	}
+	return unpackBlocks(dst, src, count, d)
+}
+
+// packBlocks is the per-block gather: the path for gapped layouts and
+// the reference the contiguous run is tested against.
+func packBlocks(dst, src []byte, count int, d *Datatype) int {
 	pos := 0
 	for i := 0; i < count; i++ {
 		base := i * d.extent
@@ -239,9 +261,8 @@ func Pack(dst, src []byte, count int, d *Datatype) int {
 	return pos
 }
 
-// Unpack scatters contiguous src bytes into dst laid out as d,
-// returning the number of bytes consumed.
-func Unpack(dst, src []byte, count int, d *Datatype) int {
+// unpackBlocks is the per-block scatter (see packBlocks).
+func unpackBlocks(dst, src []byte, count int, d *Datatype) int {
 	pos := 0
 	for i := 0; i < count; i++ {
 		base := i * d.extent

@@ -48,6 +48,30 @@ func (j *Job) BytesMoved() int { return j.wirePos }
 
 // step copies up to budget bytes and reports whether the job finished.
 func (j *Job) step(budget int) bool {
+	if j.dt.Contig() {
+		return j.stepRun(budget)
+	}
+	return j.stepBlocks(budget)
+}
+
+// stepRun advances a job over a Contig type: the count elements are one
+// run, so the typed offset is the wire offset and a poll is one copy.
+func (j *Job) stepRun(budget int) bool {
+	total := j.count * j.dt.size
+	n := min(total-j.wirePos, budget)
+	typed, wire := j.typed[j.wirePos:j.wirePos+n], j.wire[j.wirePos:j.wirePos+n]
+	if j.kind == PackJob {
+		copy(wire, typed)
+	} else {
+		copy(typed, wire)
+	}
+	j.wirePos += n
+	return j.wirePos == total
+}
+
+// stepBlocks advances a job block by block: the path for gapped
+// layouts and the reference stepRun is tested against.
+func (j *Job) stepBlocks(budget int) bool {
 	for budget > 0 {
 		if j.elem >= j.count {
 			return true

@@ -5,6 +5,7 @@ import (
 
 	"gompix/internal/coll"
 	"gompix/internal/datatype"
+	"gompix/internal/nic"
 	"gompix/internal/reduceop"
 	"gompix/internal/transport"
 )
@@ -565,6 +566,7 @@ func (c *Comm) irecvRaw(ctx uint32, buf []byte, count int, dt *datatype.Datatype
 	switch e.kind {
 	case unexpEager:
 		deliverEager(req, e.src, e.tag, e.data)
+		nic.PutStaging(e.stage)
 	case unexpRTS:
 		c.local.sendCTS(req, e.src, e.tag, e.bytes, e.sreq, e.sreqID, e.srcEP, e.flow)
 	case unexpShmAsm:

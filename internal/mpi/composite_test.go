@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"gompix/internal/datatype"
+	"gompix/internal/metrics"
 	"gompix/internal/reduceop"
 	"gompix/internal/transport/composite"
 	"gompix/internal/transport/shm"
@@ -117,6 +119,75 @@ func TestRemoteCompositePingPong(t *testing.T) {
 	if sn.Stats().TxChunks == 0 {
 		t.Error("intra-node traffic never touched the shm leg")
 	}
+}
+
+// TestRemoteCompositeMetricsReachLegs: Config.Metrics wires a link by
+// probing it for UseMetrics, and the router has to pass that on — the
+// tcp leg's writev counter must move when cross-node traffic flows.
+func TestRemoteCompositeMetricsReachLegs(t *testing.T) {
+	reg := metrics.New()
+	reg.Enable()
+	worlds, _ := compositeWorlds(t, 3, []int{0, 0, 1}, Config{Metrics: reg}, tcp.Config{})
+	runRemote(t, worlds, func(p *Proc) {
+		comm := p.CommWorld()
+		switch p.Rank() {
+		case 0:
+			comm.SendBytes([]byte("across the tcp leg"), 2, 1)
+		case 2:
+			comm.RecvBytes(make([]byte, 32), 0, 1)
+		}
+	})
+	if got := reg.Snapshot().Counter("tcp.tx.writev"); got == 0 {
+		t.Fatal("tcp.tx.writev stayed at zero under the composite router")
+	}
+}
+
+// TestRemoteCompositeLargeMessageAllocs is the large-message companion
+// of the shm transport's TestShmSteadyStateAllocs: once pools are warm,
+// a 1 MiB rendezvous between two ranks on the shm leg — sender and
+// receiver side together — allocates no payload-sized memory. The send
+// goes out of the user's buffer (no private copy, no encoded copy of
+// the chunks), the receive lands in recycled staging buffers; what is
+// left is requests, headers and send state. Before, each message cost
+// 2 MiB of fresh heap.
+func TestRemoteCompositeLargeMessageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the gate runs in non-race passes")
+	}
+	const size, warm, runs, budget = 1 << 20, 20, 50, 64 << 10
+	worlds, _ := compositeWorlds(t, 2, []int{0, 0}, Config{}, tcp.Config{})
+	var perMsg uint64
+	runRemote(t, worlds, func(p *Proc) {
+		comm := p.CommWorld()
+		msg, ack := make([]byte, size), make([]byte, 1)
+		exchange := func(n int) {
+			for i := 0; i < n; i++ {
+				if p.Rank() == 0 {
+					comm.SendBytes(msg, 1, 1)
+					comm.RecvBytes(ack, 1, 2)
+				} else {
+					comm.RecvBytes(msg, 0, 1)
+					comm.SendBytes(ack, 0, 2)
+				}
+			}
+		}
+		exchange(warm)
+		comm.Barrier()
+		var before, after runtime.MemStats
+		if p.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		exchange(runs)
+		if p.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+			perMsg = (after.TotalAlloc - before.TotalAlloc) / runs
+		}
+		comm.Barrier()
+	})
+	if perMsg > budget {
+		t.Fatalf("a 1 MiB message allocates %d bytes in steady state, want at most %d", perMsg, budget)
+	}
+	t.Logf("%d bytes allocated per 1 MiB message", perMsg)
 }
 
 // TestRemoteCompositeHierCollectives runs the rooted collectives on a

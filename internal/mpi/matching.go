@@ -30,6 +30,7 @@ type unexpected struct {
 	kind unexpKind
 
 	data  []byte // unexpEager: complete payload
+	stage []byte // unexpEager: data's staging buffer (wireHdr.stage), returned after delivery
 	bytes int    // total message payload size
 
 	// Rendezvous metadata (unexpRTS).

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"gompix/internal/datatype"
+	"gompix/internal/nic"
 )
 
 // Message is a matched message handle (MPI_Message): the result of a
@@ -58,6 +59,8 @@ func (m *Message) Mrecv(buf []byte, count int, dt *datatype.Datatype) *Request {
 	switch e.kind {
 	case unexpEager:
 		deliverEager(req, e.src, e.tag, e.data)
+		nic.PutStaging(e.stage)
+		m.entry.data, m.entry.stage = nil, nil
 	case unexpRTS:
 		c.local.sendCTS(req, e.src, e.tag, e.bytes, e.sreq, e.sreqID, e.srcEP, e.flow)
 	case unexpShmAsm:

@@ -11,7 +11,9 @@ import (
 // rank dst with the given tag (MPI_Isend). The returned request
 // completes once the send buffer is reusable; for small messages that
 // is immediately (lightweight send), for eager sends when the NIC
-// signals, and for rendezvous sends after the CTS'd data drains.
+// signals, and for rendezvous sends after the CTS'd data drains. Until
+// then buf belongs to the library, as in MPI: a contiguous send over a
+// byte transport is read straight out of it.
 func (c *Comm) Isend(buf []byte, count int, dt *datatype.Datatype, dst, tag int) *Request {
 	c.checkRank(dst)
 	if count < 0 {
@@ -20,12 +22,29 @@ func (c *Comm) Isend(buf []byte, count int, dt *datatype.Datatype, dst, tag int)
 	if span := datatype.BufferSpan(count, dt); len(buf) < span {
 		panic(fmt.Sprintf("mpi: send buffer %d bytes, datatype needs %d", len(buf), span))
 	}
-	// Pack into a private wire buffer. This both models the NIC-side
-	// buffering of Fig. 1 and keeps the simulation safe if the caller
-	// reuses buf the instant the request completes.
-	wire := make([]byte, datatype.PackedSize(count, dt))
+	return c.isendWire(c.sendPayload(buf, count, dt), dst, tag)
+}
+
+// sendPayload returns the packed bytes of a send. On a world that runs
+// the byte codec every reader of the payload is done with it before the
+// request completes — an unsignaled post is encoded at post, a signaled
+// post and a rendezvous chunk are dropped by the link before the CQE
+// that completes the request, a self-send is copied into ring cells —
+// so a contiguous buffer is handed down as it is (capacity clipped: the
+// library never writes it). Two cases keep a private copy: gapped
+// layouts, which have to be packed anyway, and every world that passes
+// pointers, where the receiver reads the sender's slice after the
+// sender's completion — the in-process fabric, and the reliability
+// layer's retransmit queue for sends small enough to complete at post.
+func (c *Comm) sendPayload(buf []byte, count int, dt *datatype.Datatype) []byte {
+	n := datatype.PackedSize(count, dt)
+	w := c.proc.world
+	if w.remote && dt.Contig() && !(w.cfg.Reliable && n <= w.cfg.EagerInline) {
+		return buf[:n:n]
+	}
+	wire := make([]byte, n)
 	datatype.Pack(wire, buf, count, dt)
-	return c.isendWire(wire, dst, tag)
+	return wire
 }
 
 // IsendBytes is Isend for a raw byte payload.

@@ -71,17 +71,27 @@ type wireHdr struct {
 	off     int  // DATA: chunk offset
 	last    bool // DATA: final chunk
 	payload []byte
+
+	// stage is the nic.GetStaging buffer a decoded payload lives in
+	// (byte transports; payload is stage or a suffix of it). Whoever
+	// copies the payload into the user's buffer returns it: netPoll
+	// after the handler, or the receive that matches the unexpected
+	// entry it moved to.
+	stage []byte
 }
 
 // netSendState tracks one rendezvous send on the sender side.
 type netSendState struct {
-	req   *Request
-	vci   *VCI
-	wire  []byte
-	dstEP fabric.EndpointID
-	rreq  *Request // learned from the CTS (in-process)
-	rreqID uint64  // learned from the CTS (remote)
-	hid    uint64  // this state's own handle id
+	req *Request
+	vci *VCI
+	// wire is the packed payload: the user's buffer itself when
+	// Comm.sendPayload aliased it, so nothing may read it once req has
+	// completed.
+	wire   []byte
+	dstEP  fabric.EndpointID
+	rreq   *Request // learned from the CTS (in-process)
+	rreqID uint64   // learned from the CTS (remote)
+	hid    uint64   // this state's own handle id
 
 	// ctx/tag echo the send's envelope so a revocation sweep can key
 	// the handle table by communicator (and exempt FT-protocol tags).
@@ -548,6 +558,9 @@ func (v *VCI) netPoll() bool {
 		made = true
 		h := pkt.Payload.(*wireHdr)
 		v.handleNetMsg(h)
+		// The handler copied the payload out or took the buffer over.
+		nic.PutStaging(h.stage)
+		h.stage = nil
 		if v.rel == nil {
 			// Raw fabric delivers exactly once; the header is dead.
 			recycleHdr(h)
@@ -590,8 +603,9 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 	req.total = n
 	switch {
 	case n <= cfg.EagerInline:
-		// Lightweight/buffered send (Fig. 1a): the payload is copied
-		// (wire is already a private copy), no completion needed.
+		// Lightweight/buffered send (Fig. 1a): the payload is copied —
+		// wire is a private copy, or a byte transport encodes it before
+		// PostSendInline returns — so no completion is needed.
 		if v.tracing() {
 			v.trace("send.init", fmt.Sprintf("buffered eager, %d bytes", n))
 		}
@@ -604,7 +618,7 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 		v.trace("send.complete", "buffered (no wait block)")
 	case n <= cfg.RndvThreshold:
 		// Eager send (Fig. 1b): zero-copy injection, one wait block on
-		// the CQ.
+		// the CQ. The link may read wire until it posts the CQE.
 		if v.tracing() {
 			v.trace("send.init", fmt.Sprintf("eager, %d bytes", n))
 		}
@@ -710,12 +724,15 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 	switch h.kind {
 	case kindEagerMsg:
 		// Unexpected eager arrivals buffer the payload (Fig. 1d) — on
-		// this transport it is already a private copy.
+		// this transport it is already a private copy, and the entry
+		// takes its staging buffer along.
 		req := v.match.matchOrEnqueue(h.ctx, h.src, h.tag, func() unexpected {
-			return unexpected{
+			e := unexpected{
 				ctx: h.ctx, src: h.src, tag: h.tag,
-				kind: unexpEager, data: h.payload, bytes: h.bytes,
+				kind: unexpEager, data: h.payload, stage: h.stage, bytes: h.bytes,
 			}
+			h.stage = nil
+			return e
 		})
 		if req != nil {
 			v.trace("recv.eager.deliver", "matched posted receive")
@@ -786,6 +803,15 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 			// reason as stale CTS above: the receive already failed.
 			if req = v.lookupRecv(h.rreqID); req == nil {
 				v.trace("rndv.data.stale", "no matching recv handle; dropped")
+				return
+			}
+			if h.off+len(h.payload) > req.total {
+				// The handle is live but the chunk does not fit the
+				// message it announced: the sender's stream is corrupt.
+				// Fail the peer — which completes this receive, still in
+				// the table — instead of indexing past a buffer.
+				v.failPeer(req.peerWorld-1, fmt.Errorf("rendezvous chunk [%d,%d) outside its %d-byte message",
+					h.off, h.off+len(h.payload), req.total))
 				return
 			}
 			if h.last {
@@ -888,7 +914,7 @@ func deliverRndvChunk(req *Request, off int, payload []byte, last bool) {
 		return
 	}
 	st := Status{Source: req.status.Source, Tag: req.status.Tag}
-	n := req.received
+	n := min(req.received, req.total) // a repeated chunk must not count twice
 	if n > capacity {
 		n = capacity
 		st.Err = ErrTruncate

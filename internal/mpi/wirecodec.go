@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gompix/internal/fabric"
+	"gompix/internal/nic"
 )
 
 // wireCodec serializes wireHdr protocol messages for byte-oriented
@@ -14,15 +15,25 @@ import (
 // handles through the VCI's registry tables.
 type wireCodec struct{}
 
-// wireHdrLen is the fixed encoded header size (payload length prefix
-// included).
+// wireHdrLen is the fixed encoded header size, payload length prefix
+// included: kind src ctx tag bytes srcEP sreqID rreqID flow off last plen.
 const wireHdrLen = 1 + 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + 4 + 1 + 4
-// fields:  kind src ctx tag bytes srcEP sreqID rreqID flow off last plen
 
-func (wireCodec) Encode(buf []byte, payload any) ([]byte, error) {
+func (c wireCodec) Encode(buf []byte, payload any) ([]byte, error) {
+	head, body, err := c.EncodeSplit(buf, payload)
+	if err != nil {
+		return nil, err
+	}
+	return append(head, body...), nil
+}
+
+// EncodeSplit appends the fixed header and returns the payload bytes
+// where the header has them (nic.SplitCodec): for a send from the
+// user's buffer that is the user's buffer.
+func (wireCodec) EncodeSplit(buf []byte, payload any) (head, body []byte, err error) {
 	h, ok := payload.(*wireHdr)
 	if !ok {
-		return nil, fmt.Errorf("mpi: wireCodec cannot encode %T", payload)
+		return nil, nil, fmt.Errorf("mpi: wireCodec cannot encode %T", payload)
 	}
 	var e [wireHdrLen]byte
 	e[0] = byte(h.kind)
@@ -39,37 +50,68 @@ func (wireCodec) Encode(buf []byte, payload any) ([]byte, error) {
 		e[57] = 1
 	}
 	binary.LittleEndian.PutUint32(e[58:], uint32(len(h.payload)))
-	buf = append(buf, e[:]...)
-	return append(buf, h.payload...), nil
+	return append(buf, e[:]...), h.payload, nil
 }
 
-func (wireCodec) Decode(data []byte) (any, error) {
+// decodeHdr parses the fixed header and returns the payload's bytes
+// inside data. Sizes and offsets are signed on the wire only because
+// the header struct's are; a negative one is a corrupt frame and would
+// index a receive buffer if it were let through.
+func decodeHdr(data []byte) (*wireHdr, []byte, error) {
 	if len(data) < wireHdrLen {
-		return nil, fmt.Errorf("mpi: wireCodec short frame (%d bytes)", len(data))
+		return nil, nil, fmt.Errorf("mpi: wireCodec short frame (%d bytes)", len(data))
+	}
+	bytes := int(int32(binary.LittleEndian.Uint32(data[17:])))
+	off := int(int32(binary.LittleEndian.Uint32(data[53:])))
+	plen := int(binary.LittleEndian.Uint32(data[58:]))
+	if bytes < 0 || off < 0 {
+		return nil, nil, fmt.Errorf("mpi: wireCodec negative size or offset (bytes=%d off=%d)", bytes, off)
+	}
+	if plen > len(data)-wireHdrLen {
+		return nil, nil, fmt.Errorf("mpi: wireCodec payload overruns frame (%d > %d)", plen, len(data)-wireHdrLen)
 	}
 	h := newHdr()
 	h.kind = msgKind(data[0])
 	h.src = int(int32(binary.LittleEndian.Uint32(data[1:])))
 	h.ctx = binary.LittleEndian.Uint32(data[5:])
 	h.tag = int(int64(binary.LittleEndian.Uint64(data[9:])))
-	h.bytes = int(int32(binary.LittleEndian.Uint32(data[17:])))
+	h.bytes = bytes
 	h.srcEP = fabric.EndpointID(binary.LittleEndian.Uint64(data[21:]))
 	h.sreqID = binary.LittleEndian.Uint64(data[29:])
 	h.rreqID = binary.LittleEndian.Uint64(data[37:])
 	h.flow = binary.LittleEndian.Uint64(data[45:])
-	h.off = int(int32(binary.LittleEndian.Uint32(data[53:])))
+	h.off = off
 	h.last = data[57] != 0
-	plen := int(binary.LittleEndian.Uint32(data[58:]))
-	if plen > len(data)-wireHdrLen {
-		return nil, fmt.Errorf("mpi: wireCodec payload overruns frame (%d > %d)", plen, len(data)-wireHdrLen)
+	return h, data[wireHdrLen : wireHdrLen+plen], nil
+}
+
+// Decode copies the payload out of the frame (the frame buffer is only
+// valid during the call; the payload lands in matching queues and user
+// buffers asynchronously) into a staging buffer that the netmod returns
+// once the bytes are in the user's buffer.
+func (wireCodec) Decode(data []byte) (any, error) {
+	h, payload, err := decodeHdr(data)
+	if err != nil {
+		return nil, err
 	}
-	if plen > 0 {
-		// The frame buffer is only valid during the call; the payload
-		// must be a private copy (it lands in matching queues and user
-		// buffers asynchronously).
-		cp := make([]byte, plen)
-		copy(cp, data[wireHdrLen:])
-		h.payload = cp
+	if len(payload) > 0 {
+		h.stage = nic.GetStaging(len(payload))
+		h.payload = h.stage
+		copy(h.payload, payload)
+	}
+	return h, nil
+}
+
+// DecodeOwned takes over a frame the transport assembled in a staging
+// buffer: the payload stays where it is (nic.SplitCodec).
+func (wireCodec) DecodeOwned(frame, data []byte) (any, error) {
+	h, payload, err := decodeHdr(data)
+	if err != nil {
+		return nil, err
+	}
+	h.stage = frame
+	if len(payload) > 0 {
+		h.payload = payload
 	}
 	return h, nil
 }

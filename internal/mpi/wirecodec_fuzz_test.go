@@ -2,7 +2,10 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+
+	"gompix/internal/datatype"
 )
 
 // FuzzWireCodecDecode drives the wire decoder with hostile frames —
@@ -49,6 +52,15 @@ func FuzzWireCodecDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	// Negative message size and negative chunk offset: both used to
+	// decode, and the offset indexed the receive buffer.
+	for _, h := range hostileHdrs() {
+		enc, err := codec.Encode(nil, h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := codec.Decode(data)
@@ -58,6 +70,10 @@ func FuzzWireCodecDecode(f *testing.F) {
 		h, ok := v.(*wireHdr)
 		if !ok {
 			t.Fatalf("Decode returned %T, want *wireHdr", v)
+		}
+		// Sizes and offsets index buffers downstream.
+		if h.bytes < 0 || h.off < 0 {
+			t.Fatalf("decoded frame carries bytes=%d off=%d", h.bytes, h.off)
 		}
 		// Decoded pointers must be nil: they never cross the wire, and a
 		// non-nil value would be interpreted as an in-process fast path.
@@ -91,4 +107,71 @@ func FuzzWireCodecDecode(f *testing.F) {
 		recycleHdr(h2)
 		recycleHdr(h)
 	})
+}
+
+// hostileHdrs are DATA frames a corrupt or hostile peer could send for
+// a live receive handle: fields that are sizes or offsets, negative.
+func hostileHdrs() []*wireHdr {
+	return []*wireHdr{
+		{kind: kindDataMsg, rreqID: 1, bytes: -1, payload: []byte("x")},
+		{kind: kindDataMsg, rreqID: 1, bytes: 1024, off: -8, payload: []byte("x")},
+		{kind: kindRTSMsg, sreqID: 1, bytes: -1 << 31},
+	}
+}
+
+// TestHostileDataFrame: a DATA frame that names a live receive handle
+// but lies about where its bytes go must fail the peer — and with it
+// the receive — not index past the receive buffer. Negative sizes and
+// offsets are turned away by the decoder (the transports then drop the
+// connection or condemn the stream); an offset past the end of the
+// message is caught at delivery.
+func TestHostileDataFrame(t *testing.T) {
+	var codec wireCodec
+	for i, h := range hostileHdrs() {
+		enc, err := codec.Encode(nil, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := codec.Decode(enc); err == nil {
+			t.Errorf("hostile header %d decoded", i)
+		}
+		if _, err := codec.DecodeOwned(enc, enc); err == nil {
+			t.Errorf("hostile header %d decoded (owned)", i)
+		}
+	}
+
+	worlds := tcpWorlds(t, 2, Config{})
+	defer worlds[0].Close()
+	defer worlds[1].Close()
+	p := worlds[0].Proc(0)
+	v := p.vcis[0]
+	for _, dt := range []*datatype.Datatype{datatype.Byte, datatype.Vector(512, 1, 2, datatype.Byte)} {
+		const total = 512
+		req := &Request{
+			kind: kindRecv, vci: v, proc: p,
+			recvBuf: make([]byte, datatype.BufferSpan(total/dt.Size(), dt)), recvCount: total / dt.Size(), recvDT: dt,
+		}
+		prepareRndvRecv(req, 1, 0, total)
+		req.peerWorld = 1 + 1
+		id := v.registerRecv(req)
+		enc, err := codec.Encode(nil, &wireHdr{
+			kind: kindDataMsg, rreqID: id, bytes: total, off: total - 4, last: true,
+			payload: bytes.Repeat([]byte{0xAB}, 64),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := codec.Decode(enc)
+		if err != nil {
+			t.Fatalf("an offset inside the message is not the decoder's to judge: %v", err)
+		}
+		v.handleNetMsg(dec.(*wireHdr)) // used to panic: slice bounds out of range
+		if !req.IsComplete() || !errors.Is(req.Status().Err, ErrProcFailed) {
+			t.Fatalf("%s: receive after a chunk past its end: complete=%v status=%+v",
+				dt.Name(), req.IsComplete(), req.Status())
+		}
+		if v.lookupRecv(id) != nil {
+			t.Fatalf("%s: failed receive still registered", dt.Name())
+		}
+	}
 }

@@ -15,10 +15,15 @@ import (
 // contract mirrors the queue-pair model the paper's progress engine
 // polls:
 //
-//   - PostSendInline: buffered fire-and-forget injection; the payload
-//     must already be a private copy and no completion is signaled.
+//   - PostSendInline: buffered fire-and-forget injection; no completion
+//     is signaled. A link that passes the payload on as a pointer (the
+//     simulated endpoint) needs it to be a private copy; a link with a
+//     codec encodes it before returning, so the memory it references is
+//     the caller's again at once.
 //   - PostSend: signaled injection; a CQE carrying token is posted when
-//     the transmission completes (or fails — CQE.Err).
+//     the transmission completes (or fails — CQE.Err). Until then the
+//     link may read the memory the payload references (a byte transport
+//     sends a large body from where it is), and not afterwards.
 //   - DrainCQ/DrainRQ: zero-allocation batch drains of the completion
 //     and receive queues, driven only by MPI progress.
 //   - QueuedCQ/QueuedRQ: one-atomic-load emptiness checks so an idle
@@ -110,6 +115,27 @@ type Codec interface {
 	Decode(data []byte) (any, error)
 }
 
+// SplitCodec is implemented by codecs whose payloads end in a byte body
+// that need not be copied on its way through a transport. Transports
+// probe for it once, in SetCodec; a codec without it keeps the copying
+// path on both sides.
+type SplitCodec interface {
+	Codec
+	// EncodeSplit appends to buf everything Encode would except the
+	// payload's trailing body, which it returns un-copied: the wire
+	// encoding is head followed by body. body aliases memory the
+	// payload references and is only as stable as that memory — a
+	// transport may hold it (instead of copying it) only for a signaled
+	// post, and must drop it before posting the CQE.
+	EncodeSplit(buf []byte, payload any) (head, body []byte, err error)
+	// DecodeOwned is Decode for a frame assembled in a GetStaging
+	// buffer that the caller hands over: frame is data's whole buffer
+	// (data is a suffix of it), the returned payload may alias data,
+	// and whoever consumes the payload returns frame with PutStaging.
+	// On error the buffer stays with the caller.
+	DecodeOwned(frame, data []byte) (any, error)
+}
+
 // Now returns the fabric clock time (Link implementation).
 func (ep *Endpoint) Now() time.Duration { return ep.net.Clock().Now() }
 
@@ -127,15 +153,22 @@ type relCodec struct {
 
 // RelCodec returns a Codec for the Reliable layer's wire envelope,
 // delegating the wrapped payload to inner. Use it as the link codec
-// whenever a Reliable wraps a byte-oriented transport.
-func RelCodec(inner Codec) Codec { return relCodec{inner: inner} }
+// whenever a Reliable wraps a byte-oriented transport. The result is a
+// SplitCodec when inner is one.
+func RelCodec(inner Codec) Codec {
+	if s, ok := inner.(SplitCodec); ok {
+		return relSplitCodec{relCodec{inner: inner}, s}
+	}
+	return relCodec{inner: inner}
+}
 
 const relCodecHdr = 1 + 8 + 8 + 8 + 4 + 1 // kind, seq, ack, src, bytes, hasInner
 
-func (c relCodec) Encode(buf []byte, payload any) ([]byte, error) {
+// appendEnvelope appends the envelope header of f.
+func appendEnvelope(buf []byte, payload any) ([]byte, *relFrame, error) {
 	f, ok := payload.(*relFrame)
 	if !ok {
-		return nil, fmt.Errorf("nic: RelCodec cannot encode %T", payload)
+		return nil, nil, fmt.Errorf("nic: RelCodec cannot encode %T", payload)
 	}
 	var hdr [relCodecHdr]byte
 	hdr[0] = f.kind
@@ -146,34 +179,65 @@ func (c relCodec) Encode(buf []byte, payload any) ([]byte, error) {
 	if f.inner != nil {
 		hdr[29] = 1
 	}
-	buf = append(buf, hdr[:]...)
-	if f.inner != nil {
-		var err error
-		buf, err = c.inner.Encode(buf, f.inner)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return append(buf, hdr[:]...), f, nil
 }
 
-func (c relCodec) Decode(data []byte) (any, error) {
+// parseEnvelope parses the envelope header; hasInner reports whether
+// an inner payload follows it.
+func parseEnvelope(data []byte) (f *relFrame, hasInner bool, err error) {
 	if len(data) < relCodecHdr {
-		return nil, fmt.Errorf("nic: RelCodec short frame (%d bytes)", len(data))
+		return nil, false, fmt.Errorf("nic: RelCodec short frame (%d bytes)", len(data))
 	}
-	f := &relFrame{
+	return &relFrame{
 		kind:  data[0],
 		seq:   binary.LittleEndian.Uint64(data[1:]),
 		ack:   binary.LittleEndian.Uint64(data[9:]),
 		src:   fabric.EndpointID(binary.LittleEndian.Uint64(data[17:])),
 		bytes: int(binary.LittleEndian.Uint32(data[25:])),
+	}, data[29] != 0, nil
+}
+
+func (c relCodec) Encode(buf []byte, payload any) ([]byte, error) {
+	buf, f, err := appendEnvelope(buf, payload)
+	if err != nil || f.inner == nil {
+		return buf, err
 	}
-	if data[29] != 0 {
-		inner, err := c.inner.Decode(data[relCodecHdr:])
-		if err != nil {
-			return nil, err
-		}
-		f.inner = inner
+	return c.inner.Encode(buf, f.inner)
+}
+
+func (c relCodec) Decode(data []byte) (any, error) {
+	f, hasInner, err := parseEnvelope(data)
+	if err != nil || !hasInner {
+		return f, err
+	}
+	if f.inner, err = c.inner.Decode(data[relCodecHdr:]); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// relSplitCodec is relCodec over an inner SplitCodec: the envelope
+// rides in the head and the inner payload's body stays un-copied.
+type relSplitCodec struct {
+	relCodec
+	split SplitCodec
+}
+
+func (c relSplitCodec) EncodeSplit(buf []byte, payload any) (head, body []byte, err error) {
+	buf, f, err := appendEnvelope(buf, payload)
+	if err != nil || f.inner == nil {
+		return buf, nil, err
+	}
+	return c.split.EncodeSplit(buf, f.inner)
+}
+
+func (c relSplitCodec) DecodeOwned(frame, data []byte) (any, error) {
+	f, hasInner, err := parseEnvelope(data)
+	if err != nil || !hasInner {
+		return f, err // a bare envelope references nothing in frame
+	}
+	if f.inner, err = c.split.DecodeOwned(frame, data[relCodecHdr:]); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

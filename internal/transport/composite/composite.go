@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"gompix/internal/fabric"
+	"gompix/internal/metrics"
 	"gompix/internal/nic"
 	"gompix/internal/timing"
 )
@@ -265,6 +266,22 @@ func (l *Link) BindWork(w nic.WorkCounter) {
 		l.local.BindWork(w)
 	}
 	l.remote.BindWork(w)
+}
+
+// UseMetrics wires whichever legs have instruments to the registry
+// under the caller's scope (today the tcp leg: scope.peer_down and the
+// transport-wide tcp.* set); without the forward the router hides the
+// legs from the MPI layer's wiring probe and tcp.tx.* reads zero.
+func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
+	type instrumented interface {
+		UseMetrics(*metrics.Registry, string)
+	}
+	if m, ok := l.local.(instrumented); ok && l.local != nil {
+		m.UseMetrics(reg, scope)
+	}
+	if m, ok := l.remote.(instrumented); ok {
+		m.UseMetrics(reg, scope)
+	}
 }
 
 // Now returns the completion clock (the remote leg's — both legs are

@@ -9,6 +9,7 @@ import (
 
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
+	"gompix/internal/transport/framing"
 )
 
 // deliverRunCap bounds a same-link delivery run: one RQ lock per run.
@@ -139,7 +140,7 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 		}
 		return err
 	}
-	if err := p.q.appendFrame(codec, l, dst, payload, bytes, token, signaled); err != nil {
+	if err := p.q.Append(codec, l.net.split, l, l.id, dst, payload, bytes, token, signaled); err != nil {
 		p.mu.Unlock()
 		return fmt.Errorf("shm: encode: %w", err)
 	}
@@ -157,7 +158,7 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 	if p.tx != nil && p.tx.head.Load() == p.tx.tail.Load() {
 		l.net.settleFrames(l.net.pumpPeerLocked(p))
 	}
-	parked := p.q.pending() > 0
+	parked := p.q.Pending() > 0
 	p.mu.Unlock()
 	if parked {
 		l.kick()
@@ -222,15 +223,15 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 		p.mu.Unlock()
 		return false, false
 	}
-	if p.q.pending() == 0 {
+	if p.q.Pending() == 0 {
 		p.mu.Unlock()
 		return false, false
 	}
-	before := p.q.written
+	before := p.q.Written()
 	settled := n.pumpPeerLocked(p)
 	n.settleFrames(settled)
-	made = p.q.written > before
-	waiting = p.q.pending() > 0
+	made = p.q.Written() > before
+	waiting = p.q.Pending() > 0
 	p.mu.Unlock()
 	return made, waiting
 }
@@ -244,9 +245,9 @@ func (n *Network) pumpPeerLocked(p *peer) []outFrame {
 		return nil
 	}
 	tailBefore := p.tx.tail.Load()
-	before := p.q.written
-	if p.q.pumpTo(p.tx) {
-		n.txChunks.Add(uint64((p.q.written - before + int64(p.tx.cellPayload) - 1) / int64(p.tx.cellPayload)))
+	before := p.q.Written()
+	if p.q.PumpTo(p.tx) {
+		n.txChunks.Add(uint64((p.q.Written() - before + int64(p.tx.cellPayload) - 1) / int64(p.tx.cellPayload)))
 		// Doorbell gate: wake the consumer only when it may not know
 		// the ring has data. If its head has reached the pre-pump tail,
 		// every older cell was consumed and it may since have gone idle
@@ -261,7 +262,7 @@ func (n *Network) pumpPeerLocked(p *peer) []outFrame {
 			p.bellOwed.Store(true)
 		}
 	}
-	p.scratch = p.q.popSettled(p.scratch)
+	p.scratch = p.q.PopSettled(p.scratch)
 	return p.scratch
 }
 
@@ -295,10 +296,10 @@ func (n *Network) settleFrames(frames []outFrame) {
 	}
 	now := n.clk.Now()
 	for _, f := range frames {
-		if f.signaled {
-			f.link.pushCQ(nic.CQE{Token: f.token, At: now})
+		if f.Signaled {
+			f.Link.pushCQ(nic.CQE{Token: f.Token, At: now})
 		}
-		f.link.pending.Add(-1)
+		f.Link.pending.Add(-1)
 	}
 }
 
@@ -375,20 +376,42 @@ func (n *Network) drainPeerLocked(p *peer) (made bool) {
 		if chunk == nil {
 			break
 		}
-		p.ensureSpace(len(chunk))
-		p.rend += copy(p.rbuf[p.rend:], chunk)
+		if n.ingest(p, chunk) {
+			made = true
+		}
 		r.advance()
 		n.rxChunks.Add(1)
 	}
-	if p.rend > p.rpos {
-		made = n.parseFrames(p)
-		p.flushDeliveries()
-	}
+	p.flushDeliveries()
 	// Goodbye is honored only once the stream has fully drained, so
 	// every frame published before the marker still delivers.
-	if !p.gone.Load() && p.rend == p.rpos && r.empty() && r.departed() {
+	if !p.gone.Load() && p.rend == p.rpos && !p.asm.Active() && r.empty() && r.departed() {
 		p.gone.Store(true)
 		n.markDeparted(p)
+	}
+	return made
+}
+
+// ingest consumes one cell chunk of the peer's byte stream: into the
+// frame under assembly while there is one, otherwise onto the
+// reassembly buffer, whose complete frames parse in place.
+func (n *Network) ingest(p *peer, chunk []byte) (made bool) {
+	for len(chunk) > 0 {
+		if !p.asm.Active() {
+			p.ensureSpace(len(chunk))
+			p.rend += copy(p.rbuf[p.rend:], chunk)
+			return n.parseFrames(p) || made
+		}
+		c := copy(p.asm.Tail(), chunk)
+		chunk = chunk[c:]
+		if !p.asm.Filled(c) {
+			continue
+		}
+		dst, src, bytes, payload, err := p.asm.Finish(n.split)
+		if !n.deliver(p, dst, src, bytes, payload, err) {
+			return made
+		}
+		made = true
 	}
 	return made
 }
@@ -420,49 +443,61 @@ func (p *peer) ensureSpace(nb int) {
 	p.rbuf = nbuf
 }
 
-// parseFrames consumes complete frames from the reassembly buffer.
-// Frame corruption in a shared segment is unrecoverable for the byte
-// stream (there is no resync point), so it fails the peer.
+// parseFrames consumes complete frames from the reassembly buffer; a
+// large frame that has only begun to arrive moves to a staging buffer
+// (p.asm) that the following cells fill directly. Frame corruption in a
+// shared segment is unrecoverable for the byte stream (there is no
+// resync point), so it fails the peer.
 func (n *Network) parseFrames(p *peer) (made bool) {
-	defer func() {
-		if p.rpos == p.rend {
-			p.rpos, p.rend = 0, 0
-		}
-	}()
 	for {
 		avail := p.rend - p.rpos
 		if avail < 4 {
-			return made
+			break
 		}
 		flen := int(binary.LittleEndian.Uint32(p.rbuf[p.rpos:]))
-		if flen < frameHdrLen || flen > maxFrame {
+		if flen < framing.HdrLen || flen > maxFrame {
 			n.rxCorrupt.Add(1)
 			n.failStream(p, fmt.Errorf("corrupt frame length %d", flen))
-			return made
+			break
 		}
 		if avail < 4+flen {
-			return made
+			if n.split != nil && framing.Stageable(flen) {
+				p.asm.Begin(flen, p.rbuf[p.rpos+4:p.rend])
+				p.rpos = p.rend
+			}
+			break
 		}
-		f := p.rbuf[p.rpos+4 : p.rpos+4+flen]
-		dst := fabric.EndpointID(binary.LittleEndian.Uint64(f[0:]))
-		src := fabric.EndpointID(binary.LittleEndian.Uint64(f[8:]))
-		bytes := int(binary.LittleEndian.Uint32(f[16:]))
-		payload, err := n.codec.Decode(f[frameHdrLen:])
-		if err != nil {
-			n.rxCorrupt.Add(1)
-			n.failStream(p, fmt.Errorf("decode: %v", err))
-			return made
-		}
+		dst, src, bytes, data := framing.ParseHdr(p.rbuf[p.rpos+4 : p.rpos+4+flen])
+		payload, err := n.codec.Decode(data)
 		p.rpos += 4 + flen
-		tgt := n.lookupLink(dst)
-		if tgt == nil {
-			n.rxUnknownEP.Add(1)
-			continue
+		if !n.deliver(p, dst, src, bytes, payload, err) {
+			break
 		}
-		n.rxFrames.Add(1)
-		p.push(tgt, fabric.Packet{Src: src, Dst: dst, Payload: payload, Bytes: bytes})
 		made = true
 	}
+	if p.rpos == p.rend {
+		p.rpos, p.rend = 0, 0
+	}
+	return made
+}
+
+// deliver queues one decoded frame for its destination link; a frame
+// that failed to decode fails the stream, and it reports false. A frame
+// for an endpoint nobody registered is counted and skipped.
+func (n *Network) deliver(p *peer, dst, src fabric.EndpointID, bytes int, payload any, err error) bool {
+	if err != nil {
+		n.rxCorrupt.Add(1)
+		n.failStream(p, fmt.Errorf("decode: %v", err))
+		return false
+	}
+	tgt := n.lookupLink(dst)
+	if tgt == nil {
+		n.rxUnknownEP.Add(1)
+		return true
+	}
+	n.rxFrames.Add(1)
+	p.push(tgt, fabric.Packet{Src: src, Dst: dst, Payload: payload, Bytes: bytes})
+	return true
 }
 
 // failStream converts an unrecoverable receive-stream error into a
@@ -470,6 +505,7 @@ func (n *Network) parseFrames(p *peer) (made bool) {
 func (n *Network) failStream(p *peer, cause error) {
 	p.flushDeliveries()
 	p.rpos, p.rend = 0, 0
+	p.asm.Drop()
 	n.verdict(p, fmt.Errorf("shm: rank %d stream corrupt: %v", p.rank, cause))
 }
 

@@ -129,11 +129,12 @@ func (r *ring) pushChunk(b []byte) bool {
 	return true
 }
 
-// claim returns the next free cell's payload slice (capacity
+// Claim returns the next free cell's payload slice (capacity
 // cellPayload) without publishing, letting the producer copy into the
-// mapping directly; publish(n) then stamps the chunk length and
-// advances the cursor. Returns nil when the ring is full.
-func (r *ring) claim() []byte {
+// mapping directly; Publish(n) then stamps the chunk length and
+// advances the cursor. Returns nil when the ring is full
+// (framing.CellRing).
+func (r *ring) Claim() []byte {
 	tail := r.tail.Load()
 	if tail-r.head.Load() >= uint64(r.cells) {
 		return nil
@@ -142,9 +143,9 @@ func (r *ring) claim() []byte {
 	return cell[cellLenSize : cellLenSize+r.cellPayload]
 }
 
-// publish completes a claim: n is the chunk length copied into the
+// Publish completes a Claim: n is the chunk length copied into the
 // claimed cell.
-func (r *ring) publish(n int) {
+func (r *ring) Publish(n int) {
 	tail := r.tail.Load()
 	cell := r.data[int(tail%uint64(r.cells))*r.stride:]
 	binary.LittleEndian.PutUint32(cell, uint32(n))

@@ -1,11 +1,13 @@
 // Package shm is the intra-node transport: per-pair single-producer/
 // single-consumer cell rings in mmap'd file-backed segments, the
 // cross-process rendition of the in-process internal/shmem rings
-// (DESIGN.md §12). Posts coalesce frames into pooled segments (the TCP
-// transport's cumulative-watermark queue, DESIGN.md §11) and
+// (DESIGN.md §12). Posts coalesce frames into the cumulative-watermark
+// queue the TCP transport also uses (framing.Queue, DESIGN.md §11) and
 // sender-side progress pumps the byte stream into free ring cells,
-// chunking large messages across cells; the receiver reassembles
-// frames on its own progress thread via nic.RxPoller. Liveness rides
+// chunking large messages across cells — "written" means "published
+// into the shared ring", the shm analogue of kernel-accepted bytes; the
+// receiver reassembles frames on its own progress thread via
+// nic.RxPoller. Liveness rides
 // flock: each rank holds an exclusive advisory lock on its alive file,
 // so peer death is detected — and converted into the same
 // PeerDown-verdict-before-failed-frames CQE ordering the TCP transport
@@ -24,6 +26,7 @@ import (
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
 	"gompix/internal/timing"
+	"gompix/internal/transport/framing"
 )
 
 // Config parameterizes one rank's shared-memory transport.
@@ -66,6 +69,9 @@ var (
 	errClosed = errors.New("shm: transport closed")
 )
 
+// outFrame is a queued frame attributed to its posting link.
+type outFrame = framing.Frame[*Link]
+
 // peer is the per-remote-rank state: the transmit ring this rank
 // produces, its pending output queue, and the receive ring it
 // consumes, plus the liveness-probe handle.
@@ -74,7 +80,7 @@ type peer struct {
 
 	// mu guards the tx side.
 	mu       sync.Mutex
-	q        outQueue
+	q        framing.Queue[*Link]
 	tx       *ring
 	txMem    []byte
 	down     error
@@ -88,7 +94,8 @@ type peer struct {
 	rbuf   []byte
 	rpos   int
 	rend   int
-	gone   atomic.Bool // rx side observed goodbye (drained) — mirror of departed
+	asm    framing.Reassembly // the large frame the following cells land in directly
+	gone   atomic.Bool        // rx side observed goodbye (drained) — mirror of departed
 	dlv    []fabric.Packet
 	dlvTgt *Link
 
@@ -125,6 +132,7 @@ type Network struct {
 	cfg   Config
 	dir   string
 	codec nic.Codec
+	split nic.SplitCodec // codec's zero-copy side; nil when it has none
 	clk   timing.Clock
 
 	jobLock *os.File
@@ -310,7 +318,10 @@ func (n *Network) Stats() Stats {
 }
 
 // SetCodec installs the frame codec (transport.CodecSetter).
-func (n *Network) SetCodec(c nic.Codec) { n.codec = c }
+func (n *Network) SetCodec(c nic.Codec) {
+	n.codec = c
+	n.split, _ = c.(nic.SplitCodec)
+}
 
 // SetClock installs the completion clock (transport.ClockSetter).
 func (n *Network) SetClock(c timing.Clock) { n.clk = c }
@@ -402,13 +413,13 @@ func (n *Network) shutdown(goodbye bool) {
 		}
 		p.mu.Lock()
 		if goodbye && p.down == nil && !p.departed {
-			p.q.pumpTo(p.tx)
+			p.q.PumpTo(p.tx)
 			p.tx.sayGoodbye()
 			// Ring unconditionally so an idle peer notices the goodbye
 			// marker (and any final frames) without waiting out a timer.
 			n.ringPeerLocked(p)
 		}
-		frames := p.q.takeAll(nil)
+		frames := p.q.TakeAll(nil)
 		p.mu.Unlock()
 		n.failFrames(frames, errClosed)
 	}
@@ -453,6 +464,7 @@ func (n *Network) teardownMaps() {
 		p.rxMu.Lock()
 		munmap(p.rxMem)
 		p.rx, p.rxMem = nil, nil
+		p.asm.Drop()
 		p.rxMu.Unlock()
 		p.mu.Lock()
 		munmap(p.txMem)
@@ -498,7 +510,7 @@ func (n *Network) MarkPeerDown(rank int, cause error) {
 		return
 	}
 	p.down = cause
-	frames := p.q.takeAll(nil)
+	frames := p.q.TakeAll(nil)
 	p.mu.Unlock()
 	n.failFrames(frames, cause)
 }
@@ -514,7 +526,7 @@ func (n *Network) verdict(p *peer, cause error) {
 		return
 	}
 	p.down = cause
-	frames := p.q.takeAll(nil)
+	frames := p.q.TakeAll(nil)
 	p.mu.Unlock()
 	n.peerDown(p.rank, cause)
 	n.failFrames(frames, cause)
@@ -543,7 +555,7 @@ func (n *Network) markDeparted(p *peer) {
 		return
 	}
 	p.departed = true
-	frames := p.q.takeAll(nil)
+	frames := p.q.TakeAll(nil)
 	p.mu.Unlock()
 	n.failFrames(frames, fmt.Errorf("shm: rank %d departed", p.rank))
 }
@@ -552,10 +564,10 @@ func (n *Network) markDeparted(p *peer) {
 func (n *Network) failFrames(frames []outFrame, cause error) {
 	now := n.clk.Now()
 	for _, f := range frames {
-		if f.signaled {
-			f.link.pushCQ(nic.CQE{Token: f.token, At: now, Err: fmt.Errorf("%w: %v", nic.ErrLinkDown, cause)})
+		if f.Signaled {
+			f.Link.pushCQ(nic.CQE{Token: f.Token, At: now, Err: fmt.Errorf("%w: %v", nic.ErrLinkDown, cause)})
 		}
-		f.link.pending.Add(-1)
+		f.Link.pending.Add(-1)
 	}
 }
 

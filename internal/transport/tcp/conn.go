@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"gompix/internal/fabric"
+	"gompix/internal/transport/framing"
 )
 
 // errWouldBlock reports an empty socket buffer on a non-blocking read.
@@ -50,6 +51,10 @@ type connState struct {
 	rbufBox *[]byte // pool ticket; nil once the buffer grew
 	rpos    int     // start of the unparsed region
 	rend    int     // end of the buffered region
+
+	// asm, while active, is the frame the following reads land in
+	// directly (see framing.Reassembly); rbuf is empty meanwhile.
+	asm framing.Reassembly
 
 	dlv     []fabric.Packet // pending same-link delivery run
 	dlvLink *Link
@@ -176,8 +181,36 @@ func (cs *connState) release() {
 		cs.rbufBox = nil
 	}
 	cs.rbuf = nil
+	cs.asm.Drop()
 	cs.mu.Unlock()
 	cs.clearReady()
+}
+
+// readTarget returns where the next socket read lands: the frame under
+// assembly when there is one, otherwise the free end of the read
+// buffer. Caller holds cs.mu.
+func (cs *connState) readTarget() []byte {
+	if cs.asm.Active() {
+		return cs.asm.Tail()
+	}
+	cs.ensureSpace()
+	return cs.rbuf[cs.rend:]
+}
+
+// ingest accounts for nr bytes read into readTarget and delivers every
+// frame they complete. Caller holds cs.mu.
+func (n *Network) ingest(cs *connState, nr int) (made bool) {
+	if !cs.asm.Active() {
+		cs.rend += nr
+		return n.parseFrames(cs)
+	}
+	if !cs.asm.Filled(nr) {
+		return false
+	}
+	dst, src, bytes, payload, err := cs.asm.Finish(n.split)
+	made = n.deliver(cs, dst, src, bytes, payload, err)
+	cs.flushDeliveries()
+	return made
 }
 
 // ensureSpace guarantees room for the next read: compact the consumed
@@ -213,12 +246,10 @@ func (n *Network) drainConn(cs *connState, budget int) (made bool) {
 		return false
 	}
 	for {
-		cs.ensureSpace()
-		nr, err := cs.nb.read(cs.rbuf[cs.rend:])
+		nr, err := cs.nb.read(cs.readTarget())
 		if nr > 0 {
-			cs.rend += nr
 			budget -= nr
-			if n.parseFrames(cs) {
+			if n.ingest(cs, nr) {
 				made = true
 			}
 			if cs.dead.Load() {
@@ -259,36 +290,29 @@ func (n *Network) parseFrames(cs *connState) (made bool) {
 			cs.fail(errPeerDeparted)
 			break
 		}
-		if flen < frameHdrLen || flen > maxFrameLen {
+		if flen < framing.HdrLen || flen > maxFrameLen {
 			n.countCorrupt()
 			cs.fail(fmt.Errorf("tcp: corrupt frame length %d from rank %d", flen, cs.rank))
 			break
 		}
 		total := 4 + int(flen)
 		if avail < total {
-			break // partial frame; ensureSpace grows for jumbo frames
+			// Partial frame. A large one moves to a staging buffer the
+			// following reads fill directly; otherwise ensureSpace grows
+			// the read buffer for it.
+			if n.split != nil && framing.Stageable(int(flen)) {
+				cs.asm.Begin(int(flen), cs.rbuf[cs.rpos+4:cs.rend])
+				cs.rpos = cs.rend
+			}
+			break
 		}
 		frame := cs.rbuf[cs.rpos+4 : cs.rpos+total]
 		cs.rpos += total
-		dst := fabric.EndpointID(binary.LittleEndian.Uint64(frame[0:]))
-		src := fabric.EndpointID(binary.LittleEndian.Uint64(frame[8:]))
-		bytes := int(int32(binary.LittleEndian.Uint32(frame[16:])))
-		payload, err := n.codec.Decode(frame[frameHdrLen:])
-		if err != nil {
-			n.countCorrupt()
-			cs.fail(fmt.Errorf("tcp: decode frame from ep %d: %v", src, err))
+		dst, src, bytes, data := framing.ParseHdr(frame)
+		payload, err := n.codec.Decode(data)
+		if !n.deliver(cs, dst, src, bytes, payload, err) {
 			break
 		}
-		l := n.lookupLink(dst)
-		if l == nil {
-			// Endpoints are advertised only after their link registers,
-			// so a frame for an unknown endpoint is corruption or a
-			// hostile sender — drop the connection, don't crash the rank.
-			n.countUnknownEP()
-			cs.fail(fmt.Errorf("tcp: frame for unknown endpoint %d from rank %d", dst, cs.rank))
-			break
-		}
-		cs.push(l, fabric.Packet{Src: src, Dst: dst, Payload: payload, Bytes: bytes})
 		made = true
 	}
 	cs.flushDeliveries()
@@ -296,6 +320,29 @@ func (n *Network) parseFrames(cs *connState) (made bool) {
 		cs.rpos, cs.rend = 0, 0
 	}
 	return made
+}
+
+// deliver queues one decoded frame for its destination link. A frame
+// that failed to decode or names an unknown endpoint drops the
+// connection (counted) instead of crashing the rank; it reports whether
+// the frame was queued.
+func (n *Network) deliver(cs *connState, dst, src fabric.EndpointID, bytes int, payload any, err error) bool {
+	if err != nil {
+		n.countCorrupt()
+		cs.fail(fmt.Errorf("tcp: decode frame from ep %d: %v", src, err))
+		return false
+	}
+	l := n.lookupLink(dst)
+	if l == nil {
+		// Endpoints are advertised only after their link registers,
+		// so a frame for an unknown endpoint is corruption or a
+		// hostile sender — drop the connection, don't crash the rank.
+		n.countUnknownEP()
+		cs.fail(fmt.Errorf("tcp: frame for unknown endpoint %d from rank %d", dst, cs.rank))
+		return false
+	}
+	cs.push(l, fabric.Packet{Src: src, Dst: dst, Payload: payload, Bytes: bytes})
+	return true
 }
 
 // push batches consecutive packets for the same destination link so a

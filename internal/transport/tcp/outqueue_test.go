@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gompix/internal/fabric"
+	"gompix/internal/transport/framing"
 )
 
 // shortWriter accepts at most budget bytes per Write call, honoring the
@@ -48,9 +49,9 @@ func (w *stutterWriter) Write(p []byte) (int, error) {
 }
 
 // fillQueue appends count frames of seeded pseudo-random sizes (biased
-// to straddle the 32K segment boundary) and returns the expected
+// to straddle the queue's 32K segment boundary) and returns the expected
 // payloads in post order.
-func fillQueue(t *testing.T, q *outQueue, l *Link, count int, seed int64) [][]byte {
+func fillQueue(t *testing.T, q *framing.Queue[*Link], l *Link, count int, seed int64) [][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	payloads := make([][]byte, count)
@@ -60,14 +61,14 @@ func fillQueue(t *testing.T, q *outQueue, l *Link, count int, seed int64) [][]by
 		case 0:
 			size = 1 + rng.Intn(24)
 		case 1:
-			size = segSoft/2 + rng.Intn(segSoft)
+			size = 16<<10 + rng.Intn(32<<10)
 		default:
 			size = 100 + rng.Intn(4000)
 		}
 		b := make([]byte, size)
 		rng.Read(b)
 		payloads[i] = b
-		if err := q.appendFrame(byteCodec{}, l, fabric.EndpointID(1000+i), b, size, i, true); err != nil {
+		if err := q.Append(byteCodec{}, nil, l, l.id, fabric.EndpointID(1000+i), b, size, i, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +99,7 @@ func verifyStream(t *testing.T, stream []byte, src fabric.EndpointID, payloads [
 		if got := int(binary.LittleEndian.Uint32(frame[16:])); got != len(want) {
 			t.Fatalf("frame %d: bytes field %d, want %d", i, got, len(want))
 		}
-		if !bytes.Equal(frame[frameHdrLen:], want) {
+		if !bytes.Equal(frame[framing.HdrLen:], want) {
 			t.Fatalf("frame %d: payload corrupted across write fragmentation", i)
 		}
 		stream = stream[total:]
@@ -114,24 +115,24 @@ func verifyStream(t *testing.T, stream []byte, src fabric.EndpointID, payloads [
 // every frame settling exactly once, in post order.
 func TestOutQueueShortWriteResume(t *testing.T) {
 	l := &Link{id: 7}
-	var q outQueue
+	var q framing.Queue[*Link]
 	payloads := fillQueue(t, &q, l, 40, 1)
 	w := &shortWriter{budget: 13}
-	made, _, err := q.writeTo(w)
+	made, _, err := q.FlushTo(w)
 	if err != nil || !made {
-		t.Fatalf("writeTo = (%v, %v), want clean full drain", made, err)
+		t.Fatalf("FlushTo = (%v, %v), want clean full drain", made, err)
 	}
-	if q.pending() != 0 {
-		t.Fatalf("pending = %d after full drain", q.pending())
+	if q.Pending() != 0 {
+		t.Fatalf("pending = %d after full drain", q.Pending())
 	}
 	verifyStream(t, w.dst.Bytes(), l.id, payloads)
-	settled := q.popSettled(nil)
+	settled := q.PopSettled(nil)
 	if len(settled) != len(payloads) {
 		t.Fatalf("settled %d frames, want %d", len(settled), len(payloads))
 	}
 	for i, f := range settled {
-		if f.token != i {
-			t.Fatalf("settlement %d carries token %v — out of post order", i, f.token)
+		if f.Token != i {
+			t.Fatalf("settlement %d carries token %v — out of post order", i, f.Token)
 		}
 	}
 }
@@ -142,20 +143,20 @@ func TestOutQueueShortWriteResume(t *testing.T) {
 // fully written, in order, never early and never twice.
 func TestOutQueueStutteredSettlement(t *testing.T) {
 	l := &Link{id: 9}
-	var q outQueue
+	var q framing.Queue[*Link]
 	payloads := fillQueue(t, &q, l, 25, 2)
 	w := &stutterWriter{budget: 4096}
 	next := 0
-	for q.pending() > 0 {
-		if _, _, err := q.writeTo(w); err != nil && err != errStutter {
+	for q.Pending() > 0 {
+		if _, _, err := q.FlushTo(w); err != nil && err != errStutter {
 			t.Fatal(err)
 		}
-		for _, f := range q.popSettled(nil) {
-			if f.token != next {
-				t.Fatalf("settlement token %v, want %d", f.token, next)
+		for _, f := range q.PopSettled(nil) {
+			if f.Token != next {
+				t.Fatalf("settlement token %v, want %d", f.Token, next)
 			}
-			if f.end > q.written {
-				t.Fatalf("frame %d settled at end=%d past written=%d", next, f.end, q.written)
+			if f.End > q.Written() {
+				t.Fatalf("frame %d settled at end=%d past written=%d", next, f.End, q.Written())
 			}
 			next++
 		}
@@ -172,19 +173,22 @@ func TestOutQueueStutteredSettlement(t *testing.T) {
 // including re-slicing a partially written head segment.
 func TestOutQueueMultiSegmentVectoredResume(t *testing.T) {
 	l := &Link{id: 3}
-	var q outQueue
+	var q framing.Queue[*Link]
 	payloads := fillQueue(t, &q, l, 120, 3)
-	if len(q.segs) < 3 {
-		t.Fatalf("want ≥ 3 sealed segments to exercise writev, got %d", len(q.segs))
-	}
 	w := &stutterWriter{budget: 7 << 10} // smaller than a sealed segment
-	for q.pending() > 0 {
-		if _, _, err := q.writeTo(w); err != nil && err != errStutter {
+	maxSegs := 0
+	for q.Pending() > 0 {
+		_, nsegs, err := q.FlushTo(w)
+		if err != nil && err != errStutter {
 			t.Fatal(err)
 		}
+		maxSegs = max(maxSegs, nsegs)
+	}
+	if maxSegs < 3 {
+		t.Fatalf("want ≥ 3 segments in one vector to exercise writev, got %d", maxSegs)
 	}
 	verifyStream(t, w.dst.Bytes(), l.id, payloads)
-	if got := len(q.popSettled(nil)); got != len(payloads) {
+	if got := len(q.PopSettled(nil)); got != len(payloads) {
 		t.Fatalf("settled %d frames, want %d", got, len(payloads))
 	}
 }

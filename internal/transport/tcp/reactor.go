@@ -90,14 +90,12 @@ func (n *Network) watchConn(cs *connState) error {
 func (n *Network) blockingReadLoop(cs *connState) error {
 	for {
 		cs.mu.Lock()
-		cs.ensureSpace()
-		buf := cs.rbuf[cs.rend:]
+		buf := cs.readTarget()
 		cs.mu.Unlock()
 		nr, err := cs.conn.Read(buf)
 		cs.mu.Lock()
 		if nr > 0 {
-			cs.rend += nr
-			n.parseFrames(cs)
+			n.ingest(cs, nr)
 		}
 		dead := cs.dead.Load()
 		cs.mu.Unlock()

@@ -70,7 +70,7 @@ func (w *stressWorld) progress() {
 func stressSize(rng *rand.Rand) int {
 	switch rng.Intn(8) {
 	case 0:
-		return segSoft - 16 + rng.Intn(32) // hugs the segment boundary
+		return 32<<10 - 16 + rng.Intn(32) // hugs the out-queue's 32K segment boundary
 	case 1:
 		return readBufSize/2 + rng.Intn(readBufSize) // up to 96K
 	default:

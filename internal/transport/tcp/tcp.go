@@ -60,14 +60,13 @@ import (
 	"gompix/internal/metrics"
 	"gompix/internal/nic"
 	"gompix/internal/timing"
+	"gompix/internal/transport/framing"
 )
 
 // helloMagic opens every connection, followed by the epoch and the
 // dialer's rank; a mismatched epoch (a stale process from a previous
 // launch) is rejected at accept.
 const helloMagic = 0x6d706978 // "mpix"
-
-const frameHdrLen = 8 + 8 + 4 // dstEP, srcEP, bytes
 
 // goodbyeMark, sent in place of a frame-length prefix, announces a
 // graceful departure: the peer is closing after finalize, so the EOF
@@ -149,6 +148,7 @@ type Network struct {
 	cfg   Config
 	ln    net.Listener
 	codec nic.Codec
+	split nic.SplitCodec // codec's zero-copy side; nil when it has none
 	clk   timing.Clock
 
 	mu     sync.Mutex
@@ -205,9 +205,12 @@ type netMetrics struct {
 	flushBatch *metrics.Histogram // tcp.tx.flush_frames (frames settled per flush)
 }
 
+// outFrame is a queued frame attributed to its posting link.
+type outFrame = framing.Frame[*Link]
+
 // peer is the outbound side toward one remote rank: the lazily dialed
-// write connection and the coalescing output queue that accumulates
-// frames between flushes.
+// write connection and the coalescing output queue (framing.Queue)
+// that accumulates frames between flushes.
 type peer struct {
 	rank int
 
@@ -217,7 +220,7 @@ type peer struct {
 	probing  bool  // bounded re-dial after a lost connection in flight
 	down     error // peer-failure verdict; set once, never cleared
 	departed bool  // peer sent its goodbye: EOFs are teardown, not failure
-	q        outQueue
+	q        framing.Queue[*Link]
 
 	// settleScratch is reused by flushPeer for the settled-frame batch;
 	// it is only ever touched under mu. The loss paths (write error,
@@ -296,7 +299,10 @@ func (n *Network) SetPeerAddrs(addrs []string) {
 }
 
 // SetCodec installs the payload codec (transport.CodecSetter).
-func (n *Network) SetCodec(c nic.Codec) { n.codec = c }
+func (n *Network) SetCodec(c nic.Codec) {
+	n.codec = c
+	n.split, _ = c.(nic.SplitCodec)
+}
 
 // SetClock installs the completion clock (transport.ClockSetter).
 func (n *Network) SetClock(c timing.Clock) { n.clk = c }
@@ -436,6 +442,17 @@ func (n *Network) shutdown(goodbye bool) {
 		cs.conn.Close()
 	}
 	n.wg.Wait()
+	// Whatever is still queued can never be written: settle it, so a
+	// closed transport holds no frame — and no borrowed send buffer.
+	for _, p := range n.peers {
+		if p == nil {
+			continue
+		}
+		p.mu.Lock()
+		frames := p.q.TakeAll(nil)
+		p.mu.Unlock()
+		n.failFrames(frames, errors.New("tcp: transport closed"))
+	}
 }
 
 // sayGoodbye best-effort writes the departure marker on every live
@@ -723,7 +740,7 @@ func (n *Network) verdict(p *peer, cause error) {
 	p.down = cause
 	p.dialing = false
 	p.probing = false
-	frames := p.q.takeAll(nil)
+	frames := p.q.TakeAll(nil)
 	p.mu.Unlock()
 	// Verdict first, queued-frame failures second: the PeerDown control
 	// CQE must precede the per-frame ErrLinkDown CQEs in each link's CQ
@@ -752,7 +769,7 @@ func (n *Network) MarkPeerDown(rank int, cause error) {
 	p.down = cause
 	p.dialing = false
 	p.probing = false
-	frames := p.q.takeAll(nil)
+	frames := p.q.TakeAll(nil)
 	p.mu.Unlock()
 	n.failFrames(frames, cause)
 }
@@ -869,7 +886,7 @@ func (n *Network) dial(p *peer) {
 // starts.
 func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 	p.mu.Lock()
-	if p.q.pending() == 0 {
+	if p.q.Pending() == 0 {
 		p.mu.Unlock()
 		return false, false
 	}
@@ -884,7 +901,7 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 	// window — socket ingest never takes peer locks, so every process
 	// keeps reading (progress polls or the reactor pool) while this
 	// writev blocks.
-	wrote, nsegs, err := p.q.writeTo(conn)
+	wrote, nsegs, err := p.q.FlushTo(conn)
 	if err != nil {
 		err = fmt.Errorf("tcp: write rank %d: %w", p.rank, err)
 		conn.Close()
@@ -895,7 +912,7 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 		if probe {
 			p.probing = true
 		}
-		frames := p.q.takeAll(nil)
+		frames := p.q.TakeAll(nil)
 		p.mu.Unlock()
 		n.failFrames(frames, err)
 		if probe {
@@ -904,16 +921,16 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 		}
 		return true, false
 	}
-	p.settleScratch = p.q.popSettled(p.settleScratch)
+	p.settleScratch = p.q.PopSettled(p.settleScratch)
 	settled := p.settleScratch
 	now := n.clk.Now()
 	// Settle under the peer lock: the scratch buffer is reused by the
 	// next flush, and lock order peer → link-CQ is safe.
 	for _, f := range settled {
-		if f.signaled {
-			f.link.pushCQ(nic.CQE{Token: f.token, At: now})
+		if f.Signaled {
+			f.Link.pushCQ(nic.CQE{Token: f.Token, At: now})
 		}
-		f.link.pending.Add(-1)
+		f.Link.pending.Add(-1)
 	}
 	nset := len(settled)
 	p.mu.Unlock()
@@ -933,10 +950,10 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 func (n *Network) failFrames(frames []outFrame, cause error) {
 	now := n.clk.Now()
 	for _, f := range frames {
-		if f.signaled {
-			f.link.pushCQ(nic.CQE{Token: f.token, At: now, Err: fmt.Errorf("%w: %v", nic.ErrLinkDown, cause)})
+		if f.Signaled {
+			f.Link.pushCQ(nic.CQE{Token: f.Token, At: now, Err: fmt.Errorf("%w: %v", nic.ErrLinkDown, cause)})
 		}
-		f.link.pending.Add(-1)
+		f.Link.pending.Add(-1)
 	}
 }
 
@@ -1085,7 +1102,7 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 	if needDial {
 		p.dialing = true
 	}
-	if err := p.q.appendFrame(codec, l, dst, payload, bytes, token, signaled); err != nil {
+	if err := p.q.Append(codec, l.net.split, l, l.id, dst, payload, bytes, token, signaled); err != nil {
 		if needDial {
 			p.dialing = false
 		}
@@ -1096,7 +1113,7 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 	// instead of waiting for the next progress pass — under load the
 	// writev batch size adapts to whatever accumulated, idle links
 	// flush on the progress/armed path with no per-frame syscall.
-	big := p.q.pending() >= int64(l.net.cfg.FlushBytes)
+	big := p.q.Pending() >= int64(l.net.cfg.FlushBytes)
 	p.mu.Unlock()
 
 	l.pending.Add(1)

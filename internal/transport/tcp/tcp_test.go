@@ -10,6 +10,7 @@ import (
 
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
+	"gompix/internal/transport/framing"
 )
 
 // byteCodec round-trips []byte payloads — enough to exercise framing.
@@ -344,8 +345,8 @@ func TestUnknownEndpointDropsConn(t *testing.T) {
 	conn := sendRaw(t, n1.Addr(), 7, 0)
 	defer conn.Close()
 	// Well-formed frame addressed to an endpoint no link registered.
-	frame := make([]byte, 4+frameHdrLen)
-	binary.LittleEndian.PutUint32(frame[0:], frameHdrLen)
+	frame := make([]byte, 4+framing.HdrLen)
+	binary.LittleEndian.PutUint32(frame[0:], framing.HdrLen)
 	binary.LittleEndian.PutUint64(frame[4:], 9999) // dst endpoint
 	binary.LittleEndian.PutUint64(frame[12:], 0)   // src endpoint
 	binary.LittleEndian.PutUint32(frame[20:], 0)   // bytes
