@@ -11,8 +11,10 @@ build:
 test:
 	$(GO) test -short ./...
 
+# go vet plus formatting: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@out="$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go'))"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Full suite under the race detector (the reliability layer's
 # retransmission path is the main customer).
@@ -28,13 +30,15 @@ race-hot:
 		./internal/nic/ ./internal/fabric/ ./internal/metrics/ ./internal/trace/
 
 # Race-detector pass over every byte transport (tcp, shm, the composite
-# router, the framing they share, the conformance battery) and the
-# datatype engine, selected by package: a new or renamed test cannot
-# fall out of it the way it could fall out of a -run list. -timeout
-# because a reactor or doorbell regression's native failure mode is a
-# lost wakeup, i.e. a hang.
+# router, the framing they share, the conformance battery), the wait
+# ladder they wake (internal/core holds the no-lost-wake-up stress over
+# shm and the composite's tcp leg, beside the park timer it has to
+# raise) and the datatype engine, selected by package: a new or renamed
+# test cannot fall out of it the way it could fall out of a -run list.
+# -timeout because a reactor or doorbell regression's native failure
+# mode is a lost wakeup, i.e. a hang.
 race-transport:
-	$(GO) test -race -count=1 -timeout 5m ./internal/transport/... ./internal/datatype/
+	$(GO) test -race -count=1 -timeout 5m ./internal/transport/... ./internal/core/ ./internal/datatype/
 
 # The transport pass plus the multiprocess-world tests that drive MPI
 # traffic over loopback sockets and the facade's sim/tcp/shm matrix

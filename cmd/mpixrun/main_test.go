@@ -114,6 +114,30 @@ func TestOnFailureContinue(t *testing.T) {
 	}
 }
 
+// TestSenderProgressesWhileReceiverComputes is the two-process half of
+// the doorbell protocol: a receiver that polled a moment ago and then
+// computes for 400 ms without calling MPI is still rung — its poll
+// stamp goes stale, the sender's backlog re-evaluates it on every flush
+// pass — so its watcher drains the ring and the sender's sixteen 1 MiB
+// Waits complete during the computation, not after it. The ranks check
+// the timing and the bell count themselves and exit 4 on a miss.
+func TestSenderProgressesWhileReceiverComputes(t *testing.T) {
+	bin := buildLauncher(t)
+	behave := filepath.Join(t.TempDir(), "behave")
+	if out, err := exec.Command("go", "build", "-o", behave, "./testdata/behave").CombinedOutput(); err != nil {
+		t.Fatalf("building behave: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-n", "2", behave, "stall").CombinedOutput()
+	if err != nil {
+		t.Fatalf("mpixrun: %v\n%s", err, out)
+	}
+	for _, want := range []string{"[0] stall ok sends=16", "[1] stall ok recvs=16"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("missing %q; output:\n%s", want, out)
+		}
+	}
+}
+
 // TestLongLinePassthrough checks that a rank's output line larger than
 // bufio.Scanner's 1 MiB token cap survives the prefix multiplexer
 // intact instead of being silently dropped.

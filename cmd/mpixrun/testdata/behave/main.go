@@ -13,6 +13,15 @@
 //	          AckFailed, Agree twice, Shrink — and finish a barrier and
 //	          an allreduce on the survivor communicator, printing
 //	          "ftshrink ok size=N failed=[...]" on success.
+//	stall     two ranks on one node: rank 1 finishes a barrier and then
+//	          computes, without one MPI call, for 400 ms in 5 ms
+//	          stretches, while rank 0 streams sixteen 1 MiB eager
+//	          messages at it — each larger than the ring — and waits
+//	          for every one. The sends can only complete if rank 0 rings
+//	          rank 1's doorbell although rank 1 was polling a moment
+//	          ago, and rank 1's watcher keeps the ring draining: rank 0
+//	          must be done in well under the window. Both ranks print
+//	          "stall ok ..." on success.
 package main
 
 import (
@@ -25,6 +34,8 @@ import (
 	"strings"
 	"time"
 
+	"gompix/internal/transport/composite"
+	"gompix/internal/transport/shm"
 	"gompix/mpix"
 )
 
@@ -49,6 +60,8 @@ func main() {
 		fmt.Println(strings.Repeat("x", 2<<20))
 	case "ftshrink":
 		ftshrink(rank)
+	case "stall":
+		stall(rank)
 	default:
 		fmt.Fprintf(os.Stderr, "behave: unknown mode %q\n", mode)
 		os.Exit(2)
@@ -56,11 +69,66 @@ func main() {
 }
 
 // die reports a failed expectation and exits 4, which the launcher
-// surfaces as another failed rank — the test treats any survivor
-// exiting non-zero as a drill failure.
+// surfaces as another failed rank — the test treats any rank exiting
+// non-zero as a drill failure.
 func die(rank int, format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ftshrink rank %d: %s\n", rank, fmt.Sprintf(format, args...))
+	fmt.Fprintf(os.Stderr, "behave rank %d: %s\n", rank, fmt.Sprintf(format, args...))
 	os.Exit(4)
+}
+
+// stall is the non-polling-consumer drill. A consumer that polls is
+// never rung; one that stops polling without parking — it went
+// computing — has to be, or a producer with more to send than the ring
+// holds would wait for the end of the computation.
+func stall(rank int) {
+	const (
+		msgs    = 16
+		size    = 1 << 20
+		window  = 400 * time.Millisecond
+		stretch = 5 * time.Millisecond
+	)
+	// Eager up to 2 MiB: a rendezvous send would wait for rank 1's CTS,
+	// which only its own progress can produce.
+	w, err := mpix.NewWorldFromEnv(mpix.Config{RndvThreshold: 2 * size})
+	if err != nil {
+		die(rank, "NewWorldFromEnv: %v", err)
+	}
+	w.Run(func(p *mpix.Proc) {
+		comm := p.CommWorld()
+		buf := make([]byte, size)
+		comm.Barrier()
+		if rank == 0 {
+			start := time.Now()
+			for i := 0; i < msgs; i++ {
+				buf[0], buf[size-1] = byte(i), byte(i)
+				if st := comm.IsendBytes(buf, 1, i).Wait(); st.Err != nil {
+					die(rank, "send %d: %v", i, st.Err)
+				}
+			}
+			elapsed := time.Since(start)
+			if elapsed > window/2 {
+				die(rank, "%d sends took %v: they waited for the receiver's %v of computing", msgs, elapsed, window)
+			}
+			bells := w.Transport().(*composite.Network).Local().(*shm.Network).Stats().BellsRung
+			if bells == 0 {
+				die(rank, "no doorbell rung for a receiver that was not polling")
+			}
+			fmt.Printf("stall ok sends=%d in %v bells=%d\n", msgs, elapsed.Round(time.Millisecond), bells)
+			return
+		}
+		sink := 0
+		for end := time.Now().Add(window); time.Now().Before(end); {
+			for s := time.Now().Add(stretch); time.Now().Before(s); {
+				sink++
+			}
+		}
+		for i := 0; i < msgs; i++ {
+			if st := comm.RecvBytes(buf, 0, i); st.Err != nil || buf[0] != byte(i) || buf[size-1] != byte(i) {
+				die(rank, "recv %d: err=%v payload %d..%d", i, st.Err, buf[0], buf[size-1])
+			}
+		}
+		fmt.Printf("stall ok recvs=%d after %d compute iterations\n", msgs, sink)
+	})
 }
 
 // ftshrink is the end-to-end ULFM recovery drill under the real

@@ -141,6 +141,7 @@ func (s *Stream) AsyncStart(poll PollFunc, state any) {
 	s.staged = append(s.staged, t)
 	s.stagedMu.Unlock()
 	s.nStaged.Add(1)
+	s.arrived()
 }
 
 // adoptStagedLocked moves staged things into the pollable list.
@@ -224,6 +225,7 @@ func (s *Stream) pollAsyncLocked(em *engineMetrics, on bool) (made bool, polls i
 					nt.stream.staged = append(nt.stream.staged, nt)
 					nt.stream.stagedMu.Unlock()
 					nt.stream.nStaged.Add(1)
+					nt.stream.arrived()
 				}
 			}
 		}

@@ -37,6 +37,7 @@ func (s *Stream) Defer(fn func()) {
 	s.contQ = append(s.contQ, fn)
 	s.stagedMu.Unlock()
 	s.nCont.Add(1)
+	s.arrived()
 }
 
 // PendingCont returns the number of continuation callbacks queued on

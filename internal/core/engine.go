@@ -149,7 +149,7 @@ func (e *Engine) Default() *Stream { return e.def }
 // independent serial progress context with its own lock, hooks, and
 // async task list.
 func (e *Engine) NewStream(opts ...StreamOption) *Stream {
-	s := &Stream{eng: e}
+	s := &Stream{eng: e, wake: make(chan struct{}, 1)}
 	for _, o := range opts {
 		o(s)
 	}
@@ -232,25 +232,4 @@ func (e *Engine) Pending() int {
 		total += s.Pending()
 	}
 	return total
-}
-
-// Quiesce drives progress on all streams until nothing is pending.
-// MPI_Finalize uses it so that launched async tasks always complete
-// (paper Listing 1.2). maxSpins <= 0 means no bound; otherwise Quiesce
-// returns false if the bound is exhausted first.
-func (e *Engine) Quiesce(maxSpins int) bool {
-	var b Backoff
-	for spins := 0; ; spins++ {
-		if e.Pending() == 0 {
-			return true
-		}
-		if maxSpins > 0 && spins >= maxSpins {
-			return false
-		}
-		if e.ProgressAll() {
-			b.Reset()
-		} else {
-			b.Pause()
-		}
-	}
 }

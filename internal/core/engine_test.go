@@ -115,6 +115,9 @@ func TestQuiesceBounded(t *testing.T) {
 	if e.Quiesce(10) {
 		t.Fatal("Quiesce should give up after maxSpins")
 	}
+	if calls := e.Default().Stats().Calls; calls != 10 {
+		t.Fatalf("bounded Quiesce made %d passes, want 10", calls)
+	}
 }
 
 func TestSkipMask(t *testing.T) {

@@ -27,6 +27,11 @@ type engineMetrics struct {
 	hooks *metrics.Gauge
 	// pendingAsync tracks registered-plus-staged async things.
 	pendingAsync *metrics.Gauge
+	// The wait ladder (Await): calls, yields after an empty pass, park
+	// rung entries, parks an arrival ended before the timer, pokes
+	// delivered to a parked waiter, and the time spent parked.
+	waits, yields, parks, earlyWakes, pokes *metrics.Counter
+	parkNS                                  *metrics.Histogram
 }
 
 // UseMetrics wires the engine (and all its streams, present and
@@ -54,6 +59,12 @@ func (e *Engine) UseMetrics(reg *metrics.Registry, scope string) {
 	em.asyncRetired = reg.Counter(p + "async.retired")
 	em.hooks = reg.Gauge(p + "hooks")
 	em.pendingAsync = reg.Gauge(p + "async.pending")
+	em.waits = reg.Counter(p + "wait.waits")
+	em.yields = reg.Counter(p + "wait.yields")
+	em.parks = reg.Counter(p + "wait.parks")
+	em.earlyWakes = reg.Counter(p + "wait.early_wakes")
+	em.pokes = reg.Counter(p + "wait.pokes")
+	em.parkNS = reg.Histogram(p + "wait.park_ns")
 	e.met = em
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,11 +26,18 @@ type Stream struct {
 	// skip is the stream's permanent subsystem skip mask (info hints).
 	skip SkipMask
 
-	// nap, when non-nil, is the transport-provided interruptible sleep
-	// the stream's wait loops use for their backoff rung (nic.Napper —
-	// the shm doorbell wakes the parked waiter the moment frames
-	// arrive). Set once during stream attach, before any wait runs.
-	nap func(time.Duration)
+	// The park rung of Await (wait.go). parked counts waiters between
+	// "about to park" and "awake again"; every arrival on the stream
+	// (Work.Add, Defer, AsyncStart) that sees it nonzero pokes wake.
+	// parkHook, when non-nil, is the transport's half of the handshake
+	// for producers outside this process (nic.Parker); set once during
+	// stream attach, before any wait runs. sleepMu owns the reused
+	// timer: a second waiter parking on the same stream sleeps plainly.
+	parked    atomic.Int32
+	wake      chan struct{}
+	parkHook  func() bool
+	sleepMu   sync.Mutex
+	parkTimer *time.Timer
 
 	mu sync.Mutex
 
@@ -129,11 +134,12 @@ func (s *Stream) ID() int { return s.id }
 // Name returns the stream's diagnostic name.
 func (s *Stream) Name() string { return s.name }
 
-// SetNapper installs the transport's interruptible sleep on the
-// stream's wait-loop backoff (see Backoff.Nap). Call during stream
-// attach, before any wait loop runs; nil keeps the plain time.Sleep
-// rung.
-func (s *Stream) SetNapper(nap func(time.Duration)) { s.nap = nap }
+// SetParkHook installs the transport's half of the park handshake
+// (nic.Parker): Await calls it after its last empty pass and before
+// sleeping; it publishes "wake me" to producers that cannot reach the
+// stream's wake channel and reports whether sleeping is still safe.
+// Call during stream attach, before any wait runs.
+func (s *Stream) SetParkHook(parking func() bool) { s.parkHook = parking }
 
 // Work is a handle on one of a stream's per-class work counters,
 // given to counted hooks at registration. The owning subsystem calls
@@ -141,12 +147,21 @@ func (s *Stream) SetNapper(nap func(time.Duration)) { s.nap = nap }
 // timer armed) and Add(-n) when it is consumed, so an idle class costs
 // the progress pass a single atomic load. A nil *Work is a no-op,
 // letting subsystems run unbound (e.g. in their own unit tests).
-type Work struct{ n *atomic.Int64 }
+type Work struct {
+	n *atomic.Int64
+	s *Stream
+}
 
-// Add adjusts the counter by delta.
+// Add adjusts the counter by delta. Arriving work (delta > 0) wakes a
+// waiter parked on the stream: the counter bump precedes the parked
+// check, mirroring Await's raise-parked-then-poll order, so either the
+// waiter's pass sees the work or this call sees the waiter.
 func (w *Work) Add(delta int) {
 	if w != nil {
 		w.n.Add(int64(delta))
+		if delta > 0 {
+			w.s.arrived()
+		}
 	}
 }
 
@@ -191,7 +206,7 @@ func (s *Stream) registerHook(c Class, h Hook, counted bool) *Work {
 		em.hooks.Add(1)
 	}
 	if counted {
-		return &Work{n: &s.work[c]}
+		return &Work{n: &s.work[c], s: s}
 	}
 	return nil
 }
@@ -332,107 +347,4 @@ func (s *Stream) progressLocked(skip SkipMask) bool {
 		}
 	}
 	return madeClass >= 0
-}
-
-// Backoff is the adaptive wait ladder used by progress wait loops:
-// spin for a few passes (completion is usually near), then yield the
-// processor (peer ranks sharing a core must run), then sleep with
-// exponential backoff capped low (so a late completion costs at most
-// tens of microseconds of added latency). Reset on any progress.
-//
-// Nap, when set, replaces the sleep rung: a transport with a kernel
-// wakeup path (the shm doorbell) parks the waiter interruptibly, so an
-// arrival cuts the sleep short instead of waiting out the timer. A
-// nappable waiter also climbs the ladder faster — on an oversubscribed
-// core every yield pass it burns is stolen from the peer rank that
-// would produce the completion, and a cheap wakeup makes early parking
-// nearly free.
-type Backoff struct {
-	misses int
-	Nap    func(time.Duration)
-}
-
-const (
-	backoffSpin  = 64                    // empty passes before yielding
-	backoffYield = 256                   // yields before sleeping
-	backoffCap   = 50 * time.Microsecond // max sleep between passes
-
-	// The nappable ladder parks much earlier and in full-cap naps: the
-	// arrival itself wakes the parked waiter, so the timer is only a
-	// liveness safety net, and every empty pass burned before parking
-	// is core time stolen from the co-located rank that would produce
-	// the completion.
-	backoffNapSpin  = 64
-	backoffNapYield = 16
-)
-
-// Pause reacts to one empty (or contended) progress pass.
-func (b *Backoff) Pause() {
-	b.misses++
-	if b.Nap != nil {
-		switch {
-		case b.misses <= backoffNapSpin:
-			// Tight spin: retry immediately.
-		case b.misses <= backoffNapSpin+backoffNapYield:
-			runtime.Gosched()
-		default:
-			b.Nap(backoffCap)
-		}
-		return
-	}
-	switch {
-	case b.misses <= backoffSpin:
-		// Tight spin: retry immediately.
-	case b.misses <= backoffSpin+backoffYield:
-		runtime.Gosched()
-	default:
-		d := time.Microsecond << uint(b.misses-backoffSpin-backoffYield)
-		if d <= 0 || d > backoffCap {
-			d = backoffCap
-		}
-		time.Sleep(d)
-	}
-}
-
-// Reset returns the ladder to the spinning rung after progress.
-func (b *Backoff) Reset() { b.misses = 0 }
-
-// ProgressUntil drives progress on the stream until cond returns true.
-// It is the wait-block building block used by Request.Wait and the
-// paper's wait loops ("while (counter > 0) MPIX_Stream_progress(...)").
-// It uses TryProgress — a contended pass means another goroutine is
-// progressing the stream, so this caller only waits — and the adaptive
-// Backoff ladder so oversubscribed ranks stop burning empty passes.
-func (s *Stream) ProgressUntil(cond func() bool) {
-	b := Backoff{Nap: s.nap}
-	for !cond() {
-		if made, ok := s.TryProgress(); ok && made {
-			b.Reset()
-		} else {
-			b.Pause()
-		}
-	}
-}
-
-// ProgressUntilCtx is ProgressUntil bounded by a context: it returns
-// nil once cond holds, or ctx.Err() once the context is cancelled,
-// whichever happens first.
-//
-// Kept for callers that own their wait loop; new code reacting to
-// individual completions is usually better served by the continuation
-// model (Stream.Defer and the request-level OnComplete/Done bridges in
-// internal/mpi), which never parks a goroutine per operation.
-func (s *Stream) ProgressUntilCtx(ctx context.Context, cond func() bool) error {
-	b := Backoff{Nap: s.nap}
-	for !cond() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if made, ok := s.TryProgress(); ok && made {
-			b.Reset()
-		} else {
-			b.Pause()
-		}
-	}
-	return nil
 }

@@ -18,9 +18,9 @@ type Comm struct {
 	rank  int   // this process's rank within the communicator
 	ranks []int // communicator rank -> world rank
 	ctx   uint32
-	vcis  []*VCI // communicator rank -> that rank's VCI (in-process; remote: only [rank])
+	vcis  []*VCI              // communicator rank -> that rank's VCI (in-process; remote: only [rank])
 	eps   []fabric.EndpointID // communicator rank -> that rank's endpoint address
-	local *VCI   // == vcis[rank]
+	local *VCI                // == vcis[rank]
 
 	seqMu sync.Mutex
 	seq   int // per-parent communicator-creation counter

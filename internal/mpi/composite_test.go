@@ -123,7 +123,8 @@ func TestRemoteCompositePingPong(t *testing.T) {
 
 // TestRemoteCompositeMetricsReachLegs: Config.Metrics wires a link by
 // probing it for UseMetrics, and the router has to pass that on — the
-// tcp leg's writev counter must move when cross-node traffic flows.
+// tcp leg's writev counter must move when cross-node traffic flows, the
+// shm leg's doorbell counters when same-node traffic does.
 func TestRemoteCompositeMetricsReachLegs(t *testing.T) {
 	reg := metrics.New()
 	reg.Enable()
@@ -133,12 +134,24 @@ func TestRemoteCompositeMetricsReachLegs(t *testing.T) {
 		switch p.Rank() {
 		case 0:
 			comm.SendBytes([]byte("across the tcp leg"), 2, 1)
+			comm.SendBytes([]byte("across the rings"), 1, 1)
+		case 1:
+			comm.RecvBytes(make([]byte, 32), 0, 1)
 		case 2:
 			comm.RecvBytes(make([]byte, 32), 0, 1)
 		}
 	})
-	if got := reg.Snapshot().Counter("tcp.tx.writev"); got == 0 {
-		t.Fatal("tcp.tx.writev stayed at zero under the composite router")
+	snap := reg.Snapshot()
+	if got := snap.Counter("tcp.tx.writev"); got == 0 {
+		t.Error("tcp.tx.writev stayed at zero under the composite router")
+	}
+	// Every publish into an empty ring either rings the consumer or is
+	// counted as suppressed; the world barrier alone publishes several.
+	if snap.Counter("shm.bells_rung")+snap.Counter("shm.bells_suppressed") == 0 {
+		t.Error("the shm leg's doorbell counters stayed at zero under the composite router")
+	}
+	if snap.Counter("rank0.core.wait.waits") == 0 {
+		t.Error("rank 0's wait counters stayed at zero")
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gompix/internal/core"
 	"gompix/internal/fabric"
 	"gompix/internal/metrics"
 	"gompix/internal/nic"
@@ -392,21 +391,12 @@ func (w *World) finalizeBarrier(p *Proc) {
 		return
 	}
 	w.finMu.Unlock()
-	var b core.Backoff
-	for {
+	// Keep local progress alive for stragglers' in-flight traffic.
+	p.eng.Default().Await(func() bool {
 		w.finMu.Lock()
-		passed := w.finGen != gen
-		w.finMu.Unlock()
-		if passed {
-			return
-		}
-		// Keep local progress alive for stragglers' in-flight traffic.
-		if p.eng.ProgressAll() {
-			b.Reset()
-		} else {
-			b.Pause()
-		}
-	}
+		defer w.finMu.Unlock()
+		return w.finGen != gen
+	}, nil, p.eng.ProgressAll)
 }
 
 // joinCommGroup implements the collective part of communicator

@@ -132,10 +132,19 @@ func (p *Proc) StreamProgress(s *core.Stream) bool {
 // call serializes anyway, so it falls back to the blocking pass.
 func (p *Proc) tryStreamProgress(s *core.Stream) (made, ok bool) {
 	if p.world.cfg.GlobalLock {
-		defer p.enterMPI()()
-		return s.Progress(), true
+		return p.StreamProgress(s), true
 	}
 	return s.TryProgress()
+}
+
+// await is how every blocking MPI call waits: core.Stream.Await on s
+// with the call's own condition. A global-lock world swaps the trylock
+// pass for the serialized one.
+func (p *Proc) await(s *core.Stream, cond func() bool, cancel func() error) error {
+	if p.world.cfg.GlobalLock {
+		return s.Await(cond, cancel, func() bool { return p.StreamProgress(s) })
+	}
+	return s.Await(cond, cancel, nil)
 }
 
 // enterMPI acquires the legacy global lock when Config.GlobalLock is
@@ -278,11 +287,11 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 	if al, ok := v.ep.(nic.Armer); ok {
 		al.SetArm(func() { s.AsyncStart(linkFlushPoll, v) })
 	}
-	// Transports with a kernel wakeup path (the shm doorbell) park the
-	// stream's wait-loop backoff interruptibly: an arrival wakes the
-	// waiter immediately instead of after the sleep rung's timer.
-	if np, ok := v.ep.(nic.Napper); ok {
-		s.SetNapper(np.Nap)
+	// A transport whose producers live in other processes cannot poke
+	// the stream's wake channel from there: the park rung announces
+	// itself through the link first (the shm consumer word).
+	if pk, ok := v.ep.(nic.Parker); ok {
+		s.SetParkHook(pk.Parking)
 	}
 	// The send handle table exists in both modes: revocation sweeps
 	// key it by communicator to abort rendezvous sends still awaiting

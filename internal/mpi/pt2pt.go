@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 
-	"gompix/internal/core"
 	"gompix/internal/datatype"
 )
 
@@ -118,17 +117,12 @@ func (c *Comm) Peek(src, tag int) (Status, bool) {
 
 // Probe blocks until a matching message has arrived (MPI_Probe).
 func (c *Comm) Probe(src, tag int) Status {
-	var b core.Backoff
-	for {
-		if st, ok := c.local.match.probe(c.ctx, src, tag); ok {
-			return st
-		}
-		if made, _ := c.proc.tryStreamProgress(c.local.stream); made {
-			b.Reset()
-		} else {
-			b.Pause()
-		}
-	}
+	var st Status
+	c.proc.await(c.local.stream, func() (ok bool) {
+		st, ok = c.local.match.probe(c.ctx, src, tag)
+		return ok
+	}, nil)
+	return st
 }
 
 // Sendrecv performs a combined send and receive (MPI_Sendrecv),

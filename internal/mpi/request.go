@@ -201,20 +201,11 @@ func (r *Request) observed() {
 func (r *Request) stream() *core.Stream { return r.vci.stream }
 
 // Wait blocks until the request completes, driving progress on the
-// request's stream (MPI_Wait), and returns the status. Progress uses
-// the trylock fast path — a contended stream is already being
-// progressed by its other waiter — and empty passes fall down an
-// adaptive spin/yield/sleep ladder so peer ranks sharing a core run.
+// request's stream (MPI_Wait), and returns the status. Like every
+// blocking call it is core.Stream.Await with its own condition: a
+// trylock pass, a yield after each empty one, then the park rung.
 func (r *Request) Wait() Status {
-	p := r.proc
-	var b core.Backoff
-	for !r.flag.IsSet() {
-		if made, _ := p.tryStreamProgress(r.stream()); made {
-			b.Reset()
-		} else {
-			b.Pause()
-		}
-	}
+	r.proc.await(r.stream(), r.flag.IsSet, nil)
 	r.observed()
 	return r.status
 }
@@ -234,22 +225,12 @@ func (r *Request) Cancelled() bool {
 	return r.flag.IsSet() && r.status.Cancelled
 }
 
-// waitCancelled is the shared bounded-wait loop: it drives progress on
-// the request's stream until the request completes or cancelled
-// returns a non-nil error, which is returned with the request still
+// waitCancelled is the bounded wait: Await with a cancel function,
+// whose first non-nil error is returned with the request still
 // pending. On completion it returns the status and Status.Err.
 func (r *Request) waitCancelled(cancelled func() error) (Status, error) {
-	p := r.proc
-	var b core.Backoff
-	for !r.flag.IsSet() {
-		if err := cancelled(); err != nil {
-			return Status{}, err
-		}
-		if made, _ := p.tryStreamProgress(r.stream()); made {
-			b.Reset()
-		} else {
-			b.Pause()
-		}
+	if err := r.proc.await(r.stream(), r.flag.IsSet, cancelled); err != nil {
+		return Status{}, err
 	}
 	r.observed()
 	return r.status, r.status.Err
@@ -327,94 +308,104 @@ func WaitAll(reqs ...*Request) []Status {
 	return out
 }
 
-// TestAll reports whether all requests have completed, invoking at
-// most one progress pass per distinct stream (MPI_Testall).
+// TestAll reports whether all requests have completed, invoking one
+// progress pass per run of pending requests that share a stream
+// (MPI_Testall).
 func TestAll(reqs ...*Request) bool {
-	all := true
-	seen := map[*core.Stream]bool{}
+	progressPending(reqs)
+	for _, r := range reqs {
+		if !r.flag.IsSet() {
+			return false
+		}
+	}
+	return true
+}
+
+// progressPending makes one trylock progress pass on the stream of
+// every pending request, skipping a stream the previous pending request
+// already progressed (requests are typically grouped by communicator,
+// so this is one pass per stream without a set), and reports whether
+// any pass made progress. A contended stream is being progressed by
+// whoever holds it.
+func progressPending(reqs []*Request) (made bool) {
+	var prev *core.Stream
 	for _, r := range reqs {
 		if r.flag.IsSet() {
 			continue
 		}
 		s := r.stream()
-		if !seen[s] {
-			seen[s] = true
-			r.proc.StreamProgress(s)
+		if s == prev {
+			continue
 		}
-		if !r.flag.IsSet() {
-			all = false
+		prev = s
+		if m, _ := r.proc.tryStreamProgress(s); m {
+			made = true
 		}
 	}
-	return all
+	return made
+}
+
+// firstComplete returns the index of the first completed request, or
+// -1.
+func firstComplete(reqs []*Request) int {
+	for i, r := range reqs {
+		if r.flag.IsSet() {
+			return i
+		}
+	}
+	return -1
+}
+
+// awaitAny parks the caller until at least one request completes,
+// try-progressing every pending request's stream each round.
+func awaitAny(reqs []*Request) {
+	r0 := reqs[0]
+	r0.stream().Await(
+		func() bool { return firstComplete(reqs) >= 0 },
+		nil,
+		func() bool { return progressPending(reqs) },
+	)
 }
 
 // WaitAny blocks until at least one request completes and returns its
-// index and status (MPI_Waitany). It panics on an empty slice. Each
-// round try-progresses the stream of every pending request (adjacent
-// duplicates skipped), so requests parked on different streams all
-// advance; empty rounds back off adaptively.
+// index and status (MPI_Waitany). It panics on an empty slice.
+// Requests on different streams all advance every round.
 func WaitAny(reqs ...*Request) (int, Status) {
 	if len(reqs) == 0 {
 		panic("mpi: WaitAny with no requests")
 	}
-	var b core.Backoff
-	for {
-		for i, r := range reqs {
-			if r.flag.IsSet() {
-				return i, r.status
-			}
-		}
-		made := false
-		var prev *core.Stream
-		for _, r := range reqs {
-			s := r.stream()
-			if s == prev {
-				continue
-			}
-			prev = s
-			if m, _ := r.proc.tryStreamProgress(s); m {
-				made = true
-			}
-		}
-		if made {
-			b.Reset()
-		} else {
-			b.Pause()
-		}
-	}
+	awaitAny(reqs)
+	i := firstComplete(reqs)
+	return i, reqs[i].status
 }
 
 // WaitSome blocks until at least one request completes and returns the
 // indices of every completed request (MPI_Waitsome). It panics on an
-// empty slice.
+// empty slice. Completed requests stay in the caller's slice here, so
+// a caller looping until enough of them are done passes finished ones
+// back in: like TestSome, every call makes a pass before it looks, or
+// that loop would never advance the rest.
 func WaitSome(reqs ...*Request) []int {
 	if len(reqs) == 0 {
 		panic("mpi: WaitSome with no requests")
 	}
-	var b core.Backoff
-	for {
-		if done := TestSome(reqs...); len(done) > 0 {
-			return done
-		}
-		b.Pause()
-	}
+	progressPending(reqs)
+	awaitAny(reqs)
+	return completed(reqs)
 }
 
-// TestSome returns the indices of currently completed requests after at
-// most one progress pass per distinct stream (MPI_Testsome).
+// TestSome returns the indices of currently completed requests after
+// one progress pass per run of pending requests that share a stream
+// (MPI_Testsome); nil, and no allocation, when none has completed.
 func TestSome(reqs ...*Request) []int {
+	progressPending(reqs)
+	return completed(reqs)
+}
+
+// completed lists the indices of the completed requests.
+func completed(reqs []*Request) []int {
 	var done []int
-	seen := map[*core.Stream]bool{}
 	for i, r := range reqs {
-		if r.flag.IsSet() {
-			done = append(done, i)
-			continue
-		}
-		s := r.stream()
-		if !seen[s] {
-			seen[s] = true
-			r.proc.StreamProgress(s)
-		}
 		if r.flag.IsSet() {
 			done = append(done, i)
 		}
@@ -425,18 +416,13 @@ func TestSome(reqs ...*Request) []int {
 // TestAny reports the first completed request, invoking one progress
 // pass if none is complete yet (MPI_Testany).
 func TestAny(reqs ...*Request) (int, Status, bool) {
-	for i, r := range reqs {
-		if r.flag.IsSet() {
-			return i, r.status, true
-		}
-	}
-	if len(reqs) > 0 {
+	i := firstComplete(reqs)
+	if i < 0 && len(reqs) > 0 {
 		reqs[0].proc.StreamProgress(reqs[0].stream())
-		for i, r := range reqs {
-			if r.flag.IsSet() {
-				return i, r.status, true
-			}
-		}
+		i = firstComplete(reqs)
 	}
-	return -1, Status{}, false
+	if i < 0 {
+		return -1, Status{}, false
+	}
+	return i, reqs[i].status, true
 }

@@ -74,15 +74,18 @@ type Flusher interface {
 	Flush() (made, idle bool)
 }
 
-// Napper is implemented by links that can park a waiting caller
-// interruptibly: Nap blocks for at most d, but returns early when the
-// link's queues go non-empty (the shm doorbell watcher pokes nappers
-// as it delivers). Wait loops use it in place of the plain time.Sleep
-// backoff rung, so an arrival costs a kernel wakeup instead of the
-// remainder of a timer tick. Nap with nothing queued and no wakeup is
-// equivalent to time.Sleep(d).
-type Napper interface {
-	Nap(d time.Duration)
+// Parker is implemented by links some of whose producers cannot reach
+// the owning stream's wake channel — they run in another process and
+// publish into shared memory (the shm rings). Every in-process arrival
+// already wakes a parked waiter through the bound WorkCounter; these
+// producers instead read a word the consumer publishes. Parking is the
+// consumer's side of that handshake: the stream's wait loop calls it
+// after its last empty pass and before sleeping; the link publishes
+// "ring me", re-checks what such producers may have published
+// meanwhile, and reports whether sleeping is still safe (false: an
+// arrival is already visible, poll again).
+type Parker interface {
+	Parking() bool
 }
 
 // TxPender is implemented by links that buffer outbound frames between

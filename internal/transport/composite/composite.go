@@ -269,9 +269,10 @@ func (l *Link) BindWork(w nic.WorkCounter) {
 }
 
 // UseMetrics wires whichever legs have instruments to the registry
-// under the caller's scope (today the tcp leg: scope.peer_down and the
-// transport-wide tcp.* set); without the forward the router hides the
-// legs from the MPI layer's wiring probe and tcp.tx.* reads zero.
+// under the caller's scope (the tcp leg: scope.peer_down and the
+// transport-wide tcp.* set; the shm leg: the shm.bells_* pair); without
+// the forward the router hides the legs from the MPI layer's wiring
+// probe and their counters read zero.
 func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 	type instrumented interface {
 		UseMetrics(*metrics.Registry, string)
@@ -298,18 +299,15 @@ func (l *Link) SetArm(arm func()) {
 	}
 }
 
-// Nap parks the caller interruptibly on the local leg's doorbell
-// wakeup when the shm leg provides one (nic.Napper); otherwise it is a
-// plain bounded sleep. The remote leg's arrivals are reactor-ingested
-// by the waiter's own polls, so the timer bound — identical to the
-// sleep the backoff rung would otherwise take — keeps their latency
-// unchanged.
-func (l *Link) Nap(d time.Duration) {
-	if np, ok := l.local.(nic.Napper); ok && l.local != nil {
-		np.Nap(d)
-		return
+// Parking forwards the park handshake to the shm leg (nic.Parker), the
+// one whose producers cannot wake the stream themselves. The tcp leg
+// needs no announcement: its connection watchers bump the shared work
+// counter from inside this process, which wakes the sleeper directly.
+func (l *Link) Parking() bool {
+	if pk, ok := l.local.(nic.Parker); ok && l.local != nil {
+		return pk.Parking()
 	}
-	time.Sleep(d)
+	return true
 }
 
 // PendingTx sums posted-but-unsettled frames across legs

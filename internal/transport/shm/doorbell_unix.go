@@ -17,12 +17,15 @@ import (
 // timer (millisecond granularity on Linux once the runtime parks) while
 // published cells sit unread. The TCP transport gets this wakeup for
 // free from socket readiness; here the producer buys it explicitly with
-// one nonblocking byte written on each empty→nonempty ring transition,
-// and a per-rank watcher goroutine parked in a blocking FIFO read — an
-// epoll wait in the runtime netpoller, exactly like the TCP watcher —
-// drains every inbound ring the moment the byte lands. Steady streams
-// keep the ring nonempty and pay no syscalls at all; the bell only
-// rings when the receiver might genuinely be asleep.
+// one nonblocking byte written on an empty→nonempty ring transition
+// toward a consumer that is not polling (its poll stamp in the ring
+// header is zero or stale — see ring.pollStamp and Link.Parking), and a
+// per-rank watcher goroutine parked in a blocking FIFO read — an epoll
+// wait in the runtime netpoller, exactly like the TCP watcher — drains
+// every inbound ring the moment the byte lands. Steady streams keep the
+// ring nonempty, waiting ranks keep their stamp live, and both pay no
+// syscalls at all; the bell only rings when the receiver is parked,
+// computing, or gone.
 
 // bellClosed sentinels a peer doorbell that must never be retried.
 const bellClosed = -2

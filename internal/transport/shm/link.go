@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gompix/internal/fabric"
+	"gompix/internal/metrics"
 	"gompix/internal/nic"
 	"gompix/internal/transport/framing"
 )
@@ -45,18 +46,6 @@ type Link struct {
 	rqMu sync.Mutex
 	rq   []fabric.Packet
 	nRQ  atomic.Int64
-
-	// The interruptible-sleep (nic.Napper) state: a waiter parks in Nap
-	// on wake with a bounding timer; any deliverer — the doorbell
-	// watcher or another stream's progress pass — pokes the channel
-	// after queueing, cutting the sleep short. napping gates the poke's
-	// cost to actual nap windows; napMu serializes nappers (a second
-	// concurrent waiter falls back to a plain sleep); napTimer is
-	// reused across naps to keep the steady state allocation-free.
-	wake     chan struct{}
-	napping  atomic.Bool
-	napMu    sync.Mutex
-	napTimer *time.Timer
 
 	closed atomic.Bool
 }
@@ -232,6 +221,13 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 	n.settleFrames(settled)
 	made = p.q.Written() > before
 	waiting = p.q.Pending() > 0
+	if waiting {
+		// Output is parked behind a full ring. If its consumer stopped
+		// polling after those cells were published, nobody was rung for
+		// them: let ringOwed judge its stamp again on every such pass, so
+		// that the watcher drains the ring of a rank that went computing.
+		p.bellBacklog.Store(true)
+	}
 	p.mu.Unlock()
 	return made, waiting
 }
@@ -282,6 +278,9 @@ func (n *Network) ringPeerLocked(p *peer) {
 	if p.bellFd >= 0 {
 		if ringBell(p.bellFd) {
 			n.bellsRung.Add(1)
+			if met := n.met.Load(); met != nil {
+				met.bellsRung.Inc()
+			}
 		} else {
 			p.bellFd = bellClosed // reader gone: never retry
 		}
@@ -320,26 +319,41 @@ func (l *Link) PollRecv() (made bool) {
 		}
 	}
 	n.ringOwed()
-	n.probeLiveness()
+	n.pollTick()
 	return made
 }
 
-// ringOwed writes the wakeup byte for every peer whose ring went
-// nonempty since the last pass. Deferring the FIFO write here — the
-// tail of the poster's own progress pass — coalesces a burst of posts
-// into one bell and one wakeup preemption instead of one per pump. A
-// blocking send's wait drives a pass immediately after the post, so
-// single-message latency still pays only one pass of deferral.
+// ringOwed settles the doorbell debts recorded since the last pass:
+// the wakeup byte goes to every owed peer that is not polling (its
+// stamp is zero — at rest or parked — or stale — computing,
+// descheduled, dead), and a polling peer is left alone. Deferring the
+// FIFO write here — the tail of the poster's own progress pass —
+// coalesces a burst of posts into one bell and one wakeup preemption
+// instead of one per pump. The order that makes the skip safe is
+// publish (tail store) → stamp load here, against the waiter's stamp
+// store (zero) → ring re-check → sleep in Link.Parking: one of the two
+// sides sees the other.
 func (n *Network) ringOwed() {
 	for _, p := range n.peers {
-		if p == nil || !p.bellOwed.Load() {
+		if p == nil || !(p.bellOwed.Load() || p.bellBacklog.Load()) {
 			continue
 		}
-		if p.bellOwed.CompareAndSwap(true, false) {
-			p.mu.Lock()
-			n.ringPeerLocked(p)
-			p.mu.Unlock()
+		published := p.bellOwed.Swap(false)
+		if !p.bellBacklog.Swap(false) && !published {
+			continue
 		}
+		p.mu.Lock()
+		switch {
+		case p.tx == nil:
+		case !n.consumerPolling(p.tx):
+			n.ringPeerLocked(p)
+		case published:
+			n.bellsSupp.Add(1)
+			if met := n.met.Load(); met != nil {
+				met.bellsSuppressed.Inc()
+			}
+		}
+		p.mu.Unlock()
 	}
 }
 
@@ -542,7 +556,6 @@ func (l *Link) deliverBatch(ps []fabric.Packet) {
 	if w := l.work; w != nil {
 		w.Add(len(ps))
 	}
-	l.poke()
 }
 
 func (l *Link) pushCQ(cqe nic.CQE) {
@@ -553,55 +566,53 @@ func (l *Link) pushCQ(cqe nic.CQE) {
 	if w := l.work; w != nil {
 		w.Add(1)
 	}
-	l.poke()
 }
 
-// poke wakes a waiter parked in Nap. The queue bump above and the
-// napping check here are both sequentially-consistent atomics, mirrored
-// by Nap's store-napping-then-check-queues order, so a deliverer that
-// misses the flag guarantees the napper sees the queued entry before
-// parking — the classic no-lost-wakeup handshake.
-func (l *Link) poke() {
-	if !l.napping.Load() {
-		return
+// Parking is the consumer's half of the doorbell handshake
+// (nic.Parker), called by the owning stream's wait loop between its
+// last empty pass and its sleep. Producers in this process wake the
+// sleeper through the bound work counter; producers in other processes
+// only see the rings, so the waiter tells them there: it zeroes its
+// poll stamp in every inbound ring — "ring me" — and then re-checks
+// those rings. A cell published before the zero is seen here (false:
+// poll again); one published after reads the zero and rings the
+// watcher, whose delivery wakes the sleeper. The next poll re-stamps.
+func (l *Link) Parking() bool {
+	n := l.net
+	if n.bell == nil || n.closed.Load() {
+		return true // no watcher to ring: the sleep is timer-bounded
 	}
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
-}
-
-// Nap parks the caller for at most d, waking early when a deliverer
-// pokes (nic.Napper). Without a doorbell the transport cannot generate
-// wakeups, and a second concurrent napper on the same link has no
-// channel to wait on — both fall back to the plain bounded sleep.
-func (l *Link) Nap(d time.Duration) {
-	if l.net.bell == nil || !l.napMu.TryLock() {
-		time.Sleep(d)
-		return
-	}
-	defer l.napMu.Unlock()
-	select {
-	case <-l.wake: // discard a stale token from a prior nap
-	default:
-	}
-	l.napping.Store(true)
-	defer l.napping.Store(false)
-	if l.nRQ.Load() > 0 || l.nCQ.Load() > 0 {
-		return // arrived between the caller's last poll and here
-	}
-	if l.napTimer == nil {
-		l.napTimer = time.NewTimer(d)
-	} else {
-		l.napTimer.Reset(d)
-	}
-	select {
-	case <-l.wake:
-		if !l.napTimer.Stop() {
-			<-l.napTimer.C
+	n.stampDue.Store(true)
+	for _, p := range n.peers {
+		if p == nil {
+			continue
 		}
-	case <-l.napTimer.C:
+		if r := p.rx; r != nil {
+			r.pollStamp.Store(0)
+		}
 	}
+	for _, p := range n.peers {
+		if p == nil {
+			continue
+		}
+		if r := p.rx; r != nil && !r.empty() {
+			return false
+		}
+	}
+	return true
+}
+
+// UseMetrics wires the transport's doorbell counters to the registry
+// (shm.bells_rung, shm.bells_suppressed); the first wired link
+// registers them, scope is unused — they are transport-wide.
+func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
+	if reg == nil || l.net.met.Load() != nil {
+		return
+	}
+	l.net.met.CompareAndSwap(nil, &netMetrics{
+		bellsRung:       reg.Counter("shm.bells_rung"),
+		bellsSuppressed: reg.Counter("shm.bells_suppressed"),
+	})
 }
 
 // DrainCQ moves up to cap(buf) completions into buf[:0] (nic.Link).

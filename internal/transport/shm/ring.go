@@ -20,6 +20,7 @@ import (
 //	0   u32 magic, u32 version, u32 cells, u32 cellPayload
 //	64  u64 tail     (producer cursor, atomic)
 //	128 u64 head     (consumer cursor, atomic)
+//	136 i64 poll     (consumer's poll stamp, atomic; see pollStamp)
 //	192 u32 goodbye  (producer sets on graceful close, atomic)
 //	256 cells: each [u32 chunkLen][cellPayload bytes], stride 4+cellPayload
 //
@@ -31,7 +32,7 @@ import (
 // one process, which is how the in-process conformance suite runs).
 const (
 	ringMagic   = 0x73686d31 // "shm1"
-	ringVersion = 1
+	ringVersion = 2
 
 	offMagic       = 0
 	offVersion     = 4
@@ -39,6 +40,7 @@ const (
 	offCellPayload = 12
 	offTail        = 64
 	offHead        = 128
+	offPollStamp   = 136
 	offGoodbye     = 192
 	ringHdrSize    = 256
 
@@ -55,9 +57,17 @@ func ringSize(cells, cellPayload int) int {
 // peer mutex on the tx side, the receive drain on the rx side) keeps
 // each cursor single-writer.
 type ring struct {
-	mem         []byte
-	tail        *atomic.Uint64
-	head        *atomic.Uint64
+	mem  []byte
+	tail *atomic.Uint64
+	head *atomic.Uint64
+	// pollStamp is the consumer's word to the producer: the wall time
+	// (UnixNano) of a recent caller-thread poll of this ring, or zero —
+	// at rest, and from the moment a waiter decides to park. The
+	// producer rings the consumer's doorbell only when the stamp is
+	// zero or older than pollLiveWindow: a consumer that is polling
+	// finds the cell itself. It shares the head's cache line, which the
+	// producer reads after every publish anyway.
+	pollStamp   *atomic.Int64
 	goodbye     *atomic.Uint32
 	cells       int
 	cellPayload int
@@ -97,6 +107,7 @@ func openRing(mem []byte, cells, cellPayload int) (*ring, error) {
 		mem:         mem,
 		tail:        (*atomic.Uint64)(unsafe.Pointer(&mem[offTail])),
 		head:        (*atomic.Uint64)(unsafe.Pointer(&mem[offHead])),
+		pollStamp:   (*atomic.Int64)(unsafe.Pointer(&mem[offPollStamp])),
 		goodbye:     (*atomic.Uint32)(unsafe.Pointer(&mem[offGoodbye])),
 		cells:       cells,
 		cellPayload: cellPayload,

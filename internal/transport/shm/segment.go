@@ -96,9 +96,36 @@ func openRingFile(dir string, src, dst, cells, cellPayload int) ([]byte, error) 
 // claimAlive creates this rank's alive file and takes the exclusive
 // lock that is its liveness token. The returned file must stay open
 // for the transport's lifetime.
+//
+// The file appears under its name already locked: it is created under
+// a private name, locked, and only then linked into place. Created in
+// place and locked afterwards, it was for a moment — a scheduling
+// quantum, on a busy host — an alive file nobody held, which is what a
+// dead rank leaves behind: a peer's probe landing there reached a
+// verdict on a rank that was starting. (The lock belongs to the open
+// file, so it carries over to the new name.) A name that is taken
+// already belongs to a duplicate of this rank, or to a dead predecessor
+// in the same epoch whose file is then locked as it stands.
 func claimAlive(dir string, rank int) (*os.File, error) {
-	f, err := os.OpenFile(alivePath(dir, rank), os.O_CREATE|os.O_RDWR, 0o600)
+	path := alivePath(dir, rank)
+	tmp := fmt.Sprintf("%s.%d", path, os.Getpid())
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o600)
 	if err != nil {
+		return nil, err
+	}
+	defer os.Remove(tmp)
+	if ok, err := flockEx(f); err != nil || !ok {
+		f.Close()
+		return nil, fmt.Errorf("shm: locking %s: %v", tmp, err)
+	}
+	if err := os.Link(tmp, path); err == nil {
+		return f, nil
+	} else if !os.IsExist(err) {
+		f.Close()
+		return nil, err
+	}
+	f.Close()
+	if f, err = os.OpenFile(path, os.O_RDWR, 0o600); err != nil {
 		return nil, err
 	}
 	ok, err := flockEx(f)

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"gompix/internal/fabric"
+	"gompix/internal/metrics"
 	"gompix/internal/nic"
 	"gompix/internal/timing"
 	"gompix/internal/transport/framing"
@@ -58,6 +59,13 @@ const (
 	defaultCells       = 256
 	defaultCellPayload = 4096
 	defaultProbe       = 500 * time.Microsecond
+
+	// pollLiveWindow is how recent a consumer's poll stamp must be for
+	// its producers to skip the doorbell (the window the tcp reactor
+	// uses to decide that caller threads are ingesting); stampEvery is
+	// the poll cadence of the clock read that refreshes it.
+	pollLiveWindow = time.Millisecond
+	stampEvery     = 16
 
 	// maxFrame bounds a parsed frame length; anything larger is
 	// corruption (shared memory scribbled on), which is unrecoverable
@@ -110,13 +118,16 @@ type peer struct {
 	// FIFO (under mu): -1 not yet open (retry), bellClosed never retry.
 	bellFd int
 
-	// bellOwed marks an empty→nonempty ring transition whose wakeup
-	// byte has not been written yet. Pumps record the debt instead of
-	// ringing inline: the FIFO write makes the peer runnable, and on an
-	// oversubscribed core the kernel's wakeup preemption would kick the
-	// producer off mid-burst — one deferred bell per progress pass
-	// keeps the burst intact and the syscall count at one.
-	bellOwed atomic.Bool
+	// bellOwed marks an empty→nonempty ring transition, bellBacklog a
+	// flush pass that left output parked behind a full ring: the two
+	// reasons the consumer may need its doorbell rung. Pumps record the
+	// debt instead of ringing inline — the FIFO write makes the peer
+	// runnable, and on an oversubscribed core the kernel's wakeup
+	// preemption would kick the producer off mid-burst — and the next
+	// ringOwed settles it against the consumer's poll stamp: a consumer
+	// that is polling is not rung at all.
+	bellOwed    atomic.Bool
+	bellBacklog atomic.Bool
 }
 
 // linkTable is the atomic link snapshot (same shape as the TCP
@@ -134,6 +145,9 @@ type Network struct {
 	codec nic.Codec
 	split nic.SplitCodec // codec's zero-copy side; nil when it has none
 	clk   timing.Clock
+	// wallNow reads the wall clock poll stamps are written and judged
+	// on (UnixNano: the one clock every process of the job shares).
+	wallNow func() int64
 
 	jobLock *os.File
 	alive   *os.File
@@ -151,7 +165,10 @@ type Network struct {
 	peers []*peer // indexed by rank; nil at self and non-shm ranks
 
 	lastProbe atomic.Int64  // UnixNano of the last liveness sweep
-	probeTick atomic.Uint32 // PollRecv pass counter gating the clock read
+	pollTicks atomic.Uint32 // PollRecv pass counter gating the clock read
+	stampDue  atomic.Bool   // a park zeroed the stamps: the next poll re-stamps
+
+	met atomic.Pointer[netMetrics]
 
 	// counters (Stats)
 	txChunks    atomic.Uint64
@@ -161,7 +178,13 @@ type Network struct {
 	rxUnknownEP atomic.Uint64
 	peersDown   atomic.Uint64
 	bellsRung   atomic.Uint64
+	bellsSupp   atomic.Uint64
 	reclaimed   int
+}
+
+// netMetrics is the registry wiring of the doorbell path.
+type netMetrics struct {
+	bellsRung, bellsSuppressed *metrics.Counter
 }
 
 // Stats is a snapshot of the transport counters.
@@ -173,7 +196,10 @@ type Stats struct {
 	UnknownEndpoints uint64
 	PeersDown        uint64
 	BellsRung        uint64
-	ReclaimedDirs    int
+	// BellsSuppressed counts ring transitions whose doorbell write was
+	// skipped because the consumer's poll stamp was live.
+	BellsSuppressed uint64
+	ReclaimedDirs   int
 }
 
 // New builds the transport: reclaims stale sibling job directories,
@@ -199,11 +225,13 @@ func New(cfg Config) (*Network, error) {
 	base := baseDir(cfg.Dir)
 	dir := jobDir(base, cfg.Epoch)
 	n := &Network{
-		cfg:   cfg,
-		dir:   dir,
-		clk:   timing.NewRealClock(),
-		peers: make([]*peer, cfg.WorldSize),
+		cfg:     cfg,
+		dir:     dir,
+		clk:     timing.NewRealClock(),
+		wallNow: func() int64 { return time.Now().UnixNano() },
+		peers:   make([]*peer, cfg.WorldSize),
 	}
+	n.stampDue.Store(true) // at rest until the first poll, which stamps
 	n.reclaimed = reclaimStale(base, dir, cfg.StaleAfter)
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, err
@@ -286,16 +314,23 @@ func (n *Network) watchBell() {
 		if _, err := n.bell.Read(buf); err != nil {
 			return // closed by shutdown
 		}
-		if n.closed.Load() {
-			return
-		}
-		for _, p := range n.peers {
-			if p == nil {
-				continue
+		// Drain until every ring reads empty, not one snapshot of each: a
+		// producer that finds unconsumed cells ahead of its publish does
+		// not ring (see pumpPeerLocked), on the understanding that
+		// whoever is draining them will see the new ones too.
+		for again := true; again && !n.closed.Load(); {
+			again = false
+			for _, p := range n.peers {
+				if p == nil {
+					continue
+				}
+				p.rxMu.Lock()
+				n.drainPeerLocked(p)
+				if p.rx != nil && !p.rx.empty() {
+					again = true
+				}
+				p.rxMu.Unlock()
 			}
-			p.rxMu.Lock()
-			n.drainPeerLocked(p)
-			p.rxMu.Unlock()
 		}
 	}
 }
@@ -313,6 +348,7 @@ func (n *Network) Stats() Stats {
 		UnknownEndpoints: n.rxUnknownEP.Load(),
 		PeersDown:        n.peersDown.Load(),
 		BellsRung:        n.bellsRung.Load(),
+		BellsSuppressed:  n.bellsSupp.Load(),
 		ReclaimedDirs:    n.reclaimed,
 	}
 }
@@ -347,7 +383,7 @@ func (n *Network) AddLink(rank, vci int) (nic.Link, error) {
 	if rank != n.cfg.Rank {
 		return nil, fmt.Errorf("shm: AddLink for rank %d on rank %d's transport", rank, n.cfg.Rank)
 	}
-	l := &Link{net: n, id: n.EndpointOf(rank, vci), wake: make(chan struct{}, 1)}
+	l := &Link{net: n, id: n.EndpointOf(rank, vci)}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed.Load() {
@@ -571,17 +607,30 @@ func (n *Network) failFrames(frames []outFrame, cause error) {
 	}
 }
 
-// probeLiveness sweeps every peer's alive lock at the configured
-// cadence. Called from the poll path; cheap when gated out — a pass
-// counter keeps even the clock read off the spin path (a progress
-// loop polls thousands of times per millisecond, and on a virtualized
-// host the vDSO clock is a measurable fraction of the whole pass), so
-// only every 64th poll consults the wall clock at all.
-func (n *Network) probeLiveness() {
-	if n.probeTick.Add(1)&63 != 0 {
+// pollTick is the clocked tail of a caller-thread poll. A pass counter
+// keeps even the clock read off the spin path (a progress loop polls
+// thousands of times per millisecond, and on a virtualized host the
+// vDSO clock is a measurable fraction of the whole pass): every
+// stampEvery-th poll — and the first one after a park — reads the wall
+// clock once, publishes it as this rank's poll stamp in every inbound
+// ring, and sweeps the peers' alive locks when the probe interval has
+// passed.
+func (n *Network) pollTick() {
+	if n.pollTicks.Add(1)%stampEvery != 0 && !n.stampDue.Load() {
 		return
 	}
-	now := time.Now().UnixNano()
+	now := n.wallNow()
+	if n.stampDue.Load() {
+		n.stampDue.Store(false)
+	}
+	for _, p := range n.peers {
+		if p == nil {
+			continue
+		}
+		if r := p.rx; r != nil {
+			r.pollStamp.Store(now)
+		}
+	}
 	last := n.lastProbe.Load()
 	if now-last < int64(n.cfg.ProbeInterval) || !n.lastProbe.CompareAndSwap(last, now) {
 		return
@@ -592,6 +641,20 @@ func (n *Network) probeLiveness() {
 		}
 		n.probePeer(p)
 	}
+}
+
+// consumerPolling reports whether the consumer of tx stamped a poll
+// within the live window: it will find a published cell on its own,
+// so its doorbell stays silent. A zero stamp (at rest, or a waiter
+// about to park) and a stamp from the future (the wall clock stepped)
+// both read as not polling — ringing is always safe.
+func (n *Network) consumerPolling(tx *ring) bool {
+	st := tx.pollStamp.Load()
+	if st == 0 {
+		return false
+	}
+	age := n.wallNow() - st
+	return age >= 0 && age < int64(pollLiveWindow)
 }
 
 // probePeer tries the non-blocking shared lock on the peer's alive

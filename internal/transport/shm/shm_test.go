@@ -3,6 +3,7 @@ package shm
 import (
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -364,5 +365,145 @@ func TestDoorbellWakesIdleReceiver(t *testing.T) {
 	}
 	if got := nets[0].Stats().BellsRung; got == 0 {
 		t.Fatalf("frame delivered but no bell was rung — watcher cannot have woken")
+	}
+}
+
+// fakeWall replaces both networks' wall clock with one the test steps,
+// so "polled within the live window" is a fact of the test, not of the
+// host's scheduler.
+func fakeWall(nets [2]*Network) *atomic.Int64 {
+	wall := new(atomic.Int64)
+	wall.Store(int64(time.Hour))
+	for _, n := range nets {
+		n.wallNow = wall.Load
+	}
+	return wall
+}
+
+// TestDoorbellFollowsConsumerState is the who-rings-whom table: a
+// producer rings the consumer's doorbell for a publish into an empty
+// ring exactly when the consumer is not polling — at rest, about to
+// park, or with a poll stamp older than the live window — and never
+// while the consumer's polls are live.
+func TestDoorbellFollowsConsumerState(t *testing.T) {
+	requireSupported(t)
+	nets, links := newPair(t, t.TempDir(), 21)
+	for _, n := range nets {
+		n := n
+		t.Cleanup(func() { n.Close() })
+	}
+	if nets[1].bell == nil {
+		t.Skip("no FIFO support in the segment directory")
+	}
+	wall := fakeWall(nets)
+	prod, cons := links[0], links[1]
+	msg := []byte("state")
+	// publish posts one frame into the (drained) ring and settles the
+	// doorbell debt; it returns how many bells that rang or suppressed.
+	publish := func() (rung, suppressed uint64) {
+		t.Helper()
+		before := nets[0].Stats()
+		if err := prod.PostSendInline(cons.ID(), msg, len(msg)); err != nil {
+			t.Fatal(err)
+		}
+		prod.Flush()
+		after := nets[0].Stats()
+		return after.BellsRung - before.BellsRung, after.BellsSuppressed - before.BellsSuppressed
+	}
+	// drain empties the ring on the consumer's thread (stamping its
+	// polls) and its receive queue, whoever filled it.
+	scratch := make([]fabric.Packet, 0, 64)
+	drain := func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		got := 0
+		for got == 0 {
+			for i := 0; i < stampEvery; i++ {
+				cons.PollRecv()
+			}
+			scratch = cons.DrainRQ(scratch)
+			got = len(scratch)
+			if time.Now().After(deadline) {
+				t.Fatal("frame never arrived")
+			}
+		}
+	}
+
+	if rung, _ := publish(); rung != 1 {
+		t.Errorf("consumer at rest (never polled): %d bells, want 1", rung)
+	}
+	drain()
+	if rung, supp := publish(); rung != 0 || supp != 1 {
+		t.Errorf("consumer polling: %d bells, %d suppressed, want 0 and 1", rung, supp)
+	}
+	drain()
+	wall.Add(int64(pollLiveWindow) + 1) // the consumer went computing
+	if rung, _ := publish(); rung != 1 {
+		t.Errorf("consumer's stamp stale: %d bells, want 1", rung)
+	}
+	drain()
+	if !cons.Parking() {
+		t.Fatal("Parking refused with empty rings")
+	}
+	if rung, _ := publish(); rung != 1 {
+		t.Errorf("consumer parked: %d bells, want 1", rung)
+	}
+	if cons.Parking() && cons.QueuedRQ() == 0 {
+		t.Error("Parking allowed a sleep with a published cell in the ring")
+	}
+	drain() // the first poll after a park re-stamps at once
+	if rung, _ := publish(); rung != 0 {
+		t.Errorf("consumer polling again after a park: %d bells, want 0", rung)
+	}
+}
+
+// TestPollingConsumerNeverRung: 10k ping-pongs between two ends that
+// poll every round ring no doorbell at all.
+func TestPollingConsumerNeverRung(t *testing.T) {
+	requireSupported(t)
+	nets, links := newPair(t, t.TempDir(), 22)
+	for _, n := range nets {
+		n := n
+		t.Cleanup(func() { n.Close() })
+	}
+	wall := fakeWall(nets)
+	msg := []byte("pingpong")
+	scratch := make([]fabric.Packet, 0, 64)
+	recv := func(l *Link) {
+		t.Helper()
+		for spins := 0; ; spins++ {
+			l.PollRecv()
+			if scratch = l.DrainRQ(scratch); len(scratch) == 1 {
+				return
+			}
+			if spins > 1<<20 {
+				t.Fatal("frame never arrived")
+			}
+		}
+	}
+	// Both ends poll once before the first publish: a rank is at rest,
+	// and rung, only until its first poll.
+	links[0].PollRecv()
+	links[1].PollRecv()
+	before := [2]Stats{nets[0].Stats(), nets[1].Stats()}
+	const rounds = 10000
+	for i := 0; i < rounds; i++ {
+		for src := 0; src < 2; src++ {
+			if err := links[src].PostSendInline(links[1-src].ID(), msg, len(msg)); err != nil {
+				t.Fatal(err)
+			}
+			links[src].Flush()
+			recv(links[1-src])
+		}
+		wall.Add(int64(time.Microsecond))
+	}
+	for r, n := range nets {
+		st := n.Stats()
+		if d := st.BellsRung - before[r].BellsRung; d != 0 {
+			t.Errorf("rank %d rang %d bells in %d ping-pongs with a polling peer", r, d, rounds)
+		}
+		if d := st.BellsSuppressed - before[r].BellsSuppressed; d != rounds {
+			t.Errorf("rank %d suppressed %d bells, want %d (one per empty→nonempty publish)", r, d, rounds)
+		}
 	}
 }

@@ -35,10 +35,12 @@ type nbConn struct {
 	buf []byte
 	n   int
 	err error
-	// armed makes wfn return false exactly once per waitReadable call,
-	// so RawConn.Read parks instead of spinning. Only the watcher
-	// goroutine calls waitReadable, so no lock is needed.
+	// armed makes wfn decide exactly once per waitReadable call whether
+	// to park (nothing to read yet) — the second call, after the park,
+	// reports ready. Only the watcher goroutine calls waitReadable, so
+	// no lock is needed.
 	armed bool
+	peek  [1]byte
 }
 
 // newNBConn wraps conn's raw descriptor; ok is false when the
@@ -64,14 +66,35 @@ func newNBConn(conn net.Conn) (*nbConn, bool) {
 			return
 		}
 	}
-	nb.wfn = func(uintptr) bool {
-		if nb.armed {
-			nb.armed = false
+	nb.wfn = func(fd uintptr) bool {
+		if !nb.armed {
+			return true
+		}
+		nb.armed = false
+		// RawConn.Read reset the poller's readiness token just before
+		// this call: an edge that arrived since the last drain hit
+		// EAGAIN is gone with it, and parking now would sleep on bytes
+		// that are already here. Look once; anything that arrives after
+		// the look sets the fresh token.
+		return readable(int(fd), nb.peek[:])
+	}
+	return nb, true
+}
+
+// readable reports whether a read on the socket would return at once —
+// data, an orderly shutdown or a pending error — without consuming
+// anything.
+func readable(fd int, scratch []byte) bool {
+	for {
+		_, _, err := syscall.Recvfrom(fd, scratch, syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+		switch err {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN, syscall.ENOTSOCK:
 			return false
 		}
 		return true
 	}
-	return nb, true
 }
 
 // read performs one non-blocking read into p. It returns errWouldBlock
@@ -99,11 +122,12 @@ func (nb *nbConn) read(p []byte) (int, error) {
 	return n, nil
 }
 
-// waitReadable parks the calling goroutine in the runtime netpoller
-// until the descriptor is readable, closed, or deadlined. It consumes
-// no data. The netpoller is edge-triggered with a stored readiness
-// token, so a byte consumed by a concurrent read() can leave one
-// spurious wake behind — the drain loop's EAGAIN path absorbs it.
+// waitReadable returns once the descriptor is readable, closed, or
+// deadlined, parking the calling goroutine in the runtime netpoller
+// when it is not readable yet. It consumes no data. The netpoller is
+// edge-triggered with a stored readiness token, so a byte consumed by a
+// concurrent read() can leave one spurious wake behind — the drain
+// loop's EAGAIN path absorbs it.
 func (nb *nbConn) waitReadable() error {
 	nb.armed = true
 	return nb.rc.Read(nb.wfn)

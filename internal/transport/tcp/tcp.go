@@ -902,6 +902,20 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 	// keeps reading (progress polls or the reactor pool) while this
 	// writev blocks.
 	wrote, nsegs, err := p.q.FlushTo(conn)
+	if err != nil && !wrote && errors.Is(err, net.ErrClosed) && p.down == nil && !p.departed && !n.isClosed() {
+		// We closed this socket ourselves: the read side saw the
+		// connection die first, and its exit path (connLost) is about to
+		// clear p.conn and start the bounded re-dial. Nothing reached the
+		// wire, so the queue still stands at a frame boundary and the
+		// frames stay in it: they flush over the new socket, or fail
+		// behind the verdict — not ahead of it, which is what failing
+		// them here did once in some hundred peer deaths.
+		if p.conn == conn {
+			p.conn = nil
+		}
+		p.mu.Unlock()
+		return false, true
+	}
 	if err != nil {
 		err = fmt.Errorf("tcp: write rank %d: %w", p.rank, err)
 		conn.Close()
