@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-hot race-transport race-tcp race-shm race-cont race-eager chaos chaos-sim chaos-tcp bench bench-smoke figures mpixrun-smoke ci
+.PHONY: all build test vet race race-hot race-transport race-tcp race-shm race-cont race-eager chaos chaos-sim chaos-tcp fuzz-smoke bench bench-smoke figures mpixrun-smoke ci
 
 all: build test
 
@@ -93,13 +93,30 @@ chaos-sim:
 # Revoke/Shrink/Agree and finish on the survivor communicator — never
 # hang), revocation mid-collective, transient connection resets healed
 # by the redial budget, hostile frames, graceful-departure teardown,
-# and the launcher's kill/continue supervision matrix.
+# and the launcher's kill/continue supervision matrix. The transport's
+# own half (verdicts, departures, hostile frames, dial failure) is the
+# whole tcp package, selected by package: a renamed test cannot fall out
+# of it the way it could fall out of a -run list.
 chaos-tcp:
 	$(GO) test -race -count=1 -timeout 5m -run \
-		'TestRemoteKillRank|TestRemoteKillTwoRanks|TestRemoteRevokeMidCollective|TestRemoteTransientReset|TestRemoteCompositeKillRank|TestRelaxedKill|TestPeerDeathVerdict|TestGracefulDepartureNoVerdict|TestCorruptFrameDropsConn|TestUnknownEndpointDropsConn|TestLinkDialFailure' \
-		./internal/mpi/ ./internal/transport/tcp/
+		'TestRemoteKillRank|TestRemoteKillTwoRanks|TestRemoteRevokeMidCollective|TestRemoteTransientReset|TestRemoteCompositeKillRank|TestRelaxedKill' \
+		./internal/mpi/
+	$(GO) test -race -count=1 -timeout 5m ./internal/transport/tcp/
 	$(GO) test -race -count=1 -timeout 5m -run 'TestMatrixRelaxedAllreduce' ./mpix/
 	$(GO) test -count=1 -timeout 5m ./cmd/mpixrun/
+
+# Every committed fuzz target, for a fixed short time each: the frame
+# parser both byte transports share, the wire-header decoder, the trace
+# exporter. It proves the targets still build and hold on their corpora
+# plus a few seconds of mutation; it is no substitute for a long run.
+# go test takes one -fuzz target and one package per run.
+# -fuzzminimizetime because the default spends up to a minute shrinking
+# each new input, which for FuzzStream (kilobyte inputs) leaves no time
+# to run any.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzStream$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/transport/framing/
+	$(GO) test -run '^$$' -fuzz '^FuzzWireCodecDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/mpi/
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceEventJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 
 # Benchmark gate: fixed iteration counts (-benchtime=Nx) keep runs
 # comparable across commits, -benchmem feeds the allocs/op gates, and
@@ -145,5 +162,5 @@ mpixrun-smoke:
 # in core, mpi and nic), the transport race pass with its tcp and
 # shm/composite world passes, the continuation race pass, the
 # relaxed-allreduce race pass, the process-failure chaos matrix, the
-# benchmark smoke, and the multiprocess launcher smoke.
-ci: vet build test race-hot race-tcp race-shm race-cont race-eager chaos-tcp bench-smoke mpixrun-smoke
+# fuzz smoke, the benchmark smoke, and the multiprocess launcher smoke.
+ci: vet build test race-hot race-tcp race-shm race-cont race-eager chaos-tcp fuzz-smoke bench-smoke mpixrun-smoke

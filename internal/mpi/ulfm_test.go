@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -202,6 +203,15 @@ func TestCommMetricsCounters(t *testing.T) {
 		dup := p.CommWorld().Dup()
 		if p.Rank() == 0 {
 			dup.Revoke()
+		} else {
+			// The revoke frame rides the netmod, Agree and Shrink on this
+			// one-node world ride the in-process rings: nothing orders the
+			// two paths, so rank 1 could finish both before the revocation
+			// reached it. A remote revoke is observed by driving progress.
+			for !dup.Revoked() {
+				p.Progress()
+				runtime.Gosched()
+			}
 		}
 		if _, err := dup.Agree(0); err != nil {
 			t.Errorf("rank %d: Agree: %v", p.Rank(), err)

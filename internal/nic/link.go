@@ -148,8 +148,8 @@ func (ep *Endpoint) Close() error { return nil }
 
 // relCodec wires the Reliable layer's frame envelope through a Codec
 // for byte-oriented transports: a relFrame rides as a fixed header
-// (kind, seq, cumulative ack, source endpoint, payload size) followed by
-// the inner payload encoded with the wrapped codec.
+// (kind, seq, cumulative ack, resync floor, source endpoint, payload
+// size) followed by the inner payload encoded with the wrapped codec.
 type relCodec struct {
 	inner Codec
 }
@@ -165,7 +165,7 @@ func RelCodec(inner Codec) Codec {
 	return relCodec{inner: inner}
 }
 
-const relCodecHdr = 1 + 8 + 8 + 8 + 4 + 1 // kind, seq, ack, src, bytes, hasInner
+const relCodecHdr = 1 + 8 + 8 + 8 + 8 + 4 + 1 // kind, seq, ack, floor, src, bytes, hasInner
 
 // appendEnvelope appends the envelope header of f.
 func appendEnvelope(buf []byte, payload any) ([]byte, *relFrame, error) {
@@ -177,10 +177,11 @@ func appendEnvelope(buf []byte, payload any) ([]byte, *relFrame, error) {
 	hdr[0] = f.kind
 	binary.LittleEndian.PutUint64(hdr[1:], f.seq)
 	binary.LittleEndian.PutUint64(hdr[9:], f.ack)
-	binary.LittleEndian.PutUint64(hdr[17:], uint64(f.src))
-	binary.LittleEndian.PutUint32(hdr[25:], uint32(f.bytes))
+	binary.LittleEndian.PutUint64(hdr[17:], f.floor)
+	binary.LittleEndian.PutUint64(hdr[25:], uint64(f.src))
+	binary.LittleEndian.PutUint32(hdr[33:], uint32(f.bytes))
 	if f.inner != nil {
-		hdr[29] = 1
+		hdr[37] = 1
 	}
 	return append(buf, hdr[:]...), f, nil
 }
@@ -195,9 +196,10 @@ func parseEnvelope(data []byte) (f *relFrame, hasInner bool, err error) {
 		kind:  data[0],
 		seq:   binary.LittleEndian.Uint64(data[1:]),
 		ack:   binary.LittleEndian.Uint64(data[9:]),
-		src:   fabric.EndpointID(binary.LittleEndian.Uint64(data[17:])),
-		bytes: int(binary.LittleEndian.Uint32(data[25:])),
-	}, data[29] != 0, nil
+		floor: binary.LittleEndian.Uint64(data[17:]),
+		src:   fabric.EndpointID(binary.LittleEndian.Uint64(data[25:])),
+		bytes: int(binary.LittleEndian.Uint32(data[33:])),
+	}, data[37] != 0, nil
 }
 
 func (c relCodec) Encode(buf []byte, payload any) ([]byte, error) {

@@ -60,25 +60,15 @@ type Endpoint struct {
 	net *fabric.Network
 	id  fabric.EndpointID
 
-	// work, when bound, mirrors nCQ+nRQ into the owning stream's
-	// netmod work counter.
-	work WorkCounter
-
 	// TX serialization: the wire is busy until nextFree.
 	txMu     sync.Mutex
 	nextFree time.Duration
 
-	// CQ: send completions, appended by the fabric scheduler, drained
-	// by netmod progress. nCQ allows an empty poll to cost one atomic
-	// load (the paper's requirement for cheap collated progress).
-	cqMu sync.Mutex
-	cq   []CQE
-	nCQ  atomic.Int64
-
-	// RQ: arrived packets.
-	rqMu sync.Mutex
-	rq   []fabric.Packet
-	nRQ  atomic.Int64
+	// CQ: send completions, appended by the fabric scheduler; RQ:
+	// arrived packets. Both are drained by netmod progress, and a bound
+	// work counter mirrors their combined depth.
+	cq Queue[CQE]
+	rq Queue[fabric.Packet]
 
 	// Counters.
 	sent      atomic.Uint64
@@ -99,7 +89,10 @@ func NewEndpoint(net *fabric.Network, node int) *Endpoint {
 // BindWork attaches a stream work counter; every subsequently queued
 // completion or arrival adds one unit, every drained entry removes
 // one. Bind before any traffic flows, or the counter goes negative.
-func (ep *Endpoint) BindWork(w WorkCounter) { ep.work = w }
+func (ep *Endpoint) BindWork(w WorkCounter) {
+	ep.cq.Bind(w)
+	ep.rq.Bind(w)
+}
 
 // ID returns the fabric address of this endpoint.
 func (ep *Endpoint) ID() fabric.EndpointID { return ep.id }
@@ -111,14 +104,8 @@ func (ep *Endpoint) Network() *fabric.Network { return ep.net }
 func (ep *Endpoint) Node() int { return ep.net.Node(ep.id) }
 
 func (ep *Endpoint) deliver(p fabric.Packet) {
-	ep.rqMu.Lock()
-	ep.rq = append(ep.rq, p)
-	ep.rqMu.Unlock()
-	n := ep.nRQ.Add(1)
+	n := ep.rq.Push(p)
 	ep.received.Add(1)
-	if w := ep.work; w != nil {
-		w.Add(1)
-	}
 	if m := ep.met; m != nil && m.reg.On() {
 		m.rqDepth.Set(n)
 		m.received.Inc()
@@ -169,14 +156,8 @@ func (ep *Endpoint) PostSend(dst fabric.EndpointID, payload any, bytes int, toke
 		return err
 	}
 	ep.net.Scheduler().At(txDone, func() {
-		ep.cqMu.Lock()
-		ep.cq = append(ep.cq, CQE{Token: token, At: txDone})
-		ep.cqMu.Unlock()
-		n := ep.nCQ.Add(1)
+		n := ep.cq.Push(CQE{Token: token, At: txDone})
 		ep.completed.Add(1)
-		if w := ep.work; w != nil {
-			w.Add(1)
-		}
 		if m := ep.met; m != nil && m.reg.On() {
 			m.cqDepth.Set(n)
 			m.completed.Inc()
@@ -190,58 +171,18 @@ func (ep *Endpoint) PostSend(dst fabric.EndpointID, payload any, bytes int, toke
 // allocations. An empty drain costs one atomic load. The entries are
 // owned by the caller until the next DrainCQ with the same buffer.
 func (ep *Endpoint) DrainCQ(buf []CQE) []CQE {
-	buf = buf[:0]
-	if ep.nCQ.Load() == 0 || cap(buf) == 0 {
-		return buf
-	}
-	ep.cqMu.Lock()
-	n := len(ep.cq)
-	if c := cap(buf); n > c {
-		n = c
-	}
-	buf = append(buf, ep.cq[:n]...)
-	rest := copy(ep.cq, ep.cq[n:])
-	// Zero the vacated tail so drained tokens do not linger in the
-	// queue's backing array (they may reference pooled send state).
-	for i := rest; i < len(ep.cq); i++ {
-		ep.cq[i] = CQE{}
-	}
-	ep.cq = ep.cq[:rest]
-	ep.cqMu.Unlock()
-	left := ep.nCQ.Add(-int64(n))
-	if w := ep.work; w != nil {
-		w.Add(-n)
-	}
-	if m := ep.met; m != nil && m.reg.On() {
-		m.cqDepth.Set(left)
+	buf = ep.cq.Drain(buf)
+	if m := ep.met; len(buf) > 0 && m != nil && m.reg.On() {
+		m.cqDepth.Set(int64(ep.cq.Len()))
 	}
 	return buf
 }
 
 // DrainRQ is DrainCQ for arrived packets.
 func (ep *Endpoint) DrainRQ(buf []fabric.Packet) []fabric.Packet {
-	buf = buf[:0]
-	if ep.nRQ.Load() == 0 || cap(buf) == 0 {
-		return buf
-	}
-	ep.rqMu.Lock()
-	n := len(ep.rq)
-	if c := cap(buf); n > c {
-		n = c
-	}
-	buf = append(buf, ep.rq[:n]...)
-	rest := copy(ep.rq, ep.rq[n:])
-	for i := rest; i < len(ep.rq); i++ {
-		ep.rq[i] = fabric.Packet{}
-	}
-	ep.rq = ep.rq[:rest]
-	ep.rqMu.Unlock()
-	left := ep.nRQ.Add(-int64(n))
-	if w := ep.work; w != nil {
-		w.Add(-n)
-	}
-	if m := ep.met; m != nil && m.reg.On() {
-		m.rqDepth.Set(left)
+	buf = ep.rq.Drain(buf)
+	if m := ep.met; len(buf) > 0 && m != nil && m.reg.On() {
+		m.rqDepth.Set(int64(ep.rq.Len()))
 	}
 	return buf
 }
@@ -249,43 +190,17 @@ func (ep *Endpoint) DrainRQ(buf []fabric.Packet) []fabric.Packet {
 // PollCQ drains up to max completion entries (max <= 0 drains all)
 // into a fresh slice. Allocating convenience wrapper over DrainCQ;
 // hot paths should hold a scratch buffer and call DrainCQ directly.
-func (ep *Endpoint) PollCQ(max int) []CQE {
-	n := int(ep.nCQ.Load())
-	if n == 0 {
-		return nil
-	}
-	if max > 0 && max < n {
-		n = max
-	}
-	out := ep.DrainCQ(make([]CQE, 0, n))
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
+func (ep *Endpoint) PollCQ(max int) []CQE { return pollAll(max, ep.cq.Len(), ep.DrainCQ) }
 
 // PollRQ drains up to max arrived packets (max <= 0 drains all) into a
 // fresh slice. Allocating convenience wrapper over DrainRQ.
-func (ep *Endpoint) PollRQ(max int) []fabric.Packet {
-	n := int(ep.nRQ.Load())
-	if n == 0 {
-		return nil
-	}
-	if max > 0 && max < n {
-		n = max
-	}
-	out := ep.DrainRQ(make([]fabric.Packet, 0, n))
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
+func (ep *Endpoint) PollRQ(max int) []fabric.Packet { return pollAll(max, ep.rq.Len(), ep.DrainRQ) }
 
 // QueuedCQ returns the number of unpolled completion entries.
-func (ep *Endpoint) QueuedCQ() int { return int(ep.nCQ.Load()) }
+func (ep *Endpoint) QueuedCQ() int { return ep.cq.Len() }
 
 // QueuedRQ returns the number of unpolled arrived packets.
-func (ep *Endpoint) QueuedRQ() int { return int(ep.nRQ.Load()) }
+func (ep *Endpoint) QueuedRQ() int { return ep.rq.Len() }
 
 // Stats reports lifetime counters.
 func (ep *Endpoint) Stats() (sent, received, completed uint64) {

@@ -3,7 +3,6 @@ package nic
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gompix/internal/fabric"
@@ -175,14 +174,10 @@ type Reliable struct {
 	out   int  // total unacked frames across live links (parked excluded)
 	stats RelStats
 
-	cqMu sync.Mutex
-	cq   []CQE
-	nCQ  atomic.Int64
-
-	// work, when bound, mirrors this layer's own CQ depth into the
-	// owning stream's netmod work counter (the raw queues are mirrored
-	// by the wrapped endpoint's own binding).
-	work WorkCounter
+	// cq is this layer's own completion queue; a bound work counter
+	// mirrors its depth into the owning stream's netmod counter (the raw
+	// queues are mirrored by the wrapped endpoint's own binding).
+	cq Queue[CQE]
 
 	// met is the optional observability wiring (UseMetrics).
 	met *relMetrics
@@ -213,7 +208,7 @@ func (r *Reliable) Endpoint() *Endpoint {
 // BindWork attaches a stream work counter fed by this layer's own
 // completion queue; callers should additionally bind the wrapped
 // endpoint so raw arrivals are counted too.
-func (r *Reliable) BindWork(w WorkCounter) { r.work = w }
+func (r *Reliable) BindWork(w WorkCounter) { r.cq.Bind(w) }
 
 func (r *Reliable) txFor(dst fabric.EndpointID) *txLink {
 	l, ok := r.tx[dst]
@@ -296,66 +291,20 @@ func (r *Reliable) PostSend(dst fabric.EndpointID, payload any, bytes int, token
 	return r.post(dst, payload, bytes, token, true)
 }
 
-// pushCQ appends a completion entry.
-func (r *Reliable) pushCQ(e CQE) {
-	r.cqMu.Lock()
-	r.cq = append(r.cq, e)
-	r.cqMu.Unlock()
-	r.nCQ.Add(1)
-	if w := r.work; w != nil {
-		w.Add(1)
-	}
-}
-
 func (r *Reliable) failCQ(token any) {
-	r.pushCQ(CQE{Token: token, At: r.now(), Err: ErrLinkDown})
+	r.cq.Push(CQE{Token: token, At: r.now(), Err: ErrLinkDown})
 }
 
 // DrainCQ moves up to cap(buf) completion entries into buf[:0] and
 // returns the filled slice; zero allocations, one lock per batch.
-func (r *Reliable) DrainCQ(buf []CQE) []CQE {
-	buf = buf[:0]
-	if r.nCQ.Load() == 0 || cap(buf) == 0 {
-		return buf
-	}
-	r.cqMu.Lock()
-	n := len(r.cq)
-	if c := cap(buf); n > c {
-		n = c
-	}
-	buf = append(buf, r.cq[:n]...)
-	rest := copy(r.cq, r.cq[n:])
-	for i := rest; i < len(r.cq); i++ {
-		r.cq[i] = CQE{}
-	}
-	r.cq = r.cq[:rest]
-	r.cqMu.Unlock()
-	r.nCQ.Add(-int64(n))
-	if w := r.work; w != nil {
-		w.Add(-n)
-	}
-	return buf
-}
+func (r *Reliable) DrainCQ(buf []CQE) []CQE { return r.cq.Drain(buf) }
 
 // PollCQ drains up to max completion entries (max <= 0 drains all).
 // Allocating convenience wrapper over DrainCQ.
-func (r *Reliable) PollCQ(max int) []CQE {
-	n := int(r.nCQ.Load())
-	if n == 0 {
-		return nil
-	}
-	if max > 0 && max < n {
-		n = max
-	}
-	out := r.DrainCQ(make([]CQE, 0, n))
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
+func (r *Reliable) PollCQ(max int) []CQE { return pollAll(max, r.cq.Len(), r.DrainCQ) }
 
 // QueuedCQ returns the number of unpolled completion entries.
-func (r *Reliable) QueuedCQ() int { return int(r.nCQ.Load()) }
+func (r *Reliable) QueuedCQ() int { return r.cq.Len() }
 
 // QueuedRQ returns the number of unpolled raw arrivals.
 func (r *Reliable) QueuedRQ() int { return r.link.QueuedRQ() }
@@ -433,7 +382,7 @@ func (r *Reliable) handleAckLocked(src fabric.EndpointID, ack uint64) {
 		l.unacked = l.unacked[1:]
 		popped++
 		if p.hasToken {
-			r.pushCQ(CQE{Token: p.token, At: r.now()})
+			r.cq.Push(CQE{Token: p.token, At: r.now()})
 		}
 	}
 	if popped > 0 {
@@ -595,18 +544,9 @@ func (r *Reliable) DrainRQ(buf, raw []fabric.Packet) []fabric.Packet {
 // returns the in-order deliveries in a fresh slice. Allocating
 // convenience wrapper over DrainRQ.
 func (r *Reliable) PollRQ(max int) []fabric.Packet {
-	n := r.link.QueuedRQ()
-	if n == 0 {
-		return nil
-	}
-	if max > 0 && max < n {
-		n = max
-	}
-	out := r.DrainRQ(make([]fabric.Packet, 0, n), make([]fabric.Packet, 0, n))
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return pollAll(max, r.link.QueuedRQ(), func(buf []fabric.Packet) []fabric.Packet {
+		return r.DrainRQ(buf, make([]fabric.Packet, 0, cap(buf)))
+	})
 }
 
 // Poll runs the retransmission timer once: any link whose oldest

@@ -2,8 +2,8 @@
 // transport.Transport facade over two legs — intra-node traffic routes
 // to the mmap shared-memory transport (internal/transport/shm),
 // inter-node traffic to TCP (internal/transport/tcp) — keyed off the
-// launcher's rank→node map (DESIGN.md §12). Both legs use the same
-// endpoint formula (vci*worldSize + rank), so routing is a per-post
+// launcher's rank→node map (DESIGN.md §12). Both legs address
+// endpoints in the same space (framing.Space), so routing is a per-post
 // decision and the MPI layer sees a single endpoint space.
 //
 // Failure semantics compose: each leg keeps its own PeerDown verdict
@@ -26,6 +26,7 @@ import (
 	"gompix/internal/metrics"
 	"gompix/internal/nic"
 	"gompix/internal/timing"
+	"gompix/internal/transport/framing"
 )
 
 // Leg is the contract each composed backend must satisfy: the
@@ -48,6 +49,32 @@ type Leg interface {
 // Killer is the abrupt-death test hook both legs expose.
 type Killer interface{ Kill() }
 
+// legLink is what the router drives on a leg's link beyond nic.Link:
+// the progress hooks every byte transport's link has. AddLink resolves
+// it once per leg, so the per-pass paths below are plain method calls.
+type legLink interface {
+	nic.Link
+	nic.Armer
+	nic.Flusher
+	nic.TxPender
+	nic.RxPoller
+	UseMetrics(reg *metrics.Registry, scope string)
+}
+
+// addLegLink registers (rank, vci) on a leg and resolves its link.
+func addLegLink(leg Leg, rank, vci int) (legLink, error) {
+	l, err := leg.AddLink(rank, vci)
+	if err != nil {
+		return nil, err
+	}
+	ll, ok := l.(legLink)
+	if !ok {
+		l.Close()
+		return nil, fmt.Errorf("composite: %T lacks the byte-transport progress hooks", l)
+	}
+	return ll, nil
+}
+
 // Config parameterizes the composite routing.
 type Config struct {
 	Rank      int
@@ -60,6 +87,8 @@ type Config struct {
 // Network routes one rank's traffic across the two legs
 // (transport.Transport, transport.NodeMapper).
 type Network struct {
+	framing.Space // EndpointOf, RankOfEndpoint: the legs' shared space
+
 	cfg    Config
 	local  Leg // shared memory; nil when unavailable (pure-TCP fallback)
 	remote Leg // TCP
@@ -90,7 +119,7 @@ func New(cfg Config, local, remote Leg) (*Network, error) {
 	if cfg.NodeOf != nil && len(cfg.NodeOf) != cfg.WorldSize {
 		return nil, fmt.Errorf("composite: NodeOf has %d entries, want %d", len(cfg.NodeOf), cfg.WorldSize)
 	}
-	n := &Network{cfg: cfg, local: local, remote: remote}
+	n := &Network{Space: framing.Space(cfg.WorldSize), cfg: cfg, local: local, remote: remote}
 	for r := 0; r < cfg.WorldSize; r++ {
 		if !n.sameNode(r) {
 			n.remoteUsed = true
@@ -121,17 +150,6 @@ func (n *Network) Local() Leg { return n.local }
 // Remote returns the TCP leg; test hook.
 func (n *Network) Remote() Leg { return n.remote }
 
-// EndpointOf computes the shared endpoint address of (rank, vci).
-func (n *Network) EndpointOf(rank, vci int) fabric.EndpointID {
-	return fabric.EndpointID(vci*n.cfg.WorldSize + rank)
-}
-
-// RankOfEndpoint maps an endpoint back to its world rank
-// (transport.PeerRanker).
-func (n *Network) RankOfEndpoint(ep fabric.EndpointID) int {
-	return int(ep) % n.cfg.WorldSize
-}
-
 // Multiprocess reports true: ranks are separate OS processes.
 func (n *Network) Multiprocess() bool { return true }
 
@@ -145,8 +163,8 @@ func (n *Network) SetCodec(c nic.Codec) {
 
 // SetClock fans the clock to both legs (transport.ClockSetter).
 func (n *Network) SetClock(c timing.Clock) {
-	if cs, ok := n.local.(interface{ SetClock(timing.Clock) }); ok && n.local != nil {
-		cs.SetClock(c)
+	if n.local != nil {
+		n.local.SetClock(c)
 	}
 	n.remote.SetClock(c)
 }
@@ -178,11 +196,12 @@ func (n *Network) AddLink(rank, vci int) (nic.Link, error) {
 	}
 	var err error
 	if n.local != nil {
-		if l.local, err = n.local.AddLink(rank, vci); err != nil {
+		if l.local, err = addLegLink(n.local, rank, vci); err != nil {
 			return nil, err
 		}
+		l.parker, _ = l.local.(nic.Parker)
 	}
-	if l.remote, err = n.remote.AddLink(rank, vci); err != nil {
+	if l.remote, err = addLegLink(n.remote, rank, vci); err != nil {
 		if l.local != nil {
 			l.local.Close()
 		}
@@ -245,8 +264,11 @@ func (n *Network) crossWire(rank int, cause error) {
 type Link struct {
 	net    *Network
 	id     fabric.EndpointID
-	local  nic.Link // nil in pure-TCP fallback
-	remote nic.Link
+	local  legLink // nil in pure-TCP fallback
+	remote legLink
+	// parker is the local leg's park handshake (the shm link's); nil
+	// without one.
+	parker nic.Parker
 
 	// mu guards the merge scratches and the per-rank verdict filter.
 	mu        sync.Mutex
@@ -274,15 +296,10 @@ func (l *Link) BindWork(w nic.WorkCounter) {
 // the forward the router hides the legs from the MPI layer's wiring
 // probe and their counters read zero.
 func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
-	type instrumented interface {
-		UseMetrics(*metrics.Registry, string)
+	if l.local != nil {
+		l.local.UseMetrics(reg, scope)
 	}
-	if m, ok := l.local.(instrumented); ok && l.local != nil {
-		m.UseMetrics(reg, scope)
-	}
-	if m, ok := l.remote.(instrumented); ok {
-		m.UseMetrics(reg, scope)
-	}
+	l.remote.UseMetrics(reg, scope)
 }
 
 // Now returns the completion clock (the remote leg's — both legs are
@@ -291,12 +308,10 @@ func (l *Link) Now() time.Duration { return l.remote.Now() }
 
 // SetArm registers the idle→busy callback on both legs (nic.Armer).
 func (l *Link) SetArm(arm func()) {
-	if a, ok := l.local.(nic.Armer); ok && l.local != nil {
-		a.SetArm(arm)
+	if l.local != nil {
+		l.local.SetArm(arm)
 	}
-	if a, ok := l.remote.(nic.Armer); ok {
-		a.SetArm(arm)
-	}
+	l.remote.SetArm(arm)
 }
 
 // Parking forwards the park handshake to the shm leg (nic.Parker), the
@@ -304,21 +319,15 @@ func (l *Link) SetArm(arm func()) {
 // needs no announcement: its connection watchers bump the shared work
 // counter from inside this process, which wakes the sleeper directly.
 func (l *Link) Parking() bool {
-	if pk, ok := l.local.(nic.Parker); ok && l.local != nil {
-		return pk.Parking()
-	}
-	return true
+	return l.parker == nil || l.parker.Parking()
 }
 
 // PendingTx sums posted-but-unsettled frames across legs
 // (nic.TxPender).
 func (l *Link) PendingTx() int {
-	t := 0
-	if p, ok := l.local.(nic.TxPender); ok && l.local != nil {
-		t += p.PendingTx()
-	}
-	if p, ok := l.remote.(nic.TxPender); ok {
-		t += p.PendingTx()
+	t := l.remote.PendingTx()
+	if l.local != nil {
+		t += l.local.PendingTx()
 	}
 	return t
 }
@@ -334,7 +343,7 @@ func (l *Link) Close() error {
 
 // route picks the leg for a destination endpoint.
 func (l *Link) route(dst fabric.EndpointID) nic.Link {
-	if l.net.sameNode(int(dst) % l.net.cfg.WorldSize) {
+	if l.net.sameNode(l.net.RankOfEndpoint(dst)) {
 		return l.local
 	}
 	return l.remote
@@ -359,12 +368,11 @@ func (l *Link) PostSend(dst fabric.EndpointID, payload any, bytes int, token any
 // Flush pumps both legs (nic.Flusher).
 func (l *Link) Flush() (made, idle bool) {
 	made, idle = false, true
-	if f, ok := l.local.(nic.Flusher); ok && l.local != nil {
-		m, i := f.Flush()
-		made, idle = made || m, idle && i
+	if l.local != nil {
+		made, idle = l.local.Flush()
 	}
-	if f, ok := l.remote.(nic.Flusher); ok && l.net.remoteUsed {
-		m, i := f.Flush()
+	if l.net.remoteUsed {
+		m, i := l.remote.Flush()
 		made, idle = made || m, idle && i
 	}
 	return made, idle
@@ -373,13 +381,11 @@ func (l *Link) Flush() (made, idle bool) {
 // PollRecv ingests on both legs (nic.RxPoller); a single-node job
 // polls only the local leg.
 func (l *Link) PollRecv() (made bool) {
-	if p, ok := l.local.(nic.RxPoller); ok && l.local != nil {
-		made = p.PollRecv()
+	if l.local != nil {
+		made = l.local.PollRecv()
 	}
-	if p, ok := l.remote.(nic.RxPoller); ok && l.net.remoteUsed {
-		if p.PollRecv() {
-			made = true
-		}
+	if l.net.remoteUsed && l.remote.PollRecv() {
+		made = true
 	}
 	return made
 }

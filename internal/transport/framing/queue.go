@@ -1,10 +1,15 @@
-// Package framing is what the byte transports share: the wire frame
-// (u32 length prefix, destination and source endpoint, modeled size,
-// codec payload), the per-peer watermark out-queue that coalesces
-// frames between flushes, and the receive-side reassembly of a large
-// frame straight into a staging buffer. The tcp transport drains the
-// queue into a socket as one vectored write; the shm transport pumps it
-// into ring cells.
+// Package framing is everything the byte transports do alike, once:
+// the wire frame (u32 length prefix, destination and source endpoint,
+// modeled size, codec payload); the link core MPI progress drains and
+// the endpoint→link table (link.go); the per-peer watermark out-queue
+// that coalesces frames between flushes, with the peer's verdict beside
+// it (this file, link.go); and the receive stream that turns whatever
+// bytes arrived back into frames, a large one assembled straight into a
+// staging buffer (stream.go). What is left to a transport is the
+// carrier: the tcp transport drains the queue into a socket as one
+// vectored write and feeds the stream from socket reads; the shm
+// transport pumps the queue into ring cells and feeds the stream from
+// them (DESIGN.md §9 has the table of who supplies what).
 package framing
 
 import (
@@ -63,22 +68,21 @@ var (
 // it, so a flush can settle the link's pending counter — and, for
 // signaled sends, deliver the CQE carrying Token — once the stream's
 // written watermark passes the frame's End offset.
-type Frame[L any] struct {
-	Link     L
+type Frame struct {
+	Link     *Link
 	Token    any
 	Signaled bool
 	End      int64 // cumulative stream offset just past this frame
 }
 
-// Queue is one peer's coalescing output queue; L is the transport's
-// link type. All methods require the owning peer's mutex. Byte
-// positions are cumulative stream offsets (appended = total bytes ever
-// queued, written = total bytes the wire accepted: the kernel for tcp,
-// the shared ring for shm), which makes partial-write resume a
-// subtraction instead of a buffer shuffle.
-type Queue[L any] struct {
+// Queue is one peer's coalescing output queue. All methods require the
+// owning peer's mutex. Byte positions are cumulative stream offsets
+// (appended = total bytes ever queued, written = total bytes the wire
+// accepted: the kernel for tcp, the shared ring for shm), which makes
+// partial-write resume a subtraction instead of a buffer shuffle.
+type Queue struct {
 	segs   []*seg
-	frames []Frame[L]
+	frames []Frame
 
 	appended int64
 	written  int64
@@ -95,15 +99,15 @@ type Queue[L any] struct {
 }
 
 // Pending returns the byte count queued but not yet written.
-func (q *Queue[L]) Pending() int64 { return q.appended - q.written }
+func (q *Queue) Pending() int64 { return q.appended - q.written }
 
 // Written returns the written watermark.
-func (q *Queue[L]) Written() int64 { return q.written }
+func (q *Queue) Written() int64 { return q.written }
 
 // tip returns the open segment, opening a fresh one when the queue is
 // empty or the last segment has sealed (a borrowed segment is born
 // sealed).
-func (q *Queue[L]) tip() *seg {
+func (q *Queue) tip() *seg {
 	if n := len(q.segs); n > 0 {
 		if s := q.segs[n-1]; !s.borrowed && len(s.buf) < segSoft {
 			return s
@@ -116,20 +120,23 @@ func (q *Queue[L]) tip() *seg {
 	return s
 }
 
-// Append encodes one frame — u32 length prefix, dstEP, srcEP, bytes,
-// codec payload — onto the open segment and records its attribution. A
-// codec error unwinds the partial append. split is codec's SplitCodec
-// side or nil: with it, a signaled frame whose body is at least
-// nic.BulkMin bytes keeps the body where the poster has it, as a
-// borrowed segment behind the encoded head.
-func (q *Queue[L]) Append(codec nic.Codec, split nic.SplitCodec, link L, src, dst fabric.EndpointID,
-	payload any, bytes int, token any, signaled bool) error {
+// Append encodes one frame from l — u32 length prefix, dstEP, srcEP,
+// bytes, codec payload — onto the open segment and records its
+// attribution. A codec error unwinds the partial append. When the
+// table's codec has a SplitCodec side, a signaled frame whose body is
+// at least nic.BulkMin bytes keeps the body where the poster has it, as
+// a borrowed segment behind the encoded head.
+func (q *Queue) Append(l *Link, dst fabric.EndpointID, payload any, bytes int, token any, signaled bool) error {
+	codec, split := l.tab.codec, l.tab.split
+	if codec == nil {
+		panic("framing: no codec installed (transport.CodecSetter not wired)")
+	}
 	s := q.tip()
 	lenAt := len(s.buf)
 	s.buf = append(s.buf, 0, 0, 0, 0)
 	var hdr [HdrLen]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(dst))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(src))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(l.id))
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(bytes))
 	s.buf = append(s.buf, hdr[:]...)
 	var buf, body []byte
@@ -154,14 +161,14 @@ func (q *Queue[L]) Append(codec nic.Codec, split nic.SplitCodec, link L, src, ds
 		q.segs = append(q.segs, b)
 		q.appended += int64(len(body))
 	}
-	q.frames = append(q.frames, Frame[L]{Link: link, Token: token, Signaled: signaled, End: q.appended})
+	q.frames = append(q.frames, Frame{Link: l, Token: token, Signaled: signaled, End: q.appended})
 	return nil
 }
 
 // unwritten returns the part of s past the written watermark plus n
 // further bytes (n > 0 while a caller gathers several segments into one
 // unit); empty for a fully written head or an empty open tip.
-func (q *Queue[L]) unwritten(s *seg, n int) []byte {
+func (q *Queue) unwritten(s *seg, n int) []byte {
 	off := q.written + int64(n) - s.start
 	if off < 0 {
 		off = 0
@@ -175,7 +182,7 @@ func (q *Queue[L]) unwritten(s *seg, n int) []byte {
 // buildIOV assembles the unwritten byte ranges into the reusable
 // net.Buffers: the head segment sliced past the written watermark,
 // then whole segments up to the iovec budget.
-func (q *Queue[L]) buildIOV() net.Buffers {
+func (q *Queue) buildIOV() net.Buffers {
 	q.iov = q.iov[:0]
 	for _, s := range q.segs {
 		if len(q.iov) >= maxFlushSegs {
@@ -191,7 +198,7 @@ func (q *Queue[L]) buildIOV() net.Buffers {
 // advance moves the written watermark and recycles fully written
 // segments. Writes are in order, so only a leading run of segments can
 // complete.
-func (q *Queue[L]) advance(nn int64) {
+func (q *Queue) advance(nn int64) {
 	q.written += nn
 	n := 0
 	for _, s := range q.segs {
@@ -229,7 +236,7 @@ func recycle(s *seg) {
 // the written watermark, so frame boundaries survive arbitrary write
 // fragmentation. nsegs reports the iovec entries of the largest batch
 // for metrics.
-func (q *Queue[L]) FlushTo(w io.Writer) (made bool, nsegs int, err error) {
+func (q *Queue) FlushTo(w io.Writer) (made bool, nsegs int, err error) {
 	made, nsegs, err = q.writeLoop(w)
 	// Forget the scratch vector, stale tail included: entries may be
 	// borrowed.
@@ -238,7 +245,7 @@ func (q *Queue[L]) FlushTo(w io.Writer) (made bool, nsegs int, err error) {
 	return made, nsegs, err
 }
 
-func (q *Queue[L]) writeLoop(w io.Writer) (made bool, nsegs int, err error) {
+func (q *Queue) writeLoop(w io.Writer) (made bool, nsegs int, err error) {
 	for q.Pending() > 0 {
 		iov := q.buildIOV()
 		if len(iov) == 0 {
@@ -287,7 +294,7 @@ type CellRing interface {
 // by the receiver — so a jumbo frame streams across as many cells as
 // the consumer frees, and a borrowed body goes from the poster's memory
 // into the cells with no stop in between.
-func (q *Queue[L]) PumpTo(r CellRing) (made bool) {
+func (q *Queue) PumpTo(r CellRing) (made bool) {
 	for q.Pending() > 0 {
 		cell := r.Claim()
 		if cell == nil {
@@ -312,7 +319,7 @@ func (q *Queue[L]) PumpTo(r CellRing) (made bool) {
 
 // PopSettled moves the frames fully behind the written watermark into
 // scratch (reused across flushes; caller still holds the peer lock).
-func (q *Queue[L]) PopSettled(scratch []Frame[L]) []Frame[L] {
+func (q *Queue) PopSettled(scratch []Frame) []Frame {
 	scratch = scratch[:0]
 	n := 0
 	for _, f := range q.frames {
@@ -327,7 +334,7 @@ func (q *Queue[L]) PopSettled(scratch []Frame[L]) []Frame[L] {
 	scratch = append(scratch, q.frames[:n]...)
 	rest := copy(q.frames, q.frames[n:])
 	for i := rest; i < len(q.frames); i++ {
-		q.frames[i] = Frame[L]{}
+		q.frames[i] = Frame{}
 	}
 	q.frames = q.frames[:rest]
 	return scratch
@@ -338,10 +345,10 @@ func (q *Queue[L]) PopSettled(scratch []Frame[L]) []Frame[L] {
 // every frame and the reliability layer re-drives what mattered. Every
 // borrowed body is forgotten here, before any of those failures is
 // reported.
-func (q *Queue[L]) TakeAll(scratch []Frame[L]) []Frame[L] {
+func (q *Queue) TakeAll(scratch []Frame) []Frame {
 	scratch = append(scratch[:0], q.frames...)
 	for i := range q.frames {
-		q.frames[i] = Frame[L]{}
+		q.frames[i] = Frame{}
 	}
 	q.frames = q.frames[:0]
 	for i, s := range q.segs {

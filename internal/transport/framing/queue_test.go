@@ -34,6 +34,19 @@ func (bodyCodec) Decode(data []byte) (any, error) { return append([]byte(nil), d
 
 func (bodyCodec) DecodeOwned(frame, data []byte) (any, error) { return data[4:], nil }
 
+// testLink registers a link at endpoint id on a table of its own whose
+// codec is c.
+func testLink(t testing.TB, c nic.Codec, id fabric.EndpointID) *Link {
+	t.Helper()
+	tab := NewTable()
+	tab.SetCodec(c)
+	l := new(Link)
+	if err := tab.Register(l, id); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // chokedWriter takes a random number of bytes per call and reports the
 // rest as a short write, like a socket with a nearly full send buffer.
 type chokedWriter struct {
@@ -132,13 +145,14 @@ func reference(posts []mixedPost, src fabric.EndpointID) []byte {
 // returns after an arbitrary amount of progress) and checks settlement
 // order and the watermark rule; it returns how many bodies were
 // borrowed.
-func drainMixed(t *testing.T, rng *rand.Rand, posts []mixedPost, drain func(q *Queue[int]) error) (borrowed int) {
+func drainMixed(t *testing.T, rng *rand.Rand, posts []mixedPost, drain func(q *Queue) error) (borrowed int) {
 	t.Helper()
-	var q Queue[int]
+	var q Queue
+	l := testLink(t, bodyCodec{}, 42)
 	next := 0
 	settle := func() {
 		for _, f := range q.PopSettled(nil) {
-			if f.Token != next || f.Link != 7 || f.Signaled != posts[next].signaled {
+			if f.Token != next || f.Link != l || f.Signaled != posts[next].signaled {
 				t.Fatalf("settled %+v, want frame %d", f, next)
 			}
 			if f.End > q.Written() {
@@ -148,7 +162,7 @@ func drainMixed(t *testing.T, rng *rand.Rand, posts []mixedPost, drain func(q *Q
 		}
 	}
 	for i, p := range posts {
-		if err := q.Append(bodyCodec{}, bodyCodec{}, 7, 42, fabric.EndpointID(1000+i), p.payload, len(p.payload), i, p.signaled); err != nil {
+		if err := q.Append(l, fabric.EndpointID(1000+i), p.payload, len(p.payload), i, p.signaled); err != nil {
 			t.Fatal(err)
 		}
 		if last := q.segs[len(q.segs)-1]; last.borrowed {
@@ -189,7 +203,7 @@ func TestQueueMixedSegmentsVectored(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		posts := mixedPosts(rng, 150)
 		w := &chokedWriter{rng: rng, max: 9000}
-		borrowed := drainMixed(t, rng, posts, func(q *Queue[int]) error {
+		borrowed := drainMixed(t, rng, posts, func(q *Queue) error {
 			_, _, err := q.FlushTo(w)
 			for _, b := range q.iov[:cap(q.iov)] {
 				if b != nil {
@@ -214,7 +228,7 @@ func TestQueueMixedSegmentsCells(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		posts := mixedPosts(rng, 150)
 		r := &stallRing{rng: rng}
-		borrowed := drainMixed(t, rng, posts, func(q *Queue[int]) error {
+		borrowed := drainMixed(t, rng, posts, func(q *Queue) error {
 			q.PumpTo(r)
 			return nil
 		})
@@ -234,10 +248,11 @@ func TestQueueMixedSegmentsCells(t *testing.T) {
 func TestQueueTakeAllForgetsBorrowed(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	posts := mixedPosts(rng, 40)
-	var q Queue[int]
+	var q Queue
+	l := testLink(t, bodyCodec{}, 42)
 	var bodies []*seg
 	for i, p := range posts {
-		if err := q.Append(bodyCodec{}, bodyCodec{}, 7, 42, fabric.EndpointID(1000+i), p.payload, len(p.payload), i, p.signaled); err != nil {
+		if err := q.Append(l, fabric.EndpointID(1000+i), p.payload, len(p.payload), i, p.signaled); err != nil {
 			t.Fatal(err)
 		}
 		if last := q.segs[len(q.segs)-1]; last.borrowed {
@@ -279,12 +294,13 @@ func TestQueueTakeAllForgetsBorrowed(t *testing.T) {
 // TestAppendEncodeErrorUnwinds: a payload the codec refuses leaves the
 // open segment exactly as it was.
 func TestAppendEncodeErrorUnwinds(t *testing.T) {
-	var q Queue[int]
-	if err := q.Append(bodyCodec{}, bodyCodec{}, 7, 42, 1000, []byte("first"), 5, 0, true); err != nil {
+	var q Queue
+	l := testLink(t, bodyCodec{}, 42)
+	if err := q.Append(l, 1000, []byte("first"), 5, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	for _, signaled := range []bool{false, true} {
-		if err := q.Append(bodyCodec{}, bodyCodec{}, 7, 42, 1001, "not bytes", 0, 1, signaled); err == nil {
+		if err := q.Append(l, 1001, "not bytes", 0, 1, signaled); err == nil {
 			t.Fatal("Append accepted a payload its codec cannot encode")
 		}
 	}

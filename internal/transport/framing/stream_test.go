@@ -1,0 +1,283 @@
+package framing
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"gompix/internal/fabric"
+	"gompix/internal/nic"
+)
+
+// fussyCodec carries a payload's bytes as they are and refuses a frame
+// whose payload starts with 0xFF; as a SplitCodec the whole payload is
+// the body.
+type fussyCodec struct{}
+
+var errFussy = errors.New("fussyCodec: refused")
+
+func (fussyCodec) Encode(buf []byte, payload any) ([]byte, error) {
+	return append(buf, payload.([]byte)...), nil
+}
+
+func (fussyCodec) EncodeSplit(buf []byte, payload any) (head, body []byte, err error) {
+	return buf, payload.([]byte), nil
+}
+
+func (fussyCodec) Decode(data []byte) (any, error) {
+	if len(data) > 0 && data[0] == 0xFF {
+		return nil, errFussy
+	}
+	return append([]byte(nil), data...), nil
+}
+
+func (fussyCodec) DecodeOwned(frame, data []byte) (any, error) {
+	if len(data) > 0 && data[0] == 0xFF {
+		return nil, errFussy
+	}
+	return data, nil
+}
+
+// streamMax is the test streams' frame bound: above nic.MaxStaging, so
+// that a frame can be legal and still too large to stage.
+const streamMax = 4 * nic.MaxStaging
+
+// appendFrame appends one wire frame.
+func appendFrame(b []byte, dst, src fabric.EndpointID, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(HdrLen+len(payload)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(dst))
+	b = binary.LittleEndian.AppendUint64(b, uint64(src))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	return append(b, payload...)
+}
+
+// fed is what a stream made of its input: the packets each link
+// received, in order, and the faults its transport heard of.
+type fed struct {
+	Packets [][]fabric.Packet
+	Faults  []Fault
+}
+
+// feed runs data through a fresh stream with links at endpoints 0 and
+// 1, in one piece when rng is nil and otherwise in random pieces handed
+// over through Write or through Target/Commit, as a transport would:
+// nothing more is fed after a fault that ends the stream. skip is the
+// transport's answer to an unknown endpoint.
+func feed(t *testing.T, data []byte, rng *rand.Rand, skip bool) fed {
+	t.Helper()
+	tab := NewTable()
+	tab.SetCodec(fussyCodec{})
+	links := []*Link{new(Link), new(Link)}
+	for i, l := range links {
+		if err := tab.Register(l, fabric.EndpointID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out fed
+	dead := false
+	var s Stream
+	s.Init(tab, nil, streamMax, func(f Fault) bool {
+		out.Faults = append(out.Faults, f)
+		if f.Kind == UnknownEndpoint && skip {
+			return true
+		}
+		dead = true
+		return false
+	})
+	for rest := data; len(rest) > 0 && !dead; {
+		n := len(rest)
+		if rng != nil {
+			n = 1 + rng.Intn(min(n, 1+rng.Intn(9000)))
+		}
+		if rng == nil || rng.Intn(2) == 0 {
+			s.Write(rest[:n])
+		} else {
+			for piece := rest[:n]; len(piece) > 0 && !dead; {
+				c := copy(s.Target(1), piece)
+				piece = piece[c:]
+				s.Commit(c)
+			}
+		}
+		rest = rest[n:]
+		// A length prefix by itself must not be able to demand memory:
+		// staging stays within the pool's classes, the receive buffer
+		// within a small multiple of the bytes that really arrived.
+		if len(s.asm.buf) > nic.MaxStaging {
+			t.Fatalf("staging buffer of %d bytes", len(s.asm.buf))
+		}
+		if len(s.buf) > streamBufMin+4*len(data) {
+			t.Fatalf("receive buffer grew to %d bytes on %d bytes of input", len(s.buf), len(data))
+		}
+	}
+	s.Flush()
+	for _, l := range links {
+		out.Packets = append(out.Packets, l.DrainRQ(make([]fabric.Packet, 0, l.QueuedRQ())))
+	}
+	s.Release()
+	return out
+}
+
+// streamSeeds are the fuzzer's starting points, also committed under
+// testdata/fuzz/FuzzStream: every length-prefix class the parser tells
+// apart, and valid traffic.
+func streamSeeds() map[string][]byte {
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	frame := func(dst, src fabric.EndpointID, payload []byte) []byte { return appendFrame(nil, dst, src, payload) }
+	prefix := func(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
+	bulk := func(n int) []byte { return bytes.Repeat([]byte{0x5a}, n) }
+	valid := join(frame(0, 1, []byte("first")), frame(1, 0, nil), frame(1, 0, []byte("third")), frame(0, 1, bulk(300)))
+	return map[string][]byte{
+		"empty":            {},
+		"length-zero":      join(prefix(0), valid),
+		"length-below-hdr": join(frame(0, 1, []byte("ok")), prefix(HdrLen-1)),
+		"length-above-max": join(frame(0, 1, []byte("ok")), prefix(streamMax+1)),
+		"length-sentinel":  prefix(0xFFFFFFFF),
+		"under-bulkmin":    join(valid, frame(0, 1, bulk(nic.BulkMin-HdrLen-1))),
+		"over-bulkmin":     join(valid, frame(1, 0, bulk(nic.BulkMin))),
+		"above-maxstaging": join(valid, prefix(nic.MaxStaging+1), bulk(100)),
+		"truncated-prefix": join(valid, []byte{0x20, 0x00}),
+		"truncated-header": join(valid, frame(0, 1, []byte("cut"))[:4+HdrLen-3]),
+		"unknown-endpoint": join(frame(7777, 1, []byte("lost")), frame(0, 1, []byte("kept"))),
+		"refused-payload":  join(frame(0, 1, []byte("ok")), frame(0, 1, []byte{0xFF, 1, 2})),
+		"back-to-back":     valid,
+	}
+}
+
+// FuzzStream drives the one frame parser both byte transports use with
+// whatever a peer may put on the wire, cut into whatever pieces a socket
+// or a ring may deliver it in. For any input: no panic; no staging
+// buffer beyond nic.MaxStaging and no receive buffer beyond a small
+// multiple of the input (checked in feed); and the pieces deliver
+// exactly the packets, and report exactly the faults, that the same
+// bytes in one piece do.
+func FuzzStream(f *testing.F) {
+	for _, seed := range streamSeeds() {
+		f.Add(seed, uint64(1), true)
+		f.Add(seed, uint64(2), false)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cuts uint64, skip bool) {
+		whole := feed(t, data, nil, skip)
+		pieces := feed(t, data, rand.New(rand.NewSource(int64(cuts))), skip)
+		if !reflect.DeepEqual(whole, pieces) {
+			t.Fatalf("in one piece: %+v\nin pieces:    %+v", whole, pieces)
+		}
+	})
+}
+
+// TestStreamSeeds checks what the seeds were written to show, so that a
+// parser change that turns one of them into something else is noticed.
+func TestStreamSeeds(t *testing.T) {
+	seeds := streamSeeds()
+	for name, want := range map[string]struct {
+		packets int
+		faults  []FaultKind
+	}{
+		"empty":            {0, nil},
+		"length-zero":      {0, []FaultKind{BadLength}},
+		"length-below-hdr": {1, []FaultKind{BadLength}},
+		"length-above-max": {1, []FaultKind{BadLength}},
+		"length-sentinel":  {0, []FaultKind{BadLength}},
+		"under-bulkmin":    {5, nil},
+		"over-bulkmin":     {5, nil},
+		"above-maxstaging": {4, nil},
+		"truncated-prefix": {4, nil},
+		"truncated-header": {4, nil},
+		"unknown-endpoint": {0, []FaultKind{UnknownEndpoint}},
+		"refused-payload":  {1, []FaultKind{BadPayload}},
+		"back-to-back":     {4, nil},
+	} {
+		for _, rng := range []*rand.Rand{nil, rand.New(rand.NewSource(3))} {
+			got := feed(t, seeds[name], rng, false)
+			var kinds []FaultKind
+			for _, f := range got.Faults {
+				kinds = append(kinds, f.Kind)
+			}
+			if n := len(got.Packets[0]) + len(got.Packets[1]); n != want.packets || !reflect.DeepEqual(kinds, want.faults) {
+				t.Errorf("%s: %d packets and faults %v, want %d and %v", name, n, kinds, want.packets, want.faults)
+			}
+		}
+	}
+	// The transport that skips an unknown endpoint gets the frame
+	// behind it.
+	if got := feed(t, seeds["unknown-endpoint"], nil, true); len(got.Packets[0]) != 1 || string(got.Packets[0][0].Payload.([]byte)) != "kept" {
+		t.Errorf("skipping an unknown endpoint delivered %+v", got.Packets)
+	}
+}
+
+// TestStreamStagesLargeFrames: a frame of at least nic.BulkMin bytes
+// that arrives in pieces is assembled in a staging buffer the codec
+// takes over; one that arrives whole, and any frame of a codec without
+// DecodeOwned, is decoded out of the receive buffer.
+func TestStreamStagesLargeFrames(t *testing.T) {
+	body := bytes.Repeat([]byte{7}, 3*nic.BulkMin)
+	wire := appendFrame(nil, 0, 1, body)
+	for _, tc := range []struct {
+		name   string
+		codec  nic.Codec
+		pieces int
+		staged bool
+	}{
+		{"split codec, in pieces", fussyCodec{}, 3, true},
+		{"split codec, whole", fussyCodec{}, 1, false},
+		{"plain codec, in pieces", struct{ nic.Codec }{fussyCodec{}}, 3, false},
+	} {
+		l := testLink(t, tc.codec, 0)
+		var s Stream
+		s.Init(l.tab, nil, streamMax, func(f Fault) bool { t.Fatalf("%s: fault %v", tc.name, f); return false })
+		staged := false
+		for i, rest := 0, wire; i < tc.pieces; i++ {
+			n := len(rest) / (tc.pieces - i)
+			s.Write(rest[:n])
+			rest = rest[n:]
+			staged = staged || s.asm.Active()
+		}
+		s.Flush()
+		got := l.DrainRQ(make([]fabric.Packet, 0, 2))
+		if len(got) != 1 || !bytes.Equal(got[0].Payload.([]byte), body) || got[0].Src != 1 || got[0].Bytes != len(body) {
+			t.Fatalf("%s: delivered %d packets, or not the frame", tc.name, len(got))
+		}
+		if staged != tc.staged || !s.Idle() {
+			t.Fatalf("%s: staged=%v, want %v; idle=%v", tc.name, staged, tc.staged, s.Idle())
+		}
+	}
+}
+
+// TestStreamDeliveryRuns: consecutive frames for one link reach its
+// receive queue in one push at Flush, a change of destination cuts the
+// run, and the bound work counter sees every packet once.
+func TestStreamDeliveryRuns(t *testing.T) {
+	tab := NewTable()
+	tab.SetCodec(fussyCodec{})
+	var work counter
+	links := []*Link{new(Link), new(Link)}
+	for i, l := range links {
+		if err := tab.Register(l, fabric.EndpointID(i)); err != nil {
+			t.Fatal(err)
+		}
+		l.BindWork(&work)
+	}
+	var wire []byte
+	for _, dst := range []fabric.EndpointID{0, 0, 0, 1, 1, 0} {
+		wire = appendFrame(wire, dst, 9, []byte{byte(dst)})
+	}
+	var s Stream
+	s.Init(tab, nil, streamMax, func(Fault) bool { return false })
+	if n := s.Write(wire); n != 6 {
+		t.Fatalf("Write queued %d frames, want 6", n)
+	}
+	if q0, q1 := links[0].QueuedRQ(), links[1].QueuedRQ(); q0 != 3 || q1 != 2 {
+		t.Fatalf("before Flush the links hold %d and %d packets, want the two cut runs: 3 and 2", q0, q1)
+	}
+	s.Flush()
+	if q0, q1 := links[0].QueuedRQ(), links[1].QueuedRQ(); q0 != 4 || q1 != 2 || work != 6 {
+		t.Fatalf("after Flush: %d and %d packets, work %d; want 4, 2 and 6", q0, q1, work)
+	}
+}
+
+// counter is a nic.WorkCounter for single-threaded tests.
+type counter int
+
+func (c *counter) Add(d int) { *c += counter(d) }

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gompix/internal/fabric"
 	"gompix/internal/metrics"
 	"gompix/internal/nic"
 	"gompix/internal/timing"
@@ -77,45 +76,33 @@ var (
 	errClosed = errors.New("shm: transport closed")
 )
 
-// outFrame is a queued frame attributed to its posting link.
-type outFrame = framing.Frame[*Link]
-
-// peer is the per-remote-rank state: the transmit ring this rank
-// produces, its pending output queue, and the receive ring it
-// consumes, plus the liveness-probe handle.
+// peer is the per-remote-rank state: the pending output queue and the
+// peer's verdict (framing.Peer) with the transmit ring this rank
+// produces, the receive ring it consumes with the stream that parses
+// it, plus the liveness-probe handle.
 type peer struct {
-	rank int
-
-	// mu guards the tx side.
-	mu       sync.Mutex
-	q        framing.Queue[*Link]
-	tx       *ring
-	txMem    []byte
-	down     error
-	departed bool
-	scratch  []outFrame
+	// Mu guards the tx side.
+	framing.Peer
+	rank  int
+	tx    *ring
+	txMem []byte
 
 	// rxMu guards the rx side (the drain path).
 	rxMu   sync.Mutex
 	rx     *ring
 	rxMem  []byte
-	rbuf   []byte
-	rpos   int
-	rend   int
-	asm    framing.Reassembly // the large frame the following cells land in directly
-	gone   atomic.Bool        // rx side observed goodbye (drained) — mirror of departed
-	dlv    []fabric.Packet
-	dlvTgt *Link
+	stream framing.Stream // the byte stream the rx ring's cells carry
+	gone   atomic.Bool    // rx side observed goodbye (drained) — mirror of the departure
 
 	// probe is the lazily opened handle on the peer's alive file;
 	// probeMu serializes overlapping liveness sweeps, probeDead (under
-	// mu) latches a delivered death so the sweep stops re-probing.
+	// Mu) latches a delivered death so the sweep stops re-probing.
 	probeMu   sync.Mutex
 	probe     *os.File
 	probeDead bool
 
 	// bellFd is the lazily opened write side of the peer's doorbell
-	// FIFO (under mu): -1 not yet open (retry), bellClosed never retry.
+	// FIFO (under Mu): -1 not yet open (retry), bellClosed never retry.
 	bellFd int
 
 	// bellOwed marks an empty→nonempty ring transition, bellBacklog a
@@ -130,21 +117,17 @@ type peer struct {
 	bellBacklog atomic.Bool
 }
 
-// linkTable is the atomic link snapshot (same shape as the TCP
-// transport's): one map for the drain path, one list for fan-outs.
-type linkTable struct {
-	byEP map[fabric.EndpointID]*Link
-	list []*Link
-}
-
 // Network is one rank's shared-memory transport instance
 // (transport.Transport).
 type Network struct {
-	cfg   Config
-	dir   string
-	codec nic.Codec
-	split nic.SplitCodec // codec's zero-copy side; nil when it has none
-	clk   timing.Clock
+	// Space is the endpoint space (EndpointOf, RankOfEndpoint): the one
+	// formula every byte transport shares, which is what lets the
+	// composite transport route one endpoint space across both.
+	framing.Space
+
+	cfg Config
+	dir string
+	tab *framing.Table // codec, clock, link registry
 	// wallNow reads the wall clock poll stamps are written and judged
 	// on (UnixNano: the one clock every process of the job shares).
 	wallNow func() int64
@@ -158,9 +141,8 @@ type Network struct {
 	watcher sync.WaitGroup
 	started atomic.Bool
 
-	mu      sync.Mutex
-	closed  atomic.Bool
-	linkTab atomic.Pointer[linkTable]
+	mu     sync.Mutex
+	closed atomic.Bool
 
 	peers []*peer // indexed by rank; nil at self and non-shm ranks
 
@@ -225,9 +207,10 @@ func New(cfg Config) (*Network, error) {
 	base := baseDir(cfg.Dir)
 	dir := jobDir(base, cfg.Epoch)
 	n := &Network{
+		Space:   framing.Space(cfg.WorldSize),
 		cfg:     cfg,
 		dir:     dir,
-		clk:     timing.NewRealClock(),
+		tab:     framing.NewTable(),
 		wallNow: func() int64 { return time.Now().UnixNano() },
 		peers:   make([]*peer, cfg.WorldSize),
 	}
@@ -257,6 +240,7 @@ func New(cfg Config) (*Network, error) {
 			continue
 		}
 		p := &peer{rank: r, bellFd: -1}
+		p.stream.Init(n.tab, nil, maxFrame, func(f framing.Fault) bool { return n.reject(p, f) })
 		if p.txMem, err = openRingFile(dir, cfg.Rank, r, cfg.Cells, cfg.CellPayload); err == nil {
 			p.tx, err = openRing(p.txMem, cfg.Cells, cfg.CellPayload)
 		}
@@ -354,74 +338,29 @@ func (n *Network) Stats() Stats {
 }
 
 // SetCodec installs the frame codec (transport.CodecSetter).
-func (n *Network) SetCodec(c nic.Codec) {
-	n.codec = c
-	n.split, _ = c.(nic.SplitCodec)
-}
+func (n *Network) SetCodec(c nic.Codec) { n.tab.SetCodec(c) }
 
 // SetClock installs the completion clock (transport.ClockSetter).
-func (n *Network) SetClock(c timing.Clock) { n.clk = c }
+func (n *Network) SetClock(c timing.Clock) { n.tab.SetClock(c) }
 
 // Multiprocess reports true: ranks are separate OS processes.
 func (n *Network) Multiprocess() bool { return true }
-
-// EndpointOf computes the global endpoint address of (rank, vci) —
-// the same formula as the TCP transport, which is what lets the
-// composite transport route one endpoint space across both.
-func (n *Network) EndpointOf(rank, vci int) fabric.EndpointID {
-	return fabric.EndpointID(vci*n.cfg.WorldSize + rank)
-}
-
-// RankOfEndpoint maps an endpoint back to its owning world rank
-// (transport.PeerRanker).
-func (n *Network) RankOfEndpoint(ep fabric.EndpointID) int {
-	return int(ep) % n.cfg.WorldSize
-}
 
 // AddLink registers the link for a local VCI.
 func (n *Network) AddLink(rank, vci int) (nic.Link, error) {
 	if rank != n.cfg.Rank {
 		return nil, fmt.Errorf("shm: AddLink for rank %d on rank %d's transport", rank, n.cfg.Rank)
 	}
-	l := &Link{net: n, id: n.EndpointOf(rank, vci)}
+	l := &Link{net: n}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed.Load() {
 		return nil, errClosed
 	}
-	old := n.linkTab.Load()
-	if old != nil {
-		if _, dup := old.byEP[l.id]; dup {
-			return nil, fmt.Errorf("shm: duplicate link for endpoint %d", l.id)
-		}
+	if err := n.tab.Register(&l.Link, n.EndpointOf(rank, vci)); err != nil {
+		return nil, fmt.Errorf("shm: %w", err)
 	}
-	tab := &linkTable{byEP: make(map[fabric.EndpointID]*Link)}
-	if old != nil {
-		for id, ol := range old.byEP {
-			tab.byEP[id] = ol
-		}
-		tab.list = append(tab.list, old.list...)
-	}
-	tab.byEP[l.id] = l
-	tab.list = append(tab.list, l)
-	n.linkTab.Store(tab)
 	return l, nil
-}
-
-func (n *Network) lookupLink(ep fabric.EndpointID) *Link {
-	tab := n.linkTab.Load()
-	if tab == nil {
-		return nil
-	}
-	return tab.byEP[ep]
-}
-
-func (n *Network) linkList() []*Link {
-	tab := n.linkTab.Load()
-	if tab == nil {
-		return nil
-	}
-	return tab.list
 }
 
 // Close is the graceful shutdown: pump what fits, publish the goodbye
@@ -447,17 +386,17 @@ func (n *Network) shutdown(goodbye bool) {
 		if p == nil {
 			continue
 		}
-		p.mu.Lock()
-		if goodbye && p.down == nil && !p.departed {
-			p.q.PumpTo(p.tx)
+		p.Mu.Lock()
+		if goodbye && p.Refusal() == nil {
+			p.Q.PumpTo(p.tx)
 			p.tx.sayGoodbye()
 			// Ring unconditionally so an idle peer notices the goodbye
 			// marker (and any final frames) without waiting out a timer.
 			n.ringPeerLocked(p)
 		}
-		frames := p.q.TakeAll(nil)
-		p.mu.Unlock()
-		n.failFrames(frames, errClosed)
+		frames := p.Q.TakeAll(nil)
+		p.Mu.Unlock()
+		n.tab.Fail(frames, errClosed)
 	}
 	// Stop the doorbell watcher before tearing down: closing the FIFO
 	// unblocks its parked read. The rxMu discipline already makes its
@@ -500,14 +439,14 @@ func (n *Network) teardownMaps() {
 		p.rxMu.Lock()
 		munmap(p.rxMem)
 		p.rx, p.rxMem = nil, nil
-		p.asm.Drop()
+		p.stream.Release()
 		p.rxMu.Unlock()
-		p.mu.Lock()
+		p.Mu.Lock()
 		munmap(p.txMem)
 		p.tx, p.txMem = nil, nil
 		closeBellFd(p.bellFd)
 		p.bellFd = bellClosed
-		p.mu.Unlock()
+		p.Mu.Unlock()
 		p.probeMu.Lock()
 		if p.probe != nil {
 			p.probe.Close()
@@ -540,71 +479,47 @@ func (n *Network) MarkPeerDown(rank int, cause error) {
 		return
 	}
 	p := n.peers[rank]
-	p.mu.Lock()
-	if p.down != nil {
-		p.mu.Unlock()
-		return
-	}
-	p.down = cause
-	frames := p.q.TakeAll(nil)
-	p.mu.Unlock()
-	n.failFrames(frames, cause)
+	p.Mu.Lock()
+	frames, _ := p.Condemn(cause)
+	p.Mu.Unlock()
+	n.tab.Fail(frames, cause)
 }
 
 // verdict marks a peer permanently failed: the PeerDown control CQE
 // fans out to every local link before any queued-frame failure CQE —
 // the same ordering contract the TCP transport maintains (DESIGN.md
-// §9.1).
+// §9.1; framing.Table.PeerDown keeps it) — unless the transport itself
+// is closing, when the frames just fail. A peer that said goodbye gets
+// no verdict.
 func (n *Network) verdict(p *peer, cause error) {
-	p.mu.Lock()
-	if p.down != nil || p.departed {
-		p.mu.Unlock()
+	p.Mu.Lock()
+	if p.Refusal() != nil {
+		p.Mu.Unlock()
 		return
 	}
-	p.down = cause
-	frames := p.q.TakeAll(nil)
-	p.mu.Unlock()
-	n.peerDown(p.rank, cause)
-	n.failFrames(frames, cause)
-}
-
-// peerDown fans the failure verdict out to every local link; skipped
-// when the transport itself is closing.
-func (n *Network) peerDown(rank int, cause error) {
+	frames, _ := p.Condemn(cause)
+	p.Mu.Unlock()
 	if n.closed.Load() {
+		n.tab.Fail(frames, cause)
 		return
 	}
 	n.peersDown.Add(1)
-	now := n.clk.Now()
-	err := fmt.Errorf("%w: %v", nic.ErrLinkDown, cause)
-	for _, l := range n.linkList() {
-		l.pushCQ(nic.CQE{Token: nic.PeerDown{Rank: rank}, At: now, Err: err})
-	}
+	n.tab.PeerDown(p.rank, cause, frames)
 }
 
 // markDeparted records a graceful goodbye: posts fail fast, queued
 // frames fail, but no verdict fan-out — departure is not a fault.
 func (n *Network) markDeparted(p *peer) {
-	p.mu.Lock()
-	if p.departed || p.down != nil {
-		p.mu.Unlock()
+	cause := fmt.Errorf("shm: rank %d departed", p.rank)
+	p.Mu.Lock()
+	if p.Refusal() != nil {
+		p.Mu.Unlock()
 		return
 	}
-	p.departed = true
-	frames := p.q.TakeAll(nil)
-	p.mu.Unlock()
-	n.failFrames(frames, fmt.Errorf("shm: rank %d departed", p.rank))
-}
-
-// failFrames settles frames that can never reach the ring.
-func (n *Network) failFrames(frames []outFrame, cause error) {
-	now := n.clk.Now()
-	for _, f := range frames {
-		if f.Signaled {
-			f.Link.pushCQ(nic.CQE{Token: f.Token, At: now, Err: fmt.Errorf("%w: %v", nic.ErrLinkDown, cause)})
-		}
-		f.Link.pending.Add(-1)
-	}
+	p.Depart(cause)
+	frames := p.Q.TakeAll(nil)
+	p.Mu.Unlock()
+	n.tab.Fail(frames, cause)
 }
 
 // pollTick is the clocked tail of a caller-thread poll. A pass counter
@@ -667,9 +582,9 @@ func (n *Network) probePeer(p *peer) {
 		return // another sweep is already probing this peer
 	}
 	defer p.probeMu.Unlock()
-	p.mu.Lock()
-	dead := p.down != nil || p.departed || p.probeDead
-	p.mu.Unlock()
+	p.Mu.Lock()
+	dead := p.Refusal() != nil || p.probeDead
+	p.Mu.Unlock()
 	if dead || n.closed.Load() {
 		return
 	}
@@ -696,8 +611,8 @@ func (n *Network) probePeer(p *peer) {
 	if graceful {
 		return // drain path will finish the departure once the ring empties
 	}
-	p.mu.Lock()
+	p.Mu.Lock()
 	p.probeDead = true
-	p.mu.Unlock()
+	p.Mu.Unlock()
 	n.verdict(p, fmt.Errorf("shm: rank %d died (alive lock released, epoch %d)", p.rank, n.cfg.Epoch))
 }

@@ -1,6 +1,8 @@
 package shm
 
 import (
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -9,6 +11,7 @@ import (
 
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
+	"gompix/internal/transport/framing"
 )
 
 func requireSupported(t *testing.T) {
@@ -505,5 +508,64 @@ func TestPollingConsumerNeverRung(t *testing.T) {
 		if d := st.BellsSuppressed - before[r].BellsSuppressed; d != rounds {
 			t.Errorf("rank %d suppressed %d bells, want %d (one per empty→nonempty publish)", r, d, rounds)
 		}
+	}
+}
+
+// rawFrame is one wire frame as a peer's pump would publish it.
+func rawFrame(dst, src fabric.EndpointID, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(framing.HdrLen+len(payload)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(dst))
+	b = binary.LittleEndian.AppendUint64(b, uint64(src))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	return append(b, payload...)
+}
+
+// TestHostileRingInput pins what the receive side does with bytes a
+// misbehaving peer scribbles into its transmit ring — this transport's
+// policy for the faults the shared frame parser reports, beside tcp's
+// TestCorruptFrameDropsConn/TestUnknownEndpointDropsConn: a frame for
+// an endpoint nobody registered is counted and skipped, and the stream
+// goes on; a corrupt length prefix has no resync point and is the peer's
+// failure verdict. Neither panics the rank.
+func TestHostileRingInput(t *testing.T) {
+	requireSupported(t)
+	nets, links := newPair(t, t.TempDir(), 11)
+	t.Cleanup(func() { nets[0].Close(); nets[1].Close() })
+	ring := nets[1].peers[0].tx // rank 1's transmit ring is rank 0's input
+	poll := func() []fabric.Packet {
+		links[0].PollRecv()
+		return links[0].DrainRQ(make([]fabric.Packet, 0, 4))
+	}
+
+	// Unknown endpoint, then a good frame, in one cell.
+	cell := append(rawFrame(9999, links[1].ID(), []byte("lost")), rawFrame(links[0].ID(), links[1].ID(), []byte("kept"))...)
+	if !ring.pushChunk(cell) {
+		t.Fatal("ring full")
+	}
+	got := poll()
+	if len(got) != 1 || string(got[0].Payload.([]byte)) != "kept" {
+		t.Fatalf("delivered %+v, want the one frame behind the misaddressed one", got)
+	}
+	if s := nets[0].Stats(); s.UnknownEndpoints != 1 || s.CorruptFrames != 0 || s.PeersDown != 0 || links[0].QueuedCQ() != 0 {
+		t.Fatalf("after an unknown endpoint: stats %+v, %d CQEs; want it counted and skipped, no verdict", s, links[0].QueuedCQ())
+	}
+
+	// A length prefix below the header size, behind a good frame.
+	cell = append(rawFrame(links[0].ID(), links[1].ID(), []byte("last")), 3, 0, 0, 0)
+	if !ring.pushChunk(cell) {
+		t.Fatal("ring full")
+	}
+	if got = poll(); len(got) != 1 || string(got[0].Payload.([]byte)) != "last" {
+		t.Fatalf("delivered %+v, want the frame parsed before the corrupt one", got)
+	}
+	if s := nets[0].Stats(); s.CorruptFrames != 1 || s.PeersDown != 1 {
+		t.Fatalf("after a corrupt length: stats %+v, want 1 corrupt frame and 1 verdict", s)
+	}
+	cqes := links[0].DrainCQ(make([]nic.CQE, 0, 4))
+	if len(cqes) != 1 || cqes[0].Token != (nic.PeerDown{Rank: 1}) || !errors.Is(cqes[0].Err, nic.ErrLinkDown) {
+		t.Fatalf("CQEs = %+v, want PeerDown{1} with ErrLinkDown", cqes)
+	}
+	if err := links[0].PostSendInline(links[1].ID(), []byte("late"), 4); err == nil {
+		t.Fatal("post after the verdict should error")
 	}
 }

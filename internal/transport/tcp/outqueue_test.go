@@ -48,10 +48,23 @@ func (w *stutterWriter) Write(p []byte) (int, error) {
 	return n, errStutter
 }
 
+// queueLink registers a bare link at endpoint id, as AddLink would, on
+// a table whose codec is byteCodec.
+func queueLink(t *testing.T, id fabric.EndpointID) *Link {
+	t.Helper()
+	tab := framing.NewTable()
+	tab.SetCodec(byteCodec{})
+	l := new(Link)
+	if err := tab.Register(&l.Link, id); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // fillQueue appends count frames of seeded pseudo-random sizes (biased
 // to straddle the queue's 32K segment boundary) and returns the expected
 // payloads in post order.
-func fillQueue(t *testing.T, q *framing.Queue[*Link], l *Link, count int, seed int64) [][]byte {
+func fillQueue(t *testing.T, q *framing.Queue, l *Link, count int, seed int64) [][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	payloads := make([][]byte, count)
@@ -68,7 +81,7 @@ func fillQueue(t *testing.T, q *framing.Queue[*Link], l *Link, count int, seed i
 		b := make([]byte, size)
 		rng.Read(b)
 		payloads[i] = b
-		if err := q.Append(byteCodec{}, nil, l, l.id, fabric.EndpointID(1000+i), b, size, i, true); err != nil {
+		if err := q.Append(&l.Link, fabric.EndpointID(1000+i), b, size, i, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,8 +127,8 @@ func verifyStream(t *testing.T, stream []byte, src fabric.EndpointID, payloads [
 // flush iteration; the resulting stream must still be byte-exact, with
 // every frame settling exactly once, in post order.
 func TestOutQueueShortWriteResume(t *testing.T) {
-	l := &Link{id: 7}
-	var q framing.Queue[*Link]
+	l := queueLink(t, 7)
+	var q framing.Queue
 	payloads := fillQueue(t, &q, l, 40, 1)
 	w := &shortWriter{budget: 13}
 	made, _, err := q.FlushTo(w)
@@ -125,7 +138,7 @@ func TestOutQueueShortWriteResume(t *testing.T) {
 	if q.Pending() != 0 {
 		t.Fatalf("pending = %d after full drain", q.Pending())
 	}
-	verifyStream(t, w.dst.Bytes(), l.id, payloads)
+	verifyStream(t, w.dst.Bytes(), l.ID(), payloads)
 	settled := q.PopSettled(nil)
 	if len(settled) != len(payloads) {
 		t.Fatalf("settled %d frames, want %d", len(settled), len(payloads))
@@ -142,8 +155,8 @@ func TestOutQueueShortWriteResume(t *testing.T) {
 // mid-flight — popSettled may only release frames whose bytes are
 // fully written, in order, never early and never twice.
 func TestOutQueueStutteredSettlement(t *testing.T) {
-	l := &Link{id: 9}
-	var q framing.Queue[*Link]
+	l := queueLink(t, 9)
+	var q framing.Queue
 	payloads := fillQueue(t, &q, l, 25, 2)
 	w := &stutterWriter{budget: 4096}
 	next := 0
@@ -164,7 +177,7 @@ func TestOutQueueStutteredSettlement(t *testing.T) {
 	if next != len(payloads) {
 		t.Fatalf("settled %d frames, want %d", next, len(payloads))
 	}
-	verifyStream(t, w.dst.Bytes(), l.id, payloads)
+	verifyStream(t, w.dst.Bytes(), l.ID(), payloads)
 }
 
 // TestOutQueueMultiSegmentVectoredResume: enough traffic to seal many
@@ -172,8 +185,8 @@ func TestOutQueueStutteredSettlement(t *testing.T) {
 // the short-write resume must rebuild the vector from the watermark —
 // including re-slicing a partially written head segment.
 func TestOutQueueMultiSegmentVectoredResume(t *testing.T) {
-	l := &Link{id: 3}
-	var q framing.Queue[*Link]
+	l := queueLink(t, 3)
+	var q framing.Queue
 	payloads := fillQueue(t, &q, l, 120, 3)
 	w := &stutterWriter{budget: 7 << 10} // smaller than a sealed segment
 	maxSegs := 0
@@ -187,7 +200,7 @@ func TestOutQueueMultiSegmentVectoredResume(t *testing.T) {
 	if maxSegs < 3 {
 		t.Fatalf("want ≥ 3 segments in one vector to exercise writev, got %d", maxSegs)
 	}
-	verifyStream(t, w.dst.Bytes(), l.id, payloads)
+	verifyStream(t, w.dst.Bytes(), l.ID(), payloads)
 	if got := len(q.PopSettled(nil)); got != len(payloads) {
 		t.Fatalf("settled %d frames, want %d", got, len(payloads))
 	}

@@ -90,12 +90,12 @@ func (n *Network) watchConn(cs *connState) error {
 func (n *Network) blockingReadLoop(cs *connState) error {
 	for {
 		cs.mu.Lock()
-		buf := cs.readTarget()
+		buf := cs.rx.Target(1)
 		cs.mu.Unlock()
 		nr, err := cs.conn.Read(buf)
 		cs.mu.Lock()
 		if nr > 0 {
-			n.ingest(cs, nr)
+			cs.ingest(nr)
 		}
 		dead := cs.dead.Load()
 		cs.mu.Unlock()

@@ -36,12 +36,10 @@
 // misaddressed frames never panic the rank: the offending connection is
 // dropped (triggering the same re-dial path) and the event is counted.
 //
-// Endpoint addressing is global and computable without a handshake:
-//
-//	endpoint(rank, vci) = vci*worldSize + rank
-//
-// which lets the MPI world build its rank→endpoint table for VCI 0
-// before any byte has flowed.
+// What is not about sockets — the link core MPI progress drains, the
+// endpoint space and link table, the out-queue, the receive stream's
+// frame parser — is internal/transport/framing, shared with the shm
+// transport.
 package tcp
 
 import (
@@ -133,33 +131,28 @@ type Stats struct {
 	PoolDrains int64
 }
 
-// linkTable is the copy-on-write link registry: lookups on the drain
-// path are one atomic load, no lock.
-type linkTable struct {
-	byEP map[fabric.EndpointID]*Link
-	list []*Link
-}
-
 // Network is the TCP transport for one rank: the listener, the peer
 // connection table, and the per-VCI links. It implements
 // transport.Transport plus the CodecSetter/ClockSetter/Starter/
 // PeerRanker extension interfaces.
 type Network struct {
-	cfg   Config
-	ln    net.Listener
-	codec nic.Codec
-	split nic.SplitCodec // codec's zero-copy side; nil when it has none
-	clk   timing.Clock
+	framing.Space // EndpointOf, RankOfEndpoint
+
+	cfg Config
+	ln  net.Listener
+	tab *framing.Table // codec, clock, link registry
 
 	mu     sync.Mutex
 	addrs  []string
 	peers  []*peer // indexed by rank; peers[cfg.Rank] is nil
 	conns  map[*connState]struct{}
 	closed bool
+	// verdicts holds the scope.peer_down counter of every link wired to
+	// a registry.
+	verdicts []*metrics.Counter
 
-	// linkTab and connTab are lock-free snapshots for the drain path;
+	// connTab is the lock-free snapshot of conns for the drain path;
 	// rebuilt under mu on registration changes.
-	linkTab atomic.Pointer[linkTable]
 	connTab atomic.Pointer[[]*connState]
 
 	met atomic.Pointer[netMetrics]
@@ -205,28 +198,16 @@ type netMetrics struct {
 	flushBatch *metrics.Histogram // tcp.tx.flush_frames (frames settled per flush)
 }
 
-// outFrame is a queued frame attributed to its posting link.
-type outFrame = framing.Frame[*Link]
-
-// peer is the outbound side toward one remote rank: the lazily dialed
-// write connection and the coalescing output queue (framing.Queue)
-// that accumulates frames between flushes.
+// peer is the outbound side toward one remote rank: the coalescing
+// output queue that accumulates frames between flushes and the peer's
+// verdict (framing.Peer), and under the same lock the lazily dialed
+// write connection.
 type peer struct {
-	rank int
-
-	mu       sync.Mutex
-	conn     net.Conn
-	dialing  bool  // initial background dial in flight
-	probing  bool  // bounded re-dial after a lost connection in flight
-	down     error // peer-failure verdict; set once, never cleared
-	departed bool  // peer sent its goodbye: EOFs are teardown, not failure
-	q        framing.Queue[*Link]
-
-	// settleScratch is reused by flushPeer for the settled-frame batch;
-	// it is only ever touched under mu. The loss paths (write error,
-	// verdict) allocate instead — they are cold and consume their
-	// frames outside the lock.
-	settleScratch []outFrame
+	framing.Peer
+	rank    int
+	conn    net.Conn
+	dialing bool // initial background dial in flight
+	probing bool // bounded re-dial after a lost connection in flight
 }
 
 // New binds the rank's listener and returns the transport. The accept
@@ -263,9 +244,10 @@ func New(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("tcp: bind %s: %w", bind, err)
 	}
 	n := &Network{
+		Space:   framing.Space(cfg.WorldSize),
+		tab:     framing.NewTable(),
 		cfg:     cfg,
 		ln:      ln,
-		clk:     timing.NewRealClock(),
 		addrs:   append([]string(nil), cfg.Addrs...),
 		peers:   make([]*peer, cfg.WorldSize),
 		conns:   make(map[*connState]struct{}),
@@ -299,28 +281,13 @@ func (n *Network) SetPeerAddrs(addrs []string) {
 }
 
 // SetCodec installs the payload codec (transport.CodecSetter).
-func (n *Network) SetCodec(c nic.Codec) {
-	n.codec = c
-	n.split, _ = c.(nic.SplitCodec)
-}
+func (n *Network) SetCodec(c nic.Codec) { n.tab.SetCodec(c) }
 
 // SetClock installs the completion clock (transport.ClockSetter).
-func (n *Network) SetClock(c timing.Clock) { n.clk = c }
+func (n *Network) SetClock(c timing.Clock) { n.tab.SetClock(c) }
 
 // Multiprocess reports true: each rank is a separate OS process.
 func (n *Network) Multiprocess() bool { return true }
-
-// EndpointOf computes the global endpoint address of (rank, vci).
-func (n *Network) EndpointOf(rank, vci int) fabric.EndpointID {
-	return fabric.EndpointID(vci*n.cfg.WorldSize + rank)
-}
-
-// RankOfEndpoint maps an endpoint address back to its owning world rank
-// (transport.PeerRanker); the MPI layer uses it to attribute failures
-// to a process.
-func (n *Network) RankOfEndpoint(ep fabric.EndpointID) int {
-	return int(ep) % n.cfg.WorldSize
-}
 
 // Stats returns a snapshot of the failure and reactor counters.
 func (n *Network) Stats() Stats {
@@ -340,48 +307,16 @@ func (n *Network) AddLink(rank, vci int) (nic.Link, error) {
 	if rank != n.cfg.Rank {
 		return nil, fmt.Errorf("tcp: AddLink for rank %d on rank %d's transport", rank, n.cfg.Rank)
 	}
-	l := &Link{net: n, id: n.EndpointOf(rank, vci)}
+	l := &Link{net: n}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
 		return nil, errors.New("tcp: transport closed")
 	}
-	old := n.linkTab.Load()
-	if old != nil {
-		if _, dup := old.byEP[l.id]; dup {
-			return nil, fmt.Errorf("tcp: duplicate link for endpoint %d", l.id)
-		}
+	if err := n.tab.Register(&l.Link, n.EndpointOf(rank, vci)); err != nil {
+		return nil, fmt.Errorf("tcp: %w", err)
 	}
-	tab := &linkTable{byEP: make(map[fabric.EndpointID]*Link)}
-	if old != nil {
-		for id, ol := range old.byEP {
-			tab.byEP[id] = ol
-		}
-		tab.list = append(tab.list, old.list...)
-	}
-	tab.byEP[l.id] = l
-	tab.list = append(tab.list, l)
-	n.linkTab.Store(tab)
 	return l, nil
-}
-
-// lookupLink resolves a destination endpoint on the drain path: one
-// atomic load, no lock.
-func (n *Network) lookupLink(ep fabric.EndpointID) *Link {
-	tab := n.linkTab.Load()
-	if tab == nil {
-		return nil
-	}
-	return tab.byEP[ep]
-}
-
-// linkList returns the registered-link snapshot (shared, read-only).
-func (n *Network) linkList() []*Link {
-	tab := n.linkTab.Load()
-	if tab == nil {
-		return nil
-	}
-	return tab.list
 }
 
 // connList returns the live-connection snapshot (shared, read-only).
@@ -448,10 +383,10 @@ func (n *Network) shutdown(goodbye bool) {
 		if p == nil {
 			continue
 		}
-		p.mu.Lock()
-		frames := p.q.TakeAll(nil)
-		p.mu.Unlock()
-		n.failFrames(frames, errors.New("tcp: transport closed"))
+		p.Mu.Lock()
+		frames := p.Q.TakeAll(nil)
+		p.Mu.Unlock()
+		n.tab.Fail(frames, errors.New("tcp: transport closed"))
 	}
 }
 
@@ -468,12 +403,12 @@ func (n *Network) sayGoodbye(conns []*connState) {
 			p = n.peers[cs.rank]
 		}
 		if p != nil {
-			p.mu.Lock()
+			p.Mu.Lock()
 		}
 		cs.conn.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
 		cs.conn.Write(bye[:])
 		if p != nil {
-			p.mu.Unlock()
+			p.Mu.Unlock()
 		}
 	}
 }
@@ -534,9 +469,9 @@ func (n *Network) markDeparted(rank int) {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	p.departed = true
-	p.mu.Unlock()
+	p.Mu.Lock()
+	p.Depart(fmt.Errorf("tcp: rank %d departed", rank))
+	p.Mu.Unlock()
 }
 
 func (n *Network) metricsRef() *netMetrics { return n.met.Load() }
@@ -609,16 +544,16 @@ func (n *Network) connLost(rank int, conn net.Conn, cause error) {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
+	p.Mu.Lock()
 	if p.conn == conn {
 		p.conn = nil
 	}
-	if p.down != nil || p.departed || p.probing || p.dialing {
-		p.mu.Unlock()
+	if p.Refusal() != nil || p.probing || p.dialing {
+		p.Mu.Unlock()
 		return
 	}
 	p.probing = true
-	p.mu.Unlock()
+	p.Mu.Unlock()
 	n.wg.Add(1)
 	go n.redial(p, cause)
 }
@@ -637,9 +572,9 @@ func (n *Network) redial(p *peer, cause error) {
 	for attempt := 0; attempt < n.cfg.RedialAttempts; attempt++ {
 		select {
 		case <-n.closeCh:
-			p.mu.Lock()
+			p.Mu.Lock()
 			p.probing = false
-			p.mu.Unlock()
+			p.Mu.Unlock()
 			return
 		case <-time.After(backoff):
 		}
@@ -659,12 +594,12 @@ func (n *Network) redial(p *peer, cause error) {
 			continue
 		}
 		if !n.startConn(conn, p.rank) {
-			p.mu.Lock()
+			p.Mu.Lock()
 			p.probing = false
-			p.mu.Unlock()
+			p.Mu.Unlock()
 			return // transport closed
 		}
-		p.mu.Lock()
+		p.Mu.Lock()
 		// The loss may have been an inbound conn while our own write
 		// conn stayed healthy; keep the existing one in that case (the
 		// fresh conn still serves as a liveness probe and a read path).
@@ -672,8 +607,8 @@ func (n *Network) redial(p *peer, cause error) {
 			p.conn = conn
 		}
 		p.probing = false
-		p.mu.Unlock()
-		n.kickAll()
+		p.Mu.Unlock()
+		n.tab.KickAll()
 		return
 	}
 	n.verdict(p, fmt.Errorf("tcp: rank %d unreachable after %d redial attempts: %v",
@@ -728,27 +663,14 @@ func NotifyPeerDown(addr string, epoch uint64, deadRank int) error {
 	return err
 }
 
-// verdict marks a peer permanently failed: queued frames fail with
-// ErrLinkDown and every local link receives a PeerDown control
-// completion for the MPI layer to translate.
+// verdict marks a peer permanently failed: every local link receives
+// a PeerDown control completion for the MPI layer to translate, then
+// the queued frames fail with ErrLinkDown (framing.Table.PeerDown keeps
+// that order).
 func (n *Network) verdict(p *peer, cause error) {
-	p.mu.Lock()
-	if p.down != nil {
-		p.mu.Unlock()
-		return
+	if frames, first := n.condemn(p, cause); first {
+		n.peerDown(p.rank, cause, frames)
 	}
-	p.down = cause
-	p.dialing = false
-	p.probing = false
-	frames := p.q.TakeAll(nil)
-	p.mu.Unlock()
-	// Verdict first, queued-frame failures second: the PeerDown control
-	// CQE must precede the per-frame ErrLinkDown CQEs in each link's CQ
-	// so the MPI layer sweeps its handle tables (completing rendezvous
-	// sends with the process-failure error) before the stale frame
-	// completions arrive and hit the already-failed guards.
-	n.peerDown(p.rank, cause)
-	n.failFrames(frames, cause)
 }
 
 // MarkPeerDown records a peer failure learned out-of-band — the
@@ -760,51 +682,39 @@ func (n *Network) MarkPeerDown(rank int, cause error) {
 	if rank < 0 || rank >= len(n.peers) || n.peers[rank] == nil {
 		return
 	}
-	p := n.peers[rank]
-	p.mu.Lock()
-	if p.down != nil {
-		p.mu.Unlock()
-		return
-	}
-	p.down = cause
-	p.dialing = false
-	p.probing = false
-	frames := p.q.TakeAll(nil)
-	p.mu.Unlock()
-	n.failFrames(frames, cause)
+	frames, _ := n.condemn(n.peers[rank], cause)
+	n.tab.Fail(frames, cause)
 }
 
-// peerDown fans the failure verdict out to every local link as a
-// control CQE (token nic.PeerDown); skipped when the transport itself
-// is closing — nobody is listening, and the teardown is not a fault.
-func (n *Network) peerDown(rank int, cause error) {
+// condemn records the verdict on p once and takes its queued frames.
+func (n *Network) condemn(p *peer, cause error) (frames []framing.Frame, first bool) {
+	p.Mu.Lock()
+	defer p.Mu.Unlock()
+	if frames, first = p.Condemn(cause); first {
+		p.dialing, p.probing = false, false
+	}
+	return frames, first
+}
+
+// peerDown delivers the failure verdict; when the transport itself is
+// closing — nobody is listening, and the teardown is not a fault — the
+// queued frames just fail.
+func (n *Network) peerDown(rank int, cause error, frames []framing.Frame) {
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	closed, verdicts := n.closed, n.verdicts
+	n.mu.Unlock()
+	if closed {
+		n.tab.Fail(frames, cause)
 		return
 	}
-	n.mu.Unlock()
-	links := n.linkList()
 	n.peersDown.Add(1)
 	if met := n.metricsRef(); met != nil {
 		met.peersDown.Inc()
 	}
-	now := n.clk.Now()
-	err := fmt.Errorf("%w: %v", nic.ErrLinkDown, cause)
-	for _, l := range links {
-		if lm := l.met.Load(); lm != nil {
-			lm.peerDown.Inc()
-		}
-		l.pushCQ(nic.CQE{Token: nic.PeerDown{Rank: rank}, At: now, Err: err})
+	for _, c := range verdicts {
+		c.Inc()
 	}
-}
-
-// kickAll re-arms the flush poll on every link (after a dial or re-dial
-// lands, frames queued behind it need a new flush pass).
-func (n *Network) kickAll() {
-	for _, l := range n.linkList() {
-		l.kick()
-	}
+	n.tab.PeerDown(rank, cause, frames)
 }
 
 // DropPeer forcibly closes every connection to or from the given rank —
@@ -825,8 +735,7 @@ func (n *Network) DropPeer(rank int) {
 // peerOf maps a destination endpoint to its peer (nil for self, which
 // is a protocol bug: self-sends ride shared memory).
 func (n *Network) peerOf(dst fabric.EndpointID) *peer {
-	rank := int(dst) % n.cfg.WorldSize
-	return n.peers[rank]
+	return n.peers[n.RankOfEndpoint(dst)]
 }
 
 // dial establishes p's outbound connection in the background, retrying
@@ -868,12 +777,12 @@ func (n *Network) dial(p *peer) {
 		n.verdict(p, errors.New("tcp: transport closed"))
 		return
 	}
-	p.mu.Lock()
+	p.Mu.Lock()
 	p.conn = conn
 	p.dialing = false
-	p.mu.Unlock()
+	p.Mu.Unlock()
 	// Re-kick flush for everything queued behind the dial.
-	n.kickAll()
+	n.tab.KickAll()
 }
 
 // flushPeer drains one peer's coalescing queue to its socket as one
@@ -885,14 +794,14 @@ func (n *Network) dial(p *peer) {
 // (the reliability layer re-drives them) and the bounded re-dial
 // starts.
 func (n *Network) flushPeer(p *peer) (made, waiting bool) {
-	p.mu.Lock()
-	if p.q.Pending() == 0 {
-		p.mu.Unlock()
+	p.Mu.Lock()
+	if p.Q.Pending() == 0 {
+		p.Mu.Unlock()
 		return false, false
 	}
 	if p.conn == nil {
 		waiting = p.dialing || p.probing
-		p.mu.Unlock()
+		p.Mu.Unlock()
 		return false, waiting
 	}
 	conn := p.conn
@@ -901,8 +810,8 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 	// window — socket ingest never takes peer locks, so every process
 	// keeps reading (progress polls or the reactor pool) while this
 	// writev blocks.
-	wrote, nsegs, err := p.q.FlushTo(conn)
-	if err != nil && !wrote && errors.Is(err, net.ErrClosed) && p.down == nil && !p.departed && !n.isClosed() {
+	wrote, nsegs, err := p.Q.FlushTo(conn)
+	if err != nil && !wrote && errors.Is(err, net.ErrClosed) && p.Refusal() == nil && !n.isClosed() {
 		// We closed this socket ourselves: the read side saw the
 		// connection die first, and its exit path (connLost) is about to
 		// clear p.conn and start the bounded re-dial. Nothing reached the
@@ -913,7 +822,7 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 		if p.conn == conn {
 			p.conn = nil
 		}
-		p.mu.Unlock()
+		p.Mu.Unlock()
 		return false, true
 	}
 	if err != nil {
@@ -922,32 +831,21 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 		if p.conn == conn {
 			p.conn = nil
 		}
-		probe := p.down == nil && !p.departed && !p.probing && !p.dialing && !n.isClosed()
+		probe := p.Refusal() == nil && !p.probing && !p.dialing && !n.isClosed()
 		if probe {
 			p.probing = true
 		}
-		frames := p.q.TakeAll(nil)
-		p.mu.Unlock()
-		n.failFrames(frames, err)
+		frames := p.Q.TakeAll(nil)
+		p.Mu.Unlock()
+		n.tab.Fail(frames, err)
 		if probe {
 			n.wg.Add(1)
 			go n.redial(p, err)
 		}
 		return true, false
 	}
-	p.settleScratch = p.q.PopSettled(p.settleScratch)
-	settled := p.settleScratch
-	now := n.clk.Now()
-	// Settle under the peer lock: the scratch buffer is reused by the
-	// next flush, and lock order peer → link-CQ is safe.
-	for _, f := range settled {
-		if f.Signaled {
-			f.Link.pushCQ(nic.CQE{Token: f.Token, At: now})
-		}
-		f.Link.pending.Add(-1)
-	}
-	nset := len(settled)
-	p.mu.Unlock()
+	nset := p.Settle()
+	p.Mu.Unlock()
 	if wrote {
 		if met := n.metricsRef(); met != nil {
 			met.writevs.Inc()
@@ -958,24 +856,6 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 	return wrote, false
 }
 
-// failFrames settles frames that can never reach the wire: signaled
-// sends get an error completion, inline ones just release their
-// pending unit.
-func (n *Network) failFrames(frames []outFrame, cause error) {
-	now := n.clk.Now()
-	for _, f := range frames {
-		if f.Signaled {
-			f.Link.pushCQ(nic.CQE{Token: f.Token, At: now, Err: fmt.Errorf("%w: %v", nic.ErrLinkDown, cause)})
-		}
-		f.Link.pending.Add(-1)
-	}
-}
-
-// linkMetrics is the per-link registry wiring.
-type linkMetrics struct {
-	peerDown *metrics.Counter
-}
-
 // Link is one VCI's endpoint on the TCP transport (nic.Link). Posts
 // append frames to the destination peer's coalescing queue; the wire
 // write happens in Flush — invoked by the owning stream's progress via
@@ -984,48 +864,9 @@ type linkMetrics struct {
 // PollRecv (nic.RxPoller) drains every ready connection on the
 // caller's thread.
 type Link struct {
-	net  *Network
-	id   fabric.EndpointID
-	work nic.WorkCounter
-
-	arm func()
-
-	met atomic.Pointer[linkMetrics]
-
-	// armed guards the idle→busy arm transition; held together with the
-	// pending counter's transitions (armMu, never under a peer lock).
-	armMu sync.Mutex
-	armed bool
-
-	// pending counts this link's posted-but-unflushed frames.
-	pending atomic.Int64
-
-	cqMu sync.Mutex
-	cq   []nic.CQE
-	nCQ  atomic.Int64
-
-	rqMu sync.Mutex
-	rq   []fabric.Packet
-	nRQ  atomic.Int64
-
-	closed atomic.Bool
+	framing.Link
+	net *Network
 }
-
-// ID returns the link's global endpoint address.
-func (l *Link) ID() fabric.EndpointID { return l.id }
-
-// BindWork attaches the owning stream's netmod work counter.
-func (l *Link) BindWork(w nic.WorkCounter) { l.work = w }
-
-// Now returns the transport clock.
-func (l *Link) Now() time.Duration { return l.net.clk.Now() }
-
-// SetArm registers the idle→busy callback (nic.Armer); the MPI layer
-// points it at Stream.AsyncStart for the flush poll.
-func (l *Link) SetArm(arm func()) { l.arm = arm }
-
-// PendingTx reports posted-but-unflushed frames (nic.TxPender).
-func (l *Link) PendingTx() int { return int(l.pending.Load()) }
 
 // UseMetrics wires the link to the registry under the given scope
 // prefix (e.g. "rank0.vci0.nic"): peer-failure verdicts increment
@@ -1039,10 +880,11 @@ func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 	if reg == nil {
 		return
 	}
-	l.met.Store(&linkMetrics{peerDown: reg.Counter(scope + ".peer_down")})
 	n := l.net
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	// Copy on write: peerDown reads the slice after releasing mu.
+	n.verdicts = append(n.verdicts[:len(n.verdicts):len(n.verdicts)], reg.Counter(scope+".peer_down"))
 	if n.met.Load() == nil {
 		n.met.Store(&netMetrics{
 			rxCorrupt:   reg.Counter("tcp.rx.corrupt"),
@@ -1057,12 +899,6 @@ func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 			flushBatch:  reg.Histogram("tcp.tx.flush_frames"),
 		})
 	}
-}
-
-// Close marks the link dead; the Network owns the sockets.
-func (l *Link) Close() error {
-	l.closed.Store(true)
-	return nil
 }
 
 // PostSendInline queues a frame with no completion (nic.Link). The
@@ -1081,56 +917,30 @@ func (l *Link) PostSend(dst fabric.EndpointID, payload any, bytes int, token any
 }
 
 func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, signaled bool) error {
-	if l.closed.Load() {
+	if l.Closed() {
 		return errors.New("tcp: post on closed link")
 	}
 	p := l.net.peerOf(dst)
 	if p == nil {
 		return fmt.Errorf("tcp: self-send to endpoint %d must use shared memory", dst)
 	}
-	codec := l.net.codec
-	if codec == nil {
-		panic("tcp: no codec installed (transport.CodecSetter not wired)")
-	}
-	p.mu.Lock()
-	if p.down != nil || p.departed {
-		err := p.down
-		if err == nil {
-			err = fmt.Errorf("tcp: rank %d departed", p.rank)
-		}
-		p.mu.Unlock()
-		// Fail fast: dialing a departed peer's closed listener would just
-		// burn the dial window before reaching the same conclusion. A
-		// signaled post reports the failure through the CQE ONLY — the
-		// caller owns the token's completion exactly once, and returning
-		// the error as well would hand it a second completion path (the
-		// eager-send path completes its request inline on a post error,
-		// per the raw NIC's error-means-no-CQE contract).
-		if signaled {
-			l.pushCQ(nic.CQE{Token: token, At: l.net.clk.Now(), Err: fmt.Errorf("%w: %v", nic.ErrLinkDown, err)})
-			return nil
-		}
+	p.Mu.Lock()
+	queued, err := p.Post(&l.Link, dst, payload, bytes, token, signaled)
+	if !queued {
+		p.Mu.Unlock()
 		return err
 	}
 	needDial := p.conn == nil && !p.dialing && !p.probing
 	if needDial {
 		p.dialing = true
 	}
-	if err := p.q.Append(codec, l.net.split, l, l.id, dst, payload, bytes, token, signaled); err != nil {
-		if needDial {
-			p.dialing = false
-		}
-		p.mu.Unlock()
-		return fmt.Errorf("tcp: encode: %w", err)
-	}
 	// Adaptive batching: a backlog past the flush budget writes inline
 	// instead of waiting for the next progress pass — under load the
 	// writev batch size adapts to whatever accumulated, idle links
 	// flush on the progress/armed path with no per-frame syscall.
-	big := p.q.Pending() >= int64(l.net.cfg.FlushBytes)
-	p.mu.Unlock()
+	big := p.Q.Pending() >= int64(l.net.cfg.FlushBytes)
+	p.Mu.Unlock()
 
-	l.pending.Add(1)
 	if needDial {
 		l.net.wg.Add(1)
 		go l.net.dial(p)
@@ -1138,25 +948,8 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 	if big {
 		l.net.flushPeer(p)
 	}
-	l.kick()
+	l.Kick()
 	return nil
-}
-
-// kick arms the flush poll if the link has pending output and is not
-// already armed. Called after posts and after a dial completes; never
-// under a peer lock.
-func (l *Link) kick() {
-	if l.arm == nil || l.pending.Load() == 0 {
-		return
-	}
-	l.armMu.Lock()
-	if l.armed {
-		l.armMu.Unlock()
-		return
-	}
-	l.armed = true
-	l.armMu.Unlock()
-	l.arm()
 }
 
 // Flush drains every peer's coalescing queue to its socket
@@ -1175,93 +968,5 @@ func (l *Link) Flush() (made, idle bool) {
 		made = made || m
 		waiting = waiting || w
 	}
-	// Disarm atomically with the emptiness check so a post racing in
-	// between observes either armed=true (no re-arm needed) or its kick
-	// restarts the poll.
-	l.armMu.Lock()
-	idle = l.pending.Load() == 0 && !waiting
-	if idle {
-		l.armed = false
-	}
-	l.armMu.Unlock()
-	return made, idle
+	return made, l.Disarm(waiting)
 }
-
-// deliverBatch appends a run of inbound packets to the receive queue:
-// one lock acquisition and one work bump per run, not per frame.
-func (l *Link) deliverBatch(ps []fabric.Packet) {
-	l.rqMu.Lock()
-	l.rq = append(l.rq, ps...)
-	l.rqMu.Unlock()
-	l.nRQ.Add(int64(len(ps)))
-	if w := l.work; w != nil {
-		w.Add(len(ps))
-	}
-}
-
-func (l *Link) pushCQ(cqe nic.CQE) {
-	l.cqMu.Lock()
-	l.cq = append(l.cq, cqe)
-	l.cqMu.Unlock()
-	l.nCQ.Add(1)
-	if w := l.work; w != nil {
-		w.Add(1)
-	}
-}
-
-// DrainCQ moves up to cap(buf) completions into buf[:0] (nic.Link);
-// same zero-allocation batch contract as the simulated endpoint.
-func (l *Link) DrainCQ(buf []nic.CQE) []nic.CQE {
-	buf = buf[:0]
-	if l.nCQ.Load() == 0 || cap(buf) == 0 {
-		return buf
-	}
-	l.cqMu.Lock()
-	n := len(l.cq)
-	if c := cap(buf); n > c {
-		n = c
-	}
-	buf = append(buf, l.cq[:n]...)
-	rest := copy(l.cq, l.cq[n:])
-	for i := rest; i < len(l.cq); i++ {
-		l.cq[i] = nic.CQE{}
-	}
-	l.cq = l.cq[:rest]
-	l.cqMu.Unlock()
-	l.nCQ.Add(-int64(n))
-	if w := l.work; w != nil {
-		w.Add(-n)
-	}
-	return buf
-}
-
-// DrainRQ moves up to cap(buf) arrived packets into buf[:0] (nic.Link).
-func (l *Link) DrainRQ(buf []fabric.Packet) []fabric.Packet {
-	buf = buf[:0]
-	if l.nRQ.Load() == 0 || cap(buf) == 0 {
-		return buf
-	}
-	l.rqMu.Lock()
-	n := len(l.rq)
-	if c := cap(buf); n > c {
-		n = c
-	}
-	buf = append(buf, l.rq[:n]...)
-	rest := copy(l.rq, l.rq[n:])
-	for i := rest; i < len(l.rq); i++ {
-		l.rq[i] = fabric.Packet{}
-	}
-	l.rq = l.rq[:rest]
-	l.rqMu.Unlock()
-	l.nRQ.Add(-int64(n))
-	if w := l.work; w != nil {
-		w.Add(-n)
-	}
-	return buf
-}
-
-// QueuedCQ returns unpolled completions (one atomic load).
-func (l *Link) QueuedCQ() int { return int(l.nCQ.Load()) }
-
-// QueuedRQ returns unpolled arrivals (one atomic load).
-func (l *Link) QueuedRQ() int { return int(l.nRQ.Load()) }
