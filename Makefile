@@ -41,10 +41,12 @@ race-transport:
 	$(GO) test -race -count=1 -timeout 5m ./internal/transport/... ./internal/core/ ./internal/datatype/
 
 # The transport pass plus the multiprocess-world tests that drive MPI
-# traffic over loopback sockets and the facade's sim/tcp/shm matrix
-# (which holds the send-buffer ownership cases).
+# traffic over loopback sockets, the wait ladder on each kind of world
+# (its tcp case counts the passes a receive takes to be found, which is
+# the reactor's probe cadence seen from MPI) and the facade's
+# sim/tcp/shm matrix (which holds the send-buffer ownership cases).
 race-tcp: race-transport
-	$(GO) test -race -count=1 -run 'TestRemote' ./internal/mpi/
+	$(GO) test -race -count=1 -run 'TestRemote|TestWaitLadder' ./internal/mpi/
 	$(GO) test -race -count=1 -run 'TestMatrix' ./mpix/
 
 # The transport pass plus the multiprocess composite worlds (shm

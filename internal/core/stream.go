@@ -283,7 +283,9 @@ func (s *Stream) TryProgressMasked(skip SkipMask) (made, ok bool) {
 // fullPassEvery forces an uncounted full poll of all classes once per
 // this many passes, bounding the damage of a subsystem that forgets to
 // bump its work counter: a missed increment delays its completion by
-// at most one period instead of hanging it.
+// at most one period instead of hanging it. It is a net under a bug and
+// nothing else: no subsystem may count on it to be found, and a class
+// whose counter is honest runs exactly as it would without it.
 const fullPassEvery = 64
 
 // progressLocked runs the collated poll. Caller holds s.mu.

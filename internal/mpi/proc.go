@@ -287,9 +287,10 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 	if al, ok := v.ep.(nic.Armer); ok {
 		al.SetArm(func() { s.AsyncStart(linkFlushPoll, v) })
 	}
-	// A transport whose producers live in other processes cannot poke
-	// the stream's wake channel from there: the park rung announces
-	// itself through the link first (the shm consumer word).
+	// A transport whose producers live outside the process — peers
+	// writing shm rings, the kernel filling a socket — cannot poke the
+	// stream's wake channel from there: the park rung goes through the
+	// link first (the shm consumer word, one read of each tcp socket).
 	if pk, ok := v.ep.(nic.Parker); ok {
 		s.SetParkHook(pk.Parking)
 	}

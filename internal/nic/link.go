@@ -46,7 +46,8 @@ type Link interface {
 	QueuedRQ() int
 	// BindWork attaches the owning stream's netmod work counter; every
 	// queued CQE or arrival adds one unit, every drained entry removes
-	// one. Bind before traffic flows.
+	// one, and a link that finds its input by being polled (RxPoller)
+	// keeps one more there until Close. Bind before traffic flows.
 	BindWork(w WorkCounter)
 	// Now returns the link's clock (the fabric clock for the simulated
 	// endpoint, wall time for socket transports). CQE.At and the
@@ -75,15 +76,19 @@ type Flusher interface {
 }
 
 // Parker is implemented by links some of whose producers cannot reach
-// the owning stream's wake channel — they run in another process and
-// publish into shared memory (the shm rings). Every in-process arrival
-// already wakes a parked waiter through the bound WorkCounter; these
-// producers instead read a word the consumer publishes. Parking is the
-// consumer's side of that handshake: the stream's wait loop calls it
-// after its last empty pass and before sleeping; the link publishes
-// "ring me", re-checks what such producers may have published
-// meanwhile, and reports whether sleeping is still safe (false: an
-// arrival is already visible, poll again).
+// the owning stream's wake channel by themselves. Every in-process
+// arrival already wakes a parked waiter through the bound WorkCounter.
+// The shm rings' producers run in another process and publish into
+// shared memory; they read a word the consumer publishes instead. The
+// tcp link's producer is the kernel, announced by a watcher goroutine
+// that hears of input only when the runtime visits its netpoller, which
+// a P kept busy by other ranks does not. Parking is the consumer's side
+// of the handshake: the stream's wait loop calls it after its last
+// empty pass and before sleeping; the link does what makes the sleep
+// safe — publishes "ring me", reads the sockets nobody has flagged —
+// re-checks what such producers may have delivered meanwhile, and
+// reports whether sleeping is still safe (false: an arrival is already
+// visible, poll again).
 type Parker interface {
 	Parking() bool
 }
@@ -95,13 +100,18 @@ type TxPender interface {
 	PendingTx() int
 }
 
-// RxPoller is implemented by links that can advance their receive side
-// on the caller's thread (the TCP backend's readiness reactor):
-// PollRecv performs bounded non-blocking socket reads, decodes any
+// RxPoller is implemented by links that advance their receive side on
+// the caller's thread (the byte transports: the TCP reactor, the shm
+// rings): PollRecv looks for input without blocking, decodes any
 // complete frames straight into the link receive queues, and reports
 // whether anything arrived. The MPI netmod calls it at the top of its
 // progress poll so ingest work rides the paper's explicit progress
-// path instead of waking background goroutines.
+// path instead of waking background goroutines. Polling such a link
+// might make progress on any pass, so it holds a unit on the bound work
+// counter for as long as it is open, and owes the caller an empty poll
+// that is cheap. (The one link the unit buys nothing for is tcp's where
+// the platform has no non-blocking read: its connections are fed by
+// blocking readers and its PollRecv skips them all.)
 type RxPoller interface {
 	PollRecv() (made bool)
 }

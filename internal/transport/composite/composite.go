@@ -58,6 +58,7 @@ type legLink interface {
 	nic.Flusher
 	nic.TxPender
 	nic.RxPoller
+	nic.Parker
 	UseMetrics(reg *metrics.Registry, scope string)
 }
 
@@ -199,7 +200,6 @@ func (n *Network) AddLink(rank, vci int) (nic.Link, error) {
 		if l.local, err = addLegLink(n.local, rank, vci); err != nil {
 			return nil, err
 		}
-		l.parker, _ = l.local.(nic.Parker)
 	}
 	if l.remote, err = addLegLink(n.remote, rank, vci); err != nil {
 		if l.local != nil {
@@ -266,10 +266,6 @@ type Link struct {
 	id     fabric.EndpointID
 	local  legLink // nil in pure-TCP fallback
 	remote legLink
-	// parker is the local leg's park handshake (the shm link's); nil
-	// without one.
-	parker nic.Parker
-
 	// mu guards the merge scratches and the per-rank verdict filter.
 	mu        sync.Mutex
 	seenDown  []bool
@@ -314,12 +310,15 @@ func (l *Link) SetArm(arm func()) {
 	l.remote.SetArm(arm)
 }
 
-// Parking forwards the park handshake to the shm leg (nic.Parker), the
-// one whose producers cannot wake the stream themselves. The tcp leg
-// needs no announcement: its connection watchers bump the shared work
-// counter from inside this process, which wakes the sleeper directly.
+// Parking runs both legs' halves of the park handshake (nic.Parker):
+// the shm leg tells producers in other processes to ring, the tcp leg
+// — in a job that has one — reads the sockets its watchers may not have
+// heard about yet. Sleeping is safe when both say so.
 func (l *Link) Parking() bool {
-	return l.parker == nil || l.parker.Parking()
+	if l.local != nil && !l.local.Parking() {
+		return false
+	}
+	return !l.net.remoteUsed || l.remote.Parking()
 }
 
 // PendingTx sums posted-but-unsettled frames across legs

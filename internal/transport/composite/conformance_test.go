@@ -105,7 +105,7 @@ func newWorld(t *testing.T, ranks int, nodeOf func(rank int) int) (*world, *tran
 			t.Fatal(err)
 		}
 		links[r] = l.(*composite.Link)
-		w.Links = append(w.Links, links[r])
+		w.Bind(links[r])
 		if err := cw.nets[r].Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -169,10 +169,18 @@ func (l *Link) Now() time.Duration { return l.tab.clk.Now() }
 
 // BindWork attaches the owning stream's netmod work counter: every
 // queued CQE or arrival adds one unit, every drained entry removes one.
+// It also parks one permanent unit there, released by Close: a byte
+// transport learns of input by looking (PollRecv), so polling its link
+// might make progress on any pass, and the counted-hook contract
+// (core.RegisterHookCounted) wants the counter positive whenever that
+// is so. What the look costs when nothing is there is the transport's
+// business: a few atomic operations per ring on shm and per connection
+// on tcp.
 func (l *Link) BindWork(w nic.WorkCounter) {
 	l.work = w
 	l.cq.Bind(w)
 	l.rq.Bind(w)
+	l.Bump(1)
 }
 
 // Bump adds units to the bound work counter for a reason of the
@@ -209,10 +217,12 @@ func (l *Link) QueuedRQ() int { return l.rq.Len() }
 // whether this call was the one that closed it.
 func (l *Link) Shut() bool { return l.closed.CompareAndSwap(false, true) }
 
-// Close marks the link dead (nic.Link); the transport owns what is
-// underneath.
+// Close marks the link dead (nic.Link) and releases the polling unit
+// BindWork parked; the transport owns what is underneath.
 func (l *Link) Close() error {
-	l.Shut()
+	if l.Shut() {
+		l.Bump(-1)
+	}
 	return nil
 }
 

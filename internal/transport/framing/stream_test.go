@@ -247,7 +247,8 @@ func TestStreamStagesLargeFrames(t *testing.T) {
 
 // TestStreamDeliveryRuns: consecutive frames for one link reach its
 // receive queue in one push at Flush, a change of destination cuts the
-// run, and the bound work counter sees every packet once.
+// run, and the bound work counter sees every packet once — on top of
+// the polling unit each link parks there from BindWork to Close.
 func TestStreamDeliveryRuns(t *testing.T) {
 	tab := NewTable()
 	tab.SetCodec(fussyCodec{})
@@ -272,8 +273,16 @@ func TestStreamDeliveryRuns(t *testing.T) {
 		t.Fatalf("before Flush the links hold %d and %d packets, want the two cut runs: 3 and 2", q0, q1)
 	}
 	s.Flush()
-	if q0, q1 := links[0].QueuedRQ(), links[1].QueuedRQ(); q0 != 4 || q1 != 2 || work != 6 {
-		t.Fatalf("after Flush: %d and %d packets, work %d; want 4, 2 and 6", q0, q1, work)
+	if q0, q1 := links[0].QueuedRQ(), links[1].QueuedRQ(); q0 != 4 || q1 != 2 || work != 6+2 {
+		t.Fatalf("after Flush: %d and %d packets, work %d; want 4, 2 and 6 beside the 2 polling units", q0, q1, work)
+	}
+	for _, l := range links {
+		l.DrainRQ(make([]fabric.Packet, 0, 8))
+		l.Close()
+		l.Close() // the unit is released once
+	}
+	if work != 0 {
+		t.Fatalf("work %d after every packet was drained and every link closed, want 0", work)
 	}
 }
 

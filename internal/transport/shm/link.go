@@ -5,7 +5,6 @@ import (
 
 	"gompix/internal/fabric"
 	"gompix/internal/metrics"
-	"gompix/internal/nic"
 	"gompix/internal/transport/framing"
 )
 
@@ -16,30 +15,12 @@ import (
 // Armer callback — which is the sender-side-progress-driven chunking.
 // The receive side is pure polling: PollRecv (nic.RxPoller) drains
 // every inbound ring on the caller's thread. There is no kernel to
-// interrupt us when a peer produces, so BindWork parks one permanent
-// work unit on the stream's netmod counter, keeping the class polled
-// every pass; an empty poll is two atomic loads per peer ring.
+// interrupt us when a peer produces: the polling unit framing.Link
+// parks on the stream's netmod counter keeps the class polled every
+// pass, and an empty poll is two atomic loads per peer ring.
 type Link struct {
 	framing.Link
 	net *Network
-}
-
-// BindWork attaches the owning stream's netmod work counter and parks
-// the permanent polling unit on it (released on Close): shared-memory
-// receive has no readiness notification, so the netmod class must stay
-// pollable for cross-process arrivals to be seen.
-func (l *Link) BindWork(w nic.WorkCounter) {
-	l.Link.BindWork(w)
-	l.Bump(1)
-}
-
-// Close marks the link dead and releases the parked work unit; the
-// Network owns the mappings.
-func (l *Link) Close() error {
-	if l.Shut() {
-		l.Bump(-1)
-	}
-	return nil
 }
 
 // PostSendInline queues a frame with no completion (nic.Link); the

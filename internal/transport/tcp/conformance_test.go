@@ -43,7 +43,7 @@ func newConformanceWorld(t *testing.T, ranks int) *transporttest.World {
 			t.Fatal(err)
 		}
 		links[r] = l.(*Link)
-		w.Links = append(w.Links, links[r])
+		w.Bind(links[r])
 		if err := nets[r].Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -51,9 +51,16 @@ type connState struct {
 	ready  atomic.Bool
 	queued atomic.Bool // sitting in the reactor pool queue
 
+	// looks counts the consecutive progress polls that found this
+	// connection unflagged and got no bytes from it; it sets the probe
+	// cadence (Link.PollRecv) and restarts whenever a read returns
+	// bytes. Per connection, so a silent peer is not probed again
+	// because a chatty one delivered.
+	looks atomic.Uint32
+
 	// bumped is the link snapshot whose netmod work counters markReady
-	// incremented (one unit each) so the next progress pass polls the
-	// reactor; clearReady undoes it.
+	// incremented (one unit each, the wake-up of a parked waiter);
+	// clearReady undoes it.
 	bumpMu sync.Mutex
 	bumped []*framing.Link
 
@@ -110,10 +117,12 @@ func (cs *connState) signalDrained() {
 	}
 }
 
-// markReady flags buffered input and bumps every link's netmod work
-// counter by one unit, so the owning streams' next progress passes run
-// their netmod poll (which drains the reactor) instead of skipping it
-// as idle. The bumps are undone when a drain reads the socket dry.
+// markReady flags buffered input, so that the next progress poll
+// drains the connection whatever its probe cadence says, and bumps every
+// link's netmod work counter by one unit: the arrival is what wakes a
+// waiter parked on the owning stream (core.Work.Add), which is not
+// polling and would not see the flag. The bumps are undone when a drain
+// reads the socket dry.
 func (cs *connState) markReady() {
 	if cs.ready.Swap(true) {
 		return
@@ -133,8 +142,8 @@ func (cs *connState) markReady() {
 	cs.bumpMu.Unlock()
 }
 
-// clearReady undoes markReady once a drain hits EAGAIN (or the
-// connection dies).
+// clearReady undoes markReady once a drain finds the socket empty (or
+// the connection dies).
 func (cs *connState) clearReady() {
 	cs.bumpMu.Lock()
 	if b := cs.bumped; b != nil {
@@ -176,19 +185,34 @@ func (cs *connState) ingest(nr int) (made bool) {
 
 // drainConn reads the socket without blocking and parses complete
 // frames in place, delivering them straight to the destination links'
-// receive queues — no per-frame goroutine or channel hop. It stops at
-// EAGAIN (clearing readiness and waking the watcher), at the byte
-// budget (leaving readiness set so the next pass continues), or at a
-// terminal error. Caller must hold cs.mu; returns whether anything was
-// delivered.
-func (n *Network) drainConn(cs *connState, budget int) (made bool) {
+// receive queues — no per-frame goroutine or channel hop. It stops when
+// the socket is empty (clearing readiness and waking the watcher), at
+// the byte budget (leaving readiness set so the next pass continues),
+// or at a terminal error. Empty is EAGAIN or a short read: a stream
+// socket that returns fewer bytes than were asked for has nothing more
+// (epoll(7)), so a message costs one read, not a second one to be told
+// so. Bytes that land right after the short read are the watcher's to
+// find — it looks before it parks (nbConn.wfn) — or the next probe's.
+// probe says nobody flagged the connection: the caller is looking on
+// its own cadence, and whether the look found anything is counted.
+// Caller must hold cs.mu; returns whether anything was delivered.
+func (n *Network) drainConn(cs *connState, budget int, probe bool) (made bool) {
 	if cs.dead.Load() {
 		cs.signalDrained()
 		return false
 	}
 	for {
-		nr, err := cs.nb.read(cs.rx.Target(1))
+		buf := cs.rx.Target(1)
+		nr, err := cs.nb.read(buf)
+		if probe {
+			n.countProbe(nr > 0)
+			probe = false
+		}
 		if nr > 0 {
+			// Any bytes, not only a completed frame: the peer is
+			// mid-message, and the rest is worth a look on the very
+			// next pass.
+			cs.looks.Store(0)
 			budget -= nr
 			if cs.ingest(nr) {
 				made = true
@@ -197,13 +221,13 @@ func (n *Network) drainConn(cs *connState, budget int) (made bool) {
 				return made // parse hit goodbye/corrupt/unknown-EP
 			}
 		}
-		switch err {
-		case nil:
+		switch {
+		case err == nil && nr == len(buf):
 			if budget <= 0 {
 				cs.markReady() // more may remain: stay flagged
 				return made
 			}
-		case errWouldBlock:
+		case err == nil || err == errWouldBlock:
 			cs.clearReady()
 			cs.signalDrained()
 			return made

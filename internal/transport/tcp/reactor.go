@@ -12,13 +12,13 @@ const (
 	// pollBudget bounds the bytes one caller-thread progress poll
 	// ingests per connection.
 	pollBudget = 1 << 20
-	// pollLiveWindow: when a progress poll ran this recently, watchers
-	// skip the pool hand-off — the caller's thread will drain the
-	// socket on its next pass, which is the fast path.
-	pollLiveWindow = int64(time.Millisecond)
 	// sweepPeriod is the background safety-net cadence: stranded
-	// output flushes and stranded readiness hand-offs.
+	// output flushes, stranded readiness hand-offs, and the sample of
+	// the poll sequence number that decides whether pollers are live.
 	sweepPeriod = time.Millisecond
+	// probeEvery caps the widening gap between two probes of a silent
+	// connection (see Link.PollRecv).
+	probeEvery = 64
 )
 
 // runConn is the per-connection goroutine: it picks the readiness
@@ -52,7 +52,7 @@ func (n *Network) watchConn(cs *connState) error {
 	// blocking hello read — parking first would wait for an edge that
 	// never comes.
 	cs.mu.Lock()
-	n.drainConn(cs, reactorBudget)
+	n.drainConn(cs, reactorBudget, false)
 	cs.mu.Unlock()
 	if cs.dead.Load() {
 		return cs.takeCause(nil)
@@ -105,13 +105,13 @@ func (n *Network) blockingReadLoop(cs *connState) error {
 	}
 }
 
-// pollersLive reports whether a caller-thread progress poll ran within
-// the live window — if so, readiness hand-offs to the pool are skipped
-// and ingest stays on the MPI threads (the paper's progress path).
-func (n *Network) pollersLive() bool {
-	last := n.lastPollNS.Load()
-	return last != 0 && time.Now().UnixNano()-last < pollLiveWindow
-}
+// pollersLive reports whether a caller-thread progress poll ran during
+// the sweeper's last period — if so, readiness hand-offs to the pool
+// are skipped and ingest stays on the MPI threads (the paper's progress
+// path): the caller's thread will drain the socket on its next pass.
+// Before the sweeper's first sample the answer is no: a hand-off nobody
+// needed costs a TryLock, one nobody made strands the input.
+func (n *Network) pollersLive() bool { return n.pollLive.Load() }
 
 // poolEnqueue hands a ready connection to the drain pool, deduplicated
 // by the queued flag; a full queue drops the hand-off (the sweeper
@@ -145,7 +145,7 @@ func (n *Network) poolWorker() {
 				if met := n.metricsRef(); met != nil {
 					met.poolDrains.Inc()
 				}
-				n.drainConn(cs, reactorBudget)
+				n.drainConn(cs, reactorBudget, false)
 				cs.mu.Unlock()
 			}
 			// Budget exhausted, or lost the lock race while data
@@ -161,16 +161,24 @@ func (n *Network) poolWorker() {
 // flushes stranded per-peer output (posts with no subsequent progress
 // call) and re-offers stranded ready connections to the drain pool
 // (watcher hand-offs dropped on a full queue, pollers that went
-// quiet).
+// quiet). Its tick is also the clock of pollersLive: pollers are live
+// when the poll sequence number moved since the previous tick, which
+// costs a poll one atomic add and no clock read. The first sample is
+// taken here, not assumed zero: polls made while the transport started
+// say nothing about the period that follows.
 func (n *Network) sweeper() {
 	defer n.wg.Done()
 	t := time.NewTicker(sweepPeriod)
 	defer t.Stop()
+	lastSeq := n.pollSeq.Load()
 	for {
 		select {
 		case <-n.closeCh:
 			return
 		case <-t.C:
+			seq := n.pollSeq.Load()
+			n.pollLive.Store(seq != lastSeq)
+			lastSeq = seq
 			for _, p := range n.peers {
 				if p != nil {
 					n.flushPeer(p)
@@ -187,26 +195,83 @@ func (n *Network) sweeper() {
 	}
 }
 
-// PollRecv drains every reactor connection on the caller's thread
-// (nic.RxPoller): bounded non-blocking reads feeding the in-place
-// frame parser, so inbound traffic is processed by MPI progress
-// itself. The MPI netmod calls it at the top of its poll; it reports
-// whether anything was delivered (to any link — frames for other VCIs
-// land in their queues and bump their work counters).
+// PollRecv is the reactor on the caller's thread (nic.RxPoller): MPI
+// progress calls it at the top of every netmod pass and it looks at
+// every connection. One a watcher has flagged ready is drained — bounded
+// non-blocking reads feeding the in-place frame parser. One nobody has
+// flagged may still have input: the watchers learn of it from the
+// runtime's netpoller, which runs when a P has nothing else to do, and
+// ranks that yield to each other on one core never leave it idle. So an
+// unflagged connection is probed with one non-blocking read at a
+// widening cadence (probeDue): input is found within twice the time it
+// took to arrive, a connection silent for n looks costs O(log n) +
+// n/probeEvery system calls, and every other look costs three atomic
+// operations per connection.
+// It reports whether anything was delivered (to any link — frames for
+// other VCIs land in their queues and bump their work counters).
 func (l *Link) PollRecv() (made bool) {
 	n := l.net
-	n.lastPollNS.Store(time.Now().UnixNano())
+	n.pollSeq.Add(1)
 	for _, cs := range n.connList() {
 		if cs.nb == nil || cs.dead.Load() {
 			continue // blocking-driver conns feed themselves
 		}
+		probe := !cs.ready.Load()
+		if probe {
+			if !probeDue(cs.looks.Add(1)) {
+				continue
+			}
+		}
 		if !cs.mu.TryLock() {
 			continue // another drainer owns it; it will clear readiness
 		}
-		if n.drainConn(cs, pollBudget) {
+		if n.drainConn(cs, pollBudget, probe) {
 			made = true
 		}
 		cs.mu.Unlock()
 	}
 	return made
+}
+
+// probeDue reports whether a connection's k-th look since it last gave
+// bytes is one that reads: the first, those 1, 2, 4, 8 … looks after
+// the first (the 2nd, 3rd, 5th, 9th …), and every multiple of
+// probeEvery. The gaps double from the first look, not from the hit,
+// because the first look comes before the waiter has yielded to
+// anybody: with reads on looks 2, 4, 8 … two ranks in step on one core
+// lock into finding each message on look 2^k, each late answer reaching
+// the other just after its look 2^(k-1), and stay there.
+func probeDue(k uint32) bool {
+	g := k - 1
+	return g&(g-1) == 0 || k%probeEvery == 0
+}
+
+// Parking is the reactor's half of the park handshake (nic.Parker),
+// called by the owning stream's wait loop between its last empty pass
+// and its sleep. A watcher's flag wakes the sleeper through the bound
+// work counter, but the watcher hears of input only when the runtime
+// visits its netpoller, and a P that other goroutines keep busy — ranks
+// sharing the core — does not. The pass before this call looked on the
+// cadence, which after parkAfter empty looks means it most likely did
+// not read; so the waiter reads here, once per unflagged connection,
+// and reports false when frames came of it (poll again). A sleeper
+// whose timer ends the park comes back through here, which bounds what
+// input can wait for a parked rank at one parkCap whatever the cadence
+// has widened to, for one read per connection and park.
+func (l *Link) Parking() bool {
+	n := l.net
+	sleep := true
+	for _, cs := range n.connList() {
+		if cs.nb == nil || cs.dead.Load() || cs.ready.Load() {
+			continue // a flag's bump has poked the sleeper already
+		}
+		if !cs.mu.TryLock() {
+			continue
+		}
+		if n.drainConn(cs, pollBudget, true) {
+			sleep = false
+		}
+		cs.mu.Unlock()
+	}
+	return sleep
 }

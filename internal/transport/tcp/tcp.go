@@ -3,21 +3,31 @@
 // length-prefixed TCP frames, and socket work is driven by a
 // readiness reactor whose polling *is* MPI progress.
 //
-// Reactor model: every connection has one tiny watcher goroutine
-// parked in the runtime netpoller (the epoll loop the Go runtime
-// already maintains) that never reads payload bytes — on a readable
-// socket it flags the connection ready, bumps the registered links'
-// progress work counters, and goes back to sleep. The bytes move on a
-// draining thread: the owning stream's progress poll (Link.PollRecv,
-// wired into the MPI netmod) performs bounded non-blocking reads and
-// parses frames in place, feeding the zero-alloc CQ/RQ drains with no
-// per-frame goroutine or channel hop. When no MPI thread is polling —
-// the rank went computing, or sits blocked in a writev that needs its
-// peer to drain — a bounded reactor pool takes the hand-off so ingest
-// never stalls. Outbound frames coalesce into pooled per-peer
-// segments and reach the kernel as vectored writes (net.Buffers →
-// writev), flushed on a byte budget, by progress, or by the
-// millisecond sweeper — never per frame.
+// Reactor model: the bytes move on a draining thread. The owning
+// stream's progress poll (Link.PollRecv, wired into the MPI netmod and
+// run on every pass — the link keeps a unit on the stream's netmod work
+// counter, as every byte transport does) looks at each connection: one
+// flagged ready it drains with bounded non-blocking reads, parsing
+// frames in place and feeding the zero-alloc CQ/RQ drains with no
+// per-frame goroutine or channel hop; one not flagged it probes with a
+// single non-blocking read at a widening cadence (the 1st look, then 1,
+// 2, 4 … looks later, at least every 64th, and once before the waiter
+// parks — Link.Parking), so that an empty poll costs atomics and input
+// is still found when nothing else would announce it. The flag comes
+// from one tiny watcher goroutine per connection, parked in the runtime
+// netpoller (the epoll loop the Go runtime already maintains), that
+// never reads payload bytes — on a readable socket it flags the
+// connection, wakes whoever is parked on the registered links' work
+// counters, and goes back to sleep. The runtime consults its netpoller
+// when a P has nothing to run: at once in a process whose ranks sleep
+// or have cores to spare, never while ranks yield to each other on one
+// core — hence the probes. When no MPI thread is polling — the rank
+// went computing, or sits blocked in a writev that needs its peer to
+// drain — a bounded reactor pool takes the hand-off so ingest never
+// stalls. Outbound frames coalesce into pooled per-peer segments and
+// reach the kernel as vectored writes (net.Buffers → writev), flushed
+// on a byte budget, by progress, or by the millisecond sweeper — never
+// per frame.
 //
 // Connection model: every process binds one listener at New. The first
 // post toward a peer lazily dials its address in the background;
@@ -129,6 +139,10 @@ type Stats struct {
 	// PoolDrains counts drains executed by the background pool rather
 	// than a caller-thread progress poll.
 	PoolDrains int64
+	// Probes counts the reads progress polls issued on connections no
+	// watcher had flagged; ProbeHits, those that returned bytes.
+	Probes    int64
+	ProbeHits int64
 }
 
 // Network is the TCP transport for one rank: the listener, the peer
@@ -164,9 +178,11 @@ type Network struct {
 	// poolQ feeds ready connections to the bounded drain pool.
 	poolQ chan *connState
 
-	// lastPollNS is the wall time of the most recent caller-thread
-	// reactor poll; watchers skip the pool hand-off while it is fresh.
-	lastPollNS atomic.Int64
+	// pollSeq counts caller-thread reactor polls. The sweeper samples
+	// it every tick and records in pollLive whether it moved; watchers
+	// skip the pool hand-off while it did.
+	pollSeq  atomic.Uint64
+	pollLive atomic.Bool
 
 	// readyConns counts connections flagged ready (reactor depth).
 	readyConns atomic.Int64
@@ -177,6 +193,8 @@ type Network struct {
 	rxUnknownEP    atomic.Int64
 	reactorWakeups atomic.Int64
 	poolDrains     atomic.Int64
+	probes         atomic.Int64
+	probeHits      atomic.Int64
 
 	wg sync.WaitGroup
 }
@@ -192,6 +210,8 @@ type netMetrics struct {
 
 	wakeups    *metrics.Counter   // tcp.reactor.wakeups
 	poolDrains *metrics.Counter   // tcp.reactor.pool_drains
+	probes     *metrics.Counter   // tcp.reactor.probes
+	probeHits  *metrics.Counter   // tcp.reactor.probe_hits
 	readyDepth *metrics.Gauge     // tcp.reactor.ready (depth; Max tracks high water)
 	writevs    *metrics.Counter   // tcp.tx.writev
 	writevSegs *metrics.Histogram // tcp.tx.writev_segs (iovec entries per flush)
@@ -298,6 +318,8 @@ func (n *Network) Stats() Stats {
 		UnknownEndpoints: n.rxUnknownEP.Load(),
 		ReactorWakeups:   n.reactorWakeups.Load(),
 		PoolDrains:       n.poolDrains.Load(),
+		Probes:           n.probes.Load(),
+		ProbeHits:        n.probeHits.Load(),
 	}
 }
 
@@ -480,6 +502,22 @@ func (n *Network) countCorrupt() {
 	n.rxCorrupt.Add(1)
 	if met := n.metricsRef(); met != nil {
 		met.rxCorrupt.Inc()
+	}
+}
+
+// countProbe records one read a progress poll issued on a connection
+// nobody had flagged, and whether it found bytes.
+func (n *Network) countProbe(hit bool) {
+	met := n.metricsRef()
+	n.probes.Add(1)
+	if met != nil {
+		met.probes.Inc()
+	}
+	if hit {
+		n.probeHits.Add(1)
+		if met != nil {
+			met.probeHits.Inc()
+		}
 	}
 }
 
@@ -861,8 +899,8 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 // write happens in Flush — invoked by the owning stream's progress via
 // the Armer callback, inline when the backlog passes the flush budget,
 // or by the millisecond sweeper. The receive side is the reactor:
-// PollRecv (nic.RxPoller) drains every ready connection on the
-// caller's thread.
+// PollRecv (nic.RxPoller) drains every ready connection, and probes the
+// others at a widening cadence, on the caller's thread.
 type Link struct {
 	framing.Link
 	net *Network
@@ -873,7 +911,8 @@ type Link struct {
 // scope.peer_down. The first wired link also registers the transport-
 // wide instruments: the failure counters (tcp.rx.corrupt,
 // tcp.rx.unknown_ep, tcp.redials, tcp.peers_down), the reactor gauges
-// (tcp.reactor.wakeups, tcp.reactor.pool_drains, tcp.reactor.ready)
+// (tcp.reactor.wakeups, tcp.reactor.pool_drains, tcp.reactor.ready,
+// tcp.reactor.probes, tcp.reactor.probe_hits)
 // and the writev batching histograms (tcp.tx.writev,
 // tcp.tx.writev_segs, tcp.tx.flush_frames).
 func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
@@ -893,6 +932,8 @@ func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 			peersDown:   reg.Counter("tcp.peers_down"),
 			wakeups:     reg.Counter("tcp.reactor.wakeups"),
 			poolDrains:  reg.Counter("tcp.reactor.pool_drains"),
+			probes:      reg.Counter("tcp.reactor.probes"),
+			probeHits:   reg.Counter("tcp.reactor.probe_hits"),
 			readyDepth:  reg.Gauge("tcp.reactor.ready"),
 			writevs:     reg.Counter("tcp.tx.writev"),
 			writevSegs:  reg.Histogram("tcp.tx.writev_segs"),

@@ -309,6 +309,16 @@ func sendRaw(t *testing.T, addr string, epoch uint64, rank int) net.Conn {
 	return conn
 }
 
+// wireFrame builds one frame as it travels: length prefix, header,
+// payload.
+func wireFrame(dst, src fabric.EndpointID, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(framing.HdrLen+len(payload)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(dst))
+	b = binary.LittleEndian.AppendUint64(b, uint64(src))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	return append(b, payload...)
+}
+
 // waitStat polls until pred sees the stats it wants or the deadline
 // expires.
 func waitStat(t *testing.T, n *Network, what string, pred func(Stats) bool) {
@@ -345,12 +355,7 @@ func TestUnknownEndpointDropsConn(t *testing.T) {
 	conn := sendRaw(t, n1.Addr(), 7, 0)
 	defer conn.Close()
 	// Well-formed frame addressed to an endpoint no link registered.
-	frame := make([]byte, 4+framing.HdrLen)
-	binary.LittleEndian.PutUint32(frame[0:], framing.HdrLen)
-	binary.LittleEndian.PutUint64(frame[4:], 9999) // dst endpoint
-	binary.LittleEndian.PutUint64(frame[12:], 0)   // src endpoint
-	binary.LittleEndian.PutUint32(frame[20:], 0)   // bytes
-	if _, err := conn.Write(frame); err != nil {
+	if _, err := conn.Write(wireFrame(9999, 0, nil)); err != nil {
 		t.Fatal(err)
 	}
 	waitStat(t, n1, "unknown endpoint", func(s Stats) bool { return s.UnknownEndpoints == 1 })
@@ -411,5 +416,37 @@ func TestGracefulDepartureNoVerdict(t *testing.T) {
 	}
 	if n := l0.QueuedCQ(); n != 0 {
 		t.Fatalf("QueuedCQ = %d after departure, want 0 (no verdict CQE)", n)
+	}
+}
+
+// TestProbeCadenceHasNoLockStep models two ranks that take turns on one
+// core, one pass each per turn, playing ping-pong over the cadence: a
+// rank's k-th look since its last hit comes k-1 turns after the hit
+// (the first is in the pass that sent its own message), and it finds
+// what the peer sent on the first due look after the send. From any
+// starting offset between the two the exchange must settle at the
+// second look, not at a later one that each rank's lateness hands back
+// to the other. With probes due on looks 1, 2, 4, 8 … it settles on
+// whichever power of two lies next above the offset and stays there.
+func TestProbeCadenceHasNoLockStep(t *testing.T) {
+	firstDueAfter := func(reset, sent int) (look uint32, at int) {
+		// Rank 0 passes at even times, rank 1 at odd ones.
+		for k := uint32(1); ; k++ {
+			if at = reset + 2*int(k-1); probeDue(k) && at > sent {
+				return k, at
+			}
+		}
+	}
+	for offset := 1; offset < 200; offset++ {
+		reset := [2]int{0, 1 - 2*offset} // when each rank last hit
+		sent, to := 0, 1
+		var look uint32
+		for hop := 0; hop < 400; hop++ {
+			look, reset[to] = firstDueAfter(reset[to], sent)
+			sent, to = reset[to], 1-to
+		}
+		if look != 2 {
+			t.Fatalf("ranks %d turns apart settle at look %d, want 2", offset, look)
+		}
 	}
 }

@@ -18,7 +18,7 @@ func TestConformanceSim(t *testing.T) {
 			net := fabric.NewNetwork(nil, fabric.Config{})
 			w := &World{Close: net.Stop}
 			for r := 0; r < ranks; r++ {
-				w.Links = append(w.Links, nic.NewEndpoint(net, r))
+				w.Bind(nic.NewEndpoint(net, r))
 			}
 			return w
 		},

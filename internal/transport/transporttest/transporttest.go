@@ -1,9 +1,10 @@
 // Package transporttest is the conformance suite every transport
 // backend must pass: a backend-neutral battery over the nic.Link
 // contract (ordered delivery, interleaved frame sizes, signaled
-// completions, concurrent send/recv) plus capability-gated checks for
-// the failure semantics real multiprocess transports add (graceful
-// goodbye versus abrupt death, PeerDown verdict ordering).
+// completions, concurrent send/recv, work-counter balance) plus
+// capability-gated checks for the failure semantics real multiprocess
+// transports add (graceful goodbye versus abrupt death, PeerDown
+// verdict ordering).
 //
 // A backend instantiates the suite by building a Factory and calling
 // Run from one of its tests:
@@ -26,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,6 +52,9 @@ type Caps struct {
 type World struct {
 	// Links holds rank r's link at index r.
 	Links []nic.Link
+	// Work holds the counter Links[r] was bound to (Bind) before the
+	// backend started any goroutine that may touch it.
+	Work []*WorkCount
 	// Progress advances the backend one step on the caller's thread:
 	// flush coalesced output, poll sockets, or let simulated time
 	// move. Called in a tight loop; it must not block indefinitely.
@@ -63,6 +68,25 @@ type World struct {
 	// Close tears the world down. The suite also registers it via
 	// t.Cleanup, so it must be idempotent.
 	Close func()
+}
+
+// WorkCount is the nic.WorkCounter the suite binds links to: a sum
+// that watcher goroutines and the driving thread may both adjust.
+type WorkCount struct{ n atomic.Int64 }
+
+// Add adjusts the sum (nic.WorkCounter).
+func (c *WorkCount) Add(delta int) { c.n.Add(int64(delta)) }
+
+// Load returns the sum.
+func (c *WorkCount) Load() int64 { return c.n.Load() }
+
+// Bind appends l as the next rank's link, bound to a counter of its
+// own.
+func (w *World) Bind(l nic.Link) {
+	c := new(WorkCount)
+	l.BindWork(c)
+	w.Links = append(w.Links, l)
+	w.Work = append(w.Work, c)
 }
 
 // Factory builds fresh Worlds for the suite.
@@ -80,6 +104,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("InterleavedSizes", func(t *testing.T) { testInterleavedSizes(t, f) })
 	t.Run("SignaledCompletions", func(t *testing.T) { testSignaledCompletions(t, f) })
 	t.Run("ConcurrentSendRecv", func(t *testing.T) { testConcurrentSendRecv(t, f) })
+	t.Run("WorkCounter", func(t *testing.T) { testWorkCounter(t, f) })
 	t.Run("GracefulClose", func(t *testing.T) {
 		if !f.Caps.Goodbye {
 			t.Skipf("%s: no goodbye capability", f.Name)
@@ -296,6 +321,56 @@ func testConcurrentSendRecv(t *testing.T, f Factory) {
 			if err := checkSeqMsg(p, uint32(i), 8+(i%5)*97); err != nil {
 				t.Fatalf("direction %d: %v", dir, err)
 			}
+		}
+	}
+}
+
+// testWorkCounter: the counter a link is bound to is what lets a
+// progress pass skip its poll, so it may never read zero while a poll
+// could find something — queued completions and arrivals count one
+// each, and a link that finds its input by looking (nic.RxPoller)
+// keeps one unit there for as long as it is open — and nothing may be
+// left on it once everything was drained and the link closed.
+func testWorkCounter(t *testing.T, f Factory) {
+	w := f.New(t, 2)
+	w.setup(t)
+	src, dst := w.Links[0], w.Links[1]
+	floor := func(when string) {
+		t.Helper()
+		for r, l := range w.Links {
+			polled := int64(0)
+			if _, ok := l.(nic.RxPoller); ok {
+				polled = 1
+			}
+			queued := int64(l.QueuedCQ() + l.QueuedRQ())
+			if got := w.Work[r].Load(); got < polled+queued {
+				t.Fatalf("%s: rank %d's counter reads %d with %d entries queued and %d polling unit", when, r, got, queued, polled)
+			}
+		}
+	}
+	floor("idle")
+	const count = 20
+	for i := 0; i < count; i++ {
+		if err := src.PostSend(dst.ID(), seqMsg(uint32(i), 8), 8, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wait(t, w, "delivery and completions", func() bool {
+		return dst.QueuedRQ() >= count && src.QueuedCQ() >= count
+	})
+	floor("queued") // every producer is done: the two reads cannot tear
+	drainAll(dst, nil, make([]fabric.Packet, 64))
+	for src.QueuedCQ() > 0 {
+		src.DrainCQ(make([]nic.CQE, 0, 16))
+	}
+	floor("drained")
+	for _, l := range w.Links {
+		l.Close()
+	}
+	w.Close()
+	for r := range w.Links {
+		if got := w.Work[r].Load(); got != 0 {
+			t.Errorf("rank %d's counter reads %d after drain and close, want 0", r, got)
 		}
 	}
 }
