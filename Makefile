@@ -35,6 +35,9 @@ race-hot:
 # shm and the composite's tcp leg, beside the park timer it has to
 # raise) and the datatype engine, selected by package: a new or renamed
 # test cannot fall out of it the way it could fall out of a -run list.
+# The battery's SelfSend subtest is the loopback a rank's send to itself
+# takes on tcp and shm; TestRemoteSelfSend (race-tcp, by its prefix) is
+# the same through MPI.
 # -timeout because a reactor or doorbell regression's native failure
 # mode is a lost wakeup, i.e. a hang.
 race-transport:

@@ -241,16 +241,17 @@ func benchAllreduce(b *testing.B, procs int, user bool) {
 	})
 }
 
-// BenchmarkPingpong measures blocking pingpong latency per transport
-// and protocol regime (the message modes of the paper's Figure 1).
+// BenchmarkPingpong measures blocking pingpong latency per hop (both
+// ranks on one simulated node, or one each) and protocol regime (the
+// message modes of the paper's Figure 1).
 func BenchmarkPingpong(b *testing.B) {
 	cases := []struct {
 		name  string
 		size  int
 		inter bool
 	}{
-		{"shm/lightweight-64B", 64, false},
-		{"shm/chunked-256KiB", 256 * 1024, false},
+		{"local/lightweight-64B", 64, false},
+		{"local/rendezvous-256KiB", 256 * 1024, false},
 		{"net/lightweight-64B", 64, true},
 		{"net/eager-8KiB", 8 * 1024, true},
 		{"net/rendezvous-256KiB", 256 * 1024, true},

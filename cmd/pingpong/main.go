@@ -6,7 +6,7 @@
 // Usage:
 //
 //	pingpong                 # latency sweep, simulated inter-node fabric
-//	pingpong -shm            # same-node (shared-memory transport)
+//	pingpong -shm            # both ranks on one simulated node (the fabric's local hop)
 //	pingpong -bw             # streaming bandwidth instead of latency
 //	pingpong -iters 2000     # samples per size
 //
@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	shm := flag.Bool("shm", false, "same-node shared-memory transport")
+	shm := flag.Bool("shm", false, "place both ranks on one simulated node (Fabric.LocalLatency apart)")
 	bw := flag.Bool("bw", false, "measure streaming bandwidth instead of latency")
 	iters := flag.Int("iters", 500, "iterations per message size")
 	window := flag.Int("window", 16, "in-flight messages per bandwidth window")
@@ -36,7 +36,7 @@ func main() {
 	sizes := []int{0, 1, 8, 64, 256, 1024, 4096, 16 * 1024, 64 * 1024, 256 * 1024, 1024 * 1024}
 
 	var w *mpix.World
-	transport := "netmod (inter-node)"
+	transport := "sim fabric (inter-node)"
 	if mpix.Launched() {
 		var err error
 		w, err = mpix.NewWorldFromEnv()
@@ -49,7 +49,7 @@ func main() {
 		perNode := 1
 		if *shm {
 			perNode = 2
-			transport = "shmem (same-node)"
+			transport = "sim fabric (same-node)"
 		}
 		w = mpix.NewWorld(mpix.WithRanks(2), mpix.WithProcsPerNode(perNode))
 	}

@@ -13,9 +13,8 @@
 //     and polled from inside progress (PollFunc, Thing, Spawn).
 //
 // The MPI runtime (internal/mpi) registers its subsystems — datatype
-// pack engine, collective schedules, shared-memory rings, and the
-// network module — as hooks on each stream, exactly as MPICH collates
-// its internal subsystems.
+// pack engine, collective schedules and the network module — as hooks
+// on each stream, as MPICH collates its internal subsystems.
 package core
 
 import (
@@ -30,7 +29,10 @@ import (
 
 // Class identifies a progress subsystem in the collated poll order.
 // The order mirrors MPICH's MPIDI_progress_test (paper Listing 1.1),
-// with user async things polled between collectives and shmem.
+// with continuations and user async things polled between collectives
+// and the netmod. Intra-node shared memory is not a class of its own:
+// the composite transport polls its shm leg first inside the netmod's
+// poll, which is the listing's order.
 type Class int
 
 const (
@@ -45,18 +47,17 @@ const (
 	ClassCont
 	// ClassAsync polls user-registered async things (MPIX Async).
 	ClassAsync
-	// ClassShmem progresses intra-node shared-memory communication.
-	ClassShmem
-	// ClassNetmod progresses inter-node network communication. It is
-	// polled last and skipped whenever an earlier class made progress,
-	// because an empty netmod poll is not guaranteed to be cheap.
+	// ClassNetmod progresses communication: whatever link the
+	// transport gave the stream. It is polled last and skipped whenever
+	// an earlier class made progress, because an empty netmod poll is
+	// not guaranteed to be cheap.
 	ClassNetmod
 
 	// NumClasses is the number of subsystem classes.
 	NumClasses
 )
 
-var classNames = [NumClasses]string{"datatype", "collective", "cont", "async", "shmem", "netmod"}
+var classNames = [NumClasses]string{"datatype", "collective", "cont", "async", "netmod"}
 
 // String returns the subsystem name.
 func (c Class) String() string {

@@ -121,8 +121,8 @@ func TestQuiesceBounded(t *testing.T) {
 }
 
 func TestSkipMask(t *testing.T) {
-	m := Skip(ClassNetmod, ClassShmem)
-	if !m.Has(ClassNetmod) || !m.Has(ClassShmem) {
+	m := Skip(ClassNetmod, ClassCont)
+	if !m.Has(ClassNetmod) || !m.Has(ClassCont) {
 		t.Fatal("mask missing classes")
 	}
 	if m.Has(ClassAsync) || m.Has(ClassDatatype) || m.Has(ClassCollective) {
@@ -135,7 +135,7 @@ func TestClassString(t *testing.T) {
 		ClassDatatype:   "datatype",
 		ClassCollective: "collective",
 		ClassAsync:      "async",
-		ClassShmem:      "shmem",
+		ClassCont:       "cont",
 		ClassNetmod:     "netmod",
 	}
 	for c, name := range want {

@@ -112,8 +112,8 @@ func TestUncountedHookAlwaysPolled(t *testing.T) {
 	s := e.NewStream()
 	counted := &fakeHook{}
 	plain := &fakeHook{}
-	s.RegisterHookCounted(ClassShmem, counted)
-	s.RegisterHook(ClassShmem, plain)
+	s.RegisterHookCounted(ClassCollective, counted)
+	s.RegisterHook(ClassCollective, plain)
 	for i := 0; i < 5; i++ {
 		s.Progress()
 	}
@@ -129,23 +129,23 @@ func TestSkipMaskComposesOverFullPass(t *testing.T) {
 	e := newTestEngine()
 	s := e.NewStream(WithSkip(Skip(ClassNetmod)))
 	net := &fakeHook{results: []bool{true, true}}
-	shm := &fakeHook{results: []bool{true, true}}
+	col := &fakeHook{results: []bool{true, true}}
 	s.RegisterHook(ClassNetmod, net)
-	s.RegisterHook(ClassShmem, shm)
+	s.RegisterHook(ClassCollective, col)
 	for i := 0; i < 3*fullPassEvery; i++ {
-		s.ProgressMasked(Skip(ClassShmem))
+		s.ProgressMasked(Skip(ClassCollective))
 	}
 	if net.polls != 0 {
 		t.Fatalf("stream-masked netmod polled %d times", net.polls)
 	}
-	if shm.polls != 0 {
-		t.Fatalf("call-masked shmem polled %d times", shm.polls)
+	if col.polls != 0 {
+		t.Fatalf("call-masked collective polled %d times", col.polls)
 	}
 	if !s.Progress() {
-		t.Fatal("unmasked shmem hook should report progress")
+		t.Fatal("unmasked collective hook should report progress")
 	}
-	if shm.polls != 1 || net.polls != 0 {
-		t.Fatalf("polls after unmasked pass = shm %d / net %d, want 1/0", shm.polls, net.polls)
+	if col.polls != 1 || net.polls != 0 {
+		t.Fatalf("polls after unmasked pass = collective %d / net %d, want 1/0", col.polls, net.polls)
 	}
 }
 

@@ -35,19 +35,19 @@ func TestRegisterHookInvalidClassPanics(t *testing.T) {
 }
 
 func TestCollatedOrderShortCircuit(t *testing.T) {
-	// The collated pass polls datatype, collective, async, shmem, netmod
+	// The collated pass polls datatype, collective, cont, async, netmod
 	// in order and stops at the first class that made progress — the
 	// paper's Listing 1.1. A collective hook reporting progress must
-	// prevent the shmem and netmod hooks from being polled.
+	// prevent the async-class and netmod hooks from being polled.
 	e := newTestEngine()
 	s := e.NewStream()
 	dt := &fakeHook{}
 	col := &fakeHook{results: []bool{true}}
-	shm := &fakeHook{}
+	mid := &fakeHook{}
 	net := &fakeHook{}
 	s.RegisterHook(ClassDatatype, dt)
 	s.RegisterHook(ClassCollective, col)
-	s.RegisterHook(ClassShmem, shm)
+	s.RegisterHook(ClassAsync, mid)
 	s.RegisterHook(ClassNetmod, net)
 
 	if !s.Progress() {
@@ -56,16 +56,16 @@ func TestCollatedOrderShortCircuit(t *testing.T) {
 	if dt.polls != 1 || col.polls != 1 {
 		t.Fatalf("dt/col polls = %d/%d, want 1/1", dt.polls, col.polls)
 	}
-	if shm.polls != 0 || net.polls != 0 {
-		t.Fatalf("short-circuit failed: shm=%d net=%d", shm.polls, net.polls)
+	if mid.polls != 0 || net.polls != 0 {
+		t.Fatalf("short-circuit failed: async=%d net=%d", mid.polls, net.polls)
 	}
 
 	// Second pass: nothing makes progress, so everything is polled.
 	if s.Progress() {
 		t.Fatal("no progress expected")
 	}
-	if shm.polls != 1 || net.polls != 1 {
-		t.Fatalf("full pass expected: shm=%d net=%d", shm.polls, net.polls)
+	if mid.polls != 1 || net.polls != 1 {
+		t.Fatalf("full pass expected: async=%d net=%d", mid.polls, net.polls)
 	}
 	st := s.Stats()
 	if st.MadeByClass[ClassCollective] != 1 {
@@ -95,17 +95,17 @@ func TestStreamSkipMask(t *testing.T) {
 		t.Fatal("stream skip mask ignored")
 	}
 	// A per-call mask adds further skips.
-	shm := &fakeHook{results: []bool{true}}
-	s.RegisterHook(ClassShmem, shm)
-	s.ProgressMasked(Skip(ClassShmem))
-	if shm.polls != 0 {
+	col := &fakeHook{results: []bool{true}}
+	s.RegisterHook(ClassCollective, col)
+	s.ProgressMasked(Skip(ClassCollective))
+	if col.polls != 0 {
 		t.Fatal("per-call mask ignored")
 	}
 	if !s.ProgressMasked(0) {
-		t.Fatal("shmem hook should report progress when not skipped")
+		t.Fatal("collective hook should report progress when not skipped")
 	}
-	if shm.polls != 1 {
-		t.Fatalf("shm polls = %d", shm.polls)
+	if col.polls != 1 {
+		t.Fatalf("collective polls = %d", col.polls)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestMultipleHooksSameClassAllPolled(t *testing.T) {
 func TestPendingIncludesHooks(t *testing.T) {
 	e := newTestEngine()
 	s := e.NewStream()
-	s.RegisterHook(ClassShmem, &fakeHook{pending: 3})
+	s.RegisterHook(ClassCollective, &fakeHook{pending: 3})
 	s.AsyncStart(func(Thing) PollOutcome { return Done }, nil)
 	if got := s.Pending(); got != 4 {
 		t.Fatalf("Pending = %d, want 4", got)

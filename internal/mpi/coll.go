@@ -521,18 +521,14 @@ func (c *Comm) isendWireRaw(ctx uint32, wire []byte, dst, tag int) *Request {
 	c.checkRank(dst)
 	req := &Request{kind: kindSend, vci: c.local, proc: c.proc}
 	hdr := wireHdr{src: c.rank, ctx: ctx, tag: tag, bytes: len(wire)}
-	if c.useShm(dst) {
-		c.local.isendShm(req, c.targetVCI(dst), hdr, wire)
-	} else {
-		if c.proc.world.remote {
-			if err := c.local.match.peerErr(c.ranks[dst]); err != nil {
-				c.local.trace("send.failed", "peer process failed at initiation")
-				req.complete(Status{Err: err})
-				return req
-			}
+	if c.proc.world.remote {
+		if err := c.local.match.peerErr(c.ranks[dst]); err != nil {
+			c.local.trace("send.failed", "peer process failed at initiation")
+			req.complete(Status{Err: err})
+			return req
 		}
-		c.local.isendNet(req, c.eps[dst], hdr, wire)
 	}
+	c.local.isendNet(req, c.eps[dst], hdr, wire)
 	return req
 }
 
@@ -569,8 +565,6 @@ func (c *Comm) irecvRaw(ctx uint32, buf []byte, count int, dt *datatype.Datatype
 		nic.PutStaging(e.stage)
 	case unexpRTS:
 		c.local.sendCTS(req, e.src, e.tag, e.bytes, e.sreq, e.sreqID, e.srcEP, e.flow)
-	case unexpShmAsm:
-		attachAsm(req, e.asm)
 	default:
 		panic(fmt.Sprintf("mpi: unknown unexpected entry kind %d", e.kind))
 	}

@@ -112,15 +112,3 @@ func (c *Comm) checkRank(r int) {
 		panic(fmt.Sprintf("mpi: rank %d out of range for communicator of size %d", r, len(c.ranks)))
 	}
 }
-
-// targetVCI returns the destination VCI for a communicator rank.
-func (c *Comm) targetVCI(dst int) *VCI { return c.vcis[dst] }
-
-// useShm reports whether traffic to dst should use shared memory.
-func (c *Comm) useShm(dst int) bool {
-	w := c.proc.world
-	if w.cfg.ForceNetmod {
-		return false
-	}
-	return w.SameNode(c.ranks[c.rank], c.ranks[dst])
-}

@@ -32,65 +32,6 @@ func TestRendezvousAnySource(t *testing.T) {
 	})
 }
 
-func TestNetmodLoopback(t *testing.T) {
-	// ForceNetmod routes self-sends through the NIC and fabric.
-	run2(t, Config{Procs: 1, ForceNetmod: true}, func(p *Proc) {
-		comm := p.CommWorld()
-		for _, size := range []int{8, 4096, 100 * 1024} {
-			rreq := comm.IrecvBytes(make([]byte, size), 0, 0)
-			sreq := comm.IsendBytes(payload(size, 5), 0, 0)
-			WaitAll(sreq, rreq)
-			if rreq.Status().Bytes != size {
-				t.Errorf("size %d: %+v", size, rreq.Status())
-			}
-		}
-	})
-}
-
-func TestShmRingBackpressure(t *testing.T) {
-	// Flood a tiny ring: sends queue in the outbox and drain only as
-	// the receiver's progress frees cells — the sender-side wait block
-	// of the shm transport.
-	const msgs = 200
-	cfg := Config{Procs: 2, ShmCells: 4, ShmCellPayload: 128, Fabric: fastFabric()}
-	run2(t, cfg, func(p *Proc) {
-		comm := p.CommWorld()
-		if p.Rank() == 0 {
-			var reqs []*Request
-			for i := 0; i < msgs; i++ {
-				reqs = append(reqs, comm.IsendBytes(payload(100, int64(i)), 1, i))
-			}
-			WaitAll(reqs...)
-		} else {
-			for i := 0; i < msgs; i++ {
-				buf := make([]byte, 100)
-				comm.RecvBytes(buf, 0, i)
-				if !bytes.Equal(buf, payload(100, int64(i))) {
-					t.Fatalf("msg %d corrupt", i)
-				}
-			}
-		}
-	})
-}
-
-func TestShmChunkedThroughTinyRing(t *testing.T) {
-	// A message far larger than the whole ring must stream through it.
-	const size = 64 * 1024
-	cfg := Config{Procs: 2, ShmCells: 4, ShmCellPayload: 256, Fabric: fastFabric()}
-	run2(t, cfg, func(p *Proc) {
-		comm := p.CommWorld()
-		if p.Rank() == 0 {
-			comm.SendBytes(payload(size, 3), 1, 0)
-		} else {
-			buf := make([]byte, size)
-			comm.RecvBytes(buf, 0, 0)
-			if !bytes.Equal(buf, payload(size, 3)) {
-				t.Error("streamed payload corrupt")
-			}
-		}
-	})
-}
-
 func TestCrossStreamSpawnThroughMPI(t *testing.T) {
 	// An async thing on stream A spawns a follow-up on stream B; only
 	// B's progress runs it (core spawn semantics surfaced via the proc).

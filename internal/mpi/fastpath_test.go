@@ -10,8 +10,8 @@ import (
 )
 
 // TestIdleProgressNoAlloc gates the idle fast path end-to-end: a
-// progress pass on a fully wired rank (datatype, collective, shmem and
-// netmod hooks registered, work counters at zero) allocates nothing.
+// progress pass on a fully wired rank (datatype, collective and netmod
+// hooks registered, work counters at zero) allocates nothing.
 func TestIdleProgressNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate: race-detector instrumentation allocates")
@@ -28,10 +28,9 @@ func TestIdleProgressNoAlloc(t *testing.T) {
 // TestEagerSteadyDrainNoAlloc gates the steady-state drain: after
 // warmup, draining a window of already-arrived buffered-eager messages
 // into posted receives allocates nothing (pooled headers, scratch
-// drain buffers, cached ring snapshots). Initiation is outside the
-// measured region, exactly like the benchmark's timer bracket. The
-// check retries a few times because a GC pass may clear the pools
-// mid-window.
+// drain buffers). Initiation is outside the measured region, exactly
+// like the benchmark's timer bracket. The check retries a few times
+// because a GC pass may clear the pools mid-window.
 func TestEagerSteadyDrainNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate: race-detector instrumentation allocates")

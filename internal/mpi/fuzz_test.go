@@ -8,7 +8,8 @@ import (
 )
 
 // TestProtocolFuzz drives randomized traffic across every protocol
-// regime (lightweight/eager/rendezvous/pipeline on both transports),
+// regime (lightweight/eager/rendezvous/pipeline, same-node and
+// inter-node hops),
 // random posting orders, wildcard receives, and random progress
 // interleavings, and verifies every byte. This is the integrity net
 // over the whole messaging stack.
@@ -29,7 +30,7 @@ func fuzzOnce(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	procs := 2 + rng.Intn(3)       // 2..4
-	perNode := 1 + rng.Intn(procs) // mixes shm and netmod
+	perNode := 1 + rng.Intn(procs) // mixes same-node and inter-node hops
 	const msgsPerPair = 12
 	sizes := []int{0, 1, 64, 300, 2048, 70 * 1024, 150 * 1024}
 

@@ -17,9 +17,6 @@ const (
 	// unexpRTS is a rendezvous request-to-send awaiting a matching
 	// receive before data flows.
 	unexpRTS
-	// unexpShmAsm is a chunked shared-memory message still (or fully)
-	// assembled into a staging buffer.
-	unexpShmAsm
 )
 
 // unexpected is one entry in the unexpected-message queue.
@@ -37,9 +34,6 @@ type unexpected struct {
 	sreq   sendToken         // sender-side handle echoed in the CTS (in-process)
 	sreqID uint64            // sender-side handle id (remote)
 	srcEP  fabric.EndpointID // where to send the CTS
-
-	// Shared-memory assembly (unexpShmAsm).
-	asm *shmAssembly
 
 	// flow correlates rendezvous trace flow events across ranks
 	// (unexpRTS; 0 when tracing is off).

@@ -6,11 +6,15 @@
 // (Proc) owns a progress engine (internal/core) with one VCI — virtual
 // communication interface — per MPIX stream: VCI 0 backs the NULL
 // stream, and Proc.StreamCreate adds more. A VCI bundles a core.Stream,
-// a tag-matching engine, a simulated NIC endpoint (internal/nic), and
-// shared-memory rings (internal/shmem); its subsystems are registered
-// as progress hooks so that one Stream.Progress call collates datatype,
-// collective, user-async, shmem, and netmod progress exactly like
-// MPICH's MPIDI_progress_test (paper Listing 1.1).
+// a tag-matching engine and the nic.Link its transport handed it (a
+// simulated NIC endpoint by default); its subsystems are registered as
+// progress hooks so that one Stream.Progress call collates datatype,
+// collective, user-async and netmod progress like MPICH's
+// MPIDI_progress_test (paper Listing 1.1). Every message, same-node or
+// not, a rank's send to itself included, leaves through that link:
+// what "same node" means — a shorter hop on the simulated fabric, mmap
+// rings polled first inside the composite link — is the transport's
+// business.
 //
 // Point-to-point messaging implements the paper's §2.1 message modes:
 // lightweight/buffered eager sends (no wait block), signaled eager
@@ -30,7 +34,6 @@ import (
 	"gompix/internal/fabric"
 	"gompix/internal/metrics"
 	"gompix/internal/nic"
-	"gompix/internal/shmem"
 	"gompix/internal/timing"
 	"gompix/internal/trace"
 	"gompix/internal/transport"
@@ -41,11 +44,10 @@ type Config struct {
 	// Procs is the number of ranks. Required, >= 1.
 	Procs int
 	// ProcsPerNode maps ranks onto simulated nodes: rank r lives on
-	// node r/ProcsPerNode. 0 means all ranks share one node.
+	// node r/ProcsPerNode. 0 means all ranks share one node. Same-node
+	// ranks are Fabric.LocalLatency apart instead of Fabric.Latency,
+	// and the hierarchical collectives pick their leaders by it.
 	ProcsPerNode int
-	// ForceNetmod routes same-node traffic through the NIC instead of
-	// shared memory (used to benchmark the network path on one node).
-	ForceNetmod bool
 	// Fabric configures the simulated interconnect.
 	Fabric fabric.Config
 	// Clock overrides the time source (nil selects the real clock).
@@ -71,11 +73,6 @@ type Config struct {
 	PipelineChunk int
 	// PipelineDepth bounds in-flight pipeline chunks. Default 4.
 	PipelineDepth int
-
-	// ShmCells and ShmCellPayload size the shared-memory rings.
-	// Defaults: 64 cells of 1 KiB.
-	ShmCells       int
-	ShmCellPayload int
 
 	// Reliable layers the netmod reliability protocol (per-link
 	// sequence numbers, cumulative ACKs, progress-driven
@@ -116,9 +113,8 @@ func (c Config) ApplyWorldOption(dst *Config) { *dst = c }
 
 func (c Config) withDefaults() Config {
 	if c.Transport != nil && c.Transport.Multiprocess() {
-		// One OS process per node: remote peers are never same-node, so
-		// all peer traffic takes the netmod; self-sends still ride the
-		// in-process shared-memory path.
+		// One World per OS process: this World's node map has nothing
+		// to say about peers (TopoNodeOf asks the transport instead).
 		c.ProcsPerNode = 1
 	}
 	if c.ProcsPerNode <= 0 {
@@ -167,10 +163,6 @@ type World struct {
 	finArrived int
 	finGen     int
 
-	// shmRings registers shared-memory rings keyed by directed VCI pair.
-	shmMu    sync.Mutex
-	shmRings map[shmKey]*shmem.Ring
-
 	// flowSeq allocates trace flow ids for cross-rank arrows.
 	flowSeq atomic.Uint64
 
@@ -193,7 +185,6 @@ func NewWorld(cfg Config) *World {
 		clock:      clock,
 		nextCtx:    2, // 0/1 are reserved for the world communicator
 		commGroups: make(map[groupKey]*commGroup),
-		shmRings:   make(map[shmKey]*shmem.Ring),
 	}
 	tr := cfg.Transport
 	if tr == nil {
@@ -276,18 +267,15 @@ func (w *World) Proc(rank int) *Proc { return w.procs[rank] }
 // NodeOf returns the node a rank lives on.
 func (w *World) NodeOf(rank int) int { return rank / w.cfg.ProcsPerNode }
 
-// SameNode reports whether two ranks share a node (and therefore use
-// the shared-memory transport unless ForceNetmod is set).
+// SameNode reports whether two ranks share a simulated node.
 func (w *World) SameNode(a, b int) bool { return w.NodeOf(a) == w.NodeOf(b) }
 
-// TopoNodeOf returns the physical node hosting a rank. NodeOf answers
-// the in-process question — "do these ranks share this World's shmem
-// rings" — which in remote mode is always no (one rank per OS
-// process). TopoNodeOf instead answers the topology question the
-// hierarchical collectives ask: in remote mode it consults the
-// transport's placement map (the composite shm+TCP transport reports
-// the launcher's host assignments), falling back to one-rank-per-node
-// when the transport has no placement knowledge.
+// TopoNodeOf returns the physical node hosting a rank, the question
+// the hierarchical collectives ask. NodeOf is this World's simulated
+// node map, which in remote mode knows one rank; there TopoNodeOf
+// consults the transport's placement map (the composite shm+TCP
+// transport reports the launcher's host assignments), falling back to
+// one-rank-per-node when the transport has no placement knowledge.
 func (w *World) TopoNodeOf(rank int) int {
 	if w.remote {
 		if nm, ok := w.transport.(transport.NodeMapper); ok {

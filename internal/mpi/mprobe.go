@@ -63,8 +63,6 @@ func (m *Message) Mrecv(buf []byte, count int, dt *datatype.Datatype) *Request {
 		m.entry.data, m.entry.stage = nil, nil
 	case unexpRTS:
 		c.local.sendCTS(req, e.src, e.tag, e.bytes, e.sreq, e.sreqID, e.srcEP, e.flow)
-	case unexpShmAsm:
-		attachAsm(req, e.asm)
 	default:
 		panic("mpi: unknown matched message kind")
 	}

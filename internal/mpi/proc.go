@@ -270,7 +270,6 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 	// one atomic load per pass instead of a subsystem poll.
 	v.dtEng.BindWork(s.RegisterHookCounted(core.ClassDatatype, v.dtEng))
 	v.collQ.BindWork(s.RegisterHookCounted(core.ClassCollective, v.collQ))
-	v.shmWork = s.RegisterHookCounted(core.ClassShmem, (*shmHook)(v))
 	v.netWork = s.RegisterHookCounted(core.ClassNetmod, (*netHook)(v))
 	v.ep.BindWork(v.netWork)
 	if v.rel != nil {
@@ -374,12 +373,6 @@ func identityRanks(n int) []int {
 	}
 	return out
 }
-
-// shmHook adapts a VCI's shared-memory subsystem to core.Hook.
-type shmHook VCI
-
-func (h *shmHook) Poll() bool   { return (*VCI)(h).shmPoll() }
-func (h *shmHook) Pending() int { return (*VCI)(h).shmPending() }
 
 // netHook adapts a VCI's network subsystem to core.Hook.
 type netHook VCI

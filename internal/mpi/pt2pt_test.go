@@ -47,12 +47,9 @@ func payload(n int, seed int64) []byte {
 	return b
 }
 
-func TestPingPongAllProtocolsShm(t *testing.T) {
+func TestPingPongAllProtocolsSameNode(t *testing.T) {
+	// Both ranks on one simulated node: the fabric's LocalLatency hop.
 	testPingPongSizes(t, Config{})
-}
-
-func TestPingPongAllProtocolsNetmod(t *testing.T) {
-	testPingPongSizes(t, Config{ForceNetmod: true})
 }
 
 func TestPingPongAllProtocolsInterNode(t *testing.T) {
@@ -120,9 +117,9 @@ func TestUnexpectedMessages(t *testing.T) {
 	}
 }
 
-func TestUnexpectedShmChunked(t *testing.T) {
-	// Large same-node message arriving unexpectedly must assemble into
-	// staging and deliver at match time.
+func TestUnexpectedSameNodeRendezvous(t *testing.T) {
+	// A large same-node message arriving unexpectedly queues its RTS and
+	// streams its chunks once the receive is posted.
 	const size = 300 * 1024
 	run2(t, Config{}, func(p *Proc) {
 		comm := p.CommWorld()
@@ -187,7 +184,7 @@ func TestTagSelectivity(t *testing.T) {
 func TestMessageOrderingSameTag(t *testing.T) {
 	// Non-overtaking: same (src, tag) messages arrive in send order.
 	const count = 100
-	run2(t, Config{ForceNetmod: true}, func(p *Proc) {
+	run2(t, Config{}, func(p *Proc) {
 		comm := p.CommWorld()
 		if p.Rank() == 0 {
 			var reqs []*Request
@@ -229,14 +226,19 @@ func TestTruncation(t *testing.T) {
 }
 
 func TestSelfSend(t *testing.T) {
+	// A rank's send to itself leaves through its NIC like any other:
+	// buffered, eager and rendezvous.
 	run2(t, Config{Procs: 1}, func(p *Proc) {
 		comm := p.CommWorld()
-		rreq := comm.IrecvBytes(make([]byte, 16), 0, 1)
-		sreq := comm.IsendBytes(payload(16, 3), 0, 1)
-		sreq.Wait()
-		st := rreq.Wait()
-		if st.Bytes != 16 || st.Source != 0 {
-			t.Errorf("status %+v", st)
+		for _, size := range []int{16, 4096, 100 * 1024} {
+			buf := make([]byte, size)
+			rreq := comm.IrecvBytes(buf, 0, 1)
+			sreq := comm.IsendBytes(payload(size, 3), 0, 1)
+			sreq.Wait()
+			st := rreq.Wait()
+			if st.Bytes != size || st.Source != 0 || !bytes.Equal(buf, payload(size, 3)) {
+				t.Errorf("size %d: status %+v", size, st)
+			}
 		}
 	})
 }

@@ -204,19 +204,37 @@ func TestRemoteReliableLayer(t *testing.T) {
 }
 
 func TestRemoteSelfSend(t *testing.T) {
-	// Self-sends in multiprocess mode ride the in-process shm path
-	// (SameNode(r, r) is always true).
+	// A rank has no connection to itself: the tcp link loops the frame
+	// back through the codec (framing.Link.Loopback), so a self-send is
+	// matched like any remote arrival — handle ids, no pointers.
 	worlds := tcpWorlds(t, 2, Config{})
 	runRemote(t, worlds, func(p *Proc) {
 		comm := p.CommWorld()
-		msg := []byte("loop")
-		got := make([]byte, len(msg))
-		reqS := comm.IsendBytes(msg, p.Rank(), 0)
-		reqR := comm.IrecvBytes(got, p.Rank(), 0)
-		reqS.Wait()
-		reqR.Wait()
-		if !bytes.Equal(got, msg) {
-			panic("self-send corrupted")
+		self := p.Rank()
+		// Posted first, then sent; sent first (unexpected), then posted;
+		// and one message past the rendezvous threshold, whose RTS, CTS
+		// and data chunks all loop back.
+		for i, sz := range []int{4, 4, 4 << 10, 200 << 10} {
+			msg := bytes.Repeat([]byte{byte(0x40 + i)}, sz)
+			got := make([]byte, sz)
+			var reqS, reqR *Request
+			if i == 1 {
+				reqS = comm.IsendBytes(msg, self, i)
+				for q := 0; q < 4; q++ {
+					p.Progress() // the arrival is queued unexpected
+				}
+				reqR = comm.IrecvBytes(got, self, i)
+			} else {
+				reqR = comm.IrecvBytes(got, self, i)
+				reqS = comm.IsendBytes(msg, self, i)
+			}
+			reqS.Wait()
+			if st := reqR.Wait(); st.Err != nil || st.Source != self || st.Bytes != sz {
+				panic(fmt.Sprintf("self-send %d: status %+v", i, st))
+			}
+			if !bytes.Equal(got, msg) {
+				panic(fmt.Sprintf("self-send %d corrupted", i))
+			}
 		}
 		comm.Barrier()
 	})

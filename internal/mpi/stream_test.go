@@ -75,14 +75,14 @@ func TestStreamCommTrafficIsolation(t *testing.T) {
 	})
 }
 
-func TestStreamCommSameNodeShm(t *testing.T) {
-	// Stream comms must also isolate shared-memory traffic.
+func TestStreamCommSameNode(t *testing.T) {
+	// Stream comms must also isolate same-node traffic.
 	run2(t, Config{}, func(p *Proc) {
 		comm := p.CommWorld()
 		s := p.StreamCreate()
 		scomm := comm.StreamComm(s)
 		if p.Rank() == 0 {
-			scomm.SendBytes(payload(100*1024, 3), 1, 0) // chunked shm
+			scomm.SendBytes(payload(100*1024, 3), 1, 0) // rendezvous
 		} else {
 			buf := make([]byte, 100*1024)
 			req := scomm.IrecvBytes(buf, 0, 0)
@@ -90,7 +90,7 @@ func TestStreamCommSameNodeShm(t *testing.T) {
 				p.StreamProgress(s)
 			}
 			if !equalBytes(buf, payload(100*1024, 3)) {
-				t.Error("chunked shm stream payload mismatch")
+				t.Error("same-node stream payload mismatch")
 			}
 		}
 		p.StreamFree(s)

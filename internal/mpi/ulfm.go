@@ -285,8 +285,8 @@ func (c *Comm) applyRevoke(inProgress bool) {
 // floodRevoke sends the revocation control frame to every other rank.
 // The frames are tiny and fire-and-forget (a dead peer needs no
 // notification); each target gets a fresh header because receivers may
-// recycle it. Control frames ride the netmod even for same-node peers
-// — the shared-memory rings carry only data traffic.
+// recycle it. It rides the same link, in the same order, as the data
+// and fault-tolerance traffic around it.
 func (c *Comm) floodRevoke() {
 	for dst := range c.ranks {
 		if dst == c.rank {

@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -61,7 +60,7 @@ func TestRevokeFailsPendingAndFutureOps(t *testing.T) {
 func TestRevokePropagatesViaControlFrame(t *testing.T) {
 	for _, procs := range []int{2, 4} {
 		t.Run(fmt.Sprintf("n%d", procs), func(t *testing.T) {
-			run2(t, Config{Procs: procs, ForceNetmod: true}, func(p *Proc) {
+			run2(t, Config{Procs: procs}, func(p *Proc) {
 				dup := p.CommWorld().Dup()
 				if p.Rank() == 0 {
 					// Give the peers time to post, then revoke without
@@ -203,15 +202,6 @@ func TestCommMetricsCounters(t *testing.T) {
 		dup := p.CommWorld().Dup()
 		if p.Rank() == 0 {
 			dup.Revoke()
-		} else {
-			// The revoke frame rides the netmod, Agree and Shrink on this
-			// one-node world ride the in-process rings: nothing orders the
-			// two paths, so rank 1 could finish both before the revocation
-			// reached it. A remote revoke is observed by driving progress.
-			for !dup.Revoked() {
-				p.Progress()
-				runtime.Gosched()
-			}
 		}
 		if _, err := dup.Agree(0); err != nil {
 			t.Errorf("rank %d: Agree: %v", p.Rank(), err)

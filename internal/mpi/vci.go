@@ -10,7 +10,6 @@ import (
 	"gompix/internal/datatype"
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
-	"gompix/internal/shmem"
 	"gompix/internal/trace"
 )
 
@@ -21,7 +20,7 @@ const ctrlBytes = 32
 // zero-allocation CQ/RQ drains; deeper queues drain over several passes.
 const drainBatch = 256
 
-// msgKind discriminates protocol messages on both transports.
+// msgKind discriminates protocol messages.
 type msgKind uint8
 
 const (
@@ -33,15 +32,12 @@ const (
 	kindCTSMsg
 	// kindDataMsg is a rendezvous data chunk.
 	kindDataMsg
-	// kindShmEager is a single-cell shared-memory message.
-	kindShmEager
-	// kindShmFirst opens a chunked shared-memory message.
-	kindShmFirst
-	// kindShmData continues (and with Last closes) a chunked message.
-	kindShmData
 	// kindRevokeMsg announces a communicator revocation (ULFM
 	// MPIX_Comm_revoke); src/ctx only, fire-and-forget.
 	kindRevokeMsg
+	// numMsgKinds is one past the last defined kind: what the wire
+	// codec refuses.
+	numMsgKinds
 )
 
 // sendToken is the sender-side rendezvous handle carried by RTS and
@@ -49,11 +45,11 @@ const (
 // request id a real implementation would use.
 type sendToken = *netSendState
 
-// wireHdr is the protocol header. On the network transport it rides as
-// the fabric packet payload; on shared memory it is the ring-cell
-// header. The sreq/rreq pointers are the in-process fast path; across a
-// process boundary (multiprocess transports) the codec carries only the
-// sreqID/rreqID handle ids and the pointers arrive nil.
+// wireHdr is the protocol header: the fabric packet payload on the
+// simulated fabric, the codec's input and output on a byte transport.
+// The sreq/rreq pointers are the in-process fast path; through the
+// codec (multiprocess transports, a rank's send to itself included)
+// only the sreqID/rreqID handle ids travel and the pointers arrive nil.
 type wireHdr struct {
 	kind  msgKind
 	src   int // sender's rank in the communicator
@@ -115,18 +111,16 @@ type rtsToken struct {
 	st *netSendState
 }
 
-// hdrPool recycles wire headers so the eager and shared-memory hot
-// paths allocate nothing per message in steady state. Recycling rules
-// (in-process simulation, sender and receiver share the pointer):
+// hdrPool recycles wire headers so the eager hot path allocates
+// nothing per message in steady state. Recycling rules (in-process
+// simulation, sender and receiver share the pointer):
 //
-//   - network transport, raw mode (rel == nil): the fabric delivers
-//     exactly once and the sender keeps no reference after posting, so
-//     the receiver owns the header once netPoll hands it to
-//     handleNetMsg and recycles it afterwards.
-//   - network transport, reliable mode: the sender's retransmission
-//     queue may re-deliver the same header; never recycled.
-//   - shared memory: the ring cell hands the header to exactly one
-//     receiver; recycled after handleShmCell consumes the cell.
+//   - raw mode (rel == nil): the fabric delivers exactly once and the
+//     sender keeps no reference after posting, so the receiver owns
+//     the header once netPoll hands it to handleNetMsg and recycles it
+//     afterwards.
+//   - reliable mode: the sender's retransmission queue may re-deliver
+//     the same header; never recycled.
 var hdrPool = sync.Pool{New: func() any { return new(wireHdr) }}
 
 func newHdr() *wireHdr { return hdrPool.Get().(*wireHdr) }
@@ -153,39 +147,6 @@ func recycleSendState(st *netSendState) {
 	sendStatePool.Put(st)
 }
 
-// shmSendOp is one (possibly chunked) shared-memory send in the
-// sender's outbox.
-type shmSendOp struct {
-	ring *shmem.Ring
-	hdr  wireHdr // metadata template (src/ctx/tag/bytes)
-	wire []byte
-	off  int
-	sent bool // first cell pushed
-	req  *Request
-}
-
-// shmAssembly reassembles a chunked shared-memory message on the
-// receiver side. mu serializes chunk consumption (receiver progress)
-// against a late-matching receive attaching from another thread.
-type shmAssembly struct {
-	mu      sync.Mutex
-	total   int
-	got     int
-	staging []byte   // used when unmatched or non-contiguous
-	rreq    *Request // nil while unexpected
-	direct  bool     // write straight into rreq's buffer
-	done    bool
-	src     int
-	tag     int
-}
-
-// inRing is one inbound shared-memory ring plus its chunk-assembly
-// cursor (per-ring FIFO means at most one message is mid-assembly).
-type inRing struct {
-	ring *shmem.Ring
-	cur  *shmAssembly
-}
-
 // VCI is a virtual communication interface: the per-stream
 // communication context (paper §3.1 — MPIX streams map to VCIs in
 // MPICH). It owns every resource its stream's progress touches, so
@@ -200,11 +161,10 @@ type VCI struct {
 	dtEng  *datatype.Engine
 	collQ  *coll.Queue
 
-	// netWork/shmWork are the stream's per-class work counters
+	// netWork is the stream's netmod work counter
 	// (core.RegisterHookCounted): positive whenever polling the class
 	// might make progress, letting an idle class cost one atomic load.
 	netWork *core.Work
-	shmWork *core.Work
 
 	// netmod state.
 	netOps atomic.Int64 // outstanding rendezvous sends
@@ -215,19 +175,6 @@ type VCI struct {
 	cqScratch  []nic.CQE
 	rqScratch  []fabric.Packet
 	rawScratch []fabric.Packet
-
-	// shmem state.
-	outMu   sync.Mutex
-	outOps  []*shmSendOp
-	shmOut  atomic.Int64
-	inMu    sync.Mutex
-	inRings []*inRing
-	// inSnap caches the inbound-ring snapshot so shmPoll does not
-	// allocate per pass; addInRing republishes it.
-	inSnap atomic.Pointer[[]*inRing]
-
-	sendsNet atomic.Uint64
-	sendsShm atomic.Uint64
 
 	// Remote-mode handle tables: wire headers cannot carry pointers
 	// across a process boundary, so rendezvous state is addressed by
@@ -346,30 +293,9 @@ func (r *Request) trace(cat, detail string) {
 // the simulated fabric, a transport-specific link otherwise).
 func (v *VCI) Endpoint() nic.Link { return v.ep }
 
-// addInRing registers an inbound ring created by a sending VCI and
-// binds it to this VCI's shmem work counter: every pushed cell flags
-// the receiving stream's shmem class as having work.
-func (v *VCI) addInRing(r *shmem.Ring) {
-	r.BindWork(v.shmWork)
-	v.inMu.Lock()
-	defer v.inMu.Unlock()
-	v.inRings = append(v.inRings, &inRing{ring: r})
-	snap := make([]*inRing, len(v.inRings))
-	copy(snap, v.inRings)
-	v.inSnap.Store(&snap)
-}
-
-// snapshotInRings returns the cached inbound ring list (shared,
-// read-only).
-func (v *VCI) snapshotInRings() []*inRing {
-	if p := v.inSnap.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
-// Netmod: NIC-based transport (eager / rendezvous / pipeline).
+// Netmod: the one way out of the MPI layer (eager / rendezvous /
+// pipeline over whatever nic.Link the transport handed this VCI).
 
 // netPending reports outstanding network work for Quiesce/diagnostics.
 func (v *VCI) netPending() int {
@@ -595,10 +521,10 @@ func (v *VCI) rndvFail(st *netSendState, cause error) {
 	st.req.complete(Status{Err: mapLinkErr(cause)})
 }
 
-// isendNet issues a send over the network transport.
+// isendNet issues a send: every message, whoever it is for, leaves
+// through the VCI's link and arrives through netPoll.
 func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire []byte) {
 	cfg := v.proc.world.cfg
-	v.sendsNet.Add(1)
 	n := len(wire)
 	req.total = n
 	switch {
@@ -853,7 +779,7 @@ func (v *VCI) sendCTS(req *Request, src, tag, totalBytes int, sreq sendToken, sr
 }
 
 // ---------------------------------------------------------------------------
-// Delivery helpers shared by both transports.
+// Delivery helpers.
 
 // recvCapacity returns the packed capacity of a receive request.
 func recvCapacity(req *Request) int {

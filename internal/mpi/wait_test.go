@@ -265,6 +265,9 @@ func TestWaitNoAlloc(t *testing.T) {
 			comm.IsendBytes(buf, 0, 1)
 			for !r.IsComplete() {
 				p.Progress()
+				// AllocsPerRun runs on one P and the message is in the
+				// fabric dispatcher's hands: let it run.
+				runtime.Gosched()
 			}
 		})
 		wait := testing.AllocsPerRun(200, func() {

@@ -56,10 +56,14 @@ func (wireCodec) EncodeSplit(buf []byte, payload any) (head, body []byte, err er
 // decodeHdr parses the fixed header and returns the payload's bytes
 // inside data. Sizes and offsets are signed on the wire only because
 // the header struct's are; a negative one is a corrupt frame and would
-// index a receive buffer if it were let through.
+// index a receive buffer if it were let through. A kind nobody defined
+// is one too: handleNetMsg has no arm for it.
 func decodeHdr(data []byte) (*wireHdr, []byte, error) {
 	if len(data) < wireHdrLen {
 		return nil, nil, fmt.Errorf("mpi: wireCodec short frame (%d bytes)", len(data))
+	}
+	if msgKind(data[0]) >= numMsgKinds {
+		return nil, nil, fmt.Errorf("mpi: wireCodec unknown message kind %d", data[0])
 	}
 	bytes := int(int32(binary.LittleEndian.Uint32(data[17:])))
 	off := int(int32(binary.LittleEndian.Uint32(data[53:])))

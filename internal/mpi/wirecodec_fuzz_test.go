@@ -38,7 +38,9 @@ func FuzzWireCodecDecode(f *testing.F) {
 		huge[i] = 0xff
 	}
 	f.Add(huge)
-	// A hostile kind byte on an otherwise valid frame.
+	// A hostile kind byte on an otherwise valid frame: refused, since
+	// handleNetMsg has no arm for it (kind-past-last in the corpus is
+	// the first undefined value).
 	badKind := make([]byte, wireHdrLen)
 	badKind[0] = 0xee
 	f.Add(badKind)
@@ -71,9 +73,10 @@ func FuzzWireCodecDecode(f *testing.F) {
 		if !ok {
 			t.Fatalf("Decode returned %T, want *wireHdr", v)
 		}
-		// Sizes and offsets index buffers downstream.
-		if h.bytes < 0 || h.off < 0 {
-			t.Fatalf("decoded frame carries bytes=%d off=%d", h.bytes, h.off)
+		// Sizes and offsets index buffers downstream; the kind picks the
+		// handler.
+		if h.bytes < 0 || h.off < 0 || h.kind >= numMsgKinds {
+			t.Fatalf("decoded frame carries kind=%d bytes=%d off=%d", h.kind, h.bytes, h.off)
 		}
 		// Decoded pointers must be nil: they never cross the wire, and a
 		// non-nil value would be interpreted as an in-process fast path.
@@ -109,22 +112,24 @@ func FuzzWireCodecDecode(f *testing.F) {
 	})
 }
 
-// hostileHdrs are DATA frames a corrupt or hostile peer could send for
-// a live receive handle: fields that are sizes or offsets, negative.
+// hostileHdrs are frames a corrupt or hostile peer could send: fields
+// that are sizes or offsets, negative (DATA for a live receive handle,
+// an RTS), and a kind past the last defined one.
 func hostileHdrs() []*wireHdr {
 	return []*wireHdr{
 		{kind: kindDataMsg, rreqID: 1, bytes: -1, payload: []byte("x")},
 		{kind: kindDataMsg, rreqID: 1, bytes: 1024, off: -8, payload: []byte("x")},
 		{kind: kindRTSMsg, sreqID: 1, bytes: -1 << 31},
+		{kind: numMsgKinds, src: 1, ctx: 2},
 	}
 }
 
 // TestHostileDataFrame: a DATA frame that names a live receive handle
 // but lies about where its bytes go must fail the peer — and with it
 // the receive — not index past the receive buffer. Negative sizes and
-// offsets are turned away by the decoder (the transports then drop the
-// connection or condemn the stream); an offset past the end of the
-// message is caught at delivery.
+// offsets, and undefined kinds, are turned away by the decoder (the
+// transports then drop the connection or condemn the stream); an offset
+// past the end of the message is caught at delivery.
 func TestHostileDataFrame(t *testing.T) {
 	var codec wireCodec
 	for i, h := range hostileHdrs() {

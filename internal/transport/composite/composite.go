@@ -37,7 +37,13 @@ type Leg interface {
 	AddLink(rank, vci int) (nic.Link, error)
 	EndpointOf(rank, vci int) fabric.EndpointID
 	Multiprocess() bool
+	// Start opens the leg's passive side (the tcp accept loop, the shm
+	// doorbell watcher) once the local VCI-0 link exists.
+	Start() error
 	Close() error
+	// Kill terminates the leg abruptly, no goodbye (the SIGKILL test
+	// hook).
+	Kill()
 	SetCodec(c nic.Codec)
 	SetClock(c timing.Clock)
 	RankOfEndpoint(ep fabric.EndpointID) int
@@ -45,9 +51,6 @@ type Leg interface {
 	// fail fast, queued frames fail, no verdict CQE fan-out.
 	MarkPeerDown(rank int, cause error)
 }
-
-// Killer is the abrupt-death test hook both legs expose.
-type Killer interface{ Kill() }
 
 // legLink is what the router drives on a leg's link beyond nic.Link:
 // the progress hooks every byte transport's link has. AddLink resolves
@@ -170,18 +173,14 @@ func (n *Network) SetClock(c timing.Clock) {
 	n.remote.SetClock(c)
 }
 
-// Start starts whichever legs have a passive side (transport.Starter —
-// the TCP accept loop).
+// Start starts both legs' passive sides (transport.Starter).
 func (n *Network) Start() error {
-	if s, ok := n.local.(interface{ Start() error }); ok && n.local != nil {
-		if err := s.Start(); err != nil {
+	if n.local != nil {
+		if err := n.local.Start(); err != nil {
 			return err
 		}
 	}
-	if s, ok := n.remote.(interface{ Start() error }); ok {
-		return s.Start()
-	}
-	return nil
+	return n.remote.Start()
 }
 
 // AddLink registers the local VCI's link on both legs and returns the
@@ -236,12 +235,10 @@ func (n *Network) Kill() {
 	n.mu.Lock()
 	n.closed = true
 	n.mu.Unlock()
-	if k, ok := n.local.(Killer); ok && n.local != nil {
-		k.Kill()
+	if n.local != nil {
+		n.local.Kill()
 	}
-	if k, ok := n.remote.(Killer); ok {
-		k.Kill()
-	}
+	n.remote.Kill()
 }
 
 // crossWire propagates a verdict from one leg into the other, so posts

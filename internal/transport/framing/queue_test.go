@@ -317,8 +317,8 @@ func TestAppendEncodeErrorUnwinds(t *testing.T) {
 func TestReassembly(t *testing.T) {
 	frame := make([]byte, 3*nic.BulkMin)
 	rand.New(rand.NewSource(9)).Read(frame)
-	var a Reassembly
-	if a.Active() || !Stageable(len(frame)) || Stageable(nic.BulkMin-1) || Stageable(nic.MaxStaging+1) {
+	var a reassembly
+	if a.Active() || !stageable(len(frame)) || stageable(nic.BulkMin-1) || stageable(nic.MaxStaging+1) {
 		t.Fatal("wrong idea of what is assembled in staging")
 	}
 	a.Begin(len(frame), frame[:100])

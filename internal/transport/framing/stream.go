@@ -61,7 +61,7 @@ func (f Fault) Error() string {
 // where Target says (or hands them to Write), and every frame they
 // complete is decoded and delivered to its destination link's receive
 // queue, consecutive frames for one link as one run. A frame that has
-// only begun to arrive and is large enough (Stageable) moves to a
+// only begun to arrive and is large enough (stageable) moves to a
 // staging buffer that the following bytes fill directly. All methods
 // require the lock of the receive side that owns the stream.
 type Stream struct {
@@ -73,8 +73,8 @@ type Stream struct {
 	pos, end int // the unparsed region of buf
 
 	// asm, while active, is the frame the following bytes land in
-	// directly (see Reassembly); buf is empty meanwhile.
-	asm Reassembly
+	// directly (see reassembly); buf is empty meanwhile.
+	asm reassembly
 
 	run     []fabric.Packet // pending same-link delivery run
 	runLink *Link
@@ -176,13 +176,13 @@ func (s *Stream) parse() (frames int, ok bool) {
 			// Partial frame. A large one moves to a staging buffer the
 			// following bytes fill directly; otherwise Target grows the
 			// receive buffer for it.
-			if s.tab.split != nil && Stageable(int(flen)) {
+			if s.tab.split != nil && stageable(int(flen)) {
 				s.asm.Begin(int(flen), s.buf[s.pos+4:s.end])
 				s.pos = s.end
 			}
 			break
 		}
-		dst, src, bytes, data := ParseHdr(s.buf[s.pos+4 : s.pos+total])
+		dst, src, bytes, data := parseHdr(s.buf[s.pos+4 : s.pos+total])
 		s.pos += total
 		payload, err := s.tab.codec.Decode(data)
 		var k int

@@ -43,6 +43,9 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 		return errClosed
 	}
 	rank := l.net.RankOfEndpoint(dst)
+	if rank == l.net.cfg.Rank {
+		return l.Loopback(dst, payload, bytes, token, signaled)
+	}
 	p := l.net.peers[rank]
 	if p == nil {
 		return fmt.Errorf("shm: endpoint %d (rank %d) not reachable over shared memory", dst, rank)

@@ -7,10 +7,10 @@ import (
 	"unsafe"
 )
 
-// The cross-process ring is the mmap rendition of internal/shmem's
-// SPSC cell ring: one ring per directed rank pair, fixed-size cells,
-// the producer's cursor (tail) and the consumer's cursor (head) on
-// separate cache lines of the shared header. A cell carries one chunk
+// The cross-process ring is an SPSC cell ring in an mmap'd file: one
+// ring per directed rank pair, fixed-size cells, the producer's cursor
+// (tail) and the consumer's cursor (head) on separate cache lines of
+// the shared header. A cell carries one chunk
 // of the pair's byte stream; frames larger than a cell are chunked
 // across consecutive cells by sender-side progress, exactly the
 // paper's intra-node story taken across a process boundary.

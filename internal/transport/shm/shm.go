@@ -1,6 +1,5 @@
 // Package shm is the intra-node transport: per-pair single-producer/
-// single-consumer cell rings in mmap'd file-backed segments, the
-// cross-process rendition of the in-process internal/shmem rings
+// single-consumer cell rings in mmap'd file-backed segments
 // (DESIGN.md §12). Posts coalesce frames into the cumulative-watermark
 // queue the TCP transport also uses (framing.Queue, DESIGN.md §11) and
 // sender-side progress pumps the byte stream into free ring cells,

@@ -770,8 +770,8 @@ func (n *Network) DropPeer(rank int) {
 	}
 }
 
-// peerOf maps a destination endpoint to its peer (nil for self, which
-// is a protocol bug: self-sends ride shared memory).
+// peerOf maps a destination endpoint to its peer; nil for this rank's
+// own endpoints, which post loops back (framing.Link.Loopback).
 func (n *Network) peerOf(dst fabric.EndpointID) *peer {
 	return n.peers[n.RankOfEndpoint(dst)]
 }
@@ -963,7 +963,7 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 	}
 	p := l.net.peerOf(dst)
 	if p == nil {
-		return fmt.Errorf("tcp: self-send to endpoint %d must use shared memory", dst)
+		return l.Loopback(dst, payload, bytes, token, signaled)
 	}
 	p.Mu.Lock()
 	queued, err := p.Post(&l.Link, dst, payload, bytes, token, signaled)

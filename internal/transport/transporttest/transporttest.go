@@ -1,10 +1,10 @@
 // Package transporttest is the conformance suite every transport
 // backend must pass: a backend-neutral battery over the nic.Link
 // contract (ordered delivery, interleaved frame sizes, signaled
-// completions, concurrent send/recv, work-counter balance) plus
-// capability-gated checks for the failure semantics real multiprocess
-// transports add (graceful goodbye versus abrupt death, PeerDown
-// verdict ordering).
+// completions, concurrent send/recv, work-counter balance, a link's
+// send to itself) plus capability-gated checks for the failure
+// semantics real multiprocess transports add (graceful goodbye versus
+// abrupt death, PeerDown verdict ordering).
 //
 // A backend instantiates the suite by building a Factory and calling
 // Run from one of its tests:
@@ -105,6 +105,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("SignaledCompletions", func(t *testing.T) { testSignaledCompletions(t, f) })
 	t.Run("ConcurrentSendRecv", func(t *testing.T) { testConcurrentSendRecv(t, f) })
 	t.Run("WorkCounter", func(t *testing.T) { testWorkCounter(t, f) })
+	t.Run("SelfSend", func(t *testing.T) { testSelfSend(t, f) })
 	t.Run("GracefulClose", func(t *testing.T) {
 		if !f.Caps.Goodbye {
 			t.Skipf("%s: no goodbye capability", f.Name)
@@ -372,6 +373,61 @@ func testWorkCounter(t *testing.T, f Factory) {
 		if got := w.Work[r].Load(); got != 0 {
 			t.Errorf("rank %d's counter reads %d after drain and close, want 0", r, got)
 		}
+	}
+}
+
+// testSelfSend: a link's posts to its own address arrive on its own
+// receive queue, in post order, and nowhere else — inline, signaled,
+// and signaled at a size a byte transport would send from the poster's
+// memory (nic.BulkMin) — with one completion per signaled post; the
+// work counter covers what is queued; and a closed link refuses the
+// post like any other. No carrier reaches a rank's own endpoint: the
+// byte transports loop the frame back through their codec.
+func testSelfSend(t *testing.T, f Factory) {
+	w := f.New(t, 2)
+	w.setup(t)
+	l := w.Links[0]
+	sizes := []int{8, 64, nic.BulkMin + 100}
+	if err := l.PostSendInline(l.ID(), seqMsg(0, sizes[0]), sizes[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(sizes); i++ {
+		if err := l.PostSend(l.ID(), seqMsg(uint32(i), sizes[i]), sizes[i], i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wait(t, w, "self delivery and completions", func() bool {
+		return l.QueuedRQ() >= len(sizes) && l.QueuedCQ() >= len(sizes)-1
+	})
+	if got, queued := w.Work[0].Load(), int64(l.QueuedRQ()+l.QueuedCQ()); got < queued {
+		t.Fatalf("counter reads %d with %d entries queued", got, queued)
+	}
+	for i, c := range l.DrainCQ(make([]nic.CQE, 0, 8)) {
+		if c.Err != nil || c.Token != i+1 {
+			t.Fatalf("completion %d: %+v", i, c)
+		}
+	}
+	got := drainAll(l, nil, make([]fabric.Packet, 8))
+	if len(got) != len(sizes) {
+		t.Fatalf("received %d frames, want %d", len(got), len(sizes))
+	}
+	for i, p := range got {
+		if p.Src != l.ID() || p.Dst != l.ID() {
+			t.Fatalf("frame %d: src=%d dst=%d, want %d→%d", i, p.Src, p.Dst, l.ID(), l.ID())
+		}
+		if err := checkSeqMsg(p, uint32(i), sizes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := w.Links[1].QueuedRQ(); n != 0 {
+		t.Fatalf("%d frames of a self-send reached the other rank", n)
+	}
+	// The simulated endpoint has nothing of its own to close; its
+	// fabric, closed with the world, refuses instead.
+	l.Close()
+	w.Close()
+	if err := l.PostSendInline(l.ID(), seqMsg(9, 8), 8); err == nil {
+		t.Fatal("self-send posted on a closed link")
 	}
 }
 

@@ -111,22 +111,24 @@ func runTransports(t *testing.T, n int, fn func(*mpix.Proc),
 }
 
 func TestMatrixRoundTrip(t *testing.T) {
-	// Sizes spanning buffered eager, signaled eager, and rendezvous.
+	// Sizes spanning buffered eager, signaled eager, and rendezvous;
+	// exchanged with the other rank, then with the rank itself.
 	sizes := []int{1, 512, 100 << 10}
 	runMatrix(t, 2, func(p *mpix.Proc) {
 		comm := p.CommWorld()
-		peer := 1 - p.Rank()
-		for _, sz := range sizes {
-			msg := bytes.Repeat([]byte{byte(sz)}, sz)
-			got := make([]byte, sz)
-			reqS := comm.IsendBytes(msg, peer, sz)
-			reqR := comm.IrecvBytes(got, peer, sz)
-			reqS.Wait()
-			if st := reqR.Wait(); st.Err != nil {
-				panic(fmt.Sprintf("size %d: %v", sz, st.Err))
-			}
-			if !bytes.Equal(got, msg) {
-				panic(fmt.Sprintf("size %d: corrupted", sz))
+		for _, peer := range []int{1 - p.Rank(), p.Rank()} {
+			for _, sz := range sizes {
+				msg := bytes.Repeat([]byte{byte(sz)}, sz)
+				got := make([]byte, sz)
+				reqS := comm.IsendBytes(msg, peer, sz)
+				reqR := comm.IrecvBytes(got, peer, sz)
+				reqS.Wait()
+				if st := reqR.Wait(); st.Err != nil {
+					panic(fmt.Sprintf("peer %d size %d: %v", peer, sz, st.Err))
+				}
+				if !bytes.Equal(got, msg) {
+					panic(fmt.Sprintf("peer %d size %d: corrupted", peer, sz))
+				}
 			}
 		}
 		comm.Barrier()

@@ -83,11 +83,5 @@ func WithProcsPerNode(n int) Option {
 	return optionFunc(func(c *mpi.Config) { c.ProcsPerNode = n })
 }
 
-// WithForceNetmod routes same-node traffic through the NIC instead of
-// shared memory (Config.ForceNetmod).
-func WithForceNetmod() Option {
-	return optionFunc(func(c *mpi.Config) { c.ForceNetmod = true })
-}
-
 // Transport is a netmod backend (see WithTransport).
 type Transport = transport.Transport
