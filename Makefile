@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-hot race-transport race-tcp race-shm race-cont race-eager chaos chaos-sim chaos-tcp fuzz-smoke bench bench-smoke figures mpixrun-smoke ci
+.PHONY: all build test vet check-run-lists race race-hot race-transport race-tcp race-shm race-cont race-eager chaos chaos-sim chaos-tcp fuzz-smoke bench bench-smoke figures mpixrun-smoke ci
 
 all: build test
 
@@ -15,6 +15,24 @@ test:
 vet:
 	$(GO) vet ./...
 	@out="$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go'))"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# The race and chaos targets below select tests by name, and a renamed
+# test falls out of such a list silently. For every line of this file
+# with a -run alternation (the '^$$' of the fuzz and bench lines aside),
+# list the tests of that line's packages and require each alternative to
+# match at least one of them; fail naming the alternative that does not.
+check-run-lists:
+	@sed -e ':a' -e '/\\$$/N; s/\\\n//; ta' Makefile | grep -v '^#' | grep -E "[-]run[[:space:]]+'" | \
+	while read -r line; do \
+		pat=$$(printf '%s\n' "$$line" | sed -E "s/.*[-]run[[:space:]]+'([^']*)'.*/\1/"); \
+		case "$$pat" in '^'*) continue ;; esac; \
+		pkgs=$$(printf '%s\n' "$$line" | tr ' \t' '\n\n' | grep '^\./'); \
+		names=$$($(GO) test -list '.*' $$pkgs) || { echo "$$names"; exit 1; }; \
+		for alt in $$(printf '%s' "$$pat" | tr '|' ' '); do \
+			printf '%s\n' "$$names" | grep -E '^(Test|Fuzz|Example)' | grep -q -E -e "$$alt" || \
+				{ echo "check-run-lists: -run alternative '$$alt' matches no test in" $$pkgs; exit 1; }; \
+		done; \
+	done
 
 # Full suite under the race detector (the reliability layer's
 # retransmission path is the main customer).
@@ -33,8 +51,9 @@ race-hot:
 # router, the framing they share, the conformance battery), the wait
 # ladder they wake (internal/core holds the no-lost-wake-up stress over
 # shm and the composite's tcp leg, beside the park timer it has to
-# raise) and the datatype engine, selected by package: a new or renamed
-# test cannot fall out of it the way it could fall out of a -run list.
+# raise) and the datatype pack jobs (async things on a core stream),
+# selected by package: a new or renamed test cannot fall out of it the
+# way it could fall out of a -run list.
 # The battery's SelfSend subtest is the loopback a rank's send to itself
 # takes on tcp and shm; TestRemoteSelfSend (race-tcp, by its prefix) is
 # the same through MPI.
@@ -69,7 +88,7 @@ race-shm: race-transport
 # kill-a-rank failure-delivery case.
 race-cont:
 	$(GO) test -race -count=1 -timeout 5m \
-		-run 'TestDefer|TestFreeStream|TestContinue|TestOnComplete|TestDone|TestMatrixContinu' \
+		-run 'TestDefer|TestFreeStream|TestContinue|TestMatrixContinu' \
 		./internal/core/ ./internal/mpi/ ./mpix/
 
 # Race-detector pass over the relaxed (solo/partial) allreduce and the
@@ -162,10 +181,11 @@ figures:
 mpixrun-smoke:
 	$(GO) run ./cmd/mpixrun -n 4 ./cmd/pingpong -iters 20
 
-# The PR gate: vet, build, the fast suite, the race pass over the
-# instrumented hot-path packages (includes the trylock/pool fast path
-# in core, mpi and nic), the transport race pass with its tcp and
+# The PR gate: vet, build, the fast suite, the check that every -run
+# list above still names tests, the race pass over the instrumented
+# hot-path packages (includes the trylock/pool fast path in core, mpi
+# and nic), the transport race pass with its tcp and
 # shm/composite world passes, the continuation race pass, the
 # relaxed-allreduce race pass, the process-failure chaos matrix, the
 # fuzz smoke, the benchmark smoke, and the multiprocess launcher smoke.
-ci: vet build test race-hot race-tcp race-shm race-cont race-eager chaos-tcp fuzz-smoke bench-smoke mpixrun-smoke
+ci: vet build test check-run-lists race-hot race-tcp race-shm race-cont race-eager chaos-tcp fuzz-smoke bench-smoke mpixrun-smoke

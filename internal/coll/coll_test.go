@@ -3,6 +3,9 @@ package coll
 import (
 	"sync"
 	"testing"
+
+	"gompix/internal/core"
+	"gompix/internal/timing"
 )
 
 // memTransport is an in-memory loopback transport connecting n fake
@@ -164,37 +167,45 @@ func TestScheduleWaitsForRecv(t *testing.T) {
 	}
 }
 
-func TestQueueLifecycle(t *testing.T) {
+// TestScheduleStartLifecycle: over a bare core stream, a schedule that
+// completes in its call-time poll never becomes an async thing, and a
+// blocked one is exactly one pending thing until its receive lands.
+// The blocked one issues through Issue, so the op MPIX Schedule is
+// built on is polled through a real pass too.
+func TestScheduleStartLifecycle(t *testing.T) {
 	trs := newMemNet(2)
-	q := NewQueue()
-	if q.Poll() || q.Pending() != 0 {
-		t.Fatal("empty queue should be idle")
-	}
-	// An immediately-completable schedule never enters the queue.
+	st := core.NewEngine(timing.NewManualClock()).NewStream()
+
 	s := NewSchedule(trs[0])
-	s.AddStage(Local(func() {}))
-	q.Submit(s)
-	if q.Pending() != 0 || !s.IsComplete() {
-		t.Fatal("trivial schedule should complete at submit")
+	s.AddStage(Local(func() {}), Issue(func() Completable { return nil }))
+	s.Start(st)
+	if !s.IsComplete() || st.PendingAsync() != 0 {
+		t.Fatalf("trivial schedule: complete=%v pending=%d, want done at Start and no thing", s.IsComplete(), st.PendingAsync())
 	}
-	// One that blocks on a recv stays pending.
+
 	buf := make([]byte, 1)
+	issued := false
 	s2 := NewSchedule(trs[0])
-	s2.AddStage(Recv(buf, 1, 1))
-	q.Submit(s2)
-	if q.Pending() != 1 {
-		t.Fatal("blocked schedule should be pending")
+	s2.AddStage(Issue(func() Completable { issued = true; return trs[0].Irecv(buf, 1, 1) }))
+	s2.Start(st)
+	if !issued {
+		t.Fatal("first stage not issued at Start")
+	}
+	if st.PendingAsync() != 1 || st.Pending() != 1 {
+		t.Fatalf("blocked schedule: PendingAsync=%d Pending=%d, want 1/1", st.PendingAsync(), st.Pending())
+	}
+	if st.Progress() || s2.IsComplete() {
+		t.Fatal("schedule advanced without its receive")
 	}
 	trs[1].Isend([]byte{5}, 0, 1)
-	if !q.Poll() {
-		t.Fatal("queue should make progress")
+	if !st.Progress() {
+		t.Fatal("pass that lands the receive should report progress")
 	}
-	if q.Pending() != 0 || !s2.IsComplete() {
-		t.Fatal("schedule should drain")
+	if !s2.IsComplete() || buf[0] != 5 || st.PendingAsync() != 0 {
+		t.Fatalf("schedule did not drain: complete=%v buf=%v pending=%d", s2.IsComplete(), buf, st.PendingAsync())
 	}
-	started, finished := q.Stats()
-	if started != 2 || finished != 2 {
-		t.Fatalf("stats %d/%d", started, finished)
+	if got := st.Stats(); got.AsyncDone != 1 || got.MadeByClass[core.ClassAsync] != 1 {
+		t.Fatalf("stats = %+v, want one thing retired by one async-class pass", got)
 	}
 }
 

@@ -1,13 +1,17 @@
 // Package coll implements nonblocking collective operations as
 // progress-driven schedules, the way MPICH structures them: a
 // collective is a fixed graph of point-to-point operations and local
-// computation steps, advanced by the collective-schedule hook inside
-// collated MPI progress (the Collective_sched_progress entry of the
-// paper's Listing 1.1).
+// computation steps. The progress engine has no collective-schedule
+// hook (the Collective_sched_progress entry of the paper's Listing
+// 1.1): an in-flight Schedule is an async thing of its stream (Start),
+// advanced by MPIX_Async_start and side-effect-free completion queries
+// alone — the paper's Listing 1.8 claim, held by the library itself.
 //
 // The package is transport-agnostic: algorithms build a Schedule
 // against a small Transport interface, which the MPI layer implements
-// on its communicator's collective context.
+// on its communicator's collective context; Issue admits operations
+// issued some other way (MPIX Schedule, internal/sched, is a builder
+// over this type).
 //
 // Stages come in two flavors. A strict stage (AddStage) completes when
 // every operation in it has, and any operation error aborts the whole
@@ -20,7 +24,6 @@
 package coll
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"gompix/internal/core"
@@ -187,6 +190,25 @@ func (o *localOp) cancel()          {}
 // Local creates a local computation operation.
 func Local(fn func()) Op { return &localOp{fn: fn} }
 
+// issueOp runs its function when its stage starts and completes when
+// the Completable the function returned does (nil: at once).
+type issueOp struct {
+	issue  func() Completable
+	req    Completable
+	issued bool
+}
+
+func (o *issueOp) start(Transport)  { o.req, o.issued = o.issue(), true }
+func (o *issueOp) isComplete() bool { return o.issued && (o.req == nil || o.req.IsComplete()) }
+func (o *issueOp) err() error       { return opErr(o.req) }
+func (o *issueOp) cancel()          { cancelReq(o.req) }
+
+// Issue creates an operation issued by fn instead of the Transport: fn
+// runs when the stage starts, inside a progress poll. The request it
+// returns is held to the Send/Recv rules: a delivery error aborts a
+// strict stage, and a sweep cancels it if it is pending and can be.
+func Issue(fn func() Completable) Op { return &issueOp{issue: fn} }
+
 // gateOp holds its stage (and therefore every later stage) until ready
 // reports true. It never fails; the schedule simply does not advance.
 // The MPI layer uses it as the round-lag window of the relaxed
@@ -329,6 +351,30 @@ func (s *Schedule) Abort(err error) {
 	s.abort.CompareAndSwap(nil, &err)
 }
 
+// Start puts the schedule under stream's progress. It polls once at
+// call time, so the first stage is issued before Start returns (as
+// MPICH issues a collective's first operations at call time); a
+// schedule still running after that becomes an async thing of the
+// stream (MPIX_Async_start), polled in every pass until it completes.
+func (s *Schedule) Start(stream *core.Stream) {
+	if s.Poll(); !s.IsComplete() {
+		stream.AsyncStart(s.AsyncPoll, nil)
+	}
+}
+
+// AsyncPoll is Poll as a core.PollFunc. Start registers it; a caller
+// whose first stage must wait for the stream's next pass does so itself.
+func (s *Schedule) AsyncPoll(core.Thing) core.PollOutcome {
+	made := s.Poll()
+	switch {
+	case s.IsComplete():
+		return core.Done
+	case made:
+		return core.Progressed
+	}
+	return core.NoProgress
+}
+
 // Poll advances the schedule: it issues the current stage if needed,
 // checks its operations, and moves on as stages finish. It returns true
 // if any state changed. Poll is not safe for concurrent use; the owning
@@ -466,81 +512,4 @@ func (s *Schedule) sweepIssued() {
 			op.cancel()
 		}
 	}
-}
-
-// Queue is the per-VCI collective subsystem: the set of in-flight
-// schedules advanced by one progress hook. It implements core.Hook.
-type Queue struct {
-	mu     sync.Mutex
-	scheds []*Schedule
-	n      atomic.Int64
-
-	// work, when bound, mirrors n into the owning stream's collective
-	// work counter (core.RegisterHookCounted). Nil handles are no-ops.
-	work *core.Work
-
-	started  atomic.Uint64
-	finished atomic.Uint64
-}
-
-var _ core.Hook = (*Queue)(nil)
-
-// NewQueue returns an empty collective-schedule queue.
-func NewQueue() *Queue { return &Queue{} }
-
-// BindWork attaches the owning stream's collective work counter. Bind
-// before submitting schedules.
-func (q *Queue) BindWork(w *core.Work) { q.work = w }
-
-// Submit registers a schedule for progression and gives it an initial
-// poll so its first stage is issued immediately (matching MPICH, where
-// the collective's first operations are issued at call time).
-func (q *Queue) Submit(s *Schedule) {
-	q.started.Add(1)
-	if s.Poll(); s.IsComplete() {
-		q.finished.Add(1)
-		return
-	}
-	q.mu.Lock()
-	q.scheds = append(q.scheds, s)
-	q.mu.Unlock()
-	q.n.Add(1)
-	q.work.Add(1)
-}
-
-// Poll advances every in-flight schedule once. Implements core.Hook;
-// an empty poll costs one atomic load.
-func (q *Queue) Poll() bool {
-	if q.n.Load() == 0 {
-		return false
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	made := false
-	kept := q.scheds[:0]
-	for _, s := range q.scheds {
-		if s.Poll() {
-			made = true
-		}
-		if s.IsComplete() {
-			q.n.Add(-1)
-			q.work.Add(-1)
-			q.finished.Add(1)
-		} else {
-			kept = append(kept, s)
-		}
-	}
-	for i := len(kept); i < len(q.scheds); i++ {
-		q.scheds[i] = nil
-	}
-	q.scheds = kept
-	return made
-}
-
-// Pending returns the number of in-flight schedules.
-func (q *Queue) Pending() int { return int(q.n.Load()) }
-
-// Stats returns lifetime counters.
-func (q *Queue) Stats() (started, finished uint64) {
-	return q.started.Load(), q.finished.Load()
 }

@@ -133,14 +133,22 @@ func (s *Stream) AsyncStart(poll PollFunc, state any) {
 		em.asyncStarted.Inc()
 		em.pendingAsync.Add(1)
 	}
+	s.stage(t)
+}
+
+// stage hands t to the stream's next pass. It never takes s.mu, so it
+// is safe from any goroutine and from inside another stream's pass.
+func (s *Stream) stage(t *task) {
 	s.stagedMu.Lock()
 	if s.dead {
 		s.stagedMu.Unlock()
-		panic("core: AsyncStart on a freed stream")
+		panic("core: async thing started on a freed stream")
 	}
 	s.staged = append(s.staged, t)
-	s.stagedMu.Unlock()
+	// Counted before the lock is released: FreeStream reads Pending
+	// under stagedMu and must not see 0 with the task already appended.
 	s.nStaged.Add(1)
+	s.stagedMu.Unlock()
 	s.arrived()
 }
 
@@ -221,11 +229,7 @@ func (s *Stream) pollAsyncLocked(em *engineMetrics, on bool) (made bool, polls i
 					// Cross-stream spawn: stage it on the target
 					// stream. Never takes another stream's main lock,
 					// so no lock-order deadlock is possible.
-					nt.stream.stagedMu.Lock()
-					nt.stream.staged = append(nt.stream.staged, nt)
-					nt.stream.stagedMu.Unlock()
-					nt.stream.nStaged.Add(1)
-					nt.stream.arrived()
+					nt.stream.stage(nt)
 				}
 			}
 		}

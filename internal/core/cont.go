@@ -28,15 +28,16 @@ func (s *Stream) Defer(fn func()) {
 	// async things: FreeStream's check-and-mark holds it, so a Defer
 	// either lands before the pending check (and makes FreeStream
 	// panic) or observes the dead mark — a callback can never be
-	// stranded on a half-freed stream.
+	// stranded on a half-freed stream. nCont is bumped inside the
+	// critical section so that check never reads 0 past an append.
 	s.stagedMu.Lock()
 	if s.dead {
 		s.stagedMu.Unlock()
 		panic("core: Defer on a freed stream")
 	}
 	s.contQ = append(s.contQ, fn)
-	s.stagedMu.Unlock()
 	s.nCont.Add(1)
+	s.stagedMu.Unlock()
 	s.arrived()
 }
 

@@ -12,9 +12,11 @@
 //   - MPIX Async: user progress hooks registered with Stream.AsyncStart
 //     and polled from inside progress (PollFunc, Thing, Spawn).
 //
-// The MPI runtime (internal/mpi) registers its subsystems — datatype
-// pack engine, collective schedules and the network module — as hooks
-// on each stream, as MPICH collates its internal subsystems.
+// The MPI runtime (internal/mpi) registers one hook per stream, the
+// network module. The other entries of Listing 1.1 that advance a set
+// of in-flight jobs — datatype pack jobs, collective schedules — are
+// async things: they join a pass through AsyncStart like any user task
+// and are polled in the ClassAsync slot.
 package core
 
 import (
@@ -27,25 +29,24 @@ import (
 	"gompix/internal/trace"
 )
 
-// Class identifies a progress subsystem in the collated poll order.
-// The order mirrors MPICH's MPIDI_progress_test (paper Listing 1.1),
-// with continuations and user async things polled between collectives
-// and the netmod. Intra-node shared memory is not a class of its own:
-// the composite transport polls its shm leg first inside the netmod's
-// poll, which is the listing's order.
+// Class identifies a progress subsystem in the collated poll order:
+// continuations, async things, netmod. The one ordering the paper gives
+// a reason for (Listing 1.1) is that the netmod comes last. The
+// listing's datatype and collective entries have no class of their own
+// — their jobs are async things — and neither has intra-node shared
+// memory: the composite transport polls its shm leg first inside the
+// netmod's poll, which is the listing's order.
 type Class int
 
 const (
-	// ClassDatatype progresses asynchronous datatype pack/unpack.
-	ClassDatatype Class = iota
-	// ClassCollective progresses collective operation schedules.
-	ClassCollective
 	// ClassCont drains the stream's continuation run-queue: completion
 	// callbacks deferred onto this stream (MPIX Continue). Drained
 	// before async things so a callback chained off a completion runs
 	// before the poll loops that may depend on its effects.
-	ClassCont
-	// ClassAsync polls user-registered async things (MPIX Async).
+	ClassCont Class = iota
+	// ClassAsync polls async things (MPIX Async): the user's, and the
+	// library's own resumable jobs — collective schedules, datatype
+	// pack jobs, link flushes, retransmission timers.
 	ClassAsync
 	// ClassNetmod progresses communication: whatever link the
 	// transport gave the stream. It is polled last and skipped whenever
@@ -57,7 +58,7 @@ const (
 	NumClasses
 )
 
-var classNames = [NumClasses]string{"datatype", "collective", "cont", "async", "netmod"}
+var classNames = [NumClasses]string{"cont", "async", "netmod"}
 
 // String returns the subsystem name.
 func (c Class) String() string {

@@ -125,18 +125,19 @@ func TestSkipMask(t *testing.T) {
 	if !m.Has(ClassNetmod) || !m.Has(ClassCont) {
 		t.Fatal("mask missing classes")
 	}
-	if m.Has(ClassAsync) || m.Has(ClassDatatype) || m.Has(ClassCollective) {
+	if m.Has(ClassAsync) {
 		t.Fatal("mask has extra classes")
 	}
 }
 
 func TestClassString(t *testing.T) {
 	want := map[Class]string{
-		ClassDatatype:   "datatype",
-		ClassCollective: "collective",
-		ClassAsync:      "async",
-		ClassCont:       "cont",
-		ClassNetmod:     "netmod",
+		ClassAsync:  "async",
+		ClassCont:   "cont",
+		ClassNetmod: "netmod",
+	}
+	if len(want) != int(NumClasses) {
+		t.Fatalf("NumClasses = %d, want %d (cont, async, netmod)", NumClasses, len(want))
 	}
 	for c, name := range want {
 		if c.String() != name {

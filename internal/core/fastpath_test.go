@@ -7,13 +7,30 @@ import (
 )
 
 // TestFreeStreamAsyncStartRace is the regression test for the
-// FreeStream check-then-remove race: a concurrent AsyncStart must
+// FreeStream check-then-remove race: a concurrent arrival — an
+// AsyncStart, a Defer or a spawn from another stream's pass — must
 // either land before the pending check (making FreeStream panic) or
 // observe the dead mark (and panic itself). The broken interleaving —
-// both calls succeeding, stranding a task on a freed stream — must
-// never happen.
+// both calls succeeding, stranding a task or a callback on a freed
+// stream — must never happen.
 func TestFreeStreamAsyncStartRace(t *testing.T) {
-	for i := 0; i < 200; i++ {
+	arrivals := []struct {
+		name   string
+		arrive func(*Stream)
+	}{
+		{"AsyncStart", func(s *Stream) { s.AsyncStart(func(Thing) PollOutcome { return Done }, nil) }},
+		{"Defer", func(s *Stream) { s.Defer(func() {}) }},
+		{"cross-stream Spawn", func(s *Stream) {
+			from := s.eng.NewStream()
+			from.AsyncStart(func(th Thing) PollOutcome {
+				th.Spawn(func(Thing) PollOutcome { return Done }, nil, s)
+				return Done
+			}, nil)
+			from.Progress()
+		}},
+	}
+	for i := 0; i < 600; i++ {
+		in := arrivals[i%len(arrivals)]
 		e := newTestEngine()
 		s := e.NewStream()
 		var startOK, freeOK atomic.Bool
@@ -22,7 +39,7 @@ func TestFreeStreamAsyncStartRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer func() { recover() }()
-			s.AsyncStart(func(Thing) PollOutcome { return Done }, nil)
+			in.arrive(s)
 			startOK.Store(true)
 		}()
 		go func() {
@@ -33,13 +50,13 @@ func TestFreeStreamAsyncStartRace(t *testing.T) {
 		}()
 		wg.Wait()
 		if startOK.Load() && freeOK.Load() {
-			t.Fatal("AsyncStart and FreeStream both succeeded: task stranded on a freed stream")
+			t.Fatalf("%s and FreeStream both succeeded: stranded on a freed stream", in.name)
 		}
 		if !startOK.Load() && !freeOK.Load() {
-			t.Fatal("both AsyncStart and FreeStream panicked")
+			t.Fatalf("both %s and FreeStream panicked", in.name)
 		}
 		if startOK.Load() {
-			// FreeStream lost: drain the task and the free must succeed.
+			// FreeStream lost: drain the arrival and the free must succeed.
 			s.ProgressUntil(func() bool { return s.Pending() == 0 })
 			e.FreeStream(s)
 		}
@@ -112,8 +129,8 @@ func TestUncountedHookAlwaysPolled(t *testing.T) {
 	s := e.NewStream()
 	counted := &fakeHook{}
 	plain := &fakeHook{}
-	s.RegisterHookCounted(ClassCollective, counted)
-	s.RegisterHook(ClassCollective, plain)
+	s.RegisterHookCounted(ClassNetmod, counted)
+	s.RegisterHook(ClassNetmod, plain)
 	for i := 0; i < 5; i++ {
 		s.Progress()
 	}
@@ -129,23 +146,23 @@ func TestSkipMaskComposesOverFullPass(t *testing.T) {
 	e := newTestEngine()
 	s := e.NewStream(WithSkip(Skip(ClassNetmod)))
 	net := &fakeHook{results: []bool{true, true}}
-	col := &fakeHook{results: []bool{true, true}}
+	mid := &fakeHook{results: []bool{true, true}}
 	s.RegisterHook(ClassNetmod, net)
-	s.RegisterHook(ClassCollective, col)
+	s.RegisterHook(ClassAsync, mid)
 	for i := 0; i < 3*fullPassEvery; i++ {
-		s.ProgressMasked(Skip(ClassCollective))
+		s.ProgressMasked(Skip(ClassAsync))
 	}
 	if net.polls != 0 {
 		t.Fatalf("stream-masked netmod polled %d times", net.polls)
 	}
-	if col.polls != 0 {
-		t.Fatalf("call-masked collective polled %d times", col.polls)
+	if mid.polls != 0 {
+		t.Fatalf("call-masked async class polled %d times", mid.polls)
 	}
 	if !s.Progress() {
-		t.Fatal("unmasked collective hook should report progress")
+		t.Fatal("unmasked async-class hook should report progress")
 	}
-	if col.polls != 1 || net.polls != 0 {
-		t.Fatalf("polls after unmasked pass = collective %d / net %d, want 1/0", col.polls, net.polls)
+	if mid.polls != 1 || net.polls != 0 {
+		t.Fatalf("polls after unmasked pass = async %d / net %d, want 1/0", mid.polls, net.polls)
 	}
 }
 

@@ -35,40 +35,38 @@ func TestRegisterHookInvalidClassPanics(t *testing.T) {
 }
 
 func TestCollatedOrderShortCircuit(t *testing.T) {
-	// The collated pass polls datatype, collective, cont, async, netmod
-	// in order and stops at the first class that made progress — the
-	// paper's Listing 1.1. A collective hook reporting progress must
-	// prevent the async-class and netmod hooks from being polled.
+	// The collated pass polls cont, async, netmod in order and stops at
+	// the first class that made progress — the paper's Listing 1.1. An
+	// async-class hook reporting progress must prevent the netmod hook
+	// from being polled.
 	e := newTestEngine()
 	s := e.NewStream()
-	dt := &fakeHook{}
-	col := &fakeHook{results: []bool{true}}
-	mid := &fakeHook{}
+	cont := &fakeHook{}
+	mid := &fakeHook{results: []bool{true}}
 	net := &fakeHook{}
-	s.RegisterHook(ClassDatatype, dt)
-	s.RegisterHook(ClassCollective, col)
+	s.RegisterHook(ClassCont, cont)
 	s.RegisterHook(ClassAsync, mid)
 	s.RegisterHook(ClassNetmod, net)
 
 	if !s.Progress() {
 		t.Fatal("should report progress")
 	}
-	if dt.polls != 1 || col.polls != 1 {
-		t.Fatalf("dt/col polls = %d/%d, want 1/1", dt.polls, col.polls)
+	if cont.polls != 1 || mid.polls != 1 {
+		t.Fatalf("cont/async polls = %d/%d, want 1/1", cont.polls, mid.polls)
 	}
-	if mid.polls != 0 || net.polls != 0 {
-		t.Fatalf("short-circuit failed: async=%d net=%d", mid.polls, net.polls)
+	if net.polls != 0 {
+		t.Fatalf("short-circuit failed: net=%d", net.polls)
 	}
 
 	// Second pass: nothing makes progress, so everything is polled.
 	if s.Progress() {
 		t.Fatal("no progress expected")
 	}
-	if mid.polls != 1 || net.polls != 1 {
+	if mid.polls != 2 || net.polls != 1 {
 		t.Fatalf("full pass expected: async=%d net=%d", mid.polls, net.polls)
 	}
 	st := s.Stats()
-	if st.MadeByClass[ClassCollective] != 1 {
+	if st.MadeByClass[ClassAsync] != 1 {
 		t.Fatalf("MadeByClass = %v", st.MadeByClass)
 	}
 }
@@ -95,17 +93,17 @@ func TestStreamSkipMask(t *testing.T) {
 		t.Fatal("stream skip mask ignored")
 	}
 	// A per-call mask adds further skips.
-	col := &fakeHook{results: []bool{true}}
-	s.RegisterHook(ClassCollective, col)
-	s.ProgressMasked(Skip(ClassCollective))
-	if col.polls != 0 {
+	mid := &fakeHook{results: []bool{true}}
+	s.RegisterHook(ClassAsync, mid)
+	s.ProgressMasked(Skip(ClassAsync))
+	if mid.polls != 0 {
 		t.Fatal("per-call mask ignored")
 	}
 	if !s.ProgressMasked(0) {
-		t.Fatal("collective hook should report progress when not skipped")
+		t.Fatal("async-class hook should report progress when not skipped")
 	}
-	if col.polls != 1 {
-		t.Fatalf("collective polls = %d", col.polls)
+	if mid.polls != 1 {
+		t.Fatalf("async-class polls = %d", mid.polls)
 	}
 }
 
@@ -132,8 +130,8 @@ func TestMultipleHooksSameClassAllPolled(t *testing.T) {
 	s := e.NewStream()
 	h1 := &fakeHook{results: []bool{true}}
 	h2 := &fakeHook{results: []bool{true}}
-	s.RegisterHook(ClassCollective, h1)
-	s.RegisterHook(ClassCollective, h2)
+	s.RegisterHook(ClassNetmod, h1)
+	s.RegisterHook(ClassNetmod, h2)
 	s.Progress()
 	// Hooks within a class are all polled even if the first progresses;
 	// the short-circuit is between classes.
@@ -145,7 +143,7 @@ func TestMultipleHooksSameClassAllPolled(t *testing.T) {
 func TestPendingIncludesHooks(t *testing.T) {
 	e := newTestEngine()
 	s := e.NewStream()
-	s.RegisterHook(ClassCollective, &fakeHook{pending: 3})
+	s.RegisterHook(ClassNetmod, &fakeHook{pending: 3})
 	s.AsyncStart(func(Thing) PollOutcome { return Done }, nil)
 	if got := s.Pending(); got != 4 {
 		t.Fatalf("Pending = %d, want 4", got)

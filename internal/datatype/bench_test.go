@@ -22,23 +22,17 @@ func BenchmarkPackVectorStrided(b *testing.B) {
 	}
 }
 
-func BenchmarkEnginePollIdle(b *testing.B) {
-	e := NewEngine(0)
-	for i := 0; i < b.N; i++ {
-		e.Poll()
-	}
-}
-
 func BenchmarkEngineAsyncPack(b *testing.B) {
-	e := NewEngine(0)
+	s := newStream()
 	dt := Vector(64, 8, 16, Byte)
 	src := make([]byte, BufferSpan(4, dt))
 	dst := make([]byte, PackedSize(4, dt))
 	b.SetBytes(int64(4 * dt.Size()))
 	for i := 0; i < b.N; i++ {
-		job := e.SubmitPack(dst, src, 4, dt)
+		job := NewPack(dst, src, 4, dt)
+		s.AsyncStart(job.Poll, nil)
 		for !job.IsComplete() {
-			e.Poll()
+			s.Progress()
 		}
 	}
 }

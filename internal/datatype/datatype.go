@@ -1,9 +1,9 @@
 // Package datatype implements an MPI-style datatype system: predefined
 // base types, derived layouts (contiguous, vector, indexed, struct),
 // pack/unpack between typed application buffers and contiguous wire
-// buffers, and an asynchronous pack engine that is progressed as a
-// subsystem hook — the "datatype engine" collated first in MPICH's
-// progress function (paper Listing 1.1).
+// buffers, and asynchronous pack/unpack jobs (Job) — the "datatype
+// engine" entry of MPICH's progress function (paper Listing 1.1), here
+// an async thing of whichever stream it is started on.
 package datatype
 
 import (

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"gompix/internal/core"
+	"gompix/internal/timing"
 )
 
 func fill(n int, seed int64) []byte {
@@ -213,51 +216,62 @@ func TestNegativeArgsPanic(t *testing.T) {
 	}
 }
 
+// newStream is a bare progress stream: jobs run under the engine every
+// other async thing runs under.
+func newStream() *core.Stream {
+	return core.NewEngine(timing.NewManualClock()).NewStream()
+}
+
+// TestEngineAsyncPack: a pack job started on a stream moves
+// DefaultChunk bytes per pass, so it finishes in ceil(bytes/chunk)
+// polls, each of which is progress, and gives the per-block
+// reference's bytes.
 func TestEngineAsyncPack(t *testing.T) {
-	e := NewEngine(16) // tiny chunk to force multiple polls
-	dt := Vector(8, 4, 6, Byte)
-	count := 2
+	s := newStream()
+	dt := Vector(8, 4, 6, Byte) // 32 data bytes per element, gapped
+	count := 2*DefaultChunk/dt.Size() + 1
 	src := fill(BufferSpan(count, dt), 3)
 	wire := make([]byte, PackedSize(count, dt))
-	job := e.SubmitPack(wire, src, count, dt)
+	job := NewPack(wire, src, count, dt)
+	s.AsyncStart(job.Poll, nil)
 	if job.IsComplete() {
 		t.Fatal("job complete before any poll")
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d", e.Pending())
+	if s.PendingAsync() != 1 {
+		t.Fatalf("pending = %d", s.PendingAsync())
 	}
-	polls := 0
-	for !job.IsComplete() {
-		if !e.Poll() {
-			t.Fatal("poll made no progress with pending job")
+	wantPolls := (len(wire) + DefaultChunk - 1) / DefaultChunk
+	for polls := 1; !job.IsComplete(); polls++ {
+		if !s.Progress() {
+			t.Fatal("pass made no progress with a pending job")
 		}
-		polls++
-		if polls > 100 {
-			t.Fatal("job never completed")
+		if done := polls == wantPolls; job.IsComplete() != done {
+			t.Fatalf("after %d polls complete=%v, want completion at exactly %d", polls, job.IsComplete(), wantPolls)
 		}
-	}
-	if polls < 2 {
-		t.Fatalf("expected multiple polls with chunk=16, got %d", polls)
 	}
 	want := make([]byte, len(wire))
-	Pack(want, src, count, dt)
+	packBlocks(want, src, count, dt)
 	if !bytes.Equal(wire, want) {
-		t.Fatal("async pack result differs from sync pack")
+		t.Fatal("async pack result differs from the per-block reference")
 	}
-	if e.Pending() != 0 || e.Poll() {
-		t.Fatal("engine should be idle")
+	if st := s.Stats(); int(st.AsyncPolls) != wantPolls || st.MadeByClass[core.ClassAsync] != uint64(wantPolls) {
+		t.Fatalf("stats = %+v, want %d polls all counted as async-class progress", st, wantPolls)
+	}
+	if s.PendingAsync() != 0 || s.Progress() {
+		t.Fatal("stream should be idle")
 	}
 }
 
 func TestEngineAsyncUnpack(t *testing.T) {
-	e := NewEngine(8)
+	s := newStream()
 	dt := Indexed([]int{2, 3}, []int{0, 4}, Byte)
 	count := 3
 	wire := fill(PackedSize(count, dt), 11)
 	typed := make([]byte, BufferSpan(count, dt))
-	job := e.SubmitUnpack(typed, wire, count, dt)
+	job := NewUnpack(typed, wire, count, dt)
+	s.AsyncStart(job.Poll, nil)
 	for !job.IsComplete() {
-		e.Poll()
+		s.Progress()
 	}
 	want := make([]byte, len(typed))
 	Unpack(want, wire, count, dt)
@@ -270,18 +284,21 @@ func TestEngineAsyncUnpack(t *testing.T) {
 }
 
 func TestEngineZeroCountImmediate(t *testing.T) {
-	e := NewEngine(0)
-	job := e.SubmitPack(nil, nil, 0, Int32)
+	job := NewPack(nil, nil, 0, Int32)
 	if !job.IsComplete() {
 		t.Fatal("zero-count job should complete immediately")
 	}
-	if e.Pending() != 0 {
+	// Starting it anyway is harmless: its first poll retires it.
+	s := newStream()
+	s.AsyncStart(job.Poll, nil)
+	s.Progress()
+	if s.PendingAsync() != 0 {
 		t.Fatal("no pending jobs expected")
 	}
 }
 
 func TestEngineMultipleJobs(t *testing.T) {
-	e := NewEngine(4)
+	s := newStream()
 	dt := Contiguous(10, Byte)
 	type pair struct {
 		job        *Job
@@ -291,18 +308,19 @@ func TestEngineMultipleJobs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		src := fill(10, int64(i))
 		wire := make([]byte, 10)
-		jobs = append(jobs, pair{e.SubmitPack(wire, src, 1, dt), wire, src})
+		job := NewPack(wire, src, 1, dt)
+		s.AsyncStart(job.Poll, nil)
+		jobs = append(jobs, pair{job, wire, src})
 	}
-	for e.Pending() > 0 {
-		e.Poll()
+	for s.PendingAsync() > 0 {
+		s.Progress()
 	}
 	for i, p := range jobs {
 		if !p.job.IsComplete() || !bytes.Equal(p.wire, p.want) {
 			t.Fatalf("job %d wrong", i)
 		}
 	}
-	polls, finished := e.Stats()
-	if finished != 5 || polls == 0 {
-		t.Fatalf("polls=%d finished=%d", polls, finished)
+	if st := s.Stats(); st.AsyncDone != 5 {
+		t.Fatalf("AsyncDone = %d, want 5", st.AsyncDone)
 	}
 }

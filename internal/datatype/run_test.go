@@ -44,21 +44,20 @@ func randomType(rng *rand.Rand) *Datatype {
 	}
 }
 
-// runEngine drives one job to completion, chunk bytes per poll.
-func runEngine(submit func(e *Engine) *Job, chunk int) {
-	e := NewEngine(chunk)
-	for j := submit(e); !j.IsComplete(); {
-		e.Poll()
+// stepAll drives one job to completion, chunk bytes per step: the sweep
+// over chunk sizes a stream's fixed DefaultChunk cannot make.
+func stepAll(j *Job, chunk int) {
+	for !j.step(chunk) {
 	}
 }
 
-// stepBlocksAll is the engine reference: the per-block stepper alone.
+// stepBlocksAll is the job reference: the per-block stepper alone.
 func stepBlocksAll(j *Job, chunk int) {
 	for !j.stepBlocks(chunk) {
 	}
 }
 
-// TestRunMatchesBlocks: Pack, Unpack and the async engine give the
+// TestRunMatchesBlocks: Pack, Unpack and the async job give the
 // per-block reference's bytes for every layout and count, count == 0
 // included.
 func TestRunMatchesBlocks(t *testing.T) {
@@ -78,11 +77,11 @@ func TestRunMatchesBlocks(t *testing.T) {
 			t.Fatalf("%s: Pack wrote %d bytes, reference %d; equal=%v", name, n, wantN, bytes.Equal(got, want))
 		}
 		async := make([]byte, packed)
-		runEngine(func(e *Engine) *Job { return e.SubmitPack(async, typed, count, dt) }, chunk)
+		stepAll(NewPack(async, typed, count, dt), chunk)
 		ref := make([]byte, packed)
-		stepBlocksAll(&Job{kind: PackJob, typed: typed, wire: ref, count: count, dt: dt}, chunk)
+		stepBlocksAll(NewPack(ref, typed, count, dt), chunk)
 		if !bytes.Equal(async, want) || !bytes.Equal(ref, want) {
-			t.Fatalf("%s: engine pack differs from reference", name)
+			t.Fatalf("%s: job pack differs from reference", name)
 		}
 
 		// Unpack into a patterned buffer: bytes in the gaps must survive.
@@ -94,10 +93,10 @@ func TestRunMatchesBlocks(t *testing.T) {
 			t.Fatalf("%s: Unpack consumed %d bytes, reference %d; equal=%v", name, n, wantN, bytes.Equal(gotT, wantT))
 		}
 		asyncT := fill(span, int64(iter)+9)
-		var job *Job
-		runEngine(func(e *Engine) *Job { job = e.SubmitUnpack(asyncT, wire, count, dt); return job }, chunk)
+		job := NewUnpack(asyncT, wire, count, dt)
+		stepAll(job, chunk)
 		if !bytes.Equal(asyncT, wantT) || job.BytesMoved() != packed {
-			t.Fatalf("%s: engine unpack differs from reference (moved %d of %d)", name, job.BytesMoved(), packed)
+			t.Fatalf("%s: job unpack differs from reference (moved %d of %d)", name, job.BytesMoved(), packed)
 		}
 	}
 }
@@ -143,14 +142,8 @@ func TestShortDstPanics(t *testing.T) {
 		if !panics(func() { Unpack(typed, short, 2, dt) }) {
 			t.Fatalf("%v: Unpack accepted a short src", dt)
 		}
-		e := NewEngine(4)
-		e.SubmitPack(short, typed, 2, dt)
-		if !panics(func() {
-			for e.Pending() > 0 {
-				e.Poll()
-			}
-		}) {
-			t.Fatalf("%v: engine accepted a short wire buffer", dt)
+		if !panics(func() { stepAll(NewPack(short, typed, 2, dt), 4) }) {
+			t.Fatalf("%v: job accepted a short wire buffer", dt)
 		}
 	}
 }

@@ -76,8 +76,8 @@ func (c *Comm) hierNodes() ([]int, bool) {
 	return c.topoNodes, c.topoNodes != nil
 }
 
-// submitSched wraps a schedule in a user-visible request and hands it
-// to the VCI's collective queue.
+// submitSched wraps a schedule in a user-visible request and starts it
+// on the communicator's stream, where it runs as an async thing.
 func (c *Comm) submitSched(s *coll.Schedule, onDone func()) *Request {
 	if c.fstate.revoked.Load() {
 		return c.failedReq(kindSched, ErrCommRevoked)
@@ -115,7 +115,7 @@ func (c *Comm) submitSched(s *coll.Schedule, onDone func()) *Request {
 	if failed := c.FailedRanks(); len(failed) > 0 {
 		s.Abort(fmt.Errorf("%w: comm rank(s) %v", ErrProcFailed, failed))
 	}
-	c.local.collQ.Submit(s)
+	s.Start(c.local.stream)
 	return req
 }
 

@@ -18,9 +18,8 @@ type Comm struct {
 	rank  int   // this process's rank within the communicator
 	ranks []int // communicator rank -> world rank
 	ctx   uint32
-	vcis  []*VCI              // communicator rank -> that rank's VCI (in-process; remote: only [rank])
 	eps   []fabric.EndpointID // communicator rank -> that rank's endpoint address
-	local *VCI                // == vcis[rank]
+	local *VCI                // this rank's VCI; eps[rank] is its endpoint
 
 	seqMu sync.Mutex
 	seq   int // per-parent communicator-creation counter
@@ -87,7 +86,6 @@ func (c *Comm) StreamComm(s *core.Stream) *Comm {
 		rank:  c.rank,
 		ranks: c.ranks,
 		ctx:   g.ctx,
-		vcis:  g.vcis,
 		eps:   epsOf(g.vcis),
 		local: v,
 	})

@@ -97,7 +97,7 @@ func (p *Proc) ContinueInit(flags ...ContFlag) *ContinueRequest {
 // waiting on the aggregate drives that stream. A nil stream selects the
 // NULL stream.
 func (p *Proc) ContinueInitOn(s *core.Stream, flags ...ContFlag) *ContinueRequest {
-	v := p.vcis[0]
+	v := p.nullVCI
 	if s == nil {
 		s = v.stream
 	} else if s != v.stream {

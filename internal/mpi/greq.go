@@ -22,7 +22,7 @@ func (p *Proc) GrequestStart(
 ) *Request {
 	return &Request{
 		kind:     kindGrequest,
-		vci:      p.vcis[0],
+		vci:      p.nullVCI,
 		proc:     p,
 		queryFn:  queryFn,
 		freeFn:   freeFn,

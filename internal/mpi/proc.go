@@ -6,9 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"gompix/internal/coll"
 	"gompix/internal/core"
-	"gompix/internal/datatype"
 	"gompix/internal/fabric"
 	"gompix/internal/metrics"
 	"gompix/internal/nic"
@@ -23,6 +21,11 @@ type Proc struct {
 
 	mu   sync.Mutex
 	vcis []*VCI
+
+	// nullVCI backs the NULL stream (vcis[0]). Set once in newProc, so
+	// it is readable without mu while StreamCreate/StreamFree rewrite
+	// the slice.
+	nullVCI *VCI
 
 	// commTab maps context ids to registered communicators so a revoke
 	// control frame can be attributed; pendingRevoke stashes revocations
@@ -49,46 +52,30 @@ func newProc(w *World, rank int) *Proc {
 	if w.cfg.Tracer != nil {
 		p.eng.UseTracer(w.cfg.Tracer, rank)
 	}
-	// VCI 0 backs the NULL stream.
-	p.newVCILocked(p.eng.Default())
+	p.nullVCI = p.newVCILocked(p.eng.Default())
 	return p
 }
 
 // initWorldComm builds the world communicator once all ranks exist.
 func (p *Proc) initWorldComm() {
 	n := p.world.Size()
-	if p.world.remote {
-		// Peers live in other processes: address them by transport
-		// endpoint; the VCI table holds only this rank's VCI.
-		eps := make([]fabric.EndpointID, n)
-		for r := 0; r < n; r++ {
+	eps := make([]fabric.EndpointID, n)
+	for r := range eps {
+		if p.world.remote {
+			// Peers live in other processes: address them by transport
+			// endpoint.
 			eps[r] = p.world.transport.EndpointOf(r, 0)
+		} else {
+			eps[r] = p.world.procs[r].nullVCI.ep.ID()
 		}
-		vcis := make([]*VCI, n)
-		vcis[p.rank] = p.vcis[0]
-		p.commWorld = p.registerComm(&Comm{
-			proc:  p,
-			rank:  p.rank,
-			ranks: identityRanks(n),
-			ctx:   0,
-			vcis:  vcis,
-			eps:   eps,
-			local: p.vcis[0],
-		})
-		return
-	}
-	vcis := make([]*VCI, n)
-	for r := range vcis {
-		vcis[r] = p.world.procs[r].vcis[0]
 	}
 	p.commWorld = p.registerComm(&Comm{
 		proc:  p,
 		rank:  p.rank,
 		ranks: identityRanks(n),
 		ctx:   0,
-		vcis:  vcis,
-		eps:   epsOf(vcis),
-		local: p.vcis[0],
+		eps:   eps,
+		local: p.nullVCI,
 	})
 }
 
@@ -222,15 +209,10 @@ func (p *Proc) vciFor(s *core.Stream) *VCI {
 	panic(fmt.Sprintf("mpi: stream %q has no VCI on rank %d", s.Name(), p.rank))
 }
 
-// newVCILocked creates a VCI bound to stream and registers its
-// subsystem hooks. Caller holds p.mu (or is the constructor).
+// newVCILocked creates a VCI bound to stream and registers its netmod
+// hook. Caller holds p.mu (or is the constructor).
 func (p *Proc) newVCILocked(s *core.Stream) *VCI {
-	v := &VCI{
-		proc:   p,
-		stream: s,
-		dtEng:  datatype.NewEngine(0),
-		collQ:  coll.NewQueue(),
-	}
+	v := &VCI{proc: p, stream: s}
 	link, err := p.world.transport.AddLink(p.rank, len(p.vcis))
 	if err != nil {
 		panic(fmt.Sprintf("mpi: rank %d vci %d: transport link: %v", p.rank, len(p.vcis), err))
@@ -264,12 +246,11 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 			v.rel.UseMetrics(reg, scope+".rel")
 		}
 	}
-	// Collated subsystem order per paper Listing 1.1. Counted
-	// registration: each class's work counter is positive exactly when
-	// polling it might make progress, so an idle class costs the stream
-	// one atomic load per pass instead of a subsystem poll.
-	v.dtEng.BindWork(s.RegisterHookCounted(core.ClassDatatype, v.dtEng))
-	v.collQ.BindWork(s.RegisterHookCounted(core.ClassCollective, v.collQ))
+	// The netmod is the one subsystem hook; collective schedules, like
+	// the link flush and the retransmission timer, are async things of
+	// the stream. Counted registration: the work counter is positive
+	// exactly when polling might make progress, so an idle netmod costs
+	// the stream one atomic load per pass instead of a poll.
 	v.netWork = s.RegisterHookCounted(core.ClassNetmod, (*netHook)(v))
 	v.ep.BindWork(v.netWork)
 	if v.rel != nil {

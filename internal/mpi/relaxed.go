@@ -248,6 +248,6 @@ func (c *Comm) submitRelaxed(s *coll.Schedule, round uint64, onDone func()) *Req
 		req.complete(Status{})
 	})
 	c.fstate.addRelaxedSched(s)
-	c.local.collQ.Submit(s)
+	s.Start(c.local.stream)
 	return req
 }

@@ -52,14 +52,11 @@ func (c *Comm) streamCommRemote(v *VCI) *Comm {
 	}
 	w.ctxMu.Unlock()
 
-	vcis := make([]*VCI, c.Size())
-	vcis[c.rank] = v
 	return c.proc.registerComm(&Comm{
 		proc:  c.proc,
 		rank:  c.rank,
 		ranks: c.ranks,
 		ctx:   ctx,
-		vcis:  vcis,
 		eps:   eps,
 		local: v,
 	})
@@ -113,17 +110,14 @@ func (c *Comm) splitRemote(pairs []byte, color int, group []splitMember) *Comm {
 	ctx := base + 2*uint32(sort.SearchInts(colors, color))
 	ranks, members, newRank := splitGroup(c, group, color)
 	eps := make([]fabric.EndpointID, len(members))
-	vcis := make([]*VCI, len(members))
 	for i, m := range members {
 		eps[i] = c.eps[m]
 	}
-	vcis[newRank] = c.local
 	return c.proc.registerComm(&Comm{
 		proc:  c.proc,
 		rank:  newRank,
 		ranks: ranks,
 		ctx:   ctx,
-		vcis:  vcis,
 		eps:   eps,
 		local: c.local,
 	})

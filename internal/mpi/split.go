@@ -55,7 +55,6 @@ func (c *Comm) Split(color, key int) *Comm {
 		rank:  newRank,
 		ranks: ranks,
 		ctx:   g.ctx,
-		vcis:  g.vcis,
 		eps:   epsOf(g.vcis),
 		local: c.local,
 	})

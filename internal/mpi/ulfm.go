@@ -152,8 +152,8 @@ func (f *commFailState) abortRelaxedScheds(err error) {
 	}
 }
 
-// abortScheds flags every tracked schedule; the collective queue's
-// next poll completes them with err.
+// abortScheds flags every tracked schedule; each one's next poll, in
+// its stream's next pass, completes it with err.
 func (f *commFailState) abortScheds(err error) {
 	f.mu.Lock()
 	scheds := make([]*coll.Schedule, 0, len(f.scheds))
@@ -674,23 +674,19 @@ func (c *Comm) Shrink() (*Comm, error) {
 
 	ranks := make([]int, len(members))
 	eps := make([]fabric.EndpointID, len(members))
-	vcis := make([]*VCI, len(members))
 	newRank := -1
 	for i, m := range members {
 		ranks[i] = c.ranks[m]
 		eps[i] = c.eps[m]
-		vcis[i] = c.vcis[m] // nil for remote peers (sparse table)
 		if m == c.rank {
 			newRank = i
 		}
 	}
-	vcis[newRank] = c.local
 	child := &Comm{
 		proc:  c.proc,
 		rank:  newRank,
 		ranks: ranks,
 		ctx:   ctx,
-		vcis:  vcis,
 		eps:   eps,
 		local: c.local,
 	}

@@ -216,12 +216,20 @@ func TestRemoteRevokeMidCollective(t *testing.T) {
 			worlds[r].Run(func(p *Proc) {
 				comm := p.CommWorld()
 				barrier := comm.Ibarrier()
+				// The barrier is an async thing of the stream (beside
+				// whatever the tcp link has armed for its own flush).
+				inFlight := comm.Stream().PendingAsync()
 				posted.Done()
 				<-killed
 
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 				defer cancel()
 				_, err := barrier.WaitCtx(ctx)
+				// Verdict or flood, the abort leaves nothing posted.
+				if n, _ := comm.local.match.queueLens(); inFlight < 1 || n != 0 {
+					fail[r] = fmt.Errorf("barrier: %d async things while in flight (want >= 1), %d receives posted after abort %v (want 0)", inFlight, n, err)
+					return
+				}
 				switch {
 				case r == 2 && !errors.Is(err, ErrProcFailed):
 					fail[r] = fmt.Errorf("detector barrier: err = %v, want ErrProcFailed", err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gompix/internal/core"
 	"gompix/internal/datatype"
 	"gompix/internal/metrics"
 	"gompix/internal/reduceop"
@@ -94,12 +95,38 @@ func TestRevokeMidCollective(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 			dup.Revoke()
 		} else {
-			st := dup.Ibarrier().Wait()
-			if !errors.Is(st.Err, ErrCommRevoked) {
-				t.Errorf("rank %d: mid-collective err = %v, want ErrCommRevoked", p.Rank(), st.Err)
+			// A collective in flight is one async thing of the
+			// communicator's stream and nothing else: on a sim world
+			// nothing but the two schedules is pending.
+			s := dup.Stream()
+			madeAsync := s.Stats().MadeByClass[core.ClassAsync]
+			barrier := dup.Ibarrier()
+			if got := s.PendingAsync(); got != 1 {
+				t.Errorf("rank %d: PendingAsync = %d with a barrier in flight, want 1", p.Rank(), got)
 			}
-			if errors.Is(st.Err, ErrProcFailed) {
-				t.Errorf("rank %d: revocation misreported as process failure", p.Rank())
+			in := reduceop.EncodeInt32s([]int32{1})
+			allreduce := dup.Iallreduce(in, make([]byte, len(in)), 1, datatype.Int32, reduceop.Sum)
+			if got := s.PendingAsync(); got != 2 {
+				t.Errorf("rank %d: PendingAsync = %d with an allreduce beside it, want 2", p.Rank(), got)
+			}
+			for _, req := range []*Request{barrier, allreduce} {
+				st := req.Wait()
+				if !errors.Is(st.Err, ErrCommRevoked) {
+					t.Errorf("rank %d: mid-collective err = %v, want ErrCommRevoked", p.Rank(), st.Err)
+				}
+				if errors.Is(st.Err, ErrProcFailed) {
+					t.Errorf("rank %d: revocation misreported as process failure", p.Rank())
+				}
+			}
+			// The revocation retired both things and left nothing posted.
+			if got := s.PendingAsync(); got != 0 {
+				t.Errorf("rank %d: PendingAsync = %d after the revocation, want 0", p.Rank(), got)
+			}
+			if posted, _ := dup.local.match.queueLens(); posted != 0 {
+				t.Errorf("rank %d: %d receives still posted after the revocation", p.Rank(), posted)
+			}
+			if got := s.Stats().MadeByClass[core.ClassAsync]; got <= madeAsync {
+				t.Errorf("rank %d: MadeByClass[async] = %d, did not grow from %d", p.Rank(), got, madeAsync)
 			}
 		}
 		// Recovery still works on the revoked communicator: agree, then

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gompix/internal/coll"
 	"gompix/internal/core"
 	"gompix/internal/datatype"
 	"gompix/internal/fabric"
@@ -158,8 +157,6 @@ type VCI struct {
 	rel    *nic.Reliable // non-nil when Config.Reliable
 	rxp    nic.RxPoller  // non-nil when ep drives a readiness reactor
 	match  matcher
-	dtEng  *datatype.Engine
-	collQ  *coll.Queue
 
 	// netWork is the stream's netmod work counter
 	// (core.RegisterHookCounted): positive whenever polling the class

@@ -3,14 +3,17 @@
 // committed into a single waitable request.
 //
 // The paper's argument is that such proposals need not live inside an
-// MPI implementation once interoperable progress exists — and this
-// package is the demonstration: it is built entirely on the public
-// extension surface (MPIX Async things, generalized requests, and
-// side-effect-free completion queries), with no access to MPI
+// MPI implementation once interoperable progress exists. Here the claim
+// holds in its strong form: the library's own collective schedule
+// engine (coll.Schedule) uses nothing but MPIX Async things and
+// side-effect-free completion queries, so MPIX Schedule is a builder
+// over that engine — rounds are its stages, operations its Issue ops —
+// plus a generalized request for the handle, with no access to MPI
 // internals.
 package sched
 
 import (
+	"gompix/internal/coll"
 	"gompix/internal/core"
 	"gompix/internal/mpi"
 )
@@ -70,56 +73,34 @@ func (s *Schedule) CreateRound() {
 	s.cur = nil
 }
 
-// runState tracks an executing schedule inside the async poll.
-type runState struct {
-	rounds  [][]Op
-	round   int
-	pending []*mpi.Request
-	issued  bool
-	greq    *mpi.Request
-}
-
 // Commit finalizes the schedule and registers its execution with MPI
 // progress (MPIX_Schedule_commit). The returned request completes when
 // the last round does; wait on it with Wait/Test or query it with
-// IsComplete.
+// IsComplete. Nothing is issued here: the first round starts in the
+// stream's next progress pass. An operation that completes with an
+// error ends the schedule — later rounds are never issued, the failed
+// round's pending receives are withdrawn — and the request carries it.
 func (s *Schedule) Commit() *mpi.Request {
 	if s.committed {
 		panic("sched: double Commit")
 	}
 	s.CreateRound()
 	s.committed = true
-	st := &runState{rounds: s.rounds}
-	st.greq = s.proc.GrequestStart(nil, nil, nil, nil)
-	s.proc.AsyncStart(func(core.Thing) core.PollOutcome {
-		return st.poll()
-	}, nil, s.stream)
-	return st.greq
-}
-
-// poll advances the schedule: it issues the current round once and
-// moves on when every request in it reports complete. Completion
-// queries use IsComplete only — no progress is invoked from inside the
-// hook, per the MPIX Async contract.
-func (st *runState) poll() core.PollOutcome {
-	for st.round < len(st.rounds) {
-		if !st.issued {
-			for _, op := range st.rounds[st.round] {
+	cs := coll.NewSchedule(nil) // no Transport: every operation is an Issue
+	for _, round := range s.rounds {
+		ops := make([]coll.Op, len(round))
+		for i, op := range round {
+			ops[i] = coll.Issue(func() coll.Completable {
 				if req := op(); req != nil {
-					st.pending = append(st.pending, req)
+					return req
 				}
-			}
-			st.issued = true
+				return nil // not a nil *mpi.Request in an interface
+			})
 		}
-		for _, req := range st.pending {
-			if !req.IsComplete() {
-				return core.NoProgress
-			}
-		}
-		st.pending = st.pending[:0]
-		st.issued = false
-		st.round++
+		cs.AddStage(ops...)
 	}
-	st.greq.GrequestComplete()
-	return core.Done
+	greq := s.proc.GrequestStart(func(any, *mpi.Status) error { return cs.Err() }, nil, nil, nil)
+	cs.OnComplete(greq.GrequestComplete)
+	s.proc.AsyncStart(cs.AsyncPoll, nil, s.stream)
+	return greq
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -130,5 +131,73 @@ func TestScheduleOnDedicatedStream(t *testing.T) {
 			t.Error("schedule never ran")
 		}
 		p.StreamFree(st)
+	})
+}
+
+// TestScheduleErrorStopsRounds: an operation that completes with an
+// error ends the schedule — the next round is never issued, the failed
+// round's still-pending receive is withdrawn, and the committed request
+// carries the error.
+func TestScheduleErrorStopsRounds(t *testing.T) {
+	runWorld(t, 1, func(p *mpi.Proc) {
+		comm := p.CommWorld()
+		var failing, stuck *mpi.Request
+		round2 := false
+		s := New(p, nil)
+		s.AddOperation(func() *mpi.Request {
+			failing = p.GrequestStart(func(any, *mpi.Status) error { return mpi.ErrProcFailed }, nil, nil, nil)
+			return failing
+		})
+		s.AddOperation(func() *mpi.Request {
+			stuck = comm.IrecvBytes(make([]byte, 1), 0, 99) // nobody sends it
+			return stuck
+		})
+		s.CreateRound()
+		s.AddOperation(Local(func() { round2 = true }))
+		req := s.Commit()
+		for failing == nil {
+			p.Progress()
+		}
+		if req.IsComplete() {
+			t.Fatal("schedule complete with round 1 pending")
+		}
+		failing.GrequestComplete()
+		if st := req.Wait(); !errors.Is(st.Err, mpi.ErrProcFailed) {
+			t.Errorf("request status err = %v, want ErrProcFailed", st.Err)
+		}
+		if round2 {
+			t.Error("round 2 issued after round 1 failed")
+		}
+		if !stuck.Cancelled() {
+			t.Error("failed round left its receive posted")
+		}
+	})
+}
+
+// TestCommitBesideStreamCreate: Commit reaches for the NULL stream's
+// VCI (its request is a generalized request) while another goroutine
+// creates and frees streams. Under -race this is the regression for the
+// unlocked read of the VCI table.
+func TestCommitBesideStreamCreate(t *testing.T) {
+	runWorld(t, 1, func(p *mpi.Proc) {
+		stop, stopped := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(stopped)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					p.StreamFree(p.StreamCreate())
+				}
+			}
+		}()
+		for i := 0; i < 200; i++ {
+			s := New(p, nil)
+			s.AddOperation(Local(func() {}))
+			s.Commit().Wait()
+		}
+		close(stop)
+		<-stopped
 	})
 }

@@ -50,7 +50,10 @@ func WhenAll(fs ...*Future) *Future { return future.WhenAll(fs...) }
 func WhenAny(fs ...*Future) *Future { return future.WhenAny(fs...) }
 
 // Schedule is a user-constructed schedule of rounds of MPI operations
-// (the MPIX Schedule proposal, built here on MPIX Async).
+// (the MPIX Schedule proposal): a builder over the schedule engine the
+// library's own collectives run on, which is an MPIX Async thing. An
+// operation that completes with an error ends the schedule; later
+// rounds are not issued and the committed request carries the error.
 type Schedule = sched.Schedule
 
 // NewSchedule creates an empty schedule progressed by the given stream.
