@@ -72,11 +72,15 @@ race-tcp: race-transport
 	$(GO) test -race -count=1 -run 'TestMatrix' ./mpix/
 
 # The transport pass plus the multiprocess composite worlds (shm
-# intra-node leg under real MPI traffic). The steady-state allocation
-# gates run in a separate non-race pass — race instrumentation
-# allocates and would mask the 0 allocs/op and bytes-per-message bars.
+# intra-node leg under real MPI traffic) and the facade's placed-receive
+# cases (a 1 MiB posted receive whose sender dies, or whose communicator
+# is revoked, mid-message, on tcp and on the composite's shm leg). The
+# steady-state allocation gates run in a separate non-race pass — race
+# instrumentation allocates and would mask the 0 allocs/op and
+# bytes-per-message bars.
 race-shm: race-transport
 	$(GO) test -race -count=1 -timeout 5m -run 'TestRemoteComposite' ./internal/mpi/
+	$(GO) test -race -count=1 -timeout 5m -run 'TestMatrixPlacedRecv' ./mpix/
 	$(GO) test -count=1 -run 'TestShmSteadyStateAllocs' ./internal/transport/shm/
 	$(GO) test -count=1 -run 'TestRemoteCompositeLargeMessageAllocs' ./internal/mpi/
 
@@ -116,17 +120,18 @@ chaos-sim:
 # two ranks mid-flight (survivors must observe ErrProcFailed, then
 # Revoke/Shrink/Agree and finish on the survivor communicator — never
 # hang), revocation mid-collective, transient connection resets healed
-# by the redial budget, hostile frames, graceful-departure teardown,
-# and the launcher's kill/continue supervision matrix. The transport's
-# own half (verdicts, departures, hostile frames, dial failure) is the
-# whole tcp package, selected by package: a renamed test cannot fall out
-# of it the way it could fall out of a -run list.
+# by the redial budget, hostile frames, graceful-departure teardown, a
+# posted receive whose sender dies or whose communicator is revoked
+# mid-message, and the launcher's kill/continue supervision matrix. The
+# transport's own half (verdicts, departures, hostile frames, dial
+# failure) is the whole tcp package, selected by package: a renamed test
+# cannot fall out of it the way it could fall out of a -run list.
 chaos-tcp:
 	$(GO) test -race -count=1 -timeout 5m -run \
 		'TestRemoteKillRank|TestRemoteKillTwoRanks|TestRemoteRevokeMidCollective|TestRemoteTransientReset|TestRemoteCompositeKillRank|TestRelaxedKill' \
 		./internal/mpi/
 	$(GO) test -race -count=1 -timeout 5m ./internal/transport/tcp/
-	$(GO) test -race -count=1 -timeout 5m -run 'TestMatrixRelaxedAllreduce' ./mpix/
+	$(GO) test -race -count=1 -timeout 5m -run 'TestMatrixRelaxedAllreduce|TestMatrixPlacedRecv' ./mpix/
 	$(GO) test -count=1 -timeout 5m ./cmd/mpixrun/
 
 # Every committed fuzz target, for a fixed short time each: the frame

@@ -122,23 +122,6 @@ func TestCountedHookIdleSkip(t *testing.T) {
 	}
 }
 
-// TestUncountedHookAlwaysPolled checks that registering any uncounted
-// hook on a class keeps the whole class on the always-polled path.
-func TestUncountedHookAlwaysPolled(t *testing.T) {
-	e := newTestEngine()
-	s := e.NewStream()
-	counted := &fakeHook{}
-	plain := &fakeHook{}
-	s.RegisterHookCounted(ClassNetmod, counted)
-	s.RegisterHook(ClassNetmod, plain)
-	for i := 0; i < 5; i++ {
-		s.Progress()
-	}
-	if plain.polls != 5 || counted.polls != 5 {
-		t.Fatalf("polls = %d/%d, want 5/5", plain.polls, counted.polls)
-	}
-}
-
 // TestSkipMaskComposesOverFullPass checks that the stream's permanent
 // mask and a per-call mask compose, and that skipped classes stay
 // unpolled even across the periodic uncounted full pass.
@@ -147,8 +130,8 @@ func TestSkipMaskComposesOverFullPass(t *testing.T) {
 	s := e.NewStream(WithSkip(Skip(ClassNetmod)))
 	net := &fakeHook{results: []bool{true, true}}
 	mid := &fakeHook{results: []bool{true, true}}
-	s.RegisterHook(ClassNetmod, net)
-	s.RegisterHook(ClassAsync, mid)
+	registerLive(s, ClassNetmod, net)
+	registerLive(s, ClassAsync, mid)
 	for i := 0; i < 3*fullPassEvery; i++ {
 		s.ProgressMasked(Skip(ClassAsync))
 	}

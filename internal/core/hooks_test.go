@@ -24,6 +24,13 @@ func (h *fakeHook) Poll() bool {
 
 func (h *fakeHook) Pending() int { return h.pending }
 
+// registerLive registers h on class c with one unit of work parked on
+// its counter for good, so that the class is polled on every pass — as
+// a byte transport's link keeps its netmod class (framing.Link.BindWork).
+func registerLive(s *Stream, c Class, h Hook) {
+	s.RegisterHookCounted(c, h).Add(1)
+}
+
 func TestRegisterHookInvalidClassPanics(t *testing.T) {
 	e := newTestEngine()
 	defer func() {
@@ -31,7 +38,7 @@ func TestRegisterHookInvalidClassPanics(t *testing.T) {
 			t.Fatal("invalid class should panic")
 		}
 	}()
-	e.Default().RegisterHook(NumClasses, &fakeHook{})
+	e.Default().RegisterHookCounted(NumClasses, &fakeHook{})
 }
 
 func TestCollatedOrderShortCircuit(t *testing.T) {
@@ -44,9 +51,9 @@ func TestCollatedOrderShortCircuit(t *testing.T) {
 	cont := &fakeHook{}
 	mid := &fakeHook{results: []bool{true}}
 	net := &fakeHook{}
-	s.RegisterHook(ClassCont, cont)
-	s.RegisterHook(ClassAsync, mid)
-	s.RegisterHook(ClassNetmod, net)
+	registerLive(s, ClassCont, cont)
+	registerLive(s, ClassAsync, mid)
+	registerLive(s, ClassNetmod, net)
 
 	if !s.Progress() {
 		t.Fatal("should report progress")
@@ -75,7 +82,7 @@ func TestAsyncProgressShortCircuitsShmemNetmod(t *testing.T) {
 	e := newTestEngine()
 	s := e.NewStream()
 	net := &fakeHook{}
-	s.RegisterHook(ClassNetmod, net)
+	registerLive(s, ClassNetmod, net)
 	s.AsyncStart(func(Thing) PollOutcome { return Done }, nil)
 	s.Progress()
 	if net.polls != 0 {
@@ -87,14 +94,14 @@ func TestStreamSkipMask(t *testing.T) {
 	e := newTestEngine()
 	s := e.NewStream(WithSkip(Skip(ClassNetmod)))
 	net := &fakeHook{results: []bool{true, true, true}}
-	s.RegisterHook(ClassNetmod, net)
+	registerLive(s, ClassNetmod, net)
 	s.Progress()
 	if net.polls != 0 {
 		t.Fatal("stream skip mask ignored")
 	}
 	// A per-call mask adds further skips.
 	mid := &fakeHook{results: []bool{true}}
-	s.RegisterHook(ClassAsync, mid)
+	registerLive(s, ClassAsync, mid)
 	s.ProgressMasked(Skip(ClassAsync))
 	if mid.polls != 0 {
 		t.Fatal("per-call mask ignored")
@@ -130,8 +137,8 @@ func TestMultipleHooksSameClassAllPolled(t *testing.T) {
 	s := e.NewStream()
 	h1 := &fakeHook{results: []bool{true}}
 	h2 := &fakeHook{results: []bool{true}}
-	s.RegisterHook(ClassNetmod, h1)
-	s.RegisterHook(ClassNetmod, h2)
+	registerLive(s, ClassNetmod, h1)
+	registerLive(s, ClassNetmod, h2)
 	s.Progress()
 	// Hooks within a class are all polled even if the first progresses;
 	// the short-circuit is between classes.
@@ -143,7 +150,7 @@ func TestMultipleHooksSameClassAllPolled(t *testing.T) {
 func TestPendingIncludesHooks(t *testing.T) {
 	e := newTestEngine()
 	s := e.NewStream()
-	s.RegisterHook(ClassNetmod, &fakeHook{pending: 3})
+	registerLive(s, ClassNetmod, &fakeHook{pending: 3})
 	s.AsyncStart(func(Thing) PollOutcome { return Done }, nil)
 	if got := s.Pending(); got != 4 {
 		t.Fatalf("Pending = %d, want 4", got)
@@ -164,7 +171,7 @@ func TestCollateProperty(t *testing.T) {
 				h.results = []bool{true}
 			}
 			hooks[c] = h
-			s.RegisterHook(c, h)
+			registerLive(s, c, h)
 		}
 		made := s.Progress()
 		first := -1

@@ -43,13 +43,13 @@ type Stream struct {
 
 	// hooks is the registered subsystem hook set, copy-on-write so that
 	// progress and Pending read it with one atomic load. Writers
-	// (RegisterHook, cold) serialize on mu.
+	// (RegisterHookCounted, cold) serialize on mu.
 	hooks atomic.Pointer[hookSet]
 
 	// work[c] counts outstanding work items for class c, maintained by
-	// counted hooks through their Work handles. A progress pass skips a
-	// fully-counted idle class on a single atomic load instead of
-	// walking its hook slice (see progressLocked).
+	// its hooks through their Work handles. A progress pass skips an
+	// idle class on a single atomic load instead of walking its hook
+	// slice (see progressLocked).
 	work [NumClasses]atomic.Int64
 
 	// Async things. head is an intrusive doubly-linked list guarded by
@@ -81,9 +81,6 @@ type Stream struct {
 // hookSet is an immutable snapshot of a stream's registered hooks.
 type hookSet struct {
 	byClass [NumClasses][]Hook
-	// always[c] is set when class c has at least one hook registered
-	// without a work counter; such a class is polled on every pass.
-	always [NumClasses]bool
 }
 
 // streamCounters is the internal atomic mirror of StreamStats, updated
@@ -165,25 +162,15 @@ func (w *Work) Add(delta int) {
 	}
 }
 
-// RegisterHook attaches an internal subsystem hook to the stream under
-// the given class. The MPI runtime calls this during initialization.
-// A hook registered this way makes no promise about signaling work, so
-// its class is polled on every pass.
-func (s *Stream) RegisterHook(c Class, h Hook) {
-	s.registerHook(c, h, false)
-}
-
-// RegisterHookCounted attaches a hook that promises to maintain the
-// returned work counter: the counter is positive whenever polling the
-// hook might make progress. When every hook of a class is counted, an
-// idle class is skipped on one atomic load (the fast path's idle-class
-// skip). A hook that under-counts stalls its own completions; progress
-// still runs a full uncounted pass periodically as a safety net.
+// RegisterHookCounted attaches an internal subsystem hook to the stream
+// under the given class; the MPI runtime calls this during
+// initialization. The hook promises to maintain the returned work
+// counter: the counter is positive whenever polling the hook might make
+// progress, so an idle class is skipped on one atomic load (the fast
+// path's idle-class skip). A hook that under-counts stalls its own
+// completions; progress still runs a full uncounted pass periodically
+// as a safety net.
 func (s *Stream) RegisterHookCounted(c Class, h Hook) *Work {
-	return s.registerHook(c, h, true)
-}
-
-func (s *Stream) registerHook(c Class, h Hook, counted bool) *Work {
 	if c < 0 || c >= NumClasses {
 		panic("core: invalid hook class")
 	}
@@ -196,19 +183,13 @@ func (s *Stream) registerHook(c Class, h Hook, counted bool) *Work {
 	// Rebuild only class c's slice; other classes alias the old (and
 	// immutable) slices.
 	ns.byClass[c] = append(append([]Hook(nil), ns.byClass[c]...), h)
-	if !counted {
-		ns.always[c] = true
-	}
 	s.hooks.Store(ns)
 	if em := s.eng.met; em != nil {
 		// Hook registration is cold; record the list length even while
 		// recording is off so the gauge is truthful when enabled later.
 		em.hooks.Add(1)
 	}
-	if counted {
-		return &Work{n: &s.work[c], s: s}
-	}
-	return nil
+	return &Work{n: &s.work[c], s: s}
 }
 
 // Stats returns a snapshot of the stream's progress counters. It is
@@ -293,7 +274,7 @@ const fullPassEvery = 64
 // This is the Go rendition of the paper's Listing 1.1: poll each
 // subsystem class in order and return as soon as one reports progress.
 // The short-circuit matters for netmod, whose empty poll may be costly.
-// Fully-counted idle classes are skipped on one atomic load.
+// Idle hook classes are skipped on one atomic load.
 func (s *Stream) progressLocked(skip SkipMask) bool {
 	calls := s.stats.calls.Add(1)
 	full := calls%fullPassEvery == 0
@@ -323,7 +304,7 @@ func (s *Stream) progressLocked(skip SkipMask) bool {
 			}
 		}
 		if hs != nil && len(hs.byClass[c]) > 0 {
-			if full || hs.always[c] || s.work[c].Load() > 0 {
+			if full || s.work[c].Load() > 0 {
 				for _, h := range hs.byClass[c] {
 					polls++
 					if h.Poll() {

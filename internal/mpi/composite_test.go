@@ -160,7 +160,7 @@ func TestRemoteCompositeMetricsReachLegs(t *testing.T) {
 // a 1 MiB rendezvous between two ranks on the shm leg — sender and
 // receiver side together — allocates no payload-sized memory. The send
 // goes out of the user's buffer (no private copy, no encoded copy of
-// the chunks), the receive lands in recycled staging buffers; what is
+// the chunks), the receive's chunks land in the user's buffer; what is
 // left is requests, headers and send state. Before, each message cost
 // 2 MiB of fresh heap.
 func TestRemoteCompositeLargeMessageAllocs(t *testing.T) {

@@ -37,7 +37,9 @@ func (v *VCI) rankOfEP(ep fabric.EndpointID) int {
 //   - pending rendezvous handshakes in both directions: RTS entries
 //     from the dead peer are dropped, and the remote handle tables are
 //     swept so sends awaiting a CTS and receives awaiting data chunks
-//     fail instead of waiting forever;
+//     fail instead of waiting forever — a receive a transport thread is
+//     still writing a chunk into fails when that chunk lets go of it
+//     (holdLocked);
 //   - in-flight collective schedules on every communicator containing
 //     the rank abort with the verdict. Failing only directly-addressed
 //     ops is not enough for collectives: a dissemination stage can
@@ -75,7 +77,9 @@ func (v *VCI) failPeer(rank int, cause error) {
 		for id, req := range v.recvs {
 			if req.peerWorld == rank+1 {
 				delete(v.recvs, id)
-				recvs = append(recvs, req)
+				if !req.holdLocked(Status{Err: procErr}) {
+					recvs = append(recvs, req)
+				}
 			}
 		}
 		v.hmu.Unlock()

@@ -202,7 +202,7 @@ func NewWorld(cfg Config) *World {
 	// Byte-oriented transports need the protocol codec; the reliability
 	// framing wraps it so nic.Reliable works unchanged over them.
 	if cs, ok := tr.(transport.CodecSetter); ok {
-		var c nic.Codec = wireCodec{}
+		var c nic.Codec = wireCodec{w}
 		if cfg.Reliable {
 			c = nic.RelCodec(c)
 		}

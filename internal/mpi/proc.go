@@ -209,6 +209,18 @@ func (p *Proc) vciFor(s *core.Stream) *VCI {
 	panic(fmt.Sprintf("mpi: stream %q has no VCI on rank %d", s.Name(), p.rank))
 }
 
+// vciOfEP returns the VCI whose link has endpoint address ep, or nil.
+func (p *Proc) vciOfEP(ep fabric.EndpointID) *VCI {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, v := range p.vcis {
+		if v.ep.ID() == ep {
+			return v
+		}
+	}
+	return nil
+}
+
 // newVCILocked creates a VCI bound to stream and registers its netmod
 // hook. Caller holds p.mu (or is the constructor).
 func (p *Proc) newVCILocked(s *core.Stream) *VCI {

@@ -107,6 +107,12 @@ type Request struct {
 	received  int
 	total     int
 
+	// pins counts data chunks a transport thread is writing into this
+	// receive's buffer (VCI.placeChunk); held is the completion that came
+	// due meanwhile, delivered by the last unpin. Both under vci.hmu.
+	pins int
+	held *Status
+
 	// Continuation enqueuers, run inline by complete(): each hands the
 	// user callback to its owning stream's run-queue (MPIX Continue,
 	// paper §5.4) — the user callback itself never runs in the

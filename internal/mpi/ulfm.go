@@ -330,7 +330,9 @@ func (v *VCI) handleRevoke(h *wireHdr) {
 //     queue nor the receive table, so aborting the sender would strand
 //     it (the data is flowing anyway; delivery beats a hang).
 //   - receive table: rendezvous receives awaiting data chunks complete
-//     with ErrCommRevoked (their remote sender sweeps symmetrically).
+//     with ErrCommRevoked (their remote sender sweeps symmetrically) —
+//     when the chunk a transport thread may still be writing into the
+//     buffer lets go of it, if there is one (holdLocked).
 //   - schedules: in-flight collectives abort with ErrCommRevoked.
 //
 // Completions run outside the matching and handle-table locks.
@@ -351,7 +353,9 @@ func (v *VCI) revokeSweep(c *Comm) {
 	for id, req := range v.recvs {
 		if req.ctxID == ctx || (req.ctxID == ctx+1 && req.status.Tag < ftTagBase) {
 			delete(v.recvs, id)
-			recvs = append(recvs, req)
+			if !req.holdLocked(Status{Err: ErrCommRevoked}) {
+				recvs = append(recvs, req)
+			}
 		}
 	}
 	v.hmu.Unlock()

@@ -73,6 +73,12 @@ type wireHdr struct {
 	// after the handler, or the receive that matches the unexpected
 	// entry it moved to.
 	stage []byte
+
+	// placed is the receive a DATA chunk's payload was written into by
+	// the transport (wireCodec.Place): payload is a window of its buffer
+	// and there is nothing left to copy. The receive is pinned from Place
+	// to the header's Finish or Drop.
+	placed *Request
 }
 
 // netSendState tracks one rendezvous send on the sender side.
@@ -239,6 +245,73 @@ func (v *VCI) dropRecv(id uint64) {
 	v.hmu.Lock()
 	delete(v.recvs, id)
 	v.hmu.Unlock()
+}
+
+// placeChunk is the receive side of direct placement: a transport
+// thread is about to write a chunk of n bytes at offset off for receive
+// handle id straight into that receive's buffer. It returns the receive,
+// pinned, and the chunk's window of the buffer the chunk would have
+// been copied into — the user's, for a contiguous datatype, the
+// reassembly buffer otherwise. A handle that is not live, a chunk
+// outside the message its RTS announced and a chunk the user's buffer
+// would truncate are not placed (nil): they take the copying path, and
+// its checks.
+func (v *VCI) placeChunk(id uint64, off, n int) (*Request, []byte) {
+	v.hmu.Lock()
+	defer v.hmu.Unlock()
+	req := v.recvs[id]
+	if req == nil || off+n > req.total {
+		return nil, nil
+	}
+	buf := req.staging
+	if buf == nil {
+		buf = req.recvBuf[:recvCapacity(req)]
+	}
+	if off+n > len(buf) {
+		return nil, nil
+	}
+	req.pins++
+	return req, buf[off : off+n : off+n]
+}
+
+// unpin lets go of a pin placeChunk took. The last one out completes
+// the receive if its completion came due while it was pinned.
+func (r *Request) unpin() {
+	r.vci.hmu.Lock()
+	r.pins--
+	var st *Status
+	if r.pins == 0 {
+		st, r.held = r.held, nil
+	}
+	r.vci.hmu.Unlock()
+	if st != nil {
+		r.complete(*st)
+	}
+}
+
+// holdLocked keeps st for the last unpin while a transport is still
+// writing chunks into the receive's buffer, and reports whether it did.
+// The caller holds vci.hmu and has taken the receive out of the handle
+// table, so no pin can be added any more: whoever ends up completing the
+// receive — the caller, or the last unpin — does so exactly once.
+func (r *Request) holdLocked(st Status) bool {
+	if r.pins == 0 {
+		return false
+	}
+	held := st // a copy, so that st itself does not escape on the common path
+	r.held = &held
+	return true
+}
+
+// completeRecv completes a rendezvous receive that has left the handle
+// table, now or at its last unpin.
+func (r *Request) completeRecv(st Status) {
+	r.vci.hmu.Lock()
+	held := r.holdLocked(st)
+	r.vci.hmu.Unlock()
+	if !held {
+		r.complete(st)
+	}
 }
 
 // Stream returns the stream backing this VCI.
@@ -741,7 +814,14 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 				v.dropRecv(h.rreqID)
 			}
 		}
-		deliverRndvChunk(req, h.off, h.payload, h.last)
+		st, done := deliverRndvChunk(req, h.off, h.payload, h.last, h.placed != nil)
+		if !done {
+			return
+		}
+		req.completeRecv(st)
+		if req.tracing() {
+			req.trace("recv.complete", fmt.Sprintf("%d bytes (rendezvous)", st.Bytes))
+		}
 	case kindRevokeMsg:
 		v.handleRevoke(h)
 	default:
@@ -815,28 +895,28 @@ func prepareRndvRecv(req *Request, src, tag, totalBytes int) {
 	}
 }
 
-// deliverRndvChunk places one rendezvous data chunk. Chunks arrive in
-// order (FIFO per link); the final chunk completes the request.
-func deliverRndvChunk(req *Request, off int, payload []byte, last bool) {
+// deliverRndvChunk accounts for one rendezvous data chunk, copying it
+// where it belongs unless the transport already wrote it there
+// (placed). Chunks arrive in order (FIFO per link); the final chunk
+// reports the receive's completion status (done), which the caller
+// delivers.
+func deliverRndvChunk(req *Request, off int, payload []byte, last, placed bool) (st Status, done bool) {
 	capacity := recvCapacity(req)
-	if req.staging != nil {
+	switch {
+	case placed: // the transport wrote it where it belongs
+	case req.staging != nil:
 		copy(req.staging[off:], payload)
-	} else {
+	case off < capacity:
 		// Contiguous datatype: copy straight into the user buffer,
 		// dropping bytes beyond capacity (truncation).
-		if off < capacity {
-			end := off + len(payload)
-			if end > capacity {
-				end = capacity
-			}
-			copy(req.recvBuf[off:end], payload[:end-off])
-		}
+		end := min(off+len(payload), capacity)
+		copy(req.recvBuf[off:end], payload[:end-off])
 	}
 	req.received += len(payload)
 	if !last {
-		return
+		return Status{}, false
 	}
-	st := Status{Source: req.status.Source, Tag: req.status.Tag}
+	st = Status{Source: req.status.Source, Tag: req.status.Tag}
 	n := min(req.received, req.total) // a repeated chunk must not count twice
 	if n > capacity {
 		n = capacity
@@ -852,8 +932,5 @@ func deliverRndvChunk(req *Request, off int, payload []byte, last bool) {
 		req.staging = nil
 	}
 	st.Bytes = n
-	req.complete(st)
-	if req.tracing() {
-		req.trace("recv.complete", fmt.Sprintf("%d bytes (rendezvous)", st.Bytes))
-	}
+	return st, true
 }

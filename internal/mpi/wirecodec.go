@@ -12,8 +12,10 @@ import (
 // transports (nic.Codec). The in-process pointer fields (sreq/rreq)
 // never cross the wire; their sreqID/rreqID handle ids do — a decoded
 // header always arrives with nil pointers and the netmod resolves the
-// handles through the VCI's registry tables.
-type wireCodec struct{}
+// handles through the VCI's registry tables. The codec is bound to its
+// world, whose receive handles tell it where a rendezvous chunk's bytes
+// belong (Place); w is nil for a codec that only translates.
+type wireCodec struct{ w *World }
 
 // wireHdrLen is the fixed encoded header size, payload length prefix
 // included: kind src ctx tag bytes srcEP sreqID rreqID flow off last plen.
@@ -53,26 +55,23 @@ func (wireCodec) EncodeSplit(buf []byte, payload any) (head, body []byte, err er
 	return append(buf, e[:]...), h.payload, nil
 }
 
-// decodeHdr parses the fixed header and returns the payload's bytes
-// inside data. Sizes and offsets are signed on the wire only because
-// the header struct's are; a negative one is a corrupt frame and would
-// index a receive buffer if it were let through. A kind nobody defined
-// is one too: handleNetMsg has no arm for it.
-func decodeHdr(data []byte) (*wireHdr, []byte, error) {
+// readHdr parses the fixed header at the start of data into a pooled
+// header and returns the payload length it announces. Sizes and offsets
+// are signed on the wire only because the header struct's are; a
+// negative one is a corrupt frame and would index a receive buffer if
+// it were let through. A kind nobody defined is one too: handleNetMsg
+// has no arm for it.
+func readHdr(data []byte) (*wireHdr, int, error) {
 	if len(data) < wireHdrLen {
-		return nil, nil, fmt.Errorf("mpi: wireCodec short frame (%d bytes)", len(data))
+		return nil, 0, fmt.Errorf("mpi: wireCodec short frame (%d bytes)", len(data))
 	}
 	if msgKind(data[0]) >= numMsgKinds {
-		return nil, nil, fmt.Errorf("mpi: wireCodec unknown message kind %d", data[0])
+		return nil, 0, fmt.Errorf("mpi: wireCodec unknown message kind %d", data[0])
 	}
 	bytes := int(int32(binary.LittleEndian.Uint32(data[17:])))
 	off := int(int32(binary.LittleEndian.Uint32(data[53:])))
-	plen := int(binary.LittleEndian.Uint32(data[58:]))
 	if bytes < 0 || off < 0 {
-		return nil, nil, fmt.Errorf("mpi: wireCodec negative size or offset (bytes=%d off=%d)", bytes, off)
-	}
-	if plen > len(data)-wireHdrLen {
-		return nil, nil, fmt.Errorf("mpi: wireCodec payload overruns frame (%d > %d)", plen, len(data)-wireHdrLen)
+		return nil, 0, fmt.Errorf("mpi: wireCodec negative size or offset (bytes=%d off=%d)", bytes, off)
 	}
 	h := newHdr()
 	h.kind = msgKind(data[0])
@@ -86,6 +85,20 @@ func decodeHdr(data []byte) (*wireHdr, []byte, error) {
 	h.flow = binary.LittleEndian.Uint64(data[45:])
 	h.off = off
 	h.last = data[57] != 0
+	return h, int(binary.LittleEndian.Uint32(data[58:])), nil
+}
+
+// decodeHdr parses a whole frame: the fixed header, and the payload's
+// bytes inside data, which must hold them.
+func decodeHdr(data []byte) (*wireHdr, []byte, error) {
+	h, plen, err := readHdr(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if plen > len(data)-wireHdrLen {
+		recycleHdr(h)
+		return nil, nil, fmt.Errorf("mpi: wireCodec payload overruns frame (%d > %d)", plen, len(data)-wireHdrLen)
+	}
 	return h, data[wireHdrLen : wireHdrLen+plen], nil
 }
 
@@ -118,4 +131,52 @@ func (wireCodec) DecodeOwned(frame, data []byte) (any, error) {
 		h.payload = payload
 	}
 	return h, nil
+}
+
+// Place names the home of a rendezvous chunk's bytes (nic.SplitCodec):
+// a DATA frame for a live receive handle of the VCI at dst, whose body
+// fills the rest of the frame and fits the receive — inside the message
+// its RTS announced, and inside the buffer without truncation (see
+// VCI.placeChunk). Anything else — other kinds, unknown or retired
+// handles, chunks a sender lies about, worlds without handle tables —
+// is assembled by the transport and decoded as usual, which is also
+// where a hostile chunk meets handleNetMsg's check. The returned
+// placement is the decoded header, payload already in place.
+func (c wireCodec) Place(dst fabric.EndpointID, size int, head []byte) ([]byte, nic.Placement, int) {
+	if c.w == nil || !c.w.remote || len(head) > 0 && msgKind(head[0]) != kindDataMsg {
+		return nil, nil, 0
+	}
+	if len(head) < wireHdrLen {
+		return nil, nil, wireHdrLen
+	}
+	v := c.w.procs[c.w.rank].vciOfEP(dst)
+	if v == nil {
+		return nil, nil, 0
+	}
+	h, plen, err := readHdr(head)
+	if err != nil {
+		return nil, nil, 0
+	}
+	if plen == size-wireHdrLen {
+		if req, body := v.placeChunk(h.rreqID, h.off, plen); req != nil {
+			h.payload, h.placed = body, req
+			return body, h, 0
+		}
+	}
+	recycleHdr(h)
+	return nil, nil, 0
+}
+
+// Finish lets go of the receive a placed chunk was written into and
+// returns the header for delivery (nic.Placement).
+func (h *wireHdr) Finish() any {
+	h.placed.unpin()
+	return h
+}
+
+// Drop lets go of the receive of a placed chunk that will never be
+// complete; the header is dead (nic.Placement).
+func (h *wireHdr) Drop() {
+	h.placed.unpin()
+	recycleHdr(h)
 }

@@ -2,10 +2,15 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"gompix/internal/datatype"
+	"gompix/internal/fabric"
+	"gompix/internal/metrics"
+	"gompix/internal/nic"
+	"gompix/internal/transport/framing"
 )
 
 // FuzzWireCodecDecode drives the wire decoder with hostile frames —
@@ -15,12 +20,13 @@ import (
 // consistent header or an error. Frames that survive a decode are
 // re-encoded and re-decoded to check the codec round-trips its own
 // output (envelope fields and payload identical), which pins the
-// header layout against accidental format drift.
+// header layout against accidental format drift. Every DATA header is
+// also offered to a live receive for direct placement (checkPlacement).
 //
 // The committed corpus (testdata/fuzz/FuzzWireCodecDecode) seeds the
 // paths hardened in the transport: truncated headers, payload lengths
-// overrunning the frame, unknown kind bytes, and a valid frame of
-// every protocol kind.
+// overrunning the frame, unknown kind bytes, a chunk overflowing its
+// message, and a valid frame of every protocol kind.
 func FuzzWireCodecDecode(f *testing.F) {
 	// Truncated: empty, one byte, one short of a full header.
 	f.Add([]byte{})
@@ -55,8 +61,10 @@ func FuzzWireCodecDecode(f *testing.F) {
 	}
 	f.Add(valid)
 	// Negative message size and negative chunk offset: both used to
-	// decode, and the offset indexed the receive buffer.
-	for _, h := range hostileHdrs() {
+	// decode, and the offset indexed the receive buffer. And a chunk for
+	// the live receive that overflows the message it announced: it
+	// decodes, and must not be placed.
+	for _, h := range append(hostileHdrs(), overflowChunk(1, fuzzRecvTotal, 64)) {
 		enc, err := codec.Encode(nil, h)
 		if err != nil {
 			f.Fatal(err)
@@ -65,6 +73,12 @@ func FuzzWireCodecDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if h, plen, err := readHdr(data); err == nil {
+			if h.kind == kindDataMsg {
+				checkPlacement(t, h, plen)
+			}
+			recycleHdr(h)
+		}
 		v, err := codec.Decode(data)
 		if err != nil {
 			return // rejected input is a correct outcome
@@ -124,12 +138,58 @@ func hostileHdrs() []*wireHdr {
 	}
 }
 
+// overflowChunk is the last DATA chunk, n bytes, of a total-byte
+// message for receive handle id: it starts inside the message and runs
+// past its end — well-formed on the wire, a lie about where its bytes
+// go, and one a receive buffer larger than the message would hold.
+func overflowChunk(id uint64, total, n int) *wireHdr {
+	return &wireHdr{
+		kind: kindDataMsg, rreqID: id, bytes: total, off: total - 4, last: true,
+		payload: bytes.Repeat([]byte{0xAB}, n),
+	}
+}
+
+// fuzzRecvTotal is the message size of the live receive (handle 1)
+// that FuzzWireCodecDecode places DATA chunks into.
+const fuzzRecvTotal = 512
+
+// checkPlacement offers a decoded DATA header to a live contiguous
+// receive of a fuzzRecvTotal-byte message into a buffer twice that
+// size: the chunk gets a window of the buffer only if it names the
+// handle and fits the message, and then exactly the window its offset
+// and length say.
+func checkPlacement(t *testing.T, h *wireHdr, plen int) {
+	t.Helper()
+	v := &VCI{recvs: make(map[uint64]*Request)}
+	buf := make([]byte, 2*fuzzRecvTotal)
+	req := &Request{kind: kindRecv, vci: v, recvBuf: buf, recvCount: len(buf), recvDT: datatype.Byte, total: fuzzRecvTotal}
+	v.recvs[1] = req
+	got, body := v.placeChunk(h.rreqID, h.off, plen)
+	fits := h.rreqID == 1 && h.off+plen <= fuzzRecvTotal
+	if (got != nil) != fits {
+		t.Fatalf("chunk [%d,+%d) for handle %d: placed=%v, want %v", h.off, plen, h.rreqID, got != nil, fits)
+	}
+	if got == nil {
+		return
+	}
+	if len(body) != plen || cap(body) != plen || plen > 0 && &body[0] != &buf[h.off] {
+		t.Fatalf("chunk [%d,+%d) placed into a window of %d (cap %d) bytes elsewhere", h.off, plen, len(body), cap(body))
+	}
+	got.unpin()
+	if req.pins != 0 || req.IsComplete() {
+		t.Fatalf("after unpin: %d pins, complete=%v", req.pins, req.IsComplete())
+	}
+}
+
 // TestHostileDataFrame: a DATA frame that names a live receive handle
 // but lies about where its bytes go must fail the peer — and with it
 // the receive — not index past the receive buffer. Negative sizes and
 // offsets, and undefined kinds, are turned away by the decoder (the
 // transports then drop the connection or condemn the stream); an offset
-// past the end of the message is caught at delivery.
+// past the end of the message is caught before any of its bytes land:
+// the codec does not place it, so the transport's parser stages it like
+// any frame it cannot place, and delivery fails the peer. A chunk that
+// fits, in front of it, is placed.
 func TestHostileDataFrame(t *testing.T) {
 	var codec wireCodec
 	for i, h := range hostileHdrs() {
@@ -150,33 +210,71 @@ func TestHostileDataFrame(t *testing.T) {
 	defer worlds[1].Close()
 	p := worlds[0].Proc(0)
 	v := p.vcis[0]
-	for _, dt := range []*datatype.Datatype{datatype.Byte, datatype.Vector(512, 1, 2, datatype.Byte)} {
-		const total = 512
+	placer := wireCodec{worlds[0]}
+	const total = 2 * nic.BulkMin
+	for _, dt := range []*datatype.Datatype{datatype.Byte, datatype.Vector(total, 1, 2, datatype.Byte)} {
+		// The buffer holds twice the message: only the message's own
+		// bounds stop the overflowing chunk.
+		count := 2 * total / dt.Size()
 		req := &Request{
 			kind: kindRecv, vci: v, proc: p,
-			recvBuf: make([]byte, datatype.BufferSpan(total/dt.Size(), dt)), recvCount: total / dt.Size(), recvDT: dt,
+			recvBuf: make([]byte, datatype.BufferSpan(count, dt)), recvCount: count, recvDT: dt,
 		}
 		prepareRndvRecv(req, 1, 0, total)
 		req.peerWorld = 1 + 1
 		id := v.registerRecv(req)
-		enc, err := codec.Encode(nil, &wireHdr{
-			kind: kindDataMsg, rreqID: id, bytes: total, off: total - 4, last: true,
-			payload: bytes.Repeat([]byte{0xAB}, 64),
-		})
-		if err != nil {
+		fits := &wireHdr{kind: kindDataMsg, rreqID: id, bytes: total, payload: bytes.Repeat([]byte{0x11}, nic.BulkMin)}
+
+		// Both chunks through a parser with the world's codec, each in two
+		// pieces so that it is assembled rather than parsed whole.
+		reg := metrics.New()
+		reg.Enable()
+		tab := framing.NewTable()
+		tab.SetCodec(placer)
+		tab.UseMetrics(reg, "test")
+		l := new(framing.Link)
+		if err := tab.Register(l, v.ep.ID()); err != nil {
 			t.Fatal(err)
 		}
-		dec, err := codec.Decode(enc)
-		if err != nil {
-			t.Fatalf("an offset inside the message is not the decoder's to judge: %v", err)
+		var s framing.Stream
+		s.Init(tab, nil, 1<<20, func(f framing.Fault) bool { t.Fatalf("%s: fault %v", dt.Name(), f); return false })
+		for _, h := range []*wireHdr{fits, overflowChunk(id, total, nic.BulkMin)} {
+			enc, err := codec.Encode(nil, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire := binary.LittleEndian.AppendUint32(nil, uint32(framing.HdrLen+len(enc)))
+			wire = binary.LittleEndian.AppendUint64(wire, uint64(v.ep.ID()))
+			wire = binary.LittleEndian.AppendUint64(wire, uint64(worlds[1].Transport().EndpointOf(1, 0)))
+			wire = binary.LittleEndian.AppendUint32(wire, uint32(len(h.payload)))
+			wire = append(wire, enc...)
+			s.Write(wire[:100])
+			s.Write(wire[100:])
 		}
-		v.handleNetMsg(dec.(*wireHdr)) // used to panic: slice bounds out of range
+		s.Flush()
+		snap := reg.Snapshot()
+		if placed, staged := snap.Counter("test.rx.placed"), snap.Counter("test.rx.staged"); placed != 1 || staged != 1 {
+			t.Fatalf("%s: %d chunks placed and %d staged, want the one that fits placed and the other staged", dt.Name(), placed, staged)
+		}
+		if bytes.IndexByte(req.recvBuf, 0xAB) >= 0 {
+			t.Fatalf("%s: the overflowing chunk reached the receive buffer", dt.Name())
+		}
+		pkts := l.DrainRQ(make([]fabric.Packet, 0, 2))
+		if len(pkts) != 2 {
+			t.Fatalf("%s: %d frames delivered, want 2", dt.Name(), len(pkts))
+		}
+		for _, pkt := range pkts {
+			v.handleNetMsg(pkt.Payload.(*wireHdr)) // the second used to panic: slice bounds out of range
+		}
 		if !req.IsComplete() || !errors.Is(req.Status().Err, ErrProcFailed) {
 			t.Fatalf("%s: receive after a chunk past its end: complete=%v status=%+v",
 				dt.Name(), req.IsComplete(), req.Status())
 		}
-		if v.lookupRecv(id) != nil {
-			t.Fatalf("%s: failed receive still registered", dt.Name())
+		if v.lookupRecv(id) != nil || req.pins != 0 {
+			t.Fatalf("%s: failed receive still registered, or pinned (%d)", dt.Name(), req.pins)
+		}
+		if bytes.IndexByte(req.recvBuf, 0xAB) >= 0 {
+			t.Fatalf("%s: the overflowing chunk reached the receive buffer", dt.Name())
 		}
 	}
 }

@@ -147,6 +147,29 @@ type SplitCodec interface {
 	// and whoever consumes the payload returns frame with PutStaging.
 	// On error the buffer stays with the caller.
 	DecodeOwned(frame, data []byte) (any, error)
+	// Place asks, for a frame to endpoint dst of which only the
+	// beginning has arrived, where its body belongs: head is what has
+	// arrived of the size bytes Encode produced. A codec that knows —
+	// the body is a chunk of a receive it can name — returns body, the
+	// destination of the frame's last len(body) bytes (everything before
+	// them is the codec's header and lies within head), and p, which
+	// holds the destination until the transport has written it: p.Finish
+	// once the body is complete, p.Drop if it never will be, exactly one
+	// of the two. need > len(head) with a nil p asks to be asked again
+	// once need bytes have arrived; anything else is no: the transport
+	// assembles the frame itself and decodes it as usual.
+	Place(dst fabric.EndpointID, size int, head []byte) (body []byte, p Placement, need int)
+}
+
+// Placement is a frame body SplitCodec.Place gave a home: whatever the
+// destination belongs to stays reserved until Finish or Drop.
+type Placement interface {
+	// Finish releases the destination and returns the frame's payload,
+	// delivered like a decoded one; its body is where Place put it.
+	Finish() (payload any)
+	// Drop releases the destination of a frame that will never be
+	// complete (the stream failed or closed).
+	Drop()
 }
 
 // Now returns the fabric clock time (Link implementation).
@@ -255,4 +278,10 @@ func (c relSplitCodec) DecodeOwned(frame, data []byte) (any, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// Place places nothing: a frame under the reliability layer may be a
+// retransmission or a duplicate, whose body must not land twice.
+func (relSplitCodec) Place(fabric.EndpointID, int, []byte) ([]byte, Placement, int) {
+	return nil, nil, 0
 }

@@ -3,6 +3,8 @@ package nic
 import (
 	"reflect"
 	"testing"
+
+	"gompix/internal/fabric"
 )
 
 // bytesCodec carries a []byte payload as it is; as a SplitCodec the
@@ -20,6 +22,8 @@ func (bytesCodec) EncodeSplit(buf []byte, payload any) (head, body []byte, err e
 }
 
 func (bytesCodec) DecodeOwned(frame, data []byte) (any, error) { return data, nil }
+
+func (bytesCodec) Place(fabric.EndpointID, int, []byte) ([]byte, Placement, int) { return nil, nil, 0 }
 
 // TestRelCodecCarriesEveryField: the envelope must carry the whole
 // relFrame — go-back-N over a byte transport is only the protocol the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gompix/internal/fabric"
+	"gompix/internal/metrics"
 	"gompix/internal/nic"
 	"gompix/internal/timing"
 )
@@ -38,6 +39,41 @@ type Table struct {
 
 	mu    sync.Mutex // serializes Register
 	links atomic.Pointer[linkSet]
+
+	met atomic.Pointer[tableMetrics] // nil until UseMetrics
+}
+
+// tableMetrics counts how the table's streams assembled the frames that
+// did not arrive whole: <scope>.rx.placed — the body written where the
+// codec placed it — and <scope>.rx.staged — the frame in a staging
+// buffer.
+type tableMetrics struct {
+	reg            *metrics.Registry
+	placed, staged *metrics.Counter
+}
+
+// UseMetrics wires the table's streams to the registry under the
+// transport's scope ("tcp", "shm"); the first call wins. Unwired or
+// disabled, a counting site costs an atomic load.
+func (t *Table) UseMetrics(reg *metrics.Registry, scope string) {
+	if reg != nil {
+		t.met.CompareAndSwap(nil, &tableMetrics{
+			reg:    reg,
+			placed: reg.Counter(scope + ".rx.placed"),
+			staged: reg.Counter(scope + ".rx.staged"),
+		})
+	}
+}
+
+// countAssembly counts one frame assembled placed or staged.
+func (t *Table) countAssembly(placed bool) {
+	if m := t.met.Load(); m != nil && m.reg.On() {
+		if placed {
+			m.placed.Inc()
+		} else {
+			m.staged.Inc()
+		}
+	}
 }
 
 // linkSet is one immutable snapshot of the registry: a map for the

@@ -34,6 +34,10 @@ func (bodyCodec) Decode(data []byte) (any, error) { return append([]byte(nil), d
 
 func (bodyCodec) DecodeOwned(frame, data []byte) (any, error) { return data[4:], nil }
 
+func (bodyCodec) Place(fabric.EndpointID, int, []byte) ([]byte, nic.Placement, int) {
+	return nil, nil, 0
+}
+
 // testLink registers a link at endpoint id on a table of its own whose
 // codec is c.
 func testLink(t testing.TB, c nic.Codec, id fabric.EndpointID) *Link {
@@ -321,7 +325,7 @@ func TestReassembly(t *testing.T) {
 	if a.Active() || !stageable(len(frame)) || stageable(nic.BulkMin-1) || stageable(nic.MaxStaging+1) {
 		t.Fatal("wrong idea of what is assembled in staging")
 	}
-	a.Begin(len(frame), frame[:100])
+	a.Stage(len(frame), frame[:100])
 	done := false
 	for off := 100; !done; {
 		n := copy(a.Tail(), frame[off:min(off+1500, len(frame))])
@@ -332,7 +336,7 @@ func TestReassembly(t *testing.T) {
 	if err != nil || a.Active() || !bytes.Equal(payload.([]byte), frame[HdrLen+4:]) {
 		t.Fatalf("assembled frame differs (err %v)", err)
 	}
-	a.Begin(len(frame), nil)
+	a.Stage(len(frame), nil)
 	a.Drop()
 	if a.Active() {
 		t.Fatal("Drop left the assembly active")

@@ -61,9 +61,11 @@ func (f Fault) Error() string {
 // where Target says (or hands them to Write), and every frame they
 // complete is decoded and delivered to its destination link's receive
 // queue, consecutive frames for one link as one run. A frame that has
-// only begun to arrive and is large enough (stageable) moves to a
-// staging buffer that the following bytes fill directly. All methods
-// require the lock of the receive side that owns the stream.
+// only begun to arrive and is large enough (stageable) is assembled
+// where it is going (see reassembly): the following bytes land in the
+// receive buffer its codec placed its body in, or in a staging buffer.
+// All methods require the lock of the receive side that owns the
+// stream.
 type Stream struct {
 	tab    *Table
 	max    uint32
@@ -173,12 +175,11 @@ func (s *Stream) parse() (frames int, ok bool) {
 		}
 		total := 4 + int(flen)
 		if avail < total {
-			// Partial frame. A large one moves to a staging buffer the
-			// following bytes fill directly; otherwise Target grows the
-			// receive buffer for it.
+			// Partial frame. A large one is assembled where it is going
+			// from here on; otherwise Target grows the receive buffer for
+			// it.
 			if s.tab.split != nil && stageable(int(flen)) {
-				s.asm.Begin(int(flen), s.buf[s.pos+4:s.end])
-				s.pos = s.end
+				s.assemble(int(flen))
 			}
 			break
 		}
@@ -193,6 +194,31 @@ func (s *Stream) parse() (frames int, ok bool) {
 		s.pos, s.end = 0, 0
 	}
 	return frames, ok
+}
+
+// assemble moves the partial frame at pos, flen bytes after its length
+// prefix, out of the receive buffer into reassembly: its body into the
+// home the codec names for it, or the whole frame into a staging
+// buffer. The codec is asked once the frame's header has arrived, and
+// again with more of the frame for as long as it says it needs more to
+// answer; meanwhile the frame stays buffered.
+func (s *Stream) assemble(flen int) {
+	frame := s.buf[s.pos+4 : s.end]
+	if len(frame) < HdrLen {
+		return
+	}
+	dst, src, bytes, head := parseHdr(frame)
+	body, p, need := s.tab.split.Place(dst, flen-HdrLen, head)
+	switch {
+	case p != nil:
+		s.asm.Place(p, body, dst, src, bytes, head[flen-HdrLen-len(body):])
+	case need > len(head):
+		return
+	default:
+		s.asm.Stage(flen, frame)
+	}
+	s.tab.countAssembly(p != nil)
+	s.pos = s.end
 }
 
 // deliver adds one decoded frame to the delivery run of its
@@ -251,8 +277,9 @@ func (s *Stream) Flush() {
 // buffered, nothing under assembly.
 func (s *Stream) Idle() bool { return s.pos == s.end && !s.asm.Active() }
 
-// Release retires the stream — a frame under assembly goes back to the
-// staging pool — and returns its receive buffer to the caller.
+// Release retires the stream — a frame under assembly is dropped: a
+// placed body's home let go of, a staging buffer back to the pool — and
+// returns its receive buffer to the caller.
 func (s *Stream) Release() []byte {
 	buf := s.buf
 	s.buf, s.pos, s.end = nil, 0, 0

@@ -329,13 +329,15 @@ func (l *Link) Parking() bool {
 	return true
 }
 
-// UseMetrics wires the transport's doorbell counters to the registry
-// (shm.bells_rung, shm.bells_suppressed); the first wired link
+// UseMetrics wires the transport's doorbell counters (shm.bells_rung,
+// shm.bells_suppressed) and its streams' assembly counters
+// (shm.rx.placed, shm.rx.staged) to the registry; the first wired link
 // registers them, scope is unused — they are transport-wide.
 func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 	if reg == nil || l.net.met.Load() != nil {
 		return
 	}
+	l.net.tab.UseMetrics(reg, "shm")
 	l.net.met.CompareAndSwap(nil, &netMetrics{
 		bellsRung:       reg.Counter("shm.bells_rung"),
 		bellsSuppressed: reg.Counter("shm.bells_suppressed"),

@@ -575,16 +575,19 @@ func (n *Network) consumerPolling(tx *ring) bool {
 // file. Acquirable means no live process holds the exclusive lock: the
 // peer is gone. A goodbye marker on its transmit ring classifies the
 // exit as graceful (handled by the drain path once the ring empties);
-// anything else is a failure verdict.
+// anything else is a failure verdict. A peer condemned without one — by
+// the other leg (MarkPeerDown), by a corrupt stream — is probed all the
+// same: only a death seen here says that its ring will never carry
+// another byte.
 func (n *Network) probePeer(p *peer) {
 	if !p.probeMu.TryLock() {
 		return // another sweep is already probing this peer
 	}
 	defer p.probeMu.Unlock()
 	p.Mu.Lock()
-	dead := p.Refusal() != nil || p.probeDead
+	dead := p.probeDead
 	p.Mu.Unlock()
-	if dead || n.closed.Load() {
+	if dead || p.gone.Load() || n.closed.Load() {
 		return
 	}
 	if p.probe == nil {
@@ -606,6 +609,13 @@ func (n *Network) probePeer(p *peer) {
 	// observing a free lock without a marker is a real death.
 	p.rxMu.Lock()
 	graceful := p.rx != nil && p.rx.departed()
+	if !graceful {
+		// Nothing more will arrive on the ring: deliver what it holds,
+		// then drop the frame still under assembly, which lets go of a
+		// receive buffer its body was being placed in.
+		n.drainPeerLocked(p)
+		p.stream.Release()
+	}
 	p.rxMu.Unlock()
 	if graceful {
 		return // drain path will finish the departure once the ring empties

@@ -912,9 +912,10 @@ type Link struct {
 // wide instruments: the failure counters (tcp.rx.corrupt,
 // tcp.rx.unknown_ep, tcp.redials, tcp.peers_down), the reactor gauges
 // (tcp.reactor.wakeups, tcp.reactor.pool_drains, tcp.reactor.ready,
-// tcp.reactor.probes, tcp.reactor.probe_hits)
-// and the writev batching histograms (tcp.tx.writev,
-// tcp.tx.writev_segs, tcp.tx.flush_frames).
+// tcp.reactor.probes, tcp.reactor.probe_hits), the receive streams'
+// assembly counters (tcp.rx.placed, tcp.rx.staged) and the writev
+// batching histograms (tcp.tx.writev, tcp.tx.writev_segs,
+// tcp.tx.flush_frames).
 func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 	if reg == nil {
 		return
@@ -925,6 +926,7 @@ func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 	// Copy on write: peerDown reads the slice after releasing mu.
 	n.verdicts = append(n.verdicts[:len(n.verdicts):len(n.verdicts)], reg.Counter(scope+".peer_down"))
 	if n.met.Load() == nil {
+		n.tab.UseMetrics(reg, "tcp")
 		n.met.Store(&netMetrics{
 			rxCorrupt:   reg.Counter("tcp.rx.corrupt"),
 			rxUnknownEP: reg.Counter("tcp.rx.unknown_ep"),
