@@ -65,10 +65,13 @@ race-transport:
 # The transport pass plus the multiprocess-world tests that drive MPI
 # traffic over loopback sockets, the wait ladder on each kind of world
 # (its tcp case counts the passes a receive takes to be found, which is
-# the reactor's probe cadence seen from MPI) and the facade's
-# sim/tcp/shm matrix (which holds the send-buffer ownership cases).
+# the reactor's probe cadence seen from MPI), communicator creation —
+# agreed by allgather on every kind of world, so the in-process split,
+# stream-communicator and dup tests carry wire traffic too — and the
+# facade's sim/tcp/shm matrix (which holds the send-buffer ownership
+# cases).
 race-tcp: race-transport
-	$(GO) test -race -count=1 -run 'TestRemote|TestWaitLadder' ./internal/mpi/
+	$(GO) test -race -count=1 -run 'TestRemote|TestWaitLadder|TestSplit|TestStreamComm|TestCommDup' ./internal/mpi/
 	$(GO) test -race -count=1 -run 'TestMatrix' ./mpix/
 
 # The transport pass plus the multiprocess composite worlds (shm

@@ -7,7 +7,6 @@ import (
 	"gompix/internal/datatype"
 	"gompix/internal/nic"
 	"gompix/internal/reduceop"
-	"gompix/internal/transport"
 )
 
 // This file wires the schedule-based collective algorithms
@@ -49,25 +48,17 @@ func (c *Comm) nextCollTag() int {
 }
 
 // hierNodes returns the communicator's rank→node placement map when
-// the two-level (node-aware) collective algorithms are worthwhile:
-// the transport reports real placement, at least two nodes exist, and
-// some node hosts several ranks. Cached — placement is immutable for
-// a world's lifetime. All ranks compute the same map from the same
-// topology, so algorithm selection stays collectively consistent.
+// the two-level (node-aware) collective algorithms are worthwhile: at
+// least two nodes exist and some node hosts several ranks — never on a
+// transport without placement knowledge, where every rank is its own
+// node. Cached — placement is immutable for a world's lifetime. All
+// ranks compute the same map from the same topology, so algorithm
+// selection stays collectively consistent.
 func (c *Comm) hierNodes() ([]int, bool) {
 	c.topoOnce.Do(func() {
-		w := c.proc.world
-		if w.remote {
-			// Only a placement-aware transport makes TopoNodeOf
-			// meaningful in remote mode; without one, every rank is its
-			// own node and hier never engages.
-			if _, ok := w.transport.(transport.NodeMapper); !ok {
-				return
-			}
-		}
 		nodes := make([]int, len(c.ranks))
 		for r, wr := range c.ranks {
-			nodes[r] = w.TopoNodeOf(wr)
+			nodes[r] = c.proc.world.TopoNodeOf(wr)
 		}
 		if coll.HierWorthwhile(nodes) {
 			c.topoNodes = nodes
@@ -520,14 +511,12 @@ func (c *Comm) irecvOn(ctx uint32, buf []byte, count int, dt *datatype.Datatype,
 func (c *Comm) isendWireRaw(ctx uint32, wire []byte, dst, tag int) *Request {
 	c.checkRank(dst)
 	req := &Request{kind: kindSend, vci: c.local, proc: c.proc}
-	hdr := wireHdr{src: c.rank, ctx: ctx, tag: tag, bytes: len(wire)}
-	if c.proc.world.remote {
-		if err := c.local.match.peerErr(c.ranks[dst]); err != nil {
-			c.local.trace("send.failed", "peer process failed at initiation")
-			req.complete(Status{Err: err})
-			return req
-		}
+	if err := c.local.match.peerErr(c.ranks[dst]); err != nil {
+		c.local.trace("send.failed", "peer process failed at initiation")
+		req.complete(Status{Err: err})
+		return req
 	}
+	hdr := wireHdr{src: c.rank, ctx: ctx, tag: tag, bytes: len(wire)}
 	c.local.isendNet(req, c.eps[dst], hdr, wire)
 	return req
 }
@@ -564,7 +553,7 @@ func (c *Comm) irecvRaw(ctx uint32, buf []byte, count int, dt *datatype.Datatype
 		deliverEager(req, e.src, e.tag, e.data)
 		nic.PutStaging(e.stage)
 	case unexpRTS:
-		c.local.sendCTS(req, e.src, e.tag, e.bytes, e.sreq, e.sreqID, e.srcEP, e.flow)
+		c.local.sendCTS(req, e.src, e.tag, e.bytes, e.sreqID, e.srcEP, e.flow)
 	default:
 		panic(fmt.Sprintf("mpi: unknown unexpected entry kind %d", e.kind))
 	}

@@ -1,11 +1,13 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"gompix/internal/core"
+	"gompix/internal/datatype"
 	"gompix/internal/fabric"
 )
 
@@ -20,9 +22,6 @@ type Comm struct {
 	ctx   uint32
 	eps   []fabric.EndpointID // communicator rank -> that rank's endpoint address
 	local *VCI                // this rank's VCI; eps[rank] is its endpoint
-
-	seqMu sync.Mutex
-	seq   int // per-parent communicator-creation counter
 
 	collSeq atomic.Int64 // per-communicator collective invocation tags
 
@@ -57,13 +56,36 @@ func (c *Comm) Stream() *core.Stream { return c.local.stream }
 // WorldRank translates a communicator rank to a world rank.
 func (c *Comm) WorldRank(r int) int { return c.ranks[r] }
 
-// nextSeq returns the ordinal of the next collective creation call on
-// this communicator, which must occur in the same order on all ranks.
-func (c *Comm) nextSeq() int {
-	c.seqMu.Lock()
-	defer c.seqMu.Unlock()
-	c.seq++
-	return c.seq
+// Communicator creation is agreed over the wire, with collectives on
+// the parent communicator — the standard MPI bootstrap pattern of
+// deriving new communicators from collective calls on old ones — on
+// every transport alike: context ids, and for a stream communicator
+// every member's endpoint on the new VCI, travel in an allgather.
+//
+// Context-id agreement: each rank reserves a candidate pair
+// (reserveCtx), the group takes the max, and every member moves its
+// counter past the agreed top (skipCtx). Communicators sharing any
+// member therefore never collide; disjoint communicators may reuse ids,
+// which is harmless — they share no matching engine.
+
+// reserveCtx takes this rank's candidate context-id pair for a
+// communicator creation.
+func (w *World) reserveCtx() uint32 {
+	w.ctxMu.Lock()
+	defer w.ctxMu.Unlock()
+	cand := w.nextCtx
+	w.nextCtx += 2
+	return cand
+}
+
+// skipCtx moves the candidate counter to at least top, the end of the
+// context ids a creation agreed on.
+func (w *World) skipCtx(top uint32) {
+	w.ctxMu.Lock()
+	if w.nextCtx < top {
+		w.nextCtx = top
+	}
+	w.ctxMu.Unlock()
 }
 
 // StreamComm creates a communicator whose operations are all
@@ -76,28 +98,28 @@ func (c *Comm) StreamComm(s *core.Stream) *Comm {
 	if s != nil {
 		v = c.proc.vciFor(s)
 	}
-	if c.proc.world.remote {
-		return c.streamCommRemote(v)
+	// Allgather (candidate ctx, endpoint) pairs over the parent.
+	mine := make([]byte, 16)
+	binary.LittleEndian.PutUint64(mine, uint64(c.proc.world.reserveCtx()))
+	binary.LittleEndian.PutUint64(mine[8:], uint64(v.ep.ID()))
+	all := make([]byte, 16*c.Size())
+	c.Allgather(mine, 16, datatype.Byte, all)
+
+	ctx := uint32(0)
+	eps := make([]fabric.EndpointID, c.Size())
+	for r := range eps {
+		ctx = max(ctx, uint32(binary.LittleEndian.Uint64(all[r*16:])))
+		eps[r] = fabric.EndpointID(binary.LittleEndian.Uint64(all[r*16+8:]))
 	}
-	key := groupKey{parentCtx: c.ctx, seq: c.nextSeq()}
-	g := c.proc.world.joinCommGroup(key, c.Size(), c.rank, v)
+	c.proc.world.skipCtx(ctx + 2)
 	return c.proc.registerComm(&Comm{
 		proc:  c.proc,
 		rank:  c.rank,
 		ranks: c.ranks,
-		ctx:   g.ctx,
-		eps:   epsOf(g.vcis),
+		ctx:   ctx,
+		eps:   eps,
 		local: v,
 	})
-}
-
-// epsOf collects the endpoint addresses of a full in-process VCI table.
-func epsOf(vcis []*VCI) []fabric.EndpointID {
-	eps := make([]fabric.EndpointID, len(vcis))
-	for i, v := range vcis {
-		eps[i] = v.ep.ID()
-	}
-	return eps
 }
 
 // Dup duplicates the communicator with a fresh context (MPI_Comm_dup).

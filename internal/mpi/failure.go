@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"gompix/internal/fabric"
-	"gompix/internal/transport"
 )
 
 // ErrProcFailed reports that the peer process an operation depends on
@@ -17,15 +16,9 @@ import (
 // operations with an error, never hang them.
 var ErrProcFailed = errors.New("mpi: peer process failed")
 
-// rankOfEP maps an endpoint address to the world rank that owns it,
-// via the transport's PeerRanker extension; -1 when the transport
-// cannot attribute endpoints to processes (the in-process simulation,
-// which has no process failures).
+// rankOfEP maps an endpoint address to the world rank that owns it.
 func (v *VCI) rankOfEP(ep fabric.EndpointID) int {
-	if pr, ok := v.proc.world.transport.(transport.PeerRanker); ok {
-		return pr.RankOfEndpoint(ep)
-	}
-	return -1
+	return v.proc.world.transport.RankOfEndpoint(ep)
 }
 
 // failPeer translates a transport failure verdict (a PeerDown control
@@ -35,7 +28,7 @@ func (v *VCI) rankOfEP(ep fabric.EndpointID) int {
 //   - posted receives from the rank (and AnySource receives, which can
 //     no longer be proven satisfiable — see matcher.failPeer);
 //   - pending rendezvous handshakes in both directions: RTS entries
-//     from the dead peer are dropped, and the remote handle tables are
+//     from the dead peer are dropped, and the handle tables are
 //     swept so sends awaiting a CTS and receives awaiting data chunks
 //     fail instead of waiting forever — a receive a transport thread is
 //     still writing a chunk into fails when that chunk lets go of it
@@ -66,24 +59,22 @@ func (v *VCI) failPeer(rank int, cause error) {
 	}
 	var sends []*netSendState
 	var recvs []*Request
-	if v.remote() {
-		v.hmu.Lock()
-		for id, st := range v.sends {
-			if v.rankOfEP(st.dstEP) == rank {
-				delete(v.sends, id)
-				sends = append(sends, st)
-			}
+	v.hmu.Lock()
+	for id, st := range v.sends {
+		if v.rankOfEP(st.dstEP) == rank {
+			delete(v.sends, id)
+			sends = append(sends, st)
 		}
-		for id, req := range v.recvs {
-			if req.peerWorld == rank+1 {
-				delete(v.recvs, id)
-				if !req.holdLocked(Status{Err: procErr}) {
-					recvs = append(recvs, req)
-				}
-			}
-		}
-		v.hmu.Unlock()
 	}
+	for id, req := range v.recvs {
+		if req.peerWorld == rank+1 {
+			delete(v.recvs, id)
+			if !req.holdLocked(Status{Err: procErr}) {
+				recvs = append(recvs, req)
+			}
+		}
+	}
+	v.hmu.Unlock()
 	for _, req := range reqs {
 		v.trace("recv.failed", "posted receive: peer process failed")
 		req.complete(Status{Err: procErr})

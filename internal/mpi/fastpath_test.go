@@ -81,13 +81,23 @@ func TestWaitAnyAcrossStreams(t *testing.T) {
 
 	s := p0.StreamCreate(core.WithName("side"))
 	defer p0.StreamFree(s)
-	// StreamComm is collective: both ranks must join concurrently.
+	// StreamComm is collective: both ranks must join concurrently, and
+	// its allgather crosses the fabric, which moves with the clock.
 	var scomm0, scomm1 *Comm
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); scomm0 = comm0.StreamComm(s) }()
 	go func() { defer wg.Done(); scomm1 = comm1.StreamComm(p1.NullStream()) }()
-	wg.Wait()
+	created := make(chan struct{})
+	go func() { wg.Wait(); close(created) }()
+	for joining := true; joining; {
+		select {
+		case <-created:
+			joining = false
+		case <-time.After(10 * time.Microsecond):
+			clock.Advance(time.Microsecond)
+		}
+	}
 
 	// Request 0: a world-comm receive nothing will ever send to.
 	never := comm0.IrecvBytes(make([]byte, 8), 1, 99)

@@ -31,8 +31,7 @@ type unexpected struct {
 	bytes int    // total message payload size
 
 	// Rendezvous metadata (unexpRTS).
-	sreq   sendToken         // sender-side handle echoed in the CTS (in-process)
-	sreqID uint64            // sender-side handle id (remote)
+	sreqID uint64            // sender-side handle id echoed in the CTS
 	srcEP  fabric.EndpointID // where to send the CTS
 
 	// flow correlates rendezvous trace flow events across ranks
@@ -40,9 +39,9 @@ type unexpected struct {
 	flow uint64
 
 	// worldSrc is the sender's world rank, recorded for unexpRTS entries
-	// in remote mode so failPeer can drop rendezvous handshakes whose
-	// data phase can never run. Other kinds leave it zero (they are
-	// never swept by sender).
+	// so failPeer can drop rendezvous handshakes whose data phase can
+	// never run. Other kinds leave it zero (they are never swept by
+	// sender).
 	worldSrc int
 
 	// at is the engine time the entry was queued; 0 when metrics were

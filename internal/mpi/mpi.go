@@ -7,14 +7,24 @@
 // communication interface — per MPIX stream: VCI 0 backs the NULL
 // stream, and Proc.StreamCreate adds more. A VCI bundles a core.Stream,
 // a tag-matching engine and the nic.Link its transport handed it (a
-// simulated NIC endpoint by default); its subsystems are registered as
-// progress hooks so that one Stream.Progress call collates datatype,
-// collective, user-async and netmod progress like MPICH's
-// MPIDI_progress_test (paper Listing 1.1). Every message, same-node or
+// simulated NIC endpoint by default). One Stream.Progress call collates
+// three classes like MPICH's MPIDI_progress_test (paper Listing 1.1):
+// continuations, async things — the user's, and the library's own
+// collective schedules, datatype jobs, retransmission timer and link
+// flush — and the VCI's one netmod hook. Every message, same-node or
 // not, a rank's send to itself included, leaves through that link:
 // what "same node" means — a shorter hop on the simulated fabric, mmap
 // rings polled first inside the composite link — is the transport's
 // business.
+//
+// There is one protocol under every transport: a rendezvous names its
+// ends by handle id, and a new communicator's context id and endpoints
+// are agreed by an allgather on its parent. What differs between a
+// World hosting every rank (the simulated fabric) and one hosting a
+// single rank of a multiprocess job is only that: which ranks it runs
+// and how it finalizes (NewWorld, Run, finalize), whether a send's
+// payload may alias the user's buffer (sendPayload), and whether the
+// codec places rendezvous chunks (wireCodec.Place).
 //
 // Point-to-point messaging implements the paper's §2.1 message modes:
 // lightweight/buffered eager sends (no wait block), signaled eager
@@ -151,10 +161,10 @@ type World struct {
 	rank      int             // this process's rank (remote mode)
 	procs     []*Proc
 
-	// ctxCounter allocates communicator context-id pairs.
-	ctxMu      sync.Mutex
-	nextCtx    uint32
-	commGroups map[groupKey]*commGroup
+	// nextCtx is where the next communicator context-id pair candidate
+	// comes from (reserveCtx/skipCtx).
+	ctxMu   sync.Mutex
+	nextCtx uint32
 
 	// finalize barrier state: a generation-counted sense barrier. While
 	// waiting, each rank keeps driving its own progress so in-flight
@@ -181,10 +191,9 @@ func NewWorld(cfg Config) *World {
 		clock = timing.NewRealClock()
 	}
 	w := &World{
-		cfg:        cfg,
-		clock:      clock,
-		nextCtx:    2, // 0/1 are reserved for the world communicator
-		commGroups: make(map[groupKey]*commGroup),
+		cfg:     cfg,
+		clock:   clock,
+		nextCtx: 2, // 0/1 are reserved for the world communicator
 	}
 	tr := cfg.Transport
 	if tr == nil {
@@ -254,10 +263,6 @@ func (w *World) Network() *fabric.Network { return w.net }
 // Transport returns the netmod backend.
 func (w *World) Transport() transport.Transport { return w.transport }
 
-// Remote reports whether this World hosts a single rank of a
-// multiprocess job.
-func (w *World) Remote() bool { return w.remote }
-
 // Metrics returns the registry from Config.Metrics (nil when unset).
 func (w *World) Metrics() *metrics.Registry { return w.cfg.Metrics }
 
@@ -271,19 +276,15 @@ func (w *World) NodeOf(rank int) int { return rank / w.cfg.ProcsPerNode }
 func (w *World) SameNode(a, b int) bool { return w.NodeOf(a) == w.NodeOf(b) }
 
 // TopoNodeOf returns the physical node hosting a rank, the question
-// the hierarchical collectives ask. NodeOf is this World's simulated
-// node map, which in remote mode knows one rank; there TopoNodeOf
-// consults the transport's placement map (the composite shm+TCP
-// transport reports the launcher's host assignments), falling back to
-// one-rank-per-node when the transport has no placement knowledge.
+// the hierarchical collectives ask. It consults the transport's
+// placement map — the simulated fabric's node map, the launcher's host
+// assignments on the composite shm+TCP transport — and falls back to
+// one rank per node when the transport has no placement knowledge.
 func (w *World) TopoNodeOf(rank int) int {
-	if w.remote {
-		if nm, ok := w.transport.(transport.NodeMapper); ok {
-			return nm.NodeOf(rank)
-		}
-		return rank
+	if nm, ok := w.transport.(transport.NodeMapper); ok {
+		return nm.NodeOf(rank)
 	}
-	return w.NodeOf(rank)
+	return rank
 }
 
 // Close stops the transport (for the simulated fabric, its scheduler;
@@ -347,24 +348,6 @@ func (w *World) Run(fn func(*Proc)) {
 	}
 }
 
-// groupKey identifies one collective communicator-creation call site:
-// all ranks of the parent communicator calling the n-th creation on
-// that communicator rendezvous on the same key.
-type groupKey struct {
-	parentCtx uint32
-	seq       int
-}
-
-// commGroup is the shared descriptor ranks rendezvous on while
-// creating a communicator.
-type commGroup struct {
-	ctx     uint32 // pt2pt context id; ctx+1 is the collective context
-	size    int
-	arrived int
-	vcis    []*VCI // per-rank VCI backing the new communicator
-	done    chan struct{}
-}
-
 // finalizeBarrier blocks the calling rank until every rank has
 // arrived. It is a pure synchronization barrier (no messaging) so that
 // teardown cannot deadlock on message progress.
@@ -385,39 +368,4 @@ func (w *World) finalizeBarrier(p *Proc) {
 		defer w.finMu.Unlock()
 		return w.finGen != gen
 	}, nil, p.eng.ProgressAll)
-}
-
-// joinCommGroup implements the collective part of communicator
-// creation: the calling rank contributes its VCI and blocks until all
-// ranks of the parent communicator have arrived.
-func (w *World) joinCommGroup(key groupKey, size, rank int, v *VCI) *commGroup {
-	w.ctxMu.Lock()
-	g, ok := w.commGroups[key]
-	if !ok {
-		g = &commGroup{
-			ctx:  w.nextCtx,
-			size: size,
-			vcis: make([]*VCI, size),
-			done: make(chan struct{}),
-		}
-		w.nextCtx += 2
-		w.commGroups[key] = g
-	}
-	if g.vcis[rank] != nil {
-		w.ctxMu.Unlock()
-		panic("mpi: rank joined the same communicator creation twice")
-	}
-	g.vcis[rank] = v
-	g.arrived++
-	complete := g.arrived == g.size
-	if complete {
-		delete(w.commGroups, key)
-	}
-	w.ctxMu.Unlock()
-	if complete {
-		close(g.done)
-	} else {
-		<-g.done
-	}
-	return g
 }

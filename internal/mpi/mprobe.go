@@ -51,18 +51,19 @@ func (m *Message) Mrecv(buf []byte, count int, dt *datatype.Datatype) *Request {
 	}
 	m.used = true
 	c := m.comm
+	e := m.entry
 	req := &Request{
 		kind: kindRecv, vci: c.local, proc: c.proc,
 		recvBuf: buf, recvCount: count, recvDT: dt,
+		ctxID: e.ctx,
 	}
-	e := m.entry
 	switch e.kind {
 	case unexpEager:
 		deliverEager(req, e.src, e.tag, e.data)
 		nic.PutStaging(e.stage)
 		m.entry.data, m.entry.stage = nil, nil
 	case unexpRTS:
-		c.local.sendCTS(req, e.src, e.tag, e.bytes, e.sreq, e.sreqID, e.srcEP, e.flow)
+		c.local.sendCTS(req, e.src, e.tag, e.bytes, e.sreqID, e.srcEP, e.flow)
 	default:
 		panic("mpi: unknown matched message kind")
 	}

@@ -21,6 +21,10 @@ type Proc struct {
 
 	mu   sync.Mutex
 	vcis []*VCI
+	// nvci counts the VCIs ever created: the next one's index for
+	// Transport.AddLink. Indices are never reused, so a stream created
+	// after a StreamFree gets an endpoint address of its own.
+	nvci int
 
 	// nullVCI backs the NULL stream (vcis[0]). Set once in newProc, so
 	// it is readable without mu while StreamCreate/StreamFree rewrite
@@ -56,18 +60,13 @@ func newProc(w *World, rank int) *Proc {
 	return p
 }
 
-// initWorldComm builds the world communicator once all ranks exist.
+// initWorldComm builds the world communicator once every local rank's
+// VCI 0 exists: peers are addressed by transport endpoint.
 func (p *Proc) initWorldComm() {
 	n := p.world.Size()
 	eps := make([]fabric.EndpointID, n)
 	for r := range eps {
-		if p.world.remote {
-			// Peers live in other processes: address them by transport
-			// endpoint.
-			eps[r] = p.world.transport.EndpointOf(r, 0)
-		} else {
-			eps[r] = p.world.procs[r].nullVCI.ep.ID()
-		}
+		eps[r] = p.world.transport.EndpointOf(r, 0)
 	}
 	p.commWorld = p.registerComm(&Comm{
 		proc:  p,
@@ -225,9 +224,11 @@ func (p *Proc) vciOfEP(ep fabric.EndpointID) *VCI {
 // hook. Caller holds p.mu (or is the constructor).
 func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 	v := &VCI{proc: p, stream: s}
-	link, err := p.world.transport.AddLink(p.rank, len(p.vcis))
+	idx := p.nvci
+	p.nvci++
+	link, err := p.world.transport.AddLink(p.rank, idx)
 	if err != nil {
-		panic(fmt.Sprintf("mpi: rank %d vci %d: transport link: %v", p.rank, len(p.vcis), err))
+		panic(fmt.Sprintf("mpi: rank %d vci %d: transport link: %v", p.rank, idx, err))
 	}
 	v.ep = link
 	if p.world.cfg.Reliable {
@@ -247,7 +248,7 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 	}
 	v.match.init()
 	if reg := p.world.cfg.Metrics; reg != nil {
-		scope := fmt.Sprintf("rank%d.vci%d", p.rank, len(p.vcis))
+		scope := fmt.Sprintf("rank%d.vci%d", p.rank, idx)
 		v.UseMetrics(reg, scope)
 		if epm, ok := v.ep.(interface {
 			UseMetrics(*metrics.Registry, string)
@@ -286,15 +287,8 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 	if pk, ok := v.ep.(nic.Parker); ok {
 		s.SetParkHook(pk.Parking)
 	}
-	// The send handle table exists in both modes: revocation sweeps
-	// key it by communicator to abort rendezvous sends still awaiting
-	// their CTS (in-process entries retire at the CTS). The receive
-	// table is remote-only — in-process data chunks carry the request
-	// pointer directly.
 	v.sends = make(map[uint64]*netSendState)
-	if p.world.remote {
-		v.recvs = make(map[uint64]*Request)
-	}
+	v.recvs = make(map[uint64]*Request)
 	// Scratch buffers for netPoll's zero-allocation drains.
 	v.cqScratch = make([]nic.CQE, 0, drainBatch)
 	v.rqScratch = make([]fabric.Packet, 0, drainBatch)

@@ -87,10 +87,10 @@ type Request struct {
 	doneAt  time.Duration
 	obsOnce atomic.Bool
 
-	// peerWorld is 1 + the world rank of the remote peer this request is
-	// bound to (set when a rendezvous receive registers in the remote
-	// handle table); 0 means unbound. Lets failPeer sweep handle-table
-	// entries without a reverse index.
+	// peerWorld is 1 + the world rank of the peer this request is bound
+	// to (set when a rendezvous receive registers in the handle table); 0
+	// means unbound. Lets failPeer sweep handle-table entries without a
+	// reverse index.
 	peerWorld int
 
 	// ctxID is the communicator context the request was initiated on

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gompix/internal/core"
+	"gompix/internal/fabric"
 )
 
 func TestStreamCreateAndFree(t *testing.T) {
@@ -95,6 +96,44 @@ func TestStreamCommSameNode(t *testing.T) {
 		}
 		p.StreamFree(s)
 	})
+}
+
+// TestStreamCommAfterStreamFree: a stream created after another was
+// freed gets a VCI of its own — a byte transport computes the address
+// from the VCI index, so a reused index would name a live link twice —
+// whose endpoint the transport maps back to its rank, and a stream
+// communicator over it carries a rendezvous.
+func TestStreamCommAfterStreamFree(t *testing.T) {
+	for _, kind := range []string{"sim", "tcp", "shm"} {
+		t.Run(kind, func(t *testing.T) {
+			ladderWorlds(t, kind, nil, func(p *Proc) {
+				freed, kept := p.StreamCreate(), p.StreamCreate()
+				p.StreamFree(freed)
+				s := p.StreamCreate()
+				seen := make(map[fabric.EndpointID]bool)
+				for _, st := range []*core.Stream{p.NullStream(), kept, s} {
+					ep := p.vciFor(st).ep.ID()
+					if seen[ep] {
+						t.Errorf("rank %d: endpoint %d backs two live VCIs", p.Rank(), ep)
+					}
+					seen[ep] = true
+					if got := p.World().Transport().RankOfEndpoint(ep); got != p.Rank() {
+						t.Errorf("rank %d: RankOfEndpoint(%d) = %d", p.Rank(), ep, got)
+					}
+				}
+				sc := p.CommWorld().StreamComm(s)
+				peer := 1 - p.Rank()
+				got := make([]byte, 100<<10)
+				rreq := sc.IrecvBytes(got, peer, 0)
+				sc.IsendBytes(payload(len(got), int64(p.Rank())), peer, 0).Wait()
+				if st := rreq.Wait(); st.Err != nil || !equalBytes(got, payload(len(got), int64(peer))) {
+					t.Errorf("rank %d: rendezvous on the new stream: %+v", p.Rank(), st)
+				}
+				p.StreamFree(kept)
+				p.StreamFree(s)
+			})
+		})
+	}
 }
 
 func equalBytes(a, b []byte) bool {

@@ -324,15 +324,15 @@ func (v *VCI) handleRevoke(h *wireHdr) {
 //
 //   - matcher: posted receives on ctx (and on ctx+1 below ftTagBase)
 //     complete with ErrCommRevoked; matching unexpected entries drop.
-//   - send table: rendezvous sends still awaiting their CTS abort.
-//     Sends already mid-data are left to complete naturally — their
-//     receiver matched before the sweep and sits in neither the posted
-//     queue nor the receive table, so aborting the sender would strand
-//     it (the data is flowing anyway; delivery beats a hang).
-//   - receive table: rendezvous receives awaiting data chunks complete
-//     with ErrCommRevoked (their remote sender sweeps symmetrically) —
-//     when the chunk a transport thread may still be writing into the
-//     buffer lets go of it, if there is one (holdLocked).
+//   - send table: rendezvous sends still awaiting their CTS abort; a
+//     CTS that arrives for one later finds no handle and is dropped.
+//     Sends already mid-data left the table at their CTS and complete
+//     naturally (the data is flowing anyway; delivery beats a hang).
+//   - receive table: rendezvous receives awaiting data chunks — a CTS
+//     sent, whether or not its sender has aborted since — complete
+//     with ErrCommRevoked (their sender sweeps symmetrically) — when the
+//     chunk a transport thread may still be writing into the buffer
+//     lets go of it, if there is one (holdLocked).
 //   - schedules: in-flight collectives abort with ErrCommRevoked.
 //
 // Completions run outside the matching and handle-table locks.
@@ -344,9 +344,8 @@ func (v *VCI) revokeSweep(c *Comm) {
 	v.hmu.Lock()
 	for id, st := range v.sends {
 		onCtx := st.ctx == ctx || (st.ctx == ctx+1 && st.tag < ftTagBase)
-		if onCtx && st.rreq == nil && st.rreqID == 0 && !st.failed {
+		if onCtx && st.rreqID == 0 {
 			delete(v.sends, id)
-			st.abortCause = ErrCommRevoked
 			aborted = append(aborted, st)
 		}
 	}
@@ -648,16 +647,9 @@ func (c *Comm) Agree(flag uint32) (uint32, error) {
 // can itself be shrunk. Collective over the survivors.
 func (c *Comm) Shrink() (*Comm, error) {
 	// Reserve a candidate context pair; the exchange agrees on the max,
-	// and everyone bumps past it (the split.go agreement pattern, run
-	// over the FT exchange instead of an allgather so it tolerates
-	// failures).
-	w := c.proc.world
-	w.ctxMu.Lock()
-	cand := w.nextCtx
-	w.nextCtx += 2
-	w.ctxMu.Unlock()
-
-	st := c.ftExchange(0, cand)
+	// and everyone moves past it (comm.go's agreement, run over the FT
+	// exchange instead of an allgather so it tolerates failures).
+	st := c.ftExchange(0, c.proc.world.reserveCtx())
 
 	ctx := uint32(0)
 	var members []int
@@ -666,15 +658,9 @@ func (c *Comm) Shrink() (*Comm, error) {
 			continue
 		}
 		members = append(members, r)
-		if st.cands[r] > ctx {
-			ctx = st.cands[r]
-		}
+		ctx = max(ctx, st.cands[r])
 	}
-	w.ctxMu.Lock()
-	if w.nextCtx < ctx+2 {
-		w.nextCtx = ctx + 2
-	}
-	w.ctxMu.Unlock()
+	c.proc.world.skipCtx(ctx + 2)
 
 	ranks := make([]int, len(members))
 	eps := make([]fabric.EndpointID, len(members))

@@ -10,6 +10,7 @@ import (
 	"gompix/internal/core"
 	"gompix/internal/datatype"
 	"gompix/internal/metrics"
+	"gompix/internal/nic"
 	"gompix/internal/reduceop"
 )
 
@@ -146,6 +147,101 @@ func TestRevokeMidCollective(t *testing.T) {
 		}
 		child.Barrier()
 	})
+}
+
+// TestSenderAbortAfterCTS: the receiver has matched a rendezvous RTS and
+// sent its CTS when the sender gives the send up, before the CTS reaches
+// it. The late CTS finds no send handle, and the receive — registered
+// for data that will never come — fails exactly once, and neither
+// rank's handle tables keep an entry:
+//
+//   - revoke: the sender's revocation sweep aborts the send (it still
+//     awaits its CTS); the receive fails through the receiver's own
+//     sweep when the flooded revocation arrives, with ErrCommRevoked.
+//   - linkdown: the send fails as a link-down completion of its RTS
+//     fails it; the sender answers the CTS with an abort, and the
+//     receive fails with ErrLinkDown.
+func TestSenderAbortAfterCTS(t *testing.T) {
+	const size = 256 << 10 // rendezvous
+	pendingTx := func(v *VCI) int {
+		if tx, ok := v.ep.(nic.TxPender); ok {
+			return tx.PendingTx()
+		}
+		return 0
+	}
+	tables := func(v *VCI) (sends, recvs int) {
+		v.hmu.Lock()
+		defer v.hmu.Unlock()
+		return len(v.sends), len(v.recvs)
+	}
+	causes := []struct {
+		name  string
+		abort func(dup *Comm) // on the sender, no pass run since the CTS went out
+		want  error
+	}{
+		{"revoke", func(dup *Comm) { dup.Revoke() }, ErrCommRevoked},
+		{"linkdown", func(dup *Comm) {
+			v := dup.local
+			var st *netSendState
+			v.hmu.Lock()
+			for _, s := range v.sends { // the one send awaiting its CTS
+				st = s
+			}
+			v.hmu.Unlock()
+			v.rndvFail(st, nic.ErrLinkDown)
+		}, ErrLinkDown},
+	}
+	for _, cause := range causes {
+		for _, kind := range []string{"sim", "tcp", "shm"} {
+			t.Run(cause.name+"/"+kind, func(t *testing.T) {
+				rtsOut, ctsOut := make(chan struct{}), make(chan struct{})
+				ladderWorlds(t, kind, nil, func(p *Proc) {
+					dup := p.CommWorld().Dup()
+					v := dup.local
+					if p.Rank() == 0 {
+						sreq := dup.IsendBytes(make([]byte, size), 1, 5)
+						for pendingTx(v) > 0 {
+							p.Progress()
+						}
+						close(rtsOut)
+						// No pass runs here until the abort is in: a
+						// revocation sweep is an async thing, polled before
+						// the netmod that would handle the CTS.
+						<-ctsOut
+						cause.abort(dup)
+						if st := sreq.Wait(); !errors.Is(st.Err, cause.want) {
+							t.Errorf("send: %+v, want %v before the CTS is read", st, cause.want)
+						}
+					} else {
+						<-rtsOut
+						var fired atomic.Int32
+						rreq := dup.IrecvBytes(make([]byte, size), 0, 5)
+						rreq.OnComplete(func(Status) { fired.Add(1) })
+						for _, recvs := tables(v); recvs == 0 || pendingTx(v) > 0; _, recvs = tables(v) {
+							p.Progress()
+						}
+						close(ctsOut)
+						if st := rreq.Wait(); !errors.Is(st.Err, cause.want) {
+							t.Errorf("receive: %+v, want %v", st, cause.want)
+						}
+						for fired.Load() == 0 {
+							p.Progress()
+						}
+						p.Progress()
+						if n := fired.Load(); n != 1 {
+							t.Errorf("receive completed %d times", n)
+						}
+					}
+					// The late CTS and the abort precede the barrier on the
+					// same link: once it is through, both are handled.
+					p.CommWorld().Barrier()
+					if sends, recvs := tables(v); sends != 0 || recvs != 0 {
+						t.Errorf("rank %d: %d send and %d receive handles left", p.Rank(), sends, recvs)
+					}
+				})
+			})
+		}
+	}
 }
 
 // TestAgreeValueAndUniformity: Agree returns the AND of every

@@ -34,21 +34,20 @@ const (
 	// kindRevokeMsg announces a communicator revocation (ULFM
 	// MPIX_Comm_revoke); src/ctx only, fire-and-forget.
 	kindRevokeMsg
+	// kindAbortMsg answers a CTS whose send handle is gone — the sender
+	// failed the rendezvous before the CTS arrived — so the receive it
+	// names (rreqID) fails instead of waiting for data forever.
+	kindAbortMsg
 	// numMsgKinds is one past the last defined kind: what the wire
 	// codec refuses.
 	numMsgKinds
 )
 
-// sendToken is the sender-side rendezvous handle carried by RTS and
-// echoed back in the CTS — a pointer plays the role of the wire-encoded
-// request id a real implementation would use.
-type sendToken = *netSendState
-
 // wireHdr is the protocol header: the fabric packet payload on the
 // simulated fabric, the codec's input and output on a byte transport.
-// The sreq/rreq pointers are the in-process fast path; through the
-// codec (multiprocess transports, a rank's send to itself included)
-// only the sreqID/rreqID handle ids travel and the pointers arrive nil.
+// A rendezvous names its two ends by handle id (sreqID/rreqID), the
+// wire-encoded request ids of a real implementation, on every
+// transport: the header holds no pointer into either rank's state.
 type wireHdr struct {
 	kind  msgKind
 	src   int // sender's rank in the communicator
@@ -56,11 +55,9 @@ type wireHdr struct {
 	tag   int
 	bytes int // total message payload size
 
-	srcEP  fabric.EndpointID // RTS: where the CTS should be sent
-	sreq   sendToken         // RTS/CTS: sender-side state (in-process)
-	rreq   *Request          // CTS/DATA: receiver request (in-process)
-	sreqID uint64            // RTS/CTS: sender-side handle (remote)
-	rreqID uint64            // CTS/DATA: receiver handle (remote)
+	srcEP  fabric.EndpointID // RTS/CTS: where the answer should be sent
+	sreqID uint64            // RTS/CTS: sender-side handle
+	rreqID uint64            // CTS/DATA: receiver handle
 	flow   uint64            // RTS/CTS: trace flow id (0 when tracing is off)
 
 	off     int  // DATA: chunk offset
@@ -84,15 +81,13 @@ type wireHdr struct {
 // netSendState tracks one rendezvous send on the sender side.
 type netSendState struct {
 	req *Request
-	vci *VCI
 	// wire is the packed payload: the user's buffer itself when
 	// Comm.sendPayload aliased it, so nothing may read it once req has
 	// completed.
 	wire   []byte
 	dstEP  fabric.EndpointID
-	rreq   *Request // learned from the CTS (in-process)
-	rreqID uint64   // learned from the CTS (remote)
-	hid    uint64   // this state's own handle id
+	rreqID uint64 // learned from the CTS
+	hid    uint64 // this state's own handle id
 
 	// ctx/tag echo the send's envelope so a revocation sweep can key
 	// the handle table by communicator (and exempt FT-protocol tags).
@@ -102,11 +97,6 @@ type netSendState struct {
 	nextOff  int
 	inflight int
 	failed   bool // link died or comm revoked; req already completed
-
-	// abortCause is the error a revocation sweep recorded; the CTS
-	// handler propagates it to an in-process receiver that matched the
-	// RTS after the sweep.
-	abortCause error
 }
 
 // rtsToken is the CQ token for a reliably sent RTS: its successful
@@ -141,9 +131,9 @@ func recycleHdr(h *wireHdr) {
 // state after the request completes.
 var sendStatePool = sync.Pool{New: func() any { return new(netSendState) }}
 
-func newSendState(req *Request, v *VCI, wire []byte, dstEP fabric.EndpointID) *netSendState {
+func newSendState(req *Request, wire []byte, dstEP fabric.EndpointID) *netSendState {
 	st := sendStatePool.Get().(*netSendState)
-	*st = netSendState{req: req, vci: v, wire: wire, dstEP: dstEP}
+	*st = netSendState{req: req, wire: wire, dstEP: dstEP}
 	return st
 }
 
@@ -179,10 +169,11 @@ type VCI struct {
 	rqScratch  []fabric.Packet
 	rawScratch []fabric.Packet
 
-	// Remote-mode handle tables: wire headers cannot carry pointers
-	// across a process boundary, so rendezvous state is addressed by
-	// per-VCI handle ids (wireHdr.sreqID/rreqID), the wire-encoded
-	// request ids a real MPI implementation uses. nil in-process.
+	// Rendezvous handle tables: rendezvous state is addressed by per-VCI
+	// handle ids (wireHdr.sreqID/rreqID), the wire-encoded request ids a
+	// real MPI implementation uses. A send is in sends from its RTS to
+	// its CTS, a receive in recvs from its CTS to its last chunk; the
+	// failure and revocation sweeps find pending handshakes here.
 	hmu   sync.Mutex
 	hseq  uint64
 	sends map[uint64]*netSendState
@@ -191,9 +182,6 @@ type VCI struct {
 	// met is the optional observability wiring (UseMetrics).
 	met *vciMetrics
 }
-
-// remote reports whether ranks live in separate OS processes.
-func (v *VCI) remote() bool { return v.proc.world.remote }
 
 // registerSend assigns a handle id to a rendezvous send state; the id
 // travels in the RTS and comes back in the CTS.
@@ -630,17 +618,13 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 		if v.tracing() {
 			v.trace("send.init", fmt.Sprintf("rendezvous, %d bytes", n))
 		}
-		st := newSendState(req, v, wire, dstEP)
+		st := newSendState(req, wire, dstEP)
 		st.ctx = hdr.ctx
 		st.tag = hdr.tag
 		h := newHdr()
 		*h = hdr
 		h.kind = kindRTSMsg
 		h.srcEP = v.ep.ID()
-		h.sreq = st
-		// Registered in both modes: a revocation sweep must find sends
-		// still awaiting their CTS. In-process CTS handling drops the
-		// entry by hid; remote CTS resolves it by sreqID as before.
 		h.sreqID = v.registerSend(st)
 		var flow uint64
 		if v.proc.world.cfg.Tracer != nil {
@@ -681,7 +665,6 @@ func (v *VCI) rndvSendData(st *netSendState) {
 		*h = wireHdr{
 			kind:    kindDataMsg,
 			bytes:   total,
-			rreq:    st.rreq,
 			rreqID:  st.rreqID,
 			off:     st.nextOff,
 			last:    end == total,
@@ -744,75 +727,56 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 		req := v.match.matchOrEnqueue(h.ctx, h.src, h.tag, func() unexpected {
 			return unexpected{
 				ctx: h.ctx, src: h.src, tag: h.tag,
-				kind: unexpRTS, bytes: h.bytes, sreq: h.sreq, sreqID: h.sreqID,
+				kind: unexpRTS, bytes: h.bytes, sreqID: h.sreqID,
 				srcEP: h.srcEP, flow: h.flow, worldSrc: v.rankOfEP(h.srcEP),
 			}
 		})
 		if req != nil {
-			v.sendCTS(req, h.src, h.tag, h.bytes, h.sreq, h.sreqID, h.srcEP, h.flow)
+			v.sendCTS(req, h.src, h.tag, h.bytes, h.sreqID, h.srcEP, h.flow)
 			return
 		}
 		v.trace("recv.unexpected", "RTS queued")
 	case kindCTSMsg:
 		v.trace("rndv.cts.recv", "")
 		v.traceFlow("rndv.handshake", "CTS received", trace.PhaseFlowEnd, h.flow)
-		st := h.sreq
+		// Resolve (and retire) the sender-side handle. A miss means the
+		// send already failed — a link failure, a verdict, a revocation
+		// sweep — before its CTS arrived (or the id is corrupt). The
+		// receiver registered a receive for data that will never come:
+		// tell it to abort.
+		st := v.takeSend(h.sreqID)
 		if st == nil {
-			// Remote CTS: resolve (and retire) the sender-side handle. A
-			// miss is tolerated — failPeer and revokeSweep remove entries
-			// when a peer dies or the communicator is revoked
-			// mid-handshake, so a CTS that raced the sweep (or a corrupt
-			// id) finds nothing; the send already failed.
-			if st = v.takeSend(h.sreqID); st == nil {
-				v.trace("rndv.cts.stale", "no matching send handle; dropped")
-				return
-			}
-		} else {
-			st.vci.dropSend(st.hid)
-		}
-		if st.failed {
-			// A revocation sweep aborted this send after the receiver
-			// matched the RTS (in-process: the pointer outlives the table
-			// entry). The data phase will never run; fail the receiver
-			// with the same cause so it doesn't wait forever.
-			if h.rreq != nil {
-				cause := st.abortCause
-				if cause == nil {
-					cause = ErrCommRevoked
-				}
-				v.trace("recv.failed", "rendezvous sender aborted before CTS")
-				h.rreq.complete(Status{Err: cause})
-			}
+			v.trace("rndv.cts.stale", "no matching send handle; receiver told to abort")
+			a := newHdr()
+			*a = wireHdr{kind: kindAbortMsg, rreqID: h.rreqID}
+			v.postInline(h.srcEP, a, ctrlBytes)
 			return
 		}
-		st.rreq = h.rreq
 		st.rreqID = h.rreqID
-		st.vci.rndvSendData(st)
+		v.rndvSendData(st)
 	case kindDataMsg:
 		if h.last {
 			v.trace("recv.data.last", "")
 		}
-		req := h.rreq
+		// Resolve the receiver-side handle; the final chunk retires it. A
+		// miss is tolerated for the same reason as a stale CTS above: the
+		// receive already failed.
+		req := v.lookupRecv(h.rreqID)
 		if req == nil {
-			// Remote data chunk: resolve the receiver-side handle; the
-			// final chunk retires it. A miss is tolerated for the same
-			// reason as stale CTS above: the receive already failed.
-			if req = v.lookupRecv(h.rreqID); req == nil {
-				v.trace("rndv.data.stale", "no matching recv handle; dropped")
-				return
-			}
-			if h.off+len(h.payload) > req.total {
-				// The handle is live but the chunk does not fit the
-				// message it announced: the sender's stream is corrupt.
-				// Fail the peer — which completes this receive, still in
-				// the table — instead of indexing past a buffer.
-				v.failPeer(req.peerWorld-1, fmt.Errorf("rendezvous chunk [%d,%d) outside its %d-byte message",
-					h.off, h.off+len(h.payload), req.total))
-				return
-			}
-			if h.last {
-				v.dropRecv(h.rreqID)
-			}
+			v.trace("rndv.data.stale", "no matching recv handle; dropped")
+			return
+		}
+		if h.off+len(h.payload) > req.total {
+			// The handle is live but the chunk does not fit the message it
+			// announced: the sender's stream is corrupt. Fail the peer —
+			// which completes this receive, still in the table — instead
+			// of indexing past a buffer.
+			v.failPeer(req.peerWorld-1, fmt.Errorf("rendezvous chunk [%d,%d) outside its %d-byte message",
+				h.off, h.off+len(h.payload), req.total))
+			return
+		}
+		if h.last {
+			v.dropRecv(h.rreqID)
 		}
 		st, done := deliverRndvChunk(req, h.off, h.payload, h.last, h.placed != nil)
 		if !done {
@@ -822,6 +786,19 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 		if req.tracing() {
 			req.trace("recv.complete", fmt.Sprintf("%d bytes (rendezvous)", st.Bytes))
 		}
+	case kindAbortMsg:
+		// A receive still waiting here lost its sender to a link failure
+		// the sender saw: a revocation reaches the receiver first, flooded
+		// ahead of this answer on the same link, and after a verdict one
+		// of the two is dead. A handle already gone is dropped.
+		req := v.lookupRecv(h.rreqID)
+		if req == nil {
+			v.trace("rndv.abort.stale", "no matching recv handle; dropped")
+			return
+		}
+		v.dropRecv(h.rreqID)
+		v.trace("recv.failed", "rendezvous sender aborted before CTS")
+		req.completeRecv(Status{Err: ErrLinkDown})
 	case kindRevokeMsg:
 		v.handleRevoke(h)
 	default:
@@ -829,27 +806,23 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 	}
 }
 
-// sendCTS prepares the receive request for incoming rendezvous data
-// and replies clear-to-send, echoing the sender's handle and carrying
-// the receiver's own (remote mode).
-func (v *VCI) sendCTS(req *Request, src, tag, totalBytes int, sreq sendToken, sreqID uint64, dstEP fabric.EndpointID, flow uint64) {
-	if v.remote() {
-		// The RTS may outlive its sender (a queued unexpected entry, or
-		// an arrival racing the failure verdict): answering it would
-		// register a receive no data will ever complete.
-		if err := v.match.peerErr(v.rankOfEP(dstEP)); err != nil {
-			v.trace("recv.failed", "rendezvous sender failed before CTS")
-			req.complete(Status{Err: err})
-			return
-		}
+// sendCTS prepares the receive request for incoming rendezvous data,
+// registers it, and replies clear-to-send, echoing the sender's handle
+// and carrying the receiver's own.
+func (v *VCI) sendCTS(req *Request, src, tag, totalBytes int, sreqID uint64, dstEP fabric.EndpointID, flow uint64) {
+	peer := v.rankOfEP(dstEP)
+	// The RTS may outlive its sender (a queued unexpected entry, or an
+	// arrival racing the failure verdict): answering it would register a
+	// receive no data will ever complete.
+	if err := v.match.peerErr(peer); err != nil {
+		v.trace("recv.failed", "rendezvous sender failed before CTS")
+		req.complete(Status{Err: err})
+		return
 	}
 	prepareRndvRecv(req, src, tag, totalBytes)
+	req.peerWorld = peer + 1
 	h := newHdr()
-	*h = wireHdr{kind: kindCTSMsg, sreq: sreq, sreqID: sreqID, rreq: req, flow: flow}
-	if v.remote() {
-		req.peerWorld = v.rankOfEP(dstEP) + 1
-		h.rreqID = v.registerRecv(req)
-	}
+	*h = wireHdr{kind: kindCTSMsg, srcEP: v.ep.ID(), sreqID: sreqID, rreqID: v.registerRecv(req), flow: flow}
 	v.postInline(dstEP, h, ctrlBytes)
 	v.trace("rndv.cts.sent", "")
 	v.traceFlow("rndv.handshake", "CTS sent", trace.PhaseFlowStep, flow)

@@ -9,12 +9,11 @@ import (
 )
 
 // wireCodec serializes wireHdr protocol messages for byte-oriented
-// transports (nic.Codec). The in-process pointer fields (sreq/rreq)
-// never cross the wire; their sreqID/rreqID handle ids do — a decoded
-// header always arrives with nil pointers and the netmod resolves the
-// handles through the VCI's registry tables. The codec is bound to its
-// world, whose receive handles tell it where a rendezvous chunk's bytes
-// belong (Place); w is nil for a codec that only translates.
+// transports (nic.Codec). A rendezvous travels as sreqID/rreqID handle
+// ids, which the netmod resolves through the VCI's handle tables. The
+// codec is bound to its world, whose receive handles tell it where a
+// rendezvous chunk's bytes belong (Place); w is nil for a codec that
+// only translates.
 type wireCodec struct{ w *World }
 
 // wireHdrLen is the fixed encoded header size, payload length prefix
@@ -138,7 +137,7 @@ func (wireCodec) DecodeOwned(frame, data []byte) (any, error) {
 // fills the rest of the frame and fits the receive — inside the message
 // its RTS announced, and inside the buffer without truncation (see
 // VCI.placeChunk). Anything else — other kinds, unknown or retired
-// handles, chunks a sender lies about, worlds without handle tables —
+// handles, chunks a sender lies about, worlds hosting more than one rank —
 // is assembled by the transport and decoded as usual, which is also
 // where a hostile chunk meets handleNetMsg's check. The returned
 // placement is the decoded header, payload already in place.

@@ -106,6 +106,7 @@ func newWorld(t *testing.T, ranks int, nodeOf func(rank int) int) (*world, *tran
 		}
 		links[r] = l.(*composite.Link)
 		w.Bind(links[r])
+		w.Transports = append(w.Transports, cw.nets[r])
 		if err := cw.nets[r].Start(); err != nil {
 			t.Fatal(err)
 		}

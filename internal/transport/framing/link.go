@@ -25,7 +25,7 @@ func (s Space) EndpointOf(rank, vci int) fabric.EndpointID {
 }
 
 // RankOfEndpoint maps an endpoint address back to its owning world
-// rank (transport.PeerRanker); the MPI layer uses it to attribute
+// rank (transport.Transport); the MPI layer uses it to attribute
 // failures to a process.
 func (s Space) RankOfEndpoint(ep fabric.EndpointID) int { return int(ep) % int(s) }
 

@@ -65,6 +65,7 @@ func newConformanceWorld(t *testing.T, ranks int) *transporttest.World {
 		}
 		links[r] = l.(*Link)
 		w.Bind(links[r])
+		w.Transports = append(w.Transports, nets[r])
 		if err := nets[r].Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -147,8 +147,8 @@ type Stats struct {
 
 // Network is the TCP transport for one rank: the listener, the peer
 // connection table, and the per-VCI links. It implements
-// transport.Transport plus the CodecSetter/ClockSetter/Starter/
-// PeerRanker extension interfaces.
+// transport.Transport plus the CodecSetter/ClockSetter/Starter
+// extension interfaces.
 type Network struct {
 	framing.Space // EndpointOf, RankOfEndpoint
 

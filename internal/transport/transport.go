@@ -1,17 +1,22 @@
 // Package transport defines the pluggable communication backend behind
 // the MPI runtime: the factory that hands each VCI its nic.Link and
-// resolves peer endpoint addresses. Two implementations exist — the
-// in-process simulated fabric (Sim, the default) and a real TCP
-// backend (internal/transport/tcp) for genuinely multi-process worlds.
+// answers the addressing questions — which endpoint a rank's VCI has,
+// which rank owns an endpoint. Four implementations exist: the
+// in-process simulated fabric (Sim, the default), and for worlds of one
+// rank per OS process TCP (internal/transport/tcp), mmap shared memory
+// (internal/transport/shm) and the node-aware router over the two
+// (internal/transport/composite).
 //
 // The interface deliberately sits *under* the reliability layer
 // (nic.Reliable wraps whatever Link a transport returns), so the
-// go-back-N protocol and the whole netmod run unchanged on either
+// go-back-N protocol and the whole netmod run unchanged on every
 // backend — the MPICH-extension methodology's "an abstraction earns its
-// keep when it survives a second backend".
+// keep when every backend goes through it".
 package transport
 
 import (
+	"sync"
+
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
 	"gompix/internal/timing"
@@ -21,13 +26,18 @@ import (
 type Transport interface {
 	// AddLink creates the link for the given (world rank, VCI index)
 	// pair on the local process. In-process transports are called for
-	// every rank; multiprocess transports only for the local one.
+	// every rank; multiprocess transports only for the local one. A
+	// process never adds the same pair twice.
 	AddLink(rank, vci int) (nic.Link, error)
-	// EndpointOf resolves the endpoint address of a peer rank's VCI
-	// without a link handle (multiprocess bootstrap: the world
-	// communicator is built before any remote handshake). In-process
-	// transports may panic — their worlds resolve endpoints via VCIs.
+	// EndpointOf resolves the endpoint address of a rank's VCI without a
+	// link handle: the world communicator is built from it before any
+	// byte has flowed.
 	EndpointOf(rank, vci int) fabric.EndpointID
+	// RankOfEndpoint maps an endpoint address back to the world rank
+	// that owns it (-1 when none does). The MPI layer uses it to
+	// attribute failures — a dead connection, an exhausted re-dial
+	// budget — to a process rather than a single VCI link.
+	RankOfEndpoint(ep fabric.EndpointID) int
 	// Multiprocess reports whether ranks live in separate OS processes
 	// (one World per process, each hosting a single rank).
 	Multiprocess() bool
@@ -49,14 +59,6 @@ type ClockSetter interface {
 	SetClock(c timing.Clock)
 }
 
-// PeerRanker is implemented by multiprocess transports that can map an
-// endpoint address back to the world rank that owns it. The MPI layer
-// uses it to attribute failures (a dead connection, an exhausted
-// re-dial budget) to a process rather than a single VCI link.
-type PeerRanker interface {
-	RankOfEndpoint(ep fabric.EndpointID) int
-}
-
 // Starter is implemented by transports with a passive side (accept
 // loops): Start is called once the local VCI-0 link exists, so inbound
 // frames always find their destination registered.
@@ -66,7 +68,8 @@ type Starter interface {
 
 // NodeMapper is implemented by transports that know the physical
 // placement of ranks on nodes — the composite shm+TCP transport
-// reports the launcher's host map here. The MPI layer consults it to
+// reports the launcher's host map here, Sim its simulated node map. The
+// MPI layer consults it to
 // select topology-aware (leader-based hierarchical) collectives; a
 // transport without placement knowledge simply doesn't implement it.
 type NodeMapper interface {
@@ -76,16 +79,28 @@ type NodeMapper interface {
 }
 
 // Sim is the default in-process transport: every link is a simulated
-// NIC endpoint on the shared fabric.
+// NIC endpoint on the shared fabric. The fabric hands out endpoint
+// addresses as links attach, so Sim records each AddLink to answer the
+// addressing questions (NodeMapper too, from the node map it attaches
+// by).
 type Sim struct {
 	net    *fabric.Network
 	nodeOf func(rank int) int
+
+	mu     sync.Mutex
+	eps    map[[2]int]fabric.EndpointID // (rank, vci) → endpoint
+	owners map[fabric.EndpointID]int    // endpoint → rank
 }
 
 // NewSim wraps a fabric network as a Transport; nodeOf maps world ranks
 // to simulated nodes.
 func NewSim(net *fabric.Network, nodeOf func(rank int) int) *Sim {
-	return &Sim{net: net, nodeOf: nodeOf}
+	return &Sim{
+		net:    net,
+		nodeOf: nodeOf,
+		eps:    make(map[[2]int]fabric.EndpointID),
+		owners: make(map[fabric.EndpointID]int),
+	}
 }
 
 // Network returns the underlying fabric.
@@ -93,13 +108,38 @@ func (s *Sim) Network() *fabric.Network { return s.net }
 
 // AddLink attaches a fresh NIC endpoint for the rank's node.
 func (s *Sim) AddLink(rank, vci int) (nic.Link, error) {
-	return nic.NewEndpoint(s.net, s.nodeOf(rank)), nil
+	ep := nic.NewEndpoint(s.net, s.nodeOf(rank))
+	s.mu.Lock()
+	s.eps[[2]int{rank, vci}] = ep.ID()
+	s.owners[ep.ID()] = rank
+	s.mu.Unlock()
+	return ep, nil
 }
 
-// EndpointOf is unused in-process: worlds resolve peers via their VCIs.
+// EndpointOf returns the endpoint AddLink attached for (rank, vci), or
+// -1 when there is none yet.
 func (s *Sim) EndpointOf(rank, vci int) fabric.EndpointID {
-	panic("transport: Sim resolves endpoints via VCIs, not EndpointOf")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ep, ok := s.eps[[2]int{rank, vci}]; ok {
+		return ep
+	}
+	return -1
 }
+
+// RankOfEndpoint returns the rank whose AddLink attached ep, or -1.
+func (s *Sim) RankOfEndpoint(ep fabric.EndpointID) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r, ok := s.owners[ep]; ok {
+		return r
+	}
+	return -1
+}
+
+// NodeOf returns the simulated node a rank's links attach to
+// (NodeMapper).
+func (s *Sim) NodeOf(rank int) int { return s.nodeOf(rank) }
 
 // Multiprocess reports false: all ranks share this process.
 func (s *Sim) Multiprocess() bool { return false }

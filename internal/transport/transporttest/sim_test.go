@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"gompix/internal/fabric"
-	"gompix/internal/nic"
+	"gompix/internal/transport"
 )
 
 // TestConformanceSim runs the suite against the in-process simulated
@@ -15,10 +15,15 @@ func TestConformanceSim(t *testing.T) {
 	Run(t, Factory{
 		Name: "sim",
 		New: func(t *testing.T, ranks int) *World {
-			net := fabric.NewNetwork(nil, fabric.Config{})
-			w := &World{Close: net.Stop}
+			sim := transport.NewSim(fabric.NewNetwork(nil, fabric.Config{}), func(r int) int { return r })
+			w := &World{Close: func() { sim.Close() }}
 			for r := 0; r < ranks; r++ {
-				w.Bind(nic.NewEndpoint(net, r))
+				l, err := sim.AddLink(r, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.Bind(l)
+				w.Transports = append(w.Transports, sim)
 			}
 			return w
 		},

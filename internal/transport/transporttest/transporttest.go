@@ -33,6 +33,7 @@ import (
 
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
+	"gompix/internal/transport"
 )
 
 // Caps declares which optional behaviors a backend implements; gated
@@ -50,8 +51,11 @@ type Caps struct {
 // World is one instantiated test topology: ranks = len(Links), one
 // link per rank, all mutually addressable via Link.ID().
 type World struct {
-	// Links holds rank r's link at index r.
+	// Links holds rank r's link at index r: its VCI 0.
 	Links []nic.Link
+	// Transports holds the transport rank r's link came from at index r
+	// (an in-process transport serves every rank).
+	Transports []transport.Transport
 	// Work holds the counter Links[r] was bound to (Bind) before the
 	// backend started any goroutine that may touch it.
 	Work []*WorkCount
@@ -106,6 +110,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("ConcurrentSendRecv", func(t *testing.T) { testConcurrentSendRecv(t, f) })
 	t.Run("WorkCounter", func(t *testing.T) { testWorkCounter(t, f) })
 	t.Run("SelfSend", func(t *testing.T) { testSelfSend(t, f) })
+	t.Run("Addressing", func(t *testing.T) { testAddressing(t, f) })
 	t.Run("GracefulClose", func(t *testing.T) {
 		if !f.Caps.Goodbye {
 			t.Skipf("%s: no goodbye capability", f.Name)
@@ -428,6 +433,45 @@ func testSelfSend(t *testing.T, f Factory) {
 	w.Close()
 	if err := l.PostSendInline(l.ID(), seqMsg(9, 8), 8); err == nil {
 		t.Fatal("self-send posted on a closed link")
+	}
+}
+
+// testAddressing: a transport answers the addressing questions for
+// every link it handed out — EndpointOf(r, v) is the link's address and
+// RankOfEndpoint maps that back to r — the factory's VCI 0 and VCIs
+// added once traffic could flow alike. VCI 2's link is closed before
+// VCI 3 is added: the MPI layer never reuses a VCI index, so a stream
+// created after a StreamFree gets the next one, and its address must
+// resolve all the same.
+func testAddressing(t *testing.T, f Factory) {
+	w := f.New(t, 2)
+	w.setup(t)
+	type added struct {
+		rank, vci int
+		link      nic.Link
+	}
+	var links []added
+	for r, l := range w.Links {
+		links = append(links, added{r, 0, l})
+		for vci := 1; vci <= 3; vci++ {
+			l, err := w.Transports[r].AddLink(r, vci)
+			if err != nil {
+				t.Fatalf("AddLink(%d, %d): %v", r, vci, err)
+			}
+			if vci == 2 {
+				l.Close()
+			}
+			links = append(links, added{r, vci, l})
+		}
+	}
+	for _, a := range links {
+		tr := w.Transports[a.rank]
+		if got := tr.EndpointOf(a.rank, a.vci); got != a.link.ID() {
+			t.Errorf("EndpointOf(%d, %d) = %d, want the link's address %d", a.rank, a.vci, got, a.link.ID())
+		}
+		if got := tr.RankOfEndpoint(a.link.ID()); got != a.rank {
+			t.Errorf("RankOfEndpoint(%d) = %d, want %d (vci %d)", a.link.ID(), got, a.rank, a.vci)
+		}
 	}
 }
 
