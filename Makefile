@@ -75,15 +75,19 @@ race-tcp: race-transport
 	$(GO) test -race -count=1 -run 'TestMatrix' ./mpix/
 
 # The transport pass plus the multiprocess composite worlds (shm
-# intra-node leg under real MPI traffic) and the facade's placed-receive
-# cases (a 1 MiB posted receive whose sender dies, or whose communicator
-# is revoked, mid-message, on tcp and on the composite's shm leg). The
+# intra-node leg under real MPI traffic), the hostile advertised RTS
+# (an address the receiver cannot read), and the facade's placed-receive
+# and send-buffer cases (a 1 MiB posted receive whose sender dies, or
+# whose communicator is revoked, mid-message, on tcp and on the
+# composite's shm leg; the same-node rendezvous read out of the sender's
+# memory, the ring fallback a refused probe forces, and an advertised
+# send buffer under kill and revocation). The
 # steady-state allocation gates run in a separate non-race pass — race
 # instrumentation allocates and would mask the 0 allocs/op and
 # bytes-per-message bars.
 race-shm: race-transport
-	$(GO) test -race -count=1 -timeout 5m -run 'TestRemoteComposite' ./internal/mpi/
-	$(GO) test -race -count=1 -timeout 5m -run 'TestMatrixPlacedRecv' ./mpix/
+	$(GO) test -race -count=1 -timeout 5m -run 'TestRemoteComposite|TestHostileRTSAddress' ./internal/mpi/
+	$(GO) test -race -count=1 -timeout 5m -run 'TestMatrixPlacedRecv|TestMatrixSendBuffer' ./mpix/
 	$(GO) test -count=1 -run 'TestShmSteadyStateAllocs' ./internal/transport/shm/
 	$(GO) test -count=1 -run 'TestRemoteCompositeLargeMessageAllocs' ./internal/mpi/
 
@@ -125,16 +129,19 @@ chaos-sim:
 # hang), revocation mid-collective, transient connection resets healed
 # by the redial budget, hostile frames, graceful-departure teardown, a
 # posted receive whose sender dies or whose communicator is revoked
-# mid-message, and the launcher's kill/continue supervision matrix. The
+# mid-message, either side of a same-node rendezvous killed between its
+# RTS and its FIN, an advertised send revoked before it matched, and the
+# launcher's kill/continue supervision matrix (with the two-process
+# rendezvous on whichever path the host allows). The
 # transport's own half (verdicts, departures, hostile frames, dial
 # failure) is the whole tcp package, selected by package: a renamed test
 # cannot fall out of it the way it could fall out of a -run list.
 chaos-tcp:
 	$(GO) test -race -count=1 -timeout 5m -run \
-		'TestRemoteKillRank|TestRemoteKillTwoRanks|TestRemoteRevokeMidCollective|TestRemoteTransientReset|TestRemoteCompositeKillRank|TestRelaxedKill' \
+		'TestRemoteKillRank|TestRemoteKillTwoRanks|TestRemoteRevokeMidCollective|TestRemoteTransientReset|TestRemoteCompositeKillRank|TestRelaxedKill|TestHostile' \
 		./internal/mpi/
 	$(GO) test -race -count=1 -timeout 5m ./internal/transport/tcp/
-	$(GO) test -race -count=1 -timeout 5m -run 'TestMatrixRelaxedAllreduce|TestMatrixPlacedRecv' ./mpix/
+	$(GO) test -race -count=1 -timeout 5m -run 'TestMatrixRelaxedAllreduce|TestMatrixPlacedRecv|TestMatrixSendBufferRevoke' ./mpix/
 	$(GO) test -count=1 -timeout 5m ./cmd/mpixrun/
 
 # Every committed fuzz target, for a fixed short time each: the frame

@@ -138,6 +138,35 @@ func TestSenderProgressesWhileReceiverComputes(t *testing.T) {
 	}
 }
 
+// TestRendezvousTwoProcesses sends a 1 MiB rendezvous message between
+// two OS processes on one node. The path is the host's call — one read
+// of the sender's memory where cross-memory reads between sibling
+// processes are allowed, the rings where Yama or a seccomp filter
+// refuses them — and the bytes must arrive either way (rank 1 checks
+// them and exits 4 on a miss). The test logs the path each rank's
+// probe chose.
+func TestRendezvousTwoProcesses(t *testing.T) {
+	bin := buildLauncher(t)
+	behave := filepath.Join(t.TempDir(), "behave")
+	if out, err := exec.Command("go", "build", "-o", behave, "./testdata/behave").CombinedOutput(); err != nil {
+		t.Fatalf("building behave: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-n", "2", behave, "cma").CombinedOutput()
+	if err != nil {
+		t.Fatalf("mpixrun: %v\n%s", err, out)
+	}
+	for _, want := range []string{"[0] cma ok path=", "[1] cma ok path="} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("missing %q; output:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.Contains(line, "cma ok") {
+			t.Log(line)
+		}
+	}
+}
+
 // TestLongLinePassthrough checks that a rank's output line larger than
 // bufio.Scanner's 1 MiB token cap survives the prefix multiplexer
 // intact instead of being silently dropped.

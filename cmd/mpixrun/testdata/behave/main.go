@@ -22,6 +22,12 @@
 //	          ago, and rank 1's watcher keeps the ring draining: rank 0
 //	          must be done in well under the window. Both ranks print
 //	          "stall ok ..." on success.
+//	cma       two ranks on one node: rank 0 sends rank 1 a 1 MiB
+//	          rendezvous message, and rank 1 checks every byte. Each rank
+//	          reports the path its probe of the other chose — "cma" when
+//	          it can read the peer's memory, "rings" when the host
+//	          refuses (Yama's ptrace_scope, a seccomp filter) — and
+//	          prints "cma ok path=..." on success, whichever it is.
 package main
 
 import (
@@ -62,6 +68,8 @@ func main() {
 		ftshrink(rank)
 	case "stall":
 		stall(rank)
+	case "cma":
+		cma(rank)
 	default:
 		fmt.Fprintf(os.Stderr, "behave: unknown mode %q\n", mode)
 		os.Exit(2)
@@ -128,6 +136,51 @@ func stall(rank int) {
 			}
 		}
 		fmt.Printf("stall ok recvs=%d after %d compute iterations\n", msgs, sink)
+	})
+}
+
+// cma is the same-node rendezvous between two processes: one read of
+// the sender's memory by the receiver where the host allows it, the
+// rings where it does not. The bytes must arrive either way.
+func cma(rank int) {
+	const size = 1 << 20
+	w, err := mpix.NewWorldFromEnv()
+	if err != nil {
+		die(rank, "NewWorldFromEnv: %v", err)
+	}
+	w.Run(func(p *mpix.Proc) {
+		comm := p.CommWorld()
+		msg := make([]byte, size)
+		for i := range msg {
+			msg[i] = byte(i*7 + 3)
+		}
+		comm.Barrier()
+		if rank == 0 {
+			comm.SendBytes(msg, 1, 1)
+		} else {
+			buf := make([]byte, size)
+			if st := comm.RecvBytes(buf, 0, 1); st.Err != nil || st.Bytes != size {
+				die(rank, "recv: %+v", st)
+			}
+			for i := range buf {
+				if buf[i] != msg[i] {
+					die(rank, "byte %d of the message is %d, want %d", i, buf[i], msg[i])
+				}
+			}
+		}
+		comm.Barrier()
+		// Asked after the exchange: before it, the peer may not have
+		// published its probe record yet, which decides nothing.
+		sn := w.Transport().(*composite.Network).Local().(*shm.Network)
+		path := "rings"
+		if sn.PeerReader(1-rank) != nil {
+			path = "cma"
+		}
+		st := sn.Stats()
+		if st.CMAReads > 0 && path != "cma" {
+			die(rank, "%d cross-memory reads over a pair the probe refused", st.CMAReads)
+		}
+		fmt.Printf("cma ok path=%s reads=%d bytes=%d\n", path, st.CMAReads, st.CMABytes)
 	})
 }
 

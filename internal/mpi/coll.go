@@ -553,7 +553,7 @@ func (c *Comm) irecvRaw(ctx uint32, buf []byte, count int, dt *datatype.Datatype
 		deliverEager(req, e.src, e.tag, e.data)
 		nic.PutStaging(e.stage)
 	case unexpRTS:
-		c.local.sendCTS(req, e.src, e.tag, e.bytes, e.sreqID, e.srcEP, e.flow)
+		c.local.answerRTS(req, e)
 	default:
 		panic(fmt.Sprintf("mpi: unknown unexpected entry kind %d", e.kind))
 	}

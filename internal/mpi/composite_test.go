@@ -76,6 +76,17 @@ func compositeWorlds(t *testing.T, n int, nodes []int, cfg Config, tcfg tcp.Conf
 	return worlds, comps
 }
 
+// spoilProbes makes every shm leg's probe record name the wrong magic:
+// the job's same-node rendezvous run over the rings (CTS and chunks), as
+// on a host that refuses cross-memory reads.
+func spoilProbes(comps []*composite.Network) {
+	for _, cn := range comps {
+		if sn, ok := cn.Local().(*shm.Network); ok {
+			sn.SpoilProbe()
+		}
+	}
+}
+
 // TestRemoteCompositePingPong exchanges every message mode between a
 // same-node pair (shm leg) and a cross-node pair (TCP leg) behind one
 // transport, then verifies the intra-node bytes really took shared

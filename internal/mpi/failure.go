@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"gompix/internal/core"
 	"gompix/internal/fabric"
 )
 
@@ -15,6 +16,15 @@ import (
 // guarantee (§2.4) is *eventual completion* — a dead peer must complete
 // operations with an error, never hang them.
 var ErrProcFailed = errors.New("mpi: peer process failed")
+
+var (
+	// errFinFailed is the cause an advertised send completes with when
+	// its receiver could not read the buffer (a finFailed FIN).
+	errFinFailed = errors.New("mpi: the receiver could not read the send buffer")
+	// errNoProgress ends a peer read that copies nothing and reports no
+	// error.
+	errNoProgress = errors.New("mpi: a read of the peer's memory made no progress")
+)
 
 // rankOfEP maps an endpoint address to the world rank that owns it.
 func (v *VCI) rankOfEP(ep fabric.EndpointID) int {
@@ -89,6 +99,26 @@ func (v *VCI) failPeer(rank int, cause error) {
 	for _, c := range v.proc.commsWithWorldRank(rank) {
 		c.fstate.abortScheds(procErr)
 	}
+}
+
+// failPeerLater delivers a failure verdict the MPI layer reached on its
+// own — a read of the peer's memory that failed — in the stream's next
+// progress pass: failPeer runs under the stream lock, and a receive may
+// match an RTS on the application's thread.
+func (v *VCI) failPeerLater(rank int, cause error) {
+	v.stream.AsyncStart(peerFaultPoll, &peerFault{v: v, rank: rank, cause: cause})
+}
+
+type peerFault struct {
+	v     *VCI
+	rank  int
+	cause error
+}
+
+func peerFaultPoll(t core.Thing) core.PollOutcome {
+	f := t.State().(*peerFault)
+	f.v.failPeer(f.rank, f.cause)
+	return core.Done
 }
 
 // rndvAbort fails a rendezvous send with an already-mapped error,

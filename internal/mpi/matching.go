@@ -31,8 +31,9 @@ type unexpected struct {
 	bytes int    // total message payload size
 
 	// Rendezvous metadata (unexpRTS).
-	sreqID uint64            // sender-side handle id echoed in the CTS
-	srcEP  fabric.EndpointID // where to send the CTS
+	sreqID uint64            // sender-side handle id echoed in the CTS or FIN
+	srcEP  fabric.EndpointID // where to send the CTS or FIN
+	addr   uint64            // the sender's bytes when the RTS was advertised
 
 	// flow correlates rendezvous trace flow events across ranks
 	// (unexpRTS; 0 when tracing is off).
@@ -230,12 +231,14 @@ func (m *matcher) deadRanks() []int {
 // context below the fault-tolerance tag floor, is removed and returned
 // for completion with the revocation error. Unexpected entries on the
 // same contexts are dropped — a revoked communicator's traffic is dead,
-// and the sender side is swept symmetrically by its own revocation.
+// and the sender side is swept symmetrically by its own revocation —
+// except that the dropped advertised RTS entries are returned (rts):
+// their senders wait for an answer.
 // Receives at or above ftTagBase on the collective context are the
 // recovery protocol's own (Agree/Shrink), which MUST keep working on a
 // revoked communicator, so they survive the sweep. The caller completes
 // the returned requests outside the matching lock.
-func (m *matcher) failCtx(ctx uint32) (reqs []*Request) {
+func (m *matcher) failCtx(ctx uint32) (reqs []*Request, rts []unexpected) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	revoked := func(c uint32, tag int) bool {
@@ -256,6 +259,9 @@ func (m *matcher) failCtx(ctx uint32) (reqs []*Request) {
 	keptU := m.unexp[:0]
 	for _, e := range m.unexp {
 		if revoked(e.ctx, e.tag) {
+			if e.kind == unexpRTS && e.addr != 0 {
+				rts = append(rts, e)
+			}
 			continue
 		}
 		keptU = append(keptU, e)
@@ -268,7 +274,7 @@ func (m *matcher) failCtx(ctx uint32) (reqs []*Request) {
 		mm.postedDepth.Set(int64(len(m.posted)))
 		mm.unexpDepth.Set(int64(len(m.unexp)))
 	}
-	return reqs
+	return reqs, rts
 }
 
 // matchOrEnqueue atomically resolves an arrival: it either removes and

@@ -63,7 +63,7 @@ func (m *Message) Mrecv(buf []byte, count int, dt *datatype.Datatype) *Request {
 		nic.PutStaging(e.stage)
 		m.entry.data, m.entry.stage = nil, nil
 	case unexpRTS:
-		c.local.sendCTS(req, e.src, e.tag, e.bytes, e.sreqID, e.srcEP, e.flow)
+		c.local.answerRTS(req, e)
 	default:
 		panic("mpi: unknown matched message kind")
 	}

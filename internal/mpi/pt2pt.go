@@ -28,7 +28,9 @@ func (c *Comm) Isend(buf []byte, count int, dt *datatype.Datatype, dst, tag int)
 // the byte codec every reader of the payload is done with it before the
 // request completes — an unsignaled post is encoded at post, a signaled
 // post and a rendezvous chunk are dropped by the link before the CQE
-// that completes the request, a self-send is copied into ring cells —
+// that completes the request, a receiver that reads an advertised
+// rendezvous out of this process answers FIN only after the read, a
+// self-send is copied into ring cells —
 // so a contiguous buffer is handed down as it is (capacity clipped: the
 // library never writes it). Two cases keep a private copy: gapped
 // layouts, which have to be packed anyway, and every world that passes

@@ -323,11 +323,15 @@ func (v *VCI) handleRevoke(h *wireHdr) {
 // must run under the communicator's stream lock (progress context):
 //
 //   - matcher: posted receives on ctx (and on ctx+1 below ftTagBase)
-//     complete with ErrCommRevoked; matching unexpected entries drop.
+//     complete with ErrCommRevoked; matching unexpected entries drop,
+//     and each advertised RTS among them is answered with a finRevoked
+//     FIN: its sender waits for that answer.
 //   - send table: rendezvous sends still awaiting their CTS abort; a
 //     CTS that arrives for one later finds no handle and is dropped.
 //     Sends already mid-data left the table at their CTS and complete
 //     naturally (the data is flowing anyway; delivery beats a hang).
+//     Advertised sends stay: the receiver may be reading the buffer
+//     right now, and only its answer (or its verdict) completes them.
 //   - receive table: rendezvous receives awaiting data chunks — a CTS
 //     sent, whether or not its sender has aborted since — complete
 //     with ErrCommRevoked (their sender sweeps symmetrically) — when the
@@ -338,13 +342,16 @@ func (v *VCI) handleRevoke(h *wireHdr) {
 // Completions run outside the matching and handle-table locks.
 func (v *VCI) revokeSweep(c *Comm) {
 	ctx := c.ctx
-	reqs := v.match.failCtx(ctx)
+	reqs, rts := v.match.failCtx(ctx)
+	for _, e := range rts {
+		v.postFin(e.srcEP, e.sreqID, finRevoked, e.flow)
+	}
 	var aborted []*netSendState
 	var recvs []*Request
 	v.hmu.Lock()
 	for id, st := range v.sends {
 		onCtx := st.ctx == ctx || (st.ctx == ctx+1 && st.tag < ftTagBase)
-		if onCtx && st.rreqID == 0 {
+		if onCtx && st.rreqID == 0 && !st.advertised {
 			delete(v.sends, id)
 			aborted = append(aborted, st)
 		}

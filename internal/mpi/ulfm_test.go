@@ -161,6 +161,9 @@ func TestRevokeMidCollective(t *testing.T) {
 //   - linkdown: the send fails as a link-down completion of its RTS
 //     fails it; the sender answers the CTS with an abort, and the
 //     receive fails with ErrLinkDown.
+//
+// On shm the pair runs over the rings: a receiver that can read the
+// sender's memory answers with the message read, not a CTS.
 func TestSenderAbortAfterCTS(t *testing.T) {
 	const size = 256 << 10 // rendezvous
 	pendingTx := func(v *VCI) int {
@@ -195,7 +198,11 @@ func TestSenderAbortAfterCTS(t *testing.T) {
 		for _, kind := range []string{"sim", "tcp", "shm"} {
 			t.Run(cause.name+"/"+kind, func(t *testing.T) {
 				rtsOut, ctsOut := make(chan struct{}), make(chan struct{})
-				ladderWorlds(t, kind, nil, func(p *Proc) {
+				world := kind
+				if kind == "shm" {
+					world = "shm-rings"
+				}
+				ladderWorlds(t, world, nil, func(p *Proc) {
 					dup := p.CommWorld().Dup()
 					v := dup.local
 					if p.Rank() == 0 {

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"gompix/internal/core"
 	"gompix/internal/datatype"
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
 	"gompix/internal/trace"
+	"gompix/internal/transport"
 )
 
 // ctrlBytes models the wire size of a protocol header.
@@ -25,7 +27,10 @@ type msgKind uint8
 const (
 	// kindEagerMsg is a complete eager message (payload attached).
 	kindEagerMsg msgKind = iota
-	// kindRTSMsg is a rendezvous ready-to-send.
+	// kindRTSMsg is a rendezvous ready-to-send. One that carries the
+	// address of the sender's bytes (addr) is advertised: a receiver
+	// that can read the sender's memory takes them with one read and
+	// answers FIN; any other answers CTS.
 	kindRTSMsg
 	// kindCTSMsg is a rendezvous clear-to-send.
 	kindCTSMsg
@@ -38,6 +43,10 @@ const (
 	// failed the rendezvous before the CTS arrived — so the receive it
 	// names (rreqID) fails instead of waiting for data forever.
 	kindAbortMsg
+	// kindFinMsg answers an advertised RTS without a CTS: the receiver
+	// is done with the sender's buffer (sreqID names the send) — it read
+	// it, or it never will — and off carries how that went (finStatus).
+	kindFinMsg
 	// numMsgKinds is one past the last defined kind: what the wire
 	// codec refuses.
 	numMsgKinds
@@ -60,8 +69,9 @@ type wireHdr struct {
 	rreqID uint64            // CTS/DATA: receiver handle
 	flow   uint64            // RTS/CTS: trace flow id (0 when tracing is off)
 
-	off     int  // DATA: chunk offset
-	last    bool // DATA: final chunk
+	off     int    // DATA: chunk offset; FIN: the finStatus
+	last    bool   // DATA: final chunk
+	addr    uint64 // RTS: the sender's bytes in its address space (0: not advertised)
 	payload []byte
 
 	// stage is the nic.GetStaging buffer a decoded payload lives in
@@ -97,7 +107,29 @@ type netSendState struct {
 	nextOff  int
 	inflight int
 	failed   bool // link died or comm revoked; req already completed
+
+	// advertised marks a send whose RTS carried the address of wire:
+	// the receiver may be reading it at any moment until it answers,
+	// so only that answer (FIN, or a CTS and the data behind it) or the
+	// peer's failure verdict completes the send — never a sweep.
+	advertised bool
 }
+
+// finStatus is what a FIN tells the sender about its advertised send.
+type finStatus int
+
+const (
+	// finRead: the receiver read the message (or the part of it its
+	// buffer holds: a truncation is the receiver's error, not the
+	// sender's).
+	finRead finStatus = iota
+	// finRevoked: the communicator was revoked before the message
+	// matched; the receiver dropped it unread.
+	finRevoked
+	// finFailed: the receiver could not read the sender's memory and
+	// failed the peer.
+	finFailed
+)
 
 // rtsToken is the CQ token for a reliably sent RTS: its successful
 // acknowledgment is a no-op, but a link-down failure must fail the
@@ -192,6 +224,20 @@ func (v *VCI) registerSend(st *netSendState) uint64 {
 	st.hid = v.hseq
 	v.sends[st.hid] = st
 	return st.hid
+}
+
+// takeAdvertised resolves and removes the handle of an advertised send
+// (its FIN arrives once). A FIN naming a send that advertised nothing is
+// refused: that send's buffer is read only through its CTS.
+func (v *VCI) takeAdvertised(id uint64) *netSendState {
+	v.hmu.Lock()
+	defer v.hmu.Unlock()
+	st := v.sends[id]
+	if st == nil || !st.advertised {
+		return nil
+	}
+	delete(v.sends, id)
+	return st
 }
 
 // takeSend resolves and removes a send handle (the CTS arrives exactly
@@ -625,6 +671,15 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 		*h = hdr
 		h.kind = kindRTSMsg
 		h.srcEP = v.ep.ID()
+		// Advertise the bytes to a peer whose memory this process can
+		// read: the check is symmetric in practice, and a receiver that
+		// cannot read them answers CTS all the same. Not under the
+		// reliability layer, whose link-down verdict on an unacknowledged
+		// RTS would complete the send while the receiver may be reading.
+		if v.rel == nil && v.proc.world.transport.PeerReader(v.rankOfEP(dstEP)) != nil {
+			h.addr = addrOf(wire)
+			st.advertised = true
+		}
 		h.sreqID = v.registerSend(st)
 		var flow uint64
 		if v.proc.world.cfg.Tracer != nil {
@@ -646,6 +701,11 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 		v.traceFlow("rndv.handshake", "RTS sent", trace.PhaseFlowStart, flow)
 	}
 }
+
+// addrOf is the address of b's first byte, which an advertised RTS
+// carries to the receiver. A send's wire is heap memory (the send state
+// holds it), and the Go heap does not move.
+func addrOf(b []byte) uint64 { return uint64(uintptr(unsafe.Pointer(unsafe.SliceData(b)))) }
 
 // rndvSendData keeps up to PipelineDepth chunks in flight. Under the
 // reliability layer the window is ACK-clocked: a chunk stays "in
@@ -724,15 +784,15 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 	case kindRTSMsg:
 		v.trace("rndv.rts.recv", "")
 		v.traceFlow("rndv.handshake", "RTS received", trace.PhaseFlowStep, h.flow)
-		req := v.match.matchOrEnqueue(h.ctx, h.src, h.tag, func() unexpected {
-			return unexpected{
-				ctx: h.ctx, src: h.src, tag: h.tag,
-				kind: unexpRTS, bytes: h.bytes, sreqID: h.sreqID,
-				srcEP: h.srcEP, flow: h.flow, worldSrc: v.rankOfEP(h.srcEP),
-			}
-		})
+		if h.addr != 0 && v.revokedCtx(h.ctx, h.tag) {
+			// Nothing on a revoked communicator matches any more, and the
+			// advertised send waits for an answer: drop it unread.
+			v.postFin(h.srcEP, h.sreqID, finRevoked, h.flow)
+			return
+		}
+		req := v.match.matchOrEnqueue(h.ctx, h.src, h.tag, func() unexpected { return v.rtsEntry(h) })
 		if req != nil {
-			v.sendCTS(req, h.src, h.tag, h.bytes, h.sreqID, h.srcEP, h.flow)
+			v.answerRTS(req, v.rtsEntry(h))
 			return
 		}
 		v.trace("recv.unexpected", "RTS queued")
@@ -754,6 +814,31 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 		}
 		st.rreqID = h.rreqID
 		v.rndvSendData(st)
+	case kindFinMsg:
+		v.traceFlow("rndv.handshake", "FIN received", trace.PhaseFlowEnd, h.flow)
+		// The receiver is done with the advertised buffer. A miss means
+		// the send already completed through the peer's verdict (or the
+		// id is corrupt).
+		st := v.takeAdvertised(h.sreqID)
+		if st == nil {
+			v.trace("rndv.fin.stale", "no matching advertised send; dropped")
+			return
+		}
+		v.netOps.Add(-1)
+		switch finStatus(h.off) {
+		case finRead:
+			st.req.complete(Status{Bytes: len(st.wire)})
+			v.trace("send.complete", "rendezvous read by the receiver")
+		case finRevoked:
+			v.trace("send.failed", "rendezvous: communicator revoked")
+			st.req.complete(Status{Err: ErrCommRevoked})
+		default:
+			v.trace("send.failed", "rendezvous: the receiver could not read the buffer")
+			st.req.complete(Status{Err: mapLinkErr(errFinFailed)})
+		}
+		// Advertised sends run without the reliability layer: no token
+		// references the state.
+		recycleSendState(st)
 	case kindDataMsg:
 		if h.last {
 			v.trace("recv.data.last", "")
@@ -806,26 +891,98 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 	}
 }
 
-// sendCTS prepares the receive request for incoming rendezvous data,
-// registers it, and replies clear-to-send, echoing the sender's handle
-// and carrying the receiver's own.
-func (v *VCI) sendCTS(req *Request, src, tag, totalBytes int, sreqID uint64, dstEP fabric.EndpointID, flow uint64) {
-	peer := v.rankOfEP(dstEP)
+// rtsEntry is the unexpected-queue entry of an arrived RTS: what
+// answerRTS needs to answer it, now or when a receive matches it.
+func (v *VCI) rtsEntry(h *wireHdr) unexpected {
+	return unexpected{
+		ctx: h.ctx, src: h.src, tag: h.tag,
+		kind: unexpRTS, bytes: h.bytes, sreqID: h.sreqID, addr: h.addr,
+		srcEP: h.srcEP, flow: h.flow, worldSrc: v.rankOfEP(h.srcEP),
+	}
+}
+
+// revokedCtx reports whether traffic on context ctx with tag belongs to
+// a revoked communicator — its pt2pt context (even), or its collective
+// context below the fault-tolerance tag floor (see matcher.failCtx).
+func (v *VCI) revokedCtx(ctx uint32, tag int) bool {
+	c := v.proc.lookupComm(ctx &^ 1)
+	return c != nil && c.Revoked() && (ctx&1 == 0 || tag < ftTagBase)
+}
+
+// answerRTS prepares a matched receive for the rendezvous message of
+// RTS entry e and answers the RTS exactly once. An advertised RTS from
+// a peer whose memory this process can read is answered by reading the
+// message (readRndv) and a FIN; any other by a clear-to-send, which
+// registers the receive for the data chunks and echoes the sender's
+// handle.
+func (v *VCI) answerRTS(req *Request, e unexpected) {
 	// The RTS may outlive its sender (a queued unexpected entry, or an
 	// arrival racing the failure verdict): answering it would register a
 	// receive no data will ever complete.
-	if err := v.match.peerErr(peer); err != nil {
+	if err := v.match.peerErr(e.worldSrc); err != nil {
 		v.trace("recv.failed", "rendezvous sender failed before CTS")
 		req.complete(Status{Err: err})
 		return
 	}
-	prepareRndvRecv(req, src, tag, totalBytes)
-	req.peerWorld = peer + 1
+	prepareRndvRecv(req, e.src, e.tag, e.bytes)
+	req.peerWorld = e.worldSrc + 1
+	if e.addr != 0 {
+		if rd := v.proc.world.transport.PeerReader(e.worldSrc); rd != nil {
+			v.readRndv(req, rd, e)
+			return
+		}
+	}
 	h := newHdr()
-	*h = wireHdr{kind: kindCTSMsg, srcEP: v.ep.ID(), sreqID: sreqID, rreqID: v.registerRecv(req), flow: flow}
-	v.postInline(dstEP, h, ctrlBytes)
+	*h = wireHdr{kind: kindCTSMsg, srcEP: v.ep.ID(), sreqID: e.sreqID, rreqID: v.registerRecv(req), flow: e.flow}
+	v.postInline(e.srcEP, h, ctrlBytes)
 	v.trace("rndv.cts.sent", "")
-	v.traceFlow("rndv.handshake", "CTS sent", trace.PhaseFlowStep, flow)
+	v.traceFlow("rndv.handshake", "CTS sent", trace.PhaseFlowStep, e.flow)
+}
+
+// readRndv is the one-copy same-node rendezvous: the receiver reads the
+// message out of the sender's address space straight into the receive
+// buffer (into the reassembly buffer for a gapped datatype) — as much of
+// it as the buffer holds — and answers FIN, which hands the sender its
+// buffer back. An address the sender has not mapped (a hostile or
+// corrupt RTS) or a sender that is gone fails the peer, as a DATA chunk
+// outside its message does: the receive waits in the handle table for
+// that verdict, which completes it.
+func (v *VCI) readRndv(req *Request, rd transport.PeerReader, e unexpected) {
+	n := min(e.bytes, recvCapacity(req))
+	dst := req.staging
+	if dst == nil {
+		dst = req.recvBuf
+	}
+	dst = dst[:n]
+	var err error
+	for off := 0; off < n && err == nil; {
+		var k int
+		if k, err = rd.ReadPeer(dst[off:], e.addr+uint64(off)); k == 0 && err == nil {
+			err = errNoProgress
+		}
+		off += k
+	}
+	if err != nil {
+		v.postFin(e.srcEP, e.sreqID, finFailed, e.flow)
+		v.registerRecv(req)
+		v.trace("recv.failed", "rendezvous: the sender's buffer could not be read")
+		v.failPeerLater(e.worldSrc, fmt.Errorf("rendezvous read of %d bytes at %#x: %w", n, e.addr, err))
+		return
+	}
+	v.postFin(e.srcEP, e.sreqID, finRead, e.flow)
+	st := rndvStatus(req, e.bytes)
+	req.complete(st)
+	if req.tracing() {
+		req.trace("recv.complete", fmt.Sprintf("%d bytes (rendezvous read)", st.Bytes))
+	}
+}
+
+// postFin answers an advertised RTS without a CTS.
+func (v *VCI) postFin(dstEP fabric.EndpointID, sreqID uint64, fin finStatus, flow uint64) {
+	h := newHdr()
+	*h = wireHdr{kind: kindFinMsg, sreqID: sreqID, off: int(fin), flow: flow}
+	v.postInline(dstEP, h, ctrlBytes)
+	v.traceFlow("rndv.handshake", "FIN sent", trace.PhaseFlowStep, flow)
 }
 
 // ---------------------------------------------------------------------------
@@ -889,8 +1046,15 @@ func deliverRndvChunk(req *Request, off int, payload []byte, last, placed bool) 
 	if !last {
 		return Status{}, false
 	}
-	st = Status{Source: req.status.Source, Tag: req.status.Tag}
-	n := min(req.received, req.total) // a repeated chunk must not count twice
+	return rndvStatus(req, min(req.received, req.total)), true // a repeated chunk must not count twice
+}
+
+// rndvStatus is the completion status of a rendezvous receive once n
+// bytes of its message have arrived: truncated to the buffer, unpacked
+// from the reassembly buffer for a gapped datatype.
+func rndvStatus(req *Request, n int) Status {
+	capacity := recvCapacity(req)
+	st := Status{Source: req.status.Source, Tag: req.status.Tag}
 	if n > capacity {
 		n = capacity
 		st.Err = ErrTruncate
@@ -905,5 +1069,5 @@ func deliverRndvChunk(req *Request, off int, payload []byte, last, placed bool) 
 		req.staging = nil
 	}
 	st.Bytes = n
-	return st, true
+	return st
 }

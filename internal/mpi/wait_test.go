@@ -32,6 +32,10 @@ func ladderWorlds(t *testing.T, kind string, reg *metrics.Registry, fn func(*Pro
 	case "shm":
 		worlds, _ := compositeWorlds(t, 2, []int{0, 0}, Config{Metrics: reg}, tcp.Config{})
 		runRemote(t, worlds, fn)
+	case "shm-rings":
+		worlds, comps := compositeWorlds(t, 2, []int{0, 0}, Config{Metrics: reg}, tcp.Config{})
+		spoilProbes(comps)
+		runRemote(t, worlds, fn)
 	case "2x2":
 		worlds, _ := compositeWorlds(t, 4, []int{0, 0, 1, 1}, Config{Metrics: reg}, tcp.Config{})
 		runRemote(t, worlds, fn)

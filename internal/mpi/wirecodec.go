@@ -17,8 +17,9 @@ import (
 type wireCodec struct{ w *World }
 
 // wireHdrLen is the fixed encoded header size, payload length prefix
-// included: kind src ctx tag bytes srcEP sreqID rreqID flow off last plen.
-const wireHdrLen = 1 + 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + 4 + 1 + 4
+// included: kind src ctx tag bytes srcEP sreqID rreqID flow off last addr
+// plen.
+const wireHdrLen = 1 + 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + 4 + 1 + 8 + 4
 
 func (c wireCodec) Encode(buf []byte, payload any) ([]byte, error) {
 	head, body, err := c.EncodeSplit(buf, payload)
@@ -50,7 +51,8 @@ func (wireCodec) EncodeSplit(buf []byte, payload any) (head, body []byte, err er
 	if h.last {
 		e[57] = 1
 	}
-	binary.LittleEndian.PutUint32(e[58:], uint32(len(h.payload)))
+	binary.LittleEndian.PutUint64(e[58:], h.addr)
+	binary.LittleEndian.PutUint32(e[66:], uint32(len(h.payload)))
 	return append(buf, e[:]...), h.payload, nil
 }
 
@@ -84,7 +86,8 @@ func readHdr(data []byte) (*wireHdr, int, error) {
 	h.flow = binary.LittleEndian.Uint64(data[45:])
 	h.off = off
 	h.last = data[57] != 0
-	return h, int(binary.LittleEndian.Uint32(data[58:])), nil
+	h.addr = binary.LittleEndian.Uint64(data[58:])
+	return h, int(binary.LittleEndian.Uint32(data[66:])), nil
 }
 
 // decodeHdr parses a whole frame: the fixed header, and the payload's

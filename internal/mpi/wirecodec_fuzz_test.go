@@ -26,7 +26,9 @@ import (
 // The committed corpus (testdata/fuzz/FuzzWireCodecDecode) seeds the
 // paths hardened in the transport: truncated headers, payload lengths
 // overrunning the frame, unknown kind bytes, a chunk overflowing its
-// message, and a valid frame of every protocol kind.
+// message, and a valid frame of every protocol kind — an RTS that
+// advertises its sender's address and the FIN that answers it among
+// them.
 func FuzzWireCodecDecode(f *testing.F) {
 	// Truncated: empty, one byte, one short of a full header.
 	f.Add([]byte{})
@@ -36,11 +38,11 @@ func FuzzWireCodecDecode(f *testing.F) {
 	f.Add(make([]byte, wireHdrLen))
 	// Payload length overruns the frame.
 	over := make([]byte, wireHdrLen)
-	over[58] = 0x10 // plen = 16, but no payload bytes follow
+	over[66] = 0x10 // plen = 16, but no payload bytes follow
 	f.Add(over)
 	// plen near max uint32 (overflow probing on the length check).
 	huge := make([]byte, wireHdrLen+4)
-	for i := 58; i < 62; i++ {
+	for i := 66; i < 70; i++ {
 		huge[i] = 0xff
 	}
 	f.Add(huge)
@@ -60,6 +62,17 @@ func FuzzWireCodecDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	// An advertised RTS and its FIN: the address and the status travel.
+	for _, h := range []*wireHdr{
+		{kind: kindRTSMsg, src: 1, ctx: 2, tag: 3, bytes: 1 << 20, srcEP: 5, sreqID: 9, addr: 0x7f00_dead_b000},
+		{kind: kindFinMsg, sreqID: 9, off: int(finRevoked)},
+	} {
+		enc, err := codec.Encode(nil, h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
 	// Negative message size and negative chunk offset: both used to
 	// decode, and the offset indexed the receive buffer. And a chunk for
 	// the live receive that overflows the message it announced: it
@@ -110,7 +123,7 @@ func FuzzWireCodecDecode(f *testing.F) {
 		if h2.kind != h.kind || h2.src != h.src || h2.ctx != h.ctx ||
 			h2.tag != h.tag || h2.bytes != h.bytes || h2.srcEP != h.srcEP ||
 			h2.sreqID != h.sreqID || h2.rreqID != h.rreqID ||
-			h2.flow != h.flow || h2.off != h.off || h2.last != h.last {
+			h2.flow != h.flow || h2.off != h.off || h2.last != h.last || h2.addr != h.addr {
 			t.Fatalf("round-trip envelope mismatch:\n first=%+v\nsecond=%+v", h, h2)
 		}
 		if !bytes.Equal(h2.payload, h.payload) {

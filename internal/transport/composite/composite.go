@@ -26,6 +26,7 @@ import (
 	"gompix/internal/metrics"
 	"gompix/internal/nic"
 	"gompix/internal/timing"
+	"gompix/internal/transport"
 	"gompix/internal/transport/framing"
 )
 
@@ -47,6 +48,8 @@ type Leg interface {
 	SetCodec(c nic.Codec)
 	SetClock(c timing.Clock)
 	RankOfEndpoint(ep fabric.EndpointID) int
+	// PeerReader returns a reader of the rank's memory, or nil.
+	PeerReader(rank int) transport.PeerReader
 	// MarkPeerDown records a failure learned by the other leg: posts
 	// fail fast, queued frames fail, no verdict CQE fan-out.
 	MarkPeerDown(rank int, cause error)
@@ -156,6 +159,15 @@ func (n *Network) Remote() Leg { return n.remote }
 
 // Multiprocess reports true: ranks are separate OS processes.
 func (n *Network) Multiprocess() bool { return true }
+
+// PeerReader asks the leg that reaches the rank: the shm leg for a
+// same-node peer, tcp (which has none) for every other.
+func (n *Network) PeerReader(rank int) transport.PeerReader {
+	if n.sameNode(rank) {
+		return n.local.PeerReader(rank)
+	}
+	return n.remote.PeerReader(rank)
+}
 
 // SetCodec fans the codec to both legs (transport.CodecSetter).
 func (n *Network) SetCodec(c nic.Codec) {

@@ -330,9 +330,11 @@ func (l *Link) Parking() bool {
 }
 
 // UseMetrics wires the transport's doorbell counters (shm.bells_rung,
-// shm.bells_suppressed) and its streams' assembly counters
-// (shm.rx.placed, shm.rx.staged) to the registry; the first wired link
-// registers them, scope is unused — they are transport-wide.
+// shm.bells_suppressed), its streams' assembly counters (shm.rx.placed,
+// shm.rx.staged) and its cross-memory counters (shm.rx.cma reads,
+// shm.rx.cma_bytes, shm.rx.cma_refused peers) to the registry; the
+// first wired link registers them, scope is unused — they are
+// transport-wide.
 func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 	if reg == nil || l.net.met.Load() != nil {
 		return
@@ -341,5 +343,8 @@ func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 	l.net.met.CompareAndSwap(nil, &netMetrics{
 		bellsRung:       reg.Counter("shm.bells_rung"),
 		bellsSuppressed: reg.Counter("shm.bells_suppressed"),
+		cmaReads:        reg.Counter("shm.rx.cma"),
+		cmaBytes:        reg.Counter("shm.rx.cma_bytes"),
+		cmaRefused:      reg.Counter("shm.rx.cma_refused"),
 	})
 }

@@ -12,7 +12,8 @@ import (
 //
 //	<base>/gompix-shm-<epoch>/
 //	    job.lock           every live rank holds LOCK_SH
-//	    rank<r>.alive      rank r holds LOCK_EX while alive
+//	    rank<r>.alive      rank r holds LOCK_EX while alive; holds its
+//	                       probe record (pid, probe-word address: cma.go)
 //	    p<src>to<dst>.ring one mapped SPSC ring per directed pair
 //
 // <base> is /dev/shm when available (a tmpfs, so "files" are pages),

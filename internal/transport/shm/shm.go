@@ -114,6 +114,13 @@ type peer struct {
 	// that is polling is not rung at all.
 	bellOwed    atomic.Bool
 	bellBacklog atomic.Bool
+
+	// cma is the pair's cross-memory verdict (cmaUnknown until the
+	// first PeerReader call that finds the peer's probe record),
+	// reader the verified reader; cmaMu serializes the probe.
+	cmaMu  sync.Mutex
+	cma    atomic.Int32
+	reader peerReader
 }
 
 // Network is one rank's shared-memory transport instance
@@ -133,6 +140,9 @@ type Network struct {
 
 	jobLock *os.File
 	alive   *os.File
+	// probeWord is the word this rank's probe record points peers at
+	// (probeValue): heap memory, which does not move, kept alive here.
+	probeWord *uint64
 
 	// bell is this rank's doorbell FIFO (read side parked on by the
 	// watcher goroutine); nil when the filesystem can't host FIFOs.
@@ -160,12 +170,17 @@ type Network struct {
 	peersDown   atomic.Uint64
 	bellsRung   atomic.Uint64
 	bellsSupp   atomic.Uint64
+	cmaReads    atomic.Uint64
+	cmaBytes    atomic.Uint64
+	cmaRefused  atomic.Uint64
 	reclaimed   int
 }
 
-// netMetrics is the registry wiring of the doorbell path.
+// netMetrics is the registry wiring of the doorbell path and of the
+// cross-memory reads.
 type netMetrics struct {
-	bellsRung, bellsSuppressed *metrics.Counter
+	bellsRung, bellsSuppressed     *metrics.Counter
+	cmaReads, cmaBytes, cmaRefused *metrics.Counter
 }
 
 // Stats is a snapshot of the transport counters.
@@ -180,7 +195,12 @@ type Stats struct {
 	// BellsSuppressed counts ring transitions whose doorbell write was
 	// skipped because the consumer's poll stamp was live.
 	BellsSuppressed uint64
-	ReclaimedDirs   int
+	// CMAReads and CMABytes count the reads of peers' memory and the
+	// bytes they moved; CMARefused counts peers whose probe failed.
+	CMAReads      uint64
+	CMABytes      uint64
+	CMARefused    uint64
+	ReclaimedDirs int
 }
 
 // New builds the transport: reclaims stale sibling job directories,
@@ -225,6 +245,13 @@ func New(cfg Config) (*Network, error) {
 	if n.alive, err = claimAlive(dir, cfg.Rank); err != nil {
 		n.jobLock.Close()
 		return nil, err
+	}
+	n.probeWord = new(uint64)
+	*n.probeWord = probeValue(cfg.Epoch, cfg.Rank)
+	if err = publishProbe(n.alive, n.probeWord); err != nil {
+		n.alive.Close()
+		n.jobLock.Close()
+		return nil, fmt.Errorf("shm: probe record: %w", err)
 	}
 	ranks := cfg.Peers
 	if ranks == nil {
@@ -332,6 +359,9 @@ func (n *Network) Stats() Stats {
 		PeersDown:        n.peersDown.Load(),
 		BellsRung:        n.bellsRung.Load(),
 		BellsSuppressed:  n.bellsSupp.Load(),
+		CMAReads:         n.cmaReads.Load(),
+		CMABytes:         n.cmaBytes.Load(),
+		CMARefused:       n.cmaRefused.Load(),
 		ReclaimedDirs:    n.reclaimed,
 	}
 }

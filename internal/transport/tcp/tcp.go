@@ -68,6 +68,7 @@ import (
 	"gompix/internal/metrics"
 	"gompix/internal/nic"
 	"gompix/internal/timing"
+	"gompix/internal/transport"
 	"gompix/internal/transport/framing"
 )
 
@@ -308,6 +309,9 @@ func (n *Network) SetClock(c timing.Clock) { n.tab.SetClock(c) }
 
 // Multiprocess reports true: each rank is a separate OS process.
 func (n *Network) Multiprocess() bool { return true }
+
+// PeerReader returns nil: every byte to a tcp peer crosses the socket.
+func (n *Network) PeerReader(rank int) transport.PeerReader { return nil }
 
 // Stats returns a snapshot of the failure and reactor counters.
 func (n *Network) Stats() Stats {

@@ -41,8 +41,24 @@ type Transport interface {
 	// Multiprocess reports whether ranks live in separate OS processes
 	// (one World per process, each hosting a single rank).
 	Multiprocess() bool
+	// PeerReader returns a reader of the given rank's memory, or nil
+	// when this process cannot read it: the rank is on another node,
+	// the transport has no such path, or a probe read of the peer
+	// failed. A non-nil reader is what lets the MPI layer run a
+	// same-node rendezvous as one read by the receiver (DESIGN.md §12).
+	PeerReader(rank int) PeerReader
 	// Close releases the transport's resources. Idempotent.
 	Close() error
+}
+
+// PeerReader copies bytes out of a verified peer process's address
+// space (a cross-memory read: process_vm_readv on Linux).
+type PeerReader interface {
+	// ReadPeer copies up to len(dst) bytes from the peer's address addr
+	// into dst and returns how many it copied. A short count without an
+	// error means the rest is still to be read; an address the peer has
+	// not mapped is an error.
+	ReadPeer(dst []byte, addr uint64) (int, error)
 }
 
 // CodecSetter is implemented by byte-oriented transports that need a
@@ -143,6 +159,10 @@ func (s *Sim) NodeOf(rank int) int { return s.nodeOf(rank) }
 
 // Multiprocess reports false: all ranks share this process.
 func (s *Sim) Multiprocess() bool { return false }
+
+// PeerReader returns nil: simulated ranks exchange every byte over the
+// fabric.
+func (s *Sim) PeerReader(rank int) PeerReader { return nil }
 
 // Close stops the fabric scheduler.
 func (s *Sim) Close() error {

@@ -4,7 +4,8 @@
 // completions, concurrent send/recv, work-counter balance, a link's
 // send to itself) plus capability-gated checks for the failure
 // semantics real multiprocess transports add (graceful goodbye versus
-// abrupt death, PeerDown verdict ordering).
+// abrupt death, PeerDown verdict ordering), and the reader of a peer's
+// memory a transport may hand out.
 //
 // A backend instantiates the suite by building a Factory and calling
 // Run from one of its tests:
@@ -23,6 +24,7 @@
 package transporttest
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,6 +32,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
@@ -111,6 +114,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("WorkCounter", func(t *testing.T) { testWorkCounter(t, f) })
 	t.Run("SelfSend", func(t *testing.T) { testSelfSend(t, f) })
 	t.Run("Addressing", func(t *testing.T) { testAddressing(t, f) })
+	t.Run("PeerReader", func(t *testing.T) { testPeerReader(t, f) })
 	t.Run("GracefulClose", func(t *testing.T) {
 		if !f.Caps.Goodbye {
 			t.Skipf("%s: no goodbye capability", f.Name)
@@ -553,4 +557,40 @@ func testPeerDownVerdict(t *testing.T, f Factory) {
 	wait(t, w, "fail-fast after verdict", func() bool {
 		return src.PostSendInline(dstID, seqMsg(9, 8), 8) != nil
 	})
+}
+
+// testPeerReader: a transport may hand out a reader of a peer's memory
+// (nil is always allowed, and a rank never gets one of itself); a
+// reader it hands out copies exactly the bytes at an address. Every
+// rank of a test world lives in this process, so a buffer here is the
+// peer's memory too.
+func testPeerReader(t *testing.T, f Factory) {
+	w := f.New(t, 2)
+	w.setup(t)
+	src := make([]byte, 256<<10)
+	for i := range src {
+		src[i] = byte(i*13 + 1)
+	}
+	addr := uint64(uintptr(unsafe.Pointer(&src[0])))
+	for r := range w.Links {
+		tr := w.Transports[r]
+		if tr.PeerReader(r) != nil {
+			t.Errorf("rank %d has a reader of itself", r)
+		}
+		rd := tr.PeerReader(1 - r)
+		if rd == nil {
+			continue
+		}
+		dst := make([]byte, len(src))
+		for got := 0; got < len(dst); {
+			k, err := rd.ReadPeer(dst[got:], addr+uint64(got))
+			if err != nil || k == 0 {
+				t.Fatalf("rank %d reading rank %d: %d bytes, %v", r, 1-r, k, err)
+			}
+			got += k
+		}
+		if !bytes.Equal(dst, src) {
+			t.Fatalf("rank %d's reader of rank %d copied other bytes", r, 1-r)
+		}
+	}
 }

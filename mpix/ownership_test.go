@@ -25,8 +25,9 @@ import (
 // ownSizes spans the send protocols: buffered inline (encoded at post),
 // eager below and above nic.BulkMin (copied into the out-queue at post;
 // borrowed by it until the CQE), rendezvous (chunks borrowed until
-// theirs).
-var ownSizes = []int{64, 2 << 10, 8 << 10, 48 << 10, 200 << 10}
+// theirs; on shm the whole buffer advertised to a receiver that reads
+// it, until its FIN).
+var ownSizes = []int{64, 2 << 10, 8 << 10, 48 << 10, 200 << 10, 1 << 20}
 
 func ownPattern(size, round int) []byte {
 	b := make([]byte, size)
@@ -346,4 +347,119 @@ func TestMatrixSendBufferRevoke(t *testing.T) {
 			}
 		}
 	})
+	t.Run("shm-advertised", testRevokeAdvertised)
+	t.Run("shm-advertised-late", testRevokeAdvertisedLate)
+}
+
+// testRevokeAdvertised: a 1 MiB send whose buffer was advertised to a
+// receiver that can read it is revoked before the receiver matches it.
+// The receiver may be reading the buffer at any moment until it answers,
+// so the send waits for that answer — the FIN of a receiver that drops
+// the message on its own revocation sweep — and completes exactly once,
+// with ErrCommRevoked, never before.
+func testRevokeAdvertised(t *testing.T) {
+	pw := newCMAWorld(t)
+	release := make(chan struct{})
+	var released atomic.Bool
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range pw.worlds {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			defer func() {
+				if e := recover(); e != nil {
+					errs[r] = fmt.Errorf("rank %d panicked: %v", r, e)
+				}
+			}()
+			pw.worlds[r].Run(func(p *mpix.Proc) {
+				dup := p.CommWorld().Dup()
+				if r == 1 {
+					<-release // not matching, not answering
+					for !dup.Revoked() {
+						p.Progress()
+					}
+					p.CommWorld().Barrier()
+					return
+				}
+				buf := ownPattern(placeSize, 0)
+				req := dup.IsendBytes(buf, 1, 1)
+				var fired atomic.Int32
+				req.OnComplete(func(st mpix.Status) {
+					if !released.Load() {
+						errs[r] = fmt.Errorf("the advertised send completed (%+v) before the receiver answered", st)
+					}
+					scribble(buf)
+					fired.Add(1)
+				})
+				dup.Revoke()
+				for i := 0; i < 1000; i++ {
+					p.Progress()
+				}
+				released.Store(true)
+				close(release)
+				if err := settleOnce(p, req, &fired, mpix.ErrCommRevoked); err != nil && errs[r] == nil {
+					errs[r] = err
+				}
+				p.CommWorld().Barrier()
+			})
+		}(r)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// testRevokeAdvertisedLate: the receiver revokes first, and the sender
+// advertises a 1 MiB send before it has heard of the revocation. The RTS
+// reaches a communicator that is already revoked and already swept, so
+// nothing will ever match it; the receiver answers it on arrival, and the
+// send completes exactly once with ErrCommRevoked instead of waiting for
+// an answer forever.
+func testRevokeAdvertisedLate(t *testing.T) {
+	pw := newCMAWorld(t)
+	revoked := make(chan struct{})
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range pw.worlds {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			defer func() {
+				if e := recover(); e != nil {
+					errs[r] = fmt.Errorf("rank %d panicked: %v", r, e)
+				}
+			}()
+			pw.worlds[r].Run(func(p *mpix.Proc) {
+				dup := p.CommWorld().Dup()
+				if r == 1 {
+					dup.Revoke()
+					close(revoked)
+					p.CommWorld().Barrier()
+					return
+				}
+				<-revoked // the revocation is on its way; not yet handled here
+				buf := ownPattern(placeSize, 0)
+				req := dup.IsendBytes(buf, 1, 1)
+				var fired atomic.Int32
+				req.OnComplete(func(mpix.Status) {
+					scribble(buf)
+					fired.Add(1)
+				})
+				if err := settleOnce(p, req, &fired, mpix.ErrCommRevoked); err != nil {
+					errs[r] = err
+				}
+				p.CommWorld().Barrier()
+			})
+		}(r)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
 }
