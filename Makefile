@@ -81,15 +81,16 @@ race-tcp: race-transport
 # whose communicator is revoked, mid-message, on tcp and on the
 # composite's shm leg; the same-node rendezvous read out of the sender's
 # memory, the ring fallback a refused probe forces, and an advertised
-# send buffer under kill and revocation). The
+# send buffer under kill and revocation), and the collective plan
+# lifecycle on every kind of world (reuse, eviction, revoke, kill). The
 # steady-state allocation gates run in a separate non-race pass — race
-# instrumentation allocates and would mask the 0 allocs/op and
-# bytes-per-message bars.
+# instrumentation allocates and would mask the 0 allocs/op,
+# bytes-per-message and allocations-per-allreduce bars.
 race-shm: race-transport
-	$(GO) test -race -count=1 -timeout 5m -run 'TestRemoteComposite|TestHostileRTSAddress' ./internal/mpi/
+	$(GO) test -race -count=1 -timeout 5m -run 'TestRemoteComposite|TestHostileRTSAddress|TestPlan' ./internal/mpi/
 	$(GO) test -race -count=1 -timeout 5m -run 'TestMatrixPlacedRecv|TestMatrixSendBuffer' ./mpix/
 	$(GO) test -count=1 -run 'TestShmSteadyStateAllocs' ./internal/transport/shm/
-	$(GO) test -count=1 -run 'TestRemoteCompositeLargeMessageAllocs' ./internal/mpi/
+	$(GO) test -count=1 -run 'TestRemoteCompositeLargeMessageAllocs|TestAllreduceSteadyStateAllocs' ./internal/mpi/
 
 # Race-detector pass over the continuation machinery: the core
 # run-queue (Defer/drain), the MPIX Continue layer (CAS completion
@@ -104,12 +105,14 @@ race-cont:
 
 # Race-detector pass over the relaxed (solo/partial) allreduce and the
 # quorum schedule machinery beneath it: the coll-layer quorum stages,
-# abort-path cancellation, the per-comm reorder window, the straggler/
-# lag-gate/revoke scenarios, the cross-transport relaxed matrix, and
-# the continuation fail-fast/Reset race.
+# abort-path cancellation and schedule reuse, the per-comm reorder
+# window, the straggler/lag-gate/revoke scenarios, a rendezvous-sized
+# relaxed round (own contribution sent, never a partly folded one), the
+# cross-transport relaxed matrix, the continuation fail-fast/Reset
+# race, and the collective plans whose schedules are reused.
 race-eager:
 	$(GO) test -race -count=1 -timeout 5m \
-		-run 'TestRelaxed|TestMatrixRelaxed|TestQuorum|TestReduceTree|TestScheduleAbort|TestContinueFailFast|TestBitmap' \
+		-run 'TestRelaxed|TestMatrixRelaxed|TestQuorum|TestReduceTree|TestScheduleAbort|TestScheduleReset|TestContinueFailFast|TestBitmap|TestPlan' \
 		./internal/coll/ ./internal/mpi/ ./mpix/
 
 # Both chaos suites: the simulated-fabric fault sweeps and the TCP
@@ -146,7 +149,7 @@ chaos-tcp:
 
 # Every committed fuzz target, for a fixed short time each: the frame
 # parser both byte transports share, the wire-header decoder, the trace
-# exporter. It proves the targets still build and hold on their corpora
+# exporter, the reduction kernels against their per-element reference. It proves the targets still build and hold on their corpora
 # plus a few seconds of mutation; it is no substitute for a long run.
 # go test takes one -fuzz target and one package per run.
 # -fuzzminimizetime because the default spends up to a minute shrinking
@@ -156,6 +159,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStream$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/transport/framing/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodecDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceEventJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzApply$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/reduceop/
 
 # Benchmark gate: fixed iteration counts (-benchtime=Nx) keep runs
 # comparable across commits, -benchmem feeds the allocs/op gates, and

@@ -1,14 +1,19 @@
 package coll
 
 // Collective algorithms, mirroring MPICH's defaults. Every constructor
-// returns an unsubmitted Schedule; the caller submits it to the VCI's
-// Queue. Reduction steps receive closures so the package stays
-// independent of datatype/operator details.
+// returns an unstarted Schedule; the caller starts it on a stream
+// (Schedule.Start), where it runs as an async thing. Reduction steps
+// receive closures so the package stays independent of datatype/operator
+// details.
 //
-// A note on buffer snapshots: Send operations capture their payload at
-// issue time (the transport packs a private copy inside Isend), so a
-// stage that sends a buffer and a later stage that reduces into the
-// same buffer do not race.
+// The stage contract on buffers: a Send hands its buffer to the
+// transport, which may read it until the send completes (no private
+// copy on a byte transport). A strict stage completes only when its
+// sends have, so a later stage may reduce into, or receive into, a
+// buffer an earlier stage sent — and so may the next run of a reused
+// schedule (Reset). Within one stage, sends and receives touch disjoint
+// bytes. Only RelaxedAllreduce folds while it sends, and it sends a
+// snapshot taken at build time.
 
 // Barrier builds a dissemination barrier: ceil(log2 p) rounds, round k
 // exchanging zero-byte messages with ranks ±2^k.

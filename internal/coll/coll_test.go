@@ -487,3 +487,66 @@ func TestScheduleAbort(t *testing.T) {
 type errTest string
 
 func (e errTest) Error() string { return string(e) }
+
+// TestScheduleReset: a completed schedule rearmed with Reset runs the
+// same collective again under the new tag, over the same buffers — the
+// reuse the MPI layer's per-communicator plans rely on. Each round
+// refills the contributions, so a stale fold or a stale request from
+// the previous run would show in the sums; an aborted run is rearmed
+// too (its error and abort cause are gone).
+func TestScheduleReset(t *testing.T) {
+	builders := map[string]struct {
+		p  int
+		mk func(tr Transport, buf []byte) *Schedule
+	}{
+		"hier":   {4, func(tr Transport, buf []byte) *Schedule { return HierAllreduce(tr, buf, addByte, 0, []int{0, 0, 1, 1}) }},
+		"recdbl": {5, func(tr Transport, buf []byte) *Schedule { return AllreduceRecDbl(tr, buf, addByte, 0) }},
+		"ring":   {4, func(tr Transport, buf []byte) *Schedule { return AllreduceRing(tr, buf, 1, addByte, 0) }},
+	}
+	for name, b := range builders {
+		t.Run(name, func(t *testing.T) {
+			trs := newMemNet(b.p)
+			bufs := make([][]byte, b.p)
+			scheds := make([]*Schedule, b.p)
+			for r := range scheds {
+				bufs[r] = make([]byte, 8)
+				scheds[r] = b.mk(trs[r], bufs[r])
+			}
+			for round := 1; round <= 4; round++ {
+				want := byte(0)
+				for r := range bufs {
+					for i := range bufs[r] {
+						bufs[r][i] = byte(r + round + i)
+					}
+					want += byte(r + round)
+				}
+				if round == 3 {
+					// An aborted run, then the next round starts clean.
+					for _, s := range scheds {
+						s.Reset(100 + round)
+						s.Abort(errTest("revoked"))
+						s.Poll()
+						if !s.IsComplete() || s.Err() == nil {
+							t.Fatal("aborted run did not complete with its cause")
+						}
+					}
+					continue
+				}
+				for _, s := range scheds {
+					s.Reset(100 + round)
+				}
+				drive(t, scheds)
+				for r := range bufs {
+					if err := scheds[r].Err(); err != nil {
+						t.Fatalf("round %d rank %d: %v", round, r, err)
+					}
+					for i, got := range bufs[r] {
+						if got != want+byte(b.p*i) {
+							t.Fatalf("round %d rank %d byte %d = %d, want %d", round, r, i, got, want+byte(b.p*i))
+						}
+					}
+				}
+			}
+		})
+	}
+}

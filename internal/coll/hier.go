@@ -15,27 +15,55 @@ package coll
 // the phases rely on (a leader must finish the inter-node phase before
 // relaying intra-node).
 
-// hierGroups splits comm ranks into per-node member lists using
-// nodeOf (comm rank -> node id), ordering groups by first appearance
-// so every rank derives the identical decomposition. The leader of
-// each node is its first member, except the root's node whose leader
-// is the root itself (rooted phases then need no extra leader→root
-// hop).
-func hierGroups(nodeOf []int, root int) (groups [][]int, leaders []int) {
+// Hier is a placement map's node decomposition: comm ranks split into
+// per-node member lists (nodeOf maps comm rank -> node id), groups
+// ordered by first appearance so every rank derives the identical
+// decomposition. The MPI layer computes it once per communicator and
+// builds every two-level schedule over it.
+type Hier struct {
+	nodeOf  []int
+	groups  [][]int
+	leaders []int // each group's first member
+}
+
+// NewHier decomposes the placement map nodeOf.
+func NewHier(nodeOf []int) *Hier {
+	h := &Hier{nodeOf: nodeOf}
 	idx := make(map[int]int)
 	for r, node := range nodeOf {
 		g, ok := idx[node]
 		if !ok {
-			g = len(groups)
+			g = len(h.groups)
 			idx[node] = g
-			groups = append(groups, nil)
-			leaders = append(leaders, r)
+			h.groups = append(h.groups, nil)
+			h.leaders = append(h.leaders, r)
 		}
-		groups[g] = append(groups[g], r)
+		h.groups[g] = append(h.groups[g], r)
 	}
-	rg := idx[nodeOf[root]]
-	leaders[rg] = root
-	return groups, leaders
+	return h
+}
+
+// groupOf finds the index of the group containing comm rank r.
+func (h *Hier) groupOf(r int) int {
+	for g, members := range h.groups {
+		if h.nodeOf[members[0]] == h.nodeOf[r] {
+			return g
+		}
+	}
+	panic("coll: rank missing from its node group")
+}
+
+// leadersFor returns the node leaders of a phase rooted at root: each
+// node's first member, except the root's node whose leader is the root
+// itself (rooted phases then need no extra leader→root hop).
+func (h *Hier) leadersFor(root int) []int {
+	g := h.groupOf(root)
+	if h.leaders[g] == root {
+		return h.leaders
+	}
+	leaders := append([]int(nil), h.leaders...)
+	leaders[g] = root
+	return leaders
 }
 
 // HierWorthwhile reports whether the placement map makes the two-level
@@ -140,52 +168,57 @@ func reduceTree(s *Schedule, tr Transport, inout []byte, reduce func(inout, in [
 	}
 }
 
-// HierBcast builds the two-level broadcast: root fans out to the other
+// Bcast builds the two-level broadcast: root fans out to the other
 // node leaders over the network, then every leader relays within its
 // node over shared memory.
-func HierBcast(tr Transport, buf []byte, root, tag int, nodeOf []int) *Schedule {
+func (h *Hier) Bcast(tr Transport, buf []byte, root, tag int) *Schedule {
 	s := NewSchedule(tr)
-	groups, leaders := hierGroups(nodeOf, root)
+	leaders := h.leadersFor(root)
 	bcastTree(s, tr, buf, leaders, indexOf(leaders, root), tag)
-	g := idxOfNode(groups, nodeOf, tr.Rank())
-	bcastTree(s, tr, buf, groups[g], indexOf(groups[g], leaders[g]), tag)
+	g := h.groupOf(tr.Rank())
+	bcastTree(s, tr, buf, h.groups[g], indexOf(h.groups[g], leaders[g]), tag)
 	return s
 }
 
-// HierReduce builds the two-level reduction into root: each node
-// reduces onto its leader over shared memory, then the leaders reduce
-// onto root over the network. Non-root inout is scratch afterwards.
-func HierReduce(tr Transport, inout []byte, reduce func(inout, in []byte), root, tag int, nodeOf []int) *Schedule {
+// Reduce builds the two-level reduction into root: each node reduces
+// onto its leader over shared memory, then the leaders reduce onto
+// root over the network. Non-root inout is scratch afterwards.
+func (h *Hier) Reduce(tr Transport, inout []byte, reduce func(inout, in []byte), root, tag int) *Schedule {
 	s := NewSchedule(tr)
-	groups, leaders := hierGroups(nodeOf, root)
-	g := idxOfNode(groups, nodeOf, tr.Rank())
-	reduceTree(s, tr, inout, reduce, groups[g], indexOf(groups[g], leaders[g]), tag)
+	leaders := h.leadersFor(root)
+	g := h.groupOf(tr.Rank())
+	reduceTree(s, tr, inout, reduce, h.groups[g], indexOf(h.groups[g], leaders[g]), tag)
 	reduceTree(s, tr, inout, reduce, leaders, indexOf(leaders, root), tag)
 	return s
 }
 
-// HierAllreduce builds the two-level allreduce: intra-node reduce to
+// Allreduce builds the two-level allreduce: intra-node reduce to
 // leaders, inter-leader reduce to the first leader then broadcast back
 // across the leaders, and an intra-node broadcast to finish. Four
 // phases, but only the middle two touch the network.
-func HierAllreduce(tr Transport, inout []byte, reduce func(inout, in []byte), tag int, nodeOf []int) *Schedule {
+func (h *Hier) Allreduce(tr Transport, inout []byte, reduce func(inout, in []byte), tag int) *Schedule {
 	s := NewSchedule(tr)
-	groups, leaders := hierGroups(nodeOf, 0)
-	g := idxOfNode(groups, nodeOf, tr.Rank())
-	lead := indexOf(groups[g], leaders[g])
-	reduceTree(s, tr, inout, reduce, groups[g], lead, tag)
-	reduceTree(s, tr, inout, reduce, leaders, 0, tag)
-	bcastTree(s, tr, inout, leaders, 0, tag)
-	bcastTree(s, tr, inout, groups[g], lead, tag)
+	g := h.groupOf(tr.Rank())
+	lead := indexOf(h.groups[g], h.leaders[g])
+	reduceTree(s, tr, inout, reduce, h.groups[g], lead, tag)
+	reduceTree(s, tr, inout, reduce, h.leaders, 0, tag)
+	bcastTree(s, tr, inout, h.leaders, 0, tag)
+	bcastTree(s, tr, inout, h.groups[g], lead, tag)
 	return s
 }
 
-// idxOfNode finds the group containing comm rank r.
-func idxOfNode(groups [][]int, nodeOf []int, r int) int {
-	for g, members := range groups {
-		if nodeOf[members[0]] == nodeOf[r] {
-			return g
-		}
-	}
-	panic("coll: rank missing from its node group")
+// HierBcast is Hier.Bcast over a decomposition built for this call.
+func HierBcast(tr Transport, buf []byte, root, tag int, nodeOf []int) *Schedule {
+	return NewHier(nodeOf).Bcast(tr, buf, root, tag)
+}
+
+// HierReduce is Hier.Reduce over a decomposition built for this call.
+func HierReduce(tr Transport, inout []byte, reduce func(inout, in []byte), root, tag int, nodeOf []int) *Schedule {
+	return NewHier(nodeOf).Reduce(tr, inout, reduce, root, tag)
+}
+
+// HierAllreduce is Hier.Allreduce over a decomposition built for this
+// call.
+func HierAllreduce(tr Transport, inout []byte, reduce func(inout, in []byte), tag int, nodeOf []int) *Schedule {
+	return NewHier(nodeOf).Allreduce(tr, inout, reduce, tag)
 }

@@ -114,12 +114,16 @@ func RelaxedAllreduce(tr Transport, inout []byte, reduce func(inout, in []byte),
 		s.AddStage(Gate(cfg.Gate))
 	}
 	ops := make([]Op, 0, 2*(p-1))
-	// Sends first: they are issued before any fold can run inside the
-	// same poll, so the snapshot each peer receives is the caller's own
-	// contribution, never a partial reduction.
+	// The one algorithm that folds into a buffer while sends of it may
+	// still be reading it: the quorum stage issues the sends and folds
+	// the receives together, and a send hands its buffer to the
+	// transport (a rendezvous is read long after issue). So every peer
+	// gets a snapshot of the caller's own contribution, taken here —
+	// never inout, which would reach it partly folded.
+	own := append([]byte(nil), inout...)
 	for d := 0; d < p; d++ {
 		if d != me {
-			ops = append(ops, Send(inout, d, tag))
+			ops = append(ops, Send(own, d, tag))
 		}
 	}
 	for d := 0; d < p; d++ {

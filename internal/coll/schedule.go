@@ -64,6 +64,10 @@ type Op interface {
 	// leak posted operations that poison later tag matches.
 	// Best-effort: sends and local steps no-op.
 	cancel()
+	// reset rearms a finished operation for the schedule's next run:
+	// it forgets the request and fold state of the last one and takes
+	// the run's tag (operations without a tag ignore it).
+	reset(tag int)
 }
 
 // opErr extracts a delivery error from a transport request, when the
@@ -107,6 +111,7 @@ func (o *sendOp) start(tr Transport) { o.req = tr.Isend(o.data, o.dst, o.tag) }
 func (o *sendOp) isComplete() bool   { return o.req != nil && o.req.IsComplete() }
 func (o *sendOp) err() error         { return opErr(o.req) }
 func (o *sendOp) cancel()            {} // sends are not cancellable (payload may be on the wire)
+func (o *sendOp) reset(tag int)      { o.tag, o.req = tag, nil }
 
 // Send creates a send operation.
 func Send(data []byte, dst, tag int) Op { return &sendOp{data: data, dst: dst, tag: tag} }
@@ -127,6 +132,7 @@ func (o *recvOp) cancel() {
 		cancelReq(o.req)
 	}
 }
+func (o *recvOp) reset(tag int) { o.tag, o.req = tag, nil }
 
 // Recv creates a receive operation.
 func Recv(buf []byte, src, tag int) Op { return &recvOp{buf: buf, src: src, tag: tag} }
@@ -143,6 +149,11 @@ type recvReduceOp struct {
 	fold    func(in []byte)
 	decided bool
 	folded  bool
+}
+
+func (o *recvReduceOp) reset(tag int) {
+	o.recvOp.reset(tag)
+	o.decided, o.folded = false, false
 }
 
 func (o *recvReduceOp) isComplete() bool {
@@ -186,6 +197,7 @@ func (o *localOp) start(Transport)  { o.fn(); o.done = true }
 func (o *localOp) isComplete() bool { return o.done }
 func (o *localOp) err() error       { return nil }
 func (o *localOp) cancel()          {}
+func (o *localOp) reset(int)        { o.done = false }
 
 // Local creates a local computation operation.
 func Local(fn func()) Op { return &localOp{fn: fn} }
@@ -202,6 +214,7 @@ func (o *issueOp) start(Transport)  { o.req, o.issued = o.issue(), true }
 func (o *issueOp) isComplete() bool { return o.issued && (o.req == nil || o.req.IsComplete()) }
 func (o *issueOp) err() error       { return opErr(o.req) }
 func (o *issueOp) cancel()          { cancelReq(o.req) }
+func (o *issueOp) reset(int)        { o.req, o.issued = nil, false }
 
 // Issue creates an operation issued by fn instead of the Transport: fn
 // runs when the stage starts, inside a progress poll. The request it
@@ -228,6 +241,7 @@ func (o *gateOp) isComplete() bool {
 }
 func (o *gateOp) err() error { return nil }
 func (o *gateOp) cancel()    {}
+func (o *gateOp) reset(int)  { o.open = false }
 
 // Gate creates a pure wait operation that completes once ready reports
 // true. ready is consulted from progress polls and must be cheap.
@@ -267,6 +281,7 @@ type QuorumStage struct {
 	OnSettle func(contributed, abandoned int, err error)
 
 	firstErr error
+	settled  bool
 }
 
 // stage is one schedule step: a strict all-must-complete group
@@ -351,13 +366,38 @@ func (s *Schedule) Abort(err error) {
 	s.abort.CompareAndSwap(nil, &err)
 }
 
+// Reset rearms a completed (or never started) schedule for another run
+// of the same collective under tag: the stage cursor, the abort state,
+// the done flag and every operation's request and fold state go back to
+// their initial values, the buffers and stage shapes stay. It is what
+// lets the MPI layer build a collective's schedule once per signature
+// and reuse it call after call (MPI-4's persistent collectives, kept
+// inside the library). The caller must own the schedule outright: no
+// stream still polls it and no transport still reads its buffers — a
+// clean completion guarantees both, since a strict stage finishes only
+// when its sends have.
+func (s *Schedule) Reset(tag int) {
+	s.cur, s.issued, s.err = 0, false, nil
+	s.abort.Store(nil)
+	for i := range s.stages {
+		st := &s.stages[i]
+		for _, op := range st.ops {
+			op.reset(tag)
+		}
+		if st.q != nil {
+			st.q.firstErr, st.q.settled = nil, false
+		}
+	}
+	s.done.Reset()
+}
+
 // Start puts the schedule under stream's progress. It polls once at
 // call time, so the first stage is issued before Start returns (as
 // MPICH issues a collective's first operations at call time); a
 // schedule still running after that becomes an async thing of the
 // stream (MPIX_Async_start), polled in every pass until it completes.
 func (s *Schedule) Start(stream *core.Stream) {
-	if s.Poll(); !s.IsComplete() {
+	if _, done := s.poll(); !done {
 		stream.AsyncStart(s.AsyncPoll, nil)
 	}
 }
@@ -365,9 +405,8 @@ func (s *Schedule) Start(stream *core.Stream) {
 // AsyncPoll is Poll as a core.PollFunc. Start registers it; a caller
 // whose first stage must wait for the stream's next pass does so itself.
 func (s *Schedule) AsyncPoll(core.Thing) core.PollOutcome {
-	made := s.Poll()
-	switch {
-	case s.IsComplete():
+	switch made, done := s.poll(); {
+	case done:
 		return core.Done
 	case made:
 		return core.Progressed
@@ -380,13 +419,21 @@ func (s *Schedule) AsyncPoll(core.Thing) core.PollOutcome {
 // if any state changed. Poll is not safe for concurrent use; the owning
 // progress stream serializes it.
 func (s *Schedule) Poll() bool {
+	made, _ := s.poll()
+	return made
+}
+
+// poll is Poll that also reports whether the schedule is complete. The
+// completion callback is its last touch of s: the callback may hand the
+// schedule to its next user (Reset), so neither poll nor its callers
+// read s afterwards.
+func (s *Schedule) poll() (made, done bool) {
 	if s.done.IsSet() {
-		return false
+		return false, true
 	}
 	if p := s.abort.Load(); p != nil && s.err == nil {
 		s.err = *p
 	}
-	made := false
 	for s.cur < len(s.stages) {
 		if s.err != nil {
 			break
@@ -409,7 +456,7 @@ func (s *Schedule) Poll() bool {
 			break
 		}
 		if !fin {
-			return made
+			return made, false
 		}
 		s.cur++
 		s.issued = false
@@ -418,13 +465,13 @@ func (s *Schedule) Poll() bool {
 	if s.err != nil {
 		s.sweepIssued()
 	}
-	if s.done.Set() {
-		made = true
-		if s.onComplete != nil {
-			s.onComplete()
-		}
+	if !s.done.Set() {
+		return made, true
 	}
-	return made
+	if fn := s.onComplete; fn != nil {
+		fn()
+	}
+	return true, true
 }
 
 // pollStrict advances a strict stage. It collects errors before
@@ -491,10 +538,10 @@ func (s *Schedule) pollQuorum(st *stage) bool {
 		}
 		op.cancel()
 	}
-	if q.OnSettle != nil {
+	if !q.settled && q.OnSettle != nil {
 		q.OnSettle(contrib, abandoned, q.firstErr)
-		q.OnSettle = nil
 	}
+	q.settled = true
 	return true
 }
 

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"gompix/internal/coll"
 	"gompix/internal/datatype"
@@ -16,6 +18,13 @@ import (
 // fresh tag from a per-communicator sequence — legal because MPI
 // requires all ranks to call collectives on a communicator in the same
 // order.
+//
+// Barrier, Bcast, Reduce and Allreduce run from plans: the schedule,
+// its wire buffer and scratch, the reduction closure and the completion
+// callback are built once per signature and rearmed on every later call
+// (Schedule.Reset), so a call costs its bytes and its hops — MPI-4's
+// persistent collectives, applied inside the library. The other
+// collectives build a schedule per call.
 
 // collTransport adapts a Comm to coll.Transport.
 type collTransport struct{ c *Comm }
@@ -23,16 +32,19 @@ type collTransport struct{ c *Comm }
 func (t collTransport) Rank() int { return t.c.rank }
 func (t collTransport) Size() int { return t.c.Size() }
 
+// Isend hands data down under the rule user sends follow (sendPayload):
+// on a byte world the transport reads the schedule's buffer itself,
+// which is safe because a strict stage completes only when its sends
+// have (see internal/coll's stage contract); the sim fabric and small
+// reliable sends keep a private copy.
 func (t collTransport) Isend(data []byte, dst, tag int) coll.Completable {
 	if t.c.fstate.revoked.Load() {
 		return t.c.failedReq(kindSend, ErrCommRevoked)
 	}
-	wire := make([]byte, len(data))
-	copy(wire, data) // snapshot at issue time (see coll package doc)
 	// Raw (lock-free) issuance: schedule stages run inside progress,
 	// where the legacy global lock (Config.GlobalLock) is already held
 	// — re-entering it would self-deadlock.
-	return t.c.isendWireRaw(t.c.ctx+1, wire, dst, tag)
+	return t.c.isendWireRaw(t.c.ctx+1, t.c.sendPayload(data, len(data), datatype.Byte), dst, tag)
 }
 
 func (t collTransport) Irecv(buf []byte, src, tag int) coll.Completable {
@@ -47,39 +59,63 @@ func (c *Comm) nextCollTag() int {
 	return int(c.collSeq.Add(1))
 }
 
-// hierNodes returns the communicator's rank→node placement map when
-// the two-level (node-aware) collective algorithms are worthwhile: at
-// least two nodes exist and some node hosts several ranks — never on a
-// transport without placement knowledge, where every rank is its own
-// node. Cached — placement is immutable for a world's lifetime. All
-// ranks compute the same map from the same topology, so algorithm
-// selection stays collectively consistent.
-func (c *Comm) hierNodes() ([]int, bool) {
+// hier returns the communicator's node decomposition when the two-level
+// (node-aware) collective algorithms are worthwhile — at least two
+// nodes exist and some node hosts several ranks — and nil otherwise,
+// always on a transport without placement knowledge, where every rank
+// is its own node. Computed once: placement is immutable for a world's
+// lifetime. All ranks derive the same decomposition from the same
+// topology, so algorithm selection stays collectively consistent.
+func (c *Comm) hier() *coll.Hier {
 	c.topoOnce.Do(func() {
 		nodes := make([]int, len(c.ranks))
 		for r, wr := range c.ranks {
 			nodes[r] = c.proc.world.TopoNodeOf(wr)
 		}
 		if coll.HierWorthwhile(nodes) {
-			c.topoNodes = nodes
+			c.topoHier = coll.NewHier(nodes)
 		}
 	})
-	return c.topoNodes, c.topoNodes != nil
+	return c.topoHier
 }
 
-// submitSched wraps a schedule in a user-visible request and starts it
-// on the communicator's stream, where it runs as an async thing.
-func (c *Comm) submitSched(s *coll.Schedule, onDone func()) *Request {
+// refuseSched returns a failed request when the communicator cannot
+// host a collective, nil when it can. ULFM collective semantics: a
+// revoked communicator, or one with a failed member, cannot —
+// membership, not addressing, condemns them (a stage can stall
+// transitively without ever naming the dead rank). Users recover by
+// Revoke + Shrink onto a survivor comm.
+func (c *Comm) refuseSched() *Request {
 	if c.fstate.revoked.Load() {
 		return c.failedReq(kindSched, ErrCommRevoked)
 	}
-	// ULFM collective semantics: a communicator with a failed member
-	// cannot host collectives — membership, not addressing, condemns
-	// them (a stage can stall transitively without ever naming the dead
-	// rank). Users recover by Revoke + Shrink onto a survivor comm.
 	if failed := c.FailedRanks(); len(failed) > 0 {
 		return c.failedReq(kindSched,
 			fmt.Errorf("%w: comm rank(s) %v", ErrProcFailed, failed))
+	}
+	return nil
+}
+
+// startSched tracks s and starts it on the communicator's stream, where
+// it runs as an async thing. Tracking comes first so a revocation
+// arriving mid-collective finds (and aborts) the schedule; addSched
+// re-checks revoked after insertion to close the race with a concurrent
+// sweep, and the FailedRanks re-check below does the same for a failure
+// verdict landing between refuseSched and the insertion (whichever of
+// submit and failPeer runs second sees the other's effect).
+func (c *Comm) startSched(s *coll.Schedule) {
+	c.fstate.addSched(s)
+	if failed := c.FailedRanks(); len(failed) > 0 {
+		s.Abort(fmt.Errorf("%w: comm rank(s) %v", ErrProcFailed, failed))
+	}
+	s.Start(c.local.stream)
+}
+
+// submitSched wraps a schedule built for one call in a user-visible
+// request and starts it.
+func (c *Comm) submitSched(s *coll.Schedule, onDone func()) *Request {
+	if req := c.refuseSched(); req != nil {
+		return req
 	}
 	req := &Request{kind: kindSched, vci: c.local, proc: c.proc}
 	s.OnComplete(func() {
@@ -96,17 +132,7 @@ func (c *Comm) submitSched(s *coll.Schedule, onDone func()) *Request {
 		}
 		req.complete(Status{})
 	})
-	// Track before submitting so a revocation arriving mid-collective
-	// finds (and aborts) the schedule; addSched re-checks revoked after
-	// insertion to close the race with a concurrent sweep, and the
-	// FailedRanks re-check below does the same for a failure verdict
-	// landing between the gate above and the insertion (whichever of
-	// submit and failPeer runs second sees the other's effect).
-	c.fstate.addSched(s)
-	if failed := c.FailedRanks(); len(failed) > 0 {
-		s.Abort(fmt.Errorf("%w: comm rank(s) %v", ErrProcFailed, failed))
-	}
-	s.Start(c.local.stream)
+	c.startSched(s)
 	return req
 }
 
@@ -131,9 +157,167 @@ func packFor(buf []byte, count int, dt *datatype.Datatype) []byte {
 	return wire
 }
 
+// planKind names the collectives that run from plans.
+type planKind uint8
+
+const (
+	planBarrier planKind = iota
+	planBcast
+	planReduce
+	planAllreduce
+)
+
+// planKey is a planned collective's signature: calls with equal keys on
+// one communicator run the same schedule.
+type planKey struct {
+	kind  planKind
+	count int
+	dt    *datatype.Datatype
+	op    reduceop.Op
+	root  int
+}
+
+// collPlan is a collective built once for its signature: the schedule,
+// the packed wire buffer the schedule sends, receives and reduces in,
+// and the schedule's completion callback (finish, bound once). A run
+// fills the wire buffer, rearms the schedule under a fresh tag and
+// starts it. The plan — wire buffer included — belongs to that run until
+// it completes; only a clean completion gives it back to the
+// communicator's cache. An aborted run (revoked, or failed by a peer)
+// may leave sends still reading the buffer and receives still posted,
+// so its plan is dropped.
+type collPlan struct {
+	c     *Comm
+	key   planKey
+	sched *coll.Schedule
+	wire  []byte
+
+	req *Request // the running call's request
+	out []byte   // where a clean completion unpacks the result; nil: nowhere
+}
+
+// planCacheSize bounds the idle plans a communicator keeps; the least
+// recently used one goes first.
+const planCacheSize = 8
+
+// planCache holds a communicator's idle plans, least recently used
+// first. Two outstanding calls with one signature run two plans, and
+// both come back.
+type planCache struct {
+	mu   sync.Mutex
+	idle []*collPlan
+}
+
+// take removes and returns the most recently used idle plan for k, or
+// nil.
+func (pc *planCache) take(k planKey) *collPlan {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	for i := len(pc.idle) - 1; i >= 0; i-- {
+		if p := pc.idle[i]; p.key == k {
+			pc.idle = slices.Delete(pc.idle, i, i+1)
+			return p
+		}
+	}
+	return nil
+}
+
+// put returns a plan to the cache, evicting the least recently used
+// one when full.
+func (pc *planCache) put(p *collPlan) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if len(pc.idle) == planCacheSize {
+		pc.idle = slices.Delete(pc.idle, 0, 1)
+	}
+	pc.idle = append(pc.idle, p)
+}
+
+// plan returns an idle plan for k, building one on a miss.
+func (c *Comm) plan(k planKey) *collPlan {
+	if p := c.plans.take(k); p != nil {
+		return p
+	}
+	p := &collPlan{c: c, key: k}
+	if k.kind != planBarrier {
+		p.wire = make([]byte, datatype.PackedSize(k.count, k.dt))
+	}
+	tr, h := c.transport(), c.hier()
+	switch k.kind {
+	case planBarrier:
+		p.sched = coll.Barrier(tr, 0)
+	case planBcast:
+		switch {
+		case h != nil:
+			p.sched = h.Bcast(tr, p.wire, k.root, 0)
+		case len(p.wire) >= bcastLongThreshold && c.Size() > 2:
+			p.sched = coll.BcastScatterAllgather(tr, p.wire, k.root, 0)
+		default:
+			p.sched = coll.Bcast(tr, p.wire, k.root, 0)
+		}
+	case planReduce:
+		red := reducer(k.op, k.dt, k.count)
+		if h != nil {
+			p.sched = h.Reduce(tr, p.wire, red, k.root, 0)
+		} else {
+			p.sched = coll.Reduce(tr, p.wire, red, k.root, 0)
+		}
+	case planAllreduce:
+		red := reducer(k.op, k.dt, k.count)
+		switch {
+		case h != nil:
+			p.sched = h.Allreduce(tr, p.wire, red, 0)
+		case len(p.wire) >= ringThresholdBytes && k.count >= c.Size() && c.Size() > 2:
+			p.sched = coll.AllreduceRing(tr, p.wire, k.dt.Size(), red, 0)
+		default:
+			p.sched = coll.AllreduceRecDbl(tr, p.wire, red, 0)
+		}
+	}
+	p.sched.OnComplete(p.finish)
+	return p
+}
+
+// runPlan starts one call of a plan whose wire buffer holds this call's
+// contribution; a clean completion unpacks the result into out.
+func (c *Comm) runPlan(p *collPlan, out []byte) *Request {
+	tag := c.nextCollTag()
+	if req := c.refuseSched(); req != nil {
+		return req
+	}
+	req := &Request{kind: kindSched, vci: c.local, proc: c.proc}
+	p.req, p.out = req, out
+	p.sched.Reset(tag)
+	c.startSched(p.sched)
+	return req
+}
+
+// finish is the plan's completion callback. It is the schedule's last
+// touch of the plan: once put, the plan may be running the next call.
+// A revocation or failure sweep that listed the previous run may still
+// Abort the schedule after that; it can only do so on a communicator
+// that is revoked or has a failed member, where the next run is
+// condemned anyway.
+func (p *collPlan) finish() {
+	c, req := p.c, p.req
+	c.fstate.removeSched(p.sched)
+	// A schedule aborted by a peer failure or a revocation must not
+	// publish its result: the collective's invariant (every rank
+	// contributed) no longer holds.
+	if err := p.sched.Err(); err != nil {
+		req.complete(Status{Err: err})
+		return
+	}
+	if p.out != nil {
+		datatype.Unpack(p.out, p.wire, p.key.count, p.key.dt)
+	}
+	p.req, p.out = nil, nil
+	c.plans.put(p)
+	req.complete(Status{})
+}
+
 // Ibarrier starts a nonblocking dissemination barrier (MPI_Ibarrier).
 func (c *Comm) Ibarrier() *Request {
-	return c.submitSched(coll.Barrier(c.transport(), c.nextCollTag()), nil)
+	return c.runPlan(c.plan(planKey{kind: planBarrier}), nil)
 }
 
 // Barrier blocks until all ranks arrive (MPI_Barrier).
@@ -148,25 +332,12 @@ const bcastLongThreshold = 16 * 1024
 // scatter-allgather for long ones.
 func (c *Comm) Ibcast(buf []byte, count int, dt *datatype.Datatype, root int) *Request {
 	c.checkRank(root)
-	var wire []byte
+	p := c.plan(planKey{kind: planBcast, count: count, dt: dt, root: root})
 	if c.rank == root {
-		wire = packFor(buf, count, dt)
-	} else {
-		wire = make([]byte, datatype.PackedSize(count, dt))
+		datatype.Pack(p.wire, buf, count, dt)
+		return c.runPlan(p, nil)
 	}
-	var s *coll.Schedule
-	if nodes, ok := c.hierNodes(); ok {
-		s = coll.HierBcast(c.transport(), wire, root, c.nextCollTag(), nodes)
-	} else if len(wire) >= bcastLongThreshold && c.Size() > 2 {
-		s = coll.BcastScatterAllgather(c.transport(), wire, root, c.nextCollTag())
-	} else {
-		s = coll.Bcast(c.transport(), wire, root, c.nextCollTag())
-	}
-	var onDone func()
-	if c.rank != root {
-		onDone = func() { datatype.Unpack(buf, wire, count, dt) }
-	}
-	return c.submitSched(s, onDone)
+	return c.runPlan(p, buf)
 }
 
 // Bcast is the blocking broadcast (MPI_Bcast).
@@ -186,18 +357,12 @@ func (c *Comm) Ireduce(sendBuf, recvBuf []byte, count int, dt *datatype.Datatype
 		}
 		src = recvBuf
 	}
-	wire := packFor(src, count, dt)
-	var s *coll.Schedule
-	if nodes, ok := c.hierNodes(); ok {
-		s = coll.HierReduce(c.transport(), wire, reducer(op, dt, count), root, c.nextCollTag(), nodes)
-	} else {
-		s = coll.Reduce(c.transport(), wire, reducer(op, dt, count), root, c.nextCollTag())
-	}
-	var onDone func()
+	p := c.plan(planKey{kind: planReduce, count: count, dt: dt, op: op, root: root})
+	datatype.Pack(p.wire, src, count, dt)
 	if c.rank == root {
-		onDone = func() { datatype.Unpack(recvBuf, wire, count, dt) }
+		return c.runPlan(p, recvBuf)
 	}
-	return c.submitSched(s, onDone)
+	return c.runPlan(p, nil)
 }
 
 // Reduce is the blocking reduction (MPI_Reduce).
@@ -210,25 +375,17 @@ func (c *Comm) Reduce(sendBuf, recvBuf []byte, count int, dt *datatype.Datatype,
 const ringThresholdBytes = 16 * 1024
 
 // Iallreduce starts a nonblocking allreduce (MPI_Iallreduce): recursive
-// doubling for short messages, ring for long ones. A nil sendBuf means
-// MPI_IN_PLACE (recvBuf holds the contribution).
+// doubling for short messages, ring for long ones, the two-level scheme
+// on a placement-aware transport. A nil sendBuf means MPI_IN_PLACE
+// (recvBuf holds the contribution).
 func (c *Comm) Iallreduce(sendBuf, recvBuf []byte, count int, dt *datatype.Datatype, op reduceop.Op) *Request {
 	src := sendBuf
 	if src == nil {
 		src = recvBuf
 	}
-	wire := packFor(src, count, dt)
-	red := reducer(op, dt, count)
-	tag := c.nextCollTag()
-	var s *coll.Schedule
-	if nodes, ok := c.hierNodes(); ok {
-		s = coll.HierAllreduce(c.transport(), wire, red, tag, nodes)
-	} else if len(wire) >= ringThresholdBytes && count >= c.Size() && c.Size() > 2 {
-		s = coll.AllreduceRing(c.transport(), wire, dt.Size(), red, tag)
-	} else {
-		s = coll.AllreduceRecDbl(c.transport(), wire, red, tag)
-	}
-	return c.submitSched(s, func() { datatype.Unpack(recvBuf, wire, count, dt) })
+	p := c.plan(planKey{kind: planAllreduce, count: count, dt: dt, op: op})
+	datatype.Pack(p.wire, src, count, dt)
+	return c.runPlan(p, recvBuf)
 }
 
 // Allreduce is the blocking allreduce (MPI_Allreduce).
@@ -445,9 +602,8 @@ func (c *Comm) Scatter(sendBuf []byte, count int, dt *datatype.Datatype, recvBuf
 // IreduceScatterBlock starts a pairwise-exchange reduce-scatter
 // (MPI_Ireduce_scatter_block): every rank contributes Size()*count
 // elements of dt in sendBuf; recvBuf receives this rank's count-element
-// block of the elementwise reduction. A nil sendBuf means MPI_IN_PLACE
-// with the contribution in recvBuf's... full-buffer form is not
-// supported in place; pass sendBuf explicitly.
+// block of the elementwise reduction. There is no in-place form: a nil
+// sendBuf panics.
 func (c *Comm) IreduceScatterBlock(sendBuf, recvBuf []byte, count int, dt *datatype.Datatype, op reduceop.Op) *Request {
 	if sendBuf == nil {
 		panic("mpi: IreduceScatterBlock requires an explicit sendBuf")

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gompix/internal/coll"
 	"gompix/internal/core"
 	"gompix/internal/datatype"
 	"gompix/internal/fabric"
@@ -25,10 +26,13 @@ type Comm struct {
 
 	collSeq atomic.Int64 // per-communicator collective invocation tags
 
-	// topoOnce caches the node-placement map feeding the hierarchical
+	// topoOnce caches the node decomposition feeding the hierarchical
 	// collectives (topology never changes within a world's lifetime).
-	topoOnce  sync.Once
-	topoNodes []int // comm rank -> node id; nil when hier is not worthwhile
+	topoOnce sync.Once
+	topoHier *coll.Hier // nil when hier is not worthwhile
+
+	// plans holds the idle collective plans (coll.go).
+	plans planCache
 
 	// fstate is the fault-tolerance state (ULFM revoke/shrink/agree);
 	// zero value ready.

@@ -214,6 +214,49 @@ func TestRemoteCompositeLargeMessageAllocs(t *testing.T) {
 	t.Logf("%d bytes allocated per 1 MiB message", perMsg)
 }
 
+// TestAllreduceSteadyStateAllocs bounds what a small Allreduce
+// allocates once its plan is cached: a 1-float64 Allreduce on the
+// composite 2×2 world (shm inside a node, tcp across, the two-level
+// algorithm — the coll-2x2 benchmark's latency shape) allocates at most
+// 16 objects per rank per call, counted process-wide while all four
+// ranks run in lockstep. What is left is the call's request and the
+// requests, headers and send state of its point-to-point operations;
+// rebuilding the schedule per call cost more than twice that.
+func TestAllreduceSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the gate runs in non-race passes")
+	}
+	const n, warm, runs, budget = 4, 50, 200, 16
+	worlds, _ := compositeWorlds(t, n, []int{0, 0, 1, 1}, Config{}, tcp.Config{})
+	var perCall float64
+	runRemote(t, worlds, func(p *Proc) {
+		comm := p.CommWorld()
+		in, out := reduceop.EncodeFloat64s([]float64{float64(p.Rank())}), make([]byte, 8)
+		call := func() { comm.Allreduce(in, out, 1, datatype.Float64, reduceop.Sum) }
+		for i := 0; i < warm; i++ {
+			call()
+		}
+		comm.Barrier()
+		if p.Rank() == 0 {
+			// AllocsPerRun makes one unmeasured call, then runs measured.
+			perCall = testing.AllocsPerRun(runs, call)
+		} else {
+			for i := 0; i < runs+1; i++ {
+				call()
+			}
+		}
+		comm.Barrier()
+		if got := reduceop.DecodeFloat64s(out)[0]; got != 0+1+2+3 {
+			panic(fmt.Sprintf("rank %d: allreduce got %v", p.Rank(), got))
+		}
+	})
+	if perRank := perCall / n; perRank > budget {
+		t.Fatalf("a 1-float64 Allreduce allocates %.1f objects per rank per call, want at most %d", perRank, budget)
+	} else {
+		t.Logf("%.1f allocations per rank per call (%.0f per allreduce)", perRank, perCall)
+	}
+}
+
 // TestRemoteCompositeHierCollectives runs the rooted collectives on a
 // 2-node/4-rank composite job and checks both the results and that the
 // topology actually selected the hierarchical algorithms.
@@ -223,7 +266,7 @@ func TestRemoteCompositeHierCollectives(t *testing.T) {
 	worlds, comps := compositeWorlds(t, n, nodes, Config{}, tcp.Config{})
 	runRemote(t, worlds, func(p *Proc) {
 		comm := p.CommWorld()
-		if _, ok := comm.hierNodes(); !ok {
+		if comm.hier() == nil {
 			panic("placement-aware transport did not enable hierarchical collectives")
 		}
 		comm.Barrier()

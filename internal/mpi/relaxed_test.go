@@ -9,6 +9,7 @@ import (
 
 	"gompix/internal/datatype"
 	"gompix/internal/reduceop"
+	"gompix/internal/transport/tcp"
 )
 
 // relaxedStep runs one relaxed allreduce of (rank+1) and returns the
@@ -180,6 +181,38 @@ func TestRelaxedRevoked(t *testing.T) {
 			}
 		}
 		p.CommWorld().Barrier()
+	})
+}
+
+// TestRelaxedRendezvousContribution: a relaxed round folds arriving
+// contributions into its result while its own sends may still be
+// read — a 256 KiB send is a rendezvous, read by the receiver long
+// after issue (over tcp after the CTS, on shm straight out of the
+// sender's memory). Every peer must get the sender's own contribution,
+// never a partly folded one: with full participation the sum is exact
+// only if no contribution is counted twice.
+func TestRelaxedRendezvousContribution(t *testing.T) {
+	const n, count, rounds = 4, 32 << 10, 4
+	// A rank that finds a wrong sum still runs every round: the peers'
+	// full-participation rounds wait for it.
+	round := func(t *testing.T, p *Proc) {
+		comm := p.CommWorld()
+		for r := 0; r < rounds; r++ {
+			out := make([]byte, 8*count)
+			rr := comm.IallreduceRelaxed(allreduceIn(p.Rank(), count, r), out, count, datatype.Float64, reduceop.Sum, RelaxedOptions{})
+			if st := rr.Wait(); st.Err != nil || rr.Result().Contributions != n {
+				t.Errorf("rank %d round %d: err %v, result %+v", p.Rank(), r, st.Err, *rr.Result())
+			} else if err := checkAllreduce(out, n, r); err != nil {
+				t.Errorf("rank %d round %d: %v", p.Rank(), r, err)
+			}
+		}
+	}
+	t.Run("tcp", func(t *testing.T) {
+		runRemote(t, tcpWorlds(t, n, Config{}), func(p *Proc) { round(t, p) })
+	})
+	t.Run("shm", func(t *testing.T) {
+		worlds, _ := compositeWorlds(t, n, []int{0, 0, 0, 0}, Config{}, tcp.Config{})
+		runRemote(t, worlds, func(p *Proc) { round(t, p) })
 	})
 }
 

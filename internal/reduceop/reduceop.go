@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"gompix/internal/datatype"
 )
@@ -58,6 +59,13 @@ func (o Op) bitwise() bool { return o == BAnd || o == BOr || o == BXor }
 // the base datatype dt. Both buffers hold densely packed elements
 // (dt.Size() bytes each). It panics on non-base datatypes, unsupported
 // op/type combinations, or short buffers.
+//
+// The work is one loop per (type, op) pair, the op chosen once per call.
+// When both buffers are aligned for dt and the host is little-endian
+// the loop runs over them as typed slices, at memory speed; otherwise
+// it decodes and encodes every element (applyRef). Both compute the same
+// per-element operation in the same order, so the result is
+// bit-identical either way.
 func Apply(op Op, dt *datatype.Datatype, inout, in []byte, count int) {
 	size := dt.Size()
 	if !dt.Contig() {
@@ -66,6 +74,163 @@ func Apply(op Op, dt *datatype.Datatype, inout, in []byte, count int) {
 	if len(inout) < count*size || len(in) < count*size {
 		panic("reduceop: buffer shorter than count elements")
 	}
+	switch dt {
+	case datatype.Int32:
+		if x, y, ok := typed[int32](inout, in, count); ok {
+			intLoop(op, x, y)
+			return
+		}
+	case datatype.Int64:
+		if x, y, ok := typed[int64](inout, in, count); ok {
+			intLoop(op, x, y)
+			return
+		}
+	case datatype.Uint64:
+		if x, y, ok := typed[uint64](inout, in, count); ok {
+			intLoop(op, x, y)
+			return
+		}
+	case datatype.Float32:
+		if x, y, ok := typed[float32](inout, in, count); ok {
+			floatLoop(op, x, y)
+			return
+		}
+	case datatype.Float64:
+		if x, y, ok := typed[float64](inout, in, count); ok {
+			floatLoop(op, x, y)
+			return
+		}
+	case datatype.Byte:
+		intLoop(op, inout[:count], in[:count])
+		return
+	default:
+		panic(fmt.Sprintf("reduceop: unsupported datatype %s", dt.Name()))
+	}
+	applyRef(op, dt, inout, in, count)
+}
+
+// littleEndian reports the host byte order: the typed loops read wire
+// bytes (little-endian by definition) as native words.
+var littleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// typed views the first count elements of inout and in as []T, when the
+// host is little-endian and both buffers are aligned for T.
+func typed[T int32 | int64 | uint64 | float32 | float64](inout, in []byte, count int) (x, y []T, ok bool) {
+	if count == 0 {
+		return nil, nil, true
+	}
+	var z T
+	align := uintptr(unsafe.Alignof(z))
+	p, q := unsafe.Pointer(&inout[0]), unsafe.Pointer(&in[0])
+	if !littleEndian || uintptr(p)%align != 0 || uintptr(q)%align != 0 {
+		return nil, nil, false
+	}
+	return unsafe.Slice((*T)(p), count), unsafe.Slice((*T)(q), count), true
+}
+
+// intLoop is x[i] = op(x[i], y[i]) over integer elements.
+func intLoop[T int32 | int64 | uint64 | uint8](op Op, x, y []T) {
+	if len(x) == 0 {
+		return
+	}
+	y = y[:len(x)]
+	switch op {
+	case Sum:
+		for i := range x {
+			x[i] += y[i]
+		}
+	case Prod:
+		for i := range x {
+			x[i] *= y[i]
+		}
+	case Min:
+		for i := range x {
+			x[i] = min(x[i], y[i])
+		}
+	case Max:
+		for i := range x {
+			x[i] = max(x[i], y[i])
+		}
+	case LAnd:
+		for i := range x {
+			x[i] = truth[T](x[i] != 0 && y[i] != 0)
+		}
+	case LOr:
+		for i := range x {
+			x[i] = truth[T](x[i] != 0 || y[i] != 0)
+		}
+	case BAnd:
+		for i := range x {
+			x[i] &= y[i]
+		}
+	case BOr:
+		for i := range x {
+			x[i] |= y[i]
+		}
+	case BXor:
+		for i := range x {
+			x[i] ^= y[i]
+		}
+	default:
+		panic("reduceop: unknown op")
+	}
+}
+
+// floatLoop is x[i] = op(x[i], y[i]) over floating-point elements,
+// computed in float64 as reduceFloat64 does (for float32 that is the
+// correctly rounded float32 result: float64 carries more than twice its
+// precision).
+func floatLoop[T float32 | float64](op Op, x, y []T) {
+	if len(x) == 0 {
+		return
+	}
+	y = y[:len(x)]
+	switch op {
+	case Sum:
+		for i := range x {
+			x[i] = T(float64(x[i]) + float64(y[i]))
+		}
+	case Prod:
+		for i := range x {
+			x[i] = T(float64(x[i]) * float64(y[i]))
+		}
+	case Min:
+		for i := range x {
+			x[i] = T(math.Min(float64(x[i]), float64(y[i])))
+		}
+	case Max:
+		for i := range x {
+			x[i] = T(math.Max(float64(x[i]), float64(y[i])))
+		}
+	case LAnd:
+		for i := range x {
+			x[i] = truth[T](x[i] != 0 && y[i] != 0)
+		}
+	case LOr:
+		for i := range x {
+			x[i] = truth[T](x[i] != 0 || y[i] != 0)
+		}
+	default:
+		panic(fmt.Sprintf("reduceop: %v not defined on floating point", op))
+	}
+}
+
+// truth is a logical op's result: 1 for true, 0 for false.
+func truth[T int32 | int64 | uint64 | uint8 | float32 | float64](b bool) T {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// applyRef is Apply one element at a time through the byte encoding,
+// the op chosen per element: the path for misaligned buffers or a
+// big-endian host, and the reference the typed loops are tested
+// against.
+func applyRef(op Op, dt *datatype.Datatype, inout, in []byte, count int) {
 	switch dt {
 	case datatype.Int32:
 		applyInt32(op, inout, in, count)
