@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet check-run-lists race race-hot race-transport race-tcp race-shm race-cont race-eager chaos chaos-sim chaos-tcp fuzz-smoke bench bench-smoke figures mpixrun-smoke ci
+.PHONY: all build test vet check-run-lists check-capabilities race race-hot race-transport race-tcp race-shm race-cont race-eager chaos chaos-sim chaos-tcp fuzz-smoke bench bench-smoke figures mpixrun-smoke ci
 
 all: build test
 
@@ -33,6 +33,19 @@ check-run-lists:
 				{ echo "check-run-lists: -run alternative '$$alt' matches no test in" $$pkgs; exit 1; }; \
 		done; \
 	done
+
+# nic.Link and transport.Transport are one contract each: a backend
+# answers a method it has no use for with a no-op, and callers call it.
+# Fail on any type assertion to a nic or transport interface in the
+# library and its commands (tests aside) — qualified from outside the
+# two packages, unqualified inside them — except the two the contract
+# keeps: the SplitCodec probe (a codec may lack the zero-copy side) and
+# the nic.PeerDown verdict token of a completion.
+check-capabilities:
+	@out="$$( { grep -nE '\.\((nic|transport)\.[A-Z][A-Za-z]*\)' $$(find internal mpix cmd -name '*.go' ! -name '*_test.go'); \
+		grep -nE '\.\([A-Z][A-Za-z]*\)' $$(find internal/nic internal/transport -maxdepth 1 -name '*.go' ! -name '*_test.go'); } | \
+		grep -vE '\.\((nic\.)?(SplitCodec|PeerDown)\)')"; \
+	if [ -n "$$out" ]; then echo "check-capabilities: assertion to a nic/transport interface:"; echo "$$out"; exit 1; fi
 
 # Full suite under the race detector (the reliability layer's
 # retransmission path is the main customer).
@@ -201,10 +214,11 @@ mpixrun-smoke:
 	$(GO) run ./cmd/mpixrun -n 4 ./cmd/pingpong -iters 20
 
 # The PR gate: vet, build, the fast suite, the check that every -run
-# list above still names tests, the race pass over the instrumented
+# list above still names tests, the check that no caller probes a link
+# or transport for a method, the race pass over the instrumented
 # hot-path packages (includes the trylock/pool fast path in core, mpi
 # and nic), the transport race pass with its tcp and
 # shm/composite world passes, the continuation race pass, the
 # relaxed-allreduce race pass, the process-failure chaos matrix, the
 # fuzz smoke, the benchmark smoke, and the multiprocess launcher smoke.
-ci: vet build test check-run-lists race-hot race-tcp race-shm race-cont race-eager chaos-tcp fuzz-smoke bench-smoke mpixrun-smoke
+ci: vet build test check-run-lists check-capabilities race-hot race-tcp race-shm race-cont race-eager chaos-tcp fuzz-smoke bench-smoke mpixrun-smoke

@@ -30,9 +30,10 @@ type Stream struct {
 	// "about to park" and "awake again"; every arrival on the stream
 	// (Work.Add, Defer, AsyncStart) that sees it nonzero pokes wake.
 	// parkHook, when non-nil, is the transport's half of the handshake
-	// for producers outside this process (nic.Parker); set once during
-	// stream attach, before any wait runs. sleepMu owns the reused
-	// timer: a second waiter parking on the same stream sleeps plainly.
+	// for producers outside this process (nic.Link.Parking); set once
+	// during stream attach, before any wait runs. sleepMu owns the
+	// reused timer: a second waiter parking on the same stream sleeps
+	// plainly.
 	parked    atomic.Int32
 	wake      chan struct{}
 	parkHook  func() bool
@@ -132,8 +133,8 @@ func (s *Stream) ID() int { return s.id }
 func (s *Stream) Name() string { return s.name }
 
 // SetParkHook installs the transport's half of the park handshake
-// (nic.Parker): Await calls it after its last empty pass and before
-// sleeping; it publishes "wake me" to producers that cannot reach the
+// (nic.Link.Parking): Await calls it after its last empty pass and
+// before sleeping; it publishes "wake me" to producers that cannot reach the
 // stream's wake channel and reports whether sleeping is still safe.
 // Call during stream attach, before any wait runs.
 func (s *Stream) SetParkHook(parking func() bool) { s.parkHook = parking }

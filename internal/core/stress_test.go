@@ -35,8 +35,7 @@ func (bytesCodec) Decode(data []byte) (any, error) { return append([]byte(nil), 
 // waiter binds a link to a progress stream of its own the way the MPI
 // netmod binds one to a VCI's stream: a counted netmod hook that polls
 // and drains the link, the stream's work counter bound to the link,
-// and the link's Parking (when it is a nic.Parker) as the stream's
-// park hook. It is what a blocked rank looks like to a transport.
+// and the link's Parking as the stream's park hook. It is what a blocked rank looks like to a transport.
 type waiter struct {
 	stream *core.Stream
 	// jitter, when positive, makes the park hook spin a random number
@@ -66,7 +65,6 @@ func newWaiter(l nic.Link) *waiter {
 	eng.UseMetrics(w.reg, "w")
 	w.stream = eng.Default()
 	l.BindWork(w.stream.RegisterHookCounted(core.ClassNetmod, w))
-	pk, _ := l.(nic.Parker)
 	rng := rand.New(rand.NewSource(2))
 	w.stream.SetParkHook(func() bool {
 		w.parkingFor.Store(w.frames.Load() + 1)
@@ -75,7 +73,7 @@ func newWaiter(l nic.Link) *waiter {
 				_ = w.frames.Load()
 			}
 		}
-		return pk == nil || pk.Parking()
+		return l.Parking()
 	})
 	return w
 }
@@ -83,7 +81,7 @@ func newWaiter(l nic.Link) *waiter {
 // Poll is the netmod hook: ingest, then drain both queues.
 func (w *waiter) Poll() bool {
 	made := false
-	if rp, ok := w.link.(nic.RxPoller); ok && rp.PollRecv() {
+	if w.link.PollRecv() {
 		made = true
 	}
 	w.cq = w.link.DrainCQ(w.cq)
@@ -265,14 +263,13 @@ func startAll(t *testing.T, nets []*composite.Network) {
 // flushed until the transport holds nothing of it back.
 func poster(src, dst nic.Link) func() error {
 	msg := []byte("stress")
-	fl, tx := src.(nic.Flusher), src.(nic.TxPender)
 	return func() error {
 		if err := src.PostSendInline(dst.ID(), msg, len(msg)); err != nil {
 			return err
 		}
-		fl.Flush() // at least once: the shm leg settles its doorbell debt here
-		for tx.PendingTx() > 0 {
-			fl.Flush()
+		src.Flush() // at least once: the shm leg settles its doorbell debt here
+		for src.PendingTx() > 0 {
+			src.Flush()
 			runtime.Gosched() // the first tcp frame waits for its dial
 		}
 		return nil

@@ -210,16 +210,12 @@ func NewWorld(cfg Config) *World {
 	}
 	// Byte-oriented transports need the protocol codec; the reliability
 	// framing wraps it so nic.Reliable works unchanged over them.
-	if cs, ok := tr.(transport.CodecSetter); ok {
-		var c nic.Codec = wireCodec{w}
-		if cfg.Reliable {
-			c = nic.RelCodec(c)
-		}
-		cs.SetCodec(c)
+	var c nic.Codec = wireCodec{w}
+	if cfg.Reliable {
+		c = nic.RelCodec(c)
 	}
-	if clks, ok := tr.(transport.ClockSetter); ok {
-		clks.SetClock(clock)
-	}
+	tr.SetCodec(c)
+	tr.SetClock(clock)
 	w.procs = make([]*Proc, cfg.Procs)
 	if w.remote {
 		if cfg.Rank < 0 || cfg.Rank >= cfg.Procs {
@@ -234,10 +230,8 @@ func NewWorld(cfg Config) *World {
 		}
 	}
 	// Start inbound delivery only after the local links exist.
-	if st, ok := tr.(transport.Starter); ok {
-		if err := st.Start(); err != nil {
-			panic(fmt.Sprintf("mpi: transport start: %v", err))
-		}
+	if err := tr.Start(); err != nil {
+		panic(fmt.Sprintf("mpi: transport start: %v", err))
 	}
 	for _, p := range w.procs {
 		if p != nil {
@@ -276,16 +270,11 @@ func (w *World) NodeOf(rank int) int { return rank / w.cfg.ProcsPerNode }
 func (w *World) SameNode(a, b int) bool { return w.NodeOf(a) == w.NodeOf(b) }
 
 // TopoNodeOf returns the physical node hosting a rank, the question
-// the hierarchical collectives ask. It consults the transport's
-// placement map — the simulated fabric's node map, the launcher's host
-// assignments on the composite shm+TCP transport — and falls back to
-// one rank per node when the transport has no placement knowledge.
-func (w *World) TopoNodeOf(rank int) int {
-	if nm, ok := w.transport.(transport.NodeMapper); ok {
-		return nm.NodeOf(rank)
-	}
-	return rank
-}
+// the hierarchical collectives ask: the transport's placement map — the
+// simulated fabric's node map, the launcher's host assignments on the
+// composite shm+TCP transport — or one rank per node from a transport
+// without placement knowledge (tcp, shm alone).
+func (w *World) TopoNodeOf(rank int) int { return w.transport.NodeOf(rank) }
 
 // Close stops the transport (for the simulated fabric, its scheduler;
 // for TCP, the listener and connections). Idempotent.

@@ -8,7 +8,6 @@ import (
 
 	"gompix/internal/core"
 	"gompix/internal/fabric"
-	"gompix/internal/metrics"
 	"gompix/internal/nic"
 )
 
@@ -172,14 +171,12 @@ func (p *Proc) StreamCreate(opts ...core.StreamOption) *core.Stream {
 // has no handle on it.
 func (p *Proc) StreamFree(s *core.Stream) {
 	v := p.vciFor(s)
-	if tx, ok := v.ep.(nic.TxPender); ok {
-		for tx.PendingTx() > 0 {
-			s.Progress()
-		}
-		// One more pass lets an armed flush async thing observe the
-		// now-idle link and retire itself.
+	for v.ep.PendingTx() > 0 {
 		s.Progress()
 	}
+	// One more pass lets an armed flush async thing observe the now-idle
+	// link and retire itself.
+	s.Progress()
 	p.mu.Lock()
 	for i, vv := range p.vcis {
 		if vv == v {
@@ -250,11 +247,7 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 	if reg := p.world.cfg.Metrics; reg != nil {
 		scope := fmt.Sprintf("rank%d.vci%d", p.rank, idx)
 		v.UseMetrics(reg, scope)
-		if epm, ok := v.ep.(interface {
-			UseMetrics(*metrics.Registry, string)
-		}); ok {
-			epm.UseMetrics(reg, scope+".nic")
-		}
+		v.ep.UseMetrics(reg, scope+".nic")
 		if v.rel != nil {
 			v.rel.UseMetrics(reg, scope+".rel")
 		}
@@ -269,24 +262,16 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 	if v.rel != nil {
 		v.rel.BindWork(v.netWork)
 	}
-	// Reactor transports expose caller-thread socket ingest; netPoll
-	// drives it at the top of every netmod pass.
-	if rp, ok := v.ep.(nic.RxPoller); ok {
-		v.rxp = rp
-	}
-	// Transports with write coalescing (TCP) arm a flush async thing on
-	// the stream whenever output is buffered; AsyncStart is stage-safe,
-	// so arming from inside a progress pass or a dial goroutine is fine.
-	if al, ok := v.ep.(nic.Armer); ok {
-		al.SetArm(func() { s.AsyncStart(linkFlushPoll, v) })
-	}
+	// A link with write coalescing (tcp, shm) arms a flush async thing
+	// on the stream whenever output is buffered; AsyncStart is
+	// stage-safe, so arming from inside a progress pass or a dial
+	// goroutine is fine.
+	v.ep.SetArm(func() { s.AsyncStart(linkFlushPoll, v) })
 	// A transport whose producers live outside the process — peers
 	// writing shm rings, the kernel filling a socket — cannot poke the
 	// stream's wake channel from there: the park rung goes through the
 	// link first (the shm consumer word, one read of each tcp socket).
-	if pk, ok := v.ep.(nic.Parker); ok {
-		s.SetParkHook(pk.Parking)
-	}
+	s.SetParkHook(v.ep.Parking)
 	v.sends = make(map[uint64]*netSendState)
 	v.recvs = make(map[uint64]*Request)
 	// Scratch buffers for netPoll's zero-allocation drains.

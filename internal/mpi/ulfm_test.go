@@ -166,12 +166,6 @@ func TestRevokeMidCollective(t *testing.T) {
 // sender's memory answers with the message read, not a CTS.
 func TestSenderAbortAfterCTS(t *testing.T) {
 	const size = 256 << 10 // rendezvous
-	pendingTx := func(v *VCI) int {
-		if tx, ok := v.ep.(nic.TxPender); ok {
-			return tx.PendingTx()
-		}
-		return 0
-	}
 	tables := func(v *VCI) (sends, recvs int) {
 		v.hmu.Lock()
 		defer v.hmu.Unlock()
@@ -207,7 +201,7 @@ func TestSenderAbortAfterCTS(t *testing.T) {
 					v := dup.local
 					if p.Rank() == 0 {
 						sreq := dup.IsendBytes(make([]byte, size), 1, 5)
-						for pendingTx(v) > 0 {
+						for v.ep.PendingTx() > 0 {
 							p.Progress()
 						}
 						close(rtsOut)
@@ -224,7 +218,7 @@ func TestSenderAbortAfterCTS(t *testing.T) {
 						var fired atomic.Int32
 						rreq := dup.IrecvBytes(make([]byte, size), 0, 5)
 						rreq.OnComplete(func(Status) { fired.Add(1) })
-						for _, recvs := tables(v); recvs == 0 || pendingTx(v) > 0; _, recvs = tables(v) {
+						for _, recvs := tables(v); recvs == 0 || v.ep.PendingTx() > 0; _, recvs = tables(v) {
 							p.Progress()
 						}
 						close(ctsOut)

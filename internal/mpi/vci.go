@@ -183,7 +183,6 @@ type VCI struct {
 	stream *core.Stream
 	ep     nic.Link
 	rel    *nic.Reliable // non-nil when Config.Reliable
-	rxp    nic.RxPoller  // non-nil when ep drives a readiness reactor
 	match  matcher
 
 	// netWork is the stream's netmod work counter
@@ -403,12 +402,9 @@ func (v *VCI) Endpoint() nic.Link { return v.ep }
 
 // netPending reports outstanding network work for Quiesce/diagnostics.
 func (v *VCI) netPending() int {
-	n := v.ep.QueuedCQ() + v.ep.QueuedRQ() + int(v.netOps.Load())
-	if tx, ok := v.ep.(nic.TxPender); ok {
-		// Write-coalescing transports buffer frames between post and
-		// wire; they are still in flight for Quiesce purposes.
-		n += tx.PendingTx()
-	}
+	// Frames a link holds between post and wire (write coalescing) are
+	// still in flight for Quiesce purposes.
+	n := v.ep.QueuedCQ() + v.ep.QueuedRQ() + v.ep.PendingTx() + int(v.netOps.Load())
 	if v.rel != nil {
 		n += v.rel.QueuedCQ() + v.rel.Outstanding()
 	}
@@ -484,12 +480,12 @@ func retxPoll(t core.Thing) core.PollOutcome {
 }
 
 // linkFlushPoll drives a write-coalescing transport's socket flush as
-// an MPIX Async thing: the link arms it (via nic.Armer) on the idle→
+// an MPIX Async thing: the link arms it (nic.Link.SetArm) on the idle→
 // busy transition and it retires itself once the pending output drains,
 // so socket writes flow through Stream.Progress like every subsystem.
 func linkFlushPoll(t core.Thing) core.PollOutcome {
 	v := t.State().(*VCI)
-	made, idle := v.ep.(nic.Flusher).Flush()
+	made, idle := v.ep.Flush()
 	if idle {
 		return core.Done
 	}
@@ -507,11 +503,11 @@ func (v *VCI) netPoll() bool {
 	var cqes []nic.CQE
 	var pkts []fabric.Packet
 	made := false
-	// Reactor transports (TCP) ingest socket bytes on this thread
+	// Byte transports ingest socket bytes and ring cells on this thread
 	// first, so the drains below see the frames this same pass — MPI
-	// progress drives the socket work instead of waking background
+	// progress drives the transport work instead of waking background
 	// goroutines.
-	if v.rxp != nil && v.rxp.PollRecv() {
+	if v.ep.PollRecv() {
 		made = true
 	}
 	if v.rel != nil {

@@ -6,12 +6,16 @@ import (
 	"time"
 
 	"gompix/internal/fabric"
+	"gompix/internal/metrics"
 )
 
 // Link is the transport-neutral NIC boundary: everything the MPI netmod
-// (and the Reliable layer) needs from a communication endpoint. The
-// simulated *Endpoint implements it over the in-process fabric; the TCP
-// backend (internal/transport/tcp) implements it over real sockets. The
+// (and the Reliable layer) needs from a communication endpoint, every
+// method called directly — a link answers the ones it has no use for
+// with a no-op rather than leaving them out. The simulated *Endpoint
+// implements it over the in-process fabric; the byte transports
+// (internal/transport/tcp, internal/transport/shm, and the composite
+// router over the two) implement it over sockets and mmap rings. The
 // contract mirrors the queue-pair model the paper's progress engine
 // polls:
 //
@@ -28,6 +32,10 @@ import (
 //     and receive queues, driven only by MPI progress.
 //   - QueuedCQ/QueuedRQ: one-atomic-load emptiness checks so an idle
 //     netmod pass costs nothing.
+//   - SetArm/Flush/PendingTx: the send side's deferred work (write
+//     coalescing) — arm a flush, run it, count what it still owes.
+//   - PollRecv/Parking: the receive side's work on the caller's thread —
+//     look for input each pass, make a sleep safe before a park.
 type Link interface {
 	// ID returns the link's fabric-wide endpoint address.
 	ID() fabric.EndpointID
@@ -46,7 +54,7 @@ type Link interface {
 	QueuedRQ() int
 	// BindWork attaches the owning stream's netmod work counter; every
 	// queued CQE or arrival adds one unit, every drained entry removes
-	// one, and a link that finds its input by being polled (RxPoller)
+	// one, and a link that finds its input by being polled (PollRecv)
 	// keeps one more there until Close. Bind before traffic flows.
 	BindWork(w WorkCounter)
 	// Now returns the link's clock (the fabric clock for the simulated
@@ -55,63 +63,57 @@ type Link interface {
 	Now() time.Duration
 	// Close releases the link's resources. Posting after Close fails.
 	Close() error
-}
 
-// Armer is implemented by links whose transmissions need progress-driven
-// flushing (the TCP backend's write coalescing). SetArm registers the
-// callback the link invokes — outside its internal locks — whenever its
-// pending-output queue transitions from idle to non-empty; the MPI layer
-// uses it to start an async flush thing on the owning stream, so socket
-// writes flow through Stream.Progress like every other subsystem.
-type Armer interface {
+	// SetArm registers the callback the link invokes — outside its
+	// internal locks — whenever its pending output goes from none to
+	// some; the MPI layer points it at an async flush thing on the
+	// owning stream, so socket writes and ring pumps flow through
+	// Stream.Progress like every other subsystem. Set before traffic
+	// flows.
 	SetArm(arm func())
+	Flusher
+	// PendingTx reports frames posted but not yet on the wire, so
+	// Quiesce-style drains can account for them.
+	PendingTx() int
+	RxPoller
+	// Parking is the consumer's side of the park handshake, for
+	// producers that cannot reach the owning stream's wake channel by
+	// themselves. Every in-process arrival already wakes a parked waiter
+	// through the bound WorkCounter. The shm rings' producers run in
+	// another process and publish into shared memory; they read a word
+	// the consumer publishes instead. The tcp link's producer is the
+	// kernel, announced by a watcher goroutine that hears of input only
+	// when the runtime visits its netpoller, which a P kept busy by
+	// other ranks does not. The stream's wait loop calls Parking after
+	// its last empty pass and before sleeping; the link does what makes
+	// the sleep safe — publishes "ring me", reads the sockets nobody has
+	// flagged — re-checks what such producers may have delivered
+	// meanwhile, and reports whether sleeping is still safe (false: an
+	// arrival is already visible, poll again).
+	Parking() bool
+	// UseMetrics wires the link's instruments to the registry under the
+	// given scope prefix (e.g. "rank0.vci0.nic"); a nil registry is a
+	// no-op. Call before traffic flows.
+	UseMetrics(reg *metrics.Registry, scope string)
 }
 
-// Flusher is the progress half of the Armer contract: Flush pushes
-// pending coalesced output toward the wire. It reports whether anything
-// moved and whether the link disarmed itself (no pending output left —
-// the async thing should return Done; the next post re-arms).
+// Flusher is the progress half of SetArm: Flush pushes pending
+// coalesced output toward the wire. It reports whether anything moved
+// and whether the link disarmed itself (no pending output left — the
+// async thing should return Done; the next post re-arms).
 type Flusher interface {
 	Flush() (made, idle bool)
 }
 
-// Parker is implemented by links some of whose producers cannot reach
-// the owning stream's wake channel by themselves. Every in-process
-// arrival already wakes a parked waiter through the bound WorkCounter.
-// The shm rings' producers run in another process and publish into
-// shared memory; they read a word the consumer publishes instead. The
-// tcp link's producer is the kernel, announced by a watcher goroutine
-// that hears of input only when the runtime visits its netpoller, which
-// a P kept busy by other ranks does not. Parking is the consumer's side
-// of the handshake: the stream's wait loop calls it after its last
-// empty pass and before sleeping; the link does what makes the sleep
-// safe — publishes "ring me", reads the sockets nobody has flagged —
-// re-checks what such producers may have delivered meanwhile, and
-// reports whether sleeping is still safe (false: an arrival is already
-// visible, poll again).
-type Parker interface {
-	Parking() bool
-}
-
-// TxPender is implemented by links that buffer outbound frames between
-// post and wire (write coalescing): PendingTx reports frames not yet
-// flushed, so Quiesce-style drains can account for them.
-type TxPender interface {
-	PendingTx() int
-}
-
-// RxPoller is implemented by links that advance their receive side on
-// the caller's thread (the byte transports: the TCP reactor, the shm
-// rings): PollRecv looks for input without blocking, decodes any
-// complete frames straight into the link receive queues, and reports
-// whether anything arrived. The MPI netmod calls it at the top of its
-// progress poll so ingest work rides the paper's explicit progress
-// path instead of waking background goroutines. Polling such a link
-// might make progress on any pass, so it holds a unit on the bound work
-// counter for as long as it is open, and owes the caller an empty poll
-// that is cheap. (The one link the unit buys nothing for is tcp's where
-// the platform has no non-blocking read: its connections are fed by
-// blocking readers and its PollRecv skips them all.)
+// RxPoller is the receive side on the caller's thread: PollRecv looks
+// for input without blocking, decodes any complete frames straight into
+// the link receive queues, and reports whether anything arrived. The
+// MPI netmod calls it at the top of its progress poll so ingest work
+// rides the paper's explicit progress path instead of waking background
+// goroutines. A link that finds its input this way (the byte
+// transports: the TCP reactor, the shm rings) might make progress on
+// any pass, so it holds a unit on the bound work counter for as long as
+// it is open, and owes the caller an empty poll that is cheap.
 type RxPoller interface {
 	PollRecv() (made bool)
 }
@@ -178,6 +180,17 @@ func (ep *Endpoint) Now() time.Duration { return ep.net.Clock().Now() }
 // Close is a no-op for the simulated endpoint: the fabric owns the
 // shared scheduler and is stopped by the world (Link implementation).
 func (ep *Endpoint) Close() error { return nil }
+
+// The simulated endpoint's answers to the transport's own progress: the
+// fabric puts every post on the wire and every arrival in the receive
+// queue by itself — nothing to arm, flush or poll for, no polling unit
+// held — and every producer is in this process, waking a parked waiter
+// through the bound work counter (Link implementation).
+func (ep *Endpoint) SetArm(func())            {}
+func (ep *Endpoint) Flush() (made, idle bool) { return false, true }
+func (ep *Endpoint) PendingTx() int           { return 0 }
+func (ep *Endpoint) PollRecv() bool           { return false }
+func (ep *Endpoint) Parking() bool            { return true }
 
 // relCodec wires the Reliable layer's frame envelope through a Codec
 // for byte-oriented transports: a relFrame rides as a fixed header

@@ -198,13 +198,6 @@ func NewReliable(link Link, cfg RelConfig) *Reliable {
 // Link returns the wrapped raw link.
 func (r *Reliable) Link() Link { return r.link }
 
-// Endpoint returns the wrapped raw link as a simulated *Endpoint, or
-// nil when the link is a different transport.
-func (r *Reliable) Endpoint() *Endpoint {
-	ep, _ := r.link.(*Endpoint)
-	return ep
-}
-
 // BindWork attaches a stream work counter fed by this layer's own
 // completion queue; callers should additionally bind the wrapped
 // endpoint so raw arrivals are counted too.

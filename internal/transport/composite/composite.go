@@ -30,56 +30,18 @@ import (
 	"gompix/internal/transport/framing"
 )
 
-// Leg is the contract each composed backend must satisfy: the
-// transport factory surface plus the link-level progress hooks the
-// composite fans out. Both internal/transport/shm and
-// internal/transport/tcp implement it.
+// Leg is the contract each composed backend must satisfy: a transport
+// whose links the composite fans its progress hooks out to, plus the
+// two failure hooks the composition needs. Both internal/transport/shm
+// and internal/transport/tcp implement it.
 type Leg interface {
-	AddLink(rank, vci int) (nic.Link, error)
-	EndpointOf(rank, vci int) fabric.EndpointID
-	Multiprocess() bool
-	// Start opens the leg's passive side (the tcp accept loop, the shm
-	// doorbell watcher) once the local VCI-0 link exists.
-	Start() error
-	Close() error
+	transport.Transport
 	// Kill terminates the leg abruptly, no goodbye (the SIGKILL test
 	// hook).
 	Kill()
-	SetCodec(c nic.Codec)
-	SetClock(c timing.Clock)
-	RankOfEndpoint(ep fabric.EndpointID) int
-	// PeerReader returns a reader of the rank's memory, or nil.
-	PeerReader(rank int) transport.PeerReader
 	// MarkPeerDown records a failure learned by the other leg: posts
 	// fail fast, queued frames fail, no verdict CQE fan-out.
 	MarkPeerDown(rank int, cause error)
-}
-
-// legLink is what the router drives on a leg's link beyond nic.Link:
-// the progress hooks every byte transport's link has. AddLink resolves
-// it once per leg, so the per-pass paths below are plain method calls.
-type legLink interface {
-	nic.Link
-	nic.Armer
-	nic.Flusher
-	nic.TxPender
-	nic.RxPoller
-	nic.Parker
-	UseMetrics(reg *metrics.Registry, scope string)
-}
-
-// addLegLink registers (rank, vci) on a leg and resolves its link.
-func addLegLink(leg Leg, rank, vci int) (legLink, error) {
-	l, err := leg.AddLink(rank, vci)
-	if err != nil {
-		return nil, err
-	}
-	ll, ok := l.(legLink)
-	if !ok {
-		l.Close()
-		return nil, fmt.Errorf("composite: %T lacks the byte-transport progress hooks", l)
-	}
-	return ll, nil
 }
 
 // Config parameterizes the composite routing.
@@ -92,7 +54,7 @@ type Config struct {
 }
 
 // Network routes one rank's traffic across the two legs
-// (transport.Transport, transport.NodeMapper).
+// (transport.Transport).
 type Network struct {
 	framing.Space // EndpointOf, RankOfEndpoint: the legs' shared space
 
@@ -136,8 +98,8 @@ func New(cfg Config, local, remote Leg) (*Network, error) {
 	return n, nil
 }
 
-// NodeOf returns the node id hosting the given rank
-// (transport.NodeMapper).
+// NodeOf returns the node id hosting the given rank: the launcher's
+// host map.
 func (n *Network) NodeOf(rank int) int {
 	if n.cfg.NodeOf == nil {
 		return 0
@@ -154,9 +116,6 @@ func (n *Network) sameNode(rank int) bool {
 // Local returns the shm leg (nil in pure-TCP fallback); test hook.
 func (n *Network) Local() Leg { return n.local }
 
-// Remote returns the TCP leg; test hook.
-func (n *Network) Remote() Leg { return n.remote }
-
 // Multiprocess reports true: ranks are separate OS processes.
 func (n *Network) Multiprocess() bool { return true }
 
@@ -169,7 +128,7 @@ func (n *Network) PeerReader(rank int) transport.PeerReader {
 	return n.remote.PeerReader(rank)
 }
 
-// SetCodec fans the codec to both legs (transport.CodecSetter).
+// SetCodec fans the codec to both legs.
 func (n *Network) SetCodec(c nic.Codec) {
 	if n.local != nil {
 		n.local.SetCodec(c)
@@ -177,7 +136,7 @@ func (n *Network) SetCodec(c nic.Codec) {
 	n.remote.SetCodec(c)
 }
 
-// SetClock fans the clock to both legs (transport.ClockSetter).
+// SetClock fans the clock to both legs.
 func (n *Network) SetClock(c timing.Clock) {
 	if n.local != nil {
 		n.local.SetClock(c)
@@ -185,7 +144,7 @@ func (n *Network) SetClock(c timing.Clock) {
 	n.remote.SetClock(c)
 }
 
-// Start starts both legs' passive sides (transport.Starter).
+// Start starts both legs' passive sides.
 func (n *Network) Start() error {
 	if n.local != nil {
 		if err := n.local.Start(); err != nil {
@@ -208,11 +167,11 @@ func (n *Network) AddLink(rank, vci int) (nic.Link, error) {
 	}
 	var err error
 	if n.local != nil {
-		if l.local, err = addLegLink(n.local, rank, vci); err != nil {
+		if l.local, err = n.local.AddLink(rank, vci); err != nil {
 			return nil, err
 		}
 	}
-	if l.remote, err = addLegLink(n.remote, rank, vci); err != nil {
+	if l.remote, err = n.remote.AddLink(rank, vci); err != nil {
 		if l.local != nil {
 			l.local.Close()
 		}
@@ -273,8 +232,8 @@ func (n *Network) crossWire(rank int, cause error) {
 type Link struct {
 	net    *Network
 	id     fabric.EndpointID
-	local  legLink // nil in pure-TCP fallback
-	remote legLink
+	local  nic.Link // nil in pure-TCP fallback
+	remote nic.Link
 	// mu guards the merge scratches and the per-rank verdict filter.
 	mu        sync.Mutex
 	seenDown  []bool
@@ -295,11 +254,9 @@ func (l *Link) BindWork(w nic.WorkCounter) {
 	l.remote.BindWork(w)
 }
 
-// UseMetrics wires whichever legs have instruments to the registry
-// under the caller's scope (the tcp leg: scope.peer_down and the
-// transport-wide tcp.* set; the shm leg: the shm.bells_* pair); without
-// the forward the router hides the legs from the MPI layer's wiring
-// probe and their counters read zero.
+// UseMetrics wires both legs to the registry under the caller's scope
+// (the tcp leg: scope.peer_down and the transport-wide tcp.* set; the
+// shm leg: the transport-wide shm.* set).
 func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 	if l.local != nil {
 		l.local.UseMetrics(reg, scope)
@@ -311,7 +268,7 @@ func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 // injected the same world clock).
 func (l *Link) Now() time.Duration { return l.remote.Now() }
 
-// SetArm registers the idle→busy callback on both legs (nic.Armer).
+// SetArm registers the idle→busy callback on both legs.
 func (l *Link) SetArm(arm func()) {
 	if l.local != nil {
 		l.local.SetArm(arm)
@@ -319,7 +276,7 @@ func (l *Link) SetArm(arm func()) {
 	l.remote.SetArm(arm)
 }
 
-// Parking runs both legs' halves of the park handshake (nic.Parker):
+// Parking runs both legs' halves of the park handshake:
 // the shm leg tells producers in other processes to ring, the tcp leg
 // — in a job that has one — reads the sockets its watchers may not have
 // heard about yet. Sleeping is safe when both say so.
@@ -330,8 +287,7 @@ func (l *Link) Parking() bool {
 	return !l.net.remoteUsed || l.remote.Parking()
 }
 
-// PendingTx sums posted-but-unsettled frames across legs
-// (nic.TxPender).
+// PendingTx sums posted-but-unsettled frames across legs.
 func (l *Link) PendingTx() int {
 	t := l.remote.PendingTx()
 	if l.local != nil {
@@ -373,7 +329,7 @@ func (l *Link) PostSend(dst fabric.EndpointID, payload any, bytes int, token any
 	return l.route(dst).PostSend(dst, payload, bytes, token)
 }
 
-// Flush pumps both legs (nic.Flusher).
+// Flush pumps both legs.
 func (l *Link) Flush() (made, idle bool) {
 	made, idle = false, true
 	if l.local != nil {
@@ -386,8 +342,8 @@ func (l *Link) Flush() (made, idle bool) {
 	return made, idle
 }
 
-// PollRecv ingests on both legs (nic.RxPoller); a single-node job
-// polls only the local leg.
+// PollRecv ingests on both legs; a single-node job polls only the
+// local leg.
 func (l *Link) PollRecv() (made bool) {
 	if l.local != nil {
 		made = l.local.PollRecv()

@@ -128,7 +128,7 @@ func TestConformanceCompositeLocal(t *testing.T) {
 	}
 	transporttest.Run(t, transporttest.Factory{
 		Name: "composite-local",
-		Caps: transporttest.Caps{Failures: true, Goodbye: true},
+		Caps: transporttest.Caps{PolledRecv: true, Failures: true, Goodbye: true},
 		New: func(t *testing.T, ranks int) *transporttest.World {
 			_, w := newWorld(t, ranks, func(int) int { return 0 })
 			return w
@@ -142,7 +142,7 @@ func TestConformanceCompositeLocal(t *testing.T) {
 func TestConformanceCompositeSplit(t *testing.T) {
 	transporttest.Run(t, transporttest.Factory{
 		Name: "composite-split",
-		Caps: transporttest.Caps{Failures: true, Goodbye: true},
+		Caps: transporttest.Caps{PolledRecv: true, Failures: true, Goodbye: true},
 		New: func(t *testing.T, ranks int) *transporttest.World {
 			_, w := newWorld(t, ranks, func(r int) int { return r })
 			return w

@@ -86,13 +86,13 @@ type linkSet struct {
 // NewTable returns an empty table, on the wall clock until SetClock.
 func NewTable() *Table { return &Table{clk: timing.NewRealClock()} }
 
-// SetCodec installs the payload codec (transport.CodecSetter).
+// SetCodec installs the payload codec.
 func (t *Table) SetCodec(c nic.Codec) {
 	t.codec = c
 	t.split, _ = c.(nic.SplitCodec)
 }
 
-// SetClock installs the completion clock (transport.ClockSetter).
+// SetClock installs the completion clock.
 func (t *Table) SetClock(c timing.Clock) { t.clk = c }
 
 // Register enters l under the endpoint address id.
@@ -229,11 +229,11 @@ func (l *Link) Bump(delta int) {
 	}
 }
 
-// SetArm registers the idle→busy callback (nic.Armer); the MPI layer
+// SetArm registers the idle→busy callback (nic.Link); the MPI layer
 // points it at Stream.AsyncStart for the flush poll.
 func (l *Link) SetArm(arm func()) { l.arm = arm }
 
-// PendingTx reports posted-but-unsettled frames (nic.TxPender).
+// PendingTx reports posted-but-unsettled frames (nic.Link).
 func (l *Link) PendingTx() int { return int(l.pending.Load()) }
 
 // DrainCQ moves up to cap(buf) completions into buf[:0] (nic.Link);

@@ -129,7 +129,7 @@ func (q *Queue) tip() *seg {
 func (q *Queue) Append(l *Link, dst fabric.EndpointID, payload any, bytes int, token any, signaled bool) error {
 	codec, split := l.tab.codec, l.tab.split
 	if codec == nil {
-		panic("framing: no codec installed (transport.CodecSetter not wired)")
+		panic("framing: no codec installed (Transport.SetCodec not called)")
 	}
 	s := q.tip()
 	lenAt := len(s.buf)

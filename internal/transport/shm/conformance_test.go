@@ -92,7 +92,7 @@ func TestConformanceShm(t *testing.T) {
 	}
 	transporttest.Run(t, transporttest.Factory{
 		Name: "shm",
-		Caps: transporttest.Caps{Failures: true, Goodbye: true},
+		Caps: transporttest.Caps{PolledRecv: true, Failures: true, Goodbye: true},
 		New:  newConformanceWorld,
 	})
 }

@@ -12,12 +12,12 @@ import (
 // (nic.Link). Posts append frames to the destination peer's coalescing
 // queue and pump inline while ring cells are free; a full ring parks
 // the tail for Flush — invoked by the owning stream's progress via the
-// Armer callback — which is the sender-side-progress-driven chunking.
-// The receive side is pure polling: PollRecv (nic.RxPoller) drains
-// every inbound ring on the caller's thread. There is no kernel to
-// interrupt us when a peer produces: the polling unit framing.Link
-// parks on the stream's netmod counter keeps the class polled every
-// pass, and an empty poll is two atomic loads per peer ring.
+// SetArm callback — which is the sender-side-progress-driven chunking.
+// The receive side is pure polling: PollRecv drains every inbound ring
+// on the caller's thread. There is no kernel to interrupt us when a peer
+// produces: the polling unit framing.Link parks on the stream's netmod
+// counter keeps the class polled every pass, and an empty poll is two
+// atomic loads per peer ring.
 type Link struct {
 	framing.Link
 	net *Network
@@ -77,9 +77,9 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 	return nil
 }
 
-// Flush pumps every peer's parked output into its transmit ring
-// (nic.Flusher). It reports whether anything moved and whether this
-// link disarmed (nothing of its own left pending).
+// Flush pumps every peer's parked output into its transmit ring. It
+// reports whether anything moved and whether this link disarmed
+// (nothing of its own left pending).
 func (l *Link) Flush() (made, idle bool) {
 	if l.net.closed.Load() {
 		return false, true
@@ -176,9 +176,8 @@ func (n *Network) ringPeerLocked(p *peer) {
 	}
 }
 
-// PollRecv drains every inbound ring on the caller's thread
-// (nic.RxPoller) and runs the gated liveness sweep. Reports whether
-// any frame was delivered.
+// PollRecv drains every inbound ring on the caller's thread and runs
+// the gated liveness sweep. Reports whether any frame was delivered.
 func (l *Link) PollRecv() (made bool) {
 	n := l.net
 	if n.closed.Load() {
@@ -295,15 +294,15 @@ func (n *Network) reject(p *peer, f framing.Fault) (skip bool) {
 	return false
 }
 
-// Parking is the consumer's half of the doorbell handshake
-// (nic.Parker), called by the owning stream's wait loop between its
-// last empty pass and its sleep. Producers in this process wake the
-// sleeper through the bound work counter; producers in other processes
-// only see the rings, so the waiter tells them there: it zeroes its
-// poll stamp in every inbound ring — "ring me" — and then re-checks
-// those rings. A cell published before the zero is seen here (false:
-// poll again); one published after reads the zero and rings the
-// watcher, whose delivery wakes the sleeper. The next poll re-stamps.
+// Parking is the consumer's half of the doorbell handshake, called by
+// the owning stream's wait loop between its last empty pass and its
+// sleep. Producers in this process wake the sleeper through the bound
+// work counter; producers in other processes only see the rings, so
+// the waiter tells them there: it zeroes its poll stamp in every
+// inbound ring — "ring me" — and then re-checks those rings. A cell
+// published before the zero is seen here (false: poll again); one
+// published after reads the zero and rings the watcher, whose
+// delivery wakes the sleeper. The next poll re-stamps.
 func (l *Link) Parking() bool {
 	n := l.net
 	if n.bell == nil || n.closed.Load() {

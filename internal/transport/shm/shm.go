@@ -1,17 +1,17 @@
 // Package shm is the intra-node transport: per-pair single-producer/
 // single-consumer cell rings in mmap'd file-backed segments
-// (DESIGN.md §12). Posts coalesce frames into the cumulative-watermark
-// queue the TCP transport also uses (framing.Queue, DESIGN.md §11) and
-// sender-side progress pumps the byte stream into free ring cells,
-// chunking large messages across cells — "written" means "published
-// into the shared ring", the shm analogue of kernel-accepted bytes; the
-// receiver reassembles frames on its own progress thread via
-// nic.RxPoller. Liveness rides
-// flock: each rank holds an exclusive advisory lock on its alive file,
-// so peer death is detected — and converted into the same
-// PeerDown-verdict-before-failed-frames CQE ordering the TCP transport
-// guarantees — by one non-blocking lock probe, with kernel-accurate
-// semantics under SIGKILL.
+// (DESIGN.md §12). Posts coalesce frames into the
+// cumulative-watermark queue the TCP transport also uses
+// (framing.Queue, DESIGN.md §11) and sender-side progress pumps the
+// byte stream into free ring cells, chunking large messages across
+// cells — "written" means "published into the shared ring", the shm
+// analogue of kernel-accepted bytes; the receiver reassembles frames
+// on its own progress thread in Link.PollRecv. Liveness rides flock:
+// each rank holds an exclusive advisory lock on its alive file, so
+// peer death is detected — and converted into the same
+// PeerDown-verdict-before-failed-frames CQE ordering the TCP
+// transport guarantees — by one non-blocking lock probe, with
+// kernel-accurate semantics under SIGKILL.
 package shm
 
 import (
@@ -295,14 +295,14 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// Start launches the doorbell watcher (transport.Starter) — the one
-// background goroutine, parked in the netpoller on the rank's FIFO
-// (the same shape as a TCP connection watcher). It exists so a
-// producer's wakeup byte reschedules an idle receiver immediately
-// instead of after a full timer tick; without FIFO support the
-// transport still works, receive latency just degrades to the poll
-// cadence. Call only after the codec is set and the local links are
-// bound: the watcher delivers frames into them.
+// Start launches the doorbell watcher — the one background goroutine,
+// parked in the netpoller on the rank's FIFO (the same shape as a TCP
+// connection watcher). It exists so a producer's wakeup byte
+// reschedules an idle receiver immediately instead of after a full
+// timer tick; without FIFO support the transport still works, receive
+// latency just degrades to the poll cadence. Call only after the
+// codec is set and the local links are bound: the watcher delivers
+// frames into them.
 func (n *Network) Start() error {
 	if n.started.Swap(true) || n.bell == nil {
 		return nil
@@ -366,11 +366,15 @@ func (n *Network) Stats() Stats {
 	}
 }
 
-// SetCodec installs the frame codec (transport.CodecSetter).
+// SetCodec installs the frame codec.
 func (n *Network) SetCodec(c nic.Codec) { n.tab.SetCodec(c) }
 
-// SetClock installs the completion clock (transport.ClockSetter).
+// SetClock installs the completion clock.
 func (n *Network) SetClock(c timing.Clock) { n.tab.SetClock(c) }
+
+// NodeOf returns rank: the transport knows no placement, so every rank
+// is its own node.
+func (n *Network) NodeOf(rank int) int { return rank }
 
 // Multiprocess reports true: ranks are separate OS processes.
 func (n *Network) Multiprocess() bool { return true }

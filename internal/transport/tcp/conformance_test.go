@@ -64,7 +64,7 @@ func newConformanceWorld(t *testing.T, ranks int) *transporttest.World {
 func TestConformanceTCP(t *testing.T) {
 	transporttest.Run(t, transporttest.Factory{
 		Name: "tcp",
-		Caps: transporttest.Caps{Failures: true, Goodbye: true},
+		Caps: transporttest.Caps{PolledRecv: true, Failures: true, Goodbye: true},
 		New:  newConformanceWorld,
 	})
 }

@@ -19,6 +19,13 @@ const (
 	// probeEvery caps the widening gap between two probes of a silent
 	// connection (see Link.PollRecv).
 	probeEvery = 64
+	// poolWorkers sizes the bounded drain pool that keeps socket ingest
+	// live when no MPI thread is polling; Start caps it at GOMAXPROCS.
+	poolWorkers = 2
+	// flushBytes is the adaptive-batching budget: a post that brings a
+	// peer's coalesced backlog past it flushes inline instead of waiting
+	// for the next progress pass.
+	flushBytes = 128 << 10
 )
 
 // runConn is the per-connection goroutine: it picks the readiness
@@ -195,16 +202,16 @@ func (n *Network) sweeper() {
 	}
 }
 
-// PollRecv is the reactor on the caller's thread (nic.RxPoller): MPI
-// progress calls it at the top of every netmod pass and it looks at
-// every connection. One a watcher has flagged ready is drained — bounded
-// non-blocking reads feeding the in-place frame parser. One nobody has
-// flagged may still have input: the watchers learn of it from the
-// runtime's netpoller, which runs when a P has nothing else to do, and
-// ranks that yield to each other on one core never leave it idle. So an
-// unflagged connection is probed with one non-blocking read at a
-// widening cadence (probeDue): input is found within twice the time it
-// took to arrive, a connection silent for n looks costs O(log n) +
+// PollRecv is the reactor on the caller's thread: MPI progress calls
+// it at the top of every netmod pass and it looks at every
+// connection. One a watcher has flagged ready is drained — bounded
+// non-blocking reads feeding the in-place frame parser. One nobody
+// has flagged may still have input: the watchers learn of it from the
+// runtime's netpoller, which runs when a P has nothing else to do,
+// and ranks that yield to each other on one core never leave it idle.
+// So an unflagged connection is probed with one non-blocking read at
+// a widening cadence (probeDue): input is found within twice the time
+// it took to arrive, a connection silent for n looks costs O(log n) +
 // n/probeEvery system calls, and every other look costs three atomic
 // operations per connection.
 // It reports whether anything was delivered (to any link — frames for
@@ -246,18 +253,19 @@ func probeDue(k uint32) bool {
 	return g&(g-1) == 0 || k%probeEvery == 0
 }
 
-// Parking is the reactor's half of the park handshake (nic.Parker),
-// called by the owning stream's wait loop between its last empty pass
-// and its sleep. A watcher's flag wakes the sleeper through the bound
-// work counter, but the watcher hears of input only when the runtime
-// visits its netpoller, and a P that other goroutines keep busy — ranks
-// sharing the core — does not. The pass before this call looked on the
-// cadence, which after parkAfter empty looks means it most likely did
-// not read; so the waiter reads here, once per unflagged connection,
-// and reports false when frames came of it (poll again). A sleeper
-// whose timer ends the park comes back through here, which bounds what
-// input can wait for a parked rank at one parkCap whatever the cadence
-// has widened to, for one read per connection and park.
+// Parking is the reactor's half of the park handshake, called by the
+// owning stream's wait loop between its last empty pass and its
+// sleep. A watcher's flag wakes the sleeper through the bound work
+// counter, but the watcher hears of input only when the runtime
+// visits its netpoller, and a P that other goroutines keep busy —
+// ranks sharing the core — does not. The pass before this call looked
+// on the cadence, which after parkAfter empty looks means it most
+// likely did not read; so the waiter reads here, once per unflagged
+// connection, and reports false when frames came of it (poll again).
+// A sleeper whose timer ends the park comes back through here, which
+// bounds what input can wait for a parked rank at one parkCap
+// whatever the cadence has widened to, for one read per connection
+// and park.
 func (l *Link) Parking() bool {
 	n := l.net
 	sleep := true

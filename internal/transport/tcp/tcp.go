@@ -114,14 +114,6 @@ type Config struct {
 	// Sleeping *before* dialing also bounds the reconnect rate against
 	// a peer that accepts and immediately closes (epoch mismatch).
 	RedialBackoff time.Duration
-	// ReactorWorkers sizes the bounded drain pool that keeps socket
-	// ingest live when no MPI thread is polling (default
-	// min(2, GOMAXPROCS)).
-	ReactorWorkers int
-	// FlushBytes is the adaptive-batching budget: a post that brings a
-	// peer's coalesced backlog past it flushes inline instead of
-	// waiting for the next progress pass (default 128KiB).
-	FlushBytes int
 }
 
 // Stats is a snapshot of the transport's failure and reactor counters.
@@ -147,9 +139,7 @@ type Stats struct {
 }
 
 // Network is the TCP transport for one rank: the listener, the peer
-// connection table, and the per-VCI links. It implements
-// transport.Transport plus the CodecSetter/ClockSetter/Starter
-// extension interfaces.
+// connection table, and the per-VCI links (transport.Transport).
 type Network struct {
 	framing.Space // EndpointOf, RankOfEndpoint
 
@@ -247,15 +237,6 @@ func New(cfg Config) (*Network, error) {
 	if cfg.RedialBackoff <= 0 {
 		cfg.RedialBackoff = 50 * time.Millisecond
 	}
-	if cfg.ReactorWorkers <= 0 {
-		cfg.ReactorWorkers = 2
-		if p := runtime.GOMAXPROCS(0); p < 2 {
-			cfg.ReactorWorkers = 1
-		}
-	}
-	if cfg.FlushBytes <= 0 {
-		cfg.FlushBytes = 128 << 10
-	}
 	bind := "127.0.0.1:0"
 	if cfg.Rank < len(cfg.Addrs) && cfg.Addrs[cfg.Rank] != "" {
 		bind = cfg.Addrs[cfg.Rank]
@@ -301,11 +282,15 @@ func (n *Network) SetPeerAddrs(addrs []string) {
 	n.addrs[n.cfg.Rank] = n.ln.Addr().String()
 }
 
-// SetCodec installs the payload codec (transport.CodecSetter).
+// SetCodec installs the payload codec.
 func (n *Network) SetCodec(c nic.Codec) { n.tab.SetCodec(c) }
 
-// SetClock installs the completion clock (transport.ClockSetter).
+// SetClock installs the completion clock.
 func (n *Network) SetClock(c timing.Clock) { n.tab.SetClock(c) }
+
+// NodeOf returns rank: the transport knows no placement, so every rank
+// is its own node.
+func (n *Network) NodeOf(rank int) int { return rank }
 
 // Multiprocess reports true: each rank is a separate OS process.
 func (n *Network) Multiprocess() bool { return true }
@@ -354,14 +339,15 @@ func (n *Network) connList() []*connState {
 	return *p
 }
 
-// Start launches the accept loop, the drain pool and the sweeper
-// (transport.Starter). Call after the VCI-0 link is registered so
-// early inbound frames find their target.
+// Start launches the accept loop, the drain pool and the sweeper. Call
+// after the VCI-0 link is registered so early inbound frames find their
+// target.
 func (n *Network) Start() error {
-	n.wg.Add(2 + n.cfg.ReactorWorkers)
+	workers := min(poolWorkers, runtime.GOMAXPROCS(0))
+	n.wg.Add(2 + workers)
 	go n.acceptLoop()
 	go n.sweeper()
-	for i := 0; i < n.cfg.ReactorWorkers; i++ {
+	for i := 0; i < workers; i++ {
 		go n.poolWorker()
 	}
 	return nil
@@ -901,10 +887,10 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 // Link is one VCI's endpoint on the TCP transport (nic.Link). Posts
 // append frames to the destination peer's coalescing queue; the wire
 // write happens in Flush — invoked by the owning stream's progress via
-// the Armer callback, inline when the backlog passes the flush budget,
-// or by the millisecond sweeper. The receive side is the reactor:
-// PollRecv (nic.RxPoller) drains every ready connection, and probes the
-// others at a widening cadence, on the caller's thread.
+// the SetArm callback, inline when the backlog passes flushBytes, or by
+// the millisecond sweeper. The receive side is the reactor: PollRecv
+// drains every ready connection, and probes the others at a widening
+// cadence, on the caller's thread.
 type Link struct {
 	framing.Link
 	net *Network
@@ -985,7 +971,7 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 	// instead of waiting for the next progress pass — under load the
 	// writev batch size adapts to whatever accumulated, idle links
 	// flush on the progress/armed path with no per-frame syscall.
-	big := p.Q.Pending() >= int64(l.net.cfg.FlushBytes)
+	big := p.Q.Pending() >= flushBytes
 	p.Mu.Unlock()
 
 	if needDial {
@@ -999,9 +985,8 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 	return nil
 }
 
-// Flush drains every peer's coalescing queue to its socket
-// (nic.Flusher): at most one vectored write per peer per progress
-// pass, the write-coalescing half of the transport. It reports whether
+// Flush drains every peer's coalescing queue to its socket: at most
+// one vectored write per peer per progress pass, the write-coalescing half of the transport. It reports whether
 // anything moved and whether this link disarmed (no pending frames of
 // its own left). Peers still dialing or probing are skipped — their
 // frames stay queued and the poll keeps running.

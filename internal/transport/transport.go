@@ -1,7 +1,9 @@
 // Package transport defines the pluggable communication backend behind
 // the MPI runtime: the factory that hands each VCI its nic.Link and
 // answers the addressing questions — which endpoint a rank's VCI has,
-// which rank owns an endpoint. Four implementations exist: the
+// which rank owns an endpoint, which node hosts a rank. Like nic.Link it
+// is one contract with no optional parts: a transport answers what it
+// has no use for with a no-op. Four implementations exist: the
 // in-process simulated fabric (Sim, the default), and for worlds of one
 // rank per OS process TCP (internal/transport/tcp), mmap shared memory
 // (internal/transport/shm) and the node-aware router over the two
@@ -38,9 +40,27 @@ type Transport interface {
 	// attribute failures — a dead connection, an exhausted re-dial
 	// budget — to a process rather than a single VCI link.
 	RankOfEndpoint(ep fabric.EndpointID) int
+	// NodeOf returns the node id hosting the given world rank; equal id
+	// means same physical node. The MPI layer selects topology-aware
+	// (leader-based hierarchical) collectives from it. A transport that
+	// knows the placement answers with it — the simulated fabric's node
+	// map, the launcher's host map on the composite transport — and one
+	// that does not answers rank: every rank its own node.
+	NodeOf(rank int) int
 	// Multiprocess reports whether ranks live in separate OS processes
 	// (one World per process, each hosting a single rank).
 	Multiprocess() bool
+	// SetCodec installs the payload codec before traffic flows: the MPI
+	// layer's wire-header codec (wrapped in nic.RelCodec when the
+	// reliability layer is enabled). A transport that passes payloads as
+	// Go values ignores it.
+	SetCodec(c nic.Codec)
+	// SetClock installs the clock completions are stamped with.
+	SetClock(c timing.Clock)
+	// Start opens the transport's passive side (accept loop, doorbell
+	// watcher). The MPI layer calls it once the local VCI-0 link exists,
+	// so inbound frames always find their destination registered.
+	Start() error
 	// PeerReader returns a reader of the given rank's memory, or nil
 	// when this process cannot read it: the rank is on another node,
 	// the transport has no such path, or a probe read of the peer
@@ -61,44 +81,10 @@ type PeerReader interface {
 	ReadPeer(dst []byte, addr uint64) (int, error)
 }
 
-// CodecSetter is implemented by byte-oriented transports that need a
-// payload codec before traffic flows; the MPI layer injects its wire-
-// header codec (wrapped in nic.RelCodec when the reliability layer is
-// enabled) during world construction.
-type CodecSetter interface {
-	SetCodec(c nic.Codec)
-}
-
-// ClockSetter is implemented by transports that stamp completions with
-// the world clock.
-type ClockSetter interface {
-	SetClock(c timing.Clock)
-}
-
-// Starter is implemented by transports with a passive side (accept
-// loops): Start is called once the local VCI-0 link exists, so inbound
-// frames always find their destination registered.
-type Starter interface {
-	Start() error
-}
-
-// NodeMapper is implemented by transports that know the physical
-// placement of ranks on nodes — the composite shm+TCP transport
-// reports the launcher's host map here, Sim its simulated node map. The
-// MPI layer consults it to
-// select topology-aware (leader-based hierarchical) collectives; a
-// transport without placement knowledge simply doesn't implement it.
-type NodeMapper interface {
-	// NodeOf returns the node id hosting the given world rank. Ids are
-	// dense small integers; equal id means same physical node.
-	NodeOf(rank int) int
-}
-
 // Sim is the default in-process transport: every link is a simulated
 // NIC endpoint on the shared fabric. The fabric hands out endpoint
 // addresses as links attach, so Sim records each AddLink to answer the
-// addressing questions (NodeMapper too, from the node map it attaches
-// by).
+// addressing questions (NodeOf too, from the node map it attaches by).
 type Sim struct {
 	net    *fabric.Network
 	nodeOf func(rank int) int
@@ -153,12 +139,18 @@ func (s *Sim) RankOfEndpoint(ep fabric.EndpointID) int {
 	return -1
 }
 
-// NodeOf returns the simulated node a rank's links attach to
-// (NodeMapper).
+// NodeOf returns the simulated node a rank's links attach to.
 func (s *Sim) NodeOf(rank int) int { return s.nodeOf(rank) }
 
 // Multiprocess reports false: all ranks share this process.
 func (s *Sim) Multiprocess() bool { return false }
+
+// SetCodec, SetClock and Start are no-ops: the fabric carries payloads
+// as Go values, runs on the clock it was built with and delivers from
+// the moment a link attaches.
+func (s *Sim) SetCodec(nic.Codec)    {}
+func (s *Sim) SetClock(timing.Clock) {}
+func (s *Sim) Start() error          { return nil }
 
 // PeerReader returns nil: simulated ranks exchange every byte over the
 // fabric.

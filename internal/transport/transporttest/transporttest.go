@@ -13,7 +13,7 @@
 //	func TestConformance(t *testing.T) {
 //		transporttest.Run(t, transporttest.Factory{
 //			Name: "tcp",
-//			Caps: transporttest.Caps{Failures: true, Goodbye: true},
+//			Caps: transporttest.Caps{PolledRecv: true, Failures: true, Goodbye: true},
 //			New:  newTCPWorld,
 //		})
 //	}
@@ -40,8 +40,15 @@ import (
 )
 
 // Caps declares which optional behaviors a backend implements; gated
-// subtests are skipped when the capability is absent.
+// subtests are skipped when the capability is absent, and the others
+// read them for what the backend's links must answer.
 type Caps struct {
+	// PolledRecv: the links find their input by being polled (PollRecv
+	// reads sockets or rings), so each holds one unit on its work
+	// counter while open, and SetArm's callback fires when its pending
+	// output goes from none to some. Without it a link is fed by its
+	// fabric and has no output to flush.
+	PolledRecv bool
 	// Failures: abrupt peer termination surfaces a PeerDown verdict
 	// CQE (token nic.PeerDown, Err nic.ErrLinkDown) on surviving
 	// ranks' links, ordered before any failed-frame CQEs.
@@ -112,6 +119,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("SignaledCompletions", func(t *testing.T) { testSignaledCompletions(t, f) })
 	t.Run("ConcurrentSendRecv", func(t *testing.T) { testConcurrentSendRecv(t, f) })
 	t.Run("WorkCounter", func(t *testing.T) { testWorkCounter(t, f) })
+	t.Run("LinkContract", func(t *testing.T) { testLinkContract(t, f) })
 	t.Run("SelfSend", func(t *testing.T) { testSelfSend(t, f) })
 	t.Run("Addressing", func(t *testing.T) { testAddressing(t, f) })
 	t.Run("PeerReader", func(t *testing.T) { testPeerReader(t, f) })
@@ -338,7 +346,7 @@ func testConcurrentSendRecv(t *testing.T, f Factory) {
 // testWorkCounter: the counter a link is bound to is what lets a
 // progress pass skip its poll, so it may never read zero while a poll
 // could find something — queued completions and arrivals count one
-// each, and a link that finds its input by looking (nic.RxPoller)
+// each, and a link that finds its input by looking (Caps.PolledRecv)
 // keeps one unit there for as long as it is open — and nothing may be
 // left on it once everything was drained and the link closed.
 func testWorkCounter(t *testing.T, f Factory) {
@@ -347,11 +355,11 @@ func testWorkCounter(t *testing.T, f Factory) {
 	src, dst := w.Links[0], w.Links[1]
 	floor := func(when string) {
 		t.Helper()
+		polled := int64(0)
+		if f.Caps.PolledRecv {
+			polled = 1
+		}
 		for r, l := range w.Links {
-			polled := int64(0)
-			if _, ok := l.(nic.RxPoller); ok {
-				polled = 1
-			}
 			queued := int64(l.QueuedCQ() + l.QueuedRQ())
 			if got := w.Work[r].Load(); got < polled+queued {
 				t.Fatalf("%s: rank %d's counter reads %d with %d entries queued and %d polling unit", when, r, got, queued, polled)
@@ -382,6 +390,73 @@ func testWorkCounter(t *testing.T, f Factory) {
 		if got := w.Work[r].Load(); got != 0 {
 			t.Errorf("rank %d's counter reads %d after drain and close, want 0", r, got)
 		}
+	}
+}
+
+// testLinkContract: what the progress methods of nic.Link answer. An
+// idle link has nothing pending, a flush that moves nothing and reports
+// it idle, a poll that finds nothing and a park that is safe — on a
+// fresh link and after a burst was delivered and drained alike. SetArm's
+// callback fires once per burst on a link that holds output back
+// (Caps.PolledRecv) — the frames are larger than a small ring, so some
+// of the first one always waits for a flush — and never on one that does
+// not. UseMetrics without a registry is a no-op.
+func testLinkContract(t *testing.T, f Factory) {
+	w := f.New(t, 2)
+	w.setup(t)
+	src, dst := w.Links[0], w.Links[1]
+	var arms atomic.Int64
+	src.SetArm(func() { arms.Add(1) })
+	for _, l := range w.Links {
+		l.UseMetrics(nil, "conformance")
+	}
+	idle := func(when string) {
+		t.Helper()
+		for r, l := range w.Links {
+			if n := l.PendingTx(); n != 0 {
+				t.Fatalf("%s: rank %d: PendingTx = %d, want 0", when, r, n)
+			}
+			if made, idle := l.Flush(); made || !idle {
+				t.Fatalf("%s: rank %d: Flush = (%v, %v), want (false, true)", when, r, made, idle)
+			}
+			if l.PollRecv() {
+				t.Fatalf("%s: rank %d: PollRecv found input nobody sent", when, r)
+			}
+			if !l.Parking() {
+				t.Fatalf("%s: rank %d: Parking refused a sleep with nothing in flight", when, r)
+			}
+		}
+	}
+	idle("fresh")
+	const count, size = 16, 24 << 10
+	want := int64(0)
+	for round := 1; round <= 2; round++ {
+		for i := 0; i < count; i++ {
+			if err := src.PostSendInline(dst.ID(), seqMsg(uint32(i), size), size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f.Caps.PolledRecv {
+			want++
+		}
+		if got := arms.Load(); got != want {
+			t.Fatalf("burst %d: SetArm's callback fired %d times in all, want %d", round, got, want)
+		}
+		var got []fabric.Packet
+		scratch := make([]fabric.Packet, 64)
+		wait(t, w, "burst delivery", func() bool {
+			got = drainAll(dst, got, scratch)
+			return len(got) >= count && src.PendingTx() == 0
+		})
+		for i, p := range got {
+			if err := checkSeqMsg(p, uint32(i), size); err != nil {
+				t.Fatalf("burst %d: %v", round, err)
+			}
+		}
+		idle(fmt.Sprintf("after burst %d", round))
+	}
+	if got := arms.Load(); got != want {
+		t.Fatalf("SetArm's callback fired %d times in all, want %d: it fired on an idle link", got, want)
 	}
 }
 
