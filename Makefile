@@ -110,11 +110,13 @@ race-shm: race-transport
 # election, already-complete inline execution, fail-fast early
 # completion), the completion bridges (OnComplete/Done), and the
 # cross-transport continuation conformance matrix including the
-# kill-a-rank failure-delivery case.
+# kill-a-rank failure-delivery case; then, without the detector, the
+# allocation gate on warm ContinueRequests.
 race-cont:
 	$(GO) test -race -count=1 -timeout 5m \
 		-run 'TestDefer|TestFreeStream|TestContinue|TestMatrixContinu' \
 		./internal/core/ ./internal/mpi/ ./mpix/
+	$(GO) test -count=1 -run 'TestContinueSteadyStateAllocs' ./internal/mpi/
 
 # Race-detector pass over the relaxed (solo/partial) allreduce and the
 # quorum schedule machinery beneath it: the coll-layer quorum stages,

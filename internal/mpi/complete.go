@@ -42,12 +42,10 @@ func (r *Request) OnCompleteStream(s *core.Stream, cb func(Status)) {
 	if s == nil {
 		s = r.stream()
 	}
-	enq := func(rr *Request) {
-		st := rr.status
-		s.Defer(func() { cb(st) })
-	}
-	if !r.tryAddContinuation(enq) {
-		enq(r) // already complete: still deliver via the stream
+	c := &opCont{s: s, cb: cb}
+	c.node.rec = c
+	if !r.addCont(&c.node) {
+		c.arrive(0, r.status) // already complete: still deliver via the stream
 	}
 }
 
@@ -70,9 +68,14 @@ func (r *Request) OnCompleteStream(s *core.Stream, cb func(Status)) {
 // Proc.ProgressThread.
 func (r *Request) Done() <-chan Status {
 	ch := make(chan Status, 1)
-	enq := func(rr *Request) { ch <- rr.status }
-	if !r.tryAddContinuation(enq) {
+	if !r.addCont(&contNode{rec: doneChan(ch)}) {
 		ch <- r.status
 	}
 	return ch
 }
+
+// doneChan is Done's record: the completing context sends the status
+// into the cap-1 channel.
+type doneChan chan Status
+
+func (ch doneChan) arrive(_ int, st Status) { ch <- st }

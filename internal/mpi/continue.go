@@ -18,9 +18,18 @@ import (
 // predictable execution context no matter which rank, socket drain, or
 // failure sweep produced the completion.
 //
+// A registration is one record: its nodes sit on the completion lists
+// of the requests it watches (Request.addCont), and Request.complete
+// hands each node the status. Continue, each operation of a
+// ContinueEach, and OnCompleteStream are an opCont; a whole
+// ContinueAll set is one allCont that defers its callback once.
+//
 // The paper positions MPIX Async plus RequestIsComplete as the more
-// explicit alternative; both are implemented here so the benchmark
-// harness can compare them (progressbench -workload cont).
+// explicit alternative; both are implemented here so they can be
+// compared on the same traffic: benchmark/'s progress-sim workload
+// observes each 64-message window through one ContinueAll, and its
+// contpoll driver (mpi.contpoll_rate_mmsg_s) rescans the window with
+// IsComplete instead.
 
 // ContFlag adjusts continuation registration (the MPIX_CONT_* flags).
 type ContFlag uint8
@@ -122,11 +131,13 @@ func (cr *ContinueRequest) Stream() *core.Stream { return cr.stream }
 // nothing registered completes immediately (an empty set is complete).
 func (cr *ContinueRequest) Start() {
 	cr.started.Store(true)
-	cr.maybeComplete(uint32(cr.state.Load() >> contGenShift))
+	cr.elect(uint32(cr.state.Load()>>contGenShift), true)
 }
 
-// NPending returns the number of registered continuations of the
-// current wave that have not yet executed.
+// NPending returns the number of registrations of the current wave
+// whose callbacks have not yet executed. Continue and each operation of
+// a ContinueEach count one each; a ContinueAll counts one for the whole
+// set, as MPIX_Continueall does.
 func (cr *ContinueRequest) NPending() int { return int(cr.state.Load() & contCountMask) }
 
 // Test invokes one progress pass on the owning stream and reports
@@ -165,9 +176,7 @@ func (cr *ContinueRequest) Reset() {
 	cr.errGen = gen
 	cr.mu.Unlock()
 	cr.started.Store(false)
-	cr.req.status = Status{}
-	cr.req.obsOnce.Store(false)
-	cr.req.flag.Reset()
+	cr.req.rearm()
 }
 
 // register accounts one continuation against the current wave and
@@ -181,17 +190,18 @@ func (cr *ContinueRequest) register() uint32 {
 	}
 }
 
-// maybeComplete completes the aggregate when gen's wave is started,
-// drained, and not yet completed. The CAS on the completing bit elects
-// a single completer among racing decrements; the generation check
-// makes a straggler from a Reset wave a no-op.
-func (cr *ContinueRequest) maybeComplete(gen uint32) {
+// elect completes gen's aggregate if it is started and not yet
+// completed, and — when drained is set — every registration of the
+// wave has retired. The CAS on the completing bit elects a single
+// completer among racing retires; the generation check makes a
+// straggler from a Reset wave a no-op.
+func (cr *ContinueRequest) elect(gen uint32, drained bool) {
 	if !cr.started.Load() {
 		return
 	}
 	for {
 		s := cr.state.Load()
-		if uint32(s>>contGenShift) != gen || s&contCompleting != 0 || s&contCountMask != 0 {
+		if uint32(s>>contGenShift) != gen || s&contCompleting != 0 || drained && s&contCountMask != 0 {
 			return
 		}
 		if cr.state.CompareAndSwap(s, s|contCompleting) {
@@ -213,19 +223,26 @@ func (cr *ContinueRequest) complete(gen uint32) {
 	cr.req.complete(Status{Err: err})
 }
 
+// latch records err as gen's aggregate error unless an earlier one is
+// already latched.
+func (cr *ContinueRequest) latch(err error, gen uint32) {
+	if err == nil {
+		return
+	}
+	cr.mu.Lock()
+	if cr.errGen == gen && cr.firstErr == nil {
+		cr.firstErr = err
+	}
+	cr.mu.Unlock()
+}
+
 // retire accounts one executed callback of the wave it was registered
 // under: latch its error, complete the aggregate early under
-// ContFailFast, and complete normally when the set drains. A retire
+// ContFailFast, and complete normally when the wave drains. A retire
 // whose generation has been Reset away is a no-op (beyond having run
 // its callback).
-func (cr *ContinueRequest) retire(st Status, flags ContFlag, gen uint32) {
-	if st.Err != nil {
-		cr.mu.Lock()
-		if cr.errGen == gen && cr.firstErr == nil {
-			cr.firstErr = st.Err
-		}
-		cr.mu.Unlock()
-	}
+func (cr *ContinueRequest) retire(err error, flags ContFlag, gen uint32) {
+	cr.latch(err, gen)
 	for {
 		s := cr.state.Load()
 		if uint32(s>>contGenShift) != gen {
@@ -235,19 +252,37 @@ func (cr *ContinueRequest) retire(st Status, flags ContFlag, gen uint32) {
 			break
 		}
 	}
-	if st.Err != nil && flags&ContFailFast != 0 && cr.started.Load() {
-		for {
-			s := cr.state.Load()
-			if uint32(s>>contGenShift) != gen || s&contCompleting != 0 {
-				return
-			}
-			if cr.state.CompareAndSwap(s, s|contCompleting) {
-				cr.complete(gen)
-				return
-			}
-		}
+	cr.elect(gen, err == nil || flags&ContFailFast == 0)
+}
+
+// opCont is the record of one callback on one operation: a Continue,
+// one operation of a ContinueEach (each, with the index in node.i), or
+// an OnCompleteStream (cr nil: nothing to retire).
+type opCont struct {
+	node  contNode
+	s     *core.Stream
+	cr    *ContinueRequest
+	cb    func(Status)
+	each  func(int, Status)
+	st    Status
+	gen   uint32
+	flags ContFlag
+}
+
+func (c *opCont) arrive(_ int, st Status) {
+	c.st = st
+	c.s.Defer(c.run)
+}
+
+func (c *opCont) run() {
+	if c.each != nil {
+		c.each(c.node.i, c.st)
+	} else {
+		c.cb(c.st)
 	}
-	cr.maybeComplete(gen)
+	if c.cr != nil {
+		c.cr.retire(c.st.Err, c.flags, c.gen)
+	}
 }
 
 // Continue attaches cb to op (MPIX_Continue). When op completes, cb is
@@ -267,26 +302,50 @@ func (cr *ContinueRequest) retire(st Status, flags ContFlag, gen uint32) {
 // registering further continuations is fine — that is how chains are
 // built.
 func (cr *ContinueRequest) Continue(op *Request, cb func(Status), flags ...ContFlag) {
+	cr.continueOp(op, &opCont{cb: cb}, 0, foldFlags(cr.flags, flags))
+}
+
+// ContinueEach attaches one callback to many requests, invoked once per
+// completed request with its index and status — the streaming
+// counterpart of ContinueAll for when per-operation reaction matters
+// more than set convergence. Each operation is its own registration.
+func (cr *ContinueRequest) ContinueEach(ops []*Request, cb func(int, Status), flags ...ContFlag) {
 	eff := foldFlags(cr.flags, flags)
-	gen := cr.register()
-	enq := func(r *Request) {
-		st := r.status
-		cr.stream.Defer(func() {
-			cb(st)
-			cr.retire(st, eff, gen)
-		})
+	for i, op := range ops {
+		cr.continueOp(op, &opCont{each: cb}, i, eff)
 	}
-	if op.tryAddContinuation(enq) {
+}
+
+// continueOp registers c, the record of operation i, on op and on the
+// aggregate.
+func (cr *ContinueRequest) continueOp(op *Request, c *opCont, i int, flags ContFlag) {
+	c.node = contNode{rec: c, i: i}
+	c.s, c.cr, c.flags, c.gen = cr.stream, cr, flags, cr.register()
+	if op.addCont(&c.node) {
 		return
 	}
 	// Already complete. Honor the deferred policy, else run inline.
-	if eff&ContDefer != 0 {
-		enq(op)
+	if flags&ContDefer != 0 {
+		c.arrive(i, op.status)
 		return
 	}
-	st := op.status
-	cb(st)
-	cr.retire(st, eff, gen)
+	c.st = op.status
+	c.run()
+}
+
+// allCont is the record of a ContinueAll: one registration on the
+// aggregate for the whole set, one node per operation. Each arrival
+// fills its status slot and counts down; the last one hands the set
+// callback to the stream once.
+type allCont struct {
+	cr    *ContinueRequest
+	cb    func([]Status)
+	sts   []Status
+	nodes []contNode
+	left  atomic.Int32 // arrivals outstanding
+	errAt atomic.Int32 // index of the first errored arrival, -1 for none
+	gen   uint32
+	flags ContFlag
 }
 
 // ContinueAll attaches one callback to a request set
@@ -295,43 +354,74 @@ func (cr *ContinueRequest) Continue(op *Request, cb func(Status), flags ...ContF
 // order. Failed operations carry their error in their Status slot, so
 // partial completions are observable — some statuses clean, some with
 // ErrProcFailed — while the set still converges. An empty set fires
-// immediately.
+// immediately. The set is one registration on cr (see NPending).
+//
+// If every operation has already completed, cb runs on the caller
+// unless ContDefer is set. Under ContFailFast the first failed
+// operation completes cr early, in a pass of its stream, and the set's
+// callback still runs once the rest of the set completes.
 func (cr *ContinueRequest) ContinueAll(ops []*Request, cb func([]Status), flags ...ContFlag) {
+	a := &allCont{cr: cr, cb: cb, flags: foldFlags(cr.flags, flags), gen: cr.register()}
+	a.errAt.Store(-1)
 	if len(ops) == 0 {
-		eff := foldFlags(cr.flags, flags)
-		gen := cr.register()
-		if eff&ContDefer != 0 {
-			cr.stream.Defer(func() {
-				cb(nil)
-				cr.retire(Status{}, eff, gen)
-			})
-			return
-		}
-		cb(nil)
-		cr.retire(Status{}, eff, gen)
+		a.dispatch(a.run, true)
 		return
 	}
-	sts := make([]Status, len(ops))
-	var left atomic.Int64
-	left.Store(int64(len(ops)))
+	a.sts = make([]Status, len(ops))
+	a.nodes = make([]contNode, len(ops))
+	a.left.Store(int32(len(ops)))
 	for i, op := range ops {
-		i := i
-		cr.Continue(op, func(s Status) {
-			sts[i] = s
-			if left.Add(-1) == 0 {
-				cb(sts)
-			}
-		}, flags...)
+		n := &a.nodes[i]
+		n.rec, n.i = a, i
+		if !op.addCont(n) {
+			a.arrived(i, op.status, true)
+		}
 	}
 }
 
-// ContinueEach attaches one callback to many requests, invoked once per
-// completed request with its index and status — the streaming
-// counterpart of ContinueAll for when per-operation reaction matters
-// more than set convergence.
-func (cr *ContinueRequest) ContinueEach(ops []*Request, cb func(int, Status), flags ...ContFlag) {
-	for i, op := range ops {
-		i := i
-		cr.Continue(op, func(s Status) { cb(i, s) }, flags...)
+func (a *allCont) arrive(i int, st Status) { a.arrived(i, st, false) }
+
+// arrived records operation i's status; inline marks an operation found
+// already complete at registration. The last arrival dispatches the set
+// callback; a first error under ContFailFast dispatches the early
+// completion instead of waiting for the count.
+func (a *allCont) arrived(i int, st Status, inline bool) {
+	a.sts[i] = st
+	first := st.Err != nil && a.errAt.CompareAndSwap(-1, int32(i))
+	if a.left.Add(-1) == 0 {
+		a.dispatch(a.run, inline)
+	} else if first && a.flags&ContFailFast != 0 {
+		a.dispatch(a.failFast, inline)
 	}
+}
+
+// dispatch runs fn on the registering caller when the arrival was
+// inline and ContDefer is unset, else in a pass of the aggregate's
+// stream.
+func (a *allCont) dispatch(fn func(), inline bool) {
+	if inline && a.flags&ContDefer == 0 {
+		fn()
+		return
+	}
+	a.cr.stream.Defer(fn)
+}
+
+// err returns the set's first error in arrival order.
+func (a *allCont) err() error {
+	if i := a.errAt.Load(); i >= 0 {
+		return a.sts[i].Err
+	}
+	return nil
+}
+
+func (a *allCont) run() {
+	a.cb(a.sts)
+	a.cr.retire(a.err(), a.flags, a.gen)
+}
+
+// failFast is the ContFailFast early completion: latch the error and
+// complete the aggregate without counting the set down.
+func (a *allCont) failFast() {
+	a.cr.latch(a.err(), a.gen)
+	a.cr.elect(a.gen, false)
 }

@@ -481,3 +481,216 @@ func TestContinueKillRankTCP(t *testing.T) {
 		}
 	}
 }
+
+// TestContinueSteadyStateAllocs gates what a continuation costs on
+// warm ContinueRequests: register, complete the operations, run the
+// callback, Reset. A ContinueAll is one record for the whole set, so
+// its allocations do not grow with the set; a Continue is one record
+// plus its run-queue entry.
+func TestContinueSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the gate runs in non-race passes")
+	}
+	const n, runs, allBudget, oneBudget = 64, 100, 4, 2
+	var all, one float64
+	run2(t, Config{Procs: 1}, func(p *Proc) {
+		ops := make([]*Request, n)
+		for i := range ops {
+			ops[i] = p.GrequestStart(nil, nil, nil, nil)
+			ops[i].GrequestComplete()
+		}
+		cr := p.ContinueInit()
+		fired := 0
+		cycle := func(register func()) {
+			for _, r := range ops {
+				r.rearm()
+			}
+			register()
+			cr.Start()
+			for _, r := range ops {
+				r.complete(Status{})
+			}
+			for !cr.IsComplete() {
+				p.Progress()
+			}
+			cr.Reset()
+		}
+		setCB := func([]Status) { fired++ }
+		opCB := func(Status) { fired++ }
+		all = testing.AllocsPerRun(runs, func() {
+			cycle(func() { cr.ContinueAll(ops, setCB) })
+		})
+		one = testing.AllocsPerRun(runs, func() {
+			cycle(func() { cr.Continue(ops[0], opCB) })
+		})
+		if fired != 2*(runs+1) {
+			panic(fmt.Sprintf("fired %d callbacks, want %d", fired, 2*(runs+1)))
+		}
+	})
+	t.Logf("ContinueAll over %d: %.1f allocations per call; Continue: %.1f", n, all, one)
+	if all > allBudget {
+		t.Errorf("ContinueAll over %d pending requests allocates %.1f objects per call, want at most %d", n, all, allBudget)
+	}
+	if one > oneBudget {
+		t.Errorf("Continue on one pending request allocates %.1f objects per call, want at most %d", one, oneBudget)
+	}
+}
+
+// TestContinueExecutionContextEveryPath asserts the execution-context
+// rule on every registration path: with the operations completed on
+// another goroutine, no callback runs before its stream is progressed,
+// and each one runs holding that stream's lock (a nested TryProgress
+// is refused).
+func TestContinueExecutionContextEveryPath(t *testing.T) {
+	run2(t, Config{Procs: 1}, func(p *Proc) {
+		s := p.StreamCreate()
+		cr := p.ContinueInitOn(s)
+		reqs := make([]*Request, 6)
+		for i := range reqs {
+			reqs[i] = p.GrequestStart(nil, nil, nil, nil)
+		}
+		var fired atomic.Int32
+		check := func(path string) {
+			if _, ok := s.TryProgress(); ok {
+				t.Errorf("%s: callback ran without its stream's lock", path)
+			}
+			fired.Add(1)
+		}
+		cr.Continue(reqs[0], func(Status) { check("Continue") })
+		cr.ContinueAll(reqs[1:3], func([]Status) { check("ContinueAll") })
+		cr.ContinueEach(reqs[3:5], func(int, Status) { check("ContinueEach") })
+		reqs[5].OnCompleteStream(s, func(Status) { check("OnCompleteStream") })
+		cr.Start()
+
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, r := range reqs {
+				r.GrequestComplete()
+			}
+		}()
+		wg.Wait()
+		if got := fired.Load(); got != 0 {
+			t.Fatalf("%d callbacks ran before their stream was progressed", got)
+		}
+		const want = 5 // Continue, ContinueAll, two ContinueEach, OnCompleteStream
+		for fired.Load() < want {
+			p.StreamProgress(s)
+		}
+		p.StreamProgress(s)
+		if got := fired.Load(); got != want {
+			t.Fatalf("%d callbacks ran, want %d", got, want)
+		}
+		if !cr.IsComplete() {
+			t.Fatal("aggregate incomplete after every callback ran")
+		}
+		p.StreamFree(s)
+	})
+}
+
+// TestContinueAllFailFast: under ContFailFast a ContinueAll's first
+// failed operation completes the aggregate with its error while the
+// rest of the set is pending; the set callback then fires exactly
+// once, after the last operation completes.
+func TestContinueAllFailFast(t *testing.T) {
+	run2(t, Config{Procs: 1}, func(p *Proc) {
+		boom := errors.New("boom")
+		failing := p.GrequestStart(func(any, *Status) error { return boom }, nil, nil, nil)
+		first := p.GrequestStart(nil, nil, nil, nil)
+		last := p.GrequestStart(nil, nil, nil, nil)
+		cr := p.ContinueInit(ContFailFast)
+		var calls atomic.Int32
+		var got []Status
+		cr.ContinueAll([]*Request{first, failing, last}, func(sts []Status) {
+			calls.Add(1)
+			got = sts
+		})
+		cr.Start()
+		failing.GrequestComplete()
+		if st := cr.Wait(); !errors.Is(st.Err, boom) {
+			t.Fatalf("aggregate err = %v, want boom", st.Err)
+		}
+		first.GrequestComplete()
+		for i := 0; i < 4; i++ {
+			p.Progress()
+		}
+		if calls.Load() != 0 {
+			t.Fatal("set callback fired before the whole set completed")
+		}
+		if cr.NPending() == 0 {
+			t.Fatal("NPending = 0 with the set callback outstanding")
+		}
+		last.GrequestComplete()
+		for cr.NPending() != 0 {
+			p.Progress()
+		}
+		p.Progress()
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("set callback fired %d times, want 1", n)
+		}
+		if len(got) != 3 || got[0].Err != nil || !errors.Is(got[1].Err, boom) || got[2].Err != nil {
+			t.Fatalf("set statuses = %+v", got)
+		}
+	})
+}
+
+// TestContinueSharedRequest hangs four registrations on one request —
+// two ContinueAll sets, an OnComplete and a Done — and checks that each
+// fires exactly once, in registration order, with the request's status
+// in its slot.
+func TestContinueSharedRequest(t *testing.T) {
+	run2(t, Config{Procs: 1}, func(p *Proc) {
+		shared := p.GrequestStart(func(_ any, s *Status) error { s.Tag = 7; return nil }, nil, nil, nil)
+		a := p.GrequestStart(nil, nil, nil, nil)
+		b := p.GrequestStart(nil, nil, nil, nil)
+		cr := p.ContinueInit()
+		var order []string
+		cr.ContinueAll([]*Request{shared, a}, func(sts []Status) {
+			if sts[0].Tag != 7 {
+				t.Errorf("set A slot 0 = %+v", sts[0])
+			}
+			order = append(order, "A")
+		})
+		shared.OnComplete(func(st Status) {
+			if st.Tag != 7 {
+				t.Errorf("OnComplete status = %+v", st)
+			}
+			order = append(order, "OnComplete")
+		})
+		cr.ContinueAll([]*Request{b, shared}, func(sts []Status) {
+			if sts[1].Tag != 7 {
+				t.Errorf("set B slot 1 = %+v", sts[1])
+			}
+			order = append(order, "B")
+		})
+		done := shared.Done()
+		cr.Start()
+
+		a.GrequestComplete()
+		b.GrequestComplete()
+		p.Progress()
+		if len(order) != 0 || len(done) != 0 {
+			t.Fatalf("fired %v (Done %d) before the shared request completed", order, len(done))
+		}
+		shared.GrequestComplete()
+		select {
+		case st := <-done:
+			if st.Tag != 7 {
+				t.Errorf("Done status = %+v", st)
+			}
+		default:
+			t.Fatal("Done did not deliver at completion")
+		}
+		cr.Wait()
+		for i := 0; i < 4; i++ {
+			p.Progress()
+		}
+		if got := fmt.Sprint(order); got != "[A OnComplete B]" {
+			t.Fatalf("callbacks ran as %s, want [A OnComplete B]", got)
+		}
+		if len(done) != 0 {
+			t.Fatal("Done delivered twice")
+		}
+	})
+}

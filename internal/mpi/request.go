@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -113,12 +112,13 @@ type Request struct {
 	pins int
 	held *Status
 
-	// Continuation enqueuers, run inline by complete(): each hands the
-	// user callback to its owning stream's run-queue (MPIX Continue,
-	// paper §5.4) — the user callback itself never runs in the
-	// completing context. Guarded by contMu.
-	contMu sync.Mutex
-	conts  []func(*Request)
+	// conts is the completion list: the nodes of the continuation
+	// records registered on this request (MPIX Continue, paper §5.4),
+	// pushed by CAS, newest first. complete() swaps in contClosed and
+	// hands each node the status; a record only stores it and defers
+	// the user callback to its stream, so the callback itself never
+	// runs in the completing context.
+	conts atomic.Pointer[contNode]
 
 	// Generalized-request callbacks (paper §4.6).
 	queryFn  func(extra any, s *Status) error
@@ -157,31 +157,63 @@ func (r *Request) complete(st Status) {
 	if !r.flag.Set() {
 		panic(fmt.Sprintf("mpi: request completed twice (kind=%d prior=%+v new=%+v)", r.kind, prior, st))
 	}
-	r.contMu.Lock()
-	conts := r.conts
-	r.conts = nil
-	r.contMu.Unlock()
-	for _, f := range conts {
-		f(r)
+	// Close the list and take it in one swap, then reverse it to
+	// deliver in registration order.
+	var in *contNode
+	for n := r.conts.Swap(&contClosed); n != nil; {
+		next := n.next
+		n.next = in
+		in, n = n, next
+	}
+	for n := in; n != nil; n = n.next {
+		n.rec.arrive(n.i, st)
 	}
 }
 
-// tryAddContinuation registers f to run when the request completes and
-// reports whether it was registered. If the request has already
-// completed it returns false WITHOUT running f, so the caller decides
-// the already-complete policy (inline vs deferred — see
-// ContinueRequest.Continue). Registered functions run inline in the
-// completing context and must therefore be lightweight enqueuers, not
-// user callbacks.
-func (r *Request) tryAddContinuation(f func(*Request)) bool {
-	r.contMu.Lock()
-	if !r.flag.IsSet() {
-		r.conts = append(r.conts, f)
-		r.contMu.Unlock()
-		return true
+// rearm returns a completed request to pending for reuse, with an
+// empty, open completion list.
+func (r *Request) rearm() {
+	r.status = Status{}
+	r.obsOnce.Store(false)
+	r.conts.Store(nil)
+	r.flag.Reset()
+}
+
+// contNode is one entry of a request's completion list. It is embedded
+// in the record it points back to, so a registration allocates the
+// record and nothing per request; i is the operation's index in a set
+// record.
+type contNode struct {
+	next *contNode
+	rec  contRecord
+	i    int
+}
+
+// contRecord is a registered continuation. arrive runs in the
+// completing context, once per node, after the status is published: it
+// must only record the status and hand the user callback on (to a
+// stream's run-queue, or a channel).
+type contRecord interface{ arrive(i int, st Status) }
+
+// contClosed terminates a completed request's list: a push that finds
+// it has lost to completion.
+var contClosed contNode
+
+// addCont pushes n onto the completion list and reports whether it was
+// registered. Once the request has completed it returns false and n's
+// record is not called; the caller applies the already-complete policy
+// (inline vs deferred — see ContinueRequest.Continue).
+func (r *Request) addCont(n *contNode) bool {
+	for {
+		head := r.conts.Load()
+		if head == &contClosed {
+			return false
+		}
+		n.next = head
+		if r.conts.CompareAndSwap(head, n) {
+			return true
+		}
 	}
-	r.contMu.Unlock()
-	return false
 }
 
 // observed records the completion-to-observation progress latency the
