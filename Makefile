@@ -98,12 +98,13 @@ race-tcp: race-transport
 # lifecycle on every kind of world (reuse, eviction, revoke, kill). The
 # steady-state allocation gates run in a separate non-race pass — race
 # instrumentation allocates and would mask the 0 allocs/op,
-# bytes-per-message and allocations-per-allreduce bars.
+# bytes-per-message, allocations-per-eager-message and
+# allocations-per-allreduce bars.
 race-shm: race-transport
 	$(GO) test -race -count=1 -timeout 5m -run 'TestRemoteComposite|TestHostileRTSAddress|TestPlan' ./internal/mpi/
 	$(GO) test -race -count=1 -timeout 5m -run 'TestMatrixPlacedRecv|TestMatrixSendBuffer' ./mpix/
 	$(GO) test -count=1 -run 'TestShmSteadyStateAllocs' ./internal/transport/shm/
-	$(GO) test -count=1 -run 'TestRemoteCompositeLargeMessageAllocs|TestAllreduceSteadyStateAllocs' ./internal/mpi/
+	$(GO) test -count=1 -run 'TestRemoteCompositeLargeMessageAllocs|TestAllreduceSteadyStateAllocs|TestEagerSteadyStateAllocs' ./internal/mpi/
 
 # Race-detector pass over the continuation machinery: the core
 # run-queue (Defer/drain), the MPIX Continue layer (CAS completion

@@ -25,13 +25,6 @@ import (
 // out of the way (SetParkCap): with a two-second bound, one park that
 // ends on its timer is one lost wake-up, exactly.
 
-type bytesCodec struct{}
-
-func (bytesCodec) Encode(buf []byte, payload any) ([]byte, error) {
-	return append(buf, payload.([]byte)...), nil
-}
-func (bytesCodec) Decode(data []byte) (any, error) { return append([]byte(nil), data...), nil }
-
 // waiter binds a link to a progress stream of its own the way the MPI
 // netmod binds one to a VCI's stream: a counted netmod hook that polls
 // and drains the link, the stream's work counter bound to the link,
@@ -240,7 +233,7 @@ func stressWorld(t *testing.T, nodes []int) (links []nic.Link, nets []*composite
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cn.Close() })
-		cn.SetCodec(bytesCodec{})
+		cn.SetCodec(nic.ByteCodec{})
 		l, err := cn.AddLink(r, 0)
 		if err != nil {
 			t.Fatal(err)

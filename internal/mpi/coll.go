@@ -33,10 +33,9 @@ func (t collTransport) Rank() int { return t.c.rank }
 func (t collTransport) Size() int { return t.c.Size() }
 
 // Isend hands data down under the rule user sends follow (sendPayload):
-// on a byte world the transport reads the schedule's buffer itself,
-// which is safe because a strict stage completes only when its sends
-// have (see internal/coll's stage contract); the sim fabric and small
-// reliable sends keep a private copy.
+// the link reads the schedule's buffer itself, which is safe because a
+// strict stage completes only when its sends have (see internal/coll's
+// stage contract); small reliable sends keep a private copy.
 func (t collTransport) Isend(data []byte, dst, tag int) coll.Completable {
 	if t.c.fstate.revoked.Load() {
 		return t.c.failedReq(kindSend, ErrCommRevoked)

@@ -214,6 +214,74 @@ func TestRemoteCompositeLargeMessageAllocs(t *testing.T) {
 	t.Logf("%d bytes allocated per 1 MiB message", perMsg)
 }
 
+// TestEagerSteadyStateAllocs bounds what 8 B eager traffic allocates
+// once pools are warm, sender and receiver together, counted
+// process-wide while the two ranks stream windows of 64 messages and a
+// one-byte ack per window (the small-tcp and small-shm benchmark
+// traffic). What is left per message is the two requests and the
+// receiver's copy of the payload out of the transport's buffer; the
+// window's ack and WaitAll add about 0.1. The sender's header goes back
+// to the pool once the post returns, the receiver's once it is handled:
+// before the sender recycled its header, both worlds read 4.1.
+func TestEagerSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the gate runs in non-race passes")
+	}
+	const size, window, warm, runs, budget = 8, 64, 20, 50, 3.2
+	for _, tc := range []struct {
+		name   string
+		worlds func(t *testing.T) []*World
+	}{
+		{"tcp", func(t *testing.T) []*World { return tcpWorlds(t, 2, Config{}) }},
+		{"shm", func(t *testing.T) []*World { return shmWorlds(t, 2, Config{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var perMsg float64
+			runRemote(t, tc.worlds(t), func(p *Proc) {
+				comm := p.CommWorld()
+				bufs := make([][]byte, window)
+				for i := range bufs {
+					bufs[i] = make([]byte, size)
+				}
+				reqs, ack := make([]*Request, window), make([]byte, 1)
+				exchange := func(n int) {
+					for i := 0; i < n; i++ {
+						if p.Rank() == 0 {
+							for m := range reqs {
+								reqs[m] = comm.IsendBytes(bufs[m], 1, 1)
+							}
+							WaitAll(reqs...)
+							comm.RecvBytes(ack, 1, 2)
+						} else {
+							for m := range reqs {
+								reqs[m] = comm.IrecvBytes(bufs[m], 0, 1)
+							}
+							WaitAll(reqs...)
+							comm.SendBytes(ack, 0, 2)
+						}
+					}
+				}
+				exchange(warm)
+				comm.Barrier()
+				var before, after runtime.MemStats
+				if p.Rank() == 0 {
+					runtime.ReadMemStats(&before)
+				}
+				exchange(runs)
+				if p.Rank() == 0 {
+					runtime.ReadMemStats(&after)
+					perMsg = float64(after.Mallocs-before.Mallocs) / (runs * window)
+				}
+				comm.Barrier()
+			})
+			if perMsg > budget {
+				t.Fatalf("an 8 B message allocates %.2f objects in steady state, want at most %v", perMsg, budget)
+			}
+			t.Logf("%.2f allocations per 8 B message", perMsg)
+		})
+	}
+}
+
 // TestAllreduceSteadyStateAllocs bounds what a small Allreduce
 // allocates once its plan is cached: a 1-float64 Allreduce on the
 // composite 2×2 world (shm inside a node, tcp across, the two-level

@@ -208,8 +208,9 @@ func NewWorld(cfg Config) *World {
 	if w.net != nil {
 		w.net.UseMetrics(cfg.Metrics, "fabric")
 	}
-	// Byte-oriented transports need the protocol codec; the reliability
-	// framing wraps it so nic.Reliable works unchanged over them.
+	// Every link runs the protocol codec, the sim endpoint's included;
+	// the reliability framing wraps it so nic.Reliable works unchanged
+	// over every link.
 	var c nic.Codec = wireCodec{w}
 	if cfg.Reliable {
 		c = nic.RelCodec(c)

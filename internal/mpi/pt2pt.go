@@ -24,23 +24,19 @@ func (c *Comm) Isend(buf []byte, count int, dt *datatype.Datatype, dst, tag int)
 	return c.isendWire(c.sendPayload(buf, count, dt), dst, tag)
 }
 
-// sendPayload returns the packed bytes of a send. On a world that runs
-// the byte codec every reader of the payload is done with it before the
-// request completes — an unsignaled post is encoded at post, a signaled
-// post and a rendezvous chunk are dropped by the link before the CQE
-// that completes the request, a receiver that reads an advertised
-// rendezvous out of this process answers FIN only after the read, a
-// self-send is copied into ring cells —
-// so a contiguous buffer is handed down as it is (capacity clipped: the
-// library never writes it). Two cases keep a private copy: gapped
-// layouts, which have to be packed anyway, and every world that passes
-// pointers, where the receiver reads the sender's slice after the
-// sender's completion — the in-process fabric, and the reliability
-// layer's retransmit queue for sends small enough to complete at post.
+// sendPayload returns the packed bytes of a send. Every link encodes a
+// post's payload before it returns, or for a signaled post reads it
+// until the CQE that completes the request, and a receiver that reads
+// an advertised rendezvous out of this process answers FIN only after
+// the read: every reader of the payload is done with it before the
+// request completes. So a contiguous buffer is handed down as it is
+// (capacity clipped: the library never writes it). Two cases keep a
+// private copy: gapped layouts, which have to be packed anyway, and
+// sends small enough to complete at post under the reliability layer,
+// whose retransmit queue reads the payload until it is acknowledged.
 func (c *Comm) sendPayload(buf []byte, count int, dt *datatype.Datatype) []byte {
 	n := datatype.PackedSize(count, dt)
-	w := c.proc.world
-	if w.remote && dt.Contig() && !(w.cfg.Reliable && n <= w.cfg.EagerInline) {
+	if cfg := c.proc.world.cfg; dt.Contig() && !(cfg.Reliable && n <= cfg.EagerInline) {
 		return buf[:n:n]
 	}
 	wire := make([]byte, n)

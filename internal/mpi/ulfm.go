@@ -284,9 +284,9 @@ func (c *Comm) applyRevoke(inProgress bool) {
 
 // floodRevoke sends the revocation control frame to every other rank.
 // The frames are tiny and fire-and-forget (a dead peer needs no
-// notification); each target gets a fresh header because receivers may
-// recycle it. It rides the same link, in the same order, as the data
-// and fault-tolerance traffic around it.
+// notification); each target gets a fresh header because a post takes
+// its header over. It rides the same link, in the same order, as the
+// data and fault-tolerance traffic around it.
 func (c *Comm) floodRevoke() {
 	for dst := range c.ranks {
 		if dst == c.rank {

@@ -139,15 +139,12 @@ type rtsToken struct {
 }
 
 // hdrPool recycles wire headers so the eager hot path allocates
-// nothing per message in steady state. Recycling rules (in-process
-// simulation, sender and receiver share the pointer):
-//
-//   - raw mode (rel == nil): the fabric delivers exactly once and the
-//     sender keeps no reference after posting, so the receiver owns
-//     the header once netPoll hands it to handleNetMsg and recycles it
-//     afterwards.
-//   - reliable mode: the sender's retransmission queue may re-deliver
-//     the same header; never recycled.
+// nothing per message in steady state. Every link encodes a post before
+// it returns and hands the receiver a header of its own, decoded from
+// the frame, so one rule serves every world: the sender recycles its
+// header once a raw post returns (postInline, postSignaled; under the
+// reliability layer the retransmit queue keeps it), and the receiver
+// recycles each header it decoded once netPoll has handled it.
 var hdrPool = sync.Pool{New: func() any { return new(wireHdr) }}
 
 func newHdr() *wireHdr { return hdrPool.Get().(*wireHdr) }
@@ -427,29 +424,35 @@ func mapLinkErr(err error) error {
 }
 
 // postInline sends a fire-and-forget protocol message, through the
-// reliability layer when enabled. Arming the retransmit timer means
-// starting an MPIX Async thing on this VCI's stream: recovery is then
-// driven by the same progress calls that drive everything else.
-func (v *VCI) postInline(dst fabric.EndpointID, payload any, bytes int) {
+// reliability layer when enabled, and takes h over. Arming the
+// retransmit timer means starting an MPIX Async thing on this VCI's
+// stream: recovery is then driven by the same progress calls that drive
+// everything else.
+func (v *VCI) postInline(dst fabric.EndpointID, h *wireHdr, bytes int) error {
 	if v.rel != nil {
-		if v.rel.PostSendInline(dst, payload, bytes) {
-			v.stream.AsyncStart(retxPoll, v)
-		}
-		return
-	}
-	v.ep.PostSendInline(dst, payload, bytes)
-}
-
-// postSignaled sends a protocol message whose completion (wire-tx raw,
-// cumulative-ack reliable) posts token to the completion queue.
-func (v *VCI) postSignaled(dst fabric.EndpointID, payload any, bytes int, token any) error {
-	if v.rel != nil {
-		if v.rel.PostSend(dst, payload, bytes, token) {
+		if v.rel.PostSendInline(dst, h, bytes) {
 			v.stream.AsyncStart(retxPoll, v)
 		}
 		return nil
 	}
-	return v.ep.PostSend(dst, payload, bytes, token)
+	err := v.ep.PostSendInline(dst, h, bytes)
+	recycleHdr(h) // the link encoded it
+	return err
+}
+
+// postSignaled sends a protocol message whose completion (wire-tx raw,
+// cumulative-ack reliable) posts token to the completion queue, and
+// takes h over.
+func (v *VCI) postSignaled(dst fabric.EndpointID, h *wireHdr, bytes int, token any) error {
+	if v.rel != nil {
+		if v.rel.PostSend(dst, h, bytes, token) {
+			v.stream.AsyncStart(retxPoll, v)
+		}
+		return nil
+	}
+	err := v.ep.PostSend(dst, h, bytes, token)
+	recycleHdr(h)
+	return err
 }
 
 // retxPoll is the retransmission timer as an MPIX Async poll function
@@ -586,11 +589,7 @@ func (v *VCI) netPoll() bool {
 		v.handleNetMsg(h)
 		// The handler copied the payload out or took the buffer over.
 		nic.PutStaging(h.stage)
-		h.stage = nil
-		if v.rel == nil {
-			// Raw fabric delivers exactly once; the header is dead.
-			recycleHdr(h)
-		}
+		recycleHdr(h)
 	}
 	// Scrub and keep the (possibly grown) scratch buffers: drained
 	// entries must not pin payloads or pooled tokens until next poll.
@@ -629,9 +628,9 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 	req.total = n
 	switch {
 	case n <= cfg.EagerInline:
-		// Lightweight/buffered send (Fig. 1a): the payload is copied —
-		// wire is a private copy, or a byte transport encodes it before
-		// PostSendInline returns — so no completion is needed.
+		// Lightweight/buffered send (Fig. 1a): the link encodes the
+		// payload before PostSendInline returns — the NIC's copy at
+		// injection — so no completion is needed.
 		if v.tracing() {
 			v.trace("send.init", fmt.Sprintf("buffered eager, %d bytes", n))
 		}
@@ -643,8 +642,9 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 		req.complete(Status{Bytes: n})
 		v.trace("send.complete", "buffered (no wait block)")
 	case n <= cfg.RndvThreshold:
-		// Eager send (Fig. 1b): zero-copy injection, one wait block on
-		// the CQ. The link may read wire until it posts the CQE.
+		// Eager send (Fig. 1b): one wait block on the CQ. The link may
+		// read wire until it posts the CQE (a byte transport sends a
+		// body of nic.BulkMin or more from where it is).
 		if v.tracing() {
 			v.trace("send.init", fmt.Sprintf("eager, %d bytes", n))
 		}
@@ -683,13 +683,12 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 			h.flow = flow
 		}
 		v.netOps.Add(1)
-		// Posting transfers header ownership to the receiver (which may
-		// recycle it); don't touch h past this point.
+		// Posting takes h over; don't touch it past this point.
 		if v.rel != nil {
 			// Track the RTS so a dead link fails the request instead of
 			// leaving the rendezvous (and finalize's Quiesce) hanging.
 			v.postSignaled(dstEP, h, ctrlBytes, &rtsToken{st: st})
-		} else if err := v.ep.PostSendInline(dstEP, h, ctrlBytes); err != nil {
+		} else if err := v.postInline(dstEP, h, ctrlBytes); err != nil {
 			v.rndvFail(st, err)
 			return
 		}
@@ -758,8 +757,8 @@ func (v *VCI) rndvChunkDone(st *netSendState) {
 func (v *VCI) handleNetMsg(h *wireHdr) {
 	switch h.kind {
 	case kindEagerMsg:
-		// Unexpected eager arrivals buffer the payload (Fig. 1d) — on
-		// this transport it is already a private copy, and the entry
+		// Unexpected eager arrivals buffer the payload (Fig. 1d) — the
+		// decoded payload is already the receiver's own, and the entry
 		// takes its staging buffer along.
 		req := v.match.matchOrEnqueue(h.ctx, h.src, h.tag, func() unexpected {
 			e := unexpected{

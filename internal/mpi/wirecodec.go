@@ -140,12 +140,13 @@ func (wireCodec) DecodeOwned(frame, data []byte) (any, error) {
 // fills the rest of the frame and fits the receive — inside the message
 // its RTS announced, and inside the buffer without truncation (see
 // VCI.placeChunk). Anything else — other kinds, unknown or retired
-// handles, chunks a sender lies about, worlds hosting more than one rank —
-// is assembled by the transport and decoded as usual, which is also
-// where a hostile chunk meets handleNetMsg's check. The returned
-// placement is the decoded header, payload already in place.
+// handles, chunks a sender lies about — is assembled by the transport
+// and decoded as usual, which is also where a hostile chunk meets
+// handleNetMsg's check. The returned placement is the decoded header,
+// payload already in place. Only a byte transport's stream asks, and
+// such a world hosts one rank: the one whose VCIs dst names.
 func (c wireCodec) Place(dst fabric.EndpointID, size int, head []byte) ([]byte, nic.Placement, int) {
-	if c.w == nil || !c.w.remote || len(head) > 0 && msgKind(head[0]) != kindDataMsg {
+	if c.w == nil || len(head) > 0 && msgKind(head[0]) != kindDataMsg {
 		return nil, nil, 0
 	}
 	if len(head) < wireHdrLen {

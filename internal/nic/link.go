@@ -3,6 +3,7 @@ package nic
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"time"
 
 	"gompix/internal/fabric"
@@ -20,10 +21,9 @@ import (
 // polls:
 //
 //   - PostSendInline: buffered fire-and-forget injection; no completion
-//     is signaled. A link that passes the payload on as a pointer (the
-//     simulated endpoint) needs it to be a private copy; a link with a
-//     codec encodes it before returning, so the memory it references is
-//     the caller's again at once.
+//     is signaled. Every link encodes the payload through its codec
+//     before returning, so the memory it references is the caller's
+//     again at once.
 //   - PostSend: signaled injection; a CQE carrying token is posted when
 //     the transmission completes (or fails — CQE.Err). Until then the
 //     link may read the memory the payload references (a byte transport
@@ -118,9 +118,10 @@ type RxPoller interface {
 	PollRecv() (made bool)
 }
 
-// Codec translates link payloads to and from wire bytes for transports
-// that cross a process boundary. The simulated fabric passes payloads
-// as in-memory pointers and never invokes a codec.
+// Codec translates link payloads to and from wire bytes. Every link
+// runs one: the byte transports on their way through sockets and rings,
+// the simulated endpoint and a byte link's send to its own process on
+// their way through RoundTrip.
 type Codec interface {
 	// Encode appends the wire encoding of payload to buf and returns the
 	// extended slice.
@@ -131,9 +132,9 @@ type Codec interface {
 }
 
 // SplitCodec is implemented by codecs whose payloads end in a byte body
-// that need not be copied on its way through a transport. Transports
-// probe for it once, in SetCodec; a codec without it keeps the copying
-// path on both sides.
+// that need not be copied on its way through a transport. The byte
+// transports probe for it once, in SetCodec, and RoundTrip on each call;
+// a codec without it keeps the copying path on both sides.
 type SplitCodec interface {
 	Codec
 	// EncodeSplit appends to buf everything Encode would except the
@@ -172,6 +173,49 @@ type Placement interface {
 	// Drop releases the destination of a frame that will never be
 	// complete (the stream failed or closed).
 	Drop()
+}
+
+// ByteCodec is the codec of links whose payloads are byte slices, and
+// the simulated endpoint's until SetCodec installs another: a []byte
+// travels as it is, and decodes into a copy.
+type ByteCodec struct{}
+
+func (ByteCodec) Encode(buf []byte, payload any) ([]byte, error) {
+	b, ok := payload.([]byte)
+	if !ok {
+		return nil, fmt.Errorf("nic: ByteCodec cannot encode %T", payload)
+	}
+	return append(buf, b...), nil
+}
+
+func (ByteCodec) Decode(data []byte) (any, error) { return append([]byte(nil), data...), nil }
+
+// scratchPool holds the encodings RoundTrip decodes from.
+var scratchPool = sync.Pool{New: func() any { return new(stagingBox) }}
+
+// RoundTrip passes payload through c as a frame crosses a wire, for a
+// post no wire carries: the simulated endpoint's, and a byte link's to
+// its own process. Nothing the result references is the poster's. A
+// body the codec splits off is copied once, behind the head, into a
+// GetStaging frame that DecodeOwned takes over; a frame without one is
+// decoded from a pooled scratch encoding.
+func RoundTrip(c Codec, payload any) (p any, err error) {
+	box := scratchPool.Get().(*stagingBox)
+	defer scratchPool.Put(box)
+	if split, ok := c.(SplitCodec); ok {
+		var body []byte
+		if box.b, body, err = split.EncodeSplit(box.b[:0], payload); err == nil && len(body) > 0 {
+			frame := GetStaging(len(box.b) + len(body))
+			copy(frame[copy(frame, box.b):], body)
+			return split.DecodeOwned(frame, frame)
+		}
+	} else {
+		box.b, err = c.Encode(box.b[:0], payload)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c.Decode(box.b)
 }
 
 // Now returns the fabric clock time (Link implementation).

@@ -6,13 +6,14 @@
 // from the completion queue (CQ) for sends and the receive queue (RQ)
 // for arrivals. Two send flavors model the MPICH distinction:
 //
-//   - inline sends (PostSendInline): the payload is considered copied
-//     into the NIC at injection, so the sender's buffer is immediately
-//     reusable and no completion is signaled — the "lightweight send"
-//     with zero wait blocks (Fig. 1a).
-//   - signaled sends (PostSend): the buffer is handed to the NIC
-//     zero-copy; a completion entry is posted to the CQ when the wire
-//     transmission finishes — one wait block (Fig. 1b).
+//   - inline sends (PostSendInline): the payload is copied into the
+//     NIC at injection — encoded through the link's codec — so the
+//     sender's buffer is immediately reusable and no completion is
+//     signaled — the "lightweight send" with zero wait blocks (Fig. 1a).
+//   - signaled sends (PostSend): the buffer is handed to the NIC,
+//     which may read it (a byte transport sends a large body from
+//     where it is) until a completion entry is posted to the CQ when
+//     the wire transmission finishes — one wait block (Fig. 1b).
 package nic
 
 import (
@@ -57,8 +58,9 @@ type WorkCounter interface{ Add(delta int) }
 
 // Endpoint is one simulated NIC port attached to the fabric.
 type Endpoint struct {
-	net *fabric.Network
-	id  fabric.EndpointID
+	net   *fabric.Network
+	id    fabric.EndpointID
+	codec Codec // every post crosses it (SetCodec)
 
 	// TX serialization: the wire is busy until nextFree.
 	txMu     sync.Mutex
@@ -81,10 +83,16 @@ type Endpoint struct {
 
 // NewEndpoint attaches a new NIC endpoint on the given node.
 func NewEndpoint(net *fabric.Network, node int) *Endpoint {
-	ep := &Endpoint{net: net}
+	ep := &Endpoint{net: net, codec: ByteCodec{}}
 	ep.id = net.Attach(node, ep.deliver)
 	return ep
 }
+
+// SetCodec installs the codec every post crosses before the fabric
+// carries it — the world's, as on every byte link; until then the
+// endpoint carries []byte payloads (ByteCodec). Set before traffic
+// flows.
+func (ep *Endpoint) SetCodec(c Codec) { ep.codec = c }
 
 // BindWork attaches a stream work counter; every subsequently queued
 // completion or arrival adds one unit, every drained entry removes
@@ -128,31 +136,22 @@ func (ep *Endpoint) reserveTx(bytes int) time.Duration {
 	return done
 }
 
-// PostSendInline injects a small message whose payload the NIC buffers
-// internally. No completion is generated; the caller's buffer is free
-// the moment this returns. The payload passed should already be a
-// private copy (the NIC models the copy; the caller provides it).
-// It returns fabric.ErrStopped if the network has been stopped.
+// PostSendInline injects a small message the NIC copies at injection:
+// the payload crosses the codec before this returns, so the caller's
+// buffer is free at once, and no completion is generated. It returns
+// fabric.ErrStopped if the network has been stopped.
 func (ep *Endpoint) PostSendInline(dst fabric.EndpointID, payload any, bytes int) error {
-	txDone := ep.reserveTx(bytes)
-	ep.sent.Add(1)
-	if m := ep.met; m != nil && m.reg.On() {
-		m.sent.Inc()
-	}
-	return ep.net.Transmit(fabric.Packet{Src: ep.id, Dst: dst, Payload: payload, Bytes: bytes}, txDone)
+	_, err := ep.transmit(dst, payload, bytes)
+	return err
 }
 
-// PostSend injects a message zero-copy and posts a CQE carrying token
-// when the wire transmission completes. Until the CQE is polled the
-// caller must treat the buffer as owned by the NIC. It returns
-// fabric.ErrStopped (and posts no CQE) if the network has been stopped.
+// PostSend injects a message and posts a CQE carrying token when the
+// wire transmission completes. The payload crosses the codec at post,
+// as an inline one does. It returns fabric.ErrStopped (and posts no
+// CQE) if the network has been stopped.
 func (ep *Endpoint) PostSend(dst fabric.EndpointID, payload any, bytes int, token any) error {
-	txDone := ep.reserveTx(bytes)
-	ep.sent.Add(1)
-	if m := ep.met; m != nil && m.reg.On() {
-		m.sent.Inc()
-	}
-	if err := ep.net.Transmit(fabric.Packet{Src: ep.id, Dst: dst, Payload: payload, Bytes: bytes}, txDone); err != nil {
+	txDone, err := ep.transmit(dst, payload, bytes)
+	if err != nil {
 		return err
 	}
 	ep.net.Scheduler().At(txDone, func() {
@@ -164,6 +163,21 @@ func (ep *Endpoint) PostSend(dst fabric.EndpointID, payload any, bytes int, toke
 		}
 	})
 	return nil
+}
+
+// transmit hands the fabric what payload decodes to on the far side of
+// the codec (RoundTrip) and returns when the wire finishes sending it.
+func (ep *Endpoint) transmit(dst fabric.EndpointID, payload any, bytes int) (time.Duration, error) {
+	dec, err := RoundTrip(ep.codec, payload)
+	if err != nil {
+		return 0, err
+	}
+	txDone := ep.reserveTx(bytes)
+	ep.sent.Add(1)
+	if m := ep.met; m != nil && m.reg.On() {
+		m.sent.Inc()
+	}
+	return txDone, ep.net.Transmit(fabric.Packet{Src: ep.id, Dst: dst, Payload: dec, Bytes: bytes}, txDone)
 }
 
 // DrainCQ moves up to cap(buf) completion entries into buf[:0] and

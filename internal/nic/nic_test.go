@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 	"time"
@@ -8,6 +10,12 @@ import (
 	"gompix/internal/fabric"
 	"gompix/internal/timing"
 )
+
+// num is i as a []byte payload, the kind the endpoint's default codec
+// carries; numOf reads it back out of a delivered packet.
+func num(i int) []byte { return binary.LittleEndian.AppendUint32(nil, uint32(i)) }
+
+func numOf(p fabric.Packet) int { return int(binary.LittleEndian.Uint32(p.Payload.([]byte))) }
 
 func newPair(t *testing.T, cfg fabric.Config) (*timing.ManualClock, *fabric.Network, *Endpoint, *Endpoint) {
 	t.Helper()
@@ -20,14 +28,14 @@ func newPair(t *testing.T, cfg fabric.Config) (*timing.ManualClock, *fabric.Netw
 
 func TestInlineSendDelivery(t *testing.T) {
 	mc, net, a, b := newPair(t, fabric.Config{Latency: 5 * time.Microsecond})
-	a.PostSendInline(b.ID(), "msg", 32)
+	a.PostSendInline(b.ID(), []byte("msg"), 32)
 	if got := b.PollRQ(0); got != nil {
 		t.Fatal("nothing should have arrived yet")
 	}
 	net.RunUntil(time.Second)
 	_ = mc
 	pkts := b.PollRQ(0)
-	if len(pkts) != 1 || pkts[0].Payload != "msg" {
+	if len(pkts) != 1 || !bytes.Equal(pkts[0].Payload.([]byte), []byte("msg")) {
 		t.Fatalf("pkts = %v", pkts)
 	}
 	if pkts[0].Src != a.ID() {
@@ -79,8 +87,8 @@ func TestTxSerializationBackToBack(t *testing.T) {
 		Latency:              time.Microsecond,
 		BandwidthBytesPerSec: 1e9,
 	})
-	a.PostSend(b.ID(), nil, 1000, 1)
-	a.PostSend(b.ID(), nil, 1000, 2)
+	a.PostSend(b.ID(), []byte{}, 1000, 1)
+	a.PostSend(b.ID(), []byte{}, 1000, 2)
 	net.RunUntil(time.Second)
 	cqes := a.PollCQ(0)
 	if len(cqes) != 2 {
@@ -94,7 +102,7 @@ func TestTxSerializationBackToBack(t *testing.T) {
 func TestPollMaxLimits(t *testing.T) {
 	_, net, a, b := newPair(t, fabric.Config{Latency: time.Microsecond})
 	for i := 0; i < 5; i++ {
-		a.PostSend(b.ID(), i, 8, i)
+		a.PostSend(b.ID(), num(i), 8, i)
 	}
 	net.RunUntil(time.Second)
 	first := a.PollCQ(2)
@@ -149,9 +157,9 @@ func TestSendStreamProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			inl := i < len(inline) && inline[i]
 			if inl {
-				a.PostSendInline(b.ID(), i, int(sizes[i]))
+				a.PostSendInline(b.ID(), num(i), int(sizes[i]))
 			} else {
-				a.PostSend(b.ID(), i, int(sizes[i]), i)
+				a.PostSend(b.ID(), num(i), int(sizes[i]), i)
 				signaled++
 			}
 		}
@@ -161,7 +169,7 @@ func TestSendStreamProperty(t *testing.T) {
 			return false
 		}
 		for i, p := range pkts {
-			if p.Payload.(int) != i {
+			if numOf(p) != i {
 				return false
 			}
 		}
@@ -169,5 +177,48 @@ func TestSendStreamProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRoundTripOwnsItsBytes: what RoundTrip returns references nothing
+// of the payload it was given — rewriting the payload afterwards does
+// not show — whether the codec splits the body off (one frame the
+// decoder takes over) or encodes it whole (a scratch encoding Decode
+// copies out of), below and above nic.BulkMin. A payload the codec
+// refuses is an error, and an endpoint posts nothing for it.
+func TestRoundTripOwnsItsBytes(t *testing.T) {
+	for _, c := range []Codec{bytesCodec{}, ByteCodec{}} { // split, whole
+		for _, size := range []int{0, 8, BulkMin, 3 * BulkMin} {
+			in := make([]byte, size)
+			for i := range in {
+				in[i] = byte(i)
+			}
+			out, err := RoundTrip(c, in)
+			if err != nil {
+				t.Fatalf("%T, %d bytes: %v", c, size, err)
+			}
+			for i := range in {
+				in[i] = ^in[i]
+			}
+			got := out.([]byte)
+			if len(got) != size {
+				t.Fatalf("%T: %d bytes came back, want %d", c, len(got), size)
+			}
+			for i, b := range got {
+				if b != byte(i) {
+					t.Fatalf("%T, %d bytes: byte %d reads %#x after the payload was rewritten, want %#x", c, size, i, b, byte(i))
+				}
+			}
+		}
+	}
+	if _, err := RoundTrip(ByteCodec{}, 42); err == nil {
+		t.Fatal("ByteCodec encoded an int")
+	}
+	_, _, a, b := newPair(t, fabric.Config{})
+	if err := a.PostSendInline(b.ID(), 42, 8); err == nil {
+		t.Fatal("the endpoint posted a payload its codec refused")
+	}
+	if sent, _, _ := a.Stats(); sent != 0 {
+		t.Fatalf("sent = %d after a refused post", sent)
 	}
 }

@@ -9,13 +9,7 @@ import (
 
 // bytesCodec carries a []byte payload as it is; as a SplitCodec the
 // bytes are the body.
-type bytesCodec struct{}
-
-func (bytesCodec) Encode(buf []byte, payload any) ([]byte, error) {
-	return append(buf, payload.([]byte)...), nil
-}
-
-func (bytesCodec) Decode(data []byte) (any, error) { return append([]byte(nil), data...), nil }
+type bytesCodec struct{ ByteCodec }
 
 func (bytesCodec) EncodeSplit(buf []byte, payload any) (head, body []byte, err error) {
 	return buf, payload.([]byte), nil

@@ -267,7 +267,22 @@ func (r *Reliable) post(dst fabric.EndpointID, payload any, bytes int, token any
 	}
 	r.mu.Unlock()
 	r.link.PostSendInline(dst, &f, r.cfg.HdrBytes+bytes)
+	r.restartTimer(l, f.seq)
 	return arm
+}
+
+// restartTimer starts l's retransmission timeout over once the frames
+// from seq have left, if seq is still the oldest unacknowledged frame:
+// the timer times the wire and the peer, not the post, which encodes
+// each frame (a copy of its body) on every link. It does nothing when
+// an older frame is still waiting, seq was acknowledged meanwhile or
+// the link went down.
+func (r *Reliable) restartTimer(l *txLink, seq uint64) {
+	r.mu.Lock()
+	if !l.down && len(l.unacked) > 0 && l.unacked[0].seq == seq {
+		l.deadline = r.now() + l.rto
+	}
+	r.mu.Unlock()
 }
 
 // PostSendInline sends payload reliably with no completion signal; the
@@ -559,7 +574,7 @@ func (r *Reliable) PollRQ(max int) []fabric.Packet {
 func (r *Reliable) Poll() (made bool, idle bool) {
 	now := r.now()
 	type resend struct {
-		dst    fabric.EndpointID
+		l      *txLink
 		frames []relFrame
 	}
 	var resends []resend
@@ -606,7 +621,7 @@ func (r *Reliable) Poll() (made bool, idle bool) {
 		}
 		ack := r.rxFor(l.dst).nextExp
 		floor := l.floorLocked()
-		rs := resend{dst: l.dst, frames: make([]relFrame, len(l.unacked))}
+		rs := resend{l: l, frames: make([]relFrame, len(l.unacked))}
 		for i, p := range l.unacked {
 			rs.frames[i] = relFrame{kind: relData, seq: p.seq, ack: ack, floor: floor, src: r.link.ID(), inner: p.inner, bytes: p.bytes}
 		}
@@ -637,8 +652,9 @@ func (r *Reliable) Poll() (made bool, idle bool) {
 	for _, rs := range resends {
 		for i := range rs.frames {
 			f := rs.frames[i]
-			r.link.PostSendInline(rs.dst, &f, r.cfg.HdrBytes+f.bytes)
+			r.link.PostSendInline(rs.l.dst, &f, r.cfg.HdrBytes+f.bytes)
 		}
+		r.restartTimer(rs.l, rs.frames[0].seq)
 	}
 	return made, idle
 }

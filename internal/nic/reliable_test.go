@@ -21,13 +21,17 @@ func meterPair(a, b *Reliable) *metrics.Registry {
 }
 
 // relPair builds two endpoints on different nodes over a (possibly
-// lossy) manual-clock fabric and wraps both in the reliability layer.
+// lossy) manual-clock fabric and wraps both in the reliability layer;
+// the endpoints carry its envelope around []byte payloads.
 func relPair(f fabric.FaultConfig, cfg RelConfig) (*timing.ManualClock, *Reliable, *Reliable) {
 	mc := timing.NewManualClock()
 	net := fabric.NewNetwork(mc, fabric.Config{Latency: 2 * time.Microsecond, Faults: f})
-	a := NewReliable(NewEndpoint(net, 0), cfg)
-	b := NewReliable(NewEndpoint(net, 1), cfg)
-	return mc, a, b
+	rel := func(node int) *Reliable {
+		ep := NewEndpoint(net, node)
+		ep.SetCodec(RelCodec(ByteCodec{}))
+		return NewReliable(ep, cfg)
+	}
+	return mc, rel(0), rel(1)
 }
 
 // churn advances time and drives both sides' progress once.
@@ -51,12 +55,12 @@ func TestReliableInOrderExactlyOnceUnderLoss(t *testing.T) {
 	before := reg.Snapshot()
 	const count = 200
 	for i := 0; i < count; i++ {
-		a.PostSendInline(b.Link().ID(), i, 64)
+		a.PostSendInline(b.Link().ID(), num(i), 64)
 	}
 	var got []int
 	for step := 0; step < 5000 && (len(got) < count || a.Outstanding() > 0); step++ {
 		for _, p := range churn(mc, 10*time.Microsecond, b, a) {
-			got = append(got, p.Payload.(int))
+			got = append(got, numOf(p))
 		}
 	}
 	if len(got) != count {
@@ -105,7 +109,7 @@ func TestReliableAckCompletesTokensInOrder(t *testing.T) {
 	reg := meterPair(a, b)
 	before := reg.Snapshot()
 	for i := 0; i < 5; i++ {
-		a.PostSend(b.Link().ID(), i, 128, i)
+		a.PostSend(b.Link().ID(), num(i), 128, i)
 	}
 	var toks []int
 	for step := 0; step < 100 && len(toks) < 5; step++ {
@@ -151,7 +155,7 @@ func TestReliableExponentialBackoffAndLinkDown(t *testing.T) {
 	)
 	reg := meterPair(a, b)
 	before := reg.Snapshot()
-	if arm := a.PostSend(b.Link().ID(), "doomed", 64, "tok"); !arm {
+	if arm := a.PostSend(b.Link().ID(), []byte("doomed"), 64, "tok"); !arm {
 		t.Fatal("first send must arm the retransmit poll")
 	}
 	var failed []CQE
@@ -185,7 +189,7 @@ func TestReliableExponentialBackoffAndLinkDown(t *testing.T) {
 		t.Errorf("metric frames.failed = %d, want 1", got)
 	}
 	// Sends on a dead link fail immediately.
-	if arm := a.PostSend(b.Link().ID(), "late", 64, "tok2"); arm {
+	if arm := a.PostSend(b.Link().ID(), []byte("late"), 64, "tok2"); arm {
 		t.Fatal("send on a dead link must not arm the poll")
 	}
 	cqes := a.PollCQ(0)
@@ -199,10 +203,10 @@ func TestReliableExponentialBackoffAndLinkDown(t *testing.T) {
 
 func TestReliablePollDisarmsWhenIdle(t *testing.T) {
 	mc, a, b := relPair(fabric.FaultConfig{}, RelConfig{})
-	if arm := a.PostSendInline(b.Link().ID(), "x", 32); !arm {
+	if arm := a.PostSendInline(b.Link().ID(), []byte("x"), 32); !arm {
 		t.Fatal("idle->busy transition must request arming")
 	}
-	if arm := a.PostSendInline(b.Link().ID(), "y", 32); arm {
+	if arm := a.PostSendInline(b.Link().ID(), []byte("y"), 32); arm {
 		t.Fatal("second send while busy must not re-arm")
 	}
 	for step := 0; step < 100 && a.Outstanding() > 0; step++ {
@@ -215,7 +219,7 @@ func TestReliablePollDisarmsWhenIdle(t *testing.T) {
 		t.Fatal("Poll should report idle once everything is acked")
 	}
 	// The next send must arm a fresh poll.
-	if arm := a.PostSendInline(b.Link().ID(), "z", 32); !arm {
+	if arm := a.PostSendInline(b.Link().ID(), []byte("z"), 32); !arm {
 		t.Fatal("send after idle must re-arm")
 	}
 }
@@ -224,17 +228,17 @@ func TestReliableBidirectionalTraffic(t *testing.T) {
 	mc, a, b := relPair(fabric.FaultConfig{DropProb: 0.25, Seed: 99}, RelConfig{RTO: 20 * time.Microsecond, MaxRetries: 1000})
 	const count = 50
 	for i := 0; i < count; i++ {
-		a.PostSendInline(b.Link().ID(), 1000+i, 32)
-		b.PostSendInline(a.Link().ID(), 2000+i, 32)
+		a.PostSendInline(b.Link().ID(), num(1000+i), 32)
+		b.PostSendInline(a.Link().ID(), num(2000+i), 32)
 	}
 	var atB, atA []int
 	for step := 0; step < 3000 && (len(atB) < count || len(atA) < count); step++ {
 		mc.Advance(10 * time.Microsecond)
 		for _, p := range b.PollRQ(0) {
-			atB = append(atB, p.Payload.(int))
+			atB = append(atB, numOf(p))
 		}
 		for _, p := range a.PollRQ(0) {
-			atA = append(atA, p.Payload.(int))
+			atA = append(atA, numOf(p))
 		}
 		a.Poll()
 		b.Poll()

@@ -1,33 +1,16 @@
 package composite_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"gompix/internal/fabric"
+	"gompix/internal/nic"
 	"gompix/internal/transport/composite"
 	"gompix/internal/transport/shm"
 	"gompix/internal/transport/tcp"
 	"gompix/internal/transport/transporttest"
 )
-
-// byteCodec round-trips []byte payloads — enough to exercise framing.
-type byteCodec struct{}
-
-func (byteCodec) Encode(buf []byte, payload any) ([]byte, error) {
-	b, ok := payload.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("byteCodec: %T", payload)
-	}
-	return append(buf, b...), nil
-}
-
-func (byteCodec) Decode(data []byte) (any, error) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
-}
 
 // world bundles the per-rank composite stacks of one test topology.
 type world struct {
@@ -85,7 +68,7 @@ func newWorld(t *testing.T, ranks int, nodeOf func(rank int) int) (*world, *tran
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetCodec(byteCodec{})
+		n.SetCodec(nic.ByteCodec{})
 		cw.nets[r] = n
 	}
 	w := &transporttest.World{

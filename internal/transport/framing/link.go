@@ -268,29 +268,21 @@ func (l *Link) Closed() bool { return l.closed.Load() }
 // Loopback delivers a frame l posts to an endpoint of its own process
 // — a rank's send to itself, on any of its VCIs — which no carrier
 // reaches: a tcp rank has no connection to itself, a shm rank no ring.
-// The frame crosses the codec all the same, so it arrives as every
-// other frame does (handle ids instead of pointers, the payload a
-// private copy in a staging buffer): encoded, decoded, pushed onto the
-// destination link's receive queue — which bumps that link's work
-// counter — and, for a signaled post, completed on l's CQ. Nothing
-// references the poster's memory once this returns, which is a carried
-// frame's ownership rule with the wire taken out: an inline payload is
-// the caller's again on return, a signaled one at the CQE. An error
-// means no CQE.
+// The frame crosses the codec all the same (nic.RoundTrip, the
+// simulated endpoint's round trip), so it arrives as every other frame
+// does (handle ids instead of pointers, the payload a private copy in a
+// staging buffer): pushed onto the destination link's receive queue —
+// which bumps that link's work counter — and, for a signaled post,
+// completed on l's CQ. Nothing references the poster's memory once this
+// returns, which is a carried frame's ownership rule with the wire taken
+// out: an inline payload is the caller's again on return, a signaled
+// one at the CQE. An error means no CQE.
 func (l *Link) Loopback(dst fabric.EndpointID, payload any, bytes int, token any, signaled bool) error {
 	to := l.tab.Lookup(dst)
 	if to == nil || to.Closed() {
 		return fmt.Errorf("framing: self-send to endpoint %d: no open link", dst)
 	}
-	codec := l.tab.codec
-	s := segPool.Get().(*seg)
-	var dec any
-	enc, err := codec.Encode(s.buf[:0], payload)
-	if err == nil {
-		s.buf = enc // a buffer the frame grew goes back with its segment
-		dec, err = codec.Decode(enc)
-	}
-	recycle(s)
+	dec, err := nic.RoundTrip(l.tab.codec, payload)
 	if err != nil {
 		return fmt.Errorf("framing: loopback codec: %w", err)
 	}

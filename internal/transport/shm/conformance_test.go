@@ -1,29 +1,12 @@
 package shm
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
+	"gompix/internal/nic"
 	"gompix/internal/transport/transporttest"
 )
-
-// byteCodec round-trips []byte payloads — enough to exercise framing.
-type byteCodec struct{}
-
-func (byteCodec) Encode(buf []byte, payload any) ([]byte, error) {
-	b, ok := payload.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("byteCodec: %T", payload)
-	}
-	return append(buf, b...), nil
-}
-
-func (byteCodec) Decode(data []byte) (any, error) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
-}
 
 // newConformanceWorld builds an N-rank shm world in one process: every
 // rank gets its own Network over one shared segment directory, exactly
@@ -45,7 +28,7 @@ func newConformanceWorld(t *testing.T, ranks int) *transporttest.World {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetCodec(byteCodec{})
+		n.SetCodec(nic.ByteCodec{})
 		nets[r] = n
 	}
 	w := &transporttest.World{

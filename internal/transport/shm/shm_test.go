@@ -32,7 +32,7 @@ func newPair(t *testing.T, dir string, epoch uint64) (nets [2]*Network, links [2
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetCodec(byteCodec{})
+		n.SetCodec(nic.ByteCodec{})
 		nets[r] = n
 		l, err := n.AddLink(r, 0)
 		if err != nil {
@@ -186,7 +186,7 @@ func TestChunkedFrameAcrossCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
-		n.SetCodec(byteCodec{})
+		n.SetCodec(nic.ByteCodec{})
 		nets[r] = n
 		l, err := n.AddLink(r, 0)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"gompix/internal/nic"
 	"gompix/internal/transport/transporttest"
 )
 
@@ -22,7 +23,7 @@ func newConformanceWorld(t *testing.T, ranks int) *transporttest.World {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetCodec(byteCodec{})
+		n.SetCodec(nic.ByteCodec{})
 		nets[r] = n
 		addrs[r] = n.Addr()
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gompix/internal/fabric"
+	"gompix/internal/nic"
 	"gompix/internal/transport/framing"
 )
 
@@ -49,11 +50,11 @@ func (w *stutterWriter) Write(p []byte) (int, error) {
 }
 
 // queueLink registers a bare link at endpoint id, as AddLink would, on
-// a table whose codec is byteCodec.
+// a table whose codec is nic.ByteCodec.
 func queueLink(t *testing.T, id fabric.EndpointID) *Link {
 	t.Helper()
 	tab := framing.NewTable()
-	tab.SetCodec(byteCodec{})
+	tab.SetCodec(nic.ByteCodec{})
 	l := new(Link)
 	if err := tab.Register(&l.Link, id); err != nil {
 		t.Fatal(err)

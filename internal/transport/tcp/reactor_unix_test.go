@@ -17,6 +17,7 @@ import (
 
 	"gompix/internal/fabric"
 	"gompix/internal/metrics"
+	"gompix/internal/nic"
 	"gompix/internal/transport/transporttest"
 )
 
@@ -63,7 +64,7 @@ func newProbeRig(t testing.TB) *probeRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetCodec(byteCodec{})
+	n.SetCodec(nic.ByteCodec{})
 	li, err := n.AddLink(0, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ func newStressWorld(t *testing.T, ranks, vcis int) *stressWorld {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
-		n.SetCodec(byteCodec{})
+		n.SetCodec(nic.ByteCodec{})
 		w.nets[r] = n
 		addrs[r] = n.Addr()
 	}

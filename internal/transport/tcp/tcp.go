@@ -472,7 +472,9 @@ func (n *Network) storeConnTabLocked() {
 }
 
 // markDeparted records a peer's goodbye: subsequent connection losses
-// to that rank are teardown, not failures.
+// to that rank are teardown, not failures, and the frames still queued
+// toward it fail, as shm's do — nothing will write them, and a frame
+// left queued keeps its link's PendingTx up forever.
 func (n *Network) markDeparted(rank int) {
 	if rank < 0 || rank >= len(n.peers) {
 		return
@@ -481,9 +483,12 @@ func (n *Network) markDeparted(rank int) {
 	if p == nil {
 		return
 	}
+	cause := fmt.Errorf("tcp: rank %d departed", rank)
 	p.Mu.Lock()
-	p.Depart(fmt.Errorf("tcp: rank %d departed", rank))
+	p.Depart(cause)
+	frames := p.Q.TakeAll(nil)
 	p.Mu.Unlock()
+	n.tab.Fail(frames, cause)
 }
 
 func (n *Network) metricsRef() *netMetrics { return n.met.Load() }

@@ -3,7 +3,6 @@ package tcp
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -12,23 +11,6 @@ import (
 	"gompix/internal/nic"
 	"gompix/internal/transport/framing"
 )
-
-// byteCodec round-trips []byte payloads — enough to exercise framing.
-type byteCodec struct{}
-
-func (byteCodec) Encode(buf []byte, payload any) ([]byte, error) {
-	b, ok := payload.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("byteCodec: %T", payload)
-	}
-	return append(buf, b...), nil
-}
-
-func (byteCodec) Decode(data []byte) (any, error) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
-}
 
 // pair builds a two-rank TCP world in-process: bind :0, exchange
 // addresses, register one link each, start accept loops.
@@ -51,7 +33,7 @@ func pairCfg(t *testing.T, cfg Config) (*Network, *Network, *Link, *Link) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
-		n.SetCodec(byteCodec{})
+		n.SetCodec(nic.ByteCodec{})
 		nets[r] = n
 		addrs[r] = n.Addr()
 	}
@@ -154,7 +136,7 @@ func TestLinkDialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	n.SetCodec(byteCodec{})
+	n.SetCodec(nic.ByteCodec{})
 	// Rank 1's address points at a port nobody listens on.
 	dead, _ := New(Config{Rank: 1, WorldSize: 2})
 	addr := dead.Addr()
@@ -207,7 +189,7 @@ func TestEpochMismatchRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer n.Close()
-		n.SetCodec(byteCodec{})
+		n.SetCodec(nic.ByteCodec{})
 		nets[r] = n
 		addrs[r] = n.Addr()
 	}
@@ -242,7 +224,7 @@ func TestReliableOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
-		n.SetCodec(nic.RelCodec(byteCodec{}))
+		n.SetCodec(nic.RelCodec(nic.ByteCodec{}))
 		nets[r] = n
 	}
 	for r := 0; r < 2; r++ {

@@ -50,10 +50,9 @@ type Transport interface {
 	// Multiprocess reports whether ranks live in separate OS processes
 	// (one World per process, each hosting a single rank).
 	Multiprocess() bool
-	// SetCodec installs the payload codec before traffic flows: the MPI
-	// layer's wire-header codec (wrapped in nic.RelCodec when the
-	// reliability layer is enabled). A transport that passes payloads as
-	// Go values ignores it.
+	// SetCodec installs the payload codec every link's posts cross,
+	// before traffic flows: the MPI layer's wire-header codec (wrapped in
+	// nic.RelCodec when the reliability layer is enabled).
 	SetCodec(c nic.Codec)
 	// SetClock installs the clock completions are stamped with.
 	SetClock(c timing.Clock)
@@ -90,8 +89,9 @@ type Sim struct {
 	nodeOf func(rank int) int
 
 	mu     sync.Mutex
-	eps    map[[2]int]fabric.EndpointID // (rank, vci) → endpoint
-	owners map[fabric.EndpointID]int    // endpoint → rank
+	codec  nic.Codec                 // every endpoint's (SetCodec)
+	eps    map[[2]int]*nic.Endpoint  // (rank, vci) → endpoint
+	owners map[fabric.EndpointID]int // endpoint → rank
 }
 
 // NewSim wraps a fabric network as a Transport; nodeOf maps world ranks
@@ -100,7 +100,8 @@ func NewSim(net *fabric.Network, nodeOf func(rank int) int) *Sim {
 	return &Sim{
 		net:    net,
 		nodeOf: nodeOf,
-		eps:    make(map[[2]int]fabric.EndpointID),
+		codec:  nic.ByteCodec{},
+		eps:    make(map[[2]int]*nic.Endpoint),
 		owners: make(map[fabric.EndpointID]int),
 	}
 }
@@ -112,7 +113,8 @@ func (s *Sim) Network() *fabric.Network { return s.net }
 func (s *Sim) AddLink(rank, vci int) (nic.Link, error) {
 	ep := nic.NewEndpoint(s.net, s.nodeOf(rank))
 	s.mu.Lock()
-	s.eps[[2]int{rank, vci}] = ep.ID()
+	ep.SetCodec(s.codec)
+	s.eps[[2]int{rank, vci}] = ep
 	s.owners[ep.ID()] = rank
 	s.mu.Unlock()
 	return ep, nil
@@ -124,7 +126,7 @@ func (s *Sim) EndpointOf(rank, vci int) fabric.EndpointID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ep, ok := s.eps[[2]int{rank, vci}]; ok {
-		return ep
+		return ep.ID()
 	}
 	return -1
 }
@@ -145,10 +147,19 @@ func (s *Sim) NodeOf(rank int) int { return s.nodeOf(rank) }
 // Multiprocess reports false: all ranks share this process.
 func (s *Sim) Multiprocess() bool { return false }
 
-// SetCodec, SetClock and Start are no-ops: the fabric carries payloads
-// as Go values, runs on the clock it was built with and delivers from
-// the moment a link attaches.
-func (s *Sim) SetCodec(nic.Codec)    {}
+// SetCodec installs the codec every endpoint's posts cross — the links
+// added so far and those added later.
+func (s *Sim) SetCodec(c nic.Codec) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.codec = c
+	for _, ep := range s.eps {
+		ep.SetCodec(c)
+	}
+}
+
+// SetClock and Start are no-ops: the fabric runs on the clock it was
+// built with and delivers from the moment a link attaches.
 func (s *Sim) SetClock(timing.Clock) {}
 func (s *Sim) Start() error          { return nil }
 

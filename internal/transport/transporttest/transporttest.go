@@ -121,6 +121,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("WorkCounter", func(t *testing.T) { testWorkCounter(t, f) })
 	t.Run("LinkContract", func(t *testing.T) { testLinkContract(t, f) })
 	t.Run("SelfSend", func(t *testing.T) { testSelfSend(t, f) })
+	t.Run("PayloadOwnership", func(t *testing.T) { testPayloadOwnership(t, f) })
 	t.Run("Addressing", func(t *testing.T) { testAddressing(t, f) })
 	t.Run("PeerReader", func(t *testing.T) { testPeerReader(t, f) })
 	t.Run("GracefulClose", func(t *testing.T) {
@@ -512,6 +513,38 @@ func testSelfSend(t *testing.T, f Factory) {
 	w.Close()
 	if err := l.PostSendInline(l.ID(), seqMsg(9, 8), 8); err == nil {
 		t.Fatal("self-send posted on a closed link")
+	}
+}
+
+// testPayloadOwnership: a post's payload is the caller's again when the
+// link says so — an inline one once PostSendInline returns, a signaled
+// one at its CQE — so rewriting it then never shows at the receiver.
+// The signaled payload is large enough (nic.BulkMin and more) for a
+// byte transport to send it from where it is until the CQE.
+func testPayloadOwnership(t *testing.T, f Factory) {
+	w := f.New(t, 2)
+	w.setup(t)
+	src, dst := w.Links[0], w.Links[1]
+	sizes := []int{8, nic.BulkMin + 100}
+	inline, signaled := seqMsg(0, sizes[0]), seqMsg(1, sizes[1])
+	if err := src.PostSendInline(dst.ID(), inline, sizes[0]); err != nil {
+		t.Fatal(err)
+	}
+	clear(inline)
+	if err := src.PostSend(dst.ID(), signaled, sizes[1], 1); err != nil {
+		t.Fatal(err)
+	}
+	wait(t, w, "the signaled post's completion", func() bool { return len(src.DrainCQ(make([]nic.CQE, 0, 1))) > 0 })
+	clear(signaled)
+	var got []fabric.Packet
+	wait(t, w, "delivery", func() bool {
+		got = drainAll(dst, got, make([]fabric.Packet, 8))
+		return len(got) >= len(sizes)
+	})
+	for i, p := range got {
+		if err := checkSeqMsg(p, uint32(i), sizes[i]); err != nil {
+			t.Fatalf("the payload arrived as the poster rewrote it, not as it was sent: %v", err)
+		}
 	}
 }
 
