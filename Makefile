@@ -82,9 +82,12 @@ race-transport:
 # agreed by allgather on every kind of world, so the in-process split,
 # stream-communicator and dup tests carry wire traffic too — and the
 # facade's sim/tcp/shm matrix (which holds the send-buffer ownership
-# cases).
+# cases). A stream communicator created after a StreamFree binds a new
+# link's work counter while a watcher may already be delivering to it;
+# twenty runs keep that race from coming back unseen.
 race-tcp: race-transport
 	$(GO) test -race -count=1 -run 'TestRemote|TestWaitLadder|TestSplit|TestStreamComm|TestCommDup' ./internal/mpi/
+	$(GO) test -race -count=20 -run 'TestStreamCommAfterStreamFree' ./internal/mpi/
 	$(GO) test -race -count=1 -run 'TestMatrix' ./mpix/
 
 # The transport pass plus the multiprocess composite worlds (shm

@@ -42,6 +42,24 @@ func chaosRun(t *testing.T, cfg Config, fn func(*Proc)) *World {
 	return w
 }
 
+// chaosSend is SendBytes that reports a failed send as a failure.
+func chaosSend(t *testing.T, comm *Comm, data []byte, dst, tag int) {
+	if err := comm.IsendBytes(data, dst, tag).Wait().Err; err != nil {
+		t.Errorf("rank %d: send of %d bytes to rank %d, tag %d, failed: %v", comm.Rank(), len(data), dst, tag, err)
+	}
+}
+
+// chaosRecv is RecvBytes that reports a failed receive as a failure,
+// not as corrupted bytes: it returns false, and the caller compares
+// nothing, when the receive completed with an error.
+func chaosRecv(t *testing.T, comm *Comm, buf []byte, src, tag int) bool {
+	if err := comm.RecvBytes(buf, src, tag).Err; err != nil {
+		t.Errorf("rank %d: receive of %d bytes from rank %d, tag %d, failed: %v", comm.Rank(), len(buf), src, tag, err)
+		return false
+	}
+	return true
+}
+
 // chaosSchedules returns the fault schedules to sweep. The full sweep
 // (drop rates up to the 10% acceptance bar, several seeds) runs by
 // default; -short trims it to one moderate schedule.
@@ -70,19 +88,17 @@ func TestChaosPt2ptAllProtocols(t *testing.T) {
 				want := payload(size, int64(1000+i))
 				echo := payload(size, int64(2000+i))
 				if p.Rank() == 0 {
-					comm.SendBytes(want, 1, i)
+					chaosSend(t, comm, want, 1, i)
 					back := make([]byte, size)
-					comm.RecvBytes(back, 1, i)
-					if !bytes.Equal(back, echo) {
+					if chaosRecv(t, comm, back, 1, i) && !bytes.Equal(back, echo) {
 						t.Errorf("drop=%v size=%d: echo corrupted", f.DropProb, size)
 					}
 				} else {
 					got := make([]byte, size)
-					comm.RecvBytes(got, 0, i)
-					if !bytes.Equal(got, want) {
+					if chaosRecv(t, comm, got, 0, i) && !bytes.Equal(got, want) {
 						t.Errorf("drop=%v size=%d: payload corrupted", f.DropProb, size)
 					}
-					comm.SendBytes(echo, 0, i)
+					chaosSend(t, comm, echo, 0, i)
 				}
 			}
 		})
@@ -136,10 +152,9 @@ func TestChaosCleanFabricNoRetransmits(t *testing.T) {
 		comm := p.CommWorld()
 		for i, size := range []int{64, 4096, 96 * 1024} {
 			if p.Rank() == 0 {
-				comm.SendBytes(payload(size, int64(i)), 1, i)
+				chaosSend(t, comm, payload(size, int64(i)), 1, i)
 			} else {
-				got := make([]byte, size)
-				comm.RecvBytes(got, 0, i)
+				chaosRecv(t, comm, make([]byte, size), 0, i)
 			}
 		}
 	})
@@ -226,11 +241,10 @@ func TestChaosRendezvousUnderHeavyLoss(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			want := payload(size, int64(round))
 			if p.Rank() == 0 {
-				comm.SendBytes(want, 1, round)
+				chaosSend(t, comm, want, 1, round)
 			} else {
 				got := make([]byte, size)
-				comm.RecvBytes(got, 0, round)
-				if !bytes.Equal(got, want) {
+				if chaosRecv(t, comm, got, 0, round) && !bytes.Equal(got, want) {
 					t.Errorf("round %d: rendezvous payload corrupted", round)
 				}
 			}
@@ -308,11 +322,10 @@ func TestChaosTransientPartition(t *testing.T) {
 		comm := p.CommWorld()
 		want := payload(8192, 77)
 		if p.Rank() == 0 {
-			comm.SendBytes(want, 1, 0)
+			chaosSend(t, comm, want, 1, 0)
 		} else {
 			got := make([]byte, 8192)
-			comm.RecvBytes(got, 0, 0)
-			if !bytes.Equal(got, want) {
+			if chaosRecv(t, comm, got, 0, 0) && !bytes.Equal(got, want) {
 				t.Error("payload corrupted across transient partition")
 			}
 		}

@@ -53,9 +53,10 @@ type Link interface {
 	// QueuedRQ returns the number of unpolled arrived packets.
 	QueuedRQ() int
 	// BindWork attaches the owning stream's netmod work counter; every
-	// queued CQE or arrival adds one unit, every drained entry removes
-	// one, and a link that finds its input by being polled (PollRecv)
-	// keeps one more there until Close. Bind before traffic flows.
+	// queued CQE or arrival adds one unit — those queued before the
+	// bind are added by it — every drained entry removes one, and a
+	// link that finds its input by being polled (PollRecv) keeps one
+	// more there until Close.
 	BindWork(w WorkCounter)
 	// Now returns the link's clock (the fabric clock for the simulated
 	// endpoint, wall time for socket transports). CQE.At and the

@@ -94,9 +94,9 @@ func NewEndpoint(net *fabric.Network, node int) *Endpoint {
 // flows.
 func (ep *Endpoint) SetCodec(c Codec) { ep.codec = c }
 
-// BindWork attaches a stream work counter; every subsequently queued
-// completion or arrival adds one unit, every drained entry removes
-// one. Bind before any traffic flows, or the counter goes negative.
+// BindWork attaches a stream work counter: it starts at the entries
+// already queued, every later completion or arrival adds one unit, and
+// every drained entry removes one (Queue.Bind).
 func (ep *Endpoint) BindWork(w WorkCounter) {
 	ep.cq.Bind(w)
 	ep.rq.Bind(w)

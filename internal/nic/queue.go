@@ -16,19 +16,32 @@ type Queue[T any] struct {
 	mu   sync.Mutex
 	q    []T
 	n    atomic.Int64
-	work WorkCounter
+	work WorkCounter // guarded by mu
 }
 
-// Bind attaches the work counter that mirrors the queue's depth. Bind
-// before any entry is queued, or the counter goes negative.
-func (q *Queue[T]) Bind(w WorkCounter) { q.work = w }
+// Bind attaches the work counter that mirrors the queue's depth, once.
+// Producers may already be pushing — a transport's watcher delivers to
+// a link whenever bytes for it arrive — so the counter is published
+// under the queue's lock and starts at the depth already queued: each
+// entry is counted by the push that made it or by Bind, never by both,
+// and a drain takes back only what was counted.
+func (q *Queue[T]) Bind(w WorkCounter) {
+	q.mu.Lock()
+	q.work = w
+	depth := len(q.q)
+	q.mu.Unlock()
+	if w != nil && depth > 0 {
+		w.Add(depth)
+	}
+}
 
 // Push appends one entry and returns the new depth.
 func (q *Queue[T]) Push(e T) int64 {
 	q.mu.Lock()
 	q.q = append(q.q, e)
+	w := q.work
 	q.mu.Unlock()
-	return q.pushed(1)
+	return q.pushed(1, w)
 }
 
 // PushAll appends a run of entries: one lock acquisition and one work
@@ -36,13 +49,15 @@ func (q *Queue[T]) Push(e T) int64 {
 func (q *Queue[T]) PushAll(es []T) {
 	q.mu.Lock()
 	q.q = append(q.q, es...)
+	w := q.work
 	q.mu.Unlock()
-	q.pushed(len(es))
+	q.pushed(len(es), w)
 }
 
-func (q *Queue[T]) pushed(n int) int64 {
+// pushed accounts for n entries appended while w was the bound counter.
+func (q *Queue[T]) pushed(n int, w WorkCounter) int64 {
 	depth := q.n.Add(int64(n))
-	if w := q.work; w != nil {
+	if w != nil {
 		w.Add(n)
 	}
 	return depth
@@ -68,9 +83,10 @@ func (q *Queue[T]) Drain(buf []T) []T {
 		q.q[i] = zero
 	}
 	q.q = q.q[:rest]
+	w := q.work
 	q.mu.Unlock()
 	q.n.Add(-int64(n))
-	if w := q.work; w != nil {
+	if w != nil {
 		w.Add(-n)
 	}
 	return buf

@@ -64,7 +64,7 @@ type ring struct {
 	// (UnixNano) of a recent caller-thread poll of this ring, or zero —
 	// at rest, and from the moment a waiter decides to park. The
 	// producer rings the consumer's doorbell only when the stamp is
-	// zero or older than pollLiveWindow: a consumer that is polling
+	// zero or older than pollStampWindow: a consumer that is polling
 	// finds the cell itself. It shares the head's cache line, which the
 	// producer reads after every publish anyway.
 	pollStamp   *atomic.Int64

@@ -58,12 +58,12 @@ const (
 	defaultCellPayload = 4096
 	defaultProbe       = 500 * time.Microsecond
 
-	// pollLiveWindow is how recent a consumer's poll stamp must be for
-	// its producers to skip the doorbell (the window the tcp reactor
-	// uses to decide that caller threads are ingesting); stampEvery is
-	// the poll cadence of the clock read that refreshes it.
-	pollLiveWindow = time.Millisecond
-	stampEvery     = 16
+	// pollStampWindow is how recent a consumer's poll stamp must be for
+	// its producers to skip the doorbell: a consumer that polled this
+	// recently is taken to be ingesting on its own threads. stampEvery
+	// is the poll cadence of the clock read that refreshes it.
+	pollStampWindow = time.Millisecond
+	stampEvery      = 16
 
 	// maxFrame bounds a parsed frame length; anything larger is
 	// corruption (shared memory scribbled on), which is unrecoverable
@@ -602,7 +602,7 @@ func (n *Network) consumerPolling(tx *ring) bool {
 		return false
 	}
 	age := n.wallNow() - st
-	return age >= 0 && age < int64(pollLiveWindow)
+	return age >= 0 && age < int64(pollStampWindow)
 }
 
 // probePeer tries the non-blocking shared lock on the peer's alive

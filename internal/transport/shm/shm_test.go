@@ -440,7 +440,7 @@ func TestDoorbellFollowsConsumerState(t *testing.T) {
 		t.Errorf("consumer polling: %d bells, %d suppressed, want 0 and 1", rung, supp)
 	}
 	drain()
-	wall.Add(int64(pollLiveWindow) + 1) // the consumer went computing
+	wall.Add(int64(pollStampWindow) + 1) // the consumer went computing
 	if rung, _ := publish(); rung != 1 {
 		t.Errorf("consumer's stamp stale: %d bells, want 1", rung)
 	}

@@ -27,9 +27,9 @@ var rbufPool = sync.Pool{
 }
 
 // connState is one live socket in the reactor: the descriptor, the
-// receive stream over a pooled read buffer, and the readiness flag that
-// the watcher, the drain pool and caller-thread progress polls
-// coordinate through.
+// receive stream over a pooled read buffer, and the probe cadence of
+// caller-thread progress polls. Two kinds of drainer read it: those
+// polls, and the connection's own watcher.
 //
 // Lock order: cs.mu → p.mu (goodbye marking) → link queue locks → n.mu
 // (metrics ref). Nothing takes cs.mu while holding any of the others.
@@ -41,32 +41,17 @@ type connState struct {
 
 	// mu owns the receive stream: socket reads land where it says, and
 	// it parses them into frames. Drains from progress polls, the
-	// reactor pool and the blocking driver all serialize here.
+	// watcher and the blocking driver all serialize here.
 	mu      sync.Mutex
 	rx      framing.Stream
 	rbufBox *[]byte // pool ticket of rx's initial buffer
 
-	// ready flags buffered input: set by the watcher on a netpoller
-	// wake, cleared by whichever drainer reads the socket dry.
-	ready  atomic.Bool
-	queued atomic.Bool // sitting in the reactor pool queue
-
-	// looks counts the consecutive progress polls that found this
-	// connection unflagged and got no bytes from it; it sets the probe
-	// cadence (Link.PollRecv) and restarts whenever a read returns
-	// bytes. Per connection, so a silent peer is not probed again
-	// because a chatty one delivered.
+	// looks counts the consecutive progress polls that got no bytes
+	// from this connection; it sets the probe cadence (Link.PollRecv)
+	// and restarts whenever a read — any drainer's — returns bytes. Per
+	// connection, so a silent peer is not probed again because a chatty
+	// one delivered.
 	looks atomic.Uint32
-
-	// bumped is the link snapshot whose netmod work counters markReady
-	// incremented (one unit each, the wake-up of a parked waiter);
-	// clearReady undoes it.
-	bumpMu sync.Mutex
-	bumped []*framing.Link
-
-	// drained wakes the watcher after a drain empties the socket or
-	// kills the connection; cap 1, best-effort.
-	drained chan struct{}
 
 	dead    atomic.Bool
 	causeMu sync.Mutex
@@ -74,7 +59,7 @@ type connState struct {
 }
 
 func newConnState(n *Network, conn net.Conn, rank int) *connState {
-	cs := &connState{n: n, conn: conn, rank: rank, drained: make(chan struct{}, 1)}
+	cs := &connState{n: n, conn: conn, rank: rank}
 	cs.rbufBox = rbufPool.Get().(*[]byte)
 	cs.rx.Init(n.tab, *cs.rbufBox, maxFrameLen, cs.reject)
 	if nb, ok := newNBConn(conn); ok {
@@ -83,8 +68,8 @@ func newConnState(n *Network, conn net.Conn, rank int) *connState {
 	return cs
 }
 
-// fail records the first terminal cause, closes the socket (waking a
-// parked watcher) and signals the drain handshake. Safe under cs.mu.
+// fail records the first terminal cause and closes the socket (waking
+// a parked watcher). Safe under cs.mu.
 func (cs *connState) fail(cause error) {
 	cs.causeMu.Lock()
 	if cs.cause == nil {
@@ -93,7 +78,6 @@ func (cs *connState) fail(cause error) {
 	cs.causeMu.Unlock()
 	cs.dead.Store(true)
 	cs.conn.Close()
-	cs.signalDrained()
 }
 
 // takeCause returns the recorded terminal cause, falling back to the
@@ -110,61 +94,9 @@ func (cs *connState) takeCause(fallback error) error {
 	return cs.cause
 }
 
-func (cs *connState) signalDrained() {
-	select {
-	case cs.drained <- struct{}{}:
-	default:
-	}
-}
-
-// markReady flags buffered input, so that the next progress poll
-// drains the connection whatever its probe cadence says, and bumps every
-// link's netmod work counter by one unit: the arrival is what wakes a
-// waiter parked on the owning stream (core.Work.Add), which is not
-// polling and would not see the flag. The bumps are undone when a drain
-// reads the socket dry.
-func (cs *connState) markReady() {
-	if cs.ready.Swap(true) {
-		return
-	}
-	cs.n.readyConns.Add(1)
-	if met := cs.n.metricsRef(); met != nil {
-		met.readyDepth.Add(1)
-	}
-	cs.bumpMu.Lock()
-	if cs.bumped == nil {
-		links := cs.n.tab.Links()
-		for _, l := range links {
-			l.Bump(1)
-		}
-		cs.bumped = links
-	}
-	cs.bumpMu.Unlock()
-}
-
-// clearReady undoes markReady once a drain finds the socket empty (or
-// the connection dies).
-func (cs *connState) clearReady() {
-	cs.bumpMu.Lock()
-	if b := cs.bumped; b != nil {
-		cs.bumped = nil
-		for _, l := range b {
-			l.Bump(-1)
-		}
-	}
-	cs.bumpMu.Unlock()
-	if cs.ready.Swap(false) {
-		cs.n.readyConns.Add(-1)
-		if met := cs.n.metricsRef(); met != nil {
-			met.readyDepth.Add(-1)
-		}
-	}
-}
-
 // release retires the read side after the driver goroutine exits:
-// poison further drains, return the pooled buffer (unless a large frame
-// made the stream replace it with a bigger one), undo any readiness
-// bumps so link work counters don't leak.
+// poison further drains and return the pooled buffer (unless a large
+// frame made the stream replace it with a bigger one).
 func (cs *connState) release() {
 	cs.dead.Store(true)
 	cs.mu.Lock()
@@ -172,7 +104,6 @@ func (cs *connState) release() {
 		rbufPool.Put(cs.rbufBox)
 	}
 	cs.mu.Unlock()
-	cs.clearReady()
 }
 
 // ingest accounts for nr bytes read into the stream's target and
@@ -186,21 +117,21 @@ func (cs *connState) ingest(nr int) (made bool) {
 // drainConn reads the socket without blocking and parses complete
 // frames in place, delivering them straight to the destination links'
 // receive queues — no per-frame goroutine or channel hop. It stops when
-// the socket is empty (clearing readiness and waking the watcher), at
-// the byte budget (leaving readiness set so the next pass continues),
-// or at a terminal error. Empty is EAGAIN or a short read: a stream
-// socket that returns fewer bytes than were asked for has nothing more
-// (epoll(7)), so a message costs one read, not a second one to be told
-// so. Bytes that land right after the short read are the watcher's to
-// find — it looks before it parks (nbConn.wfn) — or the next probe's.
-// probe says nobody flagged the connection: the caller is looking on
-// its own cadence, and whether the look found anything is counted.
+// the socket is empty, at drainBudget, or at a terminal error.
+// Empty is EAGAIN or a short read: a stream socket that returns fewer
+// bytes than were asked for has nothing more (epoll(7)), so a message
+// costs one read, not a second one to be told so. Bytes that land
+// right after the short read, or that the budget left behind, are the
+// watcher's to find — it looks before it parks (nbConn.wfn) — or the
+// next probe's: bytes restart the probe cadence. probe says the caller
+// is a progress poll looking on its own cadence, and whether the look
+// found anything is counted.
 // Caller must hold cs.mu; returns whether anything was delivered.
-func (n *Network) drainConn(cs *connState, budget int, probe bool) (made bool) {
+func (n *Network) drainConn(cs *connState, probe bool) (made bool) {
 	if cs.dead.Load() {
-		cs.signalDrained()
 		return false
 	}
+	budget := drainBudget
 	for {
 		buf := cs.rx.Target(1)
 		nr, err := cs.nb.read(buf)
@@ -224,12 +155,9 @@ func (n *Network) drainConn(cs *connState, budget int, probe bool) (made bool) {
 		switch {
 		case err == nil && nr == len(buf):
 			if budget <= 0 {
-				cs.markReady() // more may remain: stay flagged
-				return made
+				return made // more may remain
 			}
 		case err == nil || err == errWouldBlock:
-			cs.clearReady()
-			cs.signalDrained()
 			return made
 		default:
 			cs.fail(err) // EOF, reset, closed descriptor

@@ -4,6 +4,7 @@ package tcp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"net"
@@ -18,7 +19,6 @@ import (
 	"gompix/internal/fabric"
 	"gompix/internal/metrics"
 	"gompix/internal/nic"
-	"gompix/internal/transport/transporttest"
 )
 
 // countedConn is a TCP connection whose non-blocking reads are counted:
@@ -45,8 +45,8 @@ func (r countedRaw) Control(f func(uintptr)) error {
 
 // probeRig is one rank's transport with one inbound connection put
 // into its reactor by hand and no watcher behind it: the test plays
-// the watcher (markReady) and the peer (writes on the other end), so
-// every read the reactor issues is the polls' own.
+// the peer (writes on the other end), so every read the reactor issues
+// is the polls' own.
 type probeRig struct {
 	t     testing.TB
 	n     *Network
@@ -209,49 +209,11 @@ func TestProbeFollowsBytesNotFrames(t *testing.T) {
 	}
 }
 
-// TestFlaggedConnDrainedAtOnce: a connection its watcher flagged ready
-// is drained by the very next poll wherever the cadence stands, with
-// one read — the short read is the end of the input — and not as a
-// probe.
-func TestFlaggedConnDrainedAtOnce(t *testing.T) {
-	r := newProbeRig(t)
-	var work transporttest.WorkCount
-	r.l.BindWork(&work)
-	r.quiet(100)
-	before, reads := r.n.Stats(), r.reads.Load()
-	r.send(wireFrame(r.l.ID(), r.n.EndpointOf(1, 0), []byte("flagged")))
-	r.cs.markReady()
-	if !r.l.PollRecv() {
-		t.Fatal("the poll after the flag delivered nothing")
-	}
-	if got := r.reads.Load() - reads; got != 1 {
-		t.Errorf("draining one small frame took %d reads, want 1", got)
-	}
-	if after := r.n.Stats(); after.Probes != before.Probes || after.ProbeHits != before.ProbeHits {
-		t.Errorf("a flagged drain was counted as a probe: %+v → %+v", before, after)
-	}
-	if r.cs.ready.Load() {
-		t.Error("the connection is still flagged after a drain read it dry")
-	}
-	if r.l.QueuedRQ() != 1 {
-		t.Fatalf("QueuedRQ = %d, want 1", r.l.QueuedRQ())
-	}
-	// The polling unit and the frame; the flag's unit went with the flag.
-	if got := work.Load(); got != 2 {
-		t.Errorf("bound counter reads %d with one frame queued, want 2", got)
-	}
-	r.l.DrainRQ(make([]fabric.Packet, 0, 2))
-	r.l.Close()
-	if got := work.Load(); got != 0 {
-		t.Errorf("bound counter reads %d after drain and Close, want 0", got)
-	}
-}
-
 // TestParkingReadsBeforeSleep: the park handshake reads every
-// unflagged connection wherever its cadence stands — once, hit or miss —
-// and keeps the waiter up when that delivered a frame. It is what a
-// waiter whose timer ended its park, no watcher having flagged anything,
-// goes through before it sleeps again.
+// connection wherever its cadence stands — once, hit or miss — and
+// keeps the waiter up when that delivered a frame. It is what a waiter
+// whose timer ended its park, no watcher having drained anything, goes
+// through before it sleeps again.
 func TestParkingReadsBeforeSleep(t *testing.T) {
 	r := newProbeRig(t)
 	r.quiet(300) // the next cadenced probe is the 320th look
@@ -271,17 +233,6 @@ func TestParkingReadsBeforeSleep(t *testing.T) {
 	if r.n.Stats().ProbeHits != hits+1 || r.l.QueuedRQ() != 1 {
 		t.Fatalf("Parking: %d probe hits, %d frames queued, want one of each",
 			r.n.Stats().ProbeHits-hits, r.l.QueuedRQ())
-	}
-	// A flagged connection is the next poll's: its flag has poked the
-	// sleeper, and Parking leaves it alone.
-	r.send(wireFrame(r.l.ID(), r.n.EndpointOf(1, 0), []byte("flagged")))
-	r.cs.markReady()
-	reads = r.reads.Load()
-	if !r.l.Parking() || r.reads.Load() != reads {
-		t.Errorf("Parking read a flagged connection (%d reads)", r.reads.Load()-reads)
-	}
-	if !r.l.PollRecv() || r.l.QueuedRQ() != 2 {
-		t.Fatalf("the poll after the flag left %d frames queued, want 2", r.l.QueuedRQ())
 	}
 }
 
@@ -341,50 +292,64 @@ func TestReactorInstruments(t *testing.T) {
 	have = slices.DeleteFunc(have, func(name string) bool { return !strings.HasPrefix(name, "tcp.reactor.") })
 	slices.Sort(have)
 	want := []string{"tcp.reactor.pool_drains", "tcp.reactor.probe_hits", "tcp.reactor.probes",
-		"tcp.reactor.ready", "tcp.reactor.wakeups"}
+		"tcp.reactor.wakeups"}
 	if !slices.Equal(have, want) {
 		t.Errorf("the snapshot's reactor instruments are %v, want %v", have, want)
 	}
 }
 
-// TestPoolTakesOverWhenPollsStop: a rank whose progress polls were
-// draining its sockets a moment ago and which then goes computing is
-// noticed within two sweeper ticks — the poll sequence number stops
-// moving — and the pool drains for it from there; a transport nobody
-// has polled since it started is not taken for a polled one.
-func TestPoolTakesOverWhenPollsStop(t *testing.T) {
+// TestWatcherDrainsUnpolledReceiver: a receiver that never polls takes
+// in more than both socket buffers hold. Its connection's watcher reads
+// every frame, in order, so the sender's writev — which can finish only
+// once the receiver drains — returns and its Flush loop ends.
+func TestWatcherDrainsUnpolledReceiver(t *testing.T) {
 	_, n1, l0, l1 := pair(t)
-	if n1.pollersLive() {
-		t.Fatal("pollers reported live on a transport nobody has polled")
-	}
-	post := func(count int) {
-		t.Helper()
+	const size, count = 64 << 10, 128 // 8 MiB
+	sent := make(chan error, 1)
+	go func() {
+		msg := make([]byte, size)
 		for i := 0; i < count; i++ {
-			if err := l0.PostSendInline(l1.ID(), []byte("x"), 1); err != nil {
-				t.Fatal(err)
+			binary.LittleEndian.PutUint32(msg, uint32(i))
+			if err := l0.PostSendInline(l1.ID(), msg, size); err != nil {
+				sent <- err
+				return
 			}
 		}
+		for l0.PendingTx() > 0 {
+			l0.Flush()
+			time.Sleep(100 * time.Microsecond)
+		}
+		sent <- nil
+	}()
+	deadline := time.After(20 * time.Second)
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-deadline:
+		t.Fatalf("the sender's Flush loop never finished: %d frames pending, %d delivered",
+			l0.PendingTx(), l1.QueuedRQ())
 	}
-	post(1)
-	deadline := time.Now().Add(5 * time.Second)
-	for l1.QueuedRQ() == 0 || !n1.pollersLive() {
-		l0.Flush()
-		l1.PollRecv()
-		runtime.Gosched()
-		if time.Now().After(deadline) {
-			t.Fatalf("polling rank: %d delivered, pollers live = %v", l1.QueuedRQ(), n1.pollersLive())
+	for l1.QueuedRQ() < count {
+		select {
+		case <-deadline:
+			t.Fatalf("%d of %d frames delivered", l1.QueuedRQ(), count)
+		case <-time.After(100 * time.Microsecond):
 		}
 	}
-	before := n1.Stats().PoolDrains
-	// From here rank 1 computes: drive polls nothing of its.
-	const count = 10
-	post(count)
-	drive(t, l0, func() bool { return l1.QueuedRQ() >= 1+count })
-	if n1.pollersLive() {
-		t.Error("pollers still reported live after the pool had to drain for them")
+	got := l1.DrainRQ(make([]fabric.Packet, 0, count))
+	for i, p := range got {
+		b := p.Payload.([]byte)
+		if len(b) != size || binary.LittleEndian.Uint32(b) != uint32(i) {
+			t.Fatalf("frame %d: %d bytes, sequence number %d", i, len(b), binary.LittleEndian.Uint32(b))
+		}
 	}
-	if got := n1.Stats().PoolDrains; got == before {
-		t.Error("frames were delivered with no poll and no pool drain")
+	if len(got) != count {
+		t.Fatalf("drained %d of %d frames", len(got), count)
+	}
+	if n1.Stats().PoolDrains == 0 {
+		t.Error("frames were delivered with no poll and no watcher drain")
 	}
 }
 

@@ -3,28 +3,27 @@
 // length-prefixed TCP frames, and socket work is driven by a
 // readiness reactor whose polling *is* MPI progress.
 //
-// Reactor model: the bytes move on a draining thread. The owning
-// stream's progress poll (Link.PollRecv, wired into the MPI netmod and
-// run on every pass — the link keeps a unit on the stream's netmod work
-// counter, as every byte transport does) looks at each connection: one
-// flagged ready it drains with bounded non-blocking reads, parsing
-// frames in place and feeding the zero-alloc CQ/RQ drains with no
-// per-frame goroutine or channel hop; one not flagged it probes with a
-// single non-blocking read at a widening cadence (the 1st look, then 1,
-// 2, 4 … looks later, at least every 64th, and once before the waiter
-// parks — Link.Parking), so that an empty poll costs atomics and input
-// is still found when nothing else would announce it. The flag comes
-// from one tiny watcher goroutine per connection, parked in the runtime
-// netpoller (the epoll loop the Go runtime already maintains), that
-// never reads payload bytes — on a readable socket it flags the
-// connection, wakes whoever is parked on the registered links' work
-// counters, and goes back to sleep. The runtime consults its netpoller
-// when a P has nothing to run: at once in a process whose ranks sleep
-// or have cores to spare, never while ranks yield to each other on one
-// core — hence the probes. When no MPI thread is polling — the rank
-// went computing, or sits blocked in a writev that needs its peer to
-// drain — a bounded reactor pool takes the hand-off so ingest never
-// stalls. Outbound frames coalesce into pooled per-peer segments and
+// Reactor model: the bytes move on a draining thread, and a drain is
+// bounded non-blocking reads that parse frames in place and feed the
+// zero-alloc CQ/RQ drains with no per-frame goroutine or channel hop.
+// Two kinds of thread drain a connection. The owning stream's progress
+// poll (Link.PollRecv, wired into the MPI netmod and run on every pass
+// — the link keeps a unit on the stream's netmod work counter, as every
+// byte transport does) probes each connection at a widening cadence
+// (the 1st look, then 1, 2, 4 … looks later, at least every 64th, and
+// once before the waiter parks — Link.Parking), so that an empty poll
+// costs atomics and input is still found when nothing else would
+// announce it. And one watcher goroutine per connection, parked in the
+// runtime netpoller (the epoll loop the Go runtime already maintains),
+// reads its socket dry whenever it turns readable and parks again, as
+// shm's doorbell watcher drains its rings: ingest stays live when no
+// MPI thread polls — the rank went computing, or sits blocked in a
+// writev that needs its peer to drain — and the receive-queue push of
+// what it delivered wakes a waiter parked on the destination link's
+// stream. The runtime consults its netpoller when a P has nothing to
+// run: at once in a process whose ranks sleep or have cores to spare,
+// never while ranks yield to each other on one core — hence the
+// probes. Outbound frames coalesce into pooled per-peer segments and
 // reach the kernel as vectored writes (net.Buffers → writev), flushed
 // on a byte budget, by progress, or by the millisecond sweeper — never
 // per frame.
@@ -59,7 +58,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,11 +127,11 @@ type Stats struct {
 	UnknownEndpoints int64
 	// ReactorWakeups counts watcher wakeups (readable-socket events).
 	ReactorWakeups int64
-	// PoolDrains counts drains executed by the background pool rather
-	// than a caller-thread progress poll.
+	// PoolDrains counts the drains of connection watchers — not of
+	// caller-thread progress polls — that delivered a frame.
 	PoolDrains int64
-	// Probes counts the reads progress polls issued on connections no
-	// watcher had flagged; ProbeHits, those that returned bytes.
+	// Probes counts the reads progress polls issued; ProbeHits, those
+	// that returned bytes.
 	Probes    int64
 	ProbeHits int64
 }
@@ -166,18 +164,6 @@ type Network struct {
 	// probe's full budget.
 	closeCh chan struct{}
 
-	// poolQ feeds ready connections to the bounded drain pool.
-	poolQ chan *connState
-
-	// pollSeq counts caller-thread reactor polls. The sweeper samples
-	// it every tick and records in pollLive whether it moved; watchers
-	// skip the pool hand-off while it did.
-	pollSeq  atomic.Uint64
-	pollLive atomic.Bool
-
-	// readyConns counts connections flagged ready (reactor depth).
-	readyConns atomic.Int64
-
 	redials        atomic.Int64
 	peersDown      atomic.Int64
 	rxCorrupt      atomic.Int64
@@ -203,7 +189,6 @@ type netMetrics struct {
 	poolDrains *metrics.Counter   // tcp.reactor.pool_drains
 	probes     *metrics.Counter   // tcp.reactor.probes
 	probeHits  *metrics.Counter   // tcp.reactor.probe_hits
-	readyDepth *metrics.Gauge     // tcp.reactor.ready (depth; Max tracks high water)
 	writevs    *metrics.Counter   // tcp.tx.writev
 	writevSegs *metrics.Histogram // tcp.tx.writev_segs (iovec entries per flush)
 	flushBatch *metrics.Histogram // tcp.tx.flush_frames (frames settled per flush)
@@ -254,7 +239,6 @@ func New(cfg Config) (*Network, error) {
 		peers:   make([]*peer, cfg.WorldSize),
 		conns:   make(map[*connState]struct{}),
 		closeCh: make(chan struct{}),
-		poolQ:   make(chan *connState, 128),
 	}
 	for r := 0; r < cfg.WorldSize; r++ {
 		if r != cfg.Rank {
@@ -339,17 +323,12 @@ func (n *Network) connList() []*connState {
 	return *p
 }
 
-// Start launches the accept loop, the drain pool and the sweeper. Call
-// after the VCI-0 link is registered so early inbound frames find their
-// target.
+// Start launches the accept loop and the sweeper. Call after the VCI-0
+// link is registered so early inbound frames find their target.
 func (n *Network) Start() error {
-	workers := min(poolWorkers, runtime.GOMAXPROCS(0))
-	n.wg.Add(2 + workers)
+	n.wg.Add(2)
 	go n.acceptLoop()
 	go n.sweeper()
-	for i := 0; i < workers; i++ {
-		go n.poolWorker()
-	}
 	return nil
 }
 
@@ -500,8 +479,8 @@ func (n *Network) countCorrupt() {
 	}
 }
 
-// countProbe records one read a progress poll issued on a connection
-// nobody had flagged, and whether it found bytes.
+// countProbe records one read a progress poll issued, and whether it
+// found bytes.
 func (n *Network) countProbe(hit bool) {
 	met := n.metricsRef()
 	n.probes.Add(1)
@@ -841,8 +820,8 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 	// Hold the peer lock across the write: it serializes writers and
 	// preserves frame order. The write cannot deadlock on a full TCP
 	// window — socket ingest never takes peer locks, so every process
-	// keeps reading (progress polls or the reactor pool) while this
-	// writev blocks.
+	// keeps reading (progress polls or the connection watchers) while
+	// this writev blocks.
 	wrote, nsegs, err := p.Q.FlushTo(conn)
 	if err != nil && !wrote && errors.Is(err, net.ErrClosed) && p.Refusal() == nil && !n.isClosed() {
 		// We closed this socket ourselves: the read side saw the
@@ -894,8 +873,9 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 // write happens in Flush — invoked by the owning stream's progress via
 // the SetArm callback, inline when the backlog passes flushBytes, or by
 // the millisecond sweeper. The receive side is the reactor: PollRecv
-// drains every ready connection, and probes the others at a widening
-// cadence, on the caller's thread.
+// probes every connection at a widening cadence on the caller's
+// thread, and each connection's watcher reads what arrives while
+// nobody polls.
 type Link struct {
 	framing.Link
 	net *Network
@@ -905,12 +885,12 @@ type Link struct {
 // prefix (e.g. "rank0.vci0.nic"): peer-failure verdicts increment
 // scope.peer_down. The first wired link also registers the transport-
 // wide instruments: the failure counters (tcp.rx.corrupt,
-// tcp.rx.unknown_ep, tcp.redials, tcp.peers_down), the reactor gauges
-// (tcp.reactor.wakeups, tcp.reactor.pool_drains, tcp.reactor.ready,
-// tcp.reactor.probes, tcp.reactor.probe_hits), the receive streams'
-// assembly counters (tcp.rx.placed, tcp.rx.staged) and the writev
-// batching histograms (tcp.tx.writev, tcp.tx.writev_segs,
-// tcp.tx.flush_frames).
+// tcp.rx.unknown_ep, tcp.redials, tcp.peers_down), the reactor
+// counters (tcp.reactor.wakeups; tcp.reactor.pool_drains, the watcher
+// drains that delivered; tcp.reactor.probes, tcp.reactor.probe_hits),
+// the receive streams' assembly counters (tcp.rx.placed,
+// tcp.rx.staged) and the writev batching histograms (tcp.tx.writev,
+// tcp.tx.writev_segs, tcp.tx.flush_frames).
 func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 	if reg == nil {
 		return
@@ -931,7 +911,6 @@ func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 			poolDrains:  reg.Counter("tcp.reactor.pool_drains"),
 			probes:      reg.Counter("tcp.reactor.probes"),
 			probeHits:   reg.Counter("tcp.reactor.probe_hits"),
-			readyDepth:  reg.Gauge("tcp.reactor.ready"),
 			writevs:     reg.Counter("tcp.tx.writev"),
 			writevSegs:  reg.Histogram("tcp.tx.writev_segs"),
 			flushBatch:  reg.Histogram("tcp.tx.flush_frames"),

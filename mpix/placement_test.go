@@ -18,7 +18,7 @@ import (
 
 // A rendezvous chunk for a posted receive is written by the transport
 // thread that reads it — the progress pass of any stream, the shm
-// doorbell watcher, the tcp drain pool — straight into the receive's
+// doorbell watcher, a tcp connection watcher — straight into the receive's
 // buffer (direct placement). These tests pin what that may never do:
 // write into a buffer whose receive has completed. The receive must
 // complete exactly once whatever happens to the message halfway, and
