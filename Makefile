@@ -55,10 +55,13 @@ race:
 # Race-detector pass over the hot-path packages the observability
 # layer instruments (progress engine, matching, NIC, reliability,
 # fabric, metrics, trace); -count=1 defeats the test cache so the
-# atomics are actually exercised on every run.
+# atomics are actually exercised on every run. The fabric and the NIC
+# run twenty times more: the dispatch goroutine and the posting
+# goroutines share value-typed events and atomic delivery counters.
 race-hot:
 	$(GO) test -race -count=1 -short ./internal/core/ ./internal/mpi/ \
 		./internal/nic/ ./internal/fabric/ ./internal/metrics/ ./internal/trace/
+	$(GO) test -race -count=20 ./internal/fabric/ ./internal/nic/
 
 # Race-detector pass over every byte transport (tcp, shm, the composite
 # router, the framing they share, the conformance battery), the wait

@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -264,4 +266,108 @@ func TestAttachNilDeliverPanics(t *testing.T) {
 		}
 	}()
 	n.Attach(0, nil)
+}
+
+// TestTransmitDeliverAllocs: a packet in flight costs no garbage. The
+// event is a value in the scheduler's heap and the delivery handler was
+// built at Attach, so once the heap has grown, Transmit plus its
+// delivery allocates nothing.
+func TestTransmitDeliverAllocs(t *testing.T) {
+	mc := timing.NewManualClock()
+	n := NewNetwork(mc, Config{})
+	delivered := 0
+	a := n.Attach(0, func(Packet) {})
+	b := n.Attach(1, func(Packet) { delivered++ })
+	// The clock stands far ahead of every transmission, so each arrival
+	// is due when it is scheduled and fires inside Transmit; FIFO order
+	// puts each one 1 ns behind the last, still in the past.
+	mc.Set(time.Second)
+	pkt := Packet{Src: a, Dst: b, Payload: "x", Bytes: 8}
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := n.Transmit(pkt, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if delivered != runs+1 || n.InFlight() != 0 || n.Delivered() != runs+1 {
+		t.Fatalf("delivered %d (counted %d, in flight %d), want %d", delivered, n.Delivered(), n.InFlight(), runs+1)
+	}
+	if allocs != 0 {
+		t.Fatalf("Transmit plus its delivery allocates %v objects, want 0", allocs)
+	}
+}
+
+// BenchmarkTransmitDeliver times one packet from Transmit to its
+// delivery callback on the real clock, one packet in flight at a time:
+// the flight time is 1 ns, so ns/op is what the fabric itself costs —
+// scheduling, waking the dispatch goroutine, firing the handler.
+func BenchmarkTransmitDeliver(b *testing.B) {
+	n := NewNetwork(nil, Config{Latency: time.Nanosecond, LocalLatency: time.Nanosecond})
+	defer n.Stop()
+	var arrived atomic.Int64
+	src := n.Attach(0, func(Packet) {})
+	dst := n.Attach(1, func(Packet) { arrived.Add(1) })
+	pkt := Packet{Src: src, Dst: dst, Bytes: 8}
+	clock := n.Clock()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		if err := n.Transmit(pkt, clock.Now()); err != nil {
+			b.Fatal(err)
+		}
+		for arrived.Load() < int64(i) {
+			runtime.Gosched()
+		}
+	}
+}
+
+// TestNetworkConcurrentSenders: senders on several goroutines share the
+// scheduler's heap and the network's atomic counters with the dispatch
+// goroutine (real clock). Every packet arrives once, each directed link
+// in order, and the counters settle at the totals.
+func TestNetworkConcurrentSenders(t *testing.T) {
+	const senders, perSender = 4, 500
+	n := NewNetwork(nil, Config{Jitter: time.Microsecond})
+	defer n.Stop()
+	type tagged struct{ src, seq int }
+	var mu sync.Mutex
+	next := make([]int, senders)
+	var bad atomic.Int64
+	dst := n.Attach(0, func(p Packet) {
+		g := p.Payload.(tagged)
+		mu.Lock()
+		if g.seq != next[g.src] {
+			bad.Add(1)
+		}
+		next[g.src] = g.seq + 1
+		mu.Unlock()
+	})
+	srcs := make([]EndpointID, senders)
+	for i := range srcs {
+		srcs[i] = n.Attach(1, func(Packet) {})
+	}
+	var wg sync.WaitGroup
+	for i := range srcs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for seq := 0; seq < perSender; seq++ {
+				if err := n.Transmit(Packet{Src: srcs[i], Dst: dst, Payload: tagged{i, seq}}, n.Clock().Now()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	deadline := time.Now().Add(5 * time.Second)
+	for n.Delivered() < senders*perSender {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d of %d", n.Delivered(), senders*perSender)
+		}
+		runtime.Gosched()
+	}
+	if bad.Load() != 0 || n.InFlight() != 0 {
+		t.Fatalf("%d packets out of order, %d still in flight", bad.Load(), n.InFlight())
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gompix/internal/timing"
@@ -82,26 +83,33 @@ type Network struct {
 	clock timing.Clock
 	sched *Scheduler
 
-	mu      sync.Mutex
-	nodes   []int // node id per endpoint
-	deliver []func(Packet)
-	lastArr map[linkKey]time.Duration // FIFO enforcement per directed link
+	mu    sync.Mutex
+	nodes []int // node id per endpoint
+	// arrive holds, per endpoint, the handler every arrival to it is
+	// scheduled with (built once at Attach).
+	arrive []Handler
+	// lastArr[src][dst] is the latest arrival scheduled on a directed
+	// link (FIFO enforcement), a dense table grown at Attach. It holds
+	// E² entries for the E endpoints ever attached (endpoints are never
+	// detached, and every stream's VCI attaches one), and each Attach
+	// grows every row: fine for simulated worlds of dozens of ranks.
+	lastArr [][]time.Duration
 	// rng (jitter) and frng (faults) are confined to Transmit's critical
 	// section: every draw happens with n.mu held, so the generators are
 	// never touched concurrently even though many sender goroutines call
 	// Transmit. Keep any new draw sites inside that section.
-	rng       *rand.Rand
-	frng      *rand.Rand
-	inFlight  int
-	delivered uint64
-	faults    FaultStats
-	stopped   bool
+	rng     *rand.Rand
+	frng    *rand.Rand
+	faults  FaultStats
+	stopped bool
+
+	// Counted by Transmit and by the arrival handlers without n.mu.
+	inFlight  atomic.Int64
+	delivered atomic.Uint64
 
 	// met is the optional observability wiring (UseMetrics).
 	met *netMetrics
 }
-
-type linkKey struct{ src, dst EndpointID }
 
 // NewNetwork creates a network over the given clock (nil = real clock).
 func NewNetwork(clock timing.Clock, cfg Config) *Network {
@@ -110,12 +118,11 @@ func NewNetwork(clock timing.Clock, cfg Config) *Network {
 	}
 	cfg = cfg.withDefaults()
 	return &Network{
-		cfg:     cfg,
-		clock:   clock,
-		sched:   NewScheduler(clock),
-		lastArr: make(map[linkKey]time.Duration),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		frng:    rand.New(rand.NewSource(cfg.Faults.Seed)),
+		cfg:   cfg,
+		clock: clock,
+		sched: NewScheduler(clock),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		frng:  rand.New(rand.NewSource(cfg.Faults.Seed)),
 	}
 }
 
@@ -153,7 +160,15 @@ func (n *Network) Attach(node int, deliver func(Packet)) EndpointID {
 	defer n.mu.Unlock()
 	id := EndpointID(len(n.nodes))
 	n.nodes = append(n.nodes, node)
-	n.deliver = append(n.deliver, deliver)
+	n.arrive = append(n.arrive, func(_ time.Duration, p Packet) {
+		deliver(p)
+		n.inFlight.Add(-1)
+		n.delivered.Add(1)
+	})
+	for src := range n.lastArr {
+		n.lastArr[src] = append(n.lastArr[src], 0)
+	}
+	n.lastArr = append(n.lastArr, make([]time.Duration, len(n.nodes)))
 	return id
 }
 
@@ -202,7 +217,7 @@ func (n *Network) Transmit(pkt Packet, txDone time.Duration) error {
 		n.mu.Unlock()
 		return ErrStopped
 	}
-	if int(pkt.Dst) >= len(n.deliver) || pkt.Dst < 0 {
+	if int(pkt.Dst) >= len(n.arrive) || pkt.Dst < 0 {
 		n.mu.Unlock()
 		panic(fmt.Sprintf("fabric: transmit to unknown endpoint %d", pkt.Dst))
 	}
@@ -251,30 +266,25 @@ func (n *Network) Transmit(pkt Packet, txDone time.Duration) error {
 	if n.cfg.Jitter > 0 {
 		arrive += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter)))
 	}
-	deliver := n.deliver[pkt.Dst]
-	key := linkKey{pkt.Src, pkt.Dst}
+	h := n.arrive[pkt.Dst]
+	last := &n.lastArr[pkt.Src][pkt.Dst]
 	var arrivals [2]time.Duration
 	for c := 0; c < copies; c++ {
 		// FIFO per directed link: never deliver before an earlier packet
-		// on the same link (a duplicate rides one slot behind).
-		if last, ok := n.lastArr[key]; ok && arrive <= last {
-			arrive = last + time.Nanosecond
+		// on the same link (a duplicate rides one slot behind). Arrival
+		// times are positive, so the table's zero means no packet yet.
+		if arrive <= *last {
+			arrive = *last + time.Nanosecond
 		}
-		n.lastArr[key] = arrive
-		n.inFlight++
+		*last = arrive
 		arrivals[c] = arrive
 	}
-	// Schedule outside the lock: in manual-clock mode At fires due
-	// events synchronously, and the completion closure re-locks n.mu.
+	n.inFlight.Add(int64(copies))
+	// Schedule outside the lock: in manual-clock mode Schedule fires due
+	// events synchronously, and a delivery may transmit again.
 	n.mu.Unlock()
 	for c := 0; c < copies; c++ {
-		n.sched.At(arrivals[c], func() {
-			deliver(pkt)
-			n.mu.Lock()
-			n.inFlight--
-			n.delivered++
-			n.mu.Unlock()
-		})
+		n.sched.Schedule(arrivals[c], h, pkt)
 	}
 	return nil
 }
@@ -285,15 +295,7 @@ func (n *Network) SameNodeLocked(a, b EndpointID) bool {
 }
 
 // InFlight returns the number of packets injected but not yet delivered.
-func (n *Network) InFlight() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.inFlight
-}
+func (n *Network) InFlight() int { return int(n.inFlight.Load()) }
 
 // Delivered returns the total number of delivered packets.
-func (n *Network) Delivered() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.delivered
-}
+func (n *Network) Delivered() uint64 { return n.delivered.Load() }

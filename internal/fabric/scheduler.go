@@ -9,41 +9,92 @@
 // dispatch goroutine that sleeps (with sub-millisecond precision) until
 // each event is due — benchmarks use this. With a timing.ManualClock
 // events fire during Advance, giving deterministic unit tests.
+//
+// A packet in flight costs no garbage: an event is a value — due time,
+// sequence number, Handler and Packet — in a slice-backed heap, and
+// the handlers it names are built once per destination (the delivery
+// handler at Attach, the NIC's send completion when its endpoint is
+// made). Delivery accounting is atomic, so the dispatch goroutine does
+// not take the network's lock.
 package fabric
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 
 	"gompix/internal/timing"
 )
 
-// event is one scheduled callback.
+// Handler is what an event does when it fires: it is handed the time
+// the event was due and the packet the event carries. A handler is
+// built once per destination (Network.Attach builds one per endpoint),
+// so scheduling a packet allocates nothing.
+type Handler func(at time.Duration, pkt Packet)
+
+// event is one scheduled handler call, kept by value in the heap.
 type event struct {
 	at  time.Duration
 	seq uint64 // tie-break so equal-time events run in schedule order
-	fn  func()
+	h   Handler
+	pkt Packet
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap on (at, seq) over a slice of values:
+// once the slice has grown to the peak number of pending events, a
+// push or pop allocates nothing.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, event{})
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = e
+}
+
+// pop removes and returns the earliest event; the heap is not empty.
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = event{} // the vacated slot must not keep a payload alive
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s[r].before(&s[c]) {
+			c = r
+		}
+		if !s[c].before(&last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	return top
 }
 
 // Scheduler dispatches timed events against a Clock.
@@ -77,17 +128,17 @@ func NewScheduler(clock timing.Clock) *Scheduler {
 	return s
 }
 
-// At schedules fn to run at absolute clock time t. Events scheduled in
-// the past (t <= now) run as soon as possible; in manual mode they run
-// synchronously before At returns.
-func (s *Scheduler) At(t time.Duration, fn func()) {
+// Schedule calls h(t, pkt) at absolute clock time t. Events scheduled
+// in the past (t <= now) run as soon as possible; in manual mode they
+// run synchronously before Schedule returns.
+func (s *Scheduler) Schedule(t time.Duration, h Handler, pkt Packet) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
 	s.seq++
-	heap.Push(&s.events, &event{at: t, seq: s.seq, fn: fn})
+	s.events.push(event{at: t, seq: s.seq, h: h, pkt: pkt})
 	s.mu.Unlock()
 	if s.manual {
 		s.runDue()
@@ -98,6 +149,16 @@ func (s *Scheduler) At(t time.Duration, fn func()) {
 	default:
 	}
 }
+
+// At schedules fn to run at absolute clock time t, as Schedule does. fn
+// rides in the event's packet, so the adapter costs no closure of its
+// own. Only the scheduler's tests use At and After; the network and
+// the NIC call Schedule with handlers built once.
+func (s *Scheduler) At(t time.Duration, fn func()) {
+	s.Schedule(t, callFunc, Packet{Payload: fn})
+}
+
+func callFunc(_ time.Duration, pkt Packet) { pkt.Payload.(func())() }
 
 // After schedules fn to run d after the current clock time.
 func (s *Scheduler) After(d time.Duration, fn func()) {
@@ -183,9 +244,9 @@ func (s *Scheduler) runDue() {
 			s.mu.Unlock()
 			return
 		}
-		e := heap.Pop(&s.events).(*event)
+		e := s.events.pop()
 		s.mu.Unlock()
-		e.fn()
+		e.h(e.at, e.pkt)
 	}
 }
 

@@ -222,7 +222,9 @@ func TestRemoteCompositeLargeMessageAllocs(t *testing.T) {
 // receiver's copy of the payload out of the transport's buffer; the
 // window's ack and WaitAll add about 0.1. The sender's header goes back
 // to the pool once the post returns, the receiver's once it is handled:
-// before the sender recycled its header, both worlds read 4.1.
+// before the sender recycled its header, both worlds read 4.1. The sim
+// world runs both ranks in one process over the simulated fabric, whose
+// packets and send completions allocate nothing of their own.
 func TestEagerSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the gate runs in non-race passes")
@@ -234,6 +236,7 @@ func TestEagerSteadyStateAllocs(t *testing.T) {
 	}{
 		{"tcp", func(t *testing.T) []*World { return tcpWorlds(t, 2, Config{}) }},
 		{"shm", func(t *testing.T) []*World { return shmWorlds(t, 2, Config{}) }},
+		{"sim", func(t *testing.T) []*World { return []*World{NewWorld(Config{Procs: 2})} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var perMsg float64

@@ -66,6 +66,62 @@ type posted struct {
 	at time.Duration
 }
 
+// queue is a FIFO of matching entries. Matching is first-fit from the
+// head, and in steady state the match is the head: removing it advances
+// a head offset, O(1) whatever the depth. A removal further in shifts
+// the entries behind it up by one. The backing array is compacted when
+// a push would grow it and at least half of it is behind the head. Every
+// vacated slot is zeroed, so a consumed entry — a posted receive's
+// request and buffer, an eager payload — is not kept reachable.
+type queue[T any] struct {
+	s    []T // s[head:] are the live entries
+	head int
+}
+
+func (q *queue[T]) len() int { return len(q.s) - q.head }
+
+// at returns the i-th live entry, 0 being the head.
+func (q *queue[T]) at(i int) *T { return &q.s[q.head+i] }
+
+func (q *queue[T]) push(e T) {
+	if len(q.s) == cap(q.s) && q.head > 0 && q.head >= len(q.s)/2 {
+		n := copy(q.s, q.s[q.head:])
+		clear(q.s[n:])
+		q.s, q.head = q.s[:n], 0
+	}
+	q.s = append(q.s, e)
+}
+
+// remove deletes the i-th live entry.
+func (q *queue[T]) remove(i int) {
+	var zero T
+	if i > 0 { // the entries behind it move up
+		j := q.head + i
+		copy(q.s[j:], q.s[j+1:])
+		q.s[len(q.s)-1] = zero
+		q.s = q.s[:len(q.s)-1]
+		return
+	}
+	q.s[q.head] = zero
+	q.head++
+	if q.head == len(q.s) {
+		q.s, q.head = q.s[:0], 0
+	}
+}
+
+// removeIf deletes every entry drop reports true for, keeping the rest
+// in order.
+func (q *queue[T]) removeIf(drop func(*T) bool) {
+	kept := q.s[:0]
+	for i := q.head; i < len(q.s); i++ {
+		if !drop(&q.s[i]) {
+			kept = append(kept, q.s[i])
+		}
+	}
+	clear(q.s[len(kept):])
+	q.s, q.head = kept, 0
+}
+
 // matcher is the per-VCI tag-matching engine: a posted-receive queue
 // and an unexpected-message queue, both matched in FIFO order with
 // wildcard support. It has its own lock because application threads
@@ -73,8 +129,8 @@ type posted struct {
 // initiation/progress contention the paper discusses in §4.2.
 type matcher struct {
 	mu     sync.Mutex
-	posted []posted
-	unexp  []unexpected
+	posted queue[posted]
+	unexp  queue[unexpected]
 
 	postedHits uint64
 	unexpHits  uint64
@@ -110,19 +166,19 @@ func (m *matcher) postRecv(req *Request, ctx uint32, src, tag, worldSrc int) (un
 	defer m.mu.Unlock()
 	mm := m.met
 	mon := mm != nil && mm.reg.On()
-	for i := range m.unexp {
-		e := m.unexp[i]
-		if match(e.ctx, ctx, e.src, e.tag, src, tag) {
-			m.unexp = append(m.unexp[:i], m.unexp[i+1:]...)
+	for i := 0; i < m.unexp.len(); i++ {
+		if e := m.unexp.at(i); match(e.ctx, ctx, e.src, e.tag, src, tag) {
+			found := *e
+			m.unexp.remove(i)
 			m.unexpHits++
 			if mon {
 				mm.unexpHits.Inc()
-				mm.unexpDepth.Set(int64(len(m.unexp)))
-				if e.at > 0 {
-					mm.unexpWait.Observe(int64(m.now() - e.at))
+				mm.unexpDepth.Set(int64(m.unexp.len()))
+				if found.at > 0 {
+					mm.unexpWait.Observe(int64(m.now() - found.at))
 				}
 			}
-			return e, true, nil
+			return found, true, nil
 		}
 	}
 	if len(m.dead) > 0 {
@@ -140,9 +196,9 @@ func (m *matcher) postRecv(req *Request, ctx uint32, src, tag, worldSrc int) (un
 	if mon {
 		p.at = m.now()
 	}
-	m.posted = append(m.posted, p)
+	m.posted.push(p)
 	if mon {
-		mm.postedDepth.Set(int64(len(m.posted)))
+		mm.postedDepth.Set(int64(m.posted.len()))
 	}
 	return unexpected{}, false, nil
 }
@@ -179,33 +235,17 @@ func (m *matcher) failPeer(worldRank int, procErr error) (reqs []*Request, first
 		return nil, false
 	}
 	m.dead[worldRank] = procErr
-	kept := m.posted[:0]
-	for _, p := range m.posted {
+	m.posted.removeIf(func(p *posted) bool {
 		if p.worldSrc == worldRank || p.src == AnySource {
 			reqs = append(reqs, p.req)
-			continue
+			return true
 		}
-		kept = append(kept, p)
-	}
-	for i := len(kept); i < len(m.posted); i++ {
-		m.posted[i] = posted{}
-	}
-	m.posted = kept
-	keptU := m.unexp[:0]
-	for _, e := range m.unexp {
-		if e.kind == unexpRTS && e.worldSrc == worldRank {
-			continue
-		}
-		keptU = append(keptU, e)
-	}
-	for i := len(keptU); i < len(m.unexp); i++ {
-		m.unexp[i] = unexpected{}
-	}
-	m.unexp = keptU
-	if mm := m.met; mm != nil && mm.reg.On() {
-		mm.postedDepth.Set(int64(len(m.posted)))
-		mm.unexpDepth.Set(int64(len(m.unexp)))
-	}
+		return false
+	})
+	m.unexp.removeIf(func(e *unexpected) bool {
+		return e.kind == unexpRTS && e.worldSrc == worldRank
+	})
+	m.setDepths()
 	return reqs, true
 }
 
@@ -244,36 +284,23 @@ func (m *matcher) failCtx(ctx uint32) (reqs []*Request, rts []unexpected) {
 	revoked := func(c uint32, tag int) bool {
 		return c == ctx || (c == ctx+1 && tag < ftTagBase)
 	}
-	kept := m.posted[:0]
-	for _, p := range m.posted {
+	m.posted.removeIf(func(p *posted) bool {
 		if revoked(p.ctx, p.tag) {
 			reqs = append(reqs, p.req)
-			continue
+			return true
 		}
-		kept = append(kept, p)
-	}
-	for i := len(kept); i < len(m.posted); i++ {
-		m.posted[i] = posted{}
-	}
-	m.posted = kept
-	keptU := m.unexp[:0]
-	for _, e := range m.unexp {
-		if revoked(e.ctx, e.tag) {
-			if e.kind == unexpRTS && e.addr != 0 {
-				rts = append(rts, e)
-			}
-			continue
+		return false
+	})
+	m.unexp.removeIf(func(e *unexpected) bool {
+		if !revoked(e.ctx, e.tag) {
+			return false
 		}
-		keptU = append(keptU, e)
-	}
-	for i := len(keptU); i < len(m.unexp); i++ {
-		m.unexp[i] = unexpected{}
-	}
-	m.unexp = keptU
-	if mm := m.met; mm != nil && mm.reg.On() {
-		mm.postedDepth.Set(int64(len(m.posted)))
-		mm.unexpDepth.Set(int64(len(m.unexp)))
-	}
+		if e.kind == unexpRTS && e.addr != 0 {
+			rts = append(rts, *e)
+		}
+		return true
+	})
+	m.setDepths()
 	return reqs, rts
 }
 
@@ -290,28 +317,28 @@ func (m *matcher) matchOrEnqueue(ctx uint32, src, tag int, mk func() unexpected)
 	defer m.mu.Unlock()
 	mm := m.met
 	mon := mm != nil && mm.reg.On()
-	for i := range m.posted {
-		p := m.posted[i]
-		if match(ctx, p.ctx, src, tag, p.src, p.tag) {
-			m.posted = append(m.posted[:i], m.posted[i+1:]...)
+	for i := 0; i < m.posted.len(); i++ {
+		if p := m.posted.at(i); match(ctx, p.ctx, src, tag, p.src, p.tag) {
+			req, at := p.req, p.at
+			m.posted.remove(i)
 			m.postedHits++
 			if mon {
 				mm.postedHits.Inc()
-				mm.postedDepth.Set(int64(len(m.posted)))
-				if p.at > 0 {
-					mm.postedWait.Observe(int64(m.now() - p.at))
+				mm.postedDepth.Set(int64(m.posted.len()))
+				if at > 0 {
+					mm.postedWait.Observe(int64(m.now() - at))
 				}
 			}
-			return p.req
+			return req
 		}
 	}
 	e := mk()
 	if mon {
 		e.at = m.now()
 	}
-	m.unexp = append(m.unexp, e)
+	m.unexp.push(e)
 	if mon {
-		mm.unexpDepth.Set(int64(len(m.unexp)))
+		mm.unexpDepth.Set(int64(m.unexp.len()))
 	}
 	return nil
 }
@@ -322,11 +349,11 @@ func (m *matcher) matchOrEnqueue(ctx uint32, src, tag int, mk func() unexpected)
 func (m *matcher) cancel(req *Request) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := range m.posted {
-		if m.posted[i].req == req {
-			m.posted = append(m.posted[:i], m.posted[i+1:]...)
+	for i := 0; i < m.posted.len(); i++ {
+		if m.posted.at(i).req == req {
+			m.posted.remove(i)
 			if mm := m.met; mm != nil && mm.reg.On() {
-				mm.postedDepth.Set(int64(len(m.posted)))
+				mm.postedDepth.Set(int64(m.posted.len()))
 			}
 			return true
 		}
@@ -339,9 +366,8 @@ func (m *matcher) cancel(req *Request) bool {
 func (m *matcher) probe(ctx uint32, src, tag int) (Status, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := range m.unexp {
-		e := m.unexp[i]
-		if match(e.ctx, ctx, e.src, e.tag, src, tag) {
+	for i := 0; i < m.unexp.len(); i++ {
+		if e := m.unexp.at(i); match(e.ctx, ctx, e.src, e.tag, src, tag) {
 			return Status{Source: e.src, Tag: e.tag, Bytes: e.bytes}, true
 		}
 	}
@@ -352,5 +378,13 @@ func (m *matcher) probe(ctx uint32, src, tag int) (Status, bool) {
 func (m *matcher) queueLens() (nPosted, nUnexp int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.posted), len(m.unexp)
+	return m.posted.len(), m.unexp.len()
+}
+
+// setDepths publishes both queue depths after a sweep.
+func (m *matcher) setDepths() {
+	if mm := m.met; mm != nil && mm.reg.On() {
+		mm.postedDepth.Set(int64(m.posted.len()))
+		mm.unexpDepth.Set(int64(m.unexp.len()))
+	}
 }

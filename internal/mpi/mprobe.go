@@ -79,12 +79,12 @@ func (m *Message) MrecvBytes(buf []byte) *Request {
 func (m *matcher) removeUnexpected(ctx uint32, src, tag int) (unexpected, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := range m.unexp {
-		e := m.unexp[i]
-		if match(e.ctx, ctx, e.src, e.tag, src, tag) {
-			m.unexp = append(m.unexp[:i], m.unexp[i+1:]...)
+	for i := 0; i < m.unexp.len(); i++ {
+		if e := m.unexp.at(i); match(e.ctx, ctx, e.src, e.tag, src, tag) {
+			found := *e
+			m.unexp.remove(i)
 			m.unexpHits++
-			return e, true
+			return found, true
 		}
 	}
 	return unexpected{}, false

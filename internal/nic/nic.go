@@ -62,6 +62,11 @@ type Endpoint struct {
 	id    fabric.EndpointID
 	codec Codec // every post crosses it (SetCodec)
 
+	// complete posts a signaled send's CQE when the wire finishes
+	// sending it: the method value is bound once here, and the token
+	// rides in the scheduled event's packet, txDone in its due time.
+	complete fabric.Handler
+
 	// TX serialization: the wire is busy until nextFree.
 	txMu     sync.Mutex
 	nextFree time.Duration
@@ -85,6 +90,7 @@ type Endpoint struct {
 func NewEndpoint(net *fabric.Network, node int) *Endpoint {
 	ep := &Endpoint{net: net, codec: ByteCodec{}}
 	ep.id = net.Attach(node, ep.deliver)
+	ep.complete = ep.completion
 	return ep
 }
 
@@ -154,15 +160,17 @@ func (ep *Endpoint) PostSend(dst fabric.EndpointID, payload any, bytes int, toke
 	if err != nil {
 		return err
 	}
-	ep.net.Scheduler().At(txDone, func() {
-		n := ep.cq.Push(CQE{Token: token, At: txDone})
-		ep.completed.Add(1)
-		if m := ep.met; m != nil && m.reg.On() {
-			m.cqDepth.Set(n)
-			m.completed.Inc()
-		}
-	})
+	ep.net.Scheduler().Schedule(txDone, ep.complete, fabric.Packet{Payload: token})
 	return nil
+}
+
+func (ep *Endpoint) completion(txDone time.Duration, p fabric.Packet) {
+	n := ep.cq.Push(CQE{Token: p.Payload, At: txDone})
+	ep.completed.Add(1)
+	if m := ep.met; m != nil && m.reg.On() {
+		m.cqDepth.Set(n)
+		m.completed.Inc()
+	}
 }
 
 // transmit hands the fabric what payload decodes to on the far side of

@@ -3,6 +3,8 @@ package nic
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -220,5 +222,97 @@ func TestRoundTripOwnsItsBytes(t *testing.T) {
 	}
 	if sent, _, _ := a.Stats(); sent != 0 {
 		t.Fatalf("sent = %d after a refused post", sent)
+	}
+}
+
+// TestPostSendCompletionAllocs: a signaled send's completion costs no
+// garbage of its own. The completion handler is bound once per
+// endpoint and the token rides in the scheduled event, so PostSend
+// plus its CQ drain allocates no more than PostSendInline plus its RQ
+// drain — both pay the codec's round trip and the clock's advance.
+func TestPostSendCompletionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random; the gate runs in non-race passes")
+	}
+	mc, _, a, b := newPair(t, fabric.Config{})
+	payload := []byte("8 bytes!")
+	rq, cq := make([]fabric.Packet, 0, 4), make([]CQE, 0, 4)
+	tok := &struct{}{}
+	deliver := func() {
+		mc.Advance(time.Millisecond)
+		if rq = b.DrainRQ(rq); len(rq) != 1 {
+			t.Fatalf("drained %d packets, want 1", len(rq))
+		}
+	}
+	inline := func() {
+		if err := a.PostSendInline(b.ID(), payload, len(payload)); err != nil {
+			t.Fatal(err)
+		}
+		deliver()
+	}
+	signaled := func() {
+		if err := a.PostSend(b.ID(), payload, len(payload), tok); err != nil {
+			t.Fatal(err)
+		}
+		deliver()
+		if cq = a.DrainCQ(cq); len(cq) != 1 || cq[0].Token != tok {
+			t.Fatalf("drained %v, want one completion of the token", cq)
+		}
+	}
+	const runs = 1000
+	base := testing.AllocsPerRun(runs, inline)
+	got := testing.AllocsPerRun(runs, signaled)
+	if got > base {
+		t.Fatalf("PostSend plus its CQ drain allocates %v objects, PostSendInline plus its RQ drain %v: the completion costs %v", got, base, got-base)
+	}
+	t.Logf("PostSend %v, PostSendInline %v allocations per message", got, base)
+}
+
+// TestPostSendConcurrent: endpoints posting from their own goroutines
+// schedule their completions into the heap the dispatch goroutine pops
+// (real clock). Each sender's CQ gets every token once, in post order.
+func TestPostSendConcurrent(t *testing.T) {
+	const senders, perSender = 4, 300
+	net := fabric.NewNetwork(nil, fabric.Config{})
+	defer net.Stop()
+	dst := NewEndpoint(net, 0)
+	eps := make([]*Endpoint, senders)
+	for i := range eps {
+		eps[i] = NewEndpoint(net, 1)
+	}
+	tokens := make([]int, perSender)
+	var wg sync.WaitGroup
+	for _, ep := range eps {
+		wg.Add(1)
+		go func(ep *Endpoint) {
+			defer wg.Done()
+			cq := make([]CQE, 0, 16)
+			for i, got := 0, 0; got < perSender; {
+				if i < perSender {
+					if err := ep.PostSend(dst.ID(), num(i), 8, &tokens[i]); err != nil {
+						t.Error(err)
+						return
+					}
+					i++
+				}
+				for _, e := range ep.DrainCQ(cq) {
+					if e.Token != &tokens[got] {
+						t.Errorf("completion %d carries the wrong token", got)
+						return
+					}
+					got++
+				}
+				runtime.Gosched()
+			}
+		}(ep)
+	}
+	wg.Wait()
+	deadline := time.Now().Add(5 * time.Second)
+	for received := 0; received < senders*perSender; {
+		received += len(dst.PollRQ(0))
+		if time.Now().After(deadline) {
+			t.Fatalf("received %d of %d", received, senders*perSender)
+		}
+		runtime.Gosched()
 	}
 }
