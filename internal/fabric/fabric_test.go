@@ -11,13 +11,21 @@ import (
 	"gompix/internal/timing"
 )
 
+// at schedules fn at clock time t through Schedule, fn riding in the
+// event's packet; after schedules it d from now.
+func at(s *Scheduler, t time.Duration, fn func()) { s.Schedule(t, runFunc, Packet{Payload: fn}) }
+
+func after(s *Scheduler, d time.Duration, fn func()) { at(s, s.clock.Now()+d, fn) }
+
+func runFunc(_ time.Duration, pkt Packet) { pkt.Payload.(func())() }
+
 func TestSchedulerManualOrdering(t *testing.T) {
 	mc := timing.NewManualClock()
 	s := NewScheduler(mc)
 	var got []int
-	s.At(3*time.Microsecond, func() { got = append(got, 3) })
-	s.At(1*time.Microsecond, func() { got = append(got, 1) })
-	s.At(2*time.Microsecond, func() { got = append(got, 2) })
+	at(s, 3*time.Microsecond, func() { got = append(got, 3) })
+	at(s, 1*time.Microsecond, func() { got = append(got, 1) })
+	at(s, 2*time.Microsecond, func() { got = append(got, 2) })
 	if len(got) != 0 {
 		t.Fatal("events fired before their time")
 	}
@@ -36,7 +44,7 @@ func TestSchedulerManualPastEventRunsImmediately(t *testing.T) {
 	s := NewScheduler(mc)
 	mc.Advance(time.Millisecond)
 	ran := false
-	s.At(time.Microsecond, func() { ran = true })
+	at(s, time.Microsecond, func() { ran = true })
 	if !ran {
 		t.Fatal("past event should run synchronously in manual mode")
 	}
@@ -48,7 +56,7 @@ func TestSchedulerEqualTimeFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(time.Microsecond, func() { got = append(got, i) })
+		at(s, time.Microsecond, func() { got = append(got, i) })
 	}
 	mc.Advance(time.Microsecond)
 	for i, v := range got {
@@ -71,9 +79,9 @@ func TestSchedulerRealClock(t *testing.T) {
 		mu.Unlock()
 		wg.Done()
 	}
-	s.After(2*time.Millisecond, func() { add(2) })
-	s.After(500*time.Microsecond, func() { add(1) })
-	s.After(4*time.Millisecond, func() { add(3) })
+	after(s, 2*time.Millisecond, func() { add(2) })
+	after(s, 500*time.Microsecond, func() { add(1) })
+	after(s, 4*time.Millisecond, func() { add(3) })
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -91,7 +99,7 @@ func TestSchedulerRealClock(t *testing.T) {
 func TestSchedulerStopDropsEvents(t *testing.T) {
 	s := NewScheduler(timing.NewRealClock())
 	fired := make(chan struct{}, 1)
-	s.After(time.Hour, func() { fired <- struct{}{} })
+	after(s, time.Hour, func() { fired <- struct{}{} })
 	if s.PendingEvents() != 1 {
 		t.Fatalf("pending = %d", s.PendingEvents())
 	}
@@ -100,7 +108,7 @@ func TestSchedulerStopDropsEvents(t *testing.T) {
 	if s.PendingEvents() != 0 {
 		t.Fatal("Stop should drop pending events")
 	}
-	s.After(time.Millisecond, func() { fired <- struct{}{} })
+	after(s, time.Millisecond, func() { fired <- struct{}{} })
 	select {
 	case <-fired:
 		t.Fatal("event fired after Stop")
@@ -114,7 +122,7 @@ func TestSchedulerNextEventTime(t *testing.T) {
 	if _, ok := s.NextEventTime(); ok {
 		t.Fatal("empty scheduler should report no next event")
 	}
-	s.At(7*time.Microsecond, func() {})
+	at(s, 7*time.Microsecond, func() {})
 	if at, ok := s.NextEventTime(); !ok || at != 7*time.Microsecond {
 		t.Fatalf("next = %v %v", at, ok)
 	}

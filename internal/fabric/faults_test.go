@@ -214,6 +214,6 @@ func TestSchedulerDoubleStop(t *testing.T) {
 	s := NewScheduler(timing.NewRealClock())
 	s.Stop()
 	s.Stop() // must not panic or deadlock
-	s.At(time.Millisecond, func() { t.Error("event fired after Stop") })
+	at(s, time.Millisecond, func() { t.Error("event fired after Stop") })
 	time.Sleep(5 * time.Millisecond)
 }

@@ -150,21 +150,6 @@ func (s *Scheduler) Schedule(t time.Duration, h Handler, pkt Packet) {
 	}
 }
 
-// At schedules fn to run at absolute clock time t, as Schedule does. fn
-// rides in the event's packet, so the adapter costs no closure of its
-// own. Only the scheduler's tests use At and After; the network and
-// the NIC call Schedule with handlers built once.
-func (s *Scheduler) At(t time.Duration, fn func()) {
-	s.Schedule(t, callFunc, Packet{Payload: fn})
-}
-
-func callFunc(_ time.Duration, pkt Packet) { pkt.Payload.(func())() }
-
-// After schedules fn to run d after the current clock time.
-func (s *Scheduler) After(d time.Duration, fn func()) {
-	s.At(s.clock.Now()+d, fn)
-}
-
 // PendingEvents returns the number of scheduled, not-yet-fired events.
 func (s *Scheduler) PendingEvents() int {
 	s.mu.Lock()

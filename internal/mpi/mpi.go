@@ -10,8 +10,9 @@
 // simulated NIC endpoint by default). One Stream.Progress call collates
 // three classes like MPICH's MPIDI_progress_test (paper Listing 1.1):
 // continuations, async things — the user's, and the library's own
-// collective schedules, datatype jobs, retransmission timer and link
-// flush — and the VCI's one netmod hook. Every message, same-node or
+// collective schedules, datatype jobs and link flush (a byte
+// transport's coalesced writes, the reliability layer's retransmission
+// timer) — and the VCI's one netmod hook. Every message, same-node or
 // not, a rank's send to itself included, leaves through that link:
 // what "same node" means — a shorter hop on the simulated fabric, mmap
 // rings polled first inside the composite link — is the transport's
@@ -22,9 +23,7 @@
 // are agreed by an allgather on its parent. What differs between a
 // World hosting every rank (the simulated fabric) and one hosting a
 // single rank of a multiprocess job is only that: which ranks it runs
-// and how it finalizes (NewWorld, Run, finalize), whether a send's
-// payload may alias the user's buffer (sendPayload), and whether the
-// codec places rendezvous chunks (wireCodec.Place).
+// and how it finalizes (NewWorld, Run, finalize).
 //
 // Point-to-point messaging implements the paper's §2.1 message modes:
 // lightweight/buffered eager sends (no wait block), signaled eager
@@ -208,9 +207,10 @@ func NewWorld(cfg Config) *World {
 	if w.net != nil {
 		w.net.UseMetrics(cfg.Metrics, "fabric")
 	}
-	// Every link runs the protocol codec, the sim endpoint's included;
-	// the reliability framing wraps it so nic.Reliable works unchanged
-	// over every link.
+	// Every link runs the protocol codec, the sim endpoint's included.
+	// Under the reliability layer each link carries the layer's envelope
+	// around the header the layer encoded with the same codec
+	// (newVCILocked wraps each link in the layer).
 	var c nic.Codec = wireCodec{w}
 	if cfg.Reliable {
 		c = nic.RelCodec(c)

@@ -227,7 +227,6 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 	if err != nil {
 		panic(fmt.Sprintf("mpi: rank %d vci %d: transport link: %v", p.rank, idx, err))
 	}
-	v.ep = link
 	if p.world.cfg.Reliable {
 		rto := p.world.cfg.RetxTimeout
 		if rto == 0 {
@@ -238,32 +237,31 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 				rto = 2 * time.Millisecond
 			}
 		}
-		v.rel = nic.NewReliable(v.ep, nic.RelConfig{
+		// The transport's link carries the layer's envelope (NewWorld
+		// installs nic.RelCodec around the wire codec); the layer encodes
+		// the header inside it.
+		link = nic.NewReliable(link, wireCodec{p.world}, nic.RelConfig{
 			RTO:        rto,
 			MaxRetries: p.world.cfg.RetxMaxRetries,
 		})
 	}
+	v.ep = link
 	v.match.init()
 	if reg := p.world.cfg.Metrics; reg != nil {
 		scope := fmt.Sprintf("rank%d.vci%d", p.rank, idx)
 		v.UseMetrics(reg, scope)
-		v.ep.UseMetrics(reg, scope+".nic")
-		if v.rel != nil {
-			v.rel.UseMetrics(reg, scope+".rel")
-		}
+		v.ep.UseMetrics(reg, scope+".nic") // the reliability layer adds its own under .rel
 	}
 	// The netmod is the one subsystem hook; collective schedules, like
-	// the link flush and the retransmission timer, are async things of
-	// the stream. Counted registration: the work counter is positive
-	// exactly when polling might make progress, so an idle netmod costs
-	// the stream one atomic load per pass instead of a poll.
+	// the link flush, are async things of the stream. Counted
+	// registration: the work counter is positive exactly when polling
+	// might make progress, so an idle netmod costs the stream one atomic
+	// load per pass instead of a poll.
 	v.netWork = s.RegisterHookCounted(core.ClassNetmod, (*netHook)(v))
 	v.ep.BindWork(v.netWork)
-	if v.rel != nil {
-		v.rel.BindWork(v.netWork)
-	}
-	// A link with write coalescing (tcp, shm) arms a flush async thing
-	// on the stream whenever output is buffered; AsyncStart is
+	// A link with deferred send work — write coalescing (tcp, shm), the
+	// reliability layer's retransmission timer — arms a flush async
+	// thing on the stream whenever it has some; AsyncStart is
 	// stage-safe, so arming from inside a progress pass or a dial
 	// goroutine is fine.
 	v.ep.SetArm(func() { s.AsyncStart(linkFlushPoll, v) })
@@ -277,9 +275,6 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 	// Scratch buffers for netPoll's zero-allocation drains.
 	v.cqScratch = make([]nic.CQE, 0, drainBatch)
 	v.rqScratch = make([]fabric.Packet, 0, drainBatch)
-	if v.rel != nil {
-		v.rawScratch = make([]fabric.Packet, 0, drainBatch)
-	}
 	p.vcis = append(p.vcis, v)
 	return v
 }

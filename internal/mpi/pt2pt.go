@@ -30,13 +30,11 @@ func (c *Comm) Isend(buf []byte, count int, dt *datatype.Datatype, dst, tag int)
 // an advertised rendezvous out of this process answers FIN only after
 // the read: every reader of the payload is done with it before the
 // request completes. So a contiguous buffer is handed down as it is
-// (capacity clipped: the library never writes it). Two cases keep a
-// private copy: gapped layouts, which have to be packed anyway, and
-// sends small enough to complete at post under the reliability layer,
-// whose retransmit queue reads the payload until it is acknowledged.
+// (capacity clipped: the library never writes it). Only gapped layouts,
+// which have to be packed anyway, get a private copy.
 func (c *Comm) sendPayload(buf []byte, count int, dt *datatype.Datatype) []byte {
 	n := datatype.PackedSize(count, dt)
-	if cfg := c.proc.world.cfg; dt.Contig() && !(cfg.Reliable && n <= cfg.EagerInline) {
+	if dt.Contig() {
 		return buf[:n:n]
 	}
 	wire := make([]byte, n)

@@ -139,12 +139,12 @@ type rtsToken struct {
 }
 
 // hdrPool recycles wire headers so the eager hot path allocates
-// nothing per message in steady state. Every link encodes a post before
-// it returns and hands the receiver a header of its own, decoded from
-// the frame, so one rule serves every world: the sender recycles its
-// header once a raw post returns (postInline, postSignaled; under the
-// reliability layer the retransmit queue keeps it), and the receiver
-// recycles each header it decoded once netPoll has handled it.
+// nothing per message in steady state. Every link — the reliability
+// layer included — encodes a post before it returns and hands the
+// receiver a header of its own, decoded from the frame, so one rule
+// serves every world: the sender recycles its header once a post
+// returns (postInline, postSignaled), and the receiver recycles each
+// header it decoded once netPoll has handled it.
 var hdrPool = sync.Pool{New: func() any { return new(wireHdr) }}
 
 func newHdr() *wireHdr { return hdrPool.Get().(*wireHdr) }
@@ -154,8 +154,8 @@ func recycleHdr(h *wireHdr) {
 	hdrPool.Put(h)
 }
 
-// sendStatePool recycles rendezvous send states. Only raw mode
-// returns them (clean completion only): under the reliability layer,
+// sendStatePool recycles rendezvous send states. Only worlds without
+// the reliability layer return them (clean completion only): under it,
 // late duplicate CQEs and queued rtsTokens may still reference the
 // state after the request completes.
 var sendStatePool = sync.Pool{New: func() any { return new(netSendState) }}
@@ -178,8 +178,7 @@ func recycleSendState(st *netSendState) {
 type VCI struct {
 	proc   *Proc
 	stream *core.Stream
-	ep     nic.Link
-	rel    *nic.Reliable // non-nil when Config.Reliable
+	ep     nic.Link // the transport's, wrapped in the reliability layer when Config.Reliable
 	match  matcher
 
 	// netWork is the stream's netmod work counter
@@ -190,12 +189,11 @@ type VCI struct {
 	// netmod state.
 	netOps atomic.Int64 // outstanding rendezvous sends
 
-	// cqScratch/rqScratch/rawScratch are the reusable netPoll drain
-	// buffers (zero-allocation completion drains). Only touched with
-	// the stream lock held, like all netPoll state.
-	cqScratch  []nic.CQE
-	rqScratch  []fabric.Packet
-	rawScratch []fabric.Packet
+	// cqScratch/rqScratch are the reusable netPoll drain buffers
+	// (zero-allocation completion drains). Only touched with the stream
+	// lock held, like all netPoll state.
+	cqScratch []nic.CQE
+	rqScratch []fabric.Packet
 
 	// Rendezvous handle tables: rendezvous state is addressed by per-VCI
 	// handle ids (wireHdr.sreqID/rreqID), the wire-encoded request ids a
@@ -399,13 +397,10 @@ func (v *VCI) Endpoint() nic.Link { return v.ep }
 
 // netPending reports outstanding network work for Quiesce/diagnostics.
 func (v *VCI) netPending() int {
-	// Frames a link holds between post and wire (write coalescing) are
-	// still in flight for Quiesce purposes.
-	n := v.ep.QueuedCQ() + v.ep.QueuedRQ() + v.ep.PendingTx() + int(v.netOps.Load())
-	if v.rel != nil {
-		n += v.rel.QueuedCQ() + v.rel.Outstanding()
-	}
-	return n
+	// Frames a link holds between post and wire (write coalescing) or
+	// until their acknowledgement (the reliability layer) are still in
+	// flight for Quiesce purposes.
+	return v.ep.QueuedCQ() + v.ep.QueuedRQ() + v.ep.PendingTx() + int(v.netOps.Load())
 }
 
 // mapLinkErr translates a transport completion error into the public
@@ -423,69 +418,29 @@ func mapLinkErr(err error) error {
 	return fmt.Errorf("%w: %v", ErrLinkDown, err)
 }
 
-// postInline sends a fire-and-forget protocol message, through the
-// reliability layer when enabled, and takes h over. Arming the
-// retransmit timer means starting an MPIX Async thing on this VCI's
-// stream: recovery is then driven by the same progress calls that drive
-// everything else.
+// postInline sends a fire-and-forget protocol message and takes h
+// over: the link encoded it.
 func (v *VCI) postInline(dst fabric.EndpointID, h *wireHdr, bytes int) error {
-	if v.rel != nil {
-		if v.rel.PostSendInline(dst, h, bytes) {
-			v.stream.AsyncStart(retxPoll, v)
-		}
-		return nil
-	}
 	err := v.ep.PostSendInline(dst, h, bytes)
-	recycleHdr(h) // the link encoded it
+	recycleHdr(h)
 	return err
 }
 
-// postSignaled sends a protocol message whose completion (wire-tx raw,
-// cumulative-ack reliable) posts token to the completion queue, and
-// takes h over.
+// postSignaled sends a protocol message whose completion (wire-tx, or
+// cumulative ack under the reliability layer) posts token to the
+// completion queue, and takes h over.
 func (v *VCI) postSignaled(dst fabric.EndpointID, h *wireHdr, bytes int, token any) error {
-	if v.rel != nil {
-		if v.rel.PostSend(dst, h, bytes, token) {
-			v.stream.AsyncStart(retxPoll, v)
-		}
-		return nil
-	}
 	err := v.ep.PostSend(dst, h, bytes, token)
 	recycleHdr(h)
 	return err
 }
 
-// retxPoll is the retransmission timer as an MPIX Async poll function
-// (the paper's §2.7 "MPI subsystems in user space"): each progress call
-// on the VCI's stream checks the backoff deadlines; when nothing is
-// unacknowledged the thing retires itself and the next send arms a
-// fresh one.
-func retxPoll(t core.Thing) core.PollOutcome {
-	v := t.State().(*VCI)
-	before := v.rel.Stats()
-	made, idle := v.rel.Poll()
-	if made {
-		after := v.rel.Stats()
-		if d := after.Retransmits - before.Retransmits; d > 0 && v.tracing() {
-			v.trace("rel.retx", fmt.Sprintf("%d frame(s) retransmitted", d))
-		}
-		if after.LinksDown > before.LinksDown {
-			v.trace("rel.linkdown", "retransmission budget exhausted")
-		}
-	}
-	if idle {
-		return core.Done
-	}
-	if made {
-		return core.Progressed
-	}
-	return core.NoProgress
-}
-
-// linkFlushPoll drives a write-coalescing transport's socket flush as
-// an MPIX Async thing: the link arms it (nic.Link.SetArm) on the idle→
-// busy transition and it retires itself once the pending output drains,
-// so socket writes flow through Stream.Progress like every subsystem.
+// linkFlushPoll drives a link's deferred send work as an MPIX Async
+// thing — a write-coalescing transport's socket flush, the reliability
+// layer's retransmission timer: the link arms it (nic.Link.SetArm) on
+// the idle→busy transition and it retires itself once the link reports
+// idle, so socket writes and retransmissions flow through
+// Stream.Progress like every subsystem.
 func linkFlushPoll(t core.Thing) core.PollOutcome {
 	v := t.State().(*VCI)
 	made, idle := v.ep.Flush()
@@ -503,8 +458,6 @@ func linkFlushPoll(t core.Thing) core.PollOutcome {
 // VCI's scratch buffers (stream-lock protected, like all netPoll
 // state), so a steady-state pass allocates nothing.
 func (v *VCI) netPoll() bool {
-	var cqes []nic.CQE
-	var pkts []fabric.Packet
 	made := false
 	// Byte transports ingest socket bytes and ring cells on this thread
 	// first, so the drains below see the frames this same pass — MPI
@@ -513,33 +466,8 @@ func (v *VCI) netPoll() bool {
 	if v.ep.PollRecv() {
 		made = true
 	}
-	if v.rel != nil {
-		// The raw link CQ is unused for data completions in reliable mode
-		// (the go-back-N layer posts everything inline); anything queued
-		// there is a transport control event — peer-failure verdicts.
-		raw := v.ep.DrainCQ(v.cqScratch)
-		for _, cqe := range raw {
-			made = true
-			if tok, ok := cqe.Token.(nic.PeerDown); ok {
-				v.failPeer(tok.Rank, cqe.Err)
-			}
-		}
-		for i := range raw {
-			raw[i] = nic.CQE{}
-		}
-		v.cqScratch = raw[:0]
-		cqes = v.rel.DrainCQ(v.cqScratch)
-		pkts = v.rel.DrainRQ(v.rqScratch, v.rawScratch)
-		if v.rel.TakeRearm() {
-			// The drain revived a condemned link (evidence of life from
-			// a slow peer): its parked frames need the retransmit poll
-			// running again.
-			v.stream.AsyncStart(retxPoll, v)
-		}
-	} else {
-		cqes = v.ep.DrainCQ(v.cqScratch)
-		pkts = v.ep.DrainRQ(v.rqScratch)
-	}
+	cqes := v.ep.DrainCQ(v.cqScratch)
+	pkts := v.ep.DrainRQ(v.rqScratch)
 	if m := v.met; m != nil && len(cqes) > 0 && m.reg.On() {
 		// CQ observation latency: how long each completion sat in the
 		// queue before this progress pass drained it (a wait block's
@@ -576,8 +504,7 @@ func (v *VCI) netPoll() bool {
 			}
 			// Acked RTS needs no action: the CTS drives the data phase.
 		case nic.PeerDown:
-			// Transport failure verdict (raw mode; in reliable mode these
-			// arrive on the raw link CQ, drained above).
+			// Transport failure verdict.
 			v.failPeer(tok.Rank, cqe.Err)
 		default:
 			panic("mpi: unknown CQ token")
@@ -672,7 +599,7 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 		// cannot read them answers CTS all the same. Not under the
 		// reliability layer, whose link-down verdict on an unacknowledged
 		// RTS would complete the send while the receiver may be reading.
-		if v.rel == nil && v.proc.world.transport.PeerReader(v.rankOfEP(dstEP)) != nil {
+		if !cfg.Reliable && v.proc.world.transport.PeerReader(v.rankOfEP(dstEP)) != nil {
 			h.addr = addrOf(wire)
 			st.advertised = true
 		}
@@ -684,11 +611,15 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 		}
 		v.netOps.Add(1)
 		// Posting takes h over; don't touch it past this point.
-		if v.rel != nil {
+		var err error
+		if cfg.Reliable {
 			// Track the RTS so a dead link fails the request instead of
 			// leaving the rendezvous (and finalize's Quiesce) hanging.
-			v.postSignaled(dstEP, h, ctrlBytes, &rtsToken{st: st})
-		} else if err := v.postInline(dstEP, h, ctrlBytes); err != nil {
+			err = v.postSignaled(dstEP, h, ctrlBytes, &rtsToken{st: st})
+		} else {
+			err = v.postInline(dstEP, h, ctrlBytes)
+		}
+		if err != nil {
 			v.rndvFail(st, err)
 			return
 		}
@@ -745,9 +676,9 @@ func (v *VCI) rndvChunkDone(st *netSendState) {
 		v.netOps.Add(-1)
 		st.req.complete(Status{Bytes: len(st.wire)})
 		v.trace("send.complete", "rendezvous data drained")
-		if v.rel == nil {
-			// Raw mode: every chunk CQE has been drained and no rtsToken
-			// exists, so nothing references the state anymore.
+		if !v.proc.world.cfg.Reliable {
+			// Every chunk CQE has been drained and no rtsToken exists, so
+			// nothing references the state anymore.
 			recycleSendState(st)
 		}
 	}

@@ -16,9 +16,9 @@ import (
 // with a no-op rather than leaving them out. The simulated *Endpoint
 // implements it over the in-process fabric; the byte transports
 // (internal/transport/tcp, internal/transport/shm, and the composite
-// router over the two) implement it over sockets and mmap rings. The
-// contract mirrors the queue-pair model the paper's progress engine
-// polls:
+// router over the two) implement it over sockets and mmap rings, and
+// *Reliable around any of them. The contract mirrors the queue-pair
+// model the paper's progress engine polls:
 //
 //   - PostSendInline: buffered fire-and-forget injection; no completion
 //     is signaled. Every link encodes the payload through its codec
@@ -240,15 +240,16 @@ func (ep *Endpoint) Parking() bool            { return true }
 // relCodec wires the Reliable layer's frame envelope through a Codec
 // for byte-oriented transports: a relFrame rides as a fixed header
 // (kind, seq, cumulative ack, resync floor, source endpoint, payload
-// size) followed by the inner payload encoded with the wrapped codec.
+// size) followed, in a data frame, by the payload the layer encoded at
+// post, which the receiving side decodes with the wrapped codec.
 type relCodec struct {
 	inner Codec
 }
 
 // RelCodec returns a Codec for the Reliable layer's wire envelope,
-// delegating the wrapped payload to inner. Use it as the link codec
-// whenever a Reliable wraps a byte-oriented transport. The result is a
-// SplitCodec when inner is one.
+// decoding the wrapped payload with inner — the codec the layer
+// encodes it with (NewReliable). Use it as the link codec whenever a
+// Reliable wraps a link. The result is a SplitCodec when inner is one.
 func RelCodec(inner Codec) Codec {
 	if s, ok := inner.(SplitCodec); ok {
 		return relSplitCodec{relCodec{inner: inner}, s}
@@ -256,9 +257,10 @@ func RelCodec(inner Codec) Codec {
 	return relCodec{inner: inner}
 }
 
-const relCodecHdr = 1 + 8 + 8 + 8 + 8 + 4 + 1 // kind, seq, ack, floor, src, bytes, hasInner
+const relCodecHdr = 1 + 8 + 8 + 8 + 8 + 4 // kind, seq, ack, floor, src, bytes
 
-// appendEnvelope appends the envelope header of f.
+// appendEnvelope appends the envelope header of f and the encoded
+// payload's head.
 func appendEnvelope(buf []byte, payload any) ([]byte, *relFrame, error) {
 	f, ok := payload.(*relFrame)
 	if !ok {
@@ -271,17 +273,17 @@ func appendEnvelope(buf []byte, payload any) ([]byte, *relFrame, error) {
 	binary.LittleEndian.PutUint64(hdr[17:], f.floor)
 	binary.LittleEndian.PutUint64(hdr[25:], uint64(f.src))
 	binary.LittleEndian.PutUint32(hdr[33:], uint32(f.bytes))
-	if f.inner != nil {
-		hdr[37] = 1
-	}
-	return append(buf, hdr[:]...), f, nil
+	return append(append(buf, hdr[:]...), f.head...), f, nil
 }
 
-// parseEnvelope parses the envelope header; hasInner reports whether
-// an inner payload follows it.
-func parseEnvelope(data []byte) (f *relFrame, hasInner bool, err error) {
+// parseEnvelope parses the envelope header; a data frame's payload
+// follows it.
+func parseEnvelope(data []byte) (*relFrame, error) {
 	if len(data) < relCodecHdr {
-		return nil, false, fmt.Errorf("nic: RelCodec short frame (%d bytes)", len(data))
+		return nil, fmt.Errorf("nic: RelCodec short frame (%d bytes)", len(data))
+	}
+	if data[0] > relAck {
+		return nil, fmt.Errorf("nic: RelCodec unknown frame kind %d", data[0])
 	}
 	return &relFrame{
 		kind:  data[0],
@@ -290,20 +292,20 @@ func parseEnvelope(data []byte) (f *relFrame, hasInner bool, err error) {
 		floor: binary.LittleEndian.Uint64(data[17:]),
 		src:   fabric.EndpointID(binary.LittleEndian.Uint64(data[25:])),
 		bytes: int(binary.LittleEndian.Uint32(data[33:])),
-	}, data[37] != 0, nil
+	}, nil
 }
 
 func (c relCodec) Encode(buf []byte, payload any) ([]byte, error) {
 	buf, f, err := appendEnvelope(buf, payload)
-	if err != nil || f.inner == nil {
-		return buf, err
+	if err != nil {
+		return nil, err
 	}
-	return c.inner.Encode(buf, f.inner)
+	return append(buf, f.body...), nil
 }
 
 func (c relCodec) Decode(data []byte) (any, error) {
-	f, hasInner, err := parseEnvelope(data)
-	if err != nil || !hasInner {
+	f, err := parseEnvelope(data)
+	if err != nil || f.kind != relData {
 		return f, err
 	}
 	if f.inner, err = c.inner.Decode(data[relCodecHdr:]); err != nil {
@@ -313,7 +315,8 @@ func (c relCodec) Decode(data []byte) (any, error) {
 }
 
 // relSplitCodec is relCodec over an inner SplitCodec: the envelope
-// rides in the head and the inner payload's body stays un-copied.
+// and the payload's head ride in the head, and the payload's body
+// stays un-copied.
 type relSplitCodec struct {
 	relCodec
 	split SplitCodec
@@ -321,15 +324,15 @@ type relSplitCodec struct {
 
 func (c relSplitCodec) EncodeSplit(buf []byte, payload any) (head, body []byte, err error) {
 	buf, f, err := appendEnvelope(buf, payload)
-	if err != nil || f.inner == nil {
-		return buf, nil, err
+	if err != nil {
+		return nil, nil, err
 	}
-	return c.split.EncodeSplit(buf, f.inner)
+	return buf, f.body, nil
 }
 
 func (c relSplitCodec) DecodeOwned(frame, data []byte) (any, error) {
-	f, hasInner, err := parseEnvelope(data)
-	if err != nil || !hasInner {
+	f, err := parseEnvelope(data)
+	if err != nil || f.kind != relData {
 		return f, err // a bare envelope references nothing in frame
 	}
 	if f.inner, err = c.split.DecodeOwned(frame, data[relCodecHdr:]); err != nil {

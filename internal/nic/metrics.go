@@ -1,6 +1,10 @@
 package nic
 
-import "gompix/internal/metrics"
+import (
+	"strings"
+
+	"gompix/internal/metrics"
+)
 
 // epMetrics instruments one endpoint. The CQ/RQ depth gauges track the
 // backlog MPI progress has not yet drained — the paper's wait blocks
@@ -45,13 +49,15 @@ type relMetrics struct {
 	outstandingGus *metrics.Gauge
 }
 
-// UseMetrics wires the reliability layer to the registry under the
-// given scope prefix (e.g. "rank0.vci0.rel"). Call before traffic
-// flows.
+// UseMetrics wires the wrapped link's instruments under scope and the
+// layer's beside them, scope's last element replaced by "rel"
+// ("rank0.vci0.nic" → "rank0.vci0.rel"). Call before traffic flows.
 func (r *Reliable) UseMetrics(reg *metrics.Registry, scope string) {
+	r.link.UseMetrics(reg, scope)
 	if reg == nil {
 		return
 	}
+	scope = scope[:strings.LastIndexByte(scope, '.')+1] + "rel"
 	r.met = &relMetrics{
 		reg:            reg,
 		retransmits:    reg.Counter(scope + ".retransmits"),

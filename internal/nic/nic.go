@@ -209,15 +209,6 @@ func (ep *Endpoint) DrainRQ(buf []fabric.Packet) []fabric.Packet {
 	return buf
 }
 
-// PollCQ drains up to max completion entries (max <= 0 drains all)
-// into a fresh slice. Allocating convenience wrapper over DrainCQ;
-// hot paths should hold a scratch buffer and call DrainCQ directly.
-func (ep *Endpoint) PollCQ(max int) []CQE { return pollAll(max, ep.cq.Len(), ep.DrainCQ) }
-
-// PollRQ drains up to max arrived packets (max <= 0 drains all) into a
-// fresh slice. Allocating convenience wrapper over DrainRQ.
-func (ep *Endpoint) PollRQ(max int) []fabric.Packet { return pollAll(max, ep.rq.Len(), ep.DrainRQ) }
-
 // QueuedCQ returns the number of unpolled completion entries.
 func (ep *Endpoint) QueuedCQ() int { return ep.cq.Len() }
 

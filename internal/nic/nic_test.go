@@ -19,6 +19,25 @@ func num(i int) []byte { return binary.LittleEndian.AppendUint32(nil, uint32(i))
 
 func numOf(p fabric.Packet) int { return int(binary.LittleEndian.Uint32(p.Payload.([]byte))) }
 
+// pollCQ and pollRQ drain up to max of l's queued entries (max <= 0:
+// all of them) into a fresh slice, nil when there are none.
+func pollCQ(l Link, max int) []CQE { return poll(max, l.QueuedCQ(), l.DrainCQ) }
+
+func pollRQ(l Link, max int) []fabric.Packet { return poll(max, l.QueuedRQ(), l.DrainRQ) }
+
+func poll[T any](max, queued int, drain func([]T) []T) []T {
+	if max > 0 && max < queued {
+		queued = max
+	}
+	if queued == 0 {
+		return nil
+	}
+	if out := drain(make([]T, 0, queued)); len(out) > 0 {
+		return out
+	}
+	return nil
+}
+
 func newPair(t *testing.T, cfg fabric.Config) (*timing.ManualClock, *fabric.Network, *Endpoint, *Endpoint) {
 	t.Helper()
 	mc := timing.NewManualClock()
@@ -31,12 +50,12 @@ func newPair(t *testing.T, cfg fabric.Config) (*timing.ManualClock, *fabric.Netw
 func TestInlineSendDelivery(t *testing.T) {
 	mc, net, a, b := newPair(t, fabric.Config{Latency: 5 * time.Microsecond})
 	a.PostSendInline(b.ID(), []byte("msg"), 32)
-	if got := b.PollRQ(0); got != nil {
+	if got := pollRQ(b, 0); got != nil {
 		t.Fatal("nothing should have arrived yet")
 	}
 	net.RunUntil(time.Second)
 	_ = mc
-	pkts := b.PollRQ(0)
+	pkts := pollRQ(b, 0)
 	if len(pkts) != 1 || !bytes.Equal(pkts[0].Payload.([]byte), []byte("msg")) {
 		t.Fatalf("pkts = %v", pkts)
 	}
@@ -65,7 +84,7 @@ func TestSignaledSendCompletion(t *testing.T) {
 		t.Fatal("CQE before wire finished")
 	}
 	net.RunUntil(2 * time.Microsecond) // tx done at 1us
-	cqes := a.PollCQ(0)
+	cqes := pollCQ(a, 0)
 	if len(cqes) != 1 || cqes[0].Token != tok {
 		t.Fatalf("cqes = %v", cqes)
 	}
@@ -92,7 +111,7 @@ func TestTxSerializationBackToBack(t *testing.T) {
 	a.PostSend(b.ID(), []byte{}, 1000, 1)
 	a.PostSend(b.ID(), []byte{}, 1000, 2)
 	net.RunUntil(time.Second)
-	cqes := a.PollCQ(0)
+	cqes := pollCQ(a, 0)
 	if len(cqes) != 2 {
 		t.Fatalf("cqes = %v", cqes)
 	}
@@ -107,26 +126,26 @@ func TestPollMaxLimits(t *testing.T) {
 		a.PostSend(b.ID(), num(i), 8, i)
 	}
 	net.RunUntil(time.Second)
-	first := a.PollCQ(2)
+	first := pollCQ(a, 2)
 	if len(first) != 2 || first[0].Token != 0 || first[1].Token != 1 {
 		t.Fatalf("first = %v", first)
 	}
-	rest := a.PollCQ(0)
+	rest := pollCQ(a, 0)
 	if len(rest) != 3 || rest[0].Token != 2 {
 		t.Fatalf("rest = %v", rest)
 	}
-	pk := b.PollRQ(3)
+	pk := pollRQ(b, 3)
 	if len(pk) != 3 {
 		t.Fatalf("rq first batch = %d", len(pk))
 	}
-	if got := len(b.PollRQ(0)); got != 2 {
+	if got := len(pollRQ(b, 0)); got != 2 {
 		t.Fatalf("rq rest = %d", got)
 	}
 }
 
 func TestEmptyPollsCheap(t *testing.T) {
 	_, _, a, _ := newPair(t, fabric.Config{})
-	if a.PollCQ(0) != nil || a.PollRQ(0) != nil {
+	if pollCQ(a, 0) != nil || pollRQ(a, 0) != nil {
 		t.Fatal("empty polls should return nil")
 	}
 }
@@ -166,7 +185,7 @@ func TestSendStreamProperty(t *testing.T) {
 			}
 		}
 		net.RunUntil(time.Minute)
-		pkts := b.PollRQ(0)
+		pkts := pollRQ(b, 0)
 		if len(pkts) != n {
 			return false
 		}
@@ -175,7 +194,7 @@ func TestSendStreamProperty(t *testing.T) {
 				return false
 			}
 		}
-		return len(a.PollCQ(0)) == signaled
+		return len(pollCQ(a, 0)) == signaled
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -309,7 +328,7 @@ func TestPostSendConcurrent(t *testing.T) {
 	wg.Wait()
 	deadline := time.Now().Add(5 * time.Second)
 	for received := 0; received < senders*perSender; {
-		received += len(dst.PollRQ(0))
+		received += len(pollRQ(dst, 0))
 		if time.Now().After(deadline) {
 			t.Fatalf("received %d of %d", received, senders*perSender)
 		}

@@ -94,20 +94,3 @@ func (q *Queue[T]) Drain(buf []T) []T {
 
 // Len returns the number of undrained entries (one atomic load).
 func (q *Queue[T]) Len() int { return int(q.n.Load()) }
-
-// pollAll drains up to max of the queued entries (max <= 0: all of
-// them) into a fresh slice: the allocating convenience form of a
-// drain, for callers off the hot path.
-func pollAll[T any](max, queued int, drain func([]T) []T) []T {
-	if queued == 0 {
-		return nil
-	}
-	if max > 0 && max < queued {
-		queued = max
-	}
-	out := drain(make([]T, 0, queued))
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}

@@ -22,43 +22,52 @@ func (bytesCodec) Place(fabric.EndpointID, int, []byte) ([]byte, Placement, int)
 // TestRelCodecCarriesEveryField: the envelope must carry the whole
 // relFrame — go-back-N over a byte transport is only the protocol the
 // sim fabric tests if no field stays behind (floor once did). Every
-// field gets a distinct non-zero value, and the reflection check makes
-// a field added later fail here until the codec carries it too.
+// field gets a distinct non-zero value on the side of the codec that
+// has it — the payload's encoding (head, body) going in, its decoding
+// (inner) coming out — and the reflection check makes a field added
+// later fail here until the codec carries it too. relData is the zero
+// kind: an ACK frame carries a non-zero one.
 func TestRelCodecCarriesEveryField(t *testing.T) {
-	// relAck because relData is the zero kind.
-	want := relFrame{kind: relAck, seq: 0x1111, ack: 0x2222, floor: 0x3333, src: 0x4444, inner: []byte("inner"), bytes: 0x5555}
-	v := reflect.ValueOf(want)
-	for i := 0; i < v.NumField(); i++ {
-		if v.Field(i).IsZero() {
-			t.Fatalf("relFrame.%s is zero: give it a value here, and carry it in the envelope", v.Type().Field(i).Name)
+	sent := relFrame{seq: 0x1111, ack: 0x2222, floor: 0x3333, src: 0x4444, bytes: 0x5555, head: []byte("in"), body: []byte("ner")}
+	want := sent
+	want.head, want.body, want.inner = nil, nil, []byte("inner")
+	ack := relFrame{kind: relAck, ack: 0x6666, src: 0x7777, bytes: 0x10}
+	for i, typ := 0, reflect.TypeOf(sent); i < typ.NumField(); i++ {
+		if typ.Field(i).Name == "kind" {
+			continue
+		}
+		if reflect.ValueOf(sent).Field(i).IsZero() && reflect.ValueOf(want).Field(i).IsZero() {
+			t.Fatalf("relFrame.%s is zero: give it a value here, and carry it in the envelope", typ.Field(i).Name)
 		}
 	}
 	c := RelCodec(bytesCodec{})
-	check := func(how string, got any, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", how, err)
-		}
-		if f := got.(*relFrame); !reflect.DeepEqual(*f, want) {
-			t.Fatalf("%s: got %+v, want %+v", how, *f, want)
-		}
-	}
-	enc, err := c.Encode(nil, &want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Decode(enc)
-	check("Encode/Decode", got, err)
-
 	sc, ok := c.(SplitCodec)
 	if !ok {
 		t.Fatal("RelCodec over a SplitCodec is not one")
 	}
-	head, body, err := sc.EncodeSplit(nil, &want)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ sent, want relFrame }{{sent, want}, {ack, ack}} {
+		check := func(how string, got any, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", how, err)
+			}
+			if f := got.(*relFrame); !reflect.DeepEqual(*f, tc.want) {
+				t.Fatalf("%s: got %+v, want %+v", how, *f, tc.want)
+			}
+		}
+		enc, err := c.Encode(nil, &tc.sent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Decode(enc)
+		check("Encode/Decode", got, err)
+
+		head, body, err := sc.EncodeSplit(nil, &tc.sent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := append(head, body...)
+		got, err = sc.DecodeOwned(frame, frame)
+		check("EncodeSplit/DecodeOwned", got, err)
 	}
-	frame := append(head, body...)
-	got, err = sc.DecodeOwned(frame, frame)
-	check("EncodeSplit/DecodeOwned", got, err)
 }

@@ -8,27 +8,31 @@ import (
 	"gompix/internal/fabric"
 )
 
-// This file implements a reliability protocol on top of the raw
-// endpoint, for use over a lossy fabric (fabric.FaultConfig): per-link
-// sequence numbers, cumulative ACKs, in-order delivery with
-// duplicate suppression, and a retransmission queue with exponential
-// backoff. The retransmit timer is not a goroutine: Poll is designed to
-// be driven as an MPIX Async thing from inside MPI progress, so
+// This file implements a reliability protocol as a Link wrapped around
+// another, for use over a lossy fabric (fabric.FaultConfig): per-link
+// sequence numbers, cumulative ACKs, in-order delivery with duplicate
+// suppression, and a retransmission queue with exponential backoff. The
+// retransmit timer is not a goroutine: it runs in Flush, which the
+// owner drives as the MPIX Async thing SetArm's callback starts, so
 // recovery latency is governed by the paper's explicit progress model —
 // a user-space MPI subsystem in the sense of §2.7.
 //
 // Semantics offered to the netmod above:
 //
 //   - PostSendInline: fire-and-forget, but the frame is retransmitted
-//     until acknowledged (or its link dies). The caller's buffer is
-//     free immediately, as with the raw inline send.
+//     until acknowledged (or its link dies). The payload is encoded at
+//     post, body included: the caller's buffer is free immediately, and
+//     a retransmission copies the layer's bytes, never the caller's.
 //   - PostSend: the CQE is posted when the frame is *cumulatively
 //     acknowledged*, not when the wire transmission finishes — one wait
 //     block whose meaning is strengthened from "transmitted" to
-//     "delivered". A frame that exhausts its retransmission budget
-//     posts a CQE with Err = ErrLinkDown instead of hanging forever.
-//   - PollRQ: delivers peer frames exactly once, in per-link seq order,
-//     regardless of drops, duplicates, and delay spikes below.
+//     "delivered"; the body is read until then. A frame that exhausts
+//     its retransmission budget posts a CQE with Err = ErrLinkDown
+//     instead of hanging forever.
+//   - DrainRQ: delivers peer frames exactly once, in per-link seq
+//     order, regardless of drops, duplicates, and delay spikes below.
+//     Flush absorbs arrivals too, so an ACK completes its frame whether
+//     or not the owner drains the receive queue.
 //
 // A down link is quiescent, not dead: "down" only proves the peer went
 // MaxRetries rounds without acknowledging, which a rank that simply is
@@ -48,6 +52,9 @@ import (
 // ErrLinkDown reports that a destination exhausted its retransmission
 // budget and was declared unreachable.
 var ErrLinkDown = errors.New("nic: link down")
+
+// errRelClosed refuses a post after Close.
+var errRelClosed = errors.New("nic: reliable link closed")
 
 // RelConfig tunes the reliability layer.
 type RelConfig struct {
@@ -86,24 +93,29 @@ const (
 )
 
 // relFrame is the reliability-layer wire envelope: it rides as the
-// fabric packet payload, wrapping the caller's payload.
+// wrapped link's payload, around the caller's payload. On the send side
+// the payload is already encoded (head, body); on the receive side
+// RelCodec has decoded it into inner.
 type relFrame struct {
 	kind  uint8
 	seq   uint64 // relData: per-link sequence number
 	ack   uint64 // cumulative: every seq < ack has been received
 	floor uint64 // relData: oldest seq still deliverable (resync after abandonment)
 	src   fabric.EndpointID
-	inner any
-	bytes int // inner payload bytes (excluding HdrBytes)
+	bytes int // modeled payload bytes (excluding HdrBytes)
+
+	head, body []byte // send side: the payload's encoding
+	inner      any    // receive side: the payload decoded
 }
 
-// relPkt is one unacknowledged frame in a link's retransmission queue.
+// relPkt is one unacknowledged frame in a link's retransmission queue,
+// encoded at post (body is the caller's only for a signaled frame).
 type relPkt struct {
-	seq      uint64
-	inner    any
-	bytes    int
-	token    any
-	hasToken bool
+	seq        uint64
+	head, body []byte
+	bytes      int
+	token      any
+	hasToken   bool
 }
 
 // txLink is the sender half of one directed link. While down, unacked
@@ -158,50 +170,110 @@ type RelStats struct {
 	FramesFailed uint64
 }
 
-// Reliable layers the reliability protocol over a raw endpoint. All
-// methods are safe for concurrent use; the intended driver is MPI
-// progress (PollCQ/PollRQ from the netmod hook, Poll from an async
-// thing).
+// relBatch is how many raw arrivals one absorb takes off the wrapped
+// link; deeper queues are absorbed over several calls.
+const relBatch = 256
+
+// Reliable is the reliability protocol as a Link wrapped around another
+// one. All methods are safe for concurrent use; MPI progress calls them
+// (DrainCQ/DrainRQ from the netmod hook, Flush from the async thing
+// SetArm's callback starts).
 type Reliable struct {
-	link Link
-	cfg  RelConfig
+	link  Link
+	codec Codec
+	split SplitCodec // codec's zero-copy side, nil when it has none
+	cfg   RelConfig
 
-	mu    sync.Mutex
-	tx    map[fabric.EndpointID]*txLink
-	rx    map[fabric.EndpointID]*rxLink
-	armed bool
-	rearm bool // a revival armed the layer; the owner must restart its poll
-	out   int  // total unacked frames across live links (parked excluded)
-	stats RelStats
+	mu     sync.Mutex
+	tx     map[fabric.EndpointID]*txLink
+	rx     map[fabric.EndpointID]*rxLink
+	arm    func() // SetArm's callback
+	armed  bool   // a Flush is owed: some frame is unacknowledged
+	closed bool
+	out    int // total unacked frames across live links (parked excluded)
+	stats  RelStats
+	// raw and deliv are absorb's scratch: the wrapped link's arrivals,
+	// and what they deliver in order.
+	raw, deliv []fabric.Packet
 
-	// cq is this layer's own completion queue; a bound work counter
-	// mirrors its depth into the owning stream's netmod counter (the raw
-	// queues are mirrored by the wrapped endpoint's own binding).
+	// cq holds this layer's completions and rq its in-order deliveries;
+	// both are bound to the owner's work counter beside the wrapped
+	// link's own queues.
 	cq Queue[CQE]
+	rq Queue[fabric.Packet]
 
 	// met is the optional observability wiring (UseMetrics).
 	met *relMetrics
 }
 
-// NewReliable wraps a raw link with the reliability protocol. The
-// caller must route all traffic for that link through the wrapper: raw
-// and reliable frames cannot share a link.
-func NewReliable(link Link, cfg RelConfig) *Reliable {
-	return &Reliable{
-		link: link,
-		cfg:  cfg.withDefaults(),
-		tx:   make(map[fabric.EndpointID]*txLink),
-		rx:   make(map[fabric.EndpointID]*rxLink),
+// NewReliable wraps link with the reliability protocol. codec is the
+// payload codec inside the envelope — the one link's own codec wraps
+// in RelCodec — with which the layer encodes every post. The caller
+// must route all traffic for link through the wrapper: raw and reliable
+// frames cannot share a link.
+func NewReliable(link Link, codec Codec, cfg RelConfig) *Reliable {
+	r := &Reliable{
+		link:  link,
+		codec: codec,
+		cfg:   cfg.withDefaults(),
+		tx:    make(map[fabric.EndpointID]*txLink),
+		rx:    make(map[fabric.EndpointID]*rxLink),
+		raw:   make([]fabric.Packet, 0, relBatch),
 	}
+	r.split, _ = codec.(SplitCodec)
+	return r
 }
 
-// Link returns the wrapped raw link.
-func (r *Reliable) Link() Link { return r.link }
+var _ Link = (*Reliable)(nil)
 
-// BindWork attaches a stream work counter fed by this layer's own
-// completion queue; callers should additionally bind the wrapped
-// endpoint so raw arrivals are counted too.
-func (r *Reliable) BindWork(w WorkCounter) { r.cq.Bind(w) }
+// The wrapped link's answers: its address, its clock (on which the
+// retransmission deadlines live), and its receive side, where the
+// layer finds its input (Link implementation).
+func (r *Reliable) ID() fabric.EndpointID { return r.link.ID() }
+func (r *Reliable) Now() time.Duration    { return r.link.Now() }
+func (r *Reliable) PollRecv() bool        { return r.link.PollRecv() }
+func (r *Reliable) Parking() bool         { return r.link.Parking() }
+
+// Close refuses later posts and closes the wrapped link.
+func (r *Reliable) Close() error {
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
+	return r.link.Close()
+}
+
+// BindWork binds this layer's queues and the wrapped link's to w.
+func (r *Reliable) BindWork(w WorkCounter) {
+	r.cq.Bind(w)
+	r.rq.Bind(w)
+	r.link.BindWork(w)
+}
+
+// SetArm registers the callback that starts a Flush: the layer invokes
+// it when its first frame goes unacknowledged and when a revival gives
+// parked frames back to the timer, the wrapped link when its own output
+// goes pending.
+func (r *Reliable) SetArm(arm func()) {
+	r.mu.Lock()
+	r.arm = arm
+	r.mu.Unlock()
+	r.link.SetArm(arm)
+}
+
+// PendingTx counts what the wrapped link has not put on the wire yet
+// and the frames this layer has not seen acknowledged (parked frames
+// aside).
+func (r *Reliable) PendingTx() int {
+	r.mu.Lock()
+	n := r.out
+	r.mu.Unlock()
+	return n + r.link.PendingTx()
+}
+
+// QueuedCQ and QueuedRQ count this layer's entries and the wrapped
+// link's: its control completions, its arrivals not yet absorbed.
+func (r *Reliable) QueuedCQ() int { return r.cq.Len() + r.link.QueuedCQ() }
+func (r *Reliable) QueuedRQ() int { return r.rq.Len() + r.link.QueuedRQ() }
 
 func (r *Reliable) txFor(dst fabric.EndpointID) *txLink {
 	l, ok := r.tx[dst]
@@ -221,115 +293,130 @@ func (r *Reliable) rxFor(src fabric.EndpointID) *rxLink {
 	return l
 }
 
-// now returns the wrapped link's clock time.
-func (r *Reliable) now() time.Duration { return r.link.Now() }
-
-// post queues payload on dst's link and transmits the first copy. It
-// returns true when the caller must arm the retransmit poll (the layer
-// transitioned from idle to having unacknowledged frames).
-func (r *Reliable) post(dst fabric.EndpointID, payload any, bytes int, token any, hasToken bool) (arm bool) {
-	r.mu.Lock()
-	l := r.txFor(dst)
-	if l.down {
-		if hasToken {
-			// Signaled sends keep the fail-fast ErrLinkDown contract.
-			r.mu.Unlock()
-			r.failCQ(token)
-			return false
-		}
-		// Park the frame (not counted outstanding, not retransmitted)
-		// but still transmit one copy: if the peer is alive, its ACK is
-		// the evidence of life that revives this link.
-		f := relFrame{kind: relData, seq: l.nextSeq, ack: r.rxFor(dst).nextExp, src: r.link.ID(), inner: payload, bytes: bytes}
-		l.nextSeq++
-		l.unacked = append(l.unacked, relPkt{seq: f.seq, inner: payload, bytes: bytes})
-		f.floor = l.floorLocked()
-		r.mu.Unlock()
-		r.link.PostSendInline(dst, &f, r.cfg.HdrBytes+bytes)
-		return false
-	}
-	f := relFrame{kind: relData, seq: l.nextSeq, ack: r.rxFor(dst).nextExp, src: r.link.ID(), inner: payload, bytes: bytes}
-	l.nextSeq++
-	if len(l.unacked) == 0 {
-		l.rto = r.cfg.RTO
-		l.retries = 0
-		l.deadline = r.now() + l.rto
-	}
-	l.unacked = append(l.unacked, relPkt{seq: f.seq, inner: payload, bytes: bytes, token: token, hasToken: hasToken})
-	f.floor = l.floorLocked()
-	r.out++
-	if m := r.met; m != nil && m.reg.On() {
-		m.outstandingGus.Set(int64(r.out))
-	}
-	if !r.armed {
-		r.armed = true
-		arm = true
-	}
-	r.mu.Unlock()
-	r.link.PostSendInline(dst, &f, r.cfg.HdrBytes+bytes)
-	r.restartTimer(l, f.seq)
-	return arm
-}
-
-// restartTimer starts l's retransmission timeout over once the frames
-// from seq have left, if seq is still the oldest unacknowledged frame:
-// the timer times the wire and the peer, not the post, which encodes
-// each frame (a copy of its body) on every link. It does nothing when
-// an older frame is still waiting, seq was acknowledged meanwhile or
-// the link went down.
-func (r *Reliable) restartTimer(l *txLink, seq uint64) {
-	r.mu.Lock()
-	if !l.down && len(l.unacked) > 0 && l.unacked[0].seq == seq {
-		l.deadline = r.now() + l.rto
-	}
-	r.mu.Unlock()
-}
-
-// PostSendInline sends payload reliably with no completion signal; the
-// caller's buffer is free immediately. The returned flag tells the
-// caller to (re)start the retransmit poll — see Poll.
-func (r *Reliable) PostSendInline(dst fabric.EndpointID, payload any, bytes int) (arm bool) {
+// PostSendInline sends payload reliably with no completion signal. The
+// payload is encoded before it returns, so the caller's buffer is free
+// at once.
+func (r *Reliable) PostSendInline(dst fabric.EndpointID, payload any, bytes int) error {
 	return r.post(dst, payload, bytes, nil, false)
 }
 
 // PostSend sends payload reliably and posts a CQE carrying token when
 // the frame is cumulatively acknowledged — or a CQE with
-// Err = ErrLinkDown if the link dies first.
-func (r *Reliable) PostSend(dst fabric.EndpointID, payload any, bytes int, token any) (arm bool) {
+// Err = ErrLinkDown if the link dies first. Until then the layer may
+// read the payload's body.
+func (r *Reliable) PostSend(dst fabric.EndpointID, payload any, bytes int, token any) error {
 	return r.post(dst, payload, bytes, token, true)
 }
 
+// encode makes a post's bytes, as a byte transport does: the head into
+// memory of the layer's own, and the body too for an inline post; a
+// signaled post's body stays where it is until its CQE.
+func (r *Reliable) encode(payload any, signaled bool) (head, body []byte, err error) {
+	if r.split == nil {
+		head, err = r.codec.Encode(nil, payload)
+		return head, nil, err
+	}
+	if head, body, err = r.split.EncodeSplit(nil, payload); err != nil || signaled {
+		return head, body, err
+	}
+	return append(head, body...), nil, nil
+}
+
+// post queues an encoded frame on dst's link and transmits its first
+// copy. Once the frame is queued the layer owns its delivery: a failed
+// transmission is retried by the timer like a lost one.
+func (r *Reliable) post(dst fabric.EndpointID, payload any, bytes int, token any, signaled bool) error {
+	head, body, err := r.encode(payload, signaled)
+	if err != nil {
+		return err
+	}
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return errRelClosed
+	}
+	l := r.txFor(dst)
+	if l.down && signaled {
+		// Signaled sends keep the fail-fast ErrLinkDown contract.
+		r.mu.Unlock()
+		r.failCQ(token)
+		return nil
+	}
+	parked := l.down
+	f := relFrame{kind: relData, seq: l.nextSeq, ack: r.rxFor(dst).nextExp, src: r.link.ID(), bytes: bytes, head: head, body: body}
+	l.nextSeq++
+	var arm func()
+	if !parked {
+		if len(l.unacked) == 0 {
+			l.rto = r.cfg.RTO
+			l.retries = 0
+			l.deadline = r.Now() + l.rto
+		}
+		r.out++
+		if m := r.met; m != nil && m.reg.On() {
+			m.outstandingGus.Set(int64(r.out))
+		}
+		arm = r.armLocked()
+	}
+	// A frame to a down link parks (not counted outstanding, not
+	// retransmitted) but still goes out once: if the peer is alive, its
+	// ACK is the evidence of life that revives the link.
+	l.unacked = append(l.unacked, relPkt{seq: f.seq, head: head, body: body, bytes: bytes, token: token, hasToken: signaled})
+	f.floor = l.floorLocked()
+	r.mu.Unlock()
+	r.link.PostSendInline(dst, &f, r.cfg.HdrBytes+bytes)
+	if !parked {
+		r.restartTimer(l, f.seq)
+	}
+	if arm != nil {
+		arm()
+	}
+	return nil
+}
+
+// armLocked marks the layer armed and returns the callback to invoke
+// once r.mu is released, or nil when a Flush is already owed. Caller
+// holds r.mu.
+func (r *Reliable) armLocked() func() {
+	if r.armed {
+		return nil
+	}
+	r.armed = true
+	return r.arm
+}
+
+// restartTimer starts l's retransmission timeout over once the frames
+// from seq have left, if seq is still the oldest unacknowledged frame:
+// the timer times the wire and the peer, not the post, which copies
+// each frame on every link. It does nothing when an older frame is
+// still waiting, seq was acknowledged meanwhile or the link went down.
+func (r *Reliable) restartTimer(l *txLink, seq uint64) {
+	r.mu.Lock()
+	if !l.down && len(l.unacked) > 0 && l.unacked[0].seq == seq {
+		l.deadline = r.Now() + l.rto
+	}
+	r.mu.Unlock()
+}
+
 func (r *Reliable) failCQ(token any) {
-	r.cq.Push(CQE{Token: token, At: r.now(), Err: ErrLinkDown})
+	r.cq.Push(CQE{Token: token, At: r.Now(), Err: ErrLinkDown})
 }
 
 // DrainCQ moves up to cap(buf) completion entries into buf[:0] and
-// returns the filled slice; zero allocations, one lock per batch.
-func (r *Reliable) DrainCQ(buf []CQE) []CQE { return r.cq.Drain(buf) }
-
-// PollCQ drains up to max completion entries (max <= 0 drains all).
-// Allocating convenience wrapper over DrainCQ.
-func (r *Reliable) PollCQ(max int) []CQE { return pollAll(max, r.cq.Len(), r.DrainCQ) }
-
-// QueuedCQ returns the number of unpolled completion entries.
-func (r *Reliable) QueuedCQ() int { return r.cq.Len() }
-
-// QueuedRQ returns the number of unpolled raw arrivals.
-func (r *Reliable) QueuedRQ() int { return r.link.QueuedRQ() }
-
-// Outstanding returns the number of unacknowledged frames.
-func (r *Reliable) Outstanding() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.out
+// returns the filled slice: the wrapped link's control completions
+// (nic.PeerDown verdicts) first, then this layer's.
+func (r *Reliable) DrainCQ(buf []CQE) []CQE {
+	buf = r.link.DrainCQ(buf)
+	n := len(buf)
+	return buf[:n+len(r.cq.Drain(buf[n:]))]
 }
 
-// LinkDown reports whether dst has been declared unreachable.
-func (r *Reliable) LinkDown(dst fabric.EndpointID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	l, ok := r.tx[dst]
-	return ok && l.down
+// DrainRQ absorbs what has arrived (absorb) and moves up to cap(buf)
+// in-order deliveries into buf[:0], returning the filled slice. An
+// empty drain costs two atomic loads and no allocations.
+func (r *Reliable) DrainRQ(buf []fabric.Packet) []fabric.Packet {
+	r.absorb()
+	return r.rq.Drain(buf)
 }
 
 // Stats returns a snapshot of the reliability counters.
@@ -342,38 +429,27 @@ func (r *Reliable) Stats() RelStats {
 // reviveLocked resurrects a down tx link: any frame received from the
 // peer proves it is alive (it was merely slow, or the outage healed),
 // so the parked queue rejoins the outstanding count and retransmission
-// resumes immediately. Caller holds r.mu.
-func (r *Reliable) reviveLocked(src fabric.EndpointID) {
+// resumes immediately. It returns the arm callback to invoke once r.mu
+// is released, if the revival armed the layer. Caller holds r.mu.
+func (r *Reliable) reviveLocked(src fabric.EndpointID) func() {
 	l, ok := r.tx[src]
 	if !ok || !l.down {
-		return
+		return nil
 	}
 	l.down = false
 	l.retries = 0
 	l.rto = r.cfg.RTO
-	l.deadline = r.now() // parked frames retransmit on the next poll
+	l.deadline = r.Now() // parked frames retransmit on the next flush
 	r.out += len(l.unacked)
 	r.stats.LinksRevived++
 	if m := r.met; m != nil && m.reg.On() {
 		m.linksRevived.Inc()
 		m.outstandingGus.Set(int64(r.out))
 	}
-	if !r.armed && r.out > 0 {
-		r.armed = true
-		r.rearm = true
+	if r.out == 0 {
+		return nil
 	}
-}
-
-// TakeRearm reports — and clears — whether a link revival armed the
-// layer while no retransmit poll was running. The owner must check it
-// after every receive drain and restart its poll when true (mirroring
-// the arm flag PostSend returns).
-func (r *Reliable) TakeRearm() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	a := r.rearm
-	r.rearm = false
-	return a
+	return r.armLocked()
 }
 
 // handleAck applies a cumulative acknowledgment from src: every frame
@@ -387,10 +463,11 @@ func (r *Reliable) handleAckLocked(src fabric.EndpointID, ack uint64) {
 	popped := 0
 	for len(l.unacked) > 0 && l.unacked[0].seq < ack {
 		p := l.unacked[0]
+		l.unacked[0] = relPkt{} // drop the references to its bytes
 		l.unacked = l.unacked[1:]
 		popped++
 		if p.hasToken {
-			r.cq.Push(CQE{Token: p.token, At: r.now()})
+			r.cq.Push(CQE{Token: p.token, At: r.Now()})
 		}
 	}
 	if popped > 0 {
@@ -401,23 +478,18 @@ func (r *Reliable) handleAckLocked(src fabric.EndpointID, ack uint64) {
 		// Forward progress: reset the backoff.
 		l.retries = 0
 		l.rto = r.cfg.RTO
-		l.deadline = r.now() + l.rto
+		l.deadline = r.Now() + l.rto
 	}
 }
 
-// DrainRQ drains the raw receive queue (batched through the caller's
-// raw scratch buffer), absorbs ACKs, suppresses duplicates, reorders
-// past gaps, and appends the peer payloads in per-link sequence order
-// to buf[:0], returning the filled slice. It sends one cumulative ACK
-// per source link that delivered (or re-delivered) data this call.
-// An empty drain costs one atomic load and no allocations; buf may
-// grow past its capacity only when an out-of-order flush delivers more
-// packets than the raw batch carried.
-func (r *Reliable) DrainRQ(buf, raw []fabric.Packet) []fabric.Packet {
-	out := buf[:0]
-	raw = r.link.DrainRQ(raw)
-	if len(raw) == 0 {
-		return out
+// absorb takes one batch off the wrapped link's receive queue: it
+// absorbs ACKs, suppresses duplicates, reorders past gaps, and appends
+// the peer payloads to this layer's receive queue in per-link sequence
+// order. It sends one cumulative ACK per source link that delivered (or
+// re-delivered) data. An empty absorb costs one atomic load.
+func (r *Reliable) absorb() {
+	if r.link.QueuedRQ() == 0 {
+		return
 	}
 	// due tracks the source links owed a cumulative ACK for this batch;
 	// a fixed array avoids the per-call map (one slot per peer that
@@ -432,7 +504,13 @@ func (r *Reliable) DrainRQ(buf, raw []fabric.Packet) []fabric.Packet {
 		}
 		due = append(due, src)
 	}
+	var arm func() // a revival's: the first one arms the layer
 	r.mu.Lock()
+	raw := r.link.DrainRQ(r.raw)
+	out := r.deliv[:0]
+	deliver := func(pkt fabric.Packet, f *relFrame) {
+		out = append(out, fabric.Packet{Src: pkt.Src, Dst: pkt.Dst, Payload: f.inner, Bytes: f.bytes})
+	}
 	m := r.met
 	mon := m != nil && m.reg.On()
 	for _, pkt := range raw {
@@ -442,7 +520,9 @@ func (r *Reliable) DrainRQ(buf, raw []fabric.Packet) []fabric.Packet {
 		}
 		// Any frame from the peer — ACK or data — is evidence of life:
 		// a condemned link to it comes back before the ack applies.
-		r.reviveLocked(f.src)
+		if a := r.reviveLocked(f.src); a != nil {
+			arm = a
+		}
 		if f.kind == relAck {
 			r.stats.AcksReceived++
 			if mon {
@@ -464,7 +544,7 @@ func (r *Reliable) DrainRQ(buf, raw []fabric.Packet) []fabric.Packet {
 				for seq := rl.nextExp; seq < f.floor; seq++ {
 					if nf, ok := rl.ooo[seq]; ok {
 						delete(rl.ooo, seq)
-						out = append(out, fabric.Packet{Src: pkt.Src, Dst: pkt.Dst, Payload: nf.inner, Bytes: nf.bytes})
+						deliver(pkt, &nf)
 					}
 				}
 			}
@@ -475,7 +555,7 @@ func (r *Reliable) DrainRQ(buf, raw []fabric.Packet) []fabric.Packet {
 					break
 				}
 				delete(rl.ooo, rl.nextExp)
-				out = append(out, fabric.Packet{Src: pkt.Src, Dst: pkt.Dst, Payload: nf.inner, Bytes: nf.bytes})
+				deliver(pkt, &nf)
 				rl.nextExp++
 			}
 			markDue(f.src)
@@ -490,7 +570,7 @@ func (r *Reliable) DrainRQ(buf, raw []fabric.Packet) []fabric.Packet {
 			}
 			markDue(f.src)
 		case f.seq == rl.nextExp:
-			out = append(out, fabric.Packet{Src: pkt.Src, Dst: pkt.Dst, Payload: f.inner, Bytes: f.bytes})
+			deliver(pkt, f)
 			rl.nextExp++
 			for {
 				nf, ok := rl.ooo[rl.nextExp]
@@ -498,7 +578,7 @@ func (r *Reliable) DrainRQ(buf, raw []fabric.Packet) []fabric.Packet {
 					break
 				}
 				delete(rl.ooo, rl.nextExp)
-				out = append(out, fabric.Packet{Src: pkt.Src, Dst: pkt.Dst, Payload: nf.inner, Bytes: nf.bytes})
+				deliver(pkt, &nf)
 				rl.nextExp++
 			}
 			markDue(f.src)
@@ -524,6 +604,9 @@ func (r *Reliable) DrainRQ(buf, raw []fabric.Packet) []fabric.Packet {
 			markDue(f.src)
 		}
 	}
+	if len(out) > 0 {
+		r.rq.PushAll(out)
+	}
 	type pendingAck struct {
 		dst fabric.EndpointID
 		ack uint64
@@ -537,6 +620,9 @@ func (r *Reliable) DrainRQ(buf, raw []fabric.Packet) []fabric.Packet {
 			m.acksSent.Inc()
 		}
 	}
+	clear(raw)
+	clear(out)
+	r.raw, r.deliv = raw[:0], out[:0]
 	self := r.link.ID()
 	r.mu.Unlock()
 	// Send ACKs outside the lock (Transmit in manual-clock mode can
@@ -545,34 +631,33 @@ func (r *Reliable) DrainRQ(buf, raw []fabric.Packet) []fabric.Packet {
 		f := &relFrame{kind: relAck, ack: a.ack, src: self}
 		r.link.PostSendInline(a.dst, f, r.cfg.HdrBytes)
 	}
-	return out
+	if arm != nil {
+		arm()
+	}
 }
 
-// PollRQ drains up to max raw arrivals (max <= 0 drains all) and
-// returns the in-order deliveries in a fresh slice. Allocating
-// convenience wrapper over DrainRQ.
-func (r *Reliable) PollRQ(max int) []fabric.Packet {
-	return pollAll(max, r.link.QueuedRQ(), func(buf []fabric.Packet) []fabric.Packet {
-		return r.DrainRQ(buf, make([]fabric.Packet, 0, cap(buf)))
-	})
-}
-
-// Poll runs the retransmission timer once: any link whose oldest
-// unacknowledged frame has outlived the current timeout gets its queue
-// retransmitted with doubled (capped) backoff; a link that exhausts
-// MaxRetries consecutive rounds is declared down — its signaled frames
-// fail with ErrLinkDown, its fire-and-forget frames park until the
-// peer shows signs of life (see reviveLocked).
-// It reports whether anything was (re)transmitted or failed, and
-// whether the layer is idle — when idle is true the poll has disarmed
-// itself and the caller's async thing should return Done (the next
-// PostSend arms a fresh one).
+// Flush runs the layer's deferred work once. It absorbs arrivals, so an
+// ACK completes its frame even when nobody drains the receive queue. It
+// runs the retransmission timer: a link whose oldest unacknowledged
+// frame has outlived the current timeout gets its queue retransmitted
+// with doubled (capped) backoff, and a link that exhausts MaxRetries
+// consecutive rounds is declared down — its signaled frames fail with
+// ErrLinkDown, its fire-and-forget frames park until the peer shows
+// signs of life (see reviveLocked). Then it flushes the wrapped link.
 //
-// Poll is intended to run as an MPIX Async poll function: it never
-// blocks, never sleeps, and makes recovery latency a function of how
-// often the application drives progress.
-func (r *Reliable) Poll() (made bool, idle bool) {
-	now := r.now()
+// made reports a retransmission, a failure or the wrapped link's
+// progress, not absorbed arrivals: their CQEs and deliveries wait in
+// queues bound to the owner's work counter, and counting them would
+// make a collated pass skip the netmod that drains them. idle reports
+// that no frame is left unacknowledged (the layer disarmed itself; the
+// next post arms it again) and that the wrapped link is idle too: the
+// owner's async thing then returns Done.
+//
+// Flush never blocks and never sleeps: recovery latency is a function
+// of how often the application drives progress.
+func (r *Reliable) Flush() (made, idle bool) {
+	r.absorb()
+	now := r.Now()
 	type resend struct {
 		l      *txLink
 		frames []relFrame
@@ -623,7 +708,7 @@ func (r *Reliable) Poll() (made bool, idle bool) {
 		floor := l.floorLocked()
 		rs := resend{l: l, frames: make([]relFrame, len(l.unacked))}
 		for i, p := range l.unacked {
-			rs.frames[i] = relFrame{kind: relData, seq: p.seq, ack: ack, floor: floor, src: r.link.ID(), inner: p.inner, bytes: p.bytes}
+			rs.frames[i] = relFrame{kind: relData, seq: p.seq, ack: ack, floor: floor, src: r.link.ID(), bytes: p.bytes, head: p.head, body: p.body}
 		}
 		resends = append(resends, rs)
 		r.stats.Retransmits += uint64(len(l.unacked))
@@ -639,9 +724,9 @@ func (r *Reliable) Poll() (made bool, idle bool) {
 		made = true
 	}
 	if r.out == 0 {
-		// Disarm atomically with the emptiness check: a concurrent
-		// PostSend either landed before (out > 0, stay armed) or will
-		// observe armed == false and arm a fresh poll.
+		// Disarm atomically with the emptiness check: a concurrent post
+		// either landed before (out > 0, stay armed) or will observe
+		// armed == false and arm a fresh flush.
 		r.armed = false
 		idle = true
 	}
@@ -656,5 +741,6 @@ func (r *Reliable) Poll() (made bool, idle bool) {
 		}
 		r.restartTimer(rs.l, rs.frames[0].seq)
 	}
-	return made, idle
+	linkMade, linkIdle := r.link.Flush()
+	return made || linkMade, idle && linkIdle
 }

@@ -11,12 +11,13 @@ import (
 
 // meterPair wires both reliability layers of a relPair to a fresh
 // enabled registry, so tests can assert protocol counter deltas via
-// Snapshot/Diff alongside the legacy RelStats checks.
+// Snapshot/Diff alongside the legacy RelStats checks. Each layer's
+// instruments land beside its endpoint's: "a.nic" → "a.rel".
 func meterPair(a, b *Reliable) *metrics.Registry {
 	reg := metrics.New()
 	reg.Enable()
-	a.UseMetrics(reg, "a.rel")
-	b.UseMetrics(reg, "b.rel")
+	a.UseMetrics(reg, "a.nic")
+	b.UseMetrics(reg, "b.nic")
 	return reg
 }
 
@@ -29,17 +30,27 @@ func relPair(f fabric.FaultConfig, cfg RelConfig) (*timing.ManualClock, *Reliabl
 	rel := func(node int) *Reliable {
 		ep := NewEndpoint(net, node)
 		ep.SetCodec(RelCodec(ByteCodec{}))
-		return NewReliable(ep, cfg)
+		return NewReliable(ep, ByteCodec{}, cfg)
 	}
 	return mc, rel(0), rel(1)
+}
+
+// armed reports whether post made r invoke the callback SetArm gave it.
+func armed(r *Reliable, post func() error) bool {
+	n := 0
+	r.SetArm(func() { n++ })
+	if err := post(); err != nil {
+		panic(err)
+	}
+	return n > 0
 }
 
 // churn advances time and drives both sides' progress once.
 func churn(mc *timing.ManualClock, step time.Duration, rels ...*Reliable) (got []fabric.Packet) {
 	mc.Advance(step)
 	for _, r := range rels {
-		got = append(got, r.PollRQ(0)...)
-		r.Poll()
+		got = append(got, pollRQ(r, 0)...)
+		r.Flush()
 	}
 	return got
 }
@@ -55,10 +66,10 @@ func TestReliableInOrderExactlyOnceUnderLoss(t *testing.T) {
 	before := reg.Snapshot()
 	const count = 200
 	for i := 0; i < count; i++ {
-		a.PostSendInline(b.Link().ID(), num(i), 64)
+		a.PostSendInline(b.ID(), num(i), 64)
 	}
 	var got []int
-	for step := 0; step < 5000 && (len(got) < count || a.Outstanding() > 0); step++ {
+	for step := 0; step < 5000 && (len(got) < count || a.PendingTx() > 0); step++ {
 		for _, p := range churn(mc, 10*time.Microsecond, b, a) {
 			got = append(got, numOf(p))
 		}
@@ -71,8 +82,8 @@ func TestReliableInOrderExactlyOnceUnderLoss(t *testing.T) {
 			t.Fatalf("out of order at %d: got %d (stats b=%+v)", i, v, b.Stats())
 		}
 	}
-	if a.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d after full delivery", a.Outstanding())
+	if a.PendingTx() != 0 {
+		t.Fatalf("outstanding = %d after full delivery", a.PendingTx())
 	}
 	if a.Stats().Retransmits == 0 {
 		t.Fatal("expected retransmissions under 30% loss")
@@ -109,12 +120,12 @@ func TestReliableAckCompletesTokensInOrder(t *testing.T) {
 	reg := meterPair(a, b)
 	before := reg.Snapshot()
 	for i := 0; i < 5; i++ {
-		a.PostSend(b.Link().ID(), num(i), 128, i)
+		a.PostSend(b.ID(), num(i), 128, i)
 	}
 	var toks []int
 	for step := 0; step < 100 && len(toks) < 5; step++ {
 		churn(mc, 10*time.Microsecond, b, a)
-		for _, cqe := range a.PollCQ(0) {
+		for _, cqe := range pollCQ(a, 0) {
 			if cqe.Err != nil {
 				t.Fatalf("unexpected CQE error on a clean fabric: %v", cqe.Err)
 			}
@@ -155,19 +166,19 @@ func TestReliableExponentialBackoffAndLinkDown(t *testing.T) {
 	)
 	reg := meterPair(a, b)
 	before := reg.Snapshot()
-	if arm := a.PostSend(b.Link().ID(), []byte("doomed"), 64, "tok"); !arm {
-		t.Fatal("first send must arm the retransmit poll")
+	if arm := armed(a, func() error { return a.PostSend(b.ID(), []byte("doomed"), 64, "tok") }); !arm {
+		t.Fatal("first send must arm the retransmit flush")
 	}
 	var failed []CQE
 	deadline := 10 * time.Millisecond
 	for mc.Now() < deadline && len(failed) == 0 {
 		churn(mc, 5*time.Microsecond, a, b)
-		failed = append(failed, a.PollCQ(0)...)
+		failed = append(failed, pollCQ(a, 0)...)
 	}
 	if len(failed) != 1 || failed[0].Err != ErrLinkDown || failed[0].Token != "tok" {
 		t.Fatalf("failed CQEs = %+v, want one ErrLinkDown for tok", failed)
 	}
-	if !a.LinkDown(b.Link().ID()) {
+	if a.Stats().LinksDown != 1 {
 		t.Fatal("link should be marked down")
 	}
 	st := a.Stats()
@@ -189,37 +200,37 @@ func TestReliableExponentialBackoffAndLinkDown(t *testing.T) {
 		t.Errorf("metric frames.failed = %d, want 1", got)
 	}
 	// Sends on a dead link fail immediately.
-	if arm := a.PostSend(b.Link().ID(), []byte("late"), 64, "tok2"); arm {
-		t.Fatal("send on a dead link must not arm the poll")
+	if arm := armed(a, func() error { return a.PostSend(b.ID(), []byte("late"), 64, "tok2") }); arm {
+		t.Fatal("send on a dead link must not arm the flush")
 	}
-	cqes := a.PollCQ(0)
+	cqes := pollCQ(a, 0)
 	if len(cqes) != 1 || cqes[0].Err != ErrLinkDown {
 		t.Fatalf("late send CQEs = %+v", cqes)
 	}
-	if a.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d on a dead link", a.Outstanding())
+	if a.PendingTx() != 0 {
+		t.Fatalf("outstanding = %d on a dead link", a.PendingTx())
 	}
 }
 
 func TestReliablePollDisarmsWhenIdle(t *testing.T) {
 	mc, a, b := relPair(fabric.FaultConfig{}, RelConfig{})
-	if arm := a.PostSendInline(b.Link().ID(), []byte("x"), 32); !arm {
+	if arm := armed(a, func() error { return a.PostSendInline(b.ID(), []byte("x"), 32) }); !arm {
 		t.Fatal("idle->busy transition must request arming")
 	}
-	if arm := a.PostSendInline(b.Link().ID(), []byte("y"), 32); arm {
+	if arm := armed(a, func() error { return a.PostSendInline(b.ID(), []byte("y"), 32) }); arm {
 		t.Fatal("second send while busy must not re-arm")
 	}
-	for step := 0; step < 100 && a.Outstanding() > 0; step++ {
+	for step := 0; step < 100 && a.PendingTx() > 0; step++ {
 		churn(mc, 10*time.Microsecond, b, a)
 	}
-	if a.Outstanding() != 0 {
+	if a.PendingTx() != 0 {
 		t.Fatal("sends never acknowledged on a clean fabric")
 	}
-	if _, idle := a.Poll(); !idle {
-		t.Fatal("Poll should report idle once everything is acked")
+	if _, idle := a.Flush(); !idle {
+		t.Fatal("Flush should report idle once everything is acked")
 	}
-	// The next send must arm a fresh poll.
-	if arm := a.PostSendInline(b.Link().ID(), []byte("z"), 32); !arm {
+	// The next send must arm a fresh flush.
+	if arm := armed(a, func() error { return a.PostSendInline(b.ID(), []byte("z"), 32) }); !arm {
 		t.Fatal("send after idle must re-arm")
 	}
 }
@@ -228,20 +239,20 @@ func TestReliableBidirectionalTraffic(t *testing.T) {
 	mc, a, b := relPair(fabric.FaultConfig{DropProb: 0.25, Seed: 99}, RelConfig{RTO: 20 * time.Microsecond, MaxRetries: 1000})
 	const count = 50
 	for i := 0; i < count; i++ {
-		a.PostSendInline(b.Link().ID(), num(1000+i), 32)
-		b.PostSendInline(a.Link().ID(), num(2000+i), 32)
+		a.PostSendInline(b.ID(), num(1000+i), 32)
+		b.PostSendInline(a.ID(), num(2000+i), 32)
 	}
 	var atB, atA []int
 	for step := 0; step < 3000 && (len(atB) < count || len(atA) < count); step++ {
 		mc.Advance(10 * time.Microsecond)
-		for _, p := range b.PollRQ(0) {
+		for _, p := range pollRQ(b, 0) {
 			atB = append(atB, numOf(p))
 		}
-		for _, p := range a.PollRQ(0) {
+		for _, p := range pollRQ(a, 0) {
 			atA = append(atA, numOf(p))
 		}
-		a.Poll()
-		b.Poll()
+		a.Flush()
+		b.Flush()
 	}
 	if len(atB) != count || len(atA) != count {
 		t.Fatalf("delivered a->b %d/%d, b->a %d/%d", len(atB), count, len(atA), count)
@@ -250,5 +261,35 @@ func TestReliableBidirectionalTraffic(t *testing.T) {
 		if atB[i] != 1000+i || atA[i] != 2000+i {
 			t.Fatalf("misordered: atB[%d]=%d atA[%d]=%d", i, atB[i], i, atA[i])
 		}
+	}
+}
+
+// TestReliableRetransmissionCopiesItsOwnBytes: an inline post hands the
+// caller's buffer back at once, so a retransmission must send the bytes
+// the layer encoded at post, not the buffer as the caller rewrote it.
+// The partition swallows the first transmission: only a retransmission
+// can deliver the frame.
+func TestReliableRetransmissionCopiesItsOwnBytes(t *testing.T) {
+	mc, a, b := relPair(
+		fabric.FaultConfig{Partitions: []fabric.Partition{{SrcNode: 0, DstNode: 1, Until: 5 * time.Microsecond}}},
+		RelConfig{RTO: 20 * time.Microsecond, MaxRetries: 100},
+	)
+	buf := []byte("original")
+	if err := a.PostSendInline(b.ID(), buf, 64); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "REWRITE!")
+	var got []fabric.Packet
+	for step := 0; step < 100 && len(got) == 0; step++ {
+		got = churn(mc, 10*time.Microsecond, b, a)
+	}
+	if a.Stats().Retransmits == 0 {
+		t.Fatal("the first transmission was delivered: the partition did not swallow it")
+	}
+	if len(got) != 1 {
+		t.Fatalf("delivered %d frames, want 1 (stats %+v)", len(got), a.Stats())
+	}
+	if p := got[0].Payload.([]byte); string(p) != "original" {
+		t.Fatalf("the retransmission delivered %q, the caller's rewritten buffer, not the %q it posted", p, "original")
 	}
 }

@@ -236,7 +236,7 @@ func TestReliableOverTCP(t *testing.T) {
 		nets[r].SetPeerAddrs(addrs)
 		li, _ := nets[r].AddLink(r, 0)
 		raw[r] = li.(*Link)
-		rels[r] = nic.NewReliable(li.(nic.Link), nic.RelConfig{RTO: 50 * time.Millisecond, MaxRetries: 100})
+		rels[r] = nic.NewReliable(li, nic.ByteCodec{}, nic.RelConfig{RTO: 50 * time.Millisecond, MaxRetries: 100})
 		nets[r].Start()
 	}
 	const count = 40
@@ -249,18 +249,18 @@ func TestReliableOverTCP(t *testing.T) {
 	for (len(got) < count || len(toks) < count) && time.Now().Before(deadline) {
 		raw[0].Flush()
 		raw[1].Flush()
-		for _, p := range rels[1].PollRQ(0) {
+		for _, p := range rels[1].DrainRQ(make([]fabric.Packet, 0, count)) {
 			got = append(got, int(p.Payload.([]byte)[0]))
 		}
-		rels[0].PollRQ(0) // processes inbound cumulative ACKs
-		for _, c := range rels[0].PollCQ(0) {
+		rels[0].DrainRQ(make([]fabric.Packet, 0, count)) // processes inbound cumulative ACKs
+		for _, c := range rels[0].DrainCQ(make([]nic.CQE, 0, count)) {
 			if c.Err != nil {
 				t.Fatalf("CQE error over clean TCP: %v", c.Err)
 			}
 			toks = append(toks, c.Token.(int))
 		}
-		rels[0].Poll()
-		rels[1].Poll()
+		rels[0].Flush()
+		rels[1].Flush()
 		time.Sleep(100 * time.Microsecond)
 	}
 	if len(got) != count || len(toks) != count {

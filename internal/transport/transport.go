@@ -9,11 +9,12 @@
 // (internal/transport/shm) and the node-aware router over the two
 // (internal/transport/composite).
 //
-// The interface deliberately sits *under* the reliability layer
-// (nic.Reliable wraps whatever Link a transport returns), so the
-// go-back-N protocol and the whole netmod run unchanged on every
-// backend — the MPICH-extension methodology's "an abstraction earns its
-// keep when every backend goes through it".
+// The interface deliberately sits *under* the reliability layer:
+// nic.Reliable is itself a nic.Link, wrapped around whatever Link a
+// transport returns, so the go-back-N protocol and the whole netmod run
+// unchanged on every backend, through one post and one drain path — the
+// MPICH-extension methodology's "an abstraction earns its keep when
+// every backend goes through it".
 package transport
 
 import (

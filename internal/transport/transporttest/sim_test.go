@@ -2,6 +2,7 @@ package transporttest
 
 import (
 	"testing"
+	"time"
 
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
@@ -27,6 +28,39 @@ func TestConformanceSim(t *testing.T) {
 				}
 				w.Bind(l)
 				w.Transports = append(w.Transports, sim)
+			}
+			return w
+		},
+	})
+}
+
+// TestConformanceSimReliable runs the suite against the reliability
+// layer: a nic.Reliable around each simulated endpoint, the transport
+// on the layer's envelope codec around the []byte codec, and Progress
+// driving every link's Flush, where the layer absorbs acknowledgements
+// and runs its retransmission timer. The fabric is clean and the
+// timeout far beyond any wait of the suite, so nothing is retransmitted
+// (a duplicate would count in QueuedRQ as an arrival until absorbed).
+func TestConformanceSimReliable(t *testing.T) {
+	Run(t, Factory{
+		Name: "sim+reliable",
+		Caps: Caps{Acked: true},
+		New: func(t *testing.T, ranks int) *World {
+			sim := transport.NewSim(fabric.NewNetwork(nil, fabric.Config{}), func(r int) int { return r })
+			sim.SetCodec(nic.RelCodec(nic.ByteCodec{}))
+			w := &World{Close: func() { sim.Close() }}
+			for r := 0; r < ranks; r++ {
+				l, err := sim.AddLink(r, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.Bind(nic.NewReliable(l, nic.ByteCodec{}, nic.RelConfig{RTO: time.Minute}))
+				w.Transports = append(w.Transports, sim)
+			}
+			w.Progress = func() {
+				for _, l := range w.Links {
+					l.Flush()
+				}
 			}
 			return w
 		},
