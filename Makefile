@@ -142,14 +142,15 @@ race-eager:
 chaos: chaos-sim chaos-tcp
 
 # The long chaos mode: full fault-schedule sweeps, drop rates up to the
-# 10% acceptance bar, and the conformance battery over the reliability
-# layer alone (a nic.Reliable around each simulated endpoint). Every
+# 10% acceptance bar, the conformance battery over the reliability
+# layer alone (a nic.Reliable around each simulated endpoint), and the
+# sim transport's verdict on a partition that never heals. Every
 # chaos target carries an explicit -timeout: a chaos regression's native
 # failure mode is the hang, and the guard turns it into a stack dump
 # instead of a stuck CI job.
 chaos-sim:
 	$(GO) test -run 'TestChaos|TestReliable' -count=1 -timeout 10m ./internal/mpi/ ./internal/nic/
-	$(GO) test -run 'TestConformanceSimReliable' -count=1 -timeout 10m ./internal/transport/transporttest/
+	$(GO) test -run 'TestConformanceSimReliable|TestSimPartitionVerdict' -count=1 -timeout 10m ./internal/transport/transporttest/
 
 # Process-failure chaos over TCP, under the race detector: kill one or
 # two ranks mid-flight (survivors must observe ErrProcFailed, then

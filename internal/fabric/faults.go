@@ -53,7 +53,8 @@ type LinkFaults struct {
 
 // Partition is a scheduled link outage between two nodes. Packets whose
 // wire transmission finishes inside [From, Until) are dropped; Until of
-// zero means the partition never heals.
+// zero means the partition never heals, and Transmit reports each
+// packet between the two nodes as ErrCut, in either direction.
 type Partition struct {
 	// SrcNode and DstNode select the affected direction; -1 matches any
 	// node. Set Bidirectional for a symmetric cut.
@@ -114,17 +115,17 @@ func (n *Network) FaultStats() FaultStats {
 	return n.faults
 }
 
-// partitioned reports whether a scheduled partition cuts src->dst at
-// time t. Caller holds n.mu.
-func (n *Network) partitionedLocked(src, dst EndpointID, t time.Duration) bool {
-	if len(n.cfg.Faults.Partitions) == 0 {
-		return false
-	}
+// partitionedLocked reports whether a scheduled partition cuts
+// src->dst at time t, and whether a partition that never heals cuts the
+// pair in either direction then: a pair whose replies can never come
+// back is out of reach for good, as one whose posts cannot go. Caller
+// holds n.mu.
+func (n *Network) partitionedLocked(src, dst EndpointID, t time.Duration) (cut, permanent bool) {
 	srcNode, dstNode := n.nodes[src], n.nodes[dst]
 	for _, p := range n.cfg.Faults.Partitions {
-		if p.matches(srcNode, dstNode, t) {
-			return true
-		}
+		fwd := p.matches(srcNode, dstNode, t)
+		cut = cut || fwd
+		permanent = permanent || p.Until == 0 && (fwd || p.matches(dstNode, srcNode, t))
 	}
-	return false
+	return cut, permanent
 }

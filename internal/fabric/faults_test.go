@@ -139,6 +139,47 @@ func TestFaultPartitionDirections(t *testing.T) {
 	}
 }
 
+// TestTransmitReportsPermanentCut checks that Transmit reports ErrCut for
+// every packet between two nodes a permanent partition cuts, in either
+// direction: dropped on the cut way, delivered on the way back, whose
+// replies the cut swallows. A partition that heals reports nothing.
+func TestTransmitReportsPermanentCut(t *testing.T) {
+	mc := timing.NewManualClock()
+	n := lossyNet(mc, FaultConfig{Partitions: []Partition{
+		{SrcNode: 1, DstNode: 0},
+		{SrcNode: 2, DstNode: 0, Until: time.Hour},
+	}})
+	got := make([]int, 3)
+	a := n.Attach(0, func(Packet) { got[0]++ })
+	b := n.Attach(1, func(Packet) { got[1]++ })
+	c := n.Attach(2, func(Packet) { got[2]++ })
+	send := func(src, dst EndpointID) error {
+		return n.Transmit(Packet{Src: src, Dst: dst, Bytes: 8}, mc.Now())
+	}
+	if err := send(b, a); err != ErrCut {
+		t.Fatalf("post on the cut way: err = %v, want ErrCut", err)
+	}
+	if err := send(a, b); err != ErrCut {
+		t.Fatalf("post whose replies are cut: err = %v, want ErrCut", err)
+	}
+	if err := send(c, a); err != nil {
+		t.Fatalf("post across a partition that heals: err = %v, want nil", err)
+	}
+	if err := send(a, c); err != nil {
+		t.Fatalf("post back across a partition that heals: err = %v, want nil", err)
+	}
+	if err := send(b, c); err != nil {
+		t.Fatalf("post between uncut nodes: err = %v, want nil", err)
+	}
+	mc.Advance(time.Second)
+	if want := []int{0, 1, 2}; got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("delivered per node %v, want %v", got, want)
+	}
+	if d := n.FaultStats().PartitionDropped; d != 2 {
+		t.Fatalf("partition drops = %d, want 2", d)
+	}
+}
+
 func TestFaultPerLinkOverride(t *testing.T) {
 	mc := timing.NewManualClock()
 	var toB, toC int

@@ -14,6 +14,14 @@ import (
 // ErrStopped is returned by Transmit after the network has been stopped.
 var ErrStopped = errors.New("fabric: network stopped")
 
+// ErrCut is returned by Transmit for a packet between two nodes a
+// permanent partition (Until == 0) cuts in either direction: the packet
+// is dropped when its own direction is cut, and delivered when only the
+// way back is. Either way the pair can never complete an exchange — the
+// evidence that the destination is out of reach for good, which a
+// transport may turn into a failure verdict.
+var ErrCut = errors.New("fabric: destination cut off by a permanent partition")
+
 // Config describes the simulated interconnect.
 type Config struct {
 	// Latency is the base one-way latency between endpoints on
@@ -210,7 +218,9 @@ func (n *Network) SerializationTime(bytes int) time.Duration {
 // with FIFO order preserved per directed (src, dst) link. Configured
 // faults are applied here: a dropped or partitioned packet has already
 // paid its wire time but never arrives; a duplicated packet arrives
-// twice, back to back. Transmit after Stop returns ErrStopped.
+// twice, back to back. A packet between nodes a permanent partition
+// cuts, in either direction, reports ErrCut, whether it was dropped or
+// not. Transmit after Stop returns ErrStopped.
 func (n *Network) Transmit(pkt Packet, txDone time.Duration) error {
 	n.mu.Lock()
 	if n.stopped {
@@ -222,16 +232,21 @@ func (n *Network) Transmit(pkt Packet, txDone time.Duration) error {
 		panic(fmt.Sprintf("fabric: transmit to unknown endpoint %d", pkt.Dst))
 	}
 	copies := 1
+	var verdict error // ErrCut once a permanent partition cuts the pair
 	if n.cfg.Faults.Active() {
 		m := n.met
 		mon := m != nil && m.reg.On()
-		if n.partitionedLocked(pkt.Src, pkt.Dst, txDone) {
+		cut, permanent := n.partitionedLocked(pkt.Src, pkt.Dst, txDone)
+		if permanent {
+			verdict = ErrCut
+		}
+		if cut {
 			n.faults.PartitionDropped++
 			if mon {
 				m.partitionDropped.Inc()
 			}
 			n.mu.Unlock()
-			return nil
+			return verdict
 		}
 		lf := n.cfg.Faults.linkFaults(pkt.Src, pkt.Dst)
 		if lf.DropProb > 0 && n.frng.Float64() < lf.DropProb {
@@ -240,7 +255,7 @@ func (n *Network) Transmit(pkt Packet, txDone time.Duration) error {
 				m.dropped.Inc()
 			}
 			n.mu.Unlock()
-			return nil
+			return verdict
 		}
 		if lf.Delay > 0 && lf.DelayProb > 0 && n.frng.Float64() < lf.DelayProb {
 			txDone += lf.Delay
@@ -286,7 +301,7 @@ func (n *Network) Transmit(pkt Packet, txDone time.Duration) error {
 	for c := 0; c < copies; c++ {
 		n.sched.Schedule(arrivals[c], h, pkt)
 	}
-	return nil
+	return verdict
 }
 
 // SameNodeLocked is SameNode for callers already holding n.mu.

@@ -87,15 +87,15 @@ type Config struct {
 	// sequence numbers, cumulative ACKs, progress-driven
 	// retransmission — internal/nic.Reliable) over the fabric. It is
 	// enabled automatically when Fabric.Faults injects faults; set it
-	// explicitly to exercise the protocol on a clean fabric.
+	// explicitly to exercise the protocol on a clean fabric. The layer
+	// retransmits to a silent peer until it answers: only the
+	// transport's failure verdict fails what it holds for the peer
+	// (ErrLinkDown, ErrProcFailed).
 	Reliable bool
 	// RetxTimeout is the reliability layer's initial retransmission
-	// timeout. Default: 50x the fabric's inter-node latency.
+	// timeout, doubled per unanswered round up to 8x. Default: 50x the
+	// fabric's inter-node latency.
 	RetxTimeout time.Duration
-	// RetxMaxRetries is the number of unanswered retransmission rounds
-	// before a link is declared down and its operations fail with
-	// ErrLinkDown. Default 8.
-	RetxMaxRetries int
 
 	// GlobalLock serializes all MPI calls and progress of a rank behind
 	// one mutex, modeling legacy MPI_THREAD_MULTIPLE global-lock

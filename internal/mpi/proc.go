@@ -240,10 +240,7 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 		// The transport's link carries the layer's envelope (NewWorld
 		// installs nic.RelCodec around the wire codec); the layer encodes
 		// the header inside it.
-		link = nic.NewReliable(link, wireCodec{p.world}, nic.RelConfig{
-			RTO:        rto,
-			MaxRetries: p.world.cfg.RetxMaxRetries,
-		})
+		link = nic.NewReliable(link, wireCodec{p.world}, p.world.transport.RankOfEndpoint, nic.RelConfig{RTO: rto})
 	}
 	v.ep = link
 	v.match.init()

@@ -28,8 +28,9 @@ var ErrTruncate = errors.New("mpi: message truncated")
 // abandon it with Cancel or keep waiting.
 var ErrTimedOut = errors.New("mpi: wait timed out")
 
-// ErrLinkDown reports that the reliability layer exhausted its
-// retransmission budget to the peer: the operation failed rather than
+// ErrLinkDown reports that the peer became unreachable: the transport
+// failed the operation's bytes, or the reliability layer failed a send
+// on the peer's failure verdict. The operation failed rather than
 // hanging (carried in Status.Err).
 var ErrLinkDown = errors.New("mpi: peer unreachable (link down)")
 

@@ -158,9 +158,9 @@ func TestRevokeMidCollective(t *testing.T) {
 //   - revoke: the sender's revocation sweep aborts the send (it still
 //     awaits its CTS); the receive fails through the receiver's own
 //     sweep when the flooded revocation arrives, with ErrCommRevoked.
-//   - linkdown: the send fails as a link-down completion of its RTS
-//     fails it; the sender answers the CTS with an abort, and the
-//     receive fails with ErrLinkDown.
+//   - linkdown: the send is given up as rndvFail gives up one whose
+//     post failed (handle dropped, ErrLinkDown); the sender answers the
+//     CTS with an abort, and the receive fails with ErrLinkDown.
 //
 // On shm the pair runs over the rings: a receiver that can read the
 // sender's memory answers with the message read, not a CTS.

@@ -131,13 +131,6 @@ const (
 	finFailed
 )
 
-// rtsToken is the CQ token for a reliably sent RTS: its successful
-// acknowledgment is a no-op, but a link-down failure must fail the
-// rendezvous request instead of leaving it (and netOps) hanging.
-type rtsToken struct {
-	st *netSendState
-}
-
 // hdrPool recycles wire headers so the eager hot path allocates
 // nothing per message in steady state. Every link — the reliability
 // layer included — encodes a post before it returns and hands the
@@ -154,10 +147,9 @@ func recycleHdr(h *wireHdr) {
 	hdrPool.Put(h)
 }
 
-// sendStatePool recycles rendezvous send states. Only worlds without
-// the reliability layer return them (clean completion only): under it,
-// late duplicate CQEs and queued rtsTokens may still reference the
-// state after the request completes.
+// sendStatePool recycles rendezvous send states on clean completion,
+// once nothing references them: every chunk CQE drained, or the FIN of
+// an advertised send taken.
 var sendStatePool = sync.Pool{New: func() any { return new(netSendState) }}
 
 func newSendState(req *Request, wire []byte, dstEP fabric.EndpointID) *netSendState {
@@ -498,11 +490,6 @@ func (v *VCI) netPoll() bool {
 			}
 			v.trace("nic.cq", "rndv chunk tx done")
 			v.rndvChunkDone(tok)
-		case *rtsToken:
-			if cqe.Err != nil {
-				v.rndvFail(tok.st, cqe.Err)
-			}
-			// Acked RTS needs no action: the CTS drives the data phase.
 		case nic.PeerDown:
 			// Transport failure verdict.
 			v.failPeer(tok.Rank, cqe.Err)
@@ -596,10 +583,8 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 		h.srcEP = v.ep.ID()
 		// Advertise the bytes to a peer whose memory this process can
 		// read: the check is symmetric in practice, and a receiver that
-		// cannot read them answers CTS all the same. Not under the
-		// reliability layer, whose link-down verdict on an unacknowledged
-		// RTS would complete the send while the receiver may be reading.
-		if !cfg.Reliable && v.proc.world.transport.PeerReader(v.rankOfEP(dstEP)) != nil {
+		// cannot read them answers CTS all the same.
+		if v.proc.world.transport.PeerReader(v.rankOfEP(dstEP)) != nil {
 			h.addr = addrOf(wire)
 			st.advertised = true
 		}
@@ -610,16 +595,10 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 			h.flow = flow
 		}
 		v.netOps.Add(1)
-		// Posting takes h over; don't touch it past this point.
-		var err error
-		if cfg.Reliable {
-			// Track the RTS so a dead link fails the request instead of
-			// leaving the rendezvous (and finalize's Quiesce) hanging.
-			err = v.postSignaled(dstEP, h, ctrlBytes, &rtsToken{st: st})
-		} else {
-			err = v.postInline(dstEP, h, ctrlBytes)
-		}
-		if err != nil {
+		// Posting takes h over; don't touch it past this point. A dead
+		// peer fails the send through failPeer's sweep of the handle
+		// table.
+		if err := v.postInline(dstEP, h, ctrlBytes); err != nil {
 			v.rndvFail(st, err)
 			return
 		}
@@ -676,11 +655,9 @@ func (v *VCI) rndvChunkDone(st *netSendState) {
 		v.netOps.Add(-1)
 		st.req.complete(Status{Bytes: len(st.wire)})
 		v.trace("send.complete", "rendezvous data drained")
-		if !v.proc.world.cfg.Reliable {
-			// Every chunk CQE has been drained and no rtsToken exists, so
-			// nothing references the state anymore.
-			recycleSendState(st)
-		}
+		// Every chunk CQE has been drained: nothing references the
+		// state anymore.
+		recycleSendState(st)
 	}
 }
 
@@ -762,8 +739,7 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 			v.trace("send.failed", "rendezvous: the receiver could not read the buffer")
 			st.req.complete(Status{Err: mapLinkErr(errFinFailed)})
 		}
-		// Advertised sends run without the reliability layer: no token
-		// references the state.
+		// An advertised send posts no chunk: no CQE references the state.
 		recycleSendState(st)
 	case kindDataMsg:
 		if h.last {

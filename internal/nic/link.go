@@ -239,9 +239,9 @@ func (ep *Endpoint) Parking() bool            { return true }
 
 // relCodec wires the Reliable layer's frame envelope through a Codec
 // for byte-oriented transports: a relFrame rides as a fixed header
-// (kind, seq, cumulative ack, resync floor, source endpoint, payload
-// size) followed, in a data frame, by the payload the layer encoded at
-// post, which the receiving side decodes with the wrapped codec.
+// (kind, seq, cumulative ack, source endpoint, payload size) followed,
+// in a data frame, by the payload the layer encoded at post, which the
+// receiving side decodes with the wrapped codec.
 type relCodec struct {
 	inner Codec
 }
@@ -257,7 +257,7 @@ func RelCodec(inner Codec) Codec {
 	return relCodec{inner: inner}
 }
 
-const relCodecHdr = 1 + 8 + 8 + 8 + 8 + 4 // kind, seq, ack, floor, src, bytes
+const relCodecHdr = 1 + 8 + 8 + 8 + 4 // kind, seq, ack, src, bytes
 
 // appendEnvelope appends the envelope header of f and the encoded
 // payload's head.
@@ -270,9 +270,8 @@ func appendEnvelope(buf []byte, payload any) ([]byte, *relFrame, error) {
 	hdr[0] = f.kind
 	binary.LittleEndian.PutUint64(hdr[1:], f.seq)
 	binary.LittleEndian.PutUint64(hdr[9:], f.ack)
-	binary.LittleEndian.PutUint64(hdr[17:], f.floor)
-	binary.LittleEndian.PutUint64(hdr[25:], uint64(f.src))
-	binary.LittleEndian.PutUint32(hdr[33:], uint32(f.bytes))
+	binary.LittleEndian.PutUint64(hdr[17:], uint64(f.src))
+	binary.LittleEndian.PutUint32(hdr[25:], uint32(f.bytes))
 	return append(append(buf, hdr[:]...), f.head...), f, nil
 }
 
@@ -289,9 +288,8 @@ func parseEnvelope(data []byte) (*relFrame, error) {
 		kind:  data[0],
 		seq:   binary.LittleEndian.Uint64(data[1:]),
 		ack:   binary.LittleEndian.Uint64(data[9:]),
-		floor: binary.LittleEndian.Uint64(data[17:]),
-		src:   fabric.EndpointID(binary.LittleEndian.Uint64(data[25:])),
-		bytes: int(binary.LittleEndian.Uint32(data[33:])),
+		src:   fabric.EndpointID(binary.LittleEndian.Uint64(data[17:])),
+		bytes: int(binary.LittleEndian.Uint32(data[25:])),
 	}, nil
 }
 

@@ -33,8 +33,8 @@ func (ep *Endpoint) UseMetrics(reg *metrics.Registry, scope string) {
 }
 
 // relMetrics instruments one reliability layer: retransmission volume,
-// backoff rounds, link deaths, and the protocol's duplicate/reorder
-// absorption — the counters chaos tests assert deltas on.
+// backoff rounds, frames failed on a verdict, and the protocol's
+// duplicate/reorder absorption — the counters chaos tests assert deltas on.
 type relMetrics struct {
 	reg            *metrics.Registry
 	retransmits    *metrics.Counter
@@ -43,8 +43,6 @@ type relMetrics struct {
 	acksReceived   *metrics.Counter
 	dupsDropped    *metrics.Counter
 	outOfOrder     *metrics.Counter
-	linksDown      *metrics.Counter
-	linksRevived   *metrics.Counter
 	framesFailed   *metrics.Counter
 	outstandingGus *metrics.Gauge
 }
@@ -66,8 +64,6 @@ func (r *Reliable) UseMetrics(reg *metrics.Registry, scope string) {
 		acksReceived:   reg.Counter(scope + ".acks.received"),
 		dupsDropped:    reg.Counter(scope + ".dups.dropped"),
 		outOfOrder:     reg.Counter(scope + ".out_of_order"),
-		linksDown:      reg.Counter(scope + ".links.down"),
-		linksRevived:   reg.Counter(scope + ".links.revived"),
 		framesFailed:   reg.Counter(scope + ".frames.failed"),
 		outstandingGus: reg.Gauge(scope + ".outstanding"),
 	}

@@ -17,6 +17,7 @@
 package nic
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,16 +33,21 @@ type CQE struct {
 	// Reliable layer: the time the frame was cumulatively acknowledged
 	// or failed).
 	At time.Duration
-	// Err is nil for a successful completion. The Reliable layer posts
-	// ErrLinkDown when a frame exhausts its retransmission budget.
+	// Err is nil for a successful completion. A send that failed
+	// carries ErrLinkDown: bare from the Reliable layer, which fails
+	// its unacknowledged frames to a peer once a verdict condemns it;
+	// wrapped around the cause from a byte transport.
 	Err error
 }
 
 // PeerDown is a CQE token carried by control completions that report a
-// peer-failure verdict rather than a completed send: a real transport
-// (TCP) pushes one such entry per link after its re-dial budget for the
-// peer is exhausted. The CQE's Err carries the wrapped ErrLinkDown
-// cause. Consumers that poll the CQ (the MPI netmod) translate it into
+// peer-failure verdict rather than a completed send. Every transport
+// reaches one from liveness evidence and pushes it on each of the
+// rank's links: tcp once its re-dial budget for the peer is exhausted,
+// shm when the peer's flock is released, the simulated fabric when a
+// post meets a partition that never heals (transport.Sim). The CQE's
+// Err wraps ErrLinkDown around the cause. Consumers that poll the CQ
+// (the MPI netmod, the Reliable layer) translate it into
 // process-failure semantics; it never corresponds to a posted
 // descriptor.
 type PeerDown struct {
@@ -66,6 +72,9 @@ type Endpoint struct {
 	// sending it: the method value is bound once here, and the token
 	// rides in the scheduled event's packet, txDone in its due time.
 	complete fabric.Handler
+	// onCut is told of every post between nodes a permanent partition
+	// cuts (OnCut).
+	onCut func(dst fabric.EndpointID)
 
 	// TX serialization: the wire is busy until nextFree.
 	txMu     sync.Mutex
@@ -99,6 +108,18 @@ func NewEndpoint(net *fabric.Network, node int) *Endpoint {
 // endpoint carries []byte payloads (ByteCodec). Set before traffic
 // flows.
 func (ep *Endpoint) SetCodec(c Codec) { ep.codec = c }
+
+// OnCut installs the function told of the destination of every post
+// between nodes a permanent partition cuts in either direction
+// (fabric.ErrCut); the post itself succeeds, whether the fabric dropped
+// it or delivered it. Set before traffic flows.
+func (ep *Endpoint) OnCut(f func(dst fabric.EndpointID)) { ep.onCut = f }
+
+// ReportPeerDown posts the control completion of a failure verdict on
+// rank: token PeerDown{rank}, Err wrapping ErrLinkDown around cause.
+func (ep *Endpoint) ReportPeerDown(rank int, cause error) {
+	ep.cq.Push(CQE{Token: PeerDown{Rank: rank}, At: ep.Now(), Err: fmt.Errorf("%w: %v", ErrLinkDown, cause)})
+}
 
 // BindWork attaches a stream work counter: it starts at the entries
 // already queued, every later completion or arrival adds one unit, and
@@ -175,6 +196,9 @@ func (ep *Endpoint) completion(txDone time.Duration, p fabric.Packet) {
 
 // transmit hands the fabric what payload decodes to on the far side of
 // the codec (RoundTrip) and returns when the wire finishes sending it.
+// A packet between nodes a permanent partition cuts is reported to the
+// OnCut function; the fabric dropped it or, when only the way back is
+// cut, delivered it.
 func (ep *Endpoint) transmit(dst fabric.EndpointID, payload any, bytes int) (time.Duration, error) {
 	dec, err := RoundTrip(ep.codec, payload)
 	if err != nil {
@@ -185,7 +209,14 @@ func (ep *Endpoint) transmit(dst fabric.EndpointID, payload any, bytes int) (tim
 	if m := ep.met; m != nil && m.reg.On() {
 		m.sent.Inc()
 	}
-	return txDone, ep.net.Transmit(fabric.Packet{Src: ep.id, Dst: dst, Payload: dec, Bytes: bytes}, txDone)
+	err = ep.net.Transmit(fabric.Packet{Src: ep.id, Dst: dst, Payload: dec, Bytes: bytes}, txDone)
+	if err == fabric.ErrCut {
+		if ep.onCut != nil {
+			ep.onCut(dst)
+		}
+		err = nil
+	}
+	return txDone, err
 }
 
 // DrainCQ moves up to cap(buf) completion entries into buf[:0] and

@@ -21,14 +21,14 @@ func (bytesCodec) Place(fabric.EndpointID, int, []byte) ([]byte, Placement, int)
 
 // TestRelCodecCarriesEveryField: the envelope must carry the whole
 // relFrame — go-back-N over a byte transport is only the protocol the
-// sim fabric tests if no field stays behind (floor once did). Every
+// sim fabric tests if no field stays behind. Every
 // field gets a distinct non-zero value on the side of the codec that
 // has it — the payload's encoding (head, body) going in, its decoding
 // (inner) coming out — and the reflection check makes a field added
 // later fail here until the codec carries it too. relData is the zero
 // kind: an ACK frame carries a non-zero one.
 func TestRelCodecCarriesEveryField(t *testing.T) {
-	sent := relFrame{seq: 0x1111, ack: 0x2222, floor: 0x3333, src: 0x4444, bytes: 0x5555, head: []byte("in"), body: []byte("ner")}
+	sent := relFrame{seq: 0x1111, ack: 0x2222, src: 0x4444, bytes: 0x5555, head: []byte("in"), body: []byte("ner")}
 	want := sent
 	want.head, want.body, want.inner = nil, nil, []byte("inner")
 	ack := relFrame{kind: relAck, ack: 0x6666, src: 0x7777, bytes: 0x10}

@@ -20,37 +20,32 @@ import (
 // Semantics offered to the netmod above:
 //
 //   - PostSendInline: fire-and-forget, but the frame is retransmitted
-//     until acknowledged (or its link dies). The payload is encoded at
-//     post, body included: the caller's buffer is free immediately, and
-//     a retransmission copies the layer's bytes, never the caller's.
+//     until acknowledged. The payload is encoded at post, body
+//     included: the caller's buffer is free immediately, and a
+//     retransmission copies the layer's bytes, never the caller's.
 //   - PostSend: the CQE is posted when the frame is *cumulatively
 //     acknowledged*, not when the wire transmission finishes — one wait
 //     block whose meaning is strengthened from "transmitted" to
-//     "delivered"; the body is read until then. A frame that exhausts
-//     its retransmission budget posts a CQE with Err = ErrLinkDown
-//     instead of hanging forever.
+//     "delivered"; the body is read until then.
 //   - DrainRQ: delivers peer frames exactly once, in per-link seq
 //     order, regardless of drops, duplicates, and delay spikes below.
 //     Flush absorbs arrivals too, so an ACK completes its frame whether
 //     or not the owner drains the receive queue.
 //
-// A down link is quiescent, not dead: "down" only proves the peer went
-// MaxRetries rounds without acknowledging, which a rank that simply is
-// not driving progress (a long compute phase, a GC pause — exactly the
-// stragglers of the paper's Fig. 1) produces as readily as a crashed
-// one. Signaled frames keep the documented contract and fail with
-// ErrLinkDown when the budget runs out, but fire-and-forget frames are
-// PARKED on the link instead of discarded: dropping them silently would
-// wedge the protocol above forever if the peer turns out to be merely
-// slow. Any frame later received from the peer is evidence of life; it
-// revives the link and resumes retransmission of the parked queue.
-// Because condemnation may have abandoned signaled frames, data frames
-// carry a resync floor (the oldest sequence number still deliverable)
-// so the receiver can skip the holes instead of waiting forever for
-// retransmissions that will never come.
+// Silence is not death. A peer that goes unanswered for many rounds may
+// only be late — a long compute phase, a GC pause, exactly the
+// stragglers of the paper's Fig. 1 — so the layer keeps retransmitting,
+// its timeout doubling up to MaxRTO, until the frame is acknowledged.
+// Only a verdict condemns a peer: a PeerDown completion of the wrapped
+// link, which each transport reaches from liveness evidence (tcp's
+// re-dial budget, shm's flock, the sim's permanent partition). DrainCQ
+// forwards it, then fails the unacknowledged signaled frames to every
+// endpoint of that rank with ErrLinkDown, drops the inline ones, and
+// settles later posts to the rank at once.
 
-// ErrLinkDown reports that a destination exhausted its retransmission
-// budget and was declared unreachable.
+// ErrLinkDown is the error a send fails with when its destination was
+// condemned: bare from this layer, wrapped around the cause from a byte
+// transport and in a PeerDown verdict.
 var ErrLinkDown = errors.New("nic: link down")
 
 // errRelClosed refuses a post after Close.
@@ -62,9 +57,6 @@ type RelConfig struct {
 	RTO time.Duration
 	// MaxRTO caps the exponential backoff. Default 8*RTO.
 	MaxRTO time.Duration
-	// MaxRetries is the number of consecutive unanswered retransmission
-	// rounds after which a link is declared down. Default 8.
-	MaxRetries int
 	// HdrBytes is the modeled wire overhead per data frame, and the
 	// full size of an ACK frame. Default 16.
 	HdrBytes int
@@ -76,9 +68,6 @@ func (c RelConfig) withDefaults() RelConfig {
 	}
 	if c.MaxRTO == 0 {
 		c.MaxRTO = 8 * c.RTO
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 8
 	}
 	if c.HdrBytes == 0 {
 		c.HdrBytes = 16
@@ -100,7 +89,6 @@ type relFrame struct {
 	kind  uint8
 	seq   uint64 // relData: per-link sequence number
 	ack   uint64 // cumulative: every seq < ack has been received
-	floor uint64 // relData: oldest seq still deliverable (resync after abandonment)
 	src   fabric.EndpointID
 	bytes int // modeled payload bytes (excluding HdrBytes)
 
@@ -118,28 +106,13 @@ type relPkt struct {
 	hasToken   bool
 }
 
-// txLink is the sender half of one directed link. While down, unacked
-// holds only parked fire-and-forget frames (signaled frames failed at
-// condemnation); they are excluded from the layer's outstanding count
-// and not retransmitted until the link revives.
+// txLink is the sender half of one directed link.
 type txLink struct {
 	dst      fabric.EndpointID
 	nextSeq  uint64
 	unacked  []relPkt
 	rto      time.Duration
 	deadline time.Duration
-	retries  int
-	down     bool
-}
-
-// floorLocked returns the oldest sequence number this link will still
-// (re)deliver; everything below it has been acknowledged or abandoned.
-// Caller holds r.mu.
-func (l *txLink) floorLocked() uint64 {
-	if len(l.unacked) > 0 {
-		return l.unacked[0].seq
-	}
-	return l.nextSeq
 }
 
 // rxLink is the receiver half of one directed link.
@@ -161,12 +134,8 @@ type RelStats struct {
 	DupsDropped uint64
 	// OutOfOrder counts frames buffered ahead of a sequence gap.
 	OutOfOrder uint64
-	// LinksDown counts links declared unreachable.
-	LinksDown uint64
-	// LinksRevived counts down links resurrected by evidence of life
-	// (a frame received from the condemned peer).
-	LinksRevived uint64
-	// FramesFailed counts signaled frames abandoned on a down link.
+	// FramesFailed counts signaled frames failed on a verdict: those
+	// unacknowledged when it came, and those posted after it.
 	FramesFailed uint64
 }
 
@@ -179,18 +148,20 @@ const relBatch = 256
 // (DrainCQ/DrainRQ from the netmod hook, Flush from the async thing
 // SetArm's callback starts).
 type Reliable struct {
-	link  Link
-	codec Codec
-	split SplitCodec // codec's zero-copy side, nil when it has none
-	cfg   RelConfig
+	link   Link
+	codec  Codec
+	split  SplitCodec // codec's zero-copy side, nil when it has none
+	rankOf func(fabric.EndpointID) int
+	cfg    RelConfig
 
 	mu     sync.Mutex
 	tx     map[fabric.EndpointID]*txLink
 	rx     map[fabric.EndpointID]*rxLink
-	arm    func() // SetArm's callback
-	armed  bool   // a Flush is owed: some frame is unacknowledged
+	dead   map[int]bool // ranks a verdict condemned: no tx link to them is kept
+	arm    func()       // SetArm's callback
+	armed  bool         // a Flush is owed: some frame is unacknowledged
 	closed bool
-	out    int // total unacked frames across live links (parked excluded)
+	out    int // total unacked frames across links
 	stats  RelStats
 	// raw and deliv are absorb's scratch: the wrapped link's arrivals,
 	// and what they deliver in order.
@@ -208,17 +179,21 @@ type Reliable struct {
 
 // NewReliable wraps link with the reliability protocol. codec is the
 // payload codec inside the envelope — the one link's own codec wraps
-// in RelCodec — with which the layer encodes every post. The caller
-// must route all traffic for link through the wrapper: raw and reliable
+// in RelCodec — with which the layer encodes every post. rankOf is the
+// transport's RankOfEndpoint: a PeerDown verdict names a rank, and the
+// layer fails what it holds for each endpoint of it. The caller must
+// route all traffic for link through the wrapper: raw and reliable
 // frames cannot share a link.
-func NewReliable(link Link, codec Codec, cfg RelConfig) *Reliable {
+func NewReliable(link Link, codec Codec, rankOf func(fabric.EndpointID) int, cfg RelConfig) *Reliable {
 	r := &Reliable{
-		link:  link,
-		codec: codec,
-		cfg:   cfg.withDefaults(),
-		tx:    make(map[fabric.EndpointID]*txLink),
-		rx:    make(map[fabric.EndpointID]*rxLink),
-		raw:   make([]fabric.Packet, 0, relBatch),
+		link:   link,
+		codec:  codec,
+		rankOf: rankOf,
+		cfg:    cfg.withDefaults(),
+		tx:     make(map[fabric.EndpointID]*txLink),
+		rx:     make(map[fabric.EndpointID]*rxLink),
+		dead:   make(map[int]bool),
+		raw:    make([]fabric.Packet, 0, relBatch),
 	}
 	r.split, _ = codec.(SplitCodec)
 	return r
@@ -250,9 +225,8 @@ func (r *Reliable) BindWork(w WorkCounter) {
 }
 
 // SetArm registers the callback that starts a Flush: the layer invokes
-// it when its first frame goes unacknowledged and when a revival gives
-// parked frames back to the timer, the wrapped link when its own output
-// goes pending.
+// it when its first frame goes unacknowledged, the wrapped link when
+// its own output goes pending.
 func (r *Reliable) SetArm(arm func()) {
 	r.mu.Lock()
 	r.arm = arm
@@ -261,8 +235,7 @@ func (r *Reliable) SetArm(arm func()) {
 }
 
 // PendingTx counts what the wrapped link has not put on the wire yet
-// and the frames this layer has not seen acknowledged (parked frames
-// aside).
+// and the frames this layer has not seen acknowledged.
 func (r *Reliable) PendingTx() int {
 	r.mu.Lock()
 	n := r.out
@@ -274,15 +247,6 @@ func (r *Reliable) PendingTx() int {
 // link's: its control completions, its arrivals not yet absorbed.
 func (r *Reliable) QueuedCQ() int { return r.cq.Len() + r.link.QueuedCQ() }
 func (r *Reliable) QueuedRQ() int { return r.rq.Len() + r.link.QueuedRQ() }
-
-func (r *Reliable) txFor(dst fabric.EndpointID) *txLink {
-	l, ok := r.tx[dst]
-	if !ok {
-		l = &txLink{dst: dst, rto: r.cfg.RTO}
-		r.tx[dst] = l
-	}
-	return l
-}
 
 func (r *Reliable) rxFor(src fabric.EndpointID) *rxLink {
 	l, ok := r.rx[src]
@@ -302,8 +266,8 @@ func (r *Reliable) PostSendInline(dst fabric.EndpointID, payload any, bytes int)
 
 // PostSend sends payload reliably and posts a CQE carrying token when
 // the frame is cumulatively acknowledged — or a CQE with
-// Err = ErrLinkDown if the link dies first. Until then the layer may
-// read the payload's body.
+// Err = ErrLinkDown if a verdict condemns dst's rank first. Until then
+// the layer may read the payload's body.
 func (r *Reliable) PostSend(dst fabric.EndpointID, payload any, bytes int, token any) error {
 	return r.post(dst, payload, bytes, token, true)
 }
@@ -324,7 +288,9 @@ func (r *Reliable) encode(payload any, signaled bool) (head, body []byte, err er
 
 // post queues an encoded frame on dst's link and transmits its first
 // copy. Once the frame is queued the layer owns its delivery: a failed
-// transmission is retried by the timer like a lost one.
+// transmission is retried by the timer like a lost one. A post to a
+// condemned rank is settled at once: a signaled one fails through its
+// CQE, an inline one is dropped.
 func (r *Reliable) post(dst fabric.EndpointID, payload any, bytes int, token any, signaled bool) error {
 	head, body, err := r.encode(payload, signaled)
 	if err != nil {
@@ -335,39 +301,35 @@ func (r *Reliable) post(dst fabric.EndpointID, payload any, bytes int, token any
 		r.mu.Unlock()
 		return errRelClosed
 	}
-	l := r.txFor(dst)
-	if l.down && signaled {
-		// Signaled sends keep the fail-fast ErrLinkDown contract.
-		r.mu.Unlock()
-		r.failCQ(token)
-		return nil
+	l, ok := r.tx[dst]
+	if !ok {
+		if r.dead[r.rankOf(dst)] {
+			var failed []any
+			if signaled {
+				failed = r.failedLocked(nil, token)
+			}
+			r.mu.Unlock()
+			r.failCQ(failed)
+			return nil
+		}
+		l = &txLink{dst: dst, rto: r.cfg.RTO}
+		r.tx[dst] = l
 	}
-	parked := l.down
 	f := relFrame{kind: relData, seq: l.nextSeq, ack: r.rxFor(dst).nextExp, src: r.link.ID(), bytes: bytes, head: head, body: body}
 	l.nextSeq++
-	var arm func()
-	if !parked {
-		if len(l.unacked) == 0 {
-			l.rto = r.cfg.RTO
-			l.retries = 0
-			l.deadline = r.Now() + l.rto
-		}
-		r.out++
-		if m := r.met; m != nil && m.reg.On() {
-			m.outstandingGus.Set(int64(r.out))
-		}
-		arm = r.armLocked()
+	if len(l.unacked) == 0 {
+		l.rto = r.cfg.RTO
+		l.deadline = r.Now() + l.rto
 	}
-	// A frame to a down link parks (not counted outstanding, not
-	// retransmitted) but still goes out once: if the peer is alive, its
-	// ACK is the evidence of life that revives the link.
 	l.unacked = append(l.unacked, relPkt{seq: f.seq, head: head, body: body, bytes: bytes, token: token, hasToken: signaled})
-	f.floor = l.floorLocked()
+	r.out++
+	if m := r.met; m != nil && m.reg.On() {
+		m.outstandingGus.Set(int64(r.out))
+	}
+	arm := r.armLocked()
 	r.mu.Unlock()
 	r.link.PostSendInline(dst, &f, r.cfg.HdrBytes+bytes)
-	if !parked {
-		r.restartTimer(l, f.seq)
-	}
+	r.restartTimer(l, f.seq)
 	if arm != nil {
 		arm()
 	}
@@ -389,26 +351,75 @@ func (r *Reliable) armLocked() func() {
 // from seq have left, if seq is still the oldest unacknowledged frame:
 // the timer times the wire and the peer, not the post, which copies
 // each frame on every link. It does nothing when an older frame is
-// still waiting, seq was acknowledged meanwhile or the link went down.
+// still waiting, or seq was acknowledged or failed meanwhile.
 func (r *Reliable) restartTimer(l *txLink, seq uint64) {
 	r.mu.Lock()
-	if !l.down && len(l.unacked) > 0 && l.unacked[0].seq == seq {
+	if len(l.unacked) > 0 && l.unacked[0].seq == seq {
 		l.deadline = r.Now() + l.rto
 	}
 	r.mu.Unlock()
 }
 
-func (r *Reliable) failCQ(token any) {
-	r.cq.Push(CQE{Token: token, At: r.Now(), Err: ErrLinkDown})
+// failedLocked appends the token of a signaled frame failed on a
+// verdict to failed and counts it. Caller holds r.mu.
+func (r *Reliable) failedLocked(failed []any, token any) []any {
+	r.stats.FramesFailed++
+	if m := r.met; m != nil && m.reg.On() {
+		m.framesFailed.Inc()
+	}
+	return append(failed, token)
+}
+
+// failCQ posts the ErrLinkDown completion of each failed token.
+func (r *Reliable) failCQ(failed []any) {
+	for _, tok := range failed {
+		r.cq.Push(CQE{Token: tok, At: r.Now(), Err: ErrLinkDown})
+	}
 }
 
 // DrainCQ moves up to cap(buf) completion entries into buf[:0] and
 // returns the filled slice: the wrapped link's control completions
-// (nic.PeerDown verdicts) first, then this layer's.
+// (PeerDown verdicts) first, then this layer's. A verdict condemns its
+// rank before this layer's queue is drained, so the frames it fails
+// complete after it.
 func (r *Reliable) DrainCQ(buf []CQE) []CQE {
 	buf = r.link.DrainCQ(buf)
+	for _, c := range buf {
+		if v, ok := c.Token.(PeerDown); ok {
+			r.condemn(v.Rank)
+		}
+	}
 	n := len(buf)
 	return buf[:n+len(r.cq.Drain(buf[n:]))]
+}
+
+// condemn applies a verdict on rank: the tx links to its endpoints go,
+// their unacknowledged signaled frames fail with ErrLinkDown and their
+// inline ones are dropped, and later posts to it are settled at once.
+// The receive side is left as it is: what the rank sent before its
+// verdict is still delivered in order.
+func (r *Reliable) condemn(rank int) {
+	var failed []any
+	r.mu.Lock()
+	r.dead[rank] = true
+	for dst, l := range r.tx {
+		if r.rankOf(dst) != rank {
+			continue
+		}
+		for _, p := range l.unacked {
+			if p.hasToken {
+				failed = r.failedLocked(failed, p.token)
+			}
+		}
+		r.out -= len(l.unacked)
+		l.unacked = nil
+		delete(r.tx, dst)
+	}
+	if m := r.met; m != nil && m.reg.On() {
+		m.outstandingGus.Set(int64(r.out))
+	}
+	r.mu.Unlock()
+	r.failCQ(failed)
 }
 
 // DrainRQ absorbs what has arrived (absorb) and moves up to cap(buf)
@@ -426,38 +437,12 @@ func (r *Reliable) Stats() RelStats {
 	return r.stats
 }
 
-// reviveLocked resurrects a down tx link: any frame received from the
-// peer proves it is alive (it was merely slow, or the outage healed),
-// so the parked queue rejoins the outstanding count and retransmission
-// resumes immediately. It returns the arm callback to invoke once r.mu
-// is released, if the revival armed the layer. Caller holds r.mu.
-func (r *Reliable) reviveLocked(src fabric.EndpointID) func() {
-	l, ok := r.tx[src]
-	if !ok || !l.down {
-		return nil
-	}
-	l.down = false
-	l.retries = 0
-	l.rto = r.cfg.RTO
-	l.deadline = r.Now() // parked frames retransmit on the next flush
-	r.out += len(l.unacked)
-	r.stats.LinksRevived++
-	if m := r.met; m != nil && m.reg.On() {
-		m.linksRevived.Inc()
-		m.outstandingGus.Set(int64(r.out))
-	}
-	if r.out == 0 {
-		return nil
-	}
-	return r.armLocked()
-}
-
 // handleAck applies a cumulative acknowledgment from src: every frame
 // with seq < ack is delivered and leaves the retransmission queue.
 // Caller holds r.mu.
 func (r *Reliable) handleAckLocked(src fabric.EndpointID, ack uint64) {
 	l, ok := r.tx[src]
-	if !ok || l.down {
+	if !ok {
 		return
 	}
 	popped := 0
@@ -476,7 +461,6 @@ func (r *Reliable) handleAckLocked(src fabric.EndpointID, ack uint64) {
 			m.outstandingGus.Set(int64(r.out))
 		}
 		// Forward progress: reset the backoff.
-		l.retries = 0
 		l.rto = r.cfg.RTO
 		l.deadline = r.Now() + l.rto
 	}
@@ -504,7 +488,6 @@ func (r *Reliable) absorb() {
 		}
 		due = append(due, src)
 	}
-	var arm func() // a revival's: the first one arms the layer
 	r.mu.Lock()
 	raw := r.link.DrainRQ(r.raw)
 	out := r.deliv[:0]
@@ -518,11 +501,6 @@ func (r *Reliable) absorb() {
 		if !ok {
 			panic("nic: non-reliable frame on a reliable endpoint")
 		}
-		// Any frame from the peer — ACK or data — is evidence of life:
-		// a condemned link to it comes back before the ack applies.
-		if a := r.reviveLocked(f.src); a != nil {
-			arm = a
-		}
 		if f.kind == relAck {
 			r.stats.AcksReceived++
 			if mon {
@@ -535,31 +513,6 @@ func (r *Reliable) absorb() {
 		// reverse direction.
 		r.handleAckLocked(f.src, f.ack)
 		rl := r.rxFor(f.src)
-		if f.floor > rl.nextExp {
-			// The sender abandoned frames below floor (signaled frames
-			// purged when it condemned this link); they will never be
-			// retransmitted. Flush whatever arrived ahead of the holes,
-			// then resync past them.
-			if len(rl.ooo) > 0 {
-				for seq := rl.nextExp; seq < f.floor; seq++ {
-					if nf, ok := rl.ooo[seq]; ok {
-						delete(rl.ooo, seq)
-						deliver(pkt, &nf)
-					}
-				}
-			}
-			rl.nextExp = f.floor
-			for {
-				nf, ok := rl.ooo[rl.nextExp]
-				if !ok {
-					break
-				}
-				delete(rl.ooo, rl.nextExp)
-				deliver(pkt, &nf)
-				rl.nextExp++
-			}
-			markDue(f.src)
-		}
 		switch {
 		case f.seq < rl.nextExp:
 			// Duplicate (fabric duplication, or a retransmit whose ACK
@@ -631,21 +584,17 @@ func (r *Reliable) absorb() {
 		f := &relFrame{kind: relAck, ack: a.ack, src: self}
 		r.link.PostSendInline(a.dst, f, r.cfg.HdrBytes)
 	}
-	if arm != nil {
-		arm()
-	}
 }
 
 // Flush runs the layer's deferred work once. It absorbs arrivals, so an
 // ACK completes its frame even when nobody drains the receive queue. It
 // runs the retransmission timer: a link whose oldest unacknowledged
 // frame has outlived the current timeout gets its queue retransmitted
-// with doubled (capped) backoff, and a link that exhausts MaxRetries
-// consecutive rounds is declared down — its signaled frames fail with
-// ErrLinkDown, its fire-and-forget frames park until the peer shows
-// signs of life (see reviveLocked). Then it flushes the wrapped link.
+// with doubled backoff, capped at MaxRTO, for as long as it takes —
+// only a verdict gives up on a peer (DrainCQ). Then it flushes the
+// wrapped link.
 //
-// made reports a retransmission, a failure or the wrapped link's
+// made reports a retransmission or the wrapped link's
 // progress, not absorbed arrivals: their CQEs and deliveries wait in
 // queues bound to the owner's work counter, and counting them would
 // make a collated pass skip the netmod that drains them. idle reports
@@ -663,52 +612,17 @@ func (r *Reliable) Flush() (made, idle bool) {
 		frames []relFrame
 	}
 	var resends []resend
-	var failed []any
 	r.mu.Lock()
 	m := r.met
 	mon := m != nil && m.reg.On()
 	for _, l := range r.tx {
-		if l.down || len(l.unacked) == 0 || now < l.deadline {
-			continue
-		}
-		l.retries++
-		if l.retries > r.cfg.MaxRetries {
-			// Condemn the link: signaled frames fail with ErrLinkDown as
-			// promised, but fire-and-forget frames are parked — the peer
-			// may only be slow, and a later sign of life revives the
-			// link and resumes delivering them (see reviveLocked).
-			l.down = true
-			r.stats.LinksDown++
-			if mon {
-				m.linksDown.Inc()
-			}
-			kept := make([]relPkt, 0, len(l.unacked))
-			dropped := 0
-			for _, p := range l.unacked {
-				if p.hasToken {
-					failed = append(failed, p.token)
-					dropped++
-				} else {
-					kept = append(kept, p)
-				}
-			}
-			r.stats.FramesFailed += uint64(dropped)
-			if mon {
-				m.framesFailed.Add(uint64(dropped))
-			}
-			r.out -= len(l.unacked) // parked frames leave the count too
-			if mon {
-				m.outstandingGus.Set(int64(r.out))
-			}
-			l.unacked = kept
-			made = true
+		if len(l.unacked) == 0 || now < l.deadline {
 			continue
 		}
 		ack := r.rxFor(l.dst).nextExp
-		floor := l.floorLocked()
 		rs := resend{l: l, frames: make([]relFrame, len(l.unacked))}
 		for i, p := range l.unacked {
-			rs.frames[i] = relFrame{kind: relData, seq: p.seq, ack: ack, floor: floor, src: r.link.ID(), bytes: p.bytes, head: p.head, body: p.body}
+			rs.frames[i] = relFrame{kind: relData, seq: p.seq, ack: ack, src: r.link.ID(), bytes: p.bytes, head: p.head, body: p.body}
 		}
 		resends = append(resends, rs)
 		r.stats.Retransmits += uint64(len(l.unacked))
@@ -731,9 +645,6 @@ func (r *Reliable) Flush() (made, idle bool) {
 		idle = true
 	}
 	r.mu.Unlock()
-	for _, tok := range failed {
-		r.failCQ(tok)
-	}
 	for _, rs := range resends {
 		for i := range rs.frames {
 			f := rs.frames[i]

@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -22,17 +24,28 @@ func meterPair(a, b *Reliable) *metrics.Registry {
 }
 
 // relPair builds two endpoints on different nodes over a (possibly
-// lossy) manual-clock fabric and wraps both in the reliability layer;
-// the endpoints carry its envelope around []byte payloads.
+// lossy) manual-clock fabric and wraps both in the reliability layer.
 func relPair(f fabric.FaultConfig, cfg RelConfig) (*timing.ManualClock, *Reliable, *Reliable) {
+	mc, rels := relWorld(f, cfg, 0, 1)
+	return mc, rels[0], rels[1]
+}
+
+// relWorld builds one endpoint per node given, wrapped in the
+// reliability layer, over a manual-clock fabric; the endpoints carry
+// its envelope around []byte payloads. Each endpoint is a rank of its
+// own, numbered as its address. No transport watches the fabric: a
+// permanent partition yields no verdict here.
+func relWorld(f fabric.FaultConfig, cfg RelConfig, nodes ...int) (*timing.ManualClock, []*Reliable) {
 	mc := timing.NewManualClock()
 	net := fabric.NewNetwork(mc, fabric.Config{Latency: 2 * time.Microsecond, Faults: f})
-	rel := func(node int) *Reliable {
+	rankOf := func(ep fabric.EndpointID) int { return int(ep) }
+	var rels []*Reliable
+	for _, node := range nodes {
 		ep := NewEndpoint(net, node)
 		ep.SetCodec(RelCodec(ByteCodec{}))
-		return NewReliable(ep, ByteCodec{}, cfg)
+		rels = append(rels, NewReliable(ep, ByteCodec{}, rankOf, cfg))
 	}
-	return mc, rel(0), rel(1)
+	return mc, rels
 }
 
 // armed reports whether post made r invoke the callback SetArm gave it.
@@ -60,7 +73,7 @@ func TestReliableInOrderExactlyOnceUnderLoss(t *testing.T) {
 	// receiver must still see every payload exactly once, in order.
 	mc, a, b := relPair(
 		fabric.FaultConfig{DropProb: 0.3, DupProb: 0.2, Seed: 11},
-		RelConfig{RTO: 20 * time.Microsecond, MaxRetries: 1000},
+		RelConfig{RTO: 20 * time.Microsecond},
 	)
 	reg := meterPair(a, b)
 	before := reg.Snapshot()
@@ -144,8 +157,7 @@ func TestReliableAckCompletesTokensInOrder(t *testing.T) {
 	// Clean-fabric control: no recovery machinery may fire.
 	d := metrics.Diff(before, reg.Snapshot())
 	for _, name := range []string{
-		"a.rel.retransmits", "a.rel.backoff.rounds", "a.rel.links.down",
-		"a.rel.frames.failed", "b.rel.dups.dropped", "b.rel.out_of_order",
+		"a.rel.retransmits", "a.rel.backoff.rounds", "a.rel.frames.failed", "b.rel.dups.dropped", "b.rel.out_of_order",
 	} {
 		if got := d.Counter(name); got != 0 {
 			t.Errorf("%s = %d on a clean fabric, want 0", name, got)
@@ -156,59 +168,169 @@ func TestReliableAckCompletesTokensInOrder(t *testing.T) {
 	}
 }
 
-func TestReliableExponentialBackoffAndLinkDown(t *testing.T) {
-	// Permanent partition: the frame is never acknowledged, backoff
-	// doubles up to the cap, and after MaxRetries rounds the link dies
-	// and the token fails with ErrLinkDown.
+func TestReliableBackoffDoublesToTheCapAndNeverGivesUp(t *testing.T) {
+	// Permanent partition, and no transport to turn it into a verdict:
+	// the frame is never acknowledged, the backoff doubles up to the cap
+	// and stays there, and the layer keeps retransmitting — silence is
+	// not death, so no CQE is ever posted.
+	const rto, maxRTO = 10 * time.Microsecond, 40 * time.Microsecond
 	mc, a, b := relPair(
 		fabric.FaultConfig{Partitions: []fabric.Partition{{SrcNode: 0, DstNode: 1}}},
-		RelConfig{RTO: 10 * time.Microsecond, MaxRTO: 40 * time.Microsecond, MaxRetries: 4},
+		RelConfig{RTO: rto, MaxRTO: maxRTO},
 	)
 	reg := meterPair(a, b)
 	before := reg.Snapshot()
 	if arm := armed(a, func() error { return a.PostSend(b.ID(), []byte("doomed"), 64, "tok") }); !arm {
 		t.Fatal("first send must arm the retransmit flush")
 	}
-	var failed []CQE
-	deadline := 10 * time.Millisecond
-	for mc.Now() < deadline && len(failed) == 0 {
+	var rounds []time.Duration // when each retransmission round ran
+	for mc.Now() < 10*time.Millisecond {
+		n := a.Stats().Retransmits
 		churn(mc, 5*time.Microsecond, a, b)
-		failed = append(failed, pollCQ(a, 0)...)
+		if a.Stats().Retransmits > n {
+			rounds = append(rounds, mc.Now())
+		}
+		if cqes := pollCQ(a, 0); cqes != nil {
+			t.Fatalf("CQEs %+v at %v: the layer gave up on a peer no verdict condemned", cqes, mc.Now())
+		}
+		if n := a.PendingTx(); n != 1 {
+			t.Fatalf("PendingTx = %d at %v, want 1", n, mc.Now())
+		}
 	}
-	if len(failed) != 1 || failed[0].Err != ErrLinkDown || failed[0].Token != "tok" {
-		t.Fatalf("failed CQEs = %+v, want one ErrLinkDown for tok", failed)
+	// 10 ms at a 40 µs cap: a few hundred rounds, each re-sending the
+	// one frame.
+	if len(rounds) < 200 || a.Stats().Retransmits != uint64(len(rounds)) {
+		t.Fatalf("%d retransmission rounds, %d retransmits in 10ms; want one frame per round, every %v", len(rounds), a.Stats().Retransmits, maxRTO)
 	}
-	if a.Stats().LinksDown != 1 {
-		t.Fatal("link should be marked down")
+	if rounds[0] != rto {
+		t.Errorf("first round at %v, want %v", rounds[0], rto)
 	}
-	st := a.Stats()
-	// 4 allowed rounds: RTO 10, 20, 40, 40 (capped) — then death.
-	if st.Retransmits != 4 || st.LinksDown != 1 || st.FramesFailed != 1 {
-		t.Fatalf("stats %+v, want 4 retransmits, 1 link down, 1 frame failed", st)
+	for i, want := 1, 2*rto; i < len(rounds); i++ {
+		if gap := rounds[i] - rounds[i-1]; gap != want {
+			t.Fatalf("gap before round %d = %v, want %v (rounds %v...)", i, gap, want, rounds[:5])
+		}
+		want = min(2*want, maxRTO)
+	}
+	if st := a.Stats(); st.FramesFailed != 0 {
+		t.Errorf("stats %+v: a frame failed without a verdict", st)
 	}
 	d := metrics.Diff(before, reg.Snapshot())
-	if got := d.Counter("a.rel.retransmits"); got != 4 {
-		t.Errorf("metric retransmits = %d, want 4", got)
+	if got := d.Counter("a.rel.retransmits"); got != a.Stats().Retransmits {
+		t.Errorf("metric retransmits = %d, RelStats = %d", got, a.Stats().Retransmits)
 	}
-	if got := d.Counter("a.rel.backoff.rounds"); got != 4 {
-		t.Errorf("metric backoff.rounds = %d, want 4", got)
+	if got := d.Counter("a.rel.backoff.rounds"); got != uint64(len(rounds)) {
+		t.Errorf("metric backoff.rounds = %d, want %d", got, len(rounds))
 	}
-	if got := d.Counter("a.rel.links.down"); got != 1 {
-		t.Errorf("metric links.down = %d, want 1", got)
+	if got := d.Counter("a.rel.frames.failed"); got != 0 {
+		t.Errorf("metric frames.failed = %d, want 0", got)
 	}
-	if got := d.Counter("a.rel.frames.failed"); got != 1 {
-		t.Errorf("metric frames.failed = %d, want 1", got)
+}
+
+// TestReliableStalledPeerIsLateNotDead: a live peer that drives no
+// progress for a while — a long compute phase, the stragglers of the
+// paper's Fig. 1 — goes through many unanswered retransmission rounds,
+// and its frame must still complete successfully, once, when it comes
+// back. A layer that condemned it after a round budget failed the
+// frame with ErrLinkDown though the peer had it all along.
+func TestReliableStalledPeerIsLateNotDead(t *testing.T) {
+	mc, a, b := relPair(fabric.FaultConfig{}, RelConfig{RTO: 10 * time.Microsecond, MaxRTO: 40 * time.Microsecond})
+	if err := a.PostSend(b.ID(), []byte("slow"), 64, "tok"); err != nil {
+		t.Fatal(err)
 	}
-	// Sends on a dead link fail immediately.
-	if arm := armed(a, func() error { return a.PostSend(b.ID(), []byte("late"), 64, "tok2") }); arm {
-		t.Fatal("send on a dead link must not arm the flush")
+	var cqes []CQE
+	for step := 0; step < 200; step++ { // 1 ms in which b runs no progress
+		mc.Advance(5 * time.Microsecond)
+		a.Flush()
+		cqes = append(cqes, pollCQ(a, 0)...)
 	}
-	cqes := pollCQ(a, 0)
-	if len(cqes) != 1 || cqes[0].Err != ErrLinkDown {
-		t.Fatalf("late send CQEs = %+v", cqes)
+	var got []fabric.Packet
+	for step := 0; step < 50; step++ {
+		got = append(got, churn(mc, 5*time.Microsecond, a, b)...)
+		cqes = append(cqes, pollCQ(a, 0)...)
 	}
-	if a.PendingTx() != 0 {
-		t.Fatalf("outstanding = %d on a dead link", a.PendingTx())
+	if len(got) != 1 || string(got[0].Payload.([]byte)) != "slow" {
+		t.Fatalf("b delivered %d frames (%v), want \"slow\" once", len(got), got)
+	}
+	if len(cqes) != 1 || cqes[0].Token != "tok" || cqes[0].Err != nil {
+		t.Fatalf("a's CQEs = %+v, want tok once, Err nil (stats %+v)", cqes, a.Stats())
+	}
+}
+
+// TestReliableVerdictFailsTheCondemnedRank: a PeerDown verdict of the
+// wrapped link is the one thing that makes the layer give up on a
+// peer. It forwards the verdict, then fails that rank's unacknowledged
+// signaled frames, drops its inline ones, and settles later posts to it
+// at once — while traffic to any other rank goes on untouched.
+func TestReliableVerdictFailsTheCondemnedRank(t *testing.T) {
+	mc, rels := relWorld(
+		fabric.FaultConfig{Partitions: []fabric.Partition{{SrcNode: 0, DstNode: 1}}},
+		RelConfig{RTO: 20 * time.Microsecond}, 0, 1, 2)
+	a, b, c := rels[0], rels[1], rels[2]
+	reg := meterPair(a, b)
+	before := reg.Snapshot()
+	a.PostSend(b.ID(), []byte("sig"), 64, "sig")
+	a.PostSendInline(b.ID(), []byte("inl"), 64)
+	a.PostSend(c.ID(), []byte("c1"), 64, "c1")
+	dead := int(b.ID())
+	a.link.(*Endpoint).ReportPeerDown(dead, errors.New("test verdict"))
+
+	cqes := a.DrainCQ(make([]CQE, 0, 8))
+	if len(cqes) != 2 {
+		t.Fatalf("CQEs %+v, want the verdict, then the failed signaled frame", cqes)
+	}
+	if v, ok := cqes[0].Token.(PeerDown); !ok || v.Rank != dead || !errors.Is(cqes[0].Err, ErrLinkDown) {
+		t.Fatalf("first CQE %+v, want PeerDown{%d} wrapping ErrLinkDown", cqes[0], dead)
+	}
+	if cqes[1].Token != "sig" || cqes[1].Err != ErrLinkDown {
+		t.Fatalf("second CQE %+v, want sig with bare ErrLinkDown", cqes[1])
+	}
+	if n := a.PendingTx(); n != 1 {
+		t.Fatalf("PendingTx = %d after the verdict, want 1 (c's frame)", n)
+	}
+
+	// Later posts to the condemned rank settle at once, arming nothing.
+	if armed(a, func() error { return a.PostSend(b.ID(), []byte("late"), 64, "late") }) ||
+		armed(a, func() error { return a.PostSendInline(b.ID(), []byte("late"), 64) }) {
+		t.Fatal("a post to a condemned rank armed the flush")
+	}
+	if cqes := pollCQ(a, 0); len(cqes) != 1 || cqes[0].Token != "late" || cqes[0].Err != ErrLinkDown {
+		t.Fatalf("late post CQEs = %+v, want late with ErrLinkDown", cqes)
+	}
+	a.SetArm(func() {})
+	a.PostSend(c.ID(), []byte("c2"), 64, "c2")
+
+	var atC []string
+	var toks []any
+	for step := 0; step < 100; step++ {
+		mc.Advance(5 * time.Microsecond)
+		for _, p := range pollRQ(c, 0) {
+			atC = append(atC, string(p.Payload.([]byte)))
+		}
+		c.Flush()
+		b.Flush()
+		a.Flush()
+		for _, cqe := range pollCQ(a, 0) {
+			if cqe.Err != nil {
+				t.Fatalf("CQE %+v after the verdict", cqe)
+			}
+			toks = append(toks, cqe.Token)
+		}
+	}
+	if fmt.Sprint(atC) != "[c1 c2]" || fmt.Sprint(toks) != "[c1 c2]" {
+		t.Fatalf("c received %v and a completed %v, want [c1 c2] both", atC, toks)
+	}
+	if n := a.PendingTx(); n != 0 {
+		t.Fatalf("PendingTx = %d, want 0", n)
+	}
+	if _, idle := a.Flush(); !idle {
+		t.Fatal("Flush not idle once only condemned frames were left")
+	}
+	st := a.Stats()
+	if st.Retransmits != 0 || st.FramesFailed != 2 {
+		t.Fatalf("stats %+v: want no retransmission (the inline frame was dropped) and 2 frames failed", st)
+	}
+	if got := metrics.Diff(before, reg.Snapshot()).Counter("a.rel.frames.failed"); got != 2 {
+		t.Errorf("metric frames.failed = %d, want 2", got)
 	}
 }
 
@@ -236,7 +358,7 @@ func TestReliablePollDisarmsWhenIdle(t *testing.T) {
 }
 
 func TestReliableBidirectionalTraffic(t *testing.T) {
-	mc, a, b := relPair(fabric.FaultConfig{DropProb: 0.25, Seed: 99}, RelConfig{RTO: 20 * time.Microsecond, MaxRetries: 1000})
+	mc, a, b := relPair(fabric.FaultConfig{DropProb: 0.25, Seed: 99}, RelConfig{RTO: 20 * time.Microsecond})
 	const count = 50
 	for i := 0; i < count; i++ {
 		a.PostSendInline(b.ID(), num(1000+i), 32)
@@ -272,7 +394,7 @@ func TestReliableBidirectionalTraffic(t *testing.T) {
 func TestReliableRetransmissionCopiesItsOwnBytes(t *testing.T) {
 	mc, a, b := relPair(
 		fabric.FaultConfig{Partitions: []fabric.Partition{{SrcNode: 0, DstNode: 1, Until: 5 * time.Microsecond}}},
-		RelConfig{RTO: 20 * time.Microsecond, MaxRetries: 100},
+		RelConfig{RTO: 20 * time.Microsecond},
 	)
 	buf := []byte("original")
 	if err := a.PostSendInline(b.ID(), buf, 64); err != nil {

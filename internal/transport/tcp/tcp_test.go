@@ -236,7 +236,7 @@ func TestReliableOverTCP(t *testing.T) {
 		nets[r].SetPeerAddrs(addrs)
 		li, _ := nets[r].AddLink(r, 0)
 		raw[r] = li.(*Link)
-		rels[r] = nic.NewReliable(li, nic.ByteCodec{}, nic.RelConfig{RTO: 50 * time.Millisecond, MaxRetries: 100})
+		rels[r] = nic.NewReliable(li, nic.ByteCodec{}, nets[r].RankOfEndpoint, nic.RelConfig{RTO: 50 * time.Millisecond})
 		nets[r].Start()
 	}
 	const count = 40

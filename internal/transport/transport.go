@@ -39,7 +39,9 @@ type Transport interface {
 	// RankOfEndpoint maps an endpoint address back to the world rank
 	// that owns it (-1 when none does). The MPI layer uses it to
 	// attribute failures — a dead connection, an exhausted re-dial
-	// budget — to a process rather than a single VCI link.
+	// budget — to a process rather than a single VCI link, and
+	// nic.Reliable to find the endpoints a nic.PeerDown verdict
+	// condemns.
 	RankOfEndpoint(ep fabric.EndpointID) int
 	// NodeOf returns the node id hosting the given world rank; equal id
 	// means same physical node. The MPI layer selects topology-aware
@@ -85,6 +87,16 @@ type PeerReader interface {
 // NIC endpoint on the shared fabric. The fabric hands out endpoint
 // addresses as links attach, so Sim records each AddLink to answer the
 // addressing questions (NodeOf too, from the node map it attaches by).
+//
+// Sim reaches the failure verdict the byte transports reach, from the
+// fabric's liveness evidence: a post between nodes a partition that
+// never heals cuts, in either direction (fabric.ErrCut) — a cut way
+// back leaves the peer's acknowledgements stranded as surely as a cut
+// way out leaves the post. The first such post from a rank
+// toward a peer pushes one nic.PeerDown{peer} control completion on
+// each of the rank's links, its Err wrapping nic.ErrLinkDown — the
+// contract framing.Table.PeerDown keeps; a link the rank adds later
+// starts with it. A partition that heals is an outage, never a verdict.
 type Sim struct {
 	net    *fabric.Network
 	nodeOf func(rank int) int
@@ -93,6 +105,7 @@ type Sim struct {
 	codec  nic.Codec                 // every endpoint's (SetCodec)
 	eps    map[[2]int]*nic.Endpoint  // (rank, vci) → endpoint
 	owners map[fabric.EndpointID]int // endpoint → rank
+	cut    map[[2]int]bool           // (rank, peer) pairs a verdict was reported for
 }
 
 // NewSim wraps a fabric network as a Transport; nodeOf maps world ranks
@@ -104,21 +117,58 @@ func NewSim(net *fabric.Network, nodeOf func(rank int) int) *Sim {
 		codec:  nic.ByteCodec{},
 		eps:    make(map[[2]int]*nic.Endpoint),
 		owners: make(map[fabric.EndpointID]int),
+		cut:    make(map[[2]int]bool),
 	}
 }
 
 // Network returns the underlying fabric.
 func (s *Sim) Network() *fabric.Network { return s.net }
 
-// AddLink attaches a fresh NIC endpoint for the rank's node.
+// AddLink attaches a fresh NIC endpoint for the rank's node. A link
+// added after a verdict on one of the rank's peers starts with that
+// verdict on its queue, as the rank's older links got it.
 func (s *Sim) AddLink(rank, vci int) (nic.Link, error) {
 	ep := nic.NewEndpoint(s.net, s.nodeOf(rank))
+	ep.OnCut(func(dst fabric.EndpointID) { s.cutOff(rank, dst) })
 	s.mu.Lock()
 	ep.SetCodec(s.codec)
 	s.eps[[2]int{rank, vci}] = ep
 	s.owners[ep.ID()] = rank
+	var down []int
+	for pair := range s.cut {
+		if pair[0] == rank {
+			down = append(down, pair[1])
+		}
+	}
 	s.mu.Unlock()
+	for _, peer := range down {
+		ep.ReportPeerDown(peer, fabric.ErrCut)
+	}
 	return ep, nil
+}
+
+// cutOff reports the verdict on the owner of dst to every link of rank,
+// the first time a post of rank's meets a permanent cut toward or from
+// it.
+func (s *Sim) cutOff(rank int, dst fabric.EndpointID) {
+	s.mu.Lock()
+	peer, ok := s.owners[dst]
+	pair := [2]int{rank, peer}
+	if !ok || s.cut[pair] {
+		s.mu.Unlock()
+		return
+	}
+	s.cut[pair] = true
+	var eps []*nic.Endpoint
+	for k, ep := range s.eps {
+		if k[0] == rank {
+			eps = append(eps, ep)
+		}
+	}
+	s.mu.Unlock()
+	for _, ep := range eps {
+		ep.ReportPeerDown(peer, fabric.ErrCut)
+	}
 }
 
 // EndpointOf returns the endpoint AddLink attached for (rank, vci), or

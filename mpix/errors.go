@@ -9,18 +9,24 @@ import "gompix/internal/mpi"
 // Wrapping rules:
 //
 //   - ErrTruncate and ErrTimedOut are always returned bare.
-//   - ErrLinkDown is returned bare when the reliability layer exhausted
-//     its retransmission budget on the simulated fabric; when a real
-//     transport (TCP) fails — dial timeout, connection reset, write
-//     error — the operation's error wraps ErrLinkDown around the
-//     transport's own error, so errors.Is(err, mpix.ErrLinkDown)
-//     detects the class and err.Error() preserves the cause.
+//   - ErrLinkDown is returned bare when the reliability layer failed a
+//     send on the peer's failure verdict: the send was unacknowledged
+//     when the verdict came, or was posted after it. The layer never
+//     gives up on a peer by itself — a slow peer is retransmitted to
+//     until it answers. When a real transport (TCP) fails — dial
+//     timeout, connection reset, write error — the operation's error
+//     wraps ErrLinkDown around the transport's own error, so
+//     errors.Is(err, mpix.ErrLinkDown) detects the class and
+//     err.Error() preserves the cause.
 //   - ErrProcFailed always arrives wrapped, carrying the failed rank
 //     and the transport's diagnosis ("rank 2: tcp: rank 2 unreachable
-//     after 3 redial attempts: ..."). One caveat: sends whose bytes
-//     were already queued on the wire when the connection died may
-//     surface as wrapped ErrLinkDown instead — the failure raced the
-//     verdict. Everything initiated at or after the verdict reports
+//     after 3 redial attempts: ..."). The simulated fabric delivers
+//     it too, once a post meets a partition that never heals (either
+//     direction of the pair cut). One
+//     caveat: sends whose bytes were already queued on the wire (or
+//     unacknowledged in the reliability layer) when the peer failed
+//     surface as ErrLinkDown instead — the failure raced the verdict.
+//     Everything initiated at or after the verdict reports
 //     ErrProcFailed.
 //   - ErrCommRevoked is always returned bare.
 //
@@ -44,14 +50,16 @@ var (
 	ErrTimedOut = mpi.ErrTimedOut
 
 	// ErrLinkDown reports that the peer became unreachable: the
-	// reliability layer gave up retransmitting, or the underlying
-	// transport connection failed.
+	// reliability layer failed a send on the peer's failure verdict, or
+	// the underlying transport connection failed.
 	ErrLinkDown = mpi.ErrLinkDown
 
 	// ErrProcFailed reports that the peer *process* an operation
 	// depends on was declared failed: in remote (multiprocess) mode the
 	// transport lost its connection, exhausted the re-dial budget, and
-	// delivered a failure verdict. Pending and future operations that
+	// delivered a failure verdict; on the simulated fabric a post met
+	// a partition that never heals, cutting either direction of the
+	// pair. Pending and future operations that
 	// need the dead rank — point-to-point and collectives — complete
 	// with this error instead of hanging.
 	ErrProcFailed = mpi.ErrProcFailed
