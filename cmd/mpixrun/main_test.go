@@ -138,6 +138,23 @@ func TestSenderProgressesWhileReceiverComputes(t *testing.T) {
 	}
 }
 
+// TestDrillNeedsOneNode: the shared-memory drills refuse, with a
+// message and no panic, ranks that mpixrun placed on different nodes.
+func TestDrillNeedsOneNode(t *testing.T) {
+	bin := buildLauncher(t)
+	behave := filepath.Join(t.TempDir(), "behave")
+	if out, err := exec.Command("go", "build", "-o", behave, "./testdata/behave").CombinedOutput(); err != nil {
+		t.Fatalf("building behave: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-n", "2", "-hosts", "a,b", behave, "stall").CombinedOutput()
+	if err == nil {
+		t.Fatalf("mpixrun -hosts a,b stall succeeded:\n%s", out)
+	}
+	if !strings.Contains(string(out), "the stall drill needs both ranks on one node") || strings.Contains(string(out), "panic") {
+		t.Fatalf("want the drill's one-node message and no panic; output:\n%s", out)
+	}
+}
+
 // TestRendezvousTwoProcesses sends a 1 MiB rendezvous message between
 // two OS processes on one node. The path is the host's call — one read
 // of the sender's memory where cross-memory reads between sibling

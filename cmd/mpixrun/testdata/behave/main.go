@@ -84,6 +84,17 @@ func die(rank int, format string, args ...any) {
 	os.Exit(4)
 }
 
+// sameNode returns the shared-memory leg of a world whose two ranks
+// share a node, and ends the drill with a message when they do not
+// (mpixrun -hosts a,b): the drills exercise that leg.
+func sameNode(w *mpix.World, rank int, drill string) *shm.Network {
+	local := w.Transport().(*composite.Network).Local()
+	if local == nil {
+		die(rank, "the %s drill needs both ranks on one node", drill)
+	}
+	return local.(*shm.Network)
+}
+
 // stall is the non-polling-consumer drill. A consumer that polls is
 // never rung; one that stops polling without parking — it went
 // computing — has to be, or a producer with more to send than the ring
@@ -101,6 +112,7 @@ func stall(rank int) {
 	if err != nil {
 		die(rank, "NewWorldFromEnv: %v", err)
 	}
+	sn := sameNode(w, rank, "stall")
 	w.Run(func(p *mpix.Proc) {
 		comm := p.CommWorld()
 		buf := make([]byte, size)
@@ -117,7 +129,7 @@ func stall(rank int) {
 			if elapsed > window/2 {
 				die(rank, "%d sends took %v: they waited for the receiver's %v of computing", msgs, elapsed, window)
 			}
-			bells := w.Transport().(*composite.Network).Local().(*shm.Network).Stats().BellsRung
+			bells := sn.Stats().BellsRung
 			if bells == 0 {
 				die(rank, "no doorbell rung for a receiver that was not polling")
 			}
@@ -148,6 +160,7 @@ func cma(rank int) {
 	if err != nil {
 		die(rank, "NewWorldFromEnv: %v", err)
 	}
+	sn := sameNode(w, rank, "cma")
 	w.Run(func(p *mpix.Proc) {
 		comm := p.CommWorld()
 		msg := make([]byte, size)
@@ -171,7 +184,6 @@ func cma(rank int) {
 		comm.Barrier()
 		// Asked after the exchange: before it, the peer may not have
 		// published its probe record yet, which decides nothing.
-		sn := w.Transport().(*composite.Network).Local().(*shm.Network)
 		path := "rings"
 		if sn.PeerReader(1-rank) != nil {
 			path = "cma"

@@ -4,15 +4,17 @@ import (
 	"errors"
 	"fmt"
 
-	"gompix/internal/core"
 	"gompix/internal/fabric"
 )
 
 // ErrProcFailed reports that the peer process an operation depends on
-// failed: the transport exhausted its re-dial budget (or never reached
-// the peer at all) and delivered a failure verdict. Completions carry
-// it wrapped with the rank and cause, so errors.Is(err, ErrProcFailed)
-// holds while the diagnosis stays visible. The paper's progress
+// failed: the transport delivered a failure verdict, which names a rank
+// this one can never reach again — tcp's exhausted re-dial budget, shm's
+// released alive lock, a simulated partition that never heals — or the
+// MPI layer reached one itself (a corrupt rendezvous stream, a read of
+// the peer's memory that failed). Completions carry it wrapped with the
+// rank and cause, so errors.Is(err, ErrProcFailed) holds while the
+// diagnosis stays visible. The paper's progress
 // guarantee (§2.4) is *eventual completion* — a dead peer must complete
 // operations with an error, never hang them.
 var ErrProcFailed = errors.New("mpi: peer process failed")
@@ -38,11 +40,11 @@ func (v *VCI) rankOfEP(ep fabric.EndpointID) int {
 //   - posted receives from the rank (and AnySource receives, which can
 //     no longer be proven satisfiable — see matcher.failPeer);
 //   - pending rendezvous handshakes in both directions: RTS entries
-//     from the dead peer are dropped, and the handle tables are
-//     swept so sends awaiting a CTS and receives awaiting data chunks
-//     fail instead of waiting forever — a receive a transport thread is
-//     still writing a chunk into fails when that chunk lets go of it
-//     (holdLocked);
+//     from the dead peer are dropped, and the one sweep (VCI.sweep)
+//     fails sends awaiting a CTS or FIN and receives awaiting data
+//     chunks instead of leaving them waiting forever — a send through
+//     the one abort (rndvFail), a receive a transport thread is still
+//     writing a chunk into when that chunk lets go of it (holdLocked);
 //   - in-flight collective schedules on every communicator containing
 //     the rank abort with the verdict. Failing only directly-addressed
 //     ops is not enough for collectives: a dissemination stage can
@@ -67,70 +69,13 @@ func (v *VCI) failPeer(rank int, cause error) {
 			v.trace("proc.failed", fmt.Sprintf("rank %d declared failed: %v", rank, cause))
 		}
 	}
-	var sends []*netSendState
-	var recvs []*Request
-	v.hmu.Lock()
-	for id, st := range v.sends {
-		if v.rankOfEP(st.dstEP) == rank {
-			delete(v.sends, id)
-			sends = append(sends, st)
-		}
-	}
-	for id, req := range v.recvs {
-		if req.peerWorld == rank+1 {
-			delete(v.recvs, id)
-			if !req.holdLocked(Status{Err: procErr}) {
-				recvs = append(recvs, req)
-			}
-		}
-	}
-	v.hmu.Unlock()
 	for _, req := range reqs {
 		v.trace("recv.failed", "posted receive: peer process failed")
 		req.complete(Status{Err: procErr})
 	}
-	for _, st := range sends {
-		v.rndvAbort(st, procErr)
-	}
-	for _, req := range recvs {
-		v.trace("recv.failed", "rendezvous receive: peer process failed")
-		req.complete(Status{Err: procErr})
-	}
+	v.sweep(func(st *netSendState) bool { return v.rankOfEP(st.dstEP) == rank },
+		func(req *Request) bool { return req.peerWorld == rank+1 }, procErr)
 	for _, c := range v.proc.commsWithWorldRank(rank) {
 		c.fstate.abortScheds(procErr)
 	}
-}
-
-// failPeerLater delivers a failure verdict the MPI layer reached on its
-// own — a read of the peer's memory that failed — in the stream's next
-// progress pass: failPeer runs under the stream lock, and a receive may
-// match an RTS on the application's thread.
-func (v *VCI) failPeerLater(rank int, cause error) {
-	v.stream.AsyncStart(peerFaultPoll, &peerFault{v: v, rank: rank, cause: cause})
-}
-
-type peerFault struct {
-	v     *VCI
-	rank  int
-	cause error
-}
-
-func peerFaultPoll(t core.Thing) core.PollOutcome {
-	f := t.State().(*peerFault)
-	f.v.failPeer(f.rank, f.cause)
-	return core.Done
-}
-
-// rndvAbort fails a rendezvous send with an already-mapped error,
-// exactly once (the handle-table entry is assumed removed by the
-// caller; late CTS/chunk completions hit the failed guard or the
-// tolerant nil-handle paths).
-func (v *VCI) rndvAbort(st *netSendState, err error) {
-	if st.failed {
-		return
-	}
-	st.failed = true
-	v.netOps.Add(-1)
-	v.trace("send.failed", "rendezvous: peer process failed")
-	st.req.complete(Status{Err: err})
 }

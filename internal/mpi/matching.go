@@ -281,18 +281,15 @@ func (m *matcher) deadRanks() []int {
 func (m *matcher) failCtx(ctx uint32) (reqs []*Request, rts []unexpected) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	revoked := func(c uint32, tag int) bool {
-		return c == ctx || (c == ctx+1 && tag < ftTagBase)
-	}
 	m.posted.removeIf(func(p *posted) bool {
-		if revoked(p.ctx, p.tag) {
+		if inCtx(ctx, p.ctx, p.tag) {
 			reqs = append(reqs, p.req)
 			return true
 		}
 		return false
 	})
 	m.unexp.removeIf(func(e *unexpected) bool {
-		if !revoked(e.ctx, e.tag) {
+		if !inCtx(ctx, e.ctx, e.tag) {
 			return false
 		}
 		if e.kind == unexpRTS && e.addr != 0 {

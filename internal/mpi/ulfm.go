@@ -22,11 +22,13 @@ package mpi
 // (n = Size(), tolerating up to n-1 crash failures), each round every
 // live rank sending its full state to every peer it has not recorded
 // as dead and merging what it receives; a failed receive marks the
-// sender dead. The protocol relies on PR 5's failure detector being
-// accurate (a verdict only ever names a genuinely crashed process —
-// TCP redial exhaustion) and eventually complete (a crashed process's
-// sockets die at every peer). Decisions are taken ONLY from the set of
-// ranks whose records became known: with at most n-1 crashes and n
+// sender dead. The protocol relies on the failure detector being
+// accurate — a verdict names a rank this one can never reach again
+// (tcp's exhausted re-dial budget, shm's released alive lock, a
+// simulated partition that never heals: DESIGN §6) — and eventually
+// complete (a crashed process's sockets die at every peer).
+// Decisions are taken ONLY from the set of ranks whose records became
+// known: with at most n-1 crashes and n
 // rounds, some round is crash-free, after which every live rank holds
 // the identical record set and no new record can enter — so the known
 // set is agreed even though late-round death *observations* may not
@@ -50,7 +52,6 @@ import (
 	"sync/atomic"
 
 	"gompix/internal/coll"
-	"gompix/internal/core"
 	"gompix/internal/datatype"
 	"gompix/internal/fabric"
 	"gompix/internal/metrics"
@@ -63,6 +64,13 @@ import (
 // ErrProcFailed — a revoked communicator's peers are not necessarily
 // dead — and is matched with errors.Is.
 var ErrCommRevoked = errors.New("mpi: communicator revoked")
+
+// inCtx reports whether traffic on context c with tag belongs to the
+// communicator whose pt2pt context is ctx and is revoked with it: its
+// pt2pt context, and its collective context below ftTagBase.
+func inCtx(ctx, c uint32, tag int) bool {
+	return c == ctx || (c == ctx+1 && tag < ftTagBase)
+}
 
 // ftTagBase is the tag floor for the fault-tolerance protocol's own
 // messages on the collective context. Revocation sweeps exempt tags at
@@ -261,9 +269,9 @@ func (c *Comm) Revoked() bool { return c.fstate.revoked.Load() }
 // applyRevoke performs the one-time revocation transition: flag, flood,
 // sweep. inProgress reports whether the caller already runs under the
 // communicator's stream lock (a protocol handler); otherwise the sweep
-// is scheduled as an async thing on that stream — async things are
-// polled on every progress pass regardless of work counters, and the
-// send-table sweep must not race the stream's own rendezvous progress.
+// is deferred to that stream's next pass (core.Stream.Defer), which runs
+// it under the stream lock: the send-table sweep must not race the
+// stream's own rendezvous progress.
 func (c *Comm) applyRevoke(inProgress bool) {
 	if !c.fstate.revoked.CompareAndSwap(false, true) {
 		return
@@ -278,7 +286,7 @@ func (c *Comm) applyRevoke(inProgress bool) {
 	if inProgress {
 		c.local.revokeSweep(c)
 	} else {
-		c.local.stream.AsyncStart(revokeSweepPoll, c)
+		c.local.stream.Defer(func() { c.local.revokeSweep(c) })
 	}
 }
 
@@ -296,14 +304,6 @@ func (c *Comm) floodRevoke() {
 		*h = wireHdr{kind: kindRevokeMsg, src: c.rank, ctx: c.ctx}
 		c.local.postInline(c.eps[dst], h, ctrlBytes)
 	}
-}
-
-// revokeSweepPoll runs the revocation sweep under the stream lock as a
-// one-shot async thing (see applyRevoke).
-func revokeSweepPoll(t core.Thing) core.PollOutcome {
-	c := t.State().(*Comm)
-	c.local.revokeSweep(c)
-	return core.Done
 }
 
 // handleRevoke processes an arrived kindRevokeMsg: attribute it to a
@@ -326,8 +326,10 @@ func (v *VCI) handleRevoke(h *wireHdr) {
 //     complete with ErrCommRevoked; matching unexpected entries drop,
 //     and each advertised RTS among them is answered with a finRevoked
 //     FIN: its sender waits for that answer.
-//   - send table: rendezvous sends still awaiting their CTS abort; a
-//     CTS that arrives for one later finds no handle and is dropped.
+//   - send table (the one sweep, VCI.sweep, as for a verdict):
+//     rendezvous sends still awaiting their CTS fail through rndvFail;
+//     a CTS that arrives for one later finds no handle and is answered
+//     with an abort.
 //     Sends already mid-data left the table at their CTS and complete
 //     naturally (the data is flowing anyway; delivery beats a hang).
 //     Advertised sends stay: the receiver may be reading the buffer
@@ -346,42 +348,12 @@ func (v *VCI) revokeSweep(c *Comm) {
 	for _, e := range rts {
 		v.postFin(e.srcEP, e.sreqID, finRevoked, e.flow)
 	}
-	var aborted []*netSendState
-	var recvs []*Request
-	v.hmu.Lock()
-	for id, st := range v.sends {
-		onCtx := st.ctx == ctx || (st.ctx == ctx+1 && st.tag < ftTagBase)
-		if onCtx && st.rreqID == 0 && !st.advertised {
-			delete(v.sends, id)
-			aborted = append(aborted, st)
-		}
-	}
-	for id, req := range v.recvs {
-		if req.ctxID == ctx || (req.ctxID == ctx+1 && req.status.Tag < ftTagBase) {
-			delete(v.recvs, id)
-			if !req.holdLocked(Status{Err: ErrCommRevoked}) {
-				recvs = append(recvs, req)
-			}
-		}
-	}
-	v.hmu.Unlock()
 	for _, req := range reqs {
 		v.trace("recv.failed", "posted receive: communicator revoked")
 		req.complete(Status{Err: ErrCommRevoked})
 	}
-	for _, st := range aborted {
-		if st.failed {
-			continue
-		}
-		st.failed = true
-		v.netOps.Add(-1)
-		v.trace("send.failed", "rendezvous: communicator revoked")
-		st.req.complete(Status{Err: ErrCommRevoked})
-	}
-	for _, req := range recvs {
-		v.trace("recv.failed", "rendezvous receive: communicator revoked")
-		req.complete(Status{Err: ErrCommRevoked})
-	}
+	v.sweep(func(st *netSendState) bool { return !st.advertised && inCtx(ctx, st.ctx, st.tag) },
+		func(req *Request) bool { return inCtx(ctx, req.ctxID, req.status.Tag) }, ErrCommRevoked)
 	c.fstate.abortScheds(ErrCommRevoked)
 	c.fstate.abortRelaxedScheds(ErrCommRevoked)
 }
@@ -589,7 +561,8 @@ func (c *Comm) ftExchange(flag, cand uint32) *ftState {
 			if rst.Err != nil {
 				// The sender died (ErrProcFailed at post time or via a
 				// verdict mid-wait). Any error marks it dead: the
-				// detector is accurate, so no live rank is ever marked.
+				// detector is accurate, so no rank this one can still
+				// reach is ever marked.
 				st.markDead(from[i])
 				continue
 			}

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -106,12 +107,12 @@ type netSendState struct {
 
 	nextOff  int
 	inflight int
-	failed   bool // link died or comm revoked; req already completed
+	failed   bool // rndvFail ran: req already completed
 
 	// advertised marks a send whose RTS carried the address of wire:
 	// the receiver may be reading it at any moment until it answers,
 	// so only that answer (FIN, or a CTS and the data behind it) or the
-	// peer's failure verdict completes the send — never a sweep.
+	// peer's failure verdict completes the send — never a revocation.
 	advertised bool
 }
 
@@ -190,8 +191,8 @@ type VCI struct {
 	// Rendezvous handle tables: rendezvous state is addressed by per-VCI
 	// handle ids (wireHdr.sreqID/rreqID), the wire-encoded request ids a
 	// real MPI implementation uses. A send is in sends from its RTS to
-	// its CTS, a receive in recvs from its CTS to its last chunk; the
-	// failure and revocation sweeps find pending handshakes here.
+	// its CTS (or FIN), a receive in recvs from its CTS to its last
+	// chunk; the one sweep (VCI.sweep) finds pending handshakes here.
 	hmu   sync.Mutex
 	hseq  uint64
 	sends map[uint64]*netSendState
@@ -212,35 +213,20 @@ func (v *VCI) registerSend(st *netSendState) uint64 {
 	return st.hid
 }
 
-// takeAdvertised resolves and removes the handle of an advertised send
-// (its FIN arrives once). A FIN naming a send that advertised nothing is
-// refused: that send's buffer is read only through its CTS.
-func (v *VCI) takeAdvertised(id uint64) *netSendState {
+// takeSend resolves and removes a send handle: the CTS arrives once per
+// rendezvous, and so does the FIN of an advertised send (fin). A FIN
+// naming a send that advertised nothing is refused: that send's buffer
+// is read only through its CTS. A miss — the handle already left the
+// table — returns nil.
+func (v *VCI) takeSend(id uint64, fin bool) *netSendState {
 	v.hmu.Lock()
 	defer v.hmu.Unlock()
 	st := v.sends[id]
-	if st == nil || !st.advertised {
+	if st == nil || fin && !st.advertised {
 		return nil
 	}
 	delete(v.sends, id)
 	return st
-}
-
-// takeSend resolves and removes a send handle (the CTS arrives exactly
-// once per rendezvous).
-func (v *VCI) takeSend(id uint64) *netSendState {
-	v.hmu.Lock()
-	defer v.hmu.Unlock()
-	st := v.sends[id]
-	delete(v.sends, id)
-	return st
-}
-
-// dropSend removes a send handle without resolving it (failed RTS).
-func (v *VCI) dropSend(id uint64) {
-	v.hmu.Lock()
-	delete(v.sends, id)
-	v.hmu.Unlock()
 }
 
 // registerRecv assigns a handle id to a rendezvous receive; the id
@@ -253,18 +239,17 @@ func (v *VCI) registerRecv(req *Request) uint64 {
 	return v.hseq
 }
 
-// lookupRecv resolves a receive handle (data chunks arrive many times).
-func (v *VCI) lookupRecv(id uint64) *Request {
+// recvHandle resolves a receive handle, and removes it when retire: data
+// chunks arrive many times, and the final chunk or the sender's abort
+// retires the handle.
+func (v *VCI) recvHandle(id uint64, retire bool) *Request {
 	v.hmu.Lock()
 	defer v.hmu.Unlock()
-	return v.recvs[id]
-}
-
-// dropRecv removes a receive handle after the final data chunk.
-func (v *VCI) dropRecv(id uint64) {
-	v.hmu.Lock()
-	delete(v.recvs, id)
-	v.hmu.Unlock()
+	req := v.recvs[id]
+	if retire {
+		delete(v.recvs, id)
+	}
+	return req
 }
 
 // placeChunk is the receive side of direct placement: a transport
@@ -399,12 +384,14 @@ func (v *VCI) netPending() int {
 // ErrLinkDown surface. The bare reliability-layer sentinel maps to the
 // bare mpi sentinel (identity comparisons keep working); any other
 // transport error is wrapped so errors.Is(err, ErrLinkDown) holds while
-// the cause stays visible.
+// the cause stays visible. An error the MPI layer reached itself — a
+// verdict's ErrProcFailed, a revocation's ErrCommRevoked — passes as it
+// is.
 func mapLinkErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	if err == nic.ErrLinkDown {
+	switch {
+	case err == nil || errors.Is(err, ErrProcFailed) || errors.Is(err, ErrCommRevoked):
+		return err
+	case err == nic.ErrLinkDown:
 		return ErrLinkDown
 	}
 	return fmt.Errorf("%w: %v", ErrLinkDown, err)
@@ -518,20 +505,62 @@ func (v *VCI) netPoll() bool {
 	return made
 }
 
-// rndvFail aborts a rendezvous send whose link died, completing the
-// request with ErrLinkDown exactly once (several chunk CQEs may carry
-// the failure).
-func (v *VCI) rndvFail(st *netSendState, cause error) {
+// rndvFail is the one way a rendezvous send fails: a link-down
+// completion of one of its chunks, a refused RTS, the peer's verdict
+// (failPeer), a revocation (revokeSweep) and a FIN that reports no read
+// all end here, and only the first of them completes the send — several
+// chunk completions may carry the same failure, and a verdict may follow
+// them. The send leaves the handle table if it is still there, so a late
+// CTS or FIN finds nothing; chunk completions still owed find st.failed.
+// err reaches the request through mapLinkErr.
+func (v *VCI) rndvFail(st *netSendState, err error) {
 	if st.failed {
 		return
 	}
 	st.failed = true
-	if st.hid != 0 {
-		v.dropSend(st.hid)
-	}
+	v.takeSend(st.hid, false)
 	v.netOps.Add(-1)
-	v.trace("send.failed", "rendezvous: link down")
-	st.req.complete(Status{Err: mapLinkErr(cause)})
+	err = mapLinkErr(err)
+	if v.tracing() {
+		v.trace("send.failed", "rendezvous: "+err.Error())
+	}
+	st.req.complete(Status{Err: err})
+}
+
+// sweep fails with err every rendezvous handle the predicates select: the
+// one way a verdict (failPeer) and a revocation (revokeSweep) reach the
+// handle tables. A selected handle leaves its table under hmu, so nothing
+// resolves it afterwards; a send then fails through rndvFail, a receive
+// now or — when a transport thread is still writing a chunk into its
+// buffer — at its last unpin (holdLocked). Completions run outside hmu.
+func (v *VCI) sweep(sendSel func(*netSendState) bool, recvSel func(*Request) bool, err error) {
+	var sends []*netSendState
+	var recvs []*Request
+	v.hmu.Lock()
+	for id, st := range v.sends {
+		if sendSel(st) {
+			delete(v.sends, id)
+			sends = append(sends, st)
+		}
+	}
+	for id, req := range v.recvs {
+		if recvSel(req) {
+			delete(v.recvs, id)
+			if !req.holdLocked(Status{Err: err}) {
+				recvs = append(recvs, req)
+			}
+		}
+	}
+	v.hmu.Unlock()
+	for _, st := range sends {
+		v.rndvFail(st, err)
+	}
+	for _, req := range recvs {
+		if v.tracing() {
+			v.trace("recv.failed", "rendezvous receive: "+err.Error())
+		}
+		req.complete(Status{Err: err})
+	}
 }
 
 // isendNet issues a send: every message, whoever it is for, leaves
@@ -596,7 +625,7 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 		}
 		v.netOps.Add(1)
 		// Posting takes h over; don't touch it past this point. A dead
-		// peer fails the send through failPeer's sweep of the handle
+		// peer fails the send through the verdict's sweep of the handle
 		// table.
 		if err := v.postInline(dstEP, h, ctrlBytes); err != nil {
 			v.rndvFail(st, err)
@@ -707,7 +736,7 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 		// sweep — before its CTS arrived (or the id is corrupt). The
 		// receiver registered a receive for data that will never come:
 		// tell it to abort.
-		st := v.takeSend(h.sreqID)
+		st := v.takeSend(h.sreqID, false)
 		if st == nil {
 			v.trace("rndv.cts.stale", "no matching send handle; receiver told to abort")
 			a := newHdr()
@@ -722,22 +751,20 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 		// The receiver is done with the advertised buffer. A miss means
 		// the send already completed through the peer's verdict (or the
 		// id is corrupt).
-		st := v.takeAdvertised(h.sreqID)
+		st := v.takeSend(h.sreqID, true)
 		if st == nil {
 			v.trace("rndv.fin.stale", "no matching advertised send; dropped")
 			return
 		}
-		v.netOps.Add(-1)
 		switch finStatus(h.off) {
 		case finRead:
+			v.netOps.Add(-1)
 			st.req.complete(Status{Bytes: len(st.wire)})
 			v.trace("send.complete", "rendezvous read by the receiver")
 		case finRevoked:
-			v.trace("send.failed", "rendezvous: communicator revoked")
-			st.req.complete(Status{Err: ErrCommRevoked})
+			v.rndvFail(st, ErrCommRevoked)
 		default:
-			v.trace("send.failed", "rendezvous: the receiver could not read the buffer")
-			st.req.complete(Status{Err: mapLinkErr(errFinFailed)})
+			v.rndvFail(st, errFinFailed)
 		}
 		// An advertised send posts no chunk: no CQE references the state.
 		recycleSendState(st)
@@ -748,7 +775,7 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 		// Resolve the receiver-side handle; the final chunk retires it. A
 		// miss is tolerated for the same reason as a stale CTS above: the
 		// receive already failed.
-		req := v.lookupRecv(h.rreqID)
+		req := v.recvHandle(h.rreqID, false)
 		if req == nil {
 			v.trace("rndv.data.stale", "no matching recv handle; dropped")
 			return
@@ -763,7 +790,7 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 			return
 		}
 		if h.last {
-			v.dropRecv(h.rreqID)
+			v.recvHandle(h.rreqID, true)
 		}
 		st, done := deliverRndvChunk(req, h.off, h.payload, h.last, h.placed != nil)
 		if !done {
@@ -778,12 +805,11 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 		// the sender saw: a revocation reaches the receiver first, flooded
 		// ahead of this answer on the same link, and after a verdict one
 		// of the two is dead. A handle already gone is dropped.
-		req := v.lookupRecv(h.rreqID)
+		req := v.recvHandle(h.rreqID, true)
 		if req == nil {
 			v.trace("rndv.abort.stale", "no matching recv handle; dropped")
 			return
 		}
-		v.dropRecv(h.rreqID)
 		v.trace("recv.failed", "rendezvous sender aborted before CTS")
 		req.completeRecv(Status{Err: ErrLinkDown})
 	case kindRevokeMsg:
@@ -808,7 +834,7 @@ func (v *VCI) rtsEntry(h *wireHdr) unexpected {
 // context below the fault-tolerance tag floor (see matcher.failCtx).
 func (v *VCI) revokedCtx(ctx uint32, tag int) bool {
 	c := v.proc.lookupComm(ctx &^ 1)
-	return c != nil && c.Revoked() && (ctx&1 == 0 || tag < ftTagBase)
+	return c != nil && c.Revoked() && inCtx(c.ctx, ctx, tag)
 }
 
 // answerRTS prepares a matched receive for the rendezvous message of
@@ -868,7 +894,11 @@ func (v *VCI) readRndv(req *Request, rd transport.PeerReader, e unexpected) {
 		v.postFin(e.srcEP, e.sreqID, finFailed, e.flow)
 		v.registerRecv(req)
 		v.trace("recv.failed", "rendezvous: the sender's buffer could not be read")
-		v.failPeerLater(e.worldSrc, fmt.Errorf("rendezvous read of %d bytes at %#x: %w", n, e.addr, err))
+		// The verdict this process reached on its own runs in the stream's
+		// next pass: failPeer runs under the stream lock, and a receive may
+		// match an RTS on the application's thread.
+		err = fmt.Errorf("rendezvous read of %d bytes at %#x: %w", n, e.addr, err)
+		v.stream.Defer(func() { v.failPeer(e.worldSrc, err) })
 		return
 	}
 	v.postFin(e.srcEP, e.sreqID, finRead, e.flow)
