@@ -54,13 +54,16 @@ race:
 
 # Race-detector pass over the hot-path packages the observability
 # layer instruments (progress engine, matching, NIC, reliability,
-# fabric, metrics, trace); -count=1 defeats the test cache so the
-# atomics are actually exercised on every run. The fabric and the NIC
-# run twenty times more: the dispatch goroutine and the posting
-# goroutines share value-typed events and atomic delivery counters.
+# fabric, metrics, trace) and the collective schedules, whose buffers a
+# plan rebinds per call while progress threads poll them; -count=1
+# defeats the test cache so the atomics are actually exercised on every
+# run. The fabric and the NIC run twenty times more: the dispatch
+# goroutine and the posting goroutines share value-typed events and
+# atomic delivery counters.
 race-hot:
 	$(GO) test -race -count=1 -short ./internal/core/ ./internal/mpi/ \
-		./internal/nic/ ./internal/fabric/ ./internal/metrics/ ./internal/trace/
+		./internal/nic/ ./internal/fabric/ ./internal/metrics/ ./internal/trace/ \
+		./internal/coll/
 	$(GO) test -race -count=20 ./internal/fabric/ ./internal/nic/
 
 # Race-detector pass over every byte transport (tcp, shm, the composite

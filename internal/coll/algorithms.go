@@ -6,6 +6,14 @@ package coll
 // receive closures so the package stays independent of datatype/operator
 // details.
 //
+// A builder takes the caller's buffer in place (inout is both the
+// contribution and the result) and binds it; Schedule.Bind separates
+// the two per run. The reductions keep them apart: a rank sends its
+// contribution straight from In until it has folded something, copies
+// In into Out once, before its first fold (Schedule.prime — nothing
+// when In is Out), and sends and folds in Out from then on; a rank that
+// only receives the result receives it into Out.
+//
 // The stage contract on buffers: a Send hands its buffer to the
 // transport, which may read it until the send completes (no private
 // copy on a byte transport). A strict stage completes only when its
@@ -30,28 +38,12 @@ func Barrier(tr Transport, tag int) *Schedule {
 
 // Bcast builds a binomial-tree broadcast of buf from root.
 func Bcast(tr Transport, buf []byte, root, tag int) *Schedule {
-	s := NewSchedule(tr)
-	p, r := tr.Size(), tr.Rank()
-	vr := (r - root + p) % p
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			src := (vr - mask + root) % p
-			s.AddStage(Recv(buf, src, tag))
-			break
-		}
-		mask <<= 1
+	s := newSchedule(tr, buf)
+	members := make([]int, tr.Size())
+	for i := range members {
+		members[i] = i
 	}
-	// Relay to children, highest distance first (one stage: the sends
-	// are independent once our copy has arrived).
-	var sends []Op
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vr+mask < p {
-			dst := (vr + mask + root) % p
-			sends = append(sends, Send(buf, dst, tag))
-		}
-	}
-	s.AddStage(sends...)
+	bcastTree(s, tr, len(buf), members, root, tag)
 	return s
 }
 
@@ -59,22 +51,28 @@ func Bcast(tr Transport, buf []byte, root, tag int) *Schedule {
 // rank passes its contribution in inout; on non-roots the buffer is
 // scratch after completion. reduce must be commutative.
 func Reduce(tr Transport, inout []byte, reduce func(inout, in []byte), root, tag int) *Schedule {
-	s := NewSchedule(tr)
+	s := newSchedule(tr, inout)
 	p, r := tr.Size(), tr.Rank()
+	n := len(inout)
 	vr := (r - root + p) % p
+	var tmp ref
 	for mask := 1; mask < p; mask <<= 1 {
 		if vr&mask != 0 {
 			dst := ((vr &^ mask) + root) % p
-			s.AddStage(Send(inout, dst, tag))
+			s.AddStage(send(s.partial(0, n), dst, tag))
 			break
 		}
 		src := vr | mask
 		if src < p {
-			srcRank := (src + root) % p
-			tmp := make([]byte, len(inout))
-			s.AddStage(Recv(tmp, srcRank, tag))
-			s.AddStage(Local(func() { reduce(inout, tmp) }))
+			if tmp.n == 0 {
+				tmp = s.scratch(n)
+			}
+			s.AddStage(recv(tmp, (src+root)%p, tag))
+			s.AddStage(s.fold(s.out(0, n), tmp, reduce))
 		}
+	}
+	if r == root {
+		s.settle()
 	}
 	return s
 }
@@ -84,9 +82,11 @@ func Reduce(tr Transport, inout []byte, reduce func(inout, in []byte), root, tag
 // including the MPICH fold-in steps for non-power-of-two sizes.
 // inout holds the local contribution and receives the global result.
 func AllreduceRecDbl(tr Transport, inout []byte, reduce func(inout, in []byte), tag int) *Schedule {
-	s := NewSchedule(tr)
+	s := newSchedule(tr, inout)
 	p, r := tr.Size(), tr.Rank()
+	n := len(inout)
 	if p == 1 {
+		s.settle()
 		return s
 	}
 	pof2 := 1
@@ -94,19 +94,20 @@ func AllreduceRecDbl(tr Transport, inout []byte, reduce func(inout, in []byte), 
 		pof2 *= 2
 	}
 	rem := p - pof2
+	all := s.out(0, n)
+	tmp := s.scratch(n) // one landing buffer: each fold ends before the next receive
 
 	newrank := r - rem
 	if r < 2*rem {
 		if r%2 == 0 {
 			// Fold out: contribute to the odd neighbor, collect the
 			// result at the end.
-			s.AddStage(Send(inout, r+1, tag))
-			s.AddStage(Recv(inout, r+1, tag))
+			s.AddStage(send(s.partial(0, n), r+1, tag))
+			s.AddStage(recv(s.received(all), r+1, tag))
 			return s
 		}
-		tmp := make([]byte, len(inout))
-		s.AddStage(Recv(tmp, r-1, tag))
-		s.AddStage(Local(func() { reduce(inout, tmp) }))
+		s.AddStage(recv(tmp, r-1, tag))
+		s.AddStage(s.fold(all, tmp, reduce))
 		newrank = r / 2
 	}
 
@@ -116,13 +117,12 @@ func AllreduceRecDbl(tr Transport, inout []byte, reduce func(inout, in []byte), 
 		if partnerNew < rem {
 			partner = partnerNew*2 + 1
 		}
-		tmp := make([]byte, len(inout))
-		s.AddStage(Send(inout, partner, tag), Recv(tmp, partner, tag))
-		s.AddStage(Local(func() { reduce(inout, tmp) }))
+		s.AddStage(send(s.partial(0, n), partner, tag), recv(tmp, partner, tag))
+		s.AddStage(s.fold(all, tmp, reduce))
 	}
 
 	if r < 2*rem { // r is odd here (even ranks returned above)
-		s.AddStage(Send(inout, r-1, tag))
+		s.AddStage(send(all, r-1, tag))
 	}
 	return s
 }
@@ -131,9 +131,10 @@ func AllreduceRecDbl(tr Transport, inout []byte, reduce func(inout, in []byte), 
 // used for long messages. elemSize aligns block boundaries so
 // reductions never split an element. Requires len(inout) >= p*elemSize.
 func AllreduceRing(tr Transport, inout []byte, elemSize int, reduce func(inout, in []byte), tag int) *Schedule {
-	s := NewSchedule(tr)
+	s := newSchedule(tr, inout)
 	p, r := tr.Size(), tr.Rank()
 	if p == 1 {
+		s.settle()
 		return s
 	}
 	n := len(inout) / elemSize
@@ -143,18 +144,20 @@ func AllreduceRing(tr Transport, inout []byte, elemSize int, reduce func(inout, 
 	}
 	right := (r + 1) % p
 	left := (r - 1 + p) % p
+	// One landing buffer as long as the longest block.
+	tmp := s.scratch(((n + p - 1) / p) * elemSize)
 
 	// Reduce-scatter phase: after p-1 rounds rank r owns the fully
-	// reduced block (r+1) mod p.
+	// reduced block (r+1) mod p. The first round sends the caller's
+	// contribution; its fold primes Out.
 	for k := 0; k < p-1; k++ {
 		sendIdx := (r - k + p) % p
 		recvIdx := (r - k - 1 + p) % p
 		slo, shi := blockOf(sendIdx)
 		rlo, rhi := blockOf(recvIdx)
-		tmp := make([]byte, rhi-rlo)
-		s.AddStage(Send(inout[slo:shi], right, tag), Recv(tmp, left, tag))
-		rl := rlo
-		s.AddStage(Local(func() { reduce(inout[rl:rl+len(tmp)], tmp) }))
+		land := ref{slot: tmp.slot, n: rhi - rlo}
+		s.AddStage(send(s.partial(slo, shi-slo), right, tag), recv(land, left, tag))
+		s.AddStage(s.fold(s.out(rlo, rhi-rlo), land, reduce))
 	}
 	// Allgather phase: circulate the reduced blocks.
 	for k := 0; k < p-1; k++ {
@@ -162,7 +165,7 @@ func AllreduceRing(tr Transport, inout []byte, elemSize int, reduce func(inout, 
 		recvIdx := (r - k + p) % p
 		slo, shi := blockOf(sendIdx)
 		rlo, rhi := blockOf(recvIdx)
-		s.AddStage(Send(inout[slo:shi], right, tag), Recv(inout[rlo:rhi], left, tag))
+		s.AddStage(send(s.out(slo, shi-slo), right, tag), recv(s.out(rlo, rhi-rlo), left, tag))
 	}
 	return s
 }
@@ -170,17 +173,14 @@ func AllreduceRing(tr Transport, inout []byte, elemSize int, reduce func(inout, 
 // AllgatherRing builds the ring allgather: buf holds p blocks of bs
 // bytes; the caller's own block (at rank*bs) is the contribution.
 func AllgatherRing(tr Transport, buf []byte, bs, tag int) *Schedule {
-	s := NewSchedule(tr)
+	s := newSchedule(tr, buf)
 	p, r := tr.Size(), tr.Rank()
 	right := (r + 1) % p
 	left := (r - 1 + p) % p
 	for k := 0; k < p-1; k++ {
 		sendIdx := (r - k + p) % p
 		recvIdx := (r - k - 1 + p) % p
-		s.AddStage(
-			Send(buf[sendIdx*bs:(sendIdx+1)*bs], right, tag),
-			Recv(buf[recvIdx*bs:(recvIdx+1)*bs], left, tag),
-		)
+		s.AddStage(send(s.out(sendIdx*bs, bs), right, tag), recv(s.out(recvIdx*bs, bs), left, tag))
 	}
 	return s
 }
@@ -189,17 +189,15 @@ func AllgatherRing(tr Transport, buf []byte, bs, tag int) *Schedule {
 // hold p blocks of bs bytes each.
 func Alltoall(tr Transport, sendBuf, recvBuf []byte, bs, tag int) *Schedule {
 	s := NewSchedule(tr)
+	s.Bind(sendBuf, recvBuf)
 	p, r := tr.Size(), tr.Rank()
-	s.AddStage(Local(func() {
-		copy(recvBuf[r*bs:(r+1)*bs], sendBuf[r*bs:(r+1)*bs])
-	}))
+	in := func(b int) ref { return ref{slot: slotIn, off: b * bs, n: bs} }
+	own, mine := in(r), s.out(r*bs, bs)
+	s.AddStage(Local(func() { copy(s.at(mine), s.at(own)) }))
 	for k := 1; k < p; k++ {
 		dst := (r + k) % p
 		src := (r - k + p) % p
-		s.AddStage(
-			Send(sendBuf[dst*bs:(dst+1)*bs], dst, tag),
-			Recv(recvBuf[src*bs:(src+1)*bs], src, tag),
-		)
+		s.AddStage(send(in(dst), dst, tag), recv(s.out(src*bs, bs), src, tag))
 	}
 	return s
 }
@@ -208,17 +206,19 @@ func Alltoall(tr Transport, sendBuf, recvBuf []byte, bs, tag int) *Schedule {
 // this rank's contribution; recvBuf (root only) holds p blocks.
 func Gather(tr Transport, sendBlock, recvBuf []byte, bs, root, tag int) *Schedule {
 	s := NewSchedule(tr)
+	s.Bind(sendBlock, recvBuf)
 	p, r := tr.Size(), tr.Rank()
+	own := ref{slot: slotIn, n: bs}
 	if r != root {
-		s.AddStage(Send(sendBlock, root, tag))
+		s.AddStage(send(own, root, tag))
 		return s
 	}
-	ops := []Op{Local(func() { copy(recvBuf[root*bs:(root+1)*bs], sendBlock) })}
+	mine := s.out(root*bs, bs)
+	ops := []Op{Local(func() { copy(s.at(mine), s.at(own)) })}
 	for src := 0; src < p; src++ {
-		if src == root {
-			continue
+		if src != root {
+			ops = append(ops, recv(s.out(src*bs, bs), src, tag))
 		}
-		ops = append(ops, Recv(recvBuf[src*bs:(src+1)*bs], src, tag))
 	}
 	s.AddStage(ops...)
 	return s
@@ -228,17 +228,19 @@ func Gather(tr Transport, sendBlock, recvBuf []byte, bs, root, tag int) *Schedul
 // receives this rank's block; sendBuf (root only) holds p blocks.
 func Scatter(tr Transport, sendBuf, recvBlock []byte, bs, root, tag int) *Schedule {
 	s := NewSchedule(tr)
+	s.Bind(sendBuf, recvBlock)
 	p, r := tr.Size(), tr.Rank()
+	mine := s.out(0, bs)
 	if r != root {
-		s.AddStage(Recv(recvBlock, root, tag))
+		s.AddStage(recv(mine, root, tag))
 		return s
 	}
-	ops := []Op{Local(func() { copy(recvBlock, sendBuf[root*bs:(root+1)*bs]) })}
+	own := ref{slot: slotIn, off: root * bs, n: bs}
+	ops := []Op{Local(func() { copy(s.at(mine), s.at(own)) })}
 	for dst := 0; dst < p; dst++ {
-		if dst == root {
-			continue
+		if dst != root {
+			ops = append(ops, send(ref{slot: slotIn, off: dst * bs, n: bs}, dst, tag))
 		}
-		ops = append(ops, Send(sendBuf[dst*bs:(dst+1)*bs], dst, tag))
 	}
 	s.AddStage(ops...)
 	return s
@@ -247,15 +249,17 @@ func Scatter(tr Transport, sendBuf, recvBlock []byte, bs, root, tag int) *Schedu
 // Scan builds an inclusive prefix reduction: after completion, inout on
 // rank r holds the reduction of contributions from ranks 0..r.
 func Scan(tr Transport, inout []byte, reduce func(inout, in []byte), tag int) *Schedule {
-	s := NewSchedule(tr)
+	s := newSchedule(tr, inout)
 	p, r := tr.Size(), tr.Rank()
+	n := len(inout)
 	if r > 0 {
-		tmp := make([]byte, len(inout))
-		s.AddStage(Recv(tmp, r-1, tag))
-		s.AddStage(Local(func() { reduce(inout, tmp) }))
+		tmp := s.scratch(n)
+		s.AddStage(recv(tmp, r-1, tag))
+		s.AddStage(s.fold(s.out(0, n), tmp, reduce))
 	}
 	if r < p-1 {
-		s.AddStage(Send(inout, r+1, tag))
+		s.AddStage(send(s.partial(0, n), r+1, tag))
 	}
+	s.settle()
 	return s
 }

@@ -8,7 +8,7 @@ package coll
 // binomial scatter of buf's blocks followed by a ring allgather. Works
 // for any process count and any root.
 func BcastScatterAllgather(tr Transport, buf []byte, root, tag int) *Schedule {
-	s := NewSchedule(tr)
+	s := newSchedule(tr, buf)
 	p, r := tr.Size(), tr.Rank()
 	if p == 1 {
 		return s
@@ -47,7 +47,7 @@ func BcastScatterAllgather(tr Transport, buf []byte, root, tag int) *Schedule {
 				if cap := mask * ss; recvSize > cap {
 					recvSize = cap
 				}
-				s.AddStage(Recv(buf[relr*ss:relr*ss+recvSize], src, tag))
+				s.AddStage(recv(s.out(relr*ss, recvSize), src, tag))
 				currSize = recvSize
 			}
 			break
@@ -60,7 +60,7 @@ func BcastScatterAllgather(tr Transport, buf []byte, root, tag int) *Schedule {
 			if sendSize > 0 {
 				dst := (r + mask) % p
 				off := ss * (relr + mask)
-				s.AddStage(Send(buf[off:off+sendSize], dst, tag))
+				s.AddStage(send(s.out(off, sendSize), dst, tag))
 				currSize -= sendSize
 			}
 		}
@@ -75,8 +75,8 @@ func BcastScatterAllgather(tr Transport, buf []byte, root, tag int) *Schedule {
 		sendIdx := (relr - k + p) % p
 		recvIdx := (relr - k - 1 + p) % p
 		s.AddStage(
-			Send(buf[blockStart(sendIdx):blockEnd(sendIdx)], right, tag),
-			Recv(buf[blockStart(recvIdx):blockEnd(recvIdx)], left, tag),
+			send(s.out(blockStart(sendIdx), blockEnd(sendIdx)-blockStart(sendIdx)), right, tag),
+			recv(s.out(blockStart(recvIdx), blockEnd(recvIdx)-blockStart(recvIdx)), left, tag),
 		)
 	}
 	return s
@@ -87,18 +87,20 @@ func BcastScatterAllgather(tr Transport, buf []byte, root, tag int) *Schedule {
 // completion, the caller's own block (at rank*bs) holds the reduction
 // of that block across all ranks. Other blocks are unmodified inputs.
 func ReduceScatterBlock(tr Transport, inout []byte, bs int, reduce func(inout, in []byte), tag int) *Schedule {
-	s := NewSchedule(tr)
+	s := newSchedule(tr, inout)
 	p, r := tr.Size(), tr.Rank()
-	my := inout[r*bs : (r+1)*bs]
+	my := s.out(r*bs, bs)
+	tmp := s.scratch(bs)
 	for k := 1; k < p; k++ {
 		dst := (r + k) % p
 		src := (r - k + p) % p
-		tmp := make([]byte, bs)
+		// The other ranks' blocks are sent as contributed: a fold writes
+		// only this rank's block.
 		s.AddStage(
-			Send(inout[dst*bs:(dst+1)*bs], dst, tag),
-			Recv(tmp, src, tag),
+			send(ref{slot: slotIn, off: dst * bs, n: bs}, dst, tag),
+			recv(tmp, src, tag),
 		)
-		s.AddStage(Local(func() { reduce(my, tmp) }))
+		s.AddStage(s.fold(my, tmp, reduce))
 	}
 	return s
 }
@@ -109,6 +111,7 @@ func ReduceScatterBlock(tr Transport, inout []byte, bs int, reduce func(inout, i
 // rank order at the end.
 func GatherBinomial(tr Transport, sendBlock, recvBuf []byte, bs, root, tag int) *Schedule {
 	s := NewSchedule(tr)
+	s.Bind(sendBlock, recvBuf)
 	p, r := tr.Size(), tr.Rank()
 	relr := (r - root + p) % p
 
@@ -117,18 +120,17 @@ func GatherBinomial(tr Transport, sendBlock, recvBuf []byte, bs, root, tag int) 
 	for maxSub < p {
 		maxSub <<= 1
 	}
-	staging := make([]byte, maxSub*bs)
-	s.AddStage(Local(func() { copy(staging[:bs], sendBlock) }))
+	staging := s.scratch(maxSub * bs)
+	blocks := func(lo, hi int) ref { return ref{slot: staging.slot, off: lo * bs, n: (hi - lo) * bs} }
+	own, first := ref{slot: slotIn, n: bs}, blocks(0, 1)
+	s.AddStage(Local(func() { copy(s.at(first), s.at(own)) }))
 
 	curr := 1 // blocks currently held
 	mask := 1
 	for mask < p {
 		if relr&mask != 0 {
 			dst := ((relr - mask) + root) % p
-			sendBlocks := curr
-			off := sendBlocks // capture
-			_ = off
-			s.AddStage(Send(staging[:sendBlocks*bs], dst, tag))
+			s.AddStage(send(blocks(0, curr), dst, tag))
 			break
 		}
 		// Receive the child's subtree if the child exists.
@@ -138,7 +140,7 @@ func GatherBinomial(tr Transport, sendBlock, recvBuf []byte, bs, root, tag int) 
 			if childRel+childBlocks > p {
 				childBlocks = p - childRel
 			}
-			s.AddStage(Recv(staging[curr*bs:(curr+childBlocks)*bs], (childRel+root)%p, tag))
+			s.AddStage(recv(blocks(curr, curr+childBlocks), (childRel+root)%p, tag))
 			curr += childBlocks
 		}
 		mask <<= 1
@@ -146,9 +148,10 @@ func GatherBinomial(tr Transport, sendBlock, recvBuf []byte, bs, root, tag int) 
 	if relr == 0 {
 		s.AddStage(Local(func() {
 			// staging holds relative ranks 0..p-1; rotate into rank order.
+			out, st := s.at(s.out(0, p*bs)), s.at(staging)
 			for rel := 0; rel < p; rel++ {
 				abs := (rel + root) % p
-				copy(recvBuf[abs*bs:(abs+1)*bs], staging[rel*bs:(rel+1)*bs])
+				copy(out[abs*bs:(abs+1)*bs], st[rel*bs:(rel+1)*bs])
 			}
 		}))
 	}
@@ -159,6 +162,7 @@ func GatherBinomial(tr Transport, sendBlock, recvBuf []byte, bs, root, tag int) 
 // GatherBinomial.
 func ScatterBinomial(tr Transport, sendBuf, recvBlock []byte, bs, root, tag int) *Schedule {
 	s := NewSchedule(tr)
+	s.Bind(sendBuf, recvBlock)
 	p, r := tr.Size(), tr.Rank()
 	relr := (r - root + p) % p
 
@@ -166,13 +170,15 @@ func ScatterBinomial(tr Transport, sendBuf, recvBlock []byte, bs, root, tag int)
 	for maxSub < p {
 		maxSub <<= 1
 	}
-	staging := make([]byte, maxSub*bs)
+	staging := s.scratch(maxSub * bs)
+	blocks := func(lo, hi int) ref { return ref{slot: staging.slot, off: lo * bs, n: (hi - lo) * bs} }
 
 	if relr == 0 {
 		s.AddStage(Local(func() {
+			in, st := s.at(ref{slot: slotIn, n: p * bs}), s.at(staging)
 			for rel := 0; rel < p; rel++ {
 				abs := (rel + root) % p
-				copy(staging[rel*bs:(rel+1)*bs], sendBuf[abs*bs:(abs+1)*bs])
+				copy(st[rel*bs:(rel+1)*bs], in[abs*bs:(abs+1)*bs])
 			}
 		}))
 	}
@@ -186,7 +192,7 @@ func ScatterBinomial(tr Transport, sendBuf, recvBlock []byte, bs, root, tag int)
 			if relr+curr > p {
 				curr = p - relr
 			}
-			s.AddStage(Recv(staging[:curr*bs], src, tag))
+			s.AddStage(recv(blocks(0, curr), src, tag))
 			break
 		}
 		mask <<= 1
@@ -200,11 +206,12 @@ func ScatterBinomial(tr Transport, sendBuf, recvBlock []byte, bs, root, tag int)
 			}
 			if childBlocks > 0 && curr > mask {
 				dst := ((relr + mask) + root) % p
-				s.AddStage(Send(staging[mask*bs:(mask+childBlocks)*bs], dst, tag))
+				s.AddStage(send(blocks(mask, mask+childBlocks), dst, tag))
 				curr = mask
 			}
 		}
 	}
-	s.AddStage(Local(func() { copy(recvBlock, staging[:bs]) }))
+	mine, first := s.out(0, bs), blocks(0, 1)
+	s.AddStage(Local(func() { copy(s.at(mine), s.at(first)) }))
 	return s
 }

@@ -550,3 +550,86 @@ func TestScheduleReset(t *testing.T) {
 		})
 	}
 }
+
+// heldReq is a request only the test completes: a send whose receiver
+// never answers, or a receive that matched before a sweep could cancel
+// it. Cancel counts its calls and refuses.
+type heldReq struct {
+	done    bool
+	cancels int
+}
+
+func (r *heldReq) IsComplete() bool { return r.done }
+func (r *heldReq) Cancel() error {
+	r.cancels++
+	return errTest("matched")
+}
+
+// holdTransport hands out heldReqs, newest last.
+type holdTransport struct{ reqs []*heldReq }
+
+func (t *holdTransport) Rank() int { return 0 }
+func (t *holdTransport) Size() int { return 2 }
+func (t *holdTransport) Isend([]byte, int, int) Completable {
+	t.reqs = append(t.reqs, &heldReq{})
+	return t.reqs[len(t.reqs)-1]
+}
+func (t *holdTransport) Irecv([]byte, int, int) Completable {
+	t.reqs = append(t.reqs, &heldReq{})
+	return t.reqs[len(t.reqs)-1]
+}
+
+// TestScheduleAbortWaitsForReceives: an aborted schedule completes only
+// once no receive of its interrupted stage can still write its buffers
+// — one that matched before the sweep could cancel it — because a
+// collective running in the caller's memory must not write it after
+// the caller's request completed. The sweep asks each pending send to
+// withdraw, and one that stays pending holds nothing up: its receiver
+// may have aborted before posting the receive that would answer it. A
+// stage the abort kept from issuing holds nothing up either.
+func TestScheduleAbortWaitsForReceives(t *testing.T) {
+	tr := &holdTransport{}
+	s := NewSchedule(tr)
+	in, out := make([]byte, 4), make([]byte, 4)
+	s.Bind(in, out)
+	s.AddStage(send(ref{slot: slotIn, n: 4}, 1, 0), recv(s.out(0, 4), 1, 0))
+	s.AddStage(recv(s.out(0, 4), 1, 0))
+	completions := 0
+	s.OnComplete(func() { completions++ })
+	s.Poll()
+	s.Abort(errTest("revoked"))
+	s.Poll()
+	if s.IsComplete() {
+		t.Fatal("aborted schedule completed with a matched receive pending")
+	}
+	if len(tr.reqs) != 2 {
+		t.Fatalf("%d operations issued, want the first stage's 2", len(tr.reqs))
+	}
+	sendReq, recvReq := tr.reqs[0], tr.reqs[1]
+	if sendReq.cancels != 1 || recvReq.cancels != 1 {
+		t.Fatalf("sweep cancelled the send %d times and the receive %d times, want once each", sendReq.cancels, recvReq.cancels)
+	}
+	recvReq.done = true
+	s.Poll()
+	if !s.IsComplete() || completions != 1 || s.Err() == nil {
+		t.Fatalf("after the receive resolved: complete=%v completions=%d err=%v", s.IsComplete(), completions, s.Err())
+	}
+}
+
+// TestQuorumSettleKeepsSends: a quorum stage that settles on staleness
+// cancels its straggler receives but lets its pending sends run — a
+// straggler still gets this rank's contribution — unlike an abort,
+// which withdraws them.
+func TestQuorumSettleKeepsSends(t *testing.T) {
+	tr := &holdTransport{}
+	s := NewSchedule(tr)
+	s.AddQuorum(QuorumStage{Need: 0, Stale: func() bool { return true }},
+		Send(make([]byte, 4), 1, 0), RecvReduce(make([]byte, 4), 1, 0, func([]byte) {}))
+	s.Poll()
+	if !s.IsComplete() {
+		t.Fatal("stale quorum stage did not settle")
+	}
+	if sendReq, recvReq := tr.reqs[0], tr.reqs[1]; sendReq.cancels != 0 || recvReq.cancels != 1 {
+		t.Fatalf("settle cancelled the send %d times and the receive %d times, want 0 and 1", sendReq.cancels, recvReq.cancels)
+	}
+}

@@ -101,9 +101,11 @@ func indexOf(members []int, r int) int {
 	return -1
 }
 
-// bcastTree appends binomial broadcast stages of buf over members,
-// rooted at members[rootIdx]. Ranks outside members add nothing.
-func bcastTree(s *Schedule, tr Transport, buf []byte, members []int, rootIdx, tag int) {
+// bcastTree appends binomial broadcast stages of the n-byte partial
+// result over members, rooted at members[rootIdx]: the root sends what
+// it holds, every other member receives into Out and relays it. Ranks
+// outside members add nothing.
+func bcastTree(s *Schedule, tr Transport, n int, members []int, rootIdx, tag int) {
 	me := indexOf(members, tr.Rank())
 	if me < 0 || len(members) < 2 {
 		return
@@ -114,7 +116,7 @@ func bcastTree(s *Schedule, tr Transport, buf []byte, members []int, rootIdx, ta
 	for mask < p {
 		if vr&mask != 0 {
 			src := members[(vr-mask+rootIdx)%p]
-			s.AddStage(Recv(buf, src, tag))
+			s.AddStage(recv(s.received(s.out(0, n)), src, tag))
 			break
 		}
 		mask <<= 1
@@ -122,29 +124,31 @@ func bcastTree(s *Schedule, tr Transport, buf []byte, members []int, rootIdx, ta
 	var sends []Op
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if vr+mask < p {
-			sends = append(sends, Send(buf, members[(vr+mask+rootIdx)%p], tag))
+			sends = append(sends, send(s.partial(0, n), members[(vr+mask+rootIdx)%p], tag))
 		}
 	}
-	if len(sends) > 0 {
-		s.AddStage(sends...)
-	}
+	s.AddStage(sends...)
 }
 
-// reduceTree appends binomial reduction stages of inout over members
-// into members[rootIdx]. Non-root members' inout is scratch after the
-// phase. reduce must be commutative.
+// reduceTree binds inout as the schedule's contribution and result and
+// appends binomial reduction stages of it over members into
+// members[rootIdx]. Non-root members' result buffer is scratch after
+// the phase. reduce must be commutative.
 //
 // All of a rank's child receives post together in ONE stage, each
-// folding into inout the moment its payload lands (RecvReduce), so a
-// rank with k children overlaps the k transfers instead of serializing
-// k recv→reduce round-trips. The send toward the parent sits in its
-// own following stage: it issues only after every child has folded,
-// so it captures the fully reduced subtree.
+// folding into Out the moment its payload lands (RecvReduce; the first
+// fold primes Out), so a rank with k children overlaps the k transfers
+// instead of serializing k recv→reduce round-trips. The send toward the
+// parent sits in its own following stage: it issues only after every
+// child has folded, so it captures the fully reduced subtree — or, from
+// a leaf, the contribution itself, straight from In.
 func reduceTree(s *Schedule, tr Transport, inout []byte, reduce func(inout, in []byte), members []int, rootIdx, tag int) {
+	s.Bind(inout, inout)
 	me := indexOf(members, tr.Rank())
 	if me < 0 || len(members) < 2 {
 		return
 	}
+	n := len(inout)
 	p := len(members)
 	vr := (me - rootIdx + p) % p
 	var recvs []Op
@@ -156,15 +160,12 @@ func reduceTree(s *Schedule, tr Transport, inout []byte, reduce func(inout, in [
 		}
 		if src := vr | mask; src < p {
 			srcRank := members[(src+rootIdx)%p]
-			tmp := make([]byte, len(inout))
-			recvs = append(recvs, RecvReduce(tmp, srcRank, tag, func(in []byte) { reduce(inout, in) }))
+			recvs = append(recvs, recvReduce(s.scratch(n), srcRank, tag, s.foldInto(s.out(0, n), reduce)))
 		}
 	}
-	if len(recvs) > 0 {
-		s.AddStage(recvs...)
-	}
+	s.AddStage(recvs...)
 	if dst >= 0 {
-		s.AddStage(Send(inout, dst, tag))
+		s.AddStage(send(s.partial(0, n), dst, tag))
 	}
 }
 
@@ -172,11 +173,11 @@ func reduceTree(s *Schedule, tr Transport, inout []byte, reduce func(inout, in [
 // node leaders over the network, then every leader relays within its
 // node over shared memory.
 func (h *Hier) Bcast(tr Transport, buf []byte, root, tag int) *Schedule {
-	s := NewSchedule(tr)
+	s := newSchedule(tr, buf)
 	leaders := h.leadersFor(root)
-	bcastTree(s, tr, buf, leaders, indexOf(leaders, root), tag)
+	bcastTree(s, tr, len(buf), leaders, indexOf(leaders, root), tag)
 	g := h.groupOf(tr.Rank())
-	bcastTree(s, tr, buf, h.groups[g], indexOf(h.groups[g], leaders[g]), tag)
+	bcastTree(s, tr, len(buf), h.groups[g], indexOf(h.groups[g], leaders[g]), tag)
 	return s
 }
 
@@ -189,21 +190,27 @@ func (h *Hier) Reduce(tr Transport, inout []byte, reduce func(inout, in []byte),
 	g := h.groupOf(tr.Rank())
 	reduceTree(s, tr, inout, reduce, h.groups[g], indexOf(h.groups[g], leaders[g]), tag)
 	reduceTree(s, tr, inout, reduce, leaders, indexOf(leaders, root), tag)
+	if tr.Rank() == root {
+		s.settle()
+	}
 	return s
 }
 
 // Allreduce builds the two-level allreduce: intra-node reduce to
 // leaders, inter-leader reduce to the first leader then broadcast back
 // across the leaders, and an intra-node broadcast to finish. Four
-// phases, but only the middle two touch the network.
+// phases, but only the middle two touch the network. A rank that is
+// not its node's leader sends its contribution straight from In and
+// receives the result into Out: it copies none of its bytes.
 func (h *Hier) Allreduce(tr Transport, inout []byte, reduce func(inout, in []byte), tag int) *Schedule {
 	s := NewSchedule(tr)
 	g := h.groupOf(tr.Rank())
 	lead := indexOf(h.groups[g], h.leaders[g])
 	reduceTree(s, tr, inout, reduce, h.groups[g], lead, tag)
 	reduceTree(s, tr, inout, reduce, h.leaders, 0, tag)
-	bcastTree(s, tr, inout, h.leaders, 0, tag)
-	bcastTree(s, tr, inout, h.groups[g], lead, tag)
+	bcastTree(s, tr, len(inout), h.leaders, 0, tag)
+	bcastTree(s, tr, len(inout), h.groups[g], lead, tag)
+	s.settle()
 	return s
 }
 

@@ -95,12 +95,14 @@ type RelaxedConfig struct {
 // by all ranks for that round — abandoned rounds leave late traffic in
 // flight, and only per-round tags keep it from cross-matching.
 func RelaxedAllreduce(tr Transport, inout []byte, reduce func(inout, in []byte), tag int, cfg RelaxedConfig, res *RelaxedResult) *Schedule {
-	s := NewSchedule(tr)
+	s := newSchedule(tr, inout)
 	p, me := tr.Size(), tr.Rank()
+	n := len(inout)
 	res.Contributed = NewBitmap(p)
 	res.Contributed.Set(me)
 	res.Contributions = 1
 	if p == 1 {
+		s.settle()
 		if cfg.OnSettle != nil {
 			s.AddStage(Local(cfg.OnSettle))
 		}
@@ -119,21 +121,23 @@ func RelaxedAllreduce(tr Transport, inout []byte, reduce func(inout, in []byte),
 	// the receives together, and a send hands its buffer to the
 	// transport (a rendezvous is read long after issue). So every peer
 	// gets a snapshot of the caller's own contribution, taken here —
-	// never inout, which would reach it partly folded.
-	own := append([]byte(nil), inout...)
+	// never the result, which would reach it partly folded.
+	own := s.scratch(n)
+	copy(s.at(own), inout)
 	for d := 0; d < p; d++ {
 		if d != me {
-			ops = append(ops, Send(own, d, tag))
+			ops = append(ops, send(own, d, tag))
 		}
 	}
+	all := s.out(0, n)
 	for d := 0; d < p; d++ {
 		if d == me {
 			continue
 		}
 		src := d
-		scratch := make([]byte, len(inout))
-		ops = append(ops, RecvReduce(scratch, src, tag, func(in []byte) {
-			reduce(inout, in)
+		fold := s.foldInto(all, reduce)
+		ops = append(ops, recvReduce(s.scratch(n), src, tag, func(in []byte) {
+			fold(in)
 			res.Contributed.Set(src)
 			res.Contributions++
 		}))
@@ -143,6 +147,7 @@ func RelaxedAllreduce(tr Transport, inout []byte, reduce func(inout, in []byte),
 		Stale:   cfg.Stale,
 		Abandon: cfg.Adopt,
 		OnSettle: func(_, abandoned int, err error) {
+			s.prime() // a round nobody else reached holds the caller's contribution
 			res.Abandoned = abandoned
 			res.Err = err
 			if cfg.OnSettle != nil {

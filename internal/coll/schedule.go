@@ -49,12 +49,15 @@ type Transport interface {
 	Irecv(buf []byte, src, tag int) Completable
 }
 
-// Op is one schedule operation.
+// Op is one schedule operation. An operation that moves bytes names
+// them by a ref into its schedule's buffer table, never by a slice of
+// its own, so the schedule can be pointed at other buffers between
+// runs (Bind).
 type Op interface {
 	// start issues the operation.
-	start(tr Transport)
+	start(s *Schedule)
 	// isComplete reports whether it has finished.
-	isComplete() bool
+	isComplete(s *Schedule) bool
 	// err reports the operation's delivery error, if it completed with
 	// one (a dead peer, a downed link). Local steps never fail.
 	err() error
@@ -62,7 +65,8 @@ type Op interface {
 	// transport supports it (posted receives do, via Cancel).
 	// Completion sweeps use it so an abandoned or aborted stage cannot
 	// leak posted operations that poison later tag matches.
-	// Best-effort: sends and local steps no-op.
+	// Best-effort: a send is withdrawn only while its receiver has not
+	// answered it; local steps no-op.
 	cancel()
 	// reset rearms a finished operation for the schedule's next run:
 	// it forgets the request and fold state of the last one and takes
@@ -99,43 +103,66 @@ func cancelReq(req Completable) {
 	}
 }
 
-// sendOp sends data to dst when its stage starts.
-type sendOp struct {
-	data []byte
-	dst  int
-	tag  int
-	req  Completable
+// ref names n bytes at off of buffer slot of a schedule's buffer table
+// (Schedule.at), or, for an operation built over a slice of its own
+// (Send, Recv, RecvReduce), that slice: lit, with slot -1.
+type ref struct {
+	slot, off, n int
+	lit          []byte
 }
 
-func (o *sendOp) start(tr Transport) { o.req = tr.Isend(o.data, o.dst, o.tag) }
-func (o *sendOp) isComplete() bool   { return o.req != nil && o.req.IsComplete() }
-func (o *sendOp) err() error         { return opErr(o.req) }
-func (o *sendOp) cancel()            {} // sends are not cancellable (payload may be on the wire)
-func (o *sendOp) reset(tag int)      { o.tag, o.req = tag, nil }
+// literal is a ref to a caller-supplied slice, which no Bind moves.
+func literal(b []byte) ref { return ref{slot: -1, lit: b} }
 
-// Send creates a send operation.
-func Send(data []byte, dst, tag int) Op { return &sendOp{data: data, dst: dst, tag: tag} }
+// sendOp sends the bytes buf names to dst when its stage starts.
+type sendOp struct {
+	buf ref
+	dst int
+	tag int
+	req Completable
+}
 
-// recvOp receives into buf when its stage starts.
+func (o *sendOp) start(s *Schedule)         { o.req = s.tr.Isend(s.at(o.buf), o.dst, o.tag) }
+func (o *sendOp) isComplete(*Schedule) bool { return o.req != nil && o.req.IsComplete() }
+func (o *sendOp) err() error                { return opErr(o.req) }
+func (o *sendOp) reset(tag int)             { o.tag, o.req = tag, nil }
+
+// cancel withdraws a send its receiver has not answered, so that no
+// late answer reads the schedule's buffers; one whose payload is on the
+// wire, or may be read by its receiver, stands (the transport refuses).
+func (o *sendOp) cancel() {
+	if o.req != nil {
+		cancelReq(o.req)
+	}
+}
+
+// Send creates a send operation over data.
+func Send(data []byte, dst, tag int) Op { return send(literal(data), dst, tag) }
+
+// recvOp receives into the bytes buf names when its stage starts.
 type recvOp struct {
-	buf []byte
+	buf ref
 	src int
 	tag int
 	req Completable
 }
 
-func (o *recvOp) start(tr Transport) { o.req = tr.Irecv(o.buf, o.src, o.tag) }
-func (o *recvOp) isComplete() bool   { return o.req != nil && o.req.IsComplete() }
-func (o *recvOp) err() error         { return opErr(o.req) }
+func (o *recvOp) start(s *Schedule)         { o.req = s.tr.Irecv(s.at(o.buf), o.src, o.tag) }
+func (o *recvOp) isComplete(*Schedule) bool { return o.req != nil && o.req.IsComplete() }
+func (o *recvOp) err() error                { return opErr(o.req) }
 func (o *recvOp) cancel() {
 	if o.req != nil {
 		cancelReq(o.req)
 	}
 }
+
+// busy reports whether the receive was issued and its transport may
+// still write into the schedule's buffers: it has not completed.
+func (o *recvOp) busy() bool    { return o.req != nil && !o.req.IsComplete() }
 func (o *recvOp) reset(tag int) { o.tag, o.req = tag, nil }
 
-// Recv creates a receive operation.
-func Recv(buf []byte, src, tag int) Op { return &recvOp{buf: buf, src: src, tag: tag} }
+// Recv creates a receive operation into buf.
+func Recv(buf []byte, src, tag int) Op { return recv(literal(buf), src, tag) }
 
 // recvReduceOp is a receive that folds its payload into the caller's
 // accumulator the moment the payload lands — the substrate both the
@@ -156,14 +183,14 @@ func (o *recvReduceOp) reset(tag int) {
 	o.decided, o.folded = false, false
 }
 
-func (o *recvReduceOp) isComplete() bool {
+func (o *recvReduceOp) isComplete(s *Schedule) bool {
 	if o.req == nil || !o.req.IsComplete() {
 		return false
 	}
 	if !o.decided {
 		o.decided = true
 		if opErr(o.req) == nil && !reqCancelled(o.req) {
-			o.fold(o.buf)
+			o.fold(s.at(o.buf))
 			o.folded = true
 		}
 	}
@@ -182,7 +209,7 @@ func (o *recvReduceOp) contributed() bool { return o.folded }
 // RecvReduce ops, which requires the reduction to be commutative
 // (arrival order is not deterministic).
 func RecvReduce(buf []byte, src, tag int, fold func(in []byte)) Op {
-	return &recvReduceOp{recvOp: recvOp{buf: buf, src: src, tag: tag}, fold: fold}
+	return recvReduce(literal(buf), src, tag, fold)
 }
 
 // localOp runs a function (a copy or reduction step) when its stage
@@ -193,11 +220,11 @@ type localOp struct {
 	done bool
 }
 
-func (o *localOp) start(Transport)  { o.fn(); o.done = true }
-func (o *localOp) isComplete() bool { return o.done }
-func (o *localOp) err() error       { return nil }
-func (o *localOp) cancel()          {}
-func (o *localOp) reset(int)        { o.done = false }
+func (o *localOp) start(*Schedule)           { o.fn(); o.done = true }
+func (o *localOp) isComplete(*Schedule) bool { return o.done }
+func (o *localOp) err() error                { return nil }
+func (o *localOp) cancel()                   {}
+func (o *localOp) reset(int)                 { o.done = false }
 
 // Local creates a local computation operation.
 func Local(fn func()) Op { return &localOp{fn: fn} }
@@ -210,11 +237,11 @@ type issueOp struct {
 	issued bool
 }
 
-func (o *issueOp) start(Transport)  { o.req, o.issued = o.issue(), true }
-func (o *issueOp) isComplete() bool { return o.issued && (o.req == nil || o.req.IsComplete()) }
-func (o *issueOp) err() error       { return opErr(o.req) }
-func (o *issueOp) cancel()          { cancelReq(o.req) }
-func (o *issueOp) reset(int)        { o.req, o.issued = nil, false }
+func (o *issueOp) start(*Schedule)           { o.req, o.issued = o.issue(), true }
+func (o *issueOp) isComplete(*Schedule) bool { return o.issued && (o.req == nil || o.req.IsComplete()) }
+func (o *issueOp) err() error                { return opErr(o.req) }
+func (o *issueOp) cancel()                   { cancelReq(o.req) }
+func (o *issueOp) reset(int)                 { o.req, o.issued = nil, false }
 
 // Issue creates an operation issued by fn instead of the Transport: fn
 // runs when the stage starts, inside a progress poll. The request it
@@ -232,8 +259,8 @@ type gateOp struct {
 	open  bool
 }
 
-func (o *gateOp) start(Transport) {}
-func (o *gateOp) isComplete() bool {
+func (o *gateOp) start(*Schedule) {}
+func (o *gateOp) isComplete(*Schedule) bool {
 	if !o.open {
 		o.open = o.ready()
 	}
@@ -295,6 +322,14 @@ type stage struct {
 // issued together, and a stage completes when every operation in it
 // has (strict stages) or when its quorum settles (quorum stages). The
 // schedule completes when its last stage does.
+//
+// Operations reach their bytes through the schedule's buffer table:
+// the caller's two buffers — In, the contribution, and Out, the result
+// — and after them the buffers the schedule owns (scratch); an
+// operation built over a slice of its own (Send, Recv, RecvReduce)
+// keeps it. Bind points In and Out
+// at other memory between runs, so one schedule serves call after call
+// over each call's own buffers.
 type Schedule struct {
 	tr     Transport
 	stages []stage
@@ -303,10 +338,15 @@ type Schedule struct {
 	done   core.CompletionFlag
 
 	// err is the first strict-stage operation error observed; once set
-	// the schedule aborts: remaining stages are never issued and the
-	// schedule completes immediately (a collective must not hang on a
-	// dead peer). Valid once IsComplete reports true.
-	err error
+	// the schedule aborts: remaining stages are never issued, the
+	// interrupted stage's pending operations are cancelled, and the
+	// schedule completes once none of that stage's receives can still
+	// write its buffers (a collective must not hang on a dead peer, nor
+	// write the caller's memory after it returned). Valid once
+	// IsComplete reports true.
+	err    error
+	swept  bool // the abort's sweep ran
+	primed bool // this run copied In to Out (prime)
 
 	// abort, when set via Abort, carries an externally imposed abort
 	// cause (a communicator revocation). The next Poll adopts it and
@@ -318,10 +358,124 @@ type Schedule struct {
 	// onComplete, if set, runs exactly once when the schedule finishes
 	// (inside the progress poll that observes completion).
 	onComplete func()
+
+	// bufs is the buffer table: bufs[slotIn], bufs[slotOut], then the
+	// owned ones.
+	bufs [][]byte
+	// acc is a builder's cursor: the slot that holds this rank's partial
+	// result as stages are appended — In until the first fold, Out after
+	// (see fold).
+	acc int
 }
 
-// NewSchedule creates an empty schedule over the transport.
-func NewSchedule(tr Transport) *Schedule { return &Schedule{tr: tr} }
+// The caller's slots of a schedule's buffer table.
+const (
+	slotIn = iota
+	slotOut
+)
+
+// NewSchedule creates an empty schedule over the transport, with no
+// caller buffers bound.
+func NewSchedule(tr Transport) *Schedule {
+	return &Schedule{tr: tr, bufs: make([][]byte, 2, 4)}
+}
+
+// newSchedule creates an empty schedule with inout bound as both its
+// contribution and its result — the in-place form every builder takes.
+func newSchedule(tr Transport, inout []byte) *Schedule {
+	s := NewSchedule(tr)
+	s.Bind(inout, inout)
+	return s
+}
+
+// Bind points the schedule's caller buffers at in, the contribution,
+// and out, the result, for its next run; a nil in is MPI_IN_PLACE (out
+// holds the contribution). Each must be as long as the one the schedule
+// was built over. O(1) and allocation-free: operations resolve their
+// bytes when they start, so a plan rebinds per call. Bind(nil, nil)
+// lets go of the caller's memory. The caller must own the schedule, as
+// for Reset.
+func (s *Schedule) Bind(in, out []byte) {
+	if in == nil {
+		in = out
+	}
+	s.bufs[slotIn], s.bufs[slotOut] = in, out
+}
+
+// at resolves a ref against the buffer table.
+func (s *Schedule) at(r ref) []byte {
+	if r.slot < 0 {
+		return r.lit
+	}
+	return s.bufs[r.slot][r.off : r.off+r.n]
+}
+
+// scratch adds an n-byte buffer the schedule owns and returns a ref to
+// all of it.
+func (s *Schedule) scratch(n int) ref {
+	s.bufs = append(s.bufs, make([]byte, n))
+	return ref{slot: len(s.bufs) - 1, n: n}
+}
+
+// out is a ref to n bytes of the result at off.
+func (s *Schedule) out(off, n int) ref { return ref{slot: slotOut, off: off, n: n} }
+
+// partial is a ref to n bytes at off of this rank's partial result —
+// its contribution until the first fold appended, the result after.
+func (s *Schedule) partial(off, n int) ref { return ref{slot: s.acc, off: off, n: n} }
+
+// send, recv and recvReduce build transport operations over refs.
+func send(b ref, dst, tag int) Op { return &sendOp{buf: b, dst: dst, tag: tag} }
+func recv(b ref, src, tag int) Op { return &recvOp{buf: b, src: src, tag: tag} }
+func recvReduce(b ref, src, tag int, fold func(in []byte)) Op {
+	return &recvReduceOp{recvOp: recvOp{buf: b, src: src, tag: tag}, fold: fold}
+}
+
+// received records that a receive into Out was appended: the partial
+// result lives there from now on.
+func (s *Schedule) received(b ref) ref {
+	s.acc = slotOut
+	return b
+}
+
+// prime gives Out this run's contribution, once, before the first fold
+// into it: a copy of In, or nothing when In is Out (MPI_IN_PLACE).
+func (s *Schedule) prime() {
+	if s.primed {
+		return
+	}
+	s.primed = true
+	in, out := s.bufs[slotIn], s.bufs[slotOut]
+	if len(in) > 0 && len(out) > 0 && &in[0] != &out[0] {
+		copy(out, in)
+	}
+}
+
+// foldInto returns the fold of a payload into dst, a range of Out, and
+// moves the builder's partial result to Out: the first fold of a run
+// primes Out.
+func (s *Schedule) foldInto(dst ref, reduce func(inout, in []byte)) func(in []byte) {
+	s.acc = slotOut
+	return func(in []byte) {
+		s.prime()
+		reduce(s.at(dst), in)
+	}
+}
+
+// fold is a local step that folds the scratch bytes tmp names into dst.
+func (s *Schedule) fold(dst, tmp ref, reduce func(inout, in []byte)) Op {
+	f := s.foldInto(dst, reduce)
+	return Local(func() { f(s.at(tmp)) })
+}
+
+// settle ends a build whose rank must hold the result in Out: a rank
+// that never folded nor received one copies its contribution there.
+func (s *Schedule) settle() {
+	if s.acc == slotIn {
+		s.AddStage(Local(s.prime))
+		s.acc = slotOut
+	}
+}
 
 // AddStage appends a strict stage. Empty stages are ignored.
 func (s *Schedule) AddStage(ops ...Op) {
@@ -353,12 +507,16 @@ func (s *Schedule) IsComplete() bool { return s.done.IsSet() }
 // OnSettle instead.
 func (s *Schedule) Err() error { return s.err }
 
-// Abort flags the schedule to complete with err at its next poll:
-// remaining stages are never issued, and the aborting poll cancels the
-// interrupted stage's still-pending operations (posted receives are
-// withdrawn from the matcher) so an abandoned schedule cannot leak
-// posted operations into later tag matches. Safe from any context; a
-// nil err or an already-completed schedule is a no-op.
+// Abort flags the schedule to complete with err: remaining stages are
+// never issued, and the aborting poll cancels the interrupted stage's
+// still-pending operations (posted receives are withdrawn from the
+// matcher, unanswered sends from their receivers) so an abandoned
+// schedule cannot leak posted operations into later tag matches. The
+// schedule completes once every issued receive of that stage has
+// resolved — cancelled, landed, or failed by its sender's abort or the
+// transport's verdict — so nothing writes the caller's memory after
+// completion. Safe from any context; a nil err or an already-completed
+// schedule is a no-op.
 func (s *Schedule) Abort(err error) {
 	if err == nil || s.done.IsSet() {
 		return
@@ -369,15 +527,17 @@ func (s *Schedule) Abort(err error) {
 // Reset rearms a completed (or never started) schedule for another run
 // of the same collective under tag: the stage cursor, the abort state,
 // the done flag and every operation's request and fold state go back to
-// their initial values, the buffers and stage shapes stay. It is what
-// lets the MPI layer build a collective's schedule once per signature
-// and reuse it call after call (MPI-4's persistent collectives, kept
-// inside the library). The caller must own the schedule outright: no
-// stream still polls it and no transport still reads its buffers — a
-// clean completion guarantees both, since a strict stage finishes only
-// when its sends have.
+// their initial values, the bound buffers and stage shapes stay (Bind
+// rebinds the caller's). It is what lets the MPI layer build a
+// collective's schedule once per signature and reuse it call after call
+// (MPI-4's persistent collectives, kept inside the library). The caller
+// must own the schedule outright: no stream still polls it and no
+// transport still reads its buffers — a clean completion guarantees
+// both, since a strict stage finishes only when its sends have. An
+// aborted run guarantees only that no receive still writes them: a send
+// the abort could not withdraw may still read them.
 func (s *Schedule) Reset(tag int) {
-	s.cur, s.issued, s.err = 0, false, nil
+	s.cur, s.issued, s.err, s.swept, s.primed = 0, false, nil, false, false
 	s.abort.Store(nil)
 	for i := range s.stages {
 		st := &s.stages[i]
@@ -441,7 +601,7 @@ func (s *Schedule) poll() (made, done bool) {
 		st := &s.stages[s.cur]
 		if !s.issued {
 			for _, op := range st.ops {
-				op.start(s.tr)
+				op.start(s)
 			}
 			s.issued = true
 			made = true
@@ -463,7 +623,14 @@ func (s *Schedule) poll() (made, done bool) {
 		made = true
 	}
 	if s.err != nil {
-		s.sweepIssued()
+		if !s.swept {
+			s.swept = true
+			s.sweepIssued()
+			made = true
+		}
+		if s.busy() {
+			return made, false
+		}
 	}
 	if !s.done.Set() {
 		return made, true
@@ -484,7 +651,7 @@ func (s *Schedule) pollStrict(st *stage) bool {
 		if e := op.err(); e != nil && s.err == nil {
 			s.err = e
 		}
-		if !op.isComplete() {
+		if !op.isComplete(s) {
 			done = false
 		}
 	}
@@ -501,7 +668,7 @@ func (s *Schedule) pollQuorum(st *stage) bool {
 	resolved, contrib, possible := 0, 0, 0
 	for _, op := range st.ops {
 		c, isContrib := op.(contributor)
-		if op.isComplete() {
+		if op.isComplete(s) {
 			resolved++
 			if e := op.err(); e != nil && q.firstErr == nil {
 				q.firstErr = e
@@ -527,8 +694,11 @@ func (s *Schedule) pollQuorum(st *stage) bool {
 	}
 	abandoned := 0
 	for _, op := range st.ops {
-		if op.isComplete() {
+		if op.isComplete(s) {
 			continue
+		}
+		if _, isSend := op.(*sendOp); isSend {
+			continue // a straggler still gets this rank's contribution
 		}
 		if _, isContrib := op.(contributor); isContrib {
 			abandoned++
@@ -555,8 +725,31 @@ func (s *Schedule) sweepIssued() {
 		return
 	}
 	for _, op := range s.stages[s.cur].ops {
-		if !op.isComplete() {
+		if !op.isComplete(s) {
 			op.cancel()
 		}
 	}
+}
+
+// writer is an operation that writes into the schedule's buffers: a
+// receive.
+type writer interface{ busy() bool }
+
+// busy reports whether a receive of the stage an abort interrupted may
+// still write the schedule's buffers: it matched before the sweep could
+// cancel it. Each resolves on its own — its data lands, or its sender
+// withdraws and answers with an abort — or by the transport's verdict.
+// Sends are not waited for: one whose receiver aborted before posting
+// its receive would never resolve, and the sweep withdrew each one its
+// receiver had not answered.
+func (s *Schedule) busy() bool {
+	if !s.issued || s.cur >= len(s.stages) {
+		return false
+	}
+	for _, op := range s.stages[s.cur].ops {
+		if w, ok := op.(writer); ok && w.busy() {
+			return true
+		}
+	}
+	return false
 }

@@ -9,7 +9,7 @@ package coll
 // rank ends with all blocks. Zero-length blocks still circulate as
 // empty messages to keep the ring in lockstep.
 func AllgatherVRing(tr Transport, buf []byte, offs, lens []int, tag int) *Schedule {
-	s := NewSchedule(tr)
+	s := newSchedule(tr, buf)
 	p, r := tr.Size(), tr.Rank()
 	if len(offs) != p || len(lens) != p {
 		panic("coll: offs/lens length must equal group size")
@@ -20,8 +20,8 @@ func AllgatherVRing(tr Transport, buf []byte, offs, lens []int, tag int) *Schedu
 		sendIdx := (r - k + p) % p
 		recvIdx := (r - k - 1 + p) % p
 		s.AddStage(
-			Send(buf[offs[sendIdx]:offs[sendIdx]+lens[sendIdx]], right, tag),
-			Recv(buf[offs[recvIdx]:offs[recvIdx]+lens[recvIdx]], left, tag),
+			send(s.out(offs[sendIdx], lens[sendIdx]), right, tag),
+			recv(s.out(offs[recvIdx], lens[recvIdx]), left, tag),
 		)
 	}
 	return s
@@ -31,17 +31,20 @@ func AllgatherVRing(tr Transport, buf []byte, offs, lens []int, tag int) *Schedu
 // sendBlock (lens[i] bytes) lands at recvBuf[offs[i]] on root.
 func GatherV(tr Transport, sendBlock, recvBuf []byte, offs, lens []int, root, tag int) *Schedule {
 	s := NewSchedule(tr)
+	s.Bind(sendBlock, recvBuf)
 	p, r := tr.Size(), tr.Rank()
+	own := ref{slot: slotIn, n: len(sendBlock)}
 	if r != root {
-		s.AddStage(Send(sendBlock, root, tag))
+		s.AddStage(send(own, root, tag))
 		return s
 	}
-	ops := []Op{Local(func() { copy(recvBuf[offs[root]:offs[root]+lens[root]], sendBlock) })}
+	mine := s.out(offs[root], lens[root])
+	ops := []Op{Local(func() { copy(s.at(mine), s.at(own)) })}
 	for src := 0; src < p; src++ {
 		if src == root {
 			continue
 		}
-		ops = append(ops, Recv(recvBuf[offs[src]:offs[src]+lens[src]], src, tag))
+		ops = append(ops, recv(s.out(offs[src], lens[src]), src, tag))
 	}
 	s.AddStage(ops...)
 	return s
@@ -51,17 +54,21 @@ func GatherV(tr Transport, sendBlock, recvBuf []byte, offs, lens []int, root, ta
 // sendBuf[offs[i] : offs[i]+lens[i]] goes to rank i's recvBlock.
 func ScatterV(tr Transport, sendBuf, recvBlock []byte, offs, lens []int, root, tag int) *Schedule {
 	s := NewSchedule(tr)
+	s.Bind(sendBuf, recvBlock)
 	p, r := tr.Size(), tr.Rank()
+	mine := s.out(0, len(recvBlock))
 	if r != root {
-		s.AddStage(Recv(recvBlock, root, tag))
+		s.AddStage(recv(mine, root, tag))
 		return s
 	}
-	ops := []Op{Local(func() { copy(recvBlock, sendBuf[offs[root]:offs[root]+lens[root]]) })}
+	in := func(i int) ref { return ref{slot: slotIn, off: offs[i], n: lens[i]} }
+	own := in(root)
+	ops := []Op{Local(func() { copy(s.at(mine), s.at(own)) })}
 	for dst := 0; dst < p; dst++ {
 		if dst == root {
 			continue
 		}
-		ops = append(ops, Send(sendBuf[offs[dst]:offs[dst]+lens[dst]], dst, tag))
+		ops = append(ops, send(in(dst), dst, tag))
 	}
 	s.AddStage(ops...)
 	return s

@@ -20,11 +20,13 @@ import (
 // order.
 //
 // Barrier, Bcast, Reduce and Allreduce run from plans: the schedule,
-// its wire buffer and scratch, the reduction closure and the completion
-// callback are built once per signature and rearmed on every later call
-// (Schedule.Reset), so a call costs its bytes and its hops — MPI-4's
-// persistent collectives, applied inside the library. The other
-// collectives build a schedule per call.
+// its scratch, the reduction closure and the completion callback are
+// built once per signature and rearmed on every later call
+// (Schedule.Bind and Reset), so a call costs its bytes and its hops —
+// MPI-4's persistent collectives, applied inside the library. For a
+// contiguous datatype the schedule runs in the caller's buffers: nothing
+// is packed or unpacked. The other collectives build a schedule per
+// call.
 
 // collTransport adapts a Comm to coll.Transport.
 type collTransport struct{ c *Comm }
@@ -35,7 +37,10 @@ func (t collTransport) Size() int { return t.c.Size() }
 // Isend hands data down under the rule user sends follow (sendPayload):
 // the link reads the schedule's buffer itself, which is safe because a
 // strict stage completes only when its sends have (see internal/coll's
-// stage contract); small reliable sends keep a private copy.
+// stage contract); small reliable sends keep a private copy. An aborted
+// stage does not wait for its sends: it withdraws each one its receiver
+// has not answered (Request.Cancel), so no late CTS reads the caller's
+// buffer.
 func (t collTransport) Isend(data []byte, dst, tag int) coll.Completable {
 	if t.c.fstate.revoked.Load() {
 		return t.c.failedReq(kindSend, ErrCommRevoked)
@@ -138,8 +143,13 @@ func (c *Comm) submitSched(s *coll.Schedule, onDone func()) *Request {
 func (c *Comm) transport() coll.Transport { return collTransport{c} }
 
 // reducer builds the byte-level reduction closure for op over count
-// elements of dt.
+// elements of dt. It panics on a non-contiguous dt, at the call that
+// names it: the kernels fold packed elements of a base type
+// (reduceop.Apply), which a derived layout's bytes are not.
 func reducer(op reduceop.Op, dt *datatype.Datatype, count int) func(inout, in []byte) {
+	if !dt.Contig() {
+		panic("mpi: reductions require a contiguous datatype")
+	}
 	return func(inout, in []byte) {
 		n := count
 		if max := len(inout) / dt.Size(); max < n {
@@ -176,15 +186,20 @@ type planKey struct {
 	root  int
 }
 
-// collPlan is a collective built once for its signature: the schedule,
-// the packed wire buffer the schedule sends, receives and reduces in,
-// and the schedule's completion callback (finish, bound once). A run
-// fills the wire buffer, rearms the schedule under a fresh tag and
-// starts it. The plan — wire buffer included — belongs to that run until
-// it completes; only a clean completion gives it back to the
-// communicator's cache. An aborted run (revoked, or failed by a peer)
-// may leave sends still reading the buffer and receives still posted,
-// so its plan is dropped.
+// collPlan is a collective built once for its signature: the schedule
+// and its completion callback (finish, bound once). A run binds the
+// call's buffers to the schedule (coll.Schedule.Bind), rearms it under
+// a fresh tag and starts it. For a contiguous layout the schedule runs
+// in the caller's buffers — sends straight from sendBuf, the result
+// built in recvBuf — and the plan holds no buffer of its own; wire, the
+// packed buffer the schedule runs in otherwise, exists only for a
+// Bcast of a non-contiguous layout and for the accumulator of a
+// non-root Reduce, which has no recvBuf. The plan belongs to its run until the run
+// completes, and then holds no reference to the caller's buffers; only
+// a clean completion gives it back to the communicator's cache. An
+// aborted run completes only once none of its receives can write the
+// caller's buffers any more (coll.Schedule.Abort), but its plan is
+// dropped all the same: the cache keeps plans whose last run was whole.
 type collPlan struct {
 	c     *Comm
 	key   planKey
@@ -192,7 +207,7 @@ type collPlan struct {
 	wire  []byte
 
 	req *Request // the running call's request
-	out []byte   // where a clean completion unpacks the result; nil: nowhere
+	out []byte   // where a clean completion unpacks wire; nil: nowhere
 }
 
 // planCacheSize bounds the idle plans a communicator keeps; the least
@@ -232,14 +247,28 @@ func (pc *planCache) put(p *collPlan) {
 	pc.idle = append(pc.idle, p)
 }
 
-// plan returns an idle plan for k, building one on a miss.
-func (c *Comm) plan(k planKey) *collPlan {
+// plan returns an idle plan for k, building one on a miss. A Bcast of
+// a non-contiguous layout, or a non-root Reduce, gets its wire buffer
+// here (reductions refuse a non-contiguous layout: reducer); any other
+// runs in the buffers each call binds, and is built over result, the
+// calling one's result buffer.
+func (c *Comm) plan(k planKey, result []byte) *collPlan {
 	if p := c.plans.take(k); p != nil {
 		return p
 	}
 	p := &collPlan{c: c, key: k}
+	n := 0
 	if k.kind != planBarrier {
-		p.wire = make([]byte, datatype.PackedSize(k.count, k.dt))
+		n = datatype.PackedSize(k.count, k.dt)
+		if !k.dt.Contig() || k.kind == planReduce && c.rank != k.root {
+			p.wire = make([]byte, n)
+		}
+	}
+	// The builders take the buffer they run in; each run binds its own,
+	// so the length is all the schedule keeps of this one.
+	buf := p.wire
+	if buf == nil {
+		buf = result[:n]
 	}
 	tr, h := c.transport(), c.hier()
 	switch k.kind {
@@ -248,43 +277,47 @@ func (c *Comm) plan(k planKey) *collPlan {
 	case planBcast:
 		switch {
 		case h != nil:
-			p.sched = h.Bcast(tr, p.wire, k.root, 0)
-		case len(p.wire) >= bcastLongThreshold && c.Size() > 2:
-			p.sched = coll.BcastScatterAllgather(tr, p.wire, k.root, 0)
+			p.sched = h.Bcast(tr, buf, k.root, 0)
+		case n >= bcastLongThreshold && c.Size() > 2:
+			p.sched = coll.BcastScatterAllgather(tr, buf, k.root, 0)
 		default:
-			p.sched = coll.Bcast(tr, p.wire, k.root, 0)
+			p.sched = coll.Bcast(tr, buf, k.root, 0)
 		}
 	case planReduce:
 		red := reducer(k.op, k.dt, k.count)
 		if h != nil {
-			p.sched = h.Reduce(tr, p.wire, red, k.root, 0)
+			p.sched = h.Reduce(tr, buf, red, k.root, 0)
 		} else {
-			p.sched = coll.Reduce(tr, p.wire, red, k.root, 0)
+			p.sched = coll.Reduce(tr, buf, red, k.root, 0)
 		}
 	case planAllreduce:
 		red := reducer(k.op, k.dt, k.count)
 		switch {
 		case h != nil:
-			p.sched = h.Allreduce(tr, p.wire, red, 0)
-		case len(p.wire) >= ringThresholdBytes && k.count >= c.Size() && c.Size() > 2:
-			p.sched = coll.AllreduceRing(tr, p.wire, k.dt.Size(), red, 0)
+			p.sched = h.Allreduce(tr, buf, red, 0)
+		case n >= ringThresholdBytes && k.count >= c.Size() && c.Size() > 2:
+			p.sched = coll.AllreduceRing(tr, buf, k.dt.Size(), red, 0)
 		default:
-			p.sched = coll.AllreduceRecDbl(tr, p.wire, red, 0)
+			p.sched = coll.AllreduceRecDbl(tr, buf, red, 0)
 		}
 	}
+	p.sched.Bind(nil, nil)
 	p.sched.OnComplete(p.finish)
 	return p
 }
 
-// runPlan starts one call of a plan whose wire buffer holds this call's
-// contribution; a clean completion unpacks the result into out.
-func (c *Comm) runPlan(p *collPlan, out []byte) *Request {
+// runPlan starts one call of a plan over in, the contribution (nil: in
+// place), and out, where the schedule builds the result — the caller's
+// buffers, or the plan's wire buffer with the contribution packed into
+// it; a clean completion unpacks wire into unpack when that is set.
+func (c *Comm) runPlan(p *collPlan, in, out, unpack []byte) *Request {
 	tag := c.nextCollTag()
 	if req := c.refuseSched(); req != nil {
 		return req
 	}
 	req := &Request{kind: kindSched, vci: c.local, proc: c.proc}
-	p.req, p.out = req, out
+	p.req, p.out = req, unpack
+	p.sched.Bind(in, out)
 	p.sched.Reset(tag)
 	c.startSched(p.sched)
 	return req
@@ -297,8 +330,10 @@ func (c *Comm) runPlan(p *collPlan, out []byte) *Request {
 // that is revoked or has a failed member, where the next run is
 // condemned anyway.
 func (p *collPlan) finish() {
-	c, req := p.c, p.req
+	c, req, out := p.c, p.req, p.out
+	p.req, p.out = nil, nil
 	c.fstate.removeSched(p.sched)
+	p.sched.Bind(nil, nil)
 	// A schedule aborted by a peer failure or a revocation must not
 	// publish its result: the collective's invariant (every rank
 	// contributed) no longer holds.
@@ -306,17 +341,16 @@ func (p *collPlan) finish() {
 		req.complete(Status{Err: err})
 		return
 	}
-	if p.out != nil {
-		datatype.Unpack(p.out, p.wire, p.key.count, p.key.dt)
+	if out != nil {
+		datatype.Unpack(out, p.wire, p.key.count, p.key.dt)
 	}
-	p.req, p.out = nil, nil
 	c.plans.put(p)
 	req.complete(Status{})
 }
 
 // Ibarrier starts a nonblocking dissemination barrier (MPI_Ibarrier).
 func (c *Comm) Ibarrier() *Request {
-	return c.runPlan(c.plan(planKey{kind: planBarrier}), nil)
+	return c.runPlan(c.plan(planKey{kind: planBarrier}, nil), nil, nil, nil)
 }
 
 // Barrier blocks until all ranks arrive (MPI_Barrier).
@@ -331,12 +365,15 @@ const bcastLongThreshold = 16 * 1024
 // scatter-allgather for long ones.
 func (c *Comm) Ibcast(buf []byte, count int, dt *datatype.Datatype, root int) *Request {
 	c.checkRank(root)
-	p := c.plan(planKey{kind: planBcast, count: count, dt: dt, root: root})
-	if c.rank == root {
+	p := c.plan(planKey{kind: planBcast, count: count, dt: dt, root: root}, buf)
+	switch {
+	case p.wire == nil:
+		return c.runPlan(p, nil, buf[:datatype.PackedSize(count, dt)], nil)
+	case c.rank == root:
 		datatype.Pack(p.wire, buf, count, dt)
-		return c.runPlan(p, nil)
+		return c.runPlan(p, nil, p.wire, nil)
 	}
-	return c.runPlan(p, buf)
+	return c.runPlan(p, nil, p.wire, buf)
 }
 
 // Bcast is the blocking broadcast (MPI_Bcast).
@@ -349,19 +386,19 @@ func (c *Comm) Bcast(buf []byte, count int, dt *datatype.Datatype, root int) {
 // means MPI_IN_PLACE: root contributes recvBuf.
 func (c *Comm) Ireduce(sendBuf, recvBuf []byte, count int, dt *datatype.Datatype, op reduceop.Op, root int) *Request {
 	c.checkRank(root)
-	src := sendBuf
-	if src == nil {
-		if c.rank != root {
-			panic("mpi: in-place reduce requires sendBuf on non-root ranks")
-		}
-		src = recvBuf
+	if sendBuf == nil && c.rank != root {
+		panic("mpi: in-place reduce requires sendBuf on non-root ranks")
 	}
-	p := c.plan(planKey{kind: planReduce, count: count, dt: dt, op: op, root: root})
-	datatype.Pack(p.wire, src, count, dt)
+	p := c.plan(planKey{kind: planReduce, count: count, dt: dt, op: op, root: root}, recvBuf)
+	n := datatype.PackedSize(count, dt)
+	if sendBuf != nil {
+		sendBuf = sendBuf[:n]
+	}
 	if c.rank == root {
-		return c.runPlan(p, recvBuf)
+		return c.runPlan(p, sendBuf, recvBuf[:n], nil)
 	}
-	return c.runPlan(p, nil)
+	// A non-root folds its children into the plan's accumulator.
+	return c.runPlan(p, sendBuf, p.wire, nil)
 }
 
 // Reduce is the blocking reduction (MPI_Reduce).
@@ -378,13 +415,12 @@ const ringThresholdBytes = 16 * 1024
 // on a placement-aware transport. A nil sendBuf means MPI_IN_PLACE
 // (recvBuf holds the contribution).
 func (c *Comm) Iallreduce(sendBuf, recvBuf []byte, count int, dt *datatype.Datatype, op reduceop.Op) *Request {
-	src := sendBuf
-	if src == nil {
-		src = recvBuf
+	p := c.plan(planKey{kind: planAllreduce, count: count, dt: dt, op: op}, recvBuf)
+	n := datatype.PackedSize(count, dt)
+	if sendBuf != nil {
+		sendBuf = sendBuf[:n]
 	}
-	p := c.plan(planKey{kind: planAllreduce, count: count, dt: dt, op: op})
-	datatype.Pack(p.wire, src, count, dt)
-	return c.runPlan(p, recvBuf)
+	return c.runPlan(p, sendBuf, recvBuf[:n], nil)
 }
 
 // Allreduce is the blocking allreduce (MPI_Allreduce).

@@ -73,7 +73,7 @@ func (v *VCI) failPeer(rank int, cause error) {
 		v.trace("recv.failed", "posted receive: peer process failed")
 		req.complete(Status{Err: procErr})
 	}
-	v.sweep(func(st *netSendState) bool { return v.rankOfEP(st.dstEP) == rank },
+	v.sweep(func(st *netSendState) bool { return st.peer == rank },
 		func(req *Request) bool { return req.peerWorld == rank+1 }, procErr)
 	for _, c := range v.proc.commsWithWorldRank(rank) {
 		c.fstate.abortScheds(procErr)

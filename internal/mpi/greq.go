@@ -51,9 +51,14 @@ func (r *Request) GrequestComplete() {
 // is still queued unmatched: it is removed from the posted queue and
 // completes with Status.Cancelled set; once a message has matched it
 // (or it has completed), Cancel is a no-op and the operation's real
-// outcome stands — exactly MPI's "cancel cannot unmatch" rule. Send
-// requests are not cancellable (the payload may already be on the
-// wire); Cancel returns an error for them.
+// outcome stands — exactly MPI's "cancel cannot unmatch" rule. A send
+// request is cancelled only while it is a rendezvous its receiver has
+// not answered and whose bytes it did not advertise: it leaves the
+// handle table and completes with Status.Cancelled set, and a CTS that
+// was already on its way is answered with an ABORT, which fails the
+// receive. Any other send — buffered or eager (the payload is on the
+// wire), past its CTS, or advertised (the receiver may be reading it)
+// — is not cancellable; Cancel returns an error for it.
 func (r *Request) Cancel() error {
 	switch r.kind {
 	case kindGrequest:
@@ -77,6 +82,11 @@ func (r *Request) Cancel() error {
 			r.complete(Status{Cancelled: true})
 		}
 		return nil
+	case kindSend:
+		if r.vci.withdrawSend(r) {
+			return nil
+		}
+		return errors.New("mpi: send request can no longer be cancelled")
 	default:
 		return errors.New("mpi: request kind does not support Cancel")
 	}

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -122,6 +123,42 @@ func TestGrequestMisuse(t *testing.T) {
 		}
 		comm.RecvBytes(make([]byte, 1), 0, 98)
 		sreq.Wait()
+	})
+}
+
+// TestCancelUnansweredRendezvousSend: a rendezvous send whose receiver
+// has not answered it is withdrawn by Cancel and completes cancelled.
+// The receiver matches the RTS afterwards: its CTS finds no handle, the
+// ABORT that answers it fails the receive, and the receive buffer is
+// never written. A completed send is not cancellable.
+func TestCancelUnansweredRendezvousSend(t *testing.T) {
+	const n = 256 << 10
+	run2(t, Config{}, func(p *Proc) {
+		comm := p.CommWorld()
+		if p.Rank() == 0 {
+			sreq := comm.IsendBytes(payload(n, 3), 1, 7)
+			if err := sreq.Cancel(); err != nil {
+				t.Errorf("cancel unanswered rendezvous send: %v", err)
+			}
+			if st := sreq.Wait(); !st.Cancelled || st.Err != nil {
+				t.Errorf("withdrawn send completed with %+v, want Cancelled", st)
+			}
+			if err := sreq.Cancel(); err == nil {
+				t.Error("cancel on a completed send should error")
+			}
+			comm.SendBytes([]byte{1}, 1, 8)
+			comm.RecvBytes(make([]byte, 1), 1, 9) // progress answers the CTS meanwhile
+			return
+		}
+		comm.RecvBytes(make([]byte, 1), 0, 8) // the RTS arrived before this
+		buf := bytes.Repeat([]byte{0xAA}, n)
+		if st := comm.IrecvBytes(buf, 0, 7).Wait(); st.Err == nil {
+			t.Errorf("receive of a withdrawn send completed with %+v, want an error", st)
+		}
+		if !bytes.Equal(buf, bytes.Repeat([]byte{0xAA}, n)) {
+			t.Error("receive of a withdrawn send wrote its buffer")
+		}
+		comm.SendBytes([]byte{1}, 0, 9)
 	})
 }
 

@@ -67,10 +67,11 @@ func TestHostileRTSAddress(t *testing.T) {
 				if _, matched, err := v.match.postRecv(req, 0, 1, 7, 1); matched || err != nil {
 					t.Fatalf("posting the receive: matched=%v err=%v", matched, err)
 				}
+				peer := worlds[1].Transport().EndpointOf(1, 0)
 				v.handleNetMsg(&wireHdr{
 					kind: kindRTSMsg, src: 1, tag: 7, bytes: c.total,
-					srcEP: worlds[1].Transport().EndpointOf(1, 0), sreqID: 1, addr: c.addr,
-				})
+					srcEP: peer, sreqID: 1, addr: c.addr,
+				}, peer)
 				for i := 0; i < 1000 && !req.IsComplete(); i++ {
 					v.stream.Progress()
 				}

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -237,94 +238,150 @@ func TestPlanRevokeThenShrink(t *testing.T) {
 // TestPlanKillMidCollective kills one rank of four while the other
 // three are inside an allreduce it never joins. Each survivor's request
 // completes exactly once, with the failure verdict or the revocation a
-// detector floods, and the aborted plan does not come back to the cache
-// — its wire buffer may still be under a send. Byte worlds only: the
-// sim fabric has no process to kill.
+// detector floods, and the aborted plan does not come back to the
+// cache — at 32 B (eager) and at 256 KiB (rendezvous). Byte worlds
+// only: the sim fabric has no process to kill.
 func TestPlanKillMidCollective(t *testing.T) {
-	const n, victim, count = 4, 3, 4
 	for _, kind := range []string{"tcp", "shm", "2x2"} {
 		t.Run(kind, func(t *testing.T) {
-			var worlds []*World
-			var kill func()
-			switch kind {
-			case "tcp":
-				ws, nets := tcpWorldsFail(t, n, Config{}, chaosTCPConfig())
-				worlds, kill = ws, nets[victim].Kill
-			default:
-				nodes := []int{0, 0, 0, 0}
-				if kind == "2x2" {
-					nodes = []int{0, 0, 1, 1}
-				}
-				ws, comps := compositeWorlds(t, n, nodes, Config{}, chaosTCPConfig())
-				worlds, kill = ws, comps[victim].Kill
-			}
-			var warm, posted sync.WaitGroup
-			warm.Add(n)
-			posted.Add(n - 1)
-			killed, park := make(chan struct{}), make(chan struct{})
-			fail := make([]error, n)
-			// The victim joins the warm-up, then parks forever: its
-			// goroutine leaks, like a SIGKILLed process.
-			go worlds[victim].Run(func(p *Proc) {
-				fail[victim] = allreduce(p.CommWorld(), count, 1)
-				warm.Done()
-				<-park
-			})
-			var wg sync.WaitGroup
-			for r := 0; r < n; r++ {
-				if r == victim {
-					continue
-				}
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					defer func() {
-						if e := recover(); e != nil {
-							fail[r] = fmt.Errorf("panicked: %v", e)
-						}
-					}()
-					worlds[r].Run(func(p *Proc) { fail[r] = killedAllreduce(p, count, &warm, &posted, killed) })
-				}(r)
-			}
-			posted.Wait()
-			kill()
-			close(killed)
-			wg.Wait()
-			for r, err := range fail {
-				if err != nil {
-					t.Errorf("rank %d: %v", r, err)
-				}
+			for _, count := range []int{4, 32 << 10} {
+				t.Run(fmt.Sprintf("%dB", 8*count), func(t *testing.T) { killMidCollective(t, kind, count, 3, true) })
 			}
 		})
 	}
 }
 
-// killedAllreduce is a survivor's side of TestPlanKillMidCollective.
-func killedAllreduce(p *Proc, count int, warm, posted *sync.WaitGroup, killed <-chan struct{}) error {
-	c := p.CommWorld()
+// TestPlanKillWithoutRevoke: on the 2×2 world, rank 1 — the first
+// leader's partner — dies inside a 256 KiB allreduce and no survivor
+// revokes; each sends the dead rank a probe instead, which is how a
+// rank that has no link to it learns of the death (the verdict). Rank 0
+// aborts on its first stage, before it posts the receive that rank 2's
+// rendezvous send waits on, so rank 2's aborted run must not wait for
+// that send: every survivor's request completes with the verdict (or,
+// under a rendezvous, its link going down). Only once all three have
+// does each revoke, which lets Finalize's barrier through.
+func TestPlanKillWithoutRevoke(t *testing.T) {
+	killMidCollective(t, "2x2", 32<<10, 1, false)
+}
+
+// killRun is one killMidCollective: its allreduce's count, whether a
+// survivor revokes when it sees the death itself, and the points the
+// ranks meet at.
+type killRun struct {
+	count, victim int
+	revoke        bool
+	// warm: every rank finished the warm-up allreduce; posted: every
+	// survivor posted the killed one; settled: every survivor's killed
+	// allreduce completed.
+	warm, posted, settled sync.WaitGroup
+	killed                chan struct{}
+}
+
+// killMidCollective kills victim, one rank of a 4-rank world of kind,
+// inside a count-element allreduce; each survivor that sees the death
+// itself revokes when revoke is set.
+func killMidCollective(t *testing.T, kind string, count, victim int, revoke bool) {
+	const n = 4
+	var worlds []*World
+	var kill func()
+	switch kind {
+	case "tcp":
+		ws, nets := tcpWorldsFail(t, n, Config{}, chaosTCPConfig())
+		worlds, kill = ws, nets[victim].Kill
+	default:
+		nodes := []int{0, 0, 0, 0}
+		if kind == "2x2" {
+			nodes = []int{0, 0, 1, 1}
+		}
+		ws, comps := compositeWorlds(t, n, nodes, Config{}, chaosTCPConfig())
+		worlds, kill = ws, comps[victim].Kill
+	}
+	k := &killRun{count: count, victim: victim, revoke: revoke, killed: make(chan struct{})}
+	k.warm.Add(n)
+	k.posted.Add(n - 1)
+	k.settled.Add(n - 1)
+	park := make(chan struct{})
+	fail := make([]error, n)
+	// The victim joins the warm-up, then parks forever: its
+	// goroutine leaks, like a SIGKILLed process.
+	go worlds[victim].Run(func(p *Proc) {
+		fail[victim] = allreduce(p.CommWorld(), count, 1)
+		k.warm.Done()
+		<-park
+	})
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		if r == victim {
+			continue
+		}
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			defer func() {
+				if e := recover(); e != nil {
+					fail[r] = fmt.Errorf("panicked: %v", e)
+				}
+			}()
+			worlds[r].Run(func(p *Proc) { fail[r] = killedAllreduce(p, k) })
+		}(r)
+	}
+	k.posted.Wait()
+	kill()
+	close(k.killed)
+	wg.Wait()
+	for r, err := range fail {
+		if err != nil {
+			t.Errorf("rank %d: %v", r, err)
+		}
+	}
+}
+
+// killedAllreduce is a survivor's side of killMidCollective.
+func killedAllreduce(p *Proc, k *killRun) error {
+	c, count := p.CommWorld(), k.count
+	settle := sync.OnceFunc(k.settled.Done)
+	defer func() {
+		// Without revocations, Finalize's barrier waits on the dead
+		// rank: revoke once every survivor's request has completed.
+		settle()
+		if !k.revoke {
+			k.settled.Wait()
+			c.Revoke()
+		}
+	}()
 	err := allreduce(c, count, 1)
-	warm.Done()
+	k.warm.Done()
 	if err != nil {
+		k.posted.Done()
 		return fmt.Errorf("warm-up: %v", err)
 	}
-	warm.Wait()
+	k.warm.Wait()
 	req := c.Iallreduce(allreduceIn(p.Rank(), count, 2), make([]byte, 8*count), count, datatype.Float64, reduceop.Sum)
 	var completions atomic.Int32
 	req.OnComplete(func(Status) { completions.Add(1) })
 	if got := idlePlans(c, sumKey(count)); got != 0 {
+		k.posted.Done()
 		return fmt.Errorf("%d idle plans while the only one runs", got)
 	}
-	posted.Done()
-	<-killed
+	k.posted.Done()
+	<-k.killed
+	if !k.revoke {
+		c.IsendBytes([]byte{0}, k.victim, 0)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_, err = req.WaitCtx(ctx)
+	settle()
+	rndv := 8*count > p.world.cfg.RndvThreshold
 	switch {
-	case errors.Is(err, ErrProcFailed):
-		// This rank saw the death itself; unblock the survivors whose
-		// stage only waits on another survivor.
-		c.Revoke()
-	case errors.Is(err, ErrCommRevoked):
+	case errors.Is(err, ErrProcFailed), rndv && errors.Is(err, ErrLinkDown):
+		// This rank saw the death itself — as the verdict or, under a
+		// rendezvous's data, as its link going down; unblock the
+		// survivors whose stage only waits on another survivor.
+		if k.revoke {
+			c.Revoke()
+		}
+	case k.revoke && errors.Is(err, ErrCommRevoked):
 	default:
 		return fmt.Errorf("allreduce: err = %v, want ErrProcFailed or ErrCommRevoked", err)
 	}
@@ -341,4 +398,145 @@ func killedAllreduce(p *Proc, count int, warm, posted *sync.WaitGroup, killed <-
 		return fmt.Errorf("the aborted plan came back to the cache (%d idle)", got)
 	}
 	return nil
+}
+
+// planOf returns the wire buffer of c's idle plan for k, and whether
+// there is one.
+func planOf(c *Comm, k planKey) (wire []byte, ok bool) {
+	c.plans.mu.Lock()
+	defer c.plans.mu.Unlock()
+	for _, p := range c.plans.idle {
+		if p.key == k {
+			return p.wire, true
+		}
+	}
+	return nil, false
+}
+
+// TestPlanCallerBuffers: planned Allreduce, Bcast and Reduce of a
+// contiguous type run in the caller's buffers — their plans hold no
+// wire buffer (a non-root Reduce keeps one: its accumulator) — and a
+// Bcast of a Vector type runs through the plan's wire buffer, gaps
+// untouched. Each runs two calls in flight with one signature and
+// different buffers, and in place where MPI has the form: every result
+// is right, and every send buffer is byte-identical afterwards.
+// Reductions take contiguous types only (the kernels fold base-type
+// elements): a reduction of a Vector panics at the call.
+func TestPlanCallerBuffers(t *testing.T) {
+	const count = 6
+	planWorlds(t, func(t *testing.T, p *Proc) {
+		c := p.CommWorld()
+		n, me := c.Size(), c.Rank()
+		fail := func(format string, args ...any) {
+			t.Errorf("rank %d: "+format, append([]any{me}, args...)...)
+		}
+		same := func(what string, got, want []byte) {
+			if !bytes.Equal(got, want) {
+				fail("%s changed", what)
+			}
+		}
+		wait := func(what string, reqs ...*Request) {
+			for i := len(reqs) - 1; i >= 0; i-- {
+				if st := reqs[i].Wait(); st.Err != nil {
+					fail("%s call %d: %v", what, i+1, st.Err)
+				}
+			}
+		}
+
+		// Allreduce: two in flight, then in place.
+		in1, in2 := allreduceIn(me, count, 1), allreduceIn(me, count, 2)
+		keep1, keep2 := bytes.Clone(in1), bytes.Clone(in2)
+		out1, out2 := make([]byte, 8*count), make([]byte, 8*count)
+		wait("allreduce",
+			c.Iallreduce(in1, out1, count, datatype.Float64, reduceop.Sum),
+			c.Iallreduce(in2, out2, count, datatype.Float64, reduceop.Sum))
+		for _, err := range []error{checkAllreduce(out1, n, 1), checkAllreduce(out2, n, 2)} {
+			if err != nil {
+				fail("allreduce: %v", err)
+			}
+		}
+		same("allreduce sendBuf 1", in1, keep1)
+		same("allreduce sendBuf 2", in2, keep2)
+		inPlace := allreduceIn(me, count, 3)
+		wait("in-place allreduce", c.Iallreduce(nil, inPlace, count, datatype.Float64, reduceop.Sum))
+		if err := checkAllreduce(inPlace, n, 3); err != nil {
+			fail("in-place allreduce: %v", err)
+		}
+		if wire, ok := planOf(c, sumKey(count)); !ok || wire != nil {
+			fail("allreduce plan cached %v, wire %d B: want a plan without one", ok, len(wire))
+		}
+
+		// Reduce to root 2: two in flight, then in place at the root.
+		const root = 2
+		rkey := planKey{kind: planReduce, count: count, dt: datatype.Float64, op: reduceop.Sum, root: root}
+		out1, out2 = make([]byte, 8*count), make([]byte, 8*count)
+		wait("reduce",
+			c.Ireduce(in1, out1, count, datatype.Float64, reduceop.Sum, root),
+			c.Ireduce(in2, out2, count, datatype.Float64, reduceop.Sum, root))
+		same("reduce sendBuf 1", in1, keep1)
+		same("reduce sendBuf 2", in2, keep2)
+		inPlace = allreduceIn(me, count, 4)
+		send := inPlace
+		if me == root {
+			send = nil
+		}
+		wait("in-place reduce", c.Ireduce(send, inPlace, count, datatype.Float64, reduceop.Sum, root))
+		if me == root {
+			for i, out := range [][]byte{out1, out2, inPlace} {
+				if err := checkAllreduce(out, n, []int{1, 2, 4}[i]); err != nil {
+					fail("reduce call %d: %v", i+1, err)
+				}
+			}
+		}
+		if wire, ok := planOf(c, rkey); !ok || (wire != nil) != (me != root) {
+			fail("reduce plan cached %v, wire %d B: want one only off the root", ok, len(wire))
+		}
+
+		vec := datatype.Vector(2, 1, 2, datatype.Float64)
+		refused := func(what string, call func()) {
+			defer func() {
+				if recover() == nil {
+					fail("%s of a Vector was not refused at the call", what)
+				}
+			}()
+			call()
+		}
+		span := datatype.BufferSpan(count, vec)
+		refused("allreduce", func() { c.Iallreduce(make([]byte, span), make([]byte, span), count, vec, reduceop.Sum) })
+		refused("reduce", func() { c.Ireduce(make([]byte, span), make([]byte, span), count, vec, reduceop.Sum, root) })
+
+		// Bcast from root 1, of float64 and of a gapped vector: the root's
+		// buffer is both what is sent and what must not change.
+		for _, dt := range []*datatype.Datatype{datatype.Float64, vec} {
+			span := datatype.BufferSpan(count, dt)
+			bufs := [2][]byte{}
+			for i := range bufs {
+				bufs[i] = bytes.Repeat([]byte{byte(0xE0 + i)}, span)
+				if me == 1 {
+					bufs[i] = allreduceIn(10+i, span/8, 0)
+				}
+			}
+			keep := [2][]byte{bytes.Clone(bufs[0]), bytes.Clone(bufs[1])}
+			wait("bcast "+dt.Name(),
+				c.Ibcast(bufs[0], count, dt, 1),
+				c.Ibcast(bufs[1], count, dt, 1))
+			for i, buf := range bufs {
+				want := allreduceIn(10+i, span/8, 0)
+				for _, b := range dt.Blocks() {
+					for e := 0; e < count; e++ {
+						lo, hi := e*dt.Extent()+b.Off, e*dt.Extent()+b.Off+b.Len
+						if !bytes.Equal(buf[lo:hi], want[lo:hi]) {
+							fail("bcast %s call %d: element %d differs from the root's", dt.Name(), i+1, e)
+						}
+						copy(keep[i][lo:hi], want[lo:hi]) // what a receiver's buffer must hold
+					}
+				}
+				same(fmt.Sprintf("bcast %s buffer %d outside the data", dt.Name(), i+1), buf, keep[i])
+			}
+			k := planKey{kind: planBcast, count: count, dt: dt, root: 1}
+			if wire, ok := planOf(c, k); !ok || (wire != nil) != !dt.Contig() {
+				fail("bcast %s plan cached %v, wire %d B", dt.Name(), ok, len(wire))
+			}
+		}
+	})
 }

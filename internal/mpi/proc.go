@@ -269,9 +269,10 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 	s.SetParkHook(v.ep.Parking)
 	v.sends = make(map[uint64]*netSendState)
 	v.recvs = make(map[uint64]*Request)
-	// Scratch buffers for netPoll's zero-allocation drains.
-	v.cqScratch = make([]nic.CQE, 0, drainBatch)
-	v.rqScratch = make([]fabric.Packet, 0, drainBatch)
+	// Scratch buffers for netPoll's zero-allocation drains, grown by the
+	// drains that fill them.
+	v.cqScratch = make([]nic.CQE, 0, drainStart)
+	v.rqScratch = make([]fabric.Packet, 0, drainStart)
 	p.vcis = append(p.vcis, v)
 	return v
 }

@@ -42,7 +42,11 @@ import (
 
 // lookupRecv resolves a receive handle without retiring it: whether a
 // test's receive is still registered.
-func (v *VCI) lookupRecv(id uint64) *Request { return v.recvHandle(id, false) }
+func (v *VCI) lookupRecv(id uint64) *Request {
+	v.hmu.Lock()
+	defer v.hmu.Unlock()
+	return v.recvs[id]
+}
 
 // ckKind is a message kind the checker draws from; ckSizes holds each
 // one's size under ckConfig.

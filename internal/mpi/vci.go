@@ -18,9 +18,23 @@ import (
 // ctrlBytes models the wire size of a protocol header.
 const ctrlBytes = 32
 
-// drainBatch is the capacity of the per-VCI scratch buffers used for
-// zero-allocation CQ/RQ drains; deeper queues drain over several passes.
-const drainBatch = 256
+// drainStart and drainBatch bound the capacity of the per-VCI scratch
+// buffers used for zero-allocation CQ/RQ drains: they start at
+// drainStart and double, up to drainBatch, whenever a drain fills one
+// (growDrain); deeper queues drain over several passes.
+const (
+	drainStart = 8
+	drainBatch = 256
+)
+
+// growDrain returns a drained scratch buffer emptied for the next pass,
+// twice as large when this drain filled it and it is below drainBatch.
+func growDrain[T any](buf []T) []T {
+	if len(buf) == cap(buf) && cap(buf) < drainBatch {
+		return make([]T, 0, min(2*cap(buf), drainBatch))
+	}
+	return buf[:0]
+}
 
 // msgKind discriminates protocol messages.
 type msgKind uint8
@@ -41,8 +55,9 @@ const (
 	// MPIX_Comm_revoke); src/ctx only, fire-and-forget.
 	kindRevokeMsg
 	// kindAbortMsg answers a CTS whose send handle is gone — the sender
-	// failed the rendezvous before the CTS arrived — so the receive it
-	// names (rreqID) fails instead of waiting for data forever.
+	// failed or withdrew the rendezvous before the CTS arrived — so the
+	// receive it names (rreqID) fails instead of waiting for data
+	// forever.
 	kindAbortMsg
 	// kindFinMsg answers an advertised RTS without a CTS: the receiver
 	// is done with the sender's buffer (sreqID names the send) — it read
@@ -97,6 +112,7 @@ type netSendState struct {
 	// completed.
 	wire   []byte
 	dstEP  fabric.EndpointID
+	peer   int    // the world rank that owns dstEP: only its CTS or FIN resolves the handle
 	rreqID uint64 // learned from the CTS
 	hid    uint64 // this state's own handle id
 
@@ -213,24 +229,53 @@ func (v *VCI) registerSend(st *netSendState) uint64 {
 	return st.hid
 }
 
-// takeSend resolves and removes a send handle: the CTS arrives once per
-// rendezvous, and so does the FIN of an advertised send (fin). A FIN
-// naming a send that advertised nothing is refused: that send's buffer
-// is read only through its CTS. A miss — the handle already left the
-// table — returns nil.
-func (v *VCI) takeSend(id uint64, fin bool) *netSendState {
+// takeSend resolves and removes the send handle id bound to world rank
+// peer: the CTS arrives once per rendezvous, and so does the FIN of an
+// advertised send (fin). A FIN naming a send that advertised nothing is
+// refused: that send's buffer is read only through its CTS. A miss —
+// the handle already left the table, or another rank names it — returns
+// nil.
+func (v *VCI) takeSend(id uint64, fin bool, peer int) *netSendState {
 	v.hmu.Lock()
 	defer v.hmu.Unlock()
 	st := v.sends[id]
-	if st == nil || fin && !st.advertised {
+	if st == nil || st.peer != peer || fin && !st.advertised {
 		return nil
 	}
 	delete(v.sends, id)
 	return st
 }
 
-// registerRecv assigns a handle id to a rendezvous receive; the id
-// travels in the CTS and comes back on every data chunk.
+// withdrawSend takes req's rendezvous send out of the handle table and
+// completes it cancelled, if the send is still there — its receiver has
+// not answered — and advertised nothing, and reports whether it did.
+// Nothing references the state after that: its RTS was encoded at post
+// and no chunk was posted. A CTS that was already on its way finds no
+// handle and is answered with an ABORT.
+func (v *VCI) withdrawSend(req *Request) bool {
+	v.hmu.Lock()
+	var st *netSendState
+	for id, s := range v.sends {
+		if s.req == req && !s.advertised {
+			st = s
+			delete(v.sends, id)
+			break
+		}
+	}
+	v.hmu.Unlock()
+	if st == nil {
+		return false
+	}
+	v.netOps.Add(-1)
+	v.trace("send.cancelled", "rendezvous withdrawn before its CTS")
+	recycleSendState(st)
+	req.complete(Status{Cancelled: true})
+	return true
+}
+
+// registerRecv assigns a handle id to a rendezvous receive, bound to
+// its sender (req.peerWorld); the id travels in the CTS and comes back
+// on every data chunk.
 func (v *VCI) registerRecv(req *Request) uint64 {
 	v.hmu.Lock()
 	defer v.hmu.Unlock()
@@ -239,13 +284,18 @@ func (v *VCI) registerRecv(req *Request) uint64 {
 	return v.hseq
 }
 
-// recvHandle resolves a receive handle, and removes it when retire: data
-// chunks arrive many times, and the final chunk or the sender's abort
-// retires the handle.
-func (v *VCI) recvHandle(id uint64, retire bool) *Request {
+// recvHandle resolves the receive handle id bound to world rank peer,
+// and removes it when retire: data chunks arrive many times, and the
+// final chunk or the sender's abort retires the handle. Another rank's
+// frame naming the id misses (nil), so it cannot write into or fail a
+// receive it is not the sender of.
+func (v *VCI) recvHandle(id uint64, retire bool, peer int) *Request {
 	v.hmu.Lock()
 	defer v.hmu.Unlock()
 	req := v.recvs[id]
+	if req == nil || req.peerWorld != peer+1 {
+		return nil
+	}
 	if retire {
 		delete(v.recvs, id)
 	}
@@ -253,19 +303,20 @@ func (v *VCI) recvHandle(id uint64, retire bool) *Request {
 }
 
 // placeChunk is the receive side of direct placement: a transport
-// thread is about to write a chunk of n bytes at offset off for receive
-// handle id straight into that receive's buffer. It returns the receive,
+// thread is about to write a chunk of n bytes at offset off from world
+// rank peer for receive handle id straight into that receive's buffer.
+// It returns the receive,
 // pinned, and the chunk's window of the buffer the chunk would have
 // been copied into — the user's, for a contiguous datatype, the
 // reassembly buffer otherwise. A handle that is not live, a chunk
-// outside the message its RTS announced and a chunk the user's buffer
-// would truncate are not placed (nil): they take the copying path, and
-// its checks.
-func (v *VCI) placeChunk(id uint64, off, n int) (*Request, []byte) {
+// outside the message its RTS announced, a chunk the user's buffer
+// would truncate and a chunk from a rank the handle is not bound to are
+// not placed (nil): they take the copying path, and its checks.
+func (v *VCI) placeChunk(id uint64, off, n, peer int) (*Request, []byte) {
 	v.hmu.Lock()
 	defer v.hmu.Unlock()
 	req := v.recvs[id]
-	if req == nil || off+n > req.total {
+	if req == nil || req.peerWorld != peer+1 || off+n > req.total {
 		return nil, nil
 	}
 	buf := req.staging
@@ -487,21 +538,21 @@ func (v *VCI) netPoll() bool {
 	for _, pkt := range pkts {
 		made = true
 		h := pkt.Payload.(*wireHdr)
-		v.handleNetMsg(h)
+		v.handleNetMsg(h, pkt.Src)
 		// The handler copied the payload out or took the buffer over.
 		nic.PutStaging(h.stage)
 		recycleHdr(h)
 	}
-	// Scrub and keep the (possibly grown) scratch buffers: drained
-	// entries must not pin payloads or pooled tokens until next poll.
+	// Scrub and keep the scratch buffers, grown if full: drained entries
+	// must not pin payloads or pooled tokens until next poll.
 	for i := range cqes {
 		cqes[i] = nic.CQE{}
 	}
 	for i := range pkts {
 		pkts[i] = fabric.Packet{}
 	}
-	v.cqScratch = cqes[:0]
-	v.rqScratch = pkts[:0]
+	v.cqScratch = growDrain(cqes)
+	v.rqScratch = growDrain(pkts)
 	return made
 }
 
@@ -518,7 +569,7 @@ func (v *VCI) rndvFail(st *netSendState, err error) {
 		return
 	}
 	st.failed = true
-	v.takeSend(st.hid, false)
+	v.takeSend(st.hid, false, st.peer)
 	v.netOps.Add(-1)
 	err = mapLinkErr(err)
 	if v.tracing() {
@@ -606,6 +657,7 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 		st := newSendState(req, wire, dstEP)
 		st.ctx = hdr.ctx
 		st.tag = hdr.tag
+		st.peer = v.rankOfEP(dstEP)
 		h := newHdr()
 		*h = hdr
 		h.kind = kindRTSMsg
@@ -613,7 +665,7 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 		// Advertise the bytes to a peer whose memory this process can
 		// read: the check is symmetric in practice, and a receiver that
 		// cannot read them answers CTS all the same.
-		if v.proc.world.transport.PeerReader(v.rankOfEP(dstEP)) != nil {
+		if v.proc.world.transport.PeerReader(st.peer) != nil {
 			h.addr = addrOf(wire)
 			st.advertised = true
 		}
@@ -690,8 +742,10 @@ func (v *VCI) rndvChunkDone(st *netSendState) {
 	}
 }
 
-// handleNetMsg processes one arrived protocol message.
-func (v *VCI) handleNetMsg(h *wireHdr) {
+// handleNetMsg processes one arrived protocol message from endpoint src.
+// A frame that resolves a rendezvous handle — CTS, FIN, DATA, ABORT —
+// resolves only one bound to src's rank.
+func (v *VCI) handleNetMsg(h *wireHdr, src fabric.EndpointID) {
 	switch h.kind {
 	case kindEagerMsg:
 		// Unexpected eager arrivals buffer the payload (Fig. 1d) — the
@@ -733,10 +787,11 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 		v.traceFlow("rndv.handshake", "CTS received", trace.PhaseFlowEnd, h.flow)
 		// Resolve (and retire) the sender-side handle. A miss means the
 		// send already failed — a link failure, a verdict, a revocation
-		// sweep — before its CTS arrived (or the id is corrupt). The
+		// sweep — or was withdrawn (Request.Cancel) before its CTS
+		// arrived (or the id is corrupt). The
 		// receiver registered a receive for data that will never come:
 		// tell it to abort.
-		st := v.takeSend(h.sreqID, false)
+		st := v.takeSend(h.sreqID, false, v.rankOfEP(src))
 		if st == nil {
 			v.trace("rndv.cts.stale", "no matching send handle; receiver told to abort")
 			a := newHdr()
@@ -751,7 +806,7 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 		// The receiver is done with the advertised buffer. A miss means
 		// the send already completed through the peer's verdict (or the
 		// id is corrupt).
-		st := v.takeSend(h.sreqID, true)
+		st := v.takeSend(h.sreqID, true, v.rankOfEP(src))
 		if st == nil {
 			v.trace("rndv.fin.stale", "no matching advertised send; dropped")
 			return
@@ -774,8 +829,9 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 		}
 		// Resolve the receiver-side handle; the final chunk retires it. A
 		// miss is tolerated for the same reason as a stale CTS above: the
-		// receive already failed.
-		req := v.recvHandle(h.rreqID, false)
+		// receive already failed (or the frame is another rank's).
+		peer := v.rankOfEP(src)
+		req := v.recvHandle(h.rreqID, false, peer)
 		if req == nil {
 			v.trace("rndv.data.stale", "no matching recv handle; dropped")
 			return
@@ -790,7 +846,7 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 			return
 		}
 		if h.last {
-			v.recvHandle(h.rreqID, true)
+			v.recvHandle(h.rreqID, true, peer)
 		}
 		st, done := deliverRndvChunk(req, h.off, h.payload, h.last, h.placed != nil)
 		if !done {
@@ -802,10 +858,11 @@ func (v *VCI) handleNetMsg(h *wireHdr) {
 		}
 	case kindAbortMsg:
 		// A receive still waiting here lost its sender to a link failure
-		// the sender saw: a revocation reaches the receiver first, flooded
-		// ahead of this answer on the same link, and after a verdict one
-		// of the two is dead. A handle already gone is dropped.
-		req := v.recvHandle(h.rreqID, true)
+		// the sender saw, or to a withdrawal (an aborted collective's
+		// sweep): a revocation reaches the receiver first, flooded ahead
+		// of this answer on the same link, and after a verdict one of the
+		// two is dead. A handle already gone is dropped.
+		req := v.recvHandle(h.rreqID, true, v.rankOfEP(src))
 		if req == nil {
 			v.trace("rndv.abort.stale", "no matching recv handle; dropped")
 			return

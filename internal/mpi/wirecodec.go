@@ -136,7 +136,8 @@ func (wireCodec) DecodeOwned(frame, data []byte) (any, error) {
 }
 
 // Place names the home of a rendezvous chunk's bytes (nic.SplitCodec):
-// a DATA frame for a live receive handle of the VCI at dst, whose body
+// a DATA frame from src for a live receive handle of the VCI at dst
+// bound to src's rank, whose body
 // fills the rest of the frame and fits the receive — inside the message
 // its RTS announced, and inside the buffer without truncation (see
 // VCI.placeChunk). Anything else — other kinds, unknown or retired
@@ -145,7 +146,7 @@ func (wireCodec) DecodeOwned(frame, data []byte) (any, error) {
 // handleNetMsg's check. The returned placement is the decoded header,
 // payload already in place. Only a byte transport's stream asks, and
 // such a world hosts one rank: the one whose VCIs dst names.
-func (c wireCodec) Place(dst fabric.EndpointID, size int, head []byte) ([]byte, nic.Placement, int) {
+func (c wireCodec) Place(dst, src fabric.EndpointID, size int, head []byte) ([]byte, nic.Placement, int) {
 	if c.w == nil || len(head) > 0 && msgKind(head[0]) != kindDataMsg {
 		return nil, nil, 0
 	}
@@ -161,7 +162,7 @@ func (c wireCodec) Place(dst fabric.EndpointID, size int, head []byte) ([]byte, 
 		return nil, nil, 0
 	}
 	if plen == size-wireHdrLen {
-		if req, body := v.placeChunk(h.rreqID, h.off, plen); req != nil {
+		if req, body := v.placeChunk(h.rreqID, h.off, plen, v.rankOfEP(src)); req != nil {
 			h.payload, h.placed = body, req
 			return body, h, 0
 		}

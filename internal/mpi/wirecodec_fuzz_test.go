@@ -170,9 +170,9 @@ func checkPlacement(t *testing.T, h *wireHdr, plen int) {
 	t.Helper()
 	v := &VCI{recvs: make(map[uint64]*Request)}
 	buf := make([]byte, 2*fuzzRecvTotal)
-	req := &Request{kind: kindRecv, vci: v, recvBuf: buf, recvCount: len(buf), recvDT: datatype.Byte, total: fuzzRecvTotal}
+	req := &Request{kind: kindRecv, vci: v, recvBuf: buf, recvCount: len(buf), recvDT: datatype.Byte, total: fuzzRecvTotal, peerWorld: 1 + 1}
 	v.recvs[1] = req
-	got, body := v.placeChunk(h.rreqID, h.off, plen)
+	got, body := v.placeChunk(h.rreqID, h.off, plen, 1)
 	fits := h.rreqID == 1 && h.off+plen <= fuzzRecvTotal
 	if (got != nil) != fits {
 		t.Fatalf("chunk [%d,+%d) for handle %d: placed=%v, want %v", h.off, plen, h.rreqID, got != nil, fits)
@@ -272,7 +272,7 @@ func TestHostileDataFrame(t *testing.T) {
 			t.Fatalf("%s: %d frames delivered, want 2", dt.Name(), len(pkts))
 		}
 		for _, pkt := range pkts {
-			v.handleNetMsg(pkt.Payload.(*wireHdr)) // the second used to panic: slice bounds out of range
+			v.handleNetMsg(pkt.Payload.(*wireHdr), pkt.Src) // the second used to panic: slice bounds out of range
 		}
 		if !req.IsComplete() || !errors.Is(req.Status().Err, ErrProcFailed) {
 			t.Fatalf("%s: receive after a chunk past its end: complete=%v status=%+v",
@@ -283,6 +283,81 @@ func TestHostileDataFrame(t *testing.T) {
 		}
 		if bytes.IndexByte(req.recvBuf, 0xAB) >= 0 {
 			t.Fatalf("%s: the overflowing chunk reached the receive buffer", dt.Name())
+		}
+	}
+}
+
+// TestForeignDataFrame: a rendezvous receive handle is bound to the
+// rank that sent its RTS. A third rank's DATA frame naming another
+// pair's rreqID is neither placed by the codec nor delivered by the
+// handler — it is dropped, and the receive's bytes stay as they were —
+// while the same chunk from the bound sender lands. The frames pass
+// through a stream bound to no peer, so only the MPI layer's check
+// stands between them and the receive.
+func TestForeignDataFrame(t *testing.T) {
+	worlds := tcpWorlds(t, 3, Config{})
+	for _, w := range worlds {
+		defer w.Close()
+	}
+	p := worlds[0].Proc(0)
+	v := p.vcis[0]
+	const total = 2 * nic.BulkMin
+	req := &Request{kind: kindRecv, vci: v, proc: p, recvBuf: make([]byte, total), recvCount: total, recvDT: datatype.Byte}
+	prepareRndvRecv(req, 1, 0, total)
+	req.peerWorld = 1 + 1
+	id := v.registerRecv(req)
+
+	reg := metrics.New()
+	reg.Enable()
+	tab := framing.NewTable()
+	tab.SetCodec(wireCodec{worlds[0]})
+	tab.UseMetrics(reg, "test")
+	l := new(framing.Link)
+	if err := tab.Register(l, v.ep.ID()); err != nil {
+		t.Fatal(err)
+	}
+	var s framing.Stream
+	s.Init(tab, nil, 1<<20, func(f framing.Fault) bool { t.Fatalf("fault %v", f); return false })
+	var codec wireCodec
+	for _, from := range []int{2, 1} { // the third rank, then the bound sender
+		chunk := &wireHdr{kind: kindDataMsg, rreqID: id, bytes: total, payload: bytes.Repeat([]byte{byte(0x10 + from)}, nic.BulkMin)}
+		enc, err := codec.Encode(nil, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := binary.LittleEndian.AppendUint32(nil, uint32(framing.HdrLen+len(enc)))
+		wire = binary.LittleEndian.AppendUint64(wire, uint64(v.ep.ID()))
+		wire = binary.LittleEndian.AppendUint64(wire, uint64(worlds[from].Transport().EndpointOf(from, 0)))
+		wire = binary.LittleEndian.AppendUint32(wire, uint32(len(chunk.payload)))
+		wire = append(wire, enc...)
+		// In two pieces, so that the codec is asked where the body goes.
+		s.Write(wire[:100])
+		s.Write(wire[100:])
+		s.Flush()
+		for _, pkt := range l.DrainRQ(make([]fabric.Packet, 0, 2)) {
+			v.handleNetMsg(pkt.Payload.(*wireHdr), pkt.Src)
+		}
+		snap := reg.Snapshot()
+		placed, staged := snap.Counter("test.rx.placed"), snap.Counter("test.rx.staged")
+		if req.IsComplete() || v.lookupRecv(id) != req || req.pins != 0 {
+			t.Fatalf("chunk from rank %d: receive complete=%v, registered=%v, pins %d",
+				from, req.IsComplete(), v.lookupRecv(id) == req, req.pins)
+		}
+		switch from {
+		case 2:
+			if placed != 0 || staged != 1 {
+				t.Fatalf("foreign chunk: %d placed, %d staged; want it staged, not placed", placed, staged)
+			}
+			if !bytes.Equal(req.recvBuf, make([]byte, total)) {
+				t.Fatal("the foreign chunk reached the receive buffer")
+			}
+		case 1:
+			if placed != 1 {
+				t.Fatalf("the bound sender's chunk was not placed (%d placed, %d staged)", placed, staged)
+			}
+			if !bytes.Equal(req.recvBuf[:nic.BulkMin], chunk.payload) || req.received != nic.BulkMin {
+				t.Fatalf("the bound sender's chunk did not land (%d bytes received)", req.received)
+			}
 		}
 	}
 }

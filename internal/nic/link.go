@@ -151,8 +151,8 @@ type SplitCodec interface {
 	// and whoever consumes the payload returns frame with PutStaging.
 	// On error the buffer stays with the caller.
 	DecodeOwned(frame, data []byte) (any, error)
-	// Place asks, for a frame to endpoint dst of which only the
-	// beginning has arrived, where its body belongs: head is what has
+	// Place asks, for a frame from endpoint src to endpoint dst of which
+	// only the beginning has arrived, where its body belongs: head is what has
 	// arrived of the size bytes Encode produced. A codec that knows —
 	// the body is a chunk of a receive it can name — returns body, the
 	// destination of the frame's last len(body) bytes (everything before
@@ -162,7 +162,7 @@ type SplitCodec interface {
 	// of the two. need > len(head) with a nil p asks to be asked again
 	// once need bytes have arrived; anything else is no: the transport
 	// assembles the frame itself and decodes it as usual.
-	Place(dst fabric.EndpointID, size int, head []byte) (body []byte, p Placement, need int)
+	Place(dst, src fabric.EndpointID, size int, head []byte) (body []byte, p Placement, need int)
 }
 
 // Placement is a frame body SplitCodec.Place gave a home: whatever the
@@ -341,6 +341,6 @@ func (c relSplitCodec) DecodeOwned(frame, data []byte) (any, error) {
 
 // Place places nothing: a frame under the reliability layer may be a
 // retransmission or a duplicate, whose body must not land twice.
-func (relSplitCodec) Place(fabric.EndpointID, int, []byte) ([]byte, Placement, int) {
+func (relSplitCodec) Place(fabric.EndpointID, fabric.EndpointID, int, []byte) ([]byte, Placement, int) {
 	return nil, nil, 0
 }

@@ -17,7 +17,9 @@ func (bytesCodec) EncodeSplit(buf []byte, payload any) (head, body []byte, err e
 
 func (bytesCodec) DecodeOwned(frame, data []byte) (any, error) { return data, nil }
 
-func (bytesCodec) Place(fabric.EndpointID, int, []byte) ([]byte, Placement, int) { return nil, nil, 0 }
+func (bytesCodec) Place(fabric.EndpointID, fabric.EndpointID, int, []byte) ([]byte, Placement, int) {
+	return nil, nil, 0
+}
 
 // TestRelCodecCarriesEveryField: the envelope must carry the whole
 // relFrame — go-back-N over a byte transport is only the protocol the

@@ -34,7 +34,7 @@ func (bodyCodec) Decode(data []byte) (any, error) { return append([]byte(nil), d
 
 func (bodyCodec) DecodeOwned(frame, data []byte) (any, error) { return data[4:], nil }
 
-func (bodyCodec) Place(fabric.EndpointID, int, []byte) ([]byte, nic.Placement, int) {
+func (bodyCodec) Place(fabric.EndpointID, fabric.EndpointID, int, []byte) ([]byte, nic.Placement, int) {
 	return nil, nil, 0
 }
 

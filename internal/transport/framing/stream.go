@@ -29,6 +29,10 @@ const (
 	// UnknownEndpoint: a well-formed frame for an endpoint nobody
 	// registered. The transport decides whether the stream goes on.
 	UnknownEndpoint
+	// ForeignSource: a well-formed frame whose source endpoint belongs
+	// to another rank than the one on the other end of the stream (see
+	// Stream.From). The transport decides whether the stream goes on.
+	ForeignSource
 )
 
 // Fault is one frame a Stream could not deliver, reported to the
@@ -39,8 +43,8 @@ type Fault struct {
 	// Len is the length prefix as read (BadLength); a transport may have
 	// reserved a value no frame can have for an in-band signal.
 	Len uint32
-	// EP is the frame's source (BadPayload) or destination
-	// (UnknownEndpoint).
+	// EP is the frame's source (BadPayload, ForeignSource) or
+	// destination (UnknownEndpoint).
 	EP  fabric.EndpointID
 	Err error // the codec's error (BadPayload)
 }
@@ -51,6 +55,8 @@ func (f Fault) Error() string {
 		return fmt.Sprintf("corrupt frame length %d", f.Len)
 	case BadPayload:
 		return fmt.Sprintf("decode frame from ep %d: %v", f.EP, f.Err)
+	case ForeignSource:
+		return fmt.Sprintf("frame from ep %d of another rank", f.EP)
 	default:
 		return fmt.Sprintf("frame for unknown endpoint %d", f.EP)
 	}
@@ -80,6 +86,11 @@ type Stream struct {
 
 	run     []fabric.Packet // pending same-link delivery run
 	runLink *Link
+
+	// space and peer name the rank on the other end (From): every frame
+	// must come from one of its endpoints. A zero space checks nothing.
+	space Space
+	peer  int
 }
 
 // Init readies the stream: frames route through tab, a length prefix
@@ -90,6 +101,12 @@ type Stream struct {
 func (s *Stream) Init(tab *Table, buf []byte, maxFrame uint32, reject func(Fault) (skip bool)) {
 	s.tab, s.buf, s.max, s.reject = tab, buf, maxFrame, reject
 }
+
+// From binds the stream to the world rank on its other end, in the
+// endpoint space space: from then on a frame whose source endpoint
+// another rank owns is refused (ForeignSource) — a peer cannot speak
+// for a third rank, whose rendezvous handles the MPI layer binds to it.
+func (s *Stream) From(space Space, peer int) { s.space, s.peer = space, peer }
 
 // Target returns where the stream's next bytes belong: the rest of the
 // frame under assembly when there is one, otherwise the free end of the
@@ -208,7 +225,7 @@ func (s *Stream) assemble(flen int) {
 		return
 	}
 	dst, src, bytes, head := parseHdr(frame)
-	body, p, need := s.tab.split.Place(dst, flen-HdrLen, head)
+	body, p, need := s.tab.split.Place(dst, src, flen-HdrLen, head)
 	switch {
 	case p != nil:
 		s.asm.Place(p, body, dst, src, bytes, head[flen-HdrLen-len(body):])
@@ -226,6 +243,13 @@ func (s *Stream) assemble(flen int) {
 func (s *Stream) deliver(dst, src fabric.EndpointID, bytes int, payload any, err error) (frames int, ok bool) {
 	if err != nil {
 		return 0, s.fail(Fault{Kind: BadPayload, EP: src, Err: err})
+	}
+	if s.space != 0 && s.space.RankOfEndpoint(src) != s.peer {
+		if s.reject(Fault{Kind: ForeignSource, EP: src}) {
+			return 0, true
+		}
+		s.reset()
+		return 0, false
 	}
 	l := s.tab.Lookup(dst)
 	if l == nil {

@@ -54,7 +54,7 @@ func (*fussyCodec) DecodeOwned(frame, data []byte) (any, error) {
 	return data, nil
 }
 
-func (c *fussyCodec) Place(_ fabric.EndpointID, size int, head []byte) ([]byte, nic.Placement, int) {
+func (c *fussyCodec) Place(_, _ fabric.EndpointID, size int, head []byte) ([]byte, nic.Placement, int) {
 	if len(head) > 0 && head[0] >= fussyRefuse {
 		return nil, nil, 0
 	}
@@ -421,3 +421,46 @@ func TestStreamDeliveryRuns(t *testing.T) {
 type counter int
 
 func (c *counter) Add(d int) { *c += counter(d) }
+
+// TestStreamForeignSource: a stream bound to the rank on its other end
+// (From) delivers that rank's frames, from any of its endpoints, and
+// refuses — with a ForeignSource fault naming the source — a frame
+// another rank's endpoint claims to have sent; the transport's answer
+// decides whether the stream goes on.
+func TestStreamForeignSource(t *testing.T) {
+	const space = Space(4)
+	for _, skip := range []bool{true, false} {
+		tab := NewTable()
+		tab.SetCodec(new(fussyCodec))
+		l := new(Link)
+		if err := tab.Register(l, space.EndpointOf(0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		var faults []Fault
+		var s Stream
+		s.Init(tab, nil, streamMax, func(f Fault) bool { faults = append(faults, f); return skip })
+		s.From(space, 1)
+		var wire []byte
+		for _, src := range []fabric.EndpointID{space.EndpointOf(1, 0), space.EndpointOf(2, 0), space.EndpointOf(1, 3)} {
+			wire = appendFrame(wire, space.EndpointOf(0, 0), src, []byte{byte(src)})
+		}
+		s.Write(wire)
+		s.Flush()
+		pkts := l.DrainRQ(make([]fabric.Packet, 0, 4))
+		want := []fabric.EndpointID{space.EndpointOf(1, 0)}
+		if skip {
+			want = append(want, space.EndpointOf(1, 3))
+		}
+		if len(pkts) != len(want) {
+			t.Fatalf("skip=%v: %d frames delivered, want %d", skip, len(pkts), len(want))
+		}
+		for i, p := range pkts {
+			if p.Src != want[i] {
+				t.Fatalf("skip=%v: frame %d from ep %d, want %d", skip, i, p.Src, want[i])
+			}
+		}
+		if len(faults) != 1 || faults[0].Kind != ForeignSource || faults[0].EP != space.EndpointOf(2, 0) {
+			t.Fatalf("skip=%v: faults %v, want one ForeignSource from ep %d", skip, faults, space.EndpointOf(2, 0))
+		}
+	}
+}

@@ -62,6 +62,7 @@ func newConnState(n *Network, conn net.Conn, rank int) *connState {
 	cs := &connState{n: n, conn: conn, rank: rank}
 	cs.rbufBox = rbufPool.Get().(*[]byte)
 	cs.rx.Init(n.tab, *cs.rbufBox, maxFrameLen, cs.reject)
+	cs.rx.From(n.Space, rank)
 	if nb, ok := newNBConn(conn); ok {
 		cs.nb = nb
 	}
