@@ -9,10 +9,12 @@ package coll
 // A builder takes the caller's buffer in place (inout is both the
 // contribution and the result) and binds it; Schedule.Bind separates
 // the two per run. The reductions keep them apart: a rank sends its
-// contribution straight from In until it has folded something, copies
-// In into Out once, before its first fold (Schedule.prime — nothing
-// when In is Out), and sends and folds in Out from then on; a rank that
-// only receives the result receives it into Out.
+// contribution straight from In until it has folded something; its
+// first received contribution lands in Out and In is folded into it
+// (Schedule.firstLanding — in scratch when In is Out), and it sends and
+// folds in Out from then on; a rank that only receives the result
+// receives it into Out. No rank copies In to Out but one that neither
+// folds nor receives (Schedule.settle).
 //
 // The stage contract on buffers: a Send hands its buffer to the
 // transport, which may read it until the send completes (no private
@@ -55,6 +57,7 @@ func Reduce(tr Transport, inout []byte, reduce func(inout, in []byte), root, tag
 	p, r := tr.Size(), tr.Rank()
 	n := len(inout)
 	vr := (r - root + p) % p
+	all := s.out(0, n)
 	var tmp ref
 	for mask := 1; mask < p; mask <<= 1 {
 		if vr&mask != 0 {
@@ -67,8 +70,9 @@ func Reduce(tr Transport, inout []byte, reduce func(inout, in []byte), root, tag
 			if tmp.n == 0 {
 				tmp = s.scratch(n)
 			}
-			s.AddStage(recv(tmp, (src+root)%p, tag))
-			s.AddStage(s.fold(s.out(0, n), tmp, reduce))
+			land, with := s.landing(all, tmp)
+			s.AddStage(recv(land, (src+root)%p, tag))
+			s.AddStage(s.fold(all, with, reduce))
 		}
 	}
 	if r == root {
@@ -106,8 +110,9 @@ func AllreduceRecDbl(tr Transport, inout []byte, reduce func(inout, in []byte), 
 			s.AddStage(recv(s.received(all), r+1, tag))
 			return s
 		}
-		s.AddStage(recv(tmp, r-1, tag))
-		s.AddStage(s.fold(all, tmp, reduce))
+		land, with := s.landing(all, tmp)
+		s.AddStage(recv(land, r-1, tag))
+		s.AddStage(s.fold(all, with, reduce))
 		newrank = r / 2
 	}
 
@@ -117,8 +122,10 @@ func AllreduceRecDbl(tr Transport, inout []byte, reduce func(inout, in []byte), 
 		if partnerNew < rem {
 			partner = partnerNew*2 + 1
 		}
-		s.AddStage(send(s.partial(0, n), partner, tag), recv(tmp, partner, tag))
-		s.AddStage(s.fold(all, tmp, reduce))
+		mine := s.partial(0, n)
+		land, with := s.landing(all, tmp)
+		s.AddStage(send(mine, partner, tag), recv(land, partner, tag))
+		s.AddStage(s.fold(all, with, reduce))
 	}
 
 	if r < 2*rem { // r is odd here (even ranks returned above)
@@ -144,20 +151,22 @@ func AllreduceRing(tr Transport, inout []byte, elemSize int, reduce func(inout, 
 	}
 	right := (r + 1) % p
 	left := (r - 1 + p) % p
-	// One landing buffer as long as the longest block.
+	// The landing buffer of a run in place, as long as the longest block.
 	tmp := s.scratch(((n + p - 1) / p) * elemSize)
 
 	// Reduce-scatter phase: after p-1 rounds rank r owns the fully
 	// reduced block (r+1) mod p. The first round sends the caller's
-	// contribution; its fold primes Out.
+	// contribution; every round's receive is the first fold into its
+	// block, so it lands in that block of Out.
 	for k := 0; k < p-1; k++ {
 		sendIdx := (r - k + p) % p
 		recvIdx := (r - k - 1 + p) % p
 		slo, shi := blockOf(sendIdx)
 		rlo, rhi := blockOf(recvIdx)
-		land := ref{slot: tmp.slot, n: rhi - rlo}
-		s.AddStage(send(s.partial(slo, shi-slo), right, tag), recv(land, left, tag))
-		s.AddStage(s.fold(s.out(rlo, rhi-rlo), land, reduce))
+		mine, block := s.partial(slo, shi-slo), s.out(rlo, rhi-rlo)
+		land, with := s.firstLanding(block, tmp)
+		s.AddStage(send(mine, right, tag), recv(land, left, tag))
+		s.AddStage(s.fold(block, with, reduce))
 	}
 	// Allgather phase: circulate the reduced blocks.
 	for k := 0; k < p-1; k++ {
@@ -253,9 +262,10 @@ func Scan(tr Transport, inout []byte, reduce func(inout, in []byte), tag int) *S
 	p, r := tr.Size(), tr.Rank()
 	n := len(inout)
 	if r > 0 {
-		tmp := s.scratch(n)
-		s.AddStage(recv(tmp, r-1, tag))
-		s.AddStage(s.fold(s.out(0, n), tmp, reduce))
+		all := s.out(0, n)
+		land, with := s.landing(all, s.scratch(n))
+		s.AddStage(recv(land, r-1, tag))
+		s.AddStage(s.fold(all, with, reduce))
 	}
 	if r < p-1 {
 		s.AddStage(send(s.partial(0, n), r+1, tag))

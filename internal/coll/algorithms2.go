@@ -96,11 +96,12 @@ func ReduceScatterBlock(tr Transport, inout []byte, bs int, reduce func(inout, i
 		src := (r - k + p) % p
 		// The other ranks' blocks are sent as contributed: a fold writes
 		// only this rank's block.
+		land, with := s.landing(my, tmp)
 		s.AddStage(
 			send(ref{slot: slotIn, off: dst * bs, n: bs}, dst, tag),
-			recv(tmp, src, tag),
+			recv(land, src, tag),
 		)
-		s.AddStage(s.fold(my, tmp, reduce))
+		s.AddStage(s.fold(my, with, reduce))
 	}
 	return s
 }

@@ -136,12 +136,14 @@ func bcastTree(s *Schedule, tr Transport, n int, members []int, rootIdx, tag int
 // the phase. reduce must be commutative.
 //
 // All of a rank's child receives post together in ONE stage, each
-// folding into Out the moment its payload lands (RecvReduce; the first
-// fold primes Out), so a rank with k children overlaps the k transfers
-// instead of serializing k recv→reduce round-trips. The send toward the
-// parent sits in its own following stage: it issues only after every
-// child has folded, so it captures the fully reduced subtree — or, from
-// a leaf, the contribution itself, straight from In.
+// folding into Out the moment its payload lands (RecvReduce), so a rank
+// with k children overlaps the k transfers instead of serializing k
+// recv→reduce round-trips. When child 0's fold is the rank's first, its
+// payload lands in Out and In folds into it (Schedule.firstLanding);
+// the other children land in scratch and fold once child 0 has. The
+// send toward the parent sits in its own following stage: it issues
+// only after every child has folded, so it captures the fully reduced
+// subtree — or, from a leaf, the contribution itself, straight from In.
 func reduceTree(s *Schedule, tr Transport, inout []byte, reduce func(inout, in []byte), members []int, rootIdx, tag int) {
 	s.Bind(inout, inout)
 	me := indexOf(members, tr.Rank())
@@ -151,7 +153,10 @@ func reduceTree(s *Schedule, tr Transport, inout []byte, reduce func(inout, in [
 	n := len(inout)
 	p := len(members)
 	vr := (me - rootIdx + p) % p
+	all := s.out(0, n)
+	first := s.acc == slotIn
 	var recvs []Op
+	var head *recvReduceOp
 	dst := -1
 	for mask := 1; mask < p; mask <<= 1 {
 		if vr&mask != 0 {
@@ -159,8 +164,14 @@ func reduceTree(s *Schedule, tr Transport, inout []byte, reduce func(inout, in [
 			break
 		}
 		if src := vr | mask; src < p {
-			srcRank := members[(src+rootIdx)%p]
-			recvs = append(recvs, recvReduce(s.scratch(n), srcRank, tag, s.foldInto(s.out(0, n), reduce)))
+			land, with := s.landing(all, s.scratch(n))
+			op := recvReduce(land, members[(src+rootIdx)%p], tag, func([]byte) { reduce(s.at(all), s.at(with)) })
+			if head == nil {
+				head = op
+			} else if first {
+				op.after = head
+			}
+			recvs = append(recvs, op)
 		}
 	}
 	s.AddStage(recvs...)
@@ -199,9 +210,10 @@ func (h *Hier) Reduce(tr Transport, inout []byte, reduce func(inout, in []byte),
 // Allreduce builds the two-level allreduce: intra-node reduce to
 // leaders, inter-leader reduce to the first leader then broadcast back
 // across the leaders, and an intra-node broadcast to finish. Four
-// phases, but only the middle two touch the network. A rank that is
-// not its node's leader sends its contribution straight from In and
-// receives the result into Out: it copies none of its bytes.
+// phases, but only the middle two touch the network. No rank copies
+// its contribution: a leaf sends it straight from In and receives the
+// result into Out, and a rank with children folds In into the first
+// child's payload, which lands in Out.
 func (h *Hier) Allreduce(tr Transport, inout []byte, reduce func(inout, in []byte), tag int) *Schedule {
 	s := NewSchedule(tr)
 	g := h.groupOf(tr.Rank())

@@ -135,9 +135,8 @@ func RelaxedAllreduce(tr Transport, inout []byte, reduce func(inout, in []byte),
 			continue
 		}
 		src := d
-		fold := s.foldInto(all, reduce)
 		ops = append(ops, recvReduce(s.scratch(n), src, tag, func(in []byte) {
-			fold(in)
+			reduce(s.at(all), in)
 			res.Contributed.Set(src)
 			res.Contributions++
 		}))
@@ -147,7 +146,6 @@ func RelaxedAllreduce(tr Transport, inout []byte, reduce func(inout, in []byte),
 		Stale:   cfg.Stale,
 		Abandon: cfg.Adopt,
 		OnSettle: func(_, abandoned int, err error) {
-			s.prime() // a round nobody else reached holds the caller's contribution
 			res.Abandoned = abandoned
 			res.Err = err
 			if cfg.OnSettle != nil {

@@ -105,9 +105,12 @@ func cancelReq(req Completable) {
 
 // ref names n bytes at off of buffer slot of a schedule's buffer table
 // (Schedule.at), or, for an operation built over a slice of its own
-// (Send, Recv, RecvReduce), that slice: lit, with slot -1.
+// (Send, Recv, RecvReduce), that slice: lit, with slot -1. A ref with a
+// spare names the first n bytes of that scratch slot instead in a run
+// whose In and Out are one buffer (see landing).
 type ref struct {
 	slot, off, n int
+	spare        int
 	lit          []byte
 }
 
@@ -174,6 +177,7 @@ func Recv(buf []byte, src, tag int) Op { return recv(literal(buf), src, tag) }
 type recvReduceOp struct {
 	recvOp
 	fold    func(in []byte)
+	after   *recvReduceOp // folds only once after has decided; nil: at once
 	decided bool
 	folded  bool
 }
@@ -188,6 +192,9 @@ func (o *recvReduceOp) isComplete(s *Schedule) bool {
 		return false
 	}
 	if !o.decided {
+		if o.after != nil && !o.after.decided {
+			return false
+		}
 		o.decided = true
 		if opErr(o.req) == nil && !reqCancelled(o.req) {
 			o.fold(s.at(o.buf))
@@ -344,9 +351,8 @@ type Schedule struct {
 	// write its buffers (a collective must not hang on a dead peer, nor
 	// write the caller's memory after it returned). Valid once
 	// IsComplete reports true.
-	err    error
-	swept  bool // the abort's sweep ran
-	primed bool // this run copied In to Out (prime)
+	err   error
+	swept bool // the abort's sweep ran
 
 	// abort, when set via Abort, carries an externally imposed abort
 	// cause (a communicator revocation). The next Poll adopts it and
@@ -364,7 +370,7 @@ type Schedule struct {
 	bufs [][]byte
 	// acc is a builder's cursor: the slot that holds this rank's partial
 	// result as stages are appended — In until the first fold, Out after
-	// (see fold).
+	// (see landing).
 	acc int
 }
 
@@ -404,10 +410,20 @@ func (s *Schedule) Bind(in, out []byte) {
 
 // at resolves a ref against the buffer table.
 func (s *Schedule) at(r ref) []byte {
-	if r.slot < 0 {
+	switch {
+	case r.slot < 0:
 		return r.lit
+	case r.spare != 0 && s.inPlace():
+		return s.bufs[r.spare][:r.n]
 	}
 	return s.bufs[r.slot][r.off : r.off+r.n]
+}
+
+// inPlace reports whether this run's In and Out are one buffer
+// (MPI_IN_PLACE, or a builder's own binding).
+func (s *Schedule) inPlace() bool {
+	in, out := s.bufs[slotIn], s.bufs[slotOut]
+	return len(in) > 0 && len(out) > 0 && &in[0] == &out[0]
 }
 
 // scratch adds an n-byte buffer the schedule owns and returns a ref to
@@ -427,7 +443,7 @@ func (s *Schedule) partial(off, n int) ref { return ref{slot: s.acc, off: off, n
 // send, recv and recvReduce build transport operations over refs.
 func send(b ref, dst, tag int) Op { return &sendOp{buf: b, dst: dst, tag: tag} }
 func recv(b ref, src, tag int) Op { return &recvOp{buf: b, src: src, tag: tag} }
-func recvReduce(b ref, src, tag int, fold func(in []byte)) Op {
+func recvReduce(b ref, src, tag int, fold func(in []byte)) *recvReduceOp {
 	return &recvReduceOp{recvOp: recvOp{buf: b, src: src, tag: tag}, fold: fold}
 }
 
@@ -438,41 +454,47 @@ func (s *Schedule) received(b ref) ref {
 	return b
 }
 
-// prime gives Out this run's contribution, once, before the first fold
-// into it: a copy of In, or nothing when In is Out (MPI_IN_PLACE).
-func (s *Schedule) prime() {
-	if s.primed {
-		return
+// landing returns where a receive lands whose payload this rank folds
+// into dst, a range of Out, and the bytes the fold then reduces into
+// dst. The rank's first fold (its partial result is still In) is
+// firstLanding's; every later one lands in tmp, scratch of at least
+// dst.n bytes, and folds that.
+func (s *Schedule) landing(dst, tmp ref) (land, with ref) {
+	if s.acc == slotOut {
+		tmp.n = dst.n
+		return tmp, tmp
 	}
-	s.primed = true
-	in, out := s.bufs[slotIn], s.bufs[slotOut]
-	if len(in) > 0 && len(out) > 0 && &in[0] != &out[0] {
-		copy(out, in)
-	}
+	return s.firstLanding(dst, tmp)
 }
 
-// foldInto returns the fold of a payload into dst, a range of Out, and
-// moves the builder's partial result to Out: the first fold of a run
-// primes Out.
-func (s *Schedule) foldInto(dst ref, reduce func(inout, in []byte)) func(in []byte) {
+// firstLanding is landing for the first fold into dst's range: the
+// payload lands in dst itself and the fold reduces In's bytes of that
+// range into it — Out = payload ⊕ In, every reduce being commutative —
+// so In is never copied to Out. In a run whose In and Out are one
+// buffer, dst holds the contribution: the payload lands in tmp and the
+// fold reduces that, as a later fold does.
+func (s *Schedule) firstLanding(dst, tmp ref) (land, with ref) {
 	s.acc = slotOut
-	return func(in []byte) {
-		s.prime()
-		reduce(s.at(dst), in)
-	}
+	land, with = dst, ref{slot: slotIn, off: dst.off, n: dst.n}
+	land.spare, with.spare = tmp.slot, tmp.slot
+	return land, with
 }
 
-// fold is a local step that folds the scratch bytes tmp names into dst.
-func (s *Schedule) fold(dst, tmp ref, reduce func(inout, in []byte)) Op {
-	f := s.foldInto(dst, reduce)
-	return Local(func() { f(s.at(tmp)) })
+// fold is a local step that reduces the bytes with names into dst.
+func (s *Schedule) fold(dst, with ref, reduce func(inout, in []byte)) Op {
+	return Local(func() { reduce(s.at(dst), s.at(with)) })
 }
 
 // settle ends a build whose rank must hold the result in Out: a rank
-// that never folded nor received one copies its contribution there.
+// that never folded nor received one copies its contribution there —
+// nothing when In is Out.
 func (s *Schedule) settle() {
 	if s.acc == slotIn {
-		s.AddStage(Local(s.prime))
+		s.AddStage(Local(func() {
+			if !s.inPlace() {
+				copy(s.bufs[slotOut], s.bufs[slotIn])
+			}
+		}))
 		s.acc = slotOut
 	}
 }
@@ -537,7 +559,7 @@ func (s *Schedule) Abort(err error) {
 // aborted run guarantees only that no receive still writes them: a send
 // the abort could not withdraw may still read them.
 func (s *Schedule) Reset(tag int) {
-	s.cur, s.issued, s.err, s.swept, s.primed = 0, false, nil, false, false
+	s.cur, s.issued, s.err, s.swept = 0, false, nil, false
 	s.abort.Store(nil)
 	for i := range s.stages {
 		st := &s.stages[i]

@@ -660,15 +660,17 @@ func (c *Comm) ReduceScatterBlock(sendBuf, recvBuf []byte, count int, dt *dataty
 
 // Iscan starts an inclusive prefix reduction (MPI_Iscan): recvBuf on
 // rank r receives the reduction over ranks 0..r. A nil sendBuf means
-// MPI_IN_PLACE.
+// MPI_IN_PLACE. The schedule runs in the caller's buffers: it sends
+// from sendBuf and builds the result in recvBuf.
 func (c *Comm) Iscan(sendBuf, recvBuf []byte, count int, dt *datatype.Datatype, op reduceop.Op) *Request {
-	src := sendBuf
-	if src == nil {
-		src = recvBuf
+	red := reducer(op, dt, count)
+	n := datatype.PackedSize(count, dt)
+	if sendBuf != nil {
+		sendBuf = sendBuf[:n]
 	}
-	wire := packFor(src, count, dt)
-	s := coll.Scan(c.transport(), wire, reducer(op, dt, count), c.nextCollTag())
-	return c.submitSched(s, func() { datatype.Unpack(recvBuf, wire, count, dt) })
+	s := coll.Scan(c.transport(), recvBuf[:n], red, c.nextCollTag())
+	s.Bind(sendBuf, recvBuf[:n])
+	return c.submitSched(s, nil)
 }
 
 // Scan is the blocking inclusive scan (MPI_Scan).

@@ -415,9 +415,9 @@ func planOf(c *Comm, k planKey) (wire []byte, ok bool) {
 
 // TestPlanCallerBuffers: planned Allreduce, Bcast and Reduce of a
 // contiguous type run in the caller's buffers — their plans hold no
-// wire buffer (a non-root Reduce keeps one: its accumulator) — and a
-// Bcast of a Vector type runs through the plan's wire buffer, gaps
-// untouched. Each runs two calls in flight with one signature and
+// wire buffer (a non-root Reduce keeps one: its accumulator) — and so
+// does Scan; a Bcast of a Vector type runs through the plan's wire
+// buffer, gaps untouched. Each runs two calls in flight with one signature and
 // different buffers, and in place where MPI has the form: every result
 // is right, and every send buffer is byte-identical afterwards.
 // Reductions take contiguous types only (the kernels fold base-type
@@ -492,6 +492,30 @@ func TestPlanCallerBuffers(t *testing.T) {
 			fail("reduce plan cached %v, wire %d B: want one only off the root", ok, len(wire))
 		}
 
+		// Scan, unplanned but in the caller's buffers all the same: two in
+		// flight, then in place. Rank me ends with the sum over ranks 0..me.
+		checkScan := func(out []byte, salt int) error {
+			for i, got := range reduceop.DecodeFloat64s(out) {
+				if want := float64((me+1)*(i%97+salt) + me*(me+1)/2); got != want {
+					return fmt.Errorf("element %d of %d: got %v, want %v", i, len(out)/8, got, want)
+				}
+			}
+			return nil
+		}
+		out1, out2 = make([]byte, 8*count), make([]byte, 8*count)
+		wait("scan",
+			c.Iscan(in1, out1, count, datatype.Float64, reduceop.Sum),
+			c.Iscan(in2, out2, count, datatype.Float64, reduceop.Sum))
+		same("scan sendBuf 1", in1, keep1)
+		same("scan sendBuf 2", in2, keep2)
+		inPlace = allreduceIn(me, count, 5)
+		wait("in-place scan", c.Iscan(nil, inPlace, count, datatype.Float64, reduceop.Sum))
+		for i, out := range [][]byte{out1, out2, inPlace} {
+			if err := checkScan(out, []int{1, 2, 5}[i]); err != nil {
+				fail("scan call %d: %v", i+1, err)
+			}
+		}
+
 		vec := datatype.Vector(2, 1, 2, datatype.Float64)
 		refused := func(what string, call func()) {
 			defer func() {
@@ -504,6 +528,7 @@ func TestPlanCallerBuffers(t *testing.T) {
 		span := datatype.BufferSpan(count, vec)
 		refused("allreduce", func() { c.Iallreduce(make([]byte, span), make([]byte, span), count, vec, reduceop.Sum) })
 		refused("reduce", func() { c.Ireduce(make([]byte, span), make([]byte, span), count, vec, reduceop.Sum, root) })
+		refused("scan", func() { c.Iscan(make([]byte, span), make([]byte, span), count, vec, reduceop.Sum) })
 
 		// Bcast from root 1, of float64 and of a gapped vector: the root's
 		// buffer is both what is sent and what must not change.

@@ -464,3 +464,47 @@ func TestStreamForeignSource(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamPlacedCopyBound: four back-to-back 64 KiB frames the codec
+// places (a rendezvous chunk each), fed the way a socket reader feeds
+// them — every read fills all of Target — cross the stream's own
+// buffer only up to its size: once a frame's header is in, the codec
+// places its body and the rest of the body is read straight into it.
+// So assemble copies at most streamBufMin bytes of each body out of the
+// buffer, however large the frame.
+func TestStreamPlacedCopyBound(t *testing.T) {
+	const frames, size = 4, 64 << 10
+	l := testLink(t, new(fussyCodec), 0)
+	codec := l.tab.codec.(*fussyCodec)
+	var s Stream
+	s.Init(l.tab, nil, streamMax, func(f Fault) bool { t.Fatalf("fault %v", f); return false })
+	var wire []byte
+	for i := 0; i < frames; i++ {
+		wire = appendFrame(wire, 0, 1, bytes.Repeat([]byte{byte(1 + i)}, size))
+	}
+	var copied []int
+	for rest := wire; len(rest) > 0; {
+		placed := codec.placed
+		n := copy(s.Target(1), rest)
+		rest = rest[n:]
+		s.Commit(n)
+		if codec.placed != placed {
+			copied = append(copied, s.asm.got) // what Place took from the buffer
+		}
+	}
+	s.Flush()
+	got := l.DrainRQ(make([]fabric.Packet, 0, frames+1))
+	if len(got) != frames || len(copied) != frames {
+		t.Fatalf("%d frames delivered, %d placed; want %d of each", len(got), len(copied), frames)
+	}
+	for i, p := range got {
+		if b := p.Payload.([]byte); len(b) != size || b[0] != byte(1+i) || b[size-1] != byte(1+i) {
+			t.Fatalf("frame %d delivered wrong", i)
+		}
+	}
+	for i, c := range copied {
+		if c > streamBufMin {
+			t.Errorf("frame %d: %d body bytes copied out of the receive buffer, want at most %d", i, c, streamBufMin)
+		}
+	}
+}

@@ -13,22 +13,15 @@ import (
 // errWouldBlock reports an empty socket buffer on a non-blocking read.
 var errWouldBlock = errors.New("tcp: read would block")
 
-const (
-	// readBufSize is the pooled per-connection read buffer; frames
-	// larger than it grow the buffer (doubling) for that connection.
-	readBufSize = 64 << 10
-	// maxFrameLen is the corrupt-length bound: no sane frame is a
-	// gigabyte.
-	maxFrameLen = 1 << 30
-)
-
-var rbufPool = sync.Pool{
-	New: func() any { b := make([]byte, readBufSize); return &b },
-}
+// maxFrameLen is the corrupt-length bound: no sane frame is a gigabyte.
+const maxFrameLen = 1 << 30
 
 // connState is one live socket in the reactor: the descriptor, the
-// receive stream over a pooled read buffer, and the probe cadence of
-// caller-thread progress polls. Two kinds of drainer read it: those
+// receive stream, and the probe cadence of caller-thread progress
+// polls. The stream reads into a small buffer of its own, as shm's
+// streams do: a read takes in at most that much of a large frame before
+// the frame's codec places its body, and the rest of the body is read
+// straight into where it is going. Two kinds of drainer read it: those
 // polls, and the connection's own watcher.
 //
 // Lock order: cs.mu → p.mu (goodbye marking) → link queue locks → n.mu
@@ -42,9 +35,8 @@ type connState struct {
 	// mu owns the receive stream: socket reads land where it says, and
 	// it parses them into frames. Drains from progress polls, the
 	// watcher and the blocking driver all serialize here.
-	mu      sync.Mutex
-	rx      framing.Stream
-	rbufBox *[]byte // pool ticket of rx's initial buffer
+	mu sync.Mutex
+	rx framing.Stream
 
 	// looks counts the consecutive progress polls that got no bytes
 	// from this connection; it sets the probe cadence (Link.PollRecv)
@@ -60,8 +52,7 @@ type connState struct {
 
 func newConnState(n *Network, conn net.Conn, rank int) *connState {
 	cs := &connState{n: n, conn: conn, rank: rank}
-	cs.rbufBox = rbufPool.Get().(*[]byte)
-	cs.rx.Init(n.tab, *cs.rbufBox, maxFrameLen, cs.reject)
+	cs.rx.Init(n.tab, nil, maxFrameLen, cs.reject)
 	cs.rx.From(n.Space, rank)
 	if nb, ok := newNBConn(conn); ok {
 		cs.nb = nb
@@ -96,14 +87,11 @@ func (cs *connState) takeCause(fallback error) error {
 }
 
 // release retires the read side after the driver goroutine exits:
-// poison further drains and return the pooled buffer (unless a large
-// frame made the stream replace it with a bigger one).
+// poison further drains and drop a frame under assembly.
 func (cs *connState) release() {
 	cs.dead.Store(true)
 	cs.mu.Lock()
-	if buf := cs.rx.Release(); len(buf) == readBufSize {
-		rbufPool.Put(cs.rbufBox)
-	}
+	cs.rx.Release()
 	cs.mu.Unlock()
 }
 

@@ -19,6 +19,7 @@ import (
 	"gompix/internal/fabric"
 	"gompix/internal/metrics"
 	"gompix/internal/nic"
+	"gompix/internal/transport/framing"
 )
 
 // countedConn is a TCP connection whose non-blocking reads are counted:
@@ -369,5 +370,72 @@ func BenchmarkPollRecvIdle(b *testing.B) {
 			}
 			b.ReportMetric(float64(r.reads.Load())/float64(b.N), "reads/op")
 		})
+	}
+}
+
+// placingCodec carries []byte payloads and places the whole body of
+// every frame that arrives in pieces into a buffer of its own; heads
+// records how much of each frame had arrived when it was asked.
+type placingCodec struct {
+	nic.ByteCodec
+	heads []int
+}
+
+func (*placingCodec) EncodeSplit(buf []byte, payload any) ([]byte, []byte, error) {
+	return buf, payload.([]byte), nil
+}
+
+func (*placingCodec) DecodeOwned(_, data []byte) (any, error) { return data, nil }
+
+func (c *placingCodec) Place(_, _ fabric.EndpointID, size int, head []byte) ([]byte, nic.Placement, int) {
+	c.heads = append(c.heads, len(head))
+	body := make([]byte, size)
+	return body, placedBody(body), 0
+}
+
+type placedBody []byte
+
+func (b placedBody) Finish() any { return []byte(b) }
+func (placedBody) Drop()         {}
+
+// TestConnPlacedCopyBound: a connection reads a 64 KiB frame the codec
+// places (a rendezvous chunk) into its stream's own small buffer only
+// until the frame's header is in; the rest of the body is read from the
+// socket straight into the placement. So of each body at most that
+// buffer's 16 KiB crosses it, however much of the frame the socket
+// already holds.
+func TestConnPlacedCopyBound(t *testing.T) {
+	const frames, size, bufSize = 4, 64 << 10, 16 << 10
+	r := newProbeRig(t)
+	codec := new(placingCodec)
+	r.n.SetCodec(codec)
+	for i := 0; i < frames; i++ {
+		frame := binary.LittleEndian.AppendUint32(nil, uint32(framing.HdrLen+size))
+		frame = binary.LittleEndian.AppendUint64(frame, 0) // the rig's link
+		frame = binary.LittleEndian.AppendUint64(frame, 1) // rank 1's endpoint
+		frame = binary.LittleEndian.AppendUint32(frame, size)
+		frame = append(frame, bytes.Repeat([]byte{byte(1 + i)}, size)...)
+		r.send(frame)
+		r.cs.mu.Lock()
+		for deadline := time.Now().Add(5 * time.Second); r.l.QueuedRQ() == 0; {
+			r.n.drainConn(r.cs, false)
+			if time.Now().After(deadline) {
+				r.cs.mu.Unlock()
+				t.Fatalf("frame %d was not delivered", i)
+			}
+		}
+		r.cs.mu.Unlock()
+		got := r.l.DrainRQ(make([]fabric.Packet, 0, 2))
+		if b, ok := got[0].Payload.([]byte); len(got) != 1 || !ok || len(b) != size || b[0] != byte(1+i) || b[size-1] != byte(1+i) {
+			t.Fatalf("frame %d delivered wrong", i)
+		}
+	}
+	if len(codec.heads) != frames {
+		t.Fatalf("%d frames placed, want %d", len(codec.heads), frames)
+	}
+	for i, h := range codec.heads {
+		if copied := h - framing.HdrLen; copied > bufSize {
+			t.Errorf("frame %d: %d body bytes read into the receive buffer before placement, want at most %d", i, copied, bufSize)
+		}
 	}
 }

@@ -64,7 +64,7 @@ func (w *stressWorld) progress() {
 
 // stressSize draws a frame size from a seeded stream-local generator:
 // mostly small frames with a heavy tail deliberately straddling the
-// output segment size (32K) and the pooled read buffer (64K), so
+// output segment size (32K) and the rendezvous chunk (64K), so
 // coalescing, segment sealing, partial parses and buffer growth all
 // trigger.
 func stressSize(rng *rand.Rand) int {
@@ -72,7 +72,7 @@ func stressSize(rng *rand.Rand) int {
 	case 0:
 		return 32<<10 - 16 + rng.Intn(32) // hugs the out-queue's 32K segment boundary
 	case 1:
-		return readBufSize/2 + rng.Intn(readBufSize) // up to 96K
+		return 32<<10 + rng.Intn(64<<10) // up to 96K
 	default:
 		return 4 + rng.Intn(60)
 	}
