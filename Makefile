@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet check-run-lists check-capabilities race race-hot race-transport race-tcp race-shm race-cont race-eager chaos chaos-sim chaos-tcp fuzz-smoke bench bench-smoke figures mpixrun-smoke ci
+.PHONY: all build test vet check-run-lists check-capabilities invariants race race-hot race-transport race-tcp race-shm race-cont race-eager chaos chaos-sim chaos-tcp fuzz-smoke bench bench-smoke figures mpixrun-smoke ci
 
 all: build test
 
@@ -46,6 +46,15 @@ check-capabilities:
 		grep -nE '\.\([A-Z][A-Za-z]*\)' $$(find internal/nic internal/transport -maxdepth 1 -name '*.go' ! -name '*_test.go'); } | \
 		grep -vE '\.\((nic\.)?(SplitCodec|PeerDown)\)')"; \
 	if [ -n "$$out" ]; then echo "check-capabilities: assertion to a nic/transport interface:"; echo "$$out"; exit 1; fi
+
+# The mechanical invariant checks, which a default build compiles away
+# (a constant behind the invariants build tag): today, that a progress
+# pass which skips its netmod as idle leaves nothing queued on it — the
+# netmod's work counter never reads below its drainable depth. The
+# suites run with the checks on over the progress engine, the NIC
+# queues, every transport, the MPI layer and the facade.
+invariants:
+	$(GO) test -short -count=1 -tags invariants ./internal/core/ ./internal/nic/ ./internal/mpi/ ./internal/transport/... ./mpix/
 
 # Full suite under the race detector (the reliability layer's
 # retransmission path is the main customer).
@@ -231,10 +240,11 @@ mpixrun-smoke:
 
 # The PR gate: vet, build, the fast suite, the check that every -run
 # list above still names tests, the check that no caller probes a link
-# or transport for a method, the race pass over the instrumented
+# or transport for a method, the fast suites with the invariant checks
+# on, the race pass over the instrumented
 # hot-path packages (includes the trylock/pool fast path in core, mpi
 # and nic), the transport race pass with its tcp and
 # shm/composite world passes, the continuation race pass, the
 # relaxed-allreduce race pass, the process-failure chaos matrix, the
 # fuzz smoke, the benchmark smoke, and the multiprocess launcher smoke.
-ci: vet build test check-run-lists check-capabilities race-hot race-tcp race-shm race-cont race-eager chaos-tcp fuzz-smoke bench-smoke mpixrun-smoke
+ci: vet build test check-run-lists check-capabilities invariants race-hot race-tcp race-shm race-cont race-eager chaos-tcp fuzz-smoke bench-smoke mpixrun-smoke

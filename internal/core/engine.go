@@ -7,16 +7,17 @@
 //     (Stream, Engine.NewStream, Engine.Default for MPIX_STREAM_NULL).
 //   - Explicit progress: Stream.Progress mirrors MPIX_Stream_progress and
 //     MPICH's internal MPIDI_progress_test (paper Listing 1.1) — an
-//     ordered, collated poll over subsystem classes that short-circuits
-//     as soon as one class reports progress.
+//     ordered, collated poll over three fixed slots (continuations,
+//     async things, the netmod) that short-circuits as soon as one
+//     reports progress.
 //   - MPIX Async: user progress hooks registered with Stream.AsyncStart
 //     and polled from inside progress (PollFunc, Thing, Spawn).
 //
-// The MPI runtime (internal/mpi) registers one hook per stream, the
-// network module. The other entries of Listing 1.1 that advance a set
-// of in-flight jobs — datatype pack jobs, collective schedules — are
-// async things: they join a pass through AsyncStart like any user task
-// and are polled in the ClassAsync slot.
+// The MPI runtime (internal/mpi) attaches one netmod per stream, its
+// VCI's link (Stream.AttachNetmod). The other entries of Listing 1.1
+// that advance a set of in-flight jobs — datatype pack jobs, collective
+// schedules — are async things: they join a pass through AsyncStart
+// like any user task and are polled in the ClassAsync slot.
 package core
 
 import (
@@ -29,10 +30,10 @@ import (
 	"gompix/internal/trace"
 )
 
-// Class identifies a progress subsystem in the collated poll order:
+// Class names a slot of the collated pass, in poll order:
 // continuations, async things, netmod. The one ordering the paper gives
 // a reason for (Listing 1.1) is that the netmod comes last. The
-// listing's datatype and collective entries have no class of their own
+// listing's datatype and collective entries have no slot of their own
 // — their jobs are async things — and neither has intra-node shared
 // memory: the composite transport polls its shm leg first inside the
 // netmod's poll, which is the listing's order.
@@ -48,19 +49,19 @@ const (
 	// library's own resumable jobs — collective schedules, datatype
 	// pack jobs, link flushes, retransmission timers.
 	ClassAsync
-	// ClassNetmod progresses communication: whatever link the
-	// transport gave the stream. It is polled last and skipped whenever
-	// an earlier class made progress, because an empty netmod poll is
-	// not guaranteed to be cheap.
+	// ClassNetmod polls the stream's netmod (AttachNetmod): whatever
+	// link the transport gave the stream. It is polled last and
+	// skipped whenever an earlier slot made progress, because an empty
+	// netmod poll is not guaranteed to be cheap.
 	ClassNetmod
 
-	// NumClasses is the number of subsystem classes.
+	// NumClasses is the number of slots.
 	NumClasses
 )
 
 var classNames = [NumClasses]string{"cont", "async", "netmod"}
 
-// String returns the subsystem name.
+// String returns the slot name.
 func (c Class) String() string {
 	if c < 0 || c >= NumClasses {
 		return fmt.Sprintf("class(%d)", int(c))
@@ -68,35 +69,24 @@ func (c Class) String() string {
 	return classNames[c]
 }
 
-// SkipMask selects classes to skip during a progress call. Streams can
-// carry a permanent mask (paper §3.2: info hints let a stream skip
-// subsystems such as netmod) and callers can pass a per-call mask.
-type SkipMask uint8
-
-// Skip returns a mask that skips the given classes.
-func Skip(classes ...Class) SkipMask {
-	var m SkipMask
-	for _, c := range classes {
-		m |= 1 << uint(c)
-	}
-	return m
-}
-
-// Has reports whether class c is skipped by the mask.
-func (m SkipMask) Has(c Class) bool { return m&(1<<uint(c)) != 0 }
-
-// Hook is an internal progress subsystem registered on a stream.
-// Implementations must make Poll cheap when the subsystem is idle
-// (the cost of an atomic load), because progress polls every
-// registered hook on every call.
-type Hook interface {
-	// Poll advances the subsystem and reports whether any progress was
-	// made. It is called with the stream lock held; it must not call
-	// Stream.Progress (recursive progress is prohibited, paper §3.4).
+// Netmod is a stream's network module, the last slot of the collated
+// pass (AttachNetmod).
+type Netmod interface {
+	// Poll advances the netmod and reports whether any progress was
+	// made. It runs with the stream lock held, only while the work
+	// counter is positive, and must not call Stream.Progress
+	// (recursive progress is prohibited, paper §3.4).
 	Poll() bool
-	// Pending returns the number of incomplete operations, used by
-	// Engine.Quiesce and diagnostics.
+	// Pending returns the number of incomplete operations (Quiesce).
 	Pending() int
+	// Parking is the park rung's call before a sleep
+	// (nic.Link.Parking): it tells producers that cannot reach the
+	// stream's wake channel to ring, and reports whether sleeping is
+	// still safe.
+	Parking() bool
+	// Queued returns the entries a Poll would drain now, which the
+	// work counter never reads below.
+	Queued() int
 }
 
 // Engine owns the streams of one process (one MPI rank, or a standalone
@@ -148,8 +138,8 @@ func (e *Engine) Now() time.Duration { return e.clock.Now() }
 func (e *Engine) Default() *Stream { return e.def }
 
 // NewStream creates a stream (MPIX_Stream_create). Each stream is an
-// independent serial progress context with its own lock, hooks, and
-// async task list.
+// independent serial progress context with its own lock, netmod slot,
+// continuation queue and async task list.
 func (e *Engine) NewStream(opts ...StreamOption) *Stream {
 	s := &Stream{eng: e, wake: make(chan struct{}, 1)}
 	for _, o := range opts {
@@ -227,7 +217,7 @@ func (e *Engine) ProgressAll() bool {
 }
 
 // Pending returns the total number of pending operations across all
-// streams (async things plus hook-reported pending counts).
+// streams (Stream.Pending).
 func (e *Engine) Pending() int {
 	total := 0
 	for _, s := range e.Streams() {

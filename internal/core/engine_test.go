@@ -120,16 +120,6 @@ func TestQuiesceBounded(t *testing.T) {
 	}
 }
 
-func TestSkipMask(t *testing.T) {
-	m := Skip(ClassNetmod, ClassCont)
-	if !m.Has(ClassNetmod) || !m.Has(ClassCont) {
-		t.Fatal("mask missing classes")
-	}
-	if m.Has(ClassAsync) {
-		t.Fatal("mask has extra classes")
-	}
-}
-
 func TestClassString(t *testing.T) {
 	want := map[Class]string{
 		ClassAsync:  "async",

@@ -83,69 +83,35 @@ func TestStreamsSnapshotInvalidation(t *testing.T) {
 	}
 }
 
-// TestCountedHookIdleSkip checks the idle-class skip: a class whose
-// only hook is counted is not polled while its work counter is zero
-// (outside the periodic full pass), is polled while positive, and is
-// still reached by the safety-net full pass.
-func TestCountedHookIdleSkip(t *testing.T) {
+// TestIdleNetmodNeverPolled checks the idle-netmod skip: a netmod
+// whose counter reads zero is not polled however many passes run —
+// there is no periodic full pass behind the counter — and is polled on
+// the first pass after work is counted.
+func TestIdleNetmodNeverPolled(t *testing.T) {
 	e := newTestEngine()
 	s := e.NewStream()
-	h := &fakeHook{}
-	w := s.RegisterHookCounted(ClassNetmod, h)
+	n := &fakeNetmod{}
+	w := s.AttachNetmod(n)
 
-	for i := 0; i < 16; i++ {
+	const passes = 1000
+	for i := 0; i < passes; i++ {
 		s.Progress()
 	}
-	if h.polls != 0 {
-		t.Fatalf("idle counted hook polled %d times", h.polls)
+	if n.polls != 0 {
+		t.Fatalf("idle netmod polled %d times in %d passes", n.polls, passes)
 	}
 
 	w.Add(1)
 	s.Progress()
-	if h.polls != 1 {
-		t.Fatalf("hook polls = %d after work arrived, want 1", h.polls)
+	if n.polls != 1 {
+		t.Fatalf("netmod polls = %d after work arrived, want 1", n.polls)
 	}
 	w.Add(-1)
-	s.Progress()
-	if h.polls != 1 {
-		t.Fatalf("hook polled after counter returned to zero")
-	}
-
-	// Drive the call counter to the next multiple of fullPassEvery: the
-	// safety-net pass polls even a zero-counted class.
-	before := h.polls
-	for s.Stats().Calls%fullPassEvery != 0 {
+	for i := 0; i < passes; i++ {
 		s.Progress()
 	}
-	if h.polls != before+1 {
-		t.Fatalf("full pass polled hook %d times, want exactly 1", h.polls-before)
-	}
-}
-
-// TestSkipMaskComposesOverFullPass checks that the stream's permanent
-// mask and a per-call mask compose, and that skipped classes stay
-// unpolled even across the periodic uncounted full pass.
-func TestSkipMaskComposesOverFullPass(t *testing.T) {
-	e := newTestEngine()
-	s := e.NewStream(WithSkip(Skip(ClassNetmod)))
-	net := &fakeHook{results: []bool{true, true}}
-	mid := &fakeHook{results: []bool{true, true}}
-	registerLive(s, ClassNetmod, net)
-	registerLive(s, ClassAsync, mid)
-	for i := 0; i < 3*fullPassEvery; i++ {
-		s.ProgressMasked(Skip(ClassAsync))
-	}
-	if net.polls != 0 {
-		t.Fatalf("stream-masked netmod polled %d times", net.polls)
-	}
-	if mid.polls != 0 {
-		t.Fatalf("call-masked async class polled %d times", mid.polls)
-	}
-	if !s.Progress() {
-		t.Fatal("unmasked async-class hook should report progress")
-	}
-	if mid.polls != 1 || net.polls != 0 {
-		t.Fatalf("polls after unmasked pass = async %d / net %d, want 1/0", mid.polls, net.polls)
+	if n.polls != 1 {
+		t.Fatalf("netmod polled %d more times after its counter returned to zero", n.polls-1)
 	}
 }
 

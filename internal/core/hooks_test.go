@@ -5,84 +5,101 @@ import (
 	"testing/quick"
 )
 
-// fakeHook is a scriptable subsystem hook.
-type fakeHook struct {
+// fakeNetmod is a scriptable netmod.
+type fakeNetmod struct {
 	polls   int
 	pending int
 	results []bool // successive Poll results; after exhaustion, false
 }
 
-func (h *fakeHook) Poll() bool {
-	h.polls++
-	if len(h.results) == 0 {
+func (n *fakeNetmod) Poll() bool {
+	n.polls++
+	if len(n.results) == 0 {
 		return false
 	}
-	r := h.results[0]
-	h.results = h.results[1:]
+	r := n.results[0]
+	n.results = n.results[1:]
 	return r
 }
 
-func (h *fakeHook) Pending() int { return h.pending }
+func (n *fakeNetmod) Pending() int  { return n.pending }
+func (n *fakeNetmod) Parking() bool { return true }
+func (n *fakeNetmod) Queued() int   { return 0 }
 
-// registerLive registers h on class c with one unit of work parked on
-// its counter for good, so that the class is polled on every pass — as
-// a byte transport's link keeps its netmod class (framing.Link.BindWork).
-func registerLive(s *Stream, c Class, h Hook) {
-	s.RegisterHookCounted(c, h).Add(1)
+// attachLive attaches n with one unit of work parked on its counter for
+// good, so that it is polled on every pass that reaches its slot — as
+// a byte transport's link keeps it (framing.Link.BindWork).
+func attachLive(s *Stream, n *fakeNetmod) *fakeNetmod {
+	s.AttachNetmod(n).Add(1)
+	return n
 }
 
-func TestRegisterHookInvalidClassPanics(t *testing.T) {
-	e := newTestEngine()
+func TestAttachNetmodTwicePanics(t *testing.T) {
+	s := newTestEngine().NewStream()
+	s.AttachNetmod(&fakeNetmod{})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("invalid class should panic")
+			t.Fatal("a second netmod should panic")
 		}
 	}()
-	e.Default().RegisterHookCounted(NumClasses, &fakeHook{})
+	s.AttachNetmod(&fakeNetmod{})
 }
 
 func TestCollatedOrderShortCircuit(t *testing.T) {
-	// The collated pass polls cont, async, netmod in order and stops at
-	// the first class that made progress — the paper's Listing 1.1. An
-	// async-class hook reporting progress must prevent the netmod hook
-	// from being polled.
+	// The collated pass polls continuations, async things and the
+	// netmod in order and stops at the first slot that made progress —
+	// the paper's Listing 1.1. A continuation that ran keeps the async
+	// things and the netmod from being polled on its pass; an async
+	// thing that progressed keeps the netmod from being polled on its.
 	e := newTestEngine()
 	s := e.NewStream()
-	cont := &fakeHook{}
-	mid := &fakeHook{results: []bool{true}}
-	net := &fakeHook{}
-	registerLive(s, ClassCont, cont)
-	registerLive(s, ClassAsync, mid)
-	registerLive(s, ClassNetmod, net)
+	net := attachLive(s, &fakeNetmod{})
+	var order []string
+	s.Defer(func() { order = append(order, "cont") })
+	var stop bool
+	s.AsyncStart(func(Thing) PollOutcome {
+		order = append(order, "async")
+		switch {
+		case stop:
+			return Done
+		case len(order) == 2:
+			return Progressed
+		}
+		return NoProgress
+	}, nil)
 
-	if !s.Progress() {
-		t.Fatal("should report progress")
-	}
-	if cont.polls != 1 || mid.polls != 1 {
-		t.Fatalf("cont/async polls = %d/%d, want 1/1", cont.polls, mid.polls)
-	}
-	if net.polls != 0 {
-		t.Fatalf("short-circuit failed: net=%d", net.polls)
+	for pass, want := range []string{"cont", "async"} {
+		if !s.Progress() {
+			t.Fatalf("pass %d should report progress", pass)
+		}
+		if got := order[len(order)-1]; got != want || len(order) != pass+1 {
+			t.Fatalf("pass %d polled %v, want %q last", pass, order, want)
+		}
+		if net.polls != 0 {
+			t.Fatalf("pass %d: short-circuit failed, netmod polled %d times", pass, net.polls)
+		}
 	}
 
-	// Second pass: nothing makes progress, so everything is polled.
+	// Third pass: nothing makes progress, so every slot with work is
+	// polled, the netmod last.
 	if s.Progress() {
 		t.Fatal("no progress expected")
 	}
-	if mid.polls != 2 || net.polls != 1 {
-		t.Fatalf("full pass expected: async=%d net=%d", mid.polls, net.polls)
+	if len(order) != 3 || net.polls != 1 {
+		t.Fatalf("full pass expected: polled %v, netmod %d times", order, net.polls)
 	}
 	st := s.Stats()
-	if st.MadeByClass[ClassAsync] != 1 {
+	if st.MadeByClass != [NumClasses]uint64{ClassCont: 1, ClassAsync: 1} {
 		t.Fatalf("MadeByClass = %v", st.MadeByClass)
 	}
+	stop = true
+	s.ProgressUntil(func() bool { return s.PendingAsync() == 0 })
 }
 
 func TestAsyncProgressShortCircuitsShmemNetmod(t *testing.T) {
 	e := newTestEngine()
 	s := e.NewStream()
-	net := &fakeHook{}
-	registerLive(s, ClassNetmod, net)
+	net := attachLive(s, &fakeNetmod{})
 	s.AsyncStart(func(Thing) PollOutcome { return Done }, nil)
 	s.Progress()
 	if net.polls != 0 {
@@ -90,110 +107,64 @@ func TestAsyncProgressShortCircuitsShmemNetmod(t *testing.T) {
 	}
 }
 
-func TestStreamSkipMask(t *testing.T) {
-	e := newTestEngine()
-	s := e.NewStream(WithSkip(Skip(ClassNetmod)))
-	net := &fakeHook{results: []bool{true, true, true}}
-	registerLive(s, ClassNetmod, net)
-	s.Progress()
-	if net.polls != 0 {
-		t.Fatal("stream skip mask ignored")
-	}
-	// A per-call mask adds further skips.
-	mid := &fakeHook{results: []bool{true}}
-	registerLive(s, ClassAsync, mid)
-	s.ProgressMasked(Skip(ClassAsync))
-	if mid.polls != 0 {
-		t.Fatal("per-call mask ignored")
-	}
-	if !s.ProgressMasked(0) {
-		t.Fatal("async-class hook should report progress when not skipped")
-	}
-	if mid.polls != 1 {
-		t.Fatalf("async-class polls = %d", mid.polls)
-	}
-}
-
-func TestPerCallMaskSkipsAsync(t *testing.T) {
-	e := newTestEngine()
-	s := e.Default()
-	polled := false
-	s.AsyncStart(func(Thing) PollOutcome {
-		polled = true
-		return Done
-	}, nil)
-	s.ProgressMasked(Skip(ClassAsync))
-	if polled {
-		t.Fatal("async class should have been skipped")
-	}
-	s.Progress()
-	if !polled {
-		t.Fatal("async task should run on unmasked pass")
-	}
-}
-
-func TestMultipleHooksSameClassAllPolled(t *testing.T) {
-	e := newTestEngine()
-	s := e.NewStream()
-	h1 := &fakeHook{results: []bool{true}}
-	h2 := &fakeHook{results: []bool{true}}
-	registerLive(s, ClassNetmod, h1)
-	registerLive(s, ClassNetmod, h2)
-	s.Progress()
-	// Hooks within a class are all polled even if the first progresses;
-	// the short-circuit is between classes.
-	if h1.polls != 1 || h2.polls != 1 {
-		t.Fatalf("polls = %d/%d, want 1/1", h1.polls, h2.polls)
-	}
-}
-
 func TestPendingIncludesHooks(t *testing.T) {
 	e := newTestEngine()
 	s := e.NewStream()
-	registerLive(s, ClassNetmod, &fakeHook{pending: 3})
+	attachLive(s, &fakeNetmod{pending: 3})
 	s.AsyncStart(func(Thing) PollOutcome { return Done }, nil)
 	if got := s.Pending(); got != 4 {
 		t.Fatalf("Pending = %d, want 4", got)
 	}
 }
 
-// Property: for any subset of classes reporting progress, the collated
-// pass stops exactly at the first such class and polls every earlier
-// class once.
+// Property: for any subset of slots reporting progress — a queued
+// continuation, an async thing that completes, a netmod poll that
+// delivers — the collated pass stops exactly at the first such slot
+// and polls every earlier slot once. An async thing that makes no
+// progress and a live netmod stand in the other slots, so a poll of
+// either shows.
 func TestCollateProperty(t *testing.T) {
 	f := func(mask uint8) bool {
 		e := newTestEngine()
 		s := e.NewStream()
-		hooks := make([]*fakeHook, NumClasses)
-		for c := Class(0); c < NumClasses; c++ {
-			h := &fakeHook{}
-			if mask&(1<<uint(c)) != 0 {
-				h.results = []bool{true}
-			}
-			hooks[c] = h
-			registerLive(s, c, h)
+		has := func(c Class) bool { return mask&(1<<uint(c)) != 0 }
+		contRuns := 0
+		if has(ClassCont) {
+			s.Defer(func() { contRuns++ })
 		}
+		asyncPolls := 0
+		s.AsyncStart(func(Thing) PollOutcome {
+			asyncPolls++
+			if has(ClassAsync) {
+				return Done
+			}
+			return NoProgress
+		}, nil)
+		net := attachLive(s, &fakeNetmod{results: []bool{has(ClassNetmod)}})
 		made := s.Progress()
-		first := -1
-		for c := 0; c < int(NumClasses); c++ {
-			if mask&(1<<uint(c)) != 0 {
+		first := NumClasses
+		for c := Class(0); c < NumClasses; c++ {
+			if has(c) {
 				first = c
 				break
 			}
 		}
-		if (first >= 0) != made {
+		if made != (first < NumClasses) {
 			return false
 		}
-		for c := 0; c < int(NumClasses); c++ {
-			want := 1
-			if first >= 0 && c > first {
-				want = 0
+		polled := func(c Class) int {
+			if first < c {
+				return 0
 			}
-			if hooks[c].polls != want {
-				return false
-			}
+			return 1
 		}
-		return true
+		if has(ClassCont) && contRuns != 1 {
+			return false
+		}
+		if asyncPolls != polled(ClassAsync) || net.polls != polled(ClassNetmod) {
+			return false
+		}
+		return first == NumClasses || s.Stats().MadeByClass[first] == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 64}); err != nil {
 		t.Fatal(err)

@@ -15,16 +15,15 @@ type engineMetrics struct {
 	// progress; madeByClass attributes the satisfied calls.
 	calls, made *metrics.Counter
 	madeByClass [NumClasses]*metrics.Counter
-	// hookPolls counts individual subsystem hook polls; pollsPerCall
-	// is its distribution per progress call.
+	// hookPolls counts the individual polls of a pass (callbacks run,
+	// async things polled, netmod polls); pollsPerCall is its
+	// distribution per progress call.
 	hookPolls    *metrics.Counter
 	pollsPerCall *metrics.Histogram
 	// Async thing poll outcomes (MPIX_ASYNC_DONE / NOPROGRESS / the
 	// in-between Progressed), plus start/done lifecycle counts.
 	asyncDone, asyncProgressed, asyncNoProgress *metrics.Counter
 	asyncStarted, asyncRetired                  *metrics.Counter
-	// hooks is the registered hook-list length across all streams.
-	hooks *metrics.Gauge
 	// pendingAsync tracks registered-plus-staged async things.
 	pendingAsync *metrics.Gauge
 	// The wait ladder (Await): calls, yields after an empty pass, park
@@ -57,7 +56,6 @@ func (e *Engine) UseMetrics(reg *metrics.Registry, scope string) {
 	em.asyncNoProgress = reg.Counter(p + "async.poll.noprogress")
 	em.asyncStarted = reg.Counter(p + "async.started")
 	em.asyncRetired = reg.Counter(p + "async.retired")
-	em.hooks = reg.Gauge(p + "hooks")
 	em.pendingAsync = reg.Gauge(p + "async.pending")
 	em.waits = reg.Counter(p + "wait.waits")
 	em.yields = reg.Counter(p + "wait.yields")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,35 +24,23 @@ type Stream struct {
 	id   int
 	name string
 
-	// skip is the stream's permanent subsystem skip mask (info hints).
-	skip SkipMask
-
 	// The park rung of Await (wait.go). parked counts waiters between
 	// "about to park" and "awake again"; every arrival on the stream
-	// (Work.Add, Defer, AsyncStart) that sees it nonzero pokes wake.
-	// parkHook, when non-nil, is the transport's half of the handshake
-	// for producers outside this process (nic.Link.Parking); set once
-	// during stream attach, before any wait runs. sleepMu owns the
-	// reused timer: a second waiter parking on the same stream sleeps
-	// plainly.
+	// (Work.Arrived, Defer, AsyncStart) that sees it nonzero pokes
+	// wake. sleepMu owns the reused timer: a second waiter parking on
+	// the same stream sleeps plainly.
 	parked    atomic.Int32
 	wake      chan struct{}
-	parkHook  func() bool
 	sleepMu   sync.Mutex
 	parkTimer *time.Timer
 
 	mu sync.Mutex
 
-	// hooks is the registered subsystem hook set, copy-on-write so that
-	// progress and Pending read it with one atomic load. Writers
-	// (RegisterHookCounted, cold) serialize on mu.
-	hooks atomic.Pointer[hookSet]
-
-	// work[c] counts outstanding work items for class c, maintained by
-	// its hooks through their Work handles. A progress pass skips an
-	// idle class on a single atomic load instead of walking its hook
-	// slice (see progressLocked).
-	work [NumClasses]atomic.Int64
+	// net is the netmod slot (AttachNetmod), written once under mu
+	// during stream attach; work is its counter (Work), which the pass
+	// reads to skip an idle netmod on one atomic load.
+	net  Netmod
+	work atomic.Int64
 
 	// Async things. head is an intrusive doubly-linked list guarded by
 	// mu. Newly started things land in staged (guarded by stagedMu) so
@@ -79,11 +68,6 @@ type Stream struct {
 	stats streamCounters
 }
 
-// hookSet is an immutable snapshot of a stream's registered hooks.
-type hookSet struct {
-	byClass [NumClasses][]Hook
-}
-
 // streamCounters is the internal atomic mirror of StreamStats, updated
 // under the stream lock but readable lock-free by Stats().
 type streamCounters struct {
@@ -100,13 +84,6 @@ type StreamOption func(*Stream)
 // WithName labels the stream for diagnostics.
 func WithName(name string) StreamOption {
 	return func(s *Stream) { s.name = name }
-}
-
-// WithSkip sets the stream's permanent subsystem skip mask, mirroring
-// MPIX stream info hints (paper §3.2), e.g. Skip(ClassNetmod) for a
-// stream that never performs inter-node communication.
-func WithSkip(mask SkipMask) StreamOption {
-	return func(s *Stream) { s.skip = mask }
 }
 
 // StreamStats counts progress activity on a stream.
@@ -132,65 +109,35 @@ func (s *Stream) ID() int { return s.id }
 // Name returns the stream's diagnostic name.
 func (s *Stream) Name() string { return s.name }
 
-// SetParkHook installs the transport's half of the park handshake
-// (nic.Link.Parking): Await calls it after its last empty pass and
-// before sleeping; it publishes "wake me" to producers that cannot reach the
-// stream's wake channel and reports whether sleeping is still safe.
-// Call during stream attach, before any wait runs.
-func (s *Stream) SetParkHook(parking func() bool) { s.parkHook = parking }
+// Work is a stream's netmod work counter, seen by the netmod's
+// producers (nic.WorkCounter). Per arrival they count it (Add(+n)),
+// make it drainable, then announce it (Arrived): counting first keeps
+// the counter at or above what a poll could drain (Netmod.Queued), so
+// a pass that skips the netmod on a zero counter skips nothing;
+// announcing last means the waiter it wakes finds the work. The drain
+// lowers the counter (Add(-n)) after the depth.
+type Work Stream
 
-// Work is a handle on one of a stream's per-class work counters,
-// given to counted hooks at registration. The owning subsystem calls
-// Add(+n) when work arrives (a packet delivered, an operation queued, a
-// timer armed) and Add(-n) when it is consumed, so an idle class costs
-// the progress pass a single atomic load. A nil *Work is a no-op,
-// letting subsystems run unbound (e.g. in their own unit tests).
-type Work struct {
-	n *atomic.Int64
-	s *Stream
-}
+// Add adjusts the counter by delta.
+func (w *Work) Add(delta int) { w.work.Add(int64(delta)) }
 
-// Add adjusts the counter by delta. Arriving work (delta > 0) wakes a
-// waiter parked on the stream: the counter bump precedes the parked
-// check, mirroring Await's raise-parked-then-poll order, so either the
-// waiter's pass sees the work or this call sees the waiter.
-func (w *Work) Add(delta int) {
-	if w != nil {
-		w.n.Add(int64(delta))
-		if delta > 0 {
-			w.s.arrived()
-		}
-	}
-}
+// Arrived wakes a waiter parked on the stream: either the waiter's
+// re-check pass sees the work or this call sees the waiter.
+func (w *Work) Arrived() { (*Stream)(w).arrived() }
 
-// RegisterHookCounted attaches an internal subsystem hook to the stream
-// under the given class; the MPI runtime calls this during
-// initialization. The hook promises to maintain the returned work
-// counter: the counter is positive whenever polling the hook might make
-// progress, so an idle class is skipped on one atomic load (the fast
-// path's idle-class skip). A hook that under-counts stalls its own
-// completions; progress still runs a full uncounted pass periodically
-// as a safety net.
-func (s *Stream) RegisterHookCounted(c Class, h Hook) *Work {
-	if c < 0 || c >= NumClasses {
-		panic("core: invalid hook class")
-	}
+// AttachNetmod installs the stream's one netmod and returns its work
+// counter; a second attach panics. The MPI runtime attaches each VCI's
+// link and binds the counter to it before any producer can reach it.
+// The netmod is polled only while the counter is positive, and its
+// Parking joins every park of the stream's waiters.
+func (s *Stream) AttachNetmod(n Netmod) *Work {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ns := &hookSet{}
-	if old := s.hooks.Load(); old != nil {
-		*ns = *old
+	if s.net != nil {
+		panic(fmt.Sprintf("core: stream %q already has a netmod", s.name))
 	}
-	// Rebuild only class c's slice; other classes alias the old (and
-	// immutable) slices.
-	ns.byClass[c] = append(append([]Hook(nil), ns.byClass[c]...), h)
-	s.hooks.Store(ns)
-	if em := s.eng.met; em != nil {
-		// Hook registration is cold; record the list length even while
-		// recording is off so the gauge is truthful when enabled later.
-		em.hooks.Add(1)
-	}
-	return &Work{n: &s.work[c], s: s}
+	s.net = n
+	return (*Work)(s)
 }
 
 // Stats returns a snapshot of the stream's progress counters. It is
@@ -209,18 +156,12 @@ func (s *Stream) Stats() StreamStats {
 	return st
 }
 
-// Pending returns the number of pending async things plus the pending
-// counts reported by all registered hooks. Lock-free: it reads the
-// hook set and task counters atomically and never blocks behind a
-// progress pass.
+// Pending returns the number of pending async things, continuations
+// and netmod operations. Lock-free: it never blocks behind a pass.
 func (s *Stream) Pending() int {
 	n := int(s.nAsync.Load()) + int(s.nStaged.Load()) + int(s.nCont.Load())
-	if hs := s.hooks.Load(); hs != nil {
-		for c := range hs.byClass {
-			for _, h := range hs.byClass[c] {
-				n += h.Pending()
-			}
-		}
+	if s.net != nil {
+		n += s.net.Pending()
 	}
 	return n
 }
@@ -233,15 +174,10 @@ func (s *Stream) PendingAsync() int {
 
 // Progress invokes one collated progress pass on the stream
 // (MPIX_Stream_progress) and reports whether progress was made.
-func (s *Stream) Progress() bool { return s.ProgressMasked(0) }
-
-// ProgressMasked is Progress with a per-call skip mask, letting a
-// caller tune the pass to its context (paper §2.6: "the progress state
-// can be set to skip progress for all other subsystems").
-func (s *Stream) ProgressMasked(skip SkipMask) bool {
+func (s *Stream) Progress() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.progressLocked(skip)
+	return s.progressLocked()
 }
 
 // TryProgress attempts one progress pass without blocking. If the
@@ -250,85 +186,79 @@ func (s *Stream) ProgressMasked(skip SkipMask) bool {
 // waiting behind it would serialize disjoint contexts — MPICH's
 // multi-VCI trylock discipline. made reports whether this call made
 // progress (false when ok is false).
-func (s *Stream) TryProgress() (made, ok bool) { return s.TryProgressMasked(0) }
-
-// TryProgressMasked is TryProgress with a per-call skip mask.
-func (s *Stream) TryProgressMasked(skip SkipMask) (made, ok bool) {
+func (s *Stream) TryProgress() (made, ok bool) {
 	if !s.mu.TryLock() {
 		return false, false
 	}
-	made = s.progressLocked(skip)
+	made = s.progressLocked()
 	s.mu.Unlock()
 	return made, true
 }
 
-// fullPassEvery forces an uncounted full poll of all classes once per
-// this many passes, bounding the damage of a subsystem that forgets to
-// bump its work counter: a missed increment delays its completion by
-// at most one period instead of hanging it. It is a net under a bug and
-// nothing else: no subsystem may count on it to be found, and a class
-// whose counter is honest runs exactly as it would without it.
-const fullPassEvery = 64
-
 // progressLocked runs the collated poll. Caller holds s.mu.
 //
-// This is the Go rendition of the paper's Listing 1.1: poll each
-// subsystem class in order and return as soon as one reports progress.
-// The short-circuit matters for netmod, whose empty poll may be costly.
-// Idle hook classes are skipped on one atomic load.
-func (s *Stream) progressLocked(skip SkipMask) bool {
-	calls := s.stats.calls.Add(1)
-	full := calls%fullPassEvery == 0
+// This is the Go rendition of the paper's Listing 1.1: three slots
+// polled in order — continuations, async things, the netmod — and the
+// pass returns as soon as one reports progress. The short-circuit
+// matters for the netmod, whose empty poll may be costly. Each slot
+// whose count reads zero is skipped on one atomic load.
+func (s *Stream) progressLocked() bool {
+	s.stats.calls.Add(1)
 	em := s.eng.met
 	on := em != nil && em.reg.On() // single atomic load when wired
 	polls := 0
-	skip |= s.skip
-	hs := s.hooks.Load()
-	madeClass := Class(-1)
-	for c := Class(0); c < NumClasses; c++ {
-		if skip.Has(c) {
-			continue
+	made := Class(-1)
+	if s.nCont.Load() > 0 {
+		m, n := s.drainContLocked()
+		polls += n
+		if m {
+			made = ClassCont
 		}
-		made := false
-		switch c {
-		case ClassCont:
-			if s.nCont.Load() > 0 {
-				cMade, cPolls := s.drainContLocked()
-				made = cMade
-				polls += cPolls
+	}
+	if made < 0 && s.nAsync.Load()+s.nStaged.Load() > 0 {
+		m, n := s.pollAsyncLocked(em, on)
+		polls += n
+		if m {
+			made = ClassAsync
+		}
+	}
+	if made < 0 && s.net != nil {
+		if s.work.Load() > 0 {
+			polls++
+			if s.net.Poll() {
+				made = ClassNetmod
 			}
-		case ClassAsync:
-			if s.nAsync.Load()+s.nStaged.Load() > 0 {
-				aMade, aPolls := s.pollAsyncLocked(em, on)
-				made = aMade
-				polls += aPolls
-			}
+		} else if checkInvariants {
+			s.checkIdleNetmod()
 		}
-		if hs != nil && len(hs.byClass[c]) > 0 {
-			if full || s.work[c].Load() > 0 {
-				for _, h := range hs.byClass[c] {
-					polls++
-					if h.Poll() {
-						made = true
-					}
-				}
-			}
-		}
-		if made {
-			s.stats.made.Add(1)
-			s.stats.madeByClass[c].Add(1)
-			madeClass = c
-			break
-		}
+	}
+	if made >= 0 {
+		s.stats.made.Add(1)
+		s.stats.madeByClass[made].Add(1)
 	}
 	if on {
 		em.calls.Inc()
 		em.hookPolls.Add(uint64(polls))
 		em.pollsPerCall.Observe(int64(polls))
-		if madeClass >= 0 {
+		if made >= 0 {
 			em.made.Inc()
-			em.madeByClass[madeClass].Inc()
+			em.madeByClass[made].Inc()
 		}
 	}
-	return madeClass >= 0
+	return made >= 0
+}
+
+// checkIdleNetmod panics if the netmod this pass is skipping has
+// entries to drain while its counter reads zero: an under-count, which
+// would strand them until some unrelated arrival. Depth first, counter
+// second: producers count an entry before it becomes drainable (Work),
+// so the counter never reads below the depth, and only a pass — this
+// one, under the stream lock — lowers the depth; a positive depth is
+// therefore still there, and still covered, when the counter is read.
+func (s *Stream) checkIdleNetmod() {
+	if d := s.net.Queued(); d > 0 {
+		if c := s.work.Load(); c <= 0 {
+			panic(fmt.Sprintf("core: stream %q skipped its netmod with %d entries queued and its counter at %d", s.name, d, c))
+		}
+	}
 }

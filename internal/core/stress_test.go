@@ -26,17 +26,19 @@ import (
 // ends on its timer is one lost wake-up, exactly.
 
 // waiter binds a link to a progress stream of its own the way the MPI
-// netmod binds one to a VCI's stream: a counted netmod hook that polls
-// and drains the link, the stream's work counter bound to the link,
-// and the link's Parking as the stream's park hook. It is what a blocked rank looks like to a transport.
+// runtime binds one to a VCI's stream: a netmod that polls and drains
+// the link and parks through its Parking, attached to the stream, and
+// the stream's work counter bound to the link. It is what a blocked
+// rank looks like to a transport.
 type waiter struct {
 	stream *core.Stream
-	// jitter, when positive, makes the park hook spin a random number
-	// of iterations below it between being entered (ParkingFor) and
+	// jitter, when positive, makes Parking spin a random number of
+	// iterations below it between being entered (ParkingFor) and
 	// announcing the park to the link — a slow waiter, so that a
 	// producer released by ParkingFor publishes before, around and
 	// after the announcement.
 	jitter int
+	rng    *rand.Rand
 
 	link nic.Link
 	reg  *metrics.Registry
@@ -52,26 +54,28 @@ type waiter struct {
 // newWaiter wires l to a fresh engine's default stream. Call before
 // traffic flows (it binds the link's work counter).
 func newWaiter(l nic.Link) *waiter {
-	w := &waiter{link: l, reg: metrics.New(), rq: make([]fabric.Packet, 0, 64), cq: make([]nic.CQE, 0, 64)}
+	w := &waiter{link: l, reg: metrics.New(), rng: rand.New(rand.NewSource(2)), rq: make([]fabric.Packet, 0, 64), cq: make([]nic.CQE, 0, 64)}
 	w.reg.Enable()
 	eng := core.NewEngine(nil)
 	eng.UseMetrics(w.reg, "w")
 	w.stream = eng.Default()
-	l.BindWork(w.stream.RegisterHookCounted(core.ClassNetmod, w))
-	rng := rand.New(rand.NewSource(2))
-	w.stream.SetParkHook(func() bool {
-		w.parkingFor.Store(w.frames.Load() + 1)
-		if w.jitter > 0 {
-			for spin := rng.Intn(w.jitter); spin > 0; spin-- {
-				_ = w.frames.Load()
-			}
-		}
-		return l.Parking()
-	})
+	l.BindWork(w.stream.AttachNetmod(w))
 	return w
 }
 
-// Poll is the netmod hook: ingest, then drain both queues.
+// Parking records that the waiter is parking for its next frame, then
+// announces the park to the link (core.Netmod).
+func (w *waiter) Parking() bool {
+	w.parkingFor.Store(w.frames.Load() + 1)
+	if w.jitter > 0 {
+		for spin := w.rng.Intn(w.jitter); spin > 0; spin-- {
+			_ = w.frames.Load()
+		}
+	}
+	return w.link.Parking()
+}
+
+// Poll ingests, then drains both queues (core.Netmod).
 func (w *waiter) Poll() bool {
 	made := false
 	if w.link.PollRecv() {
@@ -88,14 +92,15 @@ func (w *waiter) Poll() bool {
 	return made || len(w.cq) > 0 || len(w.rq) > 0
 }
 
-// Pending reports undrained entries (core.Hook).
-func (w *waiter) Pending() int { return w.link.QueuedCQ() + w.link.QueuedRQ() }
+// Pending and Queued report undrained entries (core.Netmod).
+func (w *waiter) Pending() int { return w.Queued() }
+func (w *waiter) Queued() int  { return w.link.QueuedCQ() + w.link.QueuedRQ() }
 
-// Frames and Verdicts report what the hook has drained so far.
+// Frames and Verdicts report what the netmod has drained so far.
 func (w *waiter) Frames() int64   { return w.frames.Load() }
 func (w *waiter) Verdicts() int64 { return w.verdicts.Load() }
 
-// ParkingFor returns n once the wait ladder has entered its park hook
+// ParkingFor returns n once the wait ladder has entered Parking
 // with n-1 frames drained: the waiter is parking, or parked, for the
 // n-th frame.
 func (w *waiter) ParkingFor() int64 { return w.parkingFor.Load() }
@@ -124,7 +129,7 @@ func (w *waiter) Await(t *testing.T, what string, cond func() bool) {
 
 // parkWakeStress runs rounds single-frame deliveries. Each round the
 // consumer waits for the next frame; the producer holds it back until
-// the consumer has entered its park hook for that frame — it is then
+// the consumer has entered Parking for that frame — it is then
 // somewhere between announcing itself and the end of its sleep — and
 // publishes after a random short delay, so the frame lands before the
 // announcement, between announcement and re-check, before the sleep or

@@ -22,8 +22,8 @@ import (
 //   - park: parkAfter consecutive empty passes mean the completion is
 //     not one yield away. The waiter raises the stream's parked count,
 //     makes one more pass (the re-check), lets the transport announce
-//     it to out-of-process producers (parkHook) and sleeps on the
-//     stream's wake channel. Every arrival on the stream — Work.Add
+//     it to out-of-process producers (Netmod.Parking) and sleeps on the
+//     stream's wake channel. Every arrival on the stream — Work.Arrived
 //     from any transport leg, Defer, AsyncStart — pokes that channel;
 //     parkCap only bounds the sleep for conditions no arrival
 //     announces (timers inside async things, another thread's
@@ -70,7 +70,7 @@ func (s *Stream) Await(cond func() bool, cancel func() error, pass func() bool) 
 		parking := misses >= parkAfter
 		if parking {
 			// Raise the count before the pass: the pass is the re-check
-			// of the raise → re-check → sleep handshake (see Work.Add).
+			// of the raise → re-check → sleep handshake (see Work.Arrived).
 			if s.parked.Add(1) == 1 {
 				select {
 				case <-s.wake: // a poke left over from an earlier park
@@ -112,7 +112,7 @@ func (s *Stream) park(em *engineMetrics, on bool) {
 		t0 = time.Now()
 	}
 	early := true
-	if h := s.parkHook; h == nil || h() {
+	if s.net == nil || s.net.Parking() {
 		early = s.sleep()
 	}
 	if on {

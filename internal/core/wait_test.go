@@ -22,15 +22,16 @@ func waitEngine() (*Engine, func(name string) uint64) {
 	return e, func(name string) uint64 { return reg.Snapshot().Counter("r.core.wait." + name) }
 }
 
-// countedHook is a hook with a work counter and no other behaviour: it
-// reports progress once per unit of work and retires the unit.
-type countedHook struct {
+// countedNetmod is a netmod with a work counter and no other
+// behaviour: it reports progress once per unit of work and retires the
+// unit.
+type countedNetmod struct {
 	w     *Work
 	units atomic.Int64
 	seen  atomic.Int64
 }
 
-func (h *countedHook) Poll() bool {
+func (h *countedNetmod) Poll() bool {
 	n := h.units.Swap(0)
 	if n == 0 {
 		return false
@@ -39,16 +40,21 @@ func (h *countedHook) Poll() bool {
 	h.seen.Add(n)
 	return true
 }
-func (h *countedHook) Pending() int { return int(h.units.Load()) }
+func (h *countedNetmod) Pending() int  { return int(h.units.Load()) }
+func (h *countedNetmod) Parking() bool { return true }
+func (h *countedNetmod) Queued() int   { return int(h.units.Load()) }
 
-func (h *countedHook) arrive() {
-	h.units.Add(1)
+// arrive delivers one unit the way nic.Queue does: count, queue,
+// announce.
+func (h *countedNetmod) arrive() {
 	h.w.Add(1)
+	h.units.Add(1)
+	h.w.Arrived()
 }
 
-func newCountedHook(s *Stream) *countedHook {
-	h := &countedHook{}
-	h.w = s.RegisterHookCounted(ClassNetmod, h)
+func newCountedNetmod(s *Stream) *countedNetmod {
+	h := &countedNetmod{}
+	h.w = s.AttachNetmod(h)
 	return h
 }
 
@@ -60,7 +66,7 @@ func TestAwaitYieldsFirst(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	e, counter := waitEngine()
 	s := e.Default()
-	h := newCountedHook(s)
+	h := newCountedNetmod(s)
 	const rounds = 1000
 	go func() {
 		for i := 0; i < rounds; i++ {
@@ -93,15 +99,15 @@ func TestAwaitYieldsFirst(t *testing.T) {
 // arrival on the stream — counted work, a deferred continuation, a
 // staged async thing — ends the park before its timer.
 func TestAwaitParksAndEveryArrivalWakes(t *testing.T) {
-	arrivals := map[string]func(s *Stream, h *countedHook, done *atomic.Bool){
-		"work": func(s *Stream, h *countedHook, done *atomic.Bool) {
+	arrivals := map[string]func(s *Stream, h *countedNetmod, done *atomic.Bool){
+		"work": func(s *Stream, h *countedNetmod, done *atomic.Bool) {
 			h.arrive()
 			done.Store(true)
 		},
-		"defer": func(s *Stream, h *countedHook, done *atomic.Bool) {
+		"defer": func(s *Stream, h *countedNetmod, done *atomic.Bool) {
 			s.Defer(func() { done.Store(true) })
 		},
-		"async": func(s *Stream, h *countedHook, done *atomic.Bool) {
+		"async": func(s *Stream, h *countedNetmod, done *atomic.Bool) {
 			s.AsyncStart(func(Thing) PollOutcome { done.Store(true); return Done }, nil)
 		},
 	}
@@ -112,7 +118,7 @@ func TestAwaitParksAndEveryArrivalWakes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e, counter := waitEngine()
 			s := e.Default()
-			h := newCountedHook(s)
+			h := newCountedNetmod(s)
 			var done atomic.Bool
 			arrived := make(chan struct{})
 			go func() {
@@ -151,7 +157,7 @@ func TestAwaitNoLostWakeup(t *testing.T) {
 	}
 	e, counter := waitEngine()
 	s := e.Default()
-	h := newCountedHook(s)
+	h := newCountedNetmod(s)
 	go func() {
 		rng := rand.New(rand.NewSource(1))
 		for i := 1; i <= rounds; i++ {

@@ -217,8 +217,8 @@ func (p *Proc) vciOfEP(ep fabric.EndpointID) *VCI {
 	return nil
 }
 
-// newVCILocked creates a VCI bound to stream and registers its netmod
-// hook. Caller holds p.mu (or is the constructor).
+// newVCILocked creates a VCI bound to stream and attaches its link as
+// the stream's netmod. Caller holds p.mu (or is the constructor).
 func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 	v := &VCI{proc: p, stream: s}
 	idx := p.nvci
@@ -249,24 +249,22 @@ func (p *Proc) newVCILocked(s *core.Stream) *VCI {
 		v.UseMetrics(reg, scope)
 		v.ep.UseMetrics(reg, scope+".nic") // the reliability layer adds its own under .rel
 	}
-	// The netmod is the one subsystem hook; collective schedules, like
-	// the link flush, are async things of the stream. Counted
-	// registration: the work counter is positive exactly when polling
-	// might make progress, so an idle netmod costs the stream one atomic
-	// load per pass instead of a poll.
-	v.netWork = s.RegisterHookCounted(core.ClassNetmod, (*netHook)(v))
-	v.ep.BindWork(v.netWork)
+	// The link is the stream's netmod, the pass's last slot; collective
+	// schedules, like the link flush, are async things of the stream.
+	// The link keeps the netmod's work counter at or above what a poll
+	// could drain, so an idle netmod costs the stream one atomic load
+	// per pass instead of a poll. A transport whose producers live
+	// outside the process — peers writing shm rings, the kernel filling
+	// a socket — cannot poke the stream's wake channel from there: the
+	// park rung goes through the link first (Netmod.Parking: the shm
+	// consumer word, one read of each tcp socket).
+	v.ep.BindWork(s.AttachNetmod((*netmod)(v)))
 	// A link with deferred send work — write coalescing (tcp, shm), the
 	// reliability layer's retransmission timer — arms a flush async
 	// thing on the stream whenever it has some; AsyncStart is
 	// stage-safe, so arming from inside a progress pass or a dial
 	// goroutine is fine.
 	v.ep.SetArm(func() { s.AsyncStart(linkFlushPoll, v) })
-	// A transport whose producers live outside the process — peers
-	// writing shm rings, the kernel filling a socket — cannot poke the
-	// stream's wake channel from there: the park rung goes through the
-	// link first (the shm consumer word, one read of each tcp socket).
-	s.SetParkHook(v.ep.Parking)
 	v.sends = make(map[uint64]*netSendState)
 	v.recvs = make(map[uint64]*Request)
 	// Scratch buffers for netPoll's zero-allocation drains, grown by the
@@ -339,8 +337,10 @@ func identityRanks(n int) []int {
 	return out
 }
 
-// netHook adapts a VCI's network subsystem to core.Hook.
-type netHook VCI
+// netmod adapts a VCI's network subsystem to core.Netmod.
+type netmod VCI
 
-func (h *netHook) Poll() bool   { return (*VCI)(h).netPoll() }
-func (h *netHook) Pending() int { return (*VCI)(h).netPending() }
+func (n *netmod) Poll() bool    { return (*VCI)(n).netPoll() }
+func (n *netmod) Pending() int  { return (*VCI)(n).netPending() }
+func (n *netmod) Parking() bool { return n.ep.Parking() }
+func (n *netmod) Queued() int   { return n.ep.QueuedCQ() + n.ep.QueuedRQ() }

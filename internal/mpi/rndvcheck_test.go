@@ -202,6 +202,7 @@ type ckNet struct {
 	dead    [2]bool
 	cut     bool    // the link between the ranks is down for good
 	verdict [2]bool // a verdict on its peer is owed to rank r
+	refused [2]int  // inline posts rank r had refused
 
 	// noRead makes PeerReader answer nil while a send that must not be
 	// advertised is posted; mem holds every send buffer by address, for
@@ -301,6 +302,7 @@ func (n *ckNet) post(rank int, dst fabric.EndpointID, payload any, bytes int, to
 			c.failed = true
 			return nil
 		}
+		n.refused[rank]++
 		return errors.New("ckNet: peer refused")
 	}
 	dec, err := nic.RoundTrip(n.codec, payload)
@@ -342,14 +344,24 @@ func (l *ckLink) PostSend(dst fabric.EndpointID, payload any, bytes int, token a
 	return l.net.post(l.rank, dst, payload, bytes, token, true)
 }
 
+// pushCQ and pushRQ follow nic.WorkCounter's order: count, queue,
+// announce.
 func (l *ckLink) pushCQ(e nic.CQE) {
-	l.cq = append(l.cq, e)
 	l.bump(1)
+	l.cq = append(l.cq, e)
+	l.arrived()
 }
 
 func (l *ckLink) pushRQ(p fabric.Packet) {
-	l.rq = append(l.rq, p)
 	l.bump(1)
+	l.rq = append(l.rq, p)
+	l.arrived()
+}
+
+func (l *ckLink) arrived() {
+	if l.work != nil {
+		l.work.Arrived()
+	}
 }
 
 func (l *ckLink) bump(n int) {
@@ -418,6 +430,7 @@ type ckWorld struct {
 	pc       [2]int
 	payloads [][]byte
 	sends    []*Request // by message
+	refused  []bool     // by message: the transport refused its post
 	recvs    []ckRecv   // by slot
 	faulted  bool
 }
@@ -426,6 +439,7 @@ func newCkWorld(sc ckScenario) *ckWorld {
 	cw := &ckWorld{sc: sc, net: &ckNet{}}
 	cw.w = NewWorld(ckConfig(cw.net))
 	cw.sends = make([]*Request, len(sc.msgs))
+	cw.refused = make([]bool, len(sc.msgs))
 	for i, m := range sc.msgs {
 		p := make([]byte, ckSizes[m.kind])
 		for j := range p {
@@ -621,7 +635,9 @@ func (cw *ckWorld) call(r int) {
 	if st.send {
 		m := cw.sc.msgs[st.msg]
 		cw.net.noRead = m.kind != ckRead
+		refused := cw.net.refused[r]
 		cw.sends[st.msg] = c.IsendBytes(cw.payloads[st.msg], 1-r, 0)
+		cw.refused[st.msg] = cw.net.refused[r] > refused
 		cw.net.noRead = false
 		return
 	}
@@ -631,9 +647,10 @@ func (cw *ckWorld) call(r int) {
 }
 
 // check is the quiescence assertion: every request of a live rank has
-// completed (a spare receive nothing matched is cancelled first), each
-// stream's receives got its messages in order and intact, and the
-// handle tables are empty with netOps at 0.
+// completed (a spare receive nothing matched is cancelled first), a
+// send whose post the transport refused has failed, each stream's
+// receives got its messages in order and intact, and the handle tables
+// are empty with netOps at 0.
 func (cw *ckWorld) check() error {
 	n := cw.net
 	if n.misuse != "" {
@@ -647,6 +664,9 @@ func (cw *ckWorld) check() error {
 	for i, m := range cw.sc.msgs {
 		if req := cw.sends[i]; !n.dead[m.from] && (req == nil || !req.IsComplete()) {
 			return fmt.Errorf("send of message %d (%s) never completed", i, ckKindNames[m.kind])
+		}
+		if cw.refused[i] && cw.sends[i].Status().Err == nil {
+			return fmt.Errorf("send of message %d (%s) succeeded though the transport refused its post", i, ckKindNames[m.kind])
 		}
 	}
 	for to := 0; to < 2; to++ {
@@ -693,8 +713,9 @@ func (cw *ckWorld) check() error {
 
 // hash summarizes the state the checker can tell apart: the programs'
 // positions, the wires and pending completions, each link's queues,
-// every request's completion, both ranks' matching queues and handle
-// tables, and the stream work waiting for a pass.
+// every request's completion (and whether a send's post was refused),
+// both ranks' matching queues and handle tables, and the stream work
+// waiting for a pass.
 func (cw *ckWorld) hash() uint64 {
 	h := fnv.New64a()
 	var b []byte
@@ -797,8 +818,9 @@ func (cw *ckWorld) hash() uint64 {
 		}
 		v.hmu.Unlock()
 	}
-	for _, req := range cw.sends {
+	for i, req := range cw.sends {
 		ckPutStatus(put, req)
+		put(b2i(cw.refused[i]))
 	}
 	for _, rv := range cw.recvs {
 		ckPutStatus(put, rv.req)
@@ -1032,6 +1054,28 @@ func TestRndvReplayDeliveredFrameFailedSend(t *testing.T) {
 			}
 			if recv.Err != nil || !bytes.Equal(cw.recvs[0].buf[:recv.Bytes], cw.payloads[0]) {
 				t.Errorf("receive: %+v, want the message", recv)
+			}
+		})
+	}
+}
+
+// TestRndvReplayInlineRefused: a buffered send of at most EagerInline
+// bytes whose post the transport refuses — toward a dead rank, or
+// across a cut link — completes with the refusal as ErrLinkDown, not
+// as a success.
+func TestRndvReplayInlineRefused(t *testing.T) {
+	for _, c := range []struct{ name, scenario, events string }{
+		{"dead-peer", "0:inline /kill", "kill1 op0 verdict0"},
+		{"cut-link", "0:eager 0:inline /linkdown", "op0 linkdown0 op0 cqe0 verdict0 verdict1 op1 op1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cw := replayScenario(t, c.scenario, c.events)
+			last := len(cw.sends) - 1
+			if !cw.refused[last] {
+				t.Fatal("the transport accepted the inline post")
+			}
+			if send := cw.sends[last].Status(); !errors.Is(send.Err, ErrLinkDown) {
+				t.Errorf("send: %+v, want ErrLinkDown", send)
 			}
 		})
 	}

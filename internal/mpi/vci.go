@@ -190,11 +190,6 @@ type VCI struct {
 	ep     nic.Link // the transport's, wrapped in the reliability layer when Config.Reliable
 	match  matcher
 
-	// netWork is the stream's netmod work counter
-	// (core.RegisterHookCounted): positive whenever polling the class
-	// might make progress, letting an idle class cost one atomic load.
-	netWork *core.Work
-
 	// netmod state.
 	netOps atomic.Int64 // outstanding rendezvous sends
 
@@ -632,7 +627,10 @@ func (v *VCI) isendNet(req *Request, dstEP fabric.EndpointID, hdr wireHdr, wire 
 		*h = hdr
 		h.kind = kindEagerMsg
 		h.payload = wire
-		v.postInline(dstEP, h, ctrlBytes+n)
+		if err := v.postInline(dstEP, h, ctrlBytes+n); err != nil {
+			req.complete(Status{Err: mapLinkErr(err)})
+			return
+		}
 		req.complete(Status{Bytes: n})
 		v.trace("send.complete", "buffered (no wait block)")
 	case n <= cfg.RndvThreshold:

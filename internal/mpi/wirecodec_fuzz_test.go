@@ -245,7 +245,7 @@ func TestHostileDataFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		var s framing.Stream
-		s.Init(tab, nil, 1<<20, func(f framing.Fault) bool { t.Fatalf("%s: fault %v", dt.Name(), f); return false })
+		s.Init(tab, 1<<20, func(f framing.Fault) bool { t.Fatalf("%s: fault %v", dt.Name(), f); return false })
 		for _, h := range []*wireHdr{fits, overflowChunk(id, total, nic.BulkMin)} {
 			enc, err := codec.Encode(nil, h)
 			if err != nil {
@@ -317,7 +317,7 @@ func TestForeignDataFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s framing.Stream
-	s.Init(tab, nil, 1<<20, func(f framing.Fault) bool { t.Fatalf("fault %v", f); return false })
+	s.Init(tab, 1<<20, func(f framing.Fault) bool { t.Fatalf("fault %v", f); return false })
 	var codec wireCodec
 	for _, from := range []int{2, 1} { // the third rank, then the bound sender
 		chunk := &wireHdr{kind: kindDataMsg, rreqID: id, bytes: total, payload: bytes.Repeat([]byte{byte(0x10 + from)}, nic.BulkMin)}

@@ -55,12 +55,19 @@ type PeerDown struct {
 	Rank int
 }
 
-// WorkCounter receives work-arrival notifications for the idle-class
-// skip in the progress engine (satisfied by *core.Work). The NIC adds
-// one unit per queued CQE or RQ packet and removes drained units, so
-// the owning stream can skip its netmod poll on one atomic load when
-// both queues are empty. A nil counter disables the accounting.
-type WorkCounter interface{ Add(delta int) }
+// WorkCounter is the owning stream's netmod work counter (satisfied by
+// *core.Work), which lets a progress pass skip an idle netmod on one
+// atomic load. A producer counts each CQE or RQ packet before it
+// becomes drainable (Add(+n)) and announces it after (Arrived), and
+// the drain removes what it took (Add(-n)), so the counter never reads
+// below the queued depth (Queue). A nil counter disables the
+// accounting.
+type WorkCounter interface {
+	// Add adjusts the count by delta.
+	Add(delta int)
+	// Arrived wakes a waiter parked on the owning stream.
+	Arrived()
+}
 
 // Endpoint is one simulated NIC port attached to the fabric.
 type Endpoint struct {

@@ -10,8 +10,8 @@ import (
 // link's: producers append under a lock, MPI progress drains in batches
 // into a caller-owned buffer, and a depth counter beside the lock lets
 // an empty poll cost one atomic load (the paper's requirement for cheap
-// collated progress). A bound WorkCounter mirrors the depth. The zero
-// value is an empty queue.
+// collated progress). A bound WorkCounter covers the depth: it never
+// reads below it. The zero value is an empty queue.
 type Queue[T any] struct {
 	mu   sync.Mutex
 	q    []T
@@ -54,12 +54,18 @@ func (q *Queue[T]) PushAll(es []T) {
 	q.pushed(len(es), w)
 }
 
-// pushed accounts for n entries appended while w was the bound counter.
+// pushed accounts for n entries appended while w was the bound counter:
+// counted, then drainable (the depth an empty Drain checks), then
+// announced. The drain lowers the depth before the counter, so the
+// counter never reads below the depth; the announcement comes last so
+// the waiter it wakes finds the entries.
 func (q *Queue[T]) pushed(n int, w WorkCounter) int64 {
-	depth := q.n.Add(int64(n))
-	if w != nil {
-		w.Add(n)
+	if w == nil {
+		return q.n.Add(int64(n))
 	}
+	w.Add(n)
+	depth := q.n.Add(int64(n))
+	w.Arrived()
 	return depth
 }
 

@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,40 @@ import (
 type workSum struct{ n atomic.Int64 }
 
 func (w *workSum) Add(delta int) { w.n.Add(int64(delta)) }
+func (w *workSum) Arrived()      {}
+
+// depthSeen is a WorkCounter that records the queue's depth when the
+// counter rises and when the arrival is announced.
+type depthSeen struct {
+	q                 *Queue[int]
+	atAdd, atArrivals []int
+}
+
+func (w *depthSeen) Add(delta int) {
+	if delta > 0 {
+		w.atAdd = append(w.atAdd, w.q.Len())
+	}
+}
+func (w *depthSeen) Arrived() { w.atArrivals = append(w.atArrivals, w.q.Len()) }
+
+// TestQueueCountsBeforeDrainable: a push raises the bound counter
+// before the depth a drain reads, so the counter covers an entry before
+// Drain can return it (a pass that skips the netmod on a zero counter
+// skips nothing drainable), and announces the arrival after, so the
+// waiter it wakes finds the entry.
+func TestQueueCountsBeforeDrainable(t *testing.T) {
+	var q Queue[int]
+	w := &depthSeen{q: &q}
+	q.Bind(w)
+	q.Push(1)
+	q.PushAll([]int{2, 3})
+	if want := []int{0, 1}; !slices.Equal(w.atAdd, want) {
+		t.Errorf("depth when the counter rose: %v, want the pre-push depths %v", w.atAdd, want)
+	}
+	if want := []int{1, 3}; !slices.Equal(w.atArrivals, want) {
+		t.Errorf("depth when the arrival was announced: %v, want the post-push depths %v", w.atArrivals, want)
+	}
+}
 
 // TestQueueBindCountsQueued: entries queued before Bind are counted by
 // it, so the drain that takes them back leaves the counter at zero.

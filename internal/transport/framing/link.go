@@ -207,25 +207,16 @@ func (l *Link) Now() time.Duration { return l.tab.clk.Now() }
 // queued CQE or arrival adds one unit, every drained entry removes one.
 // It also parks one permanent unit there, released by Close: a byte
 // transport learns of input by looking (PollRecv), so polling its link
-// might make progress on any pass, and the counted-hook contract
-// (core.RegisterHookCounted) wants the counter positive whenever that
-// is so. What the look costs when nothing is there is the transport's
-// business: a few atomic operations per ring on shm and per connection
-// on tcp.
+// might make progress on any pass, and the netmod's counter
+// (core.AttachNetmod) must then stay positive. What the look costs
+// when nothing is there is the transport's business: a few atomic
+// operations per ring on shm and per connection on tcp.
 func (l *Link) BindWork(w nic.WorkCounter) {
 	l.work = w
 	l.cq.Bind(w)
 	l.rq.Bind(w)
-	l.Bump(1)
-}
-
-// Bump adds units to the bound work counter for a reason of the
-// transport's own — input it knows of that is not in the receive queue
-// yet — so the owning stream's next pass polls the netmod instead of
-// skipping it as idle.
-func (l *Link) Bump(delta int) {
-	if w := l.work; w != nil {
-		w.Add(delta)
+	if w != nil {
+		w.Add(1)
 	}
 }
 
@@ -256,8 +247,8 @@ func (l *Link) Shut() bool { return l.closed.CompareAndSwap(false, true) }
 // Close marks the link dead (nic.Link) and releases the polling unit
 // BindWork parked; the transport owns what is underneath.
 func (l *Link) Close() error {
-	if l.Shut() {
-		l.Bump(-1)
+	if l.Shut() && l.work != nil {
+		l.work.Add(-1)
 	}
 	return nil
 }

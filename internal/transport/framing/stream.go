@@ -96,10 +96,10 @@ type Stream struct {
 // Init readies the stream: frames route through tab, a length prefix
 // above maxFrame is corruption, and reject hears of every frame that
 // cannot be delivered — under the stream's lock; its result matters for
-// UnknownEndpoint only, where true skips the frame and goes on. buf is
-// the initial receive buffer, nil to have one allocated on first use.
-func (s *Stream) Init(tab *Table, buf []byte, maxFrame uint32, reject func(Fault) (skip bool)) {
-	s.tab, s.buf, s.max, s.reject = tab, buf, maxFrame, reject
+// UnknownEndpoint only, where true skips the frame and goes on. The
+// receive buffer is allocated on first use.
+func (s *Stream) Init(tab *Table, maxFrame uint32, reject func(Fault) (skip bool)) {
+	s.tab, s.max, s.reject = tab, maxFrame, reject
 }
 
 // From binds the stream to the world rank on its other end, in the
@@ -303,10 +303,8 @@ func (s *Stream) Idle() bool { return s.pos == s.end && !s.asm.Active() }
 
 // Release retires the stream — a frame under assembly is dropped: a
 // placed body's home let go of, a staging buffer back to the pool — and
-// returns its receive buffer to the caller.
-func (s *Stream) Release() []byte {
-	buf := s.buf
+// lets its receive buffer go.
+func (s *Stream) Release() {
 	s.buf, s.pos, s.end = nil, 0, 0
 	s.asm.Drop()
-	return buf
 }

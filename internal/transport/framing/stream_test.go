@@ -133,7 +133,7 @@ func feed(t *testing.T, data []byte, rng *rand.Rand, cells, skip bool) (fed, int
 	var out fed
 	dead := false
 	var s Stream
-	s.Init(tab, nil, streamMax, func(f Fault) bool {
+	s.Init(tab, streamMax, func(f Fault) bool {
 		out.Faults = append(out.Faults, f)
 		if f.Kind == UnknownEndpoint && skip {
 			return true
@@ -317,7 +317,7 @@ func TestStreamStagesLargeFrames(t *testing.T) {
 		wire := appendFrame(nil, 0, 1, body)
 		l := testLink(t, tc.codec, 0)
 		var s Stream
-		s.Init(l.tab, nil, streamMax, func(f Fault) bool { t.Fatalf("%s: fault %v", tc.name, f); return false })
+		s.Init(l.tab, streamMax, func(f Fault) bool { t.Fatalf("%s: fault %v", tc.name, f); return false })
 		how := ""
 		for i, rest := 0, wire; i < tc.pieces; i++ {
 			n := len(rest) / (tc.pieces - i)
@@ -353,7 +353,7 @@ func TestStreamAssemblyCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s Stream
-	s.Init(tab, nil, streamMax, func(f Fault) bool { t.Fatalf("fault %v", f); return false })
+	s.Init(tab, streamMax, func(f Fault) bool { t.Fatalf("fault %v", f); return false })
 	feedCells := func(payloads ...[]byte) {
 		var wire []byte
 		for _, p := range payloads {
@@ -396,7 +396,7 @@ func TestStreamDeliveryRuns(t *testing.T) {
 		wire = appendFrame(wire, dst, 9, []byte{byte(dst)})
 	}
 	var s Stream
-	s.Init(tab, nil, streamMax, func(Fault) bool { return false })
+	s.Init(tab, streamMax, func(Fault) bool { return false })
 	if n := s.Write(wire); n != 6 {
 		t.Fatalf("Write queued %d frames, want 6", n)
 	}
@@ -421,6 +421,7 @@ func TestStreamDeliveryRuns(t *testing.T) {
 type counter int
 
 func (c *counter) Add(d int) { *c += counter(d) }
+func (c *counter) Arrived()  {}
 
 // TestStreamForeignSource: a stream bound to the rank on its other end
 // (From) delivers that rank's frames, from any of its endpoints, and
@@ -438,7 +439,7 @@ func TestStreamForeignSource(t *testing.T) {
 		}
 		var faults []Fault
 		var s Stream
-		s.Init(tab, nil, streamMax, func(f Fault) bool { faults = append(faults, f); return skip })
+		s.Init(tab, streamMax, func(f Fault) bool { faults = append(faults, f); return skip })
 		s.From(space, 1)
 		var wire []byte
 		for _, src := range []fabric.EndpointID{space.EndpointOf(1, 0), space.EndpointOf(2, 0), space.EndpointOf(1, 3)} {
@@ -477,7 +478,7 @@ func TestStreamPlacedCopyBound(t *testing.T) {
 	l := testLink(t, new(fussyCodec), 0)
 	codec := l.tab.codec.(*fussyCodec)
 	var s Stream
-	s.Init(l.tab, nil, streamMax, func(f Fault) bool { t.Fatalf("fault %v", f); return false })
+	s.Init(l.tab, streamMax, func(f Fault) bool { t.Fatalf("fault %v", f); return false })
 	var wire []byte
 	for i := 0; i < frames; i++ {
 		wire = appendFrame(wire, 0, 1, bytes.Repeat([]byte{byte(1 + i)}, size))

@@ -266,7 +266,7 @@ func New(cfg Config) (*Network, error) {
 			continue
 		}
 		p := &peer{rank: r, bellFd: -1}
-		p.stream.Init(n.tab, nil, maxFrame, func(f framing.Fault) bool { return n.reject(p, f) })
+		p.stream.Init(n.tab, maxFrame, func(f framing.Fault) bool { return n.reject(p, f) })
 		p.stream.From(n.Space, r)
 		if p.txMem, err = openRingFile(dir, cfg.Rank, r, cfg.Cells, cfg.CellPayload); err == nil {
 			p.tx, err = openRing(p.txMem, cfg.Cells, cfg.CellPayload)

@@ -52,7 +52,7 @@ type connState struct {
 
 func newConnState(n *Network, conn net.Conn, rank int) *connState {
 	cs := &connState{n: n, conn: conn, rank: rank}
-	cs.rx.Init(n.tab, nil, maxFrameLen, cs.reject)
+	cs.rx.Init(n.tab, maxFrameLen, cs.reject)
 	cs.rx.From(n.Space, rank)
 	if nb, ok := newNBConn(conn); ok {
 		cs.nb = nb

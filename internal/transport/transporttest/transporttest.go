@@ -97,6 +97,9 @@ type WorkCount struct{ n atomic.Int64 }
 // Add adjusts the sum (nic.WorkCounter).
 func (c *WorkCount) Add(delta int) { c.n.Add(int64(delta)) }
 
+// Arrived does nothing: no stream waits on the sum (nic.WorkCounter).
+func (c *WorkCount) Arrived() {}
+
 // Load returns the sum.
 func (c *WorkCount) Load() int64 { return c.n.Load() }
 
