@@ -167,8 +167,8 @@ chaos-sim:
 # Process-failure chaos over TCP, under the race detector: kill one or
 # two ranks mid-flight (survivors must observe ErrProcFailed, then
 # Revoke/Shrink/Agree and finish on the survivor communicator — never
-# hang), revocation mid-collective, transient connection resets healed
-# by the redial budget, hostile frames, graceful-departure teardown, a
+# hang), revocation mid-collective, a connection lost under traffic (the
+# peer's verdict on both ends), hostile frames, graceful-departure teardown, a
 # posted receive whose sender dies or whose communicator is revoked
 # mid-message, either side of a same-node rendezvous killed between its
 # RTS and its FIN, an advertised send revoked before it matched, and the
@@ -179,7 +179,7 @@ chaos-sim:
 # cannot fall out of it the way it could fall out of a -run list.
 chaos-tcp:
 	$(GO) test -race -count=1 -timeout 5m -run \
-		'TestRemoteKillRank|TestRemoteKillTwoRanks|TestRemoteRevokeMidCollective|TestRemoteTransientReset|TestRemoteCompositeKillRank|TestRelaxedKill|TestHostile' \
+		'TestRemoteKillRank|TestRemoteKillTwoRanks|TestRemoteRevokeMidCollective|TestRemoteConnectionLossIsVerdict|TestRemoteCompositeKillRank|TestRelaxedKill|TestHostile' \
 		./internal/mpi/
 	$(GO) test -race -count=1 -timeout 5m ./internal/transport/tcp/
 	$(GO) test -race -count=1 -timeout 5m -run 'TestMatrixRelaxedAllreduce|TestMatrixPlacedRecv|TestMatrixSendBufferRevoke' ./mpix/

@@ -248,14 +248,12 @@ func EagerSGDLaunched(o Options, netKind, mode string, kill bool, seed int64) er
 		WorldSize: info.WorldSize,
 		Addrs:     info.Addrs,
 		Epoch:     info.Epoch,
-		// Patience over promptness: this benchmark injects 25ms compute
-		// stalls on an oversubscribed host, and a rank descheduled
-		// across a redial window must read as a straggler, not a
-		// casualty (the sim config bumps RetxTimeout for the same
-		// reason). The kill scenario still converges — a dead listener
-		// refuses every attempt in milliseconds.
-		DialTimeout:    30 * time.Second,
-		RedialAttempts: 6,
+		// Patience over promptness: on an oversubscribed host a peer
+		// may bind its listener late, and the first dial must wait for
+		// it (the sim config bumps RetxTimeout for the same reason). A
+		// rank descheduled later keeps its connections: only a lost
+		// one is a verdict, so the kill scenario still converges.
+		DialTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		return err

@@ -207,10 +207,7 @@ func stressWorld(t *testing.T, nodes []int) (links []nic.Link, nets []*composite
 	n, dir := len(nodes), t.TempDir()
 	tcps, addrs := make([]*tcp.Network, n), make([]string, n)
 	for r := range tcps {
-		tn, err := tcp.New(tcp.Config{
-			Rank: r, WorldSize: n, Epoch: 31,
-			RedialAttempts: 2, RedialBackoff: 2 * time.Millisecond,
-		})
+		tn, err := tcp.New(tcp.Config{Rank: r, WorldSize: n, Epoch: 31})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,9 +296,9 @@ func TestParkWakeStressCompositeTCPLeg(t *testing.T) {
 }
 
 // TestParkedWaiterWokenByVerdict: a rank blocked on a peer that dies is
-// parked by the time the transport reaches its verdict (the redial
-// budget takes milliseconds). The PeerDown CQE is pushed by the redial
-// goroutine, not by the waiter's own poll, so it has to poke: with the
+// parked by the time the transport reaches its verdict. The PeerDown
+// CQE is pushed by the goroutine that watched the lost connection, not
+// by the waiter's own poll, so it has to poke: with the
 // timer out of the way the wait returns only if it does.
 func TestParkedWaiterWokenByVerdict(t *testing.T) {
 	defer core.SetParkCap(10 * time.Second)()

@@ -388,11 +388,7 @@ func TestRemoteCompositeKillRank(t *testing.T) {
 	worlds, comps := compositeWorlds(t, n,
 		nodes,
 		Config{RndvThreshold: 4 << 10},
-		tcp.Config{
-			DialTimeout:    2 * time.Second,
-			RedialAttempts: 2,
-			RedialBackoff:  5 * time.Millisecond,
-		})
+		tcp.Config{DialTimeout: 2 * time.Second})
 
 	var posted sync.WaitGroup
 	posted.Add(n - 1)

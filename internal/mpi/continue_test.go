@@ -421,8 +421,8 @@ func TestContinueKillRankTCP(t *testing.T) {
 			worlds[r].Run(func(p *Proc) {
 				comm := p.CommWorld()
 				cr := p.ContinueInit()
-				// The rendezvous send dials the victim, so the failed
-				// redial after the kill produces the PeerDown verdict
+				// The rendezvous send dials the victim, so the lost
+				// connection after the kill is the PeerDown verdict
 				// that sweeps all three operations.
 				reqs := []*Request{
 					comm.IrecvBytes(make([]byte, 16), victim, 7),

@@ -9,7 +9,7 @@ import (
 
 // ErrProcFailed reports that the peer process an operation depends on
 // failed: the transport delivered a failure verdict, which names a rank
-// this one can never reach again — tcp's exhausted re-dial budget, shm's
+// this one can never reach again — tcp's lost connection, shm's
 // released alive lock, a simulated partition that never heals — or the
 // MPI layer reached one itself (a corrupt rendezvous stream, a read of
 // the peer's memory that failed). Completions carry it wrapped with the

@@ -14,8 +14,7 @@ import (
 )
 
 // tcpWorldsFail is tcpWorlds with transport failure knobs: it returns
-// the networks too, so tests can kill or reset connections, and sizes
-// the redial budget for fast verdicts.
+// the networks too, so tests can kill or reset connections.
 func tcpWorldsFail(t *testing.T, n int, cfg Config, tcfg tcp.Config) ([]*World, []*tcp.Network) {
 	t.Helper()
 	nets := make([]*tcp.Network, n)
@@ -57,11 +56,7 @@ func TestRemoteKillRank(t *testing.T) {
 	reg.Enable()
 	worlds, nets := tcpWorldsFail(t, n,
 		Config{RndvThreshold: 4 << 10, Metrics: reg},
-		tcp.Config{
-			DialTimeout:    2 * time.Second,
-			RedialAttempts: 2,
-			RedialBackoff:  5 * time.Millisecond,
-		})
+		chaosTCPConfig())
 
 	var posted sync.WaitGroup // survivors have their pending ops in flight
 	posted.Add(n - 1)
@@ -172,55 +167,81 @@ func TestRemoteKillRank(t *testing.T) {
 	}
 }
 
-// TestRemoteTransientReset drops an established connection mid-workload
-// and checks the transport heals it within the redial budget: the
-// pingpong completes with no spurious peer-failure verdict, and the
-// reliability layer resends whatever the reset swallowed.
-func TestRemoteTransientReset(t *testing.T) {
-	const rounds = 8
-	worlds, nets := tcpWorldsFail(t, 2,
-		Config{Reliable: true},
-		tcp.Config{
-			DialTimeout:    2 * time.Second,
-			RedialAttempts: 5,
-			RedialBackoff:  2 * time.Millisecond,
-		})
+// TestRemoteConnectionLossIsVerdict: a connection lost under traffic
+// is the peer's verdict on both ends. Rank 1 streams eager messages at
+// rank 0, and rank 0 drops its connections to rank 1 a quarter of the
+// way in. Whatever the sockets held then is gone, so a transport that
+// reconnected instead would leave rank 0 waiting for a message that
+// never comes. Each rank must instead count one verdict, rank 0's
+// pending receive must fail with ErrProcFailed, and both must finish.
+func TestRemoteConnectionLossIsVerdict(t *testing.T) {
+	const total, dropAt, size, window = 25600, 6400, 200, 64
+	worlds, nets := tcpWorldsFail(t, 2, Config{}, chaosTCPConfig())
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 
-	runRemote(t, worlds, func(p *Proc) {
-		comm := p.CommWorld()
-		r := p.Rank()
-		msg := make([]byte, 1024)
-		for i := range msg {
-			msg[i] = byte(i)
+	var received int
+	var recvErr, sendErr error
+	errs := make([]any, 2)
+	var wg sync.WaitGroup
+	for r, w := range worlds {
+		wg.Add(1)
+		go func(r int, w *World) {
+			defer wg.Done()
+			defer func() { errs[r] = recover() }()
+			w.Run(func(p *Proc) {
+				comm := p.CommWorld()
+				if r == 0 {
+					buf := make([]byte, size)
+					for ; received < total; received++ {
+						if received == dropAt {
+							nets[0].DropPeer(1)
+						}
+						if _, recvErr = comm.IrecvBytes(buf, 1, 0).WaitCtx(ctx); recvErr != nil {
+							return
+						}
+					}
+					return
+				}
+				msg := make([]byte, size)
+				reqs := make([]*Request, 0, window)
+				for sent := 0; sent < total && sendErr == nil; {
+					reqs = reqs[:0]
+					for ; len(reqs) < window && sent < total; sent++ {
+						reqs = append(reqs, comm.IsendBytes(msg, 0, 0))
+					}
+					for _, req := range reqs {
+						if _, err := req.WaitCtx(ctx); err != nil && sendErr == nil {
+							sendErr = err
+						}
+					}
+				}
+			})
+		}(r, w)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(15 * time.Second):
+		t.Fatal("ranks still running 15 s on: the lost connection ended in no verdict")
+	}
+	for r, e := range errs {
+		if e != nil {
+			t.Fatalf("rank %d: %v", r, e)
 		}
-		for round := 0; round < rounds; round++ {
-			if r == 0 {
-				if round == rounds/2 {
-					// Sever the link mid-run; both sides must redial.
-					nets[0].DropPeer(1)
-				}
-				comm.SendBytes(msg, 1, round)
-				got := make([]byte, len(msg))
-				if st := comm.RecvBytes(got, 1, round); st.Err != nil {
-					panic(fmt.Sprintf("round %d recv: %v", round, st.Err))
-				}
-			} else {
-				got := make([]byte, len(msg))
-				if st := comm.RecvBytes(got, 0, round); st.Err != nil {
-					panic(fmt.Sprintf("round %d recv: %v", round, st.Err))
-				}
-				comm.SendBytes(got, 0, round)
-			}
-		}
-	})
-
-	redials := nets[0].Stats().Redials + nets[1].Stats().Redials
-	if redials == 0 {
-		t.Error("expected at least one redial after DropPeer")
+	}
+	if !errors.Is(recvErr, ErrProcFailed) {
+		t.Errorf("rank 0's receive %d ended with %v, want ErrProcFailed", received, recvErr)
+	}
+	// An eager send whose frame failed behind the verdict reports the
+	// link (ErrLinkDown); one posted after it, the verdict.
+	if sendErr != nil && !errors.Is(sendErr, ErrProcFailed) && !errors.Is(sendErr, ErrLinkDown) {
+		t.Errorf("rank 1's send ended with %v, want success or a failure of the peer", sendErr)
 	}
 	for r, tn := range nets {
-		if s := tn.Stats(); s.PeersDown != 0 {
-			t.Errorf("rank %d: PeersDown = %d, want 0 (transient reset must not become a verdict)", r, s.PeersDown)
+		if s := tn.Stats(); s.PeersDown != 1 {
+			t.Errorf("rank %d: PeersDown = %d, want 1", r, s.PeersDown)
 		}
 	}
 }

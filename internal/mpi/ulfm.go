@@ -24,7 +24,7 @@ package mpi
 // as dead and merging what it receives; a failed receive marks the
 // sender dead. The protocol relies on the failure detector being
 // accurate — a verdict names a rank this one can never reach again
-// (tcp's exhausted re-dial budget, shm's released alive lock, a
+// (tcp's lost connection, shm's released alive lock, a
 // simulated partition that never heals: DESIGN §6) — and eventually
 // complete (a crashed process's sockets die at every peer).
 // Decisions are taken ONLY from the set of ranks whose records became

@@ -14,15 +14,11 @@ import (
 	"gompix/internal/transport/tcp"
 )
 
-// chaosTCPConfig is the fast-verdict transport config shared by the
-// process-failure chaos tests: a dead peer is declared within two
-// redial attempts instead of the production-scale budget.
+// chaosTCPConfig is the transport config shared by the process-failure
+// chaos tests: a first dial toward a dead peer gives up within 2 s
+// instead of the production-scale window.
 func chaosTCPConfig() tcp.Config {
-	return tcp.Config{
-		DialTimeout:    2 * time.Second,
-		RedialAttempts: 2,
-		RedialBackoff:  5 * time.Millisecond,
-	}
+	return tcp.Config{DialTimeout: 2 * time.Second}
 }
 
 // ulfmRecover is the ULFM recovery drill every survivor runs after the

@@ -43,9 +43,9 @@ type CQE struct {
 // PeerDown is a CQE token carried by control completions that report a
 // peer-failure verdict rather than a completed send. Every transport
 // reaches one from liveness evidence and pushes it on each of the
-// rank's links: tcp once its re-dial budget for the peer is exhausted,
-// shm when the peer's flock is released, the simulated fabric when a
-// post meets a partition that never heals (transport.Sim). The CQE's
+// rank's links: tcp when it loses a connection to the peer, shm when
+// the peer's flock is released, the simulated fabric when a post meets
+// a partition that never heals (transport.Sim). The CQE's
 // Err wraps ErrLinkDown around the cause. Consumers that poll the CQ
 // (the MPI netmod, the Reliable layer) translate it into
 // process-failure semantics; it never corresponds to a posted

@@ -38,7 +38,7 @@ import (
 // its timeout doubling up to MaxRTO, until the frame is acknowledged.
 // Only a verdict condemns a peer: a PeerDown completion of the wrapped
 // link, which each transport reaches from liveness evidence (tcp's
-// re-dial budget, shm's flock, the sim's permanent partition). DrainCQ
+// lost connection, shm's flock, the sim's permanent partition). DrainCQ
 // forwards it, then fails the unacknowledged signaled frames to every
 // endpoint of that rank with ErrLinkDown, drops the inline ones, and
 // settles later posts to the rank at once.

@@ -1,6 +1,6 @@
 // Package timing provides the clocks used throughout gompix: a real
 // monotonic clock for benchmarks and a manually advanced clock for
-// deterministic tests. It also provides calibrated busy-wait delays,
+// deterministic tests. It also provides busy-wait delays,
 // which the benchmark harness uses to simulate poll-function overhead
 // and computation phases with sub-millisecond precision.
 package timing
@@ -99,31 +99,6 @@ func (c *ManualClock) OnAdvance(f func(now time.Duration)) {
 // Wtime returns the clock reading in seconds, mirroring MPI_Wtime.
 func Wtime(c Clock) float64 { return c.Now().Seconds() }
 
-// spinCalibration caches the measured busy-loop rate (iterations per
-// nanosecond, scaled by 1<<16 to keep integer math) used by BusySpin.
-var spinCalibration atomic.Uint64
-
-// calibrateSpin measures how many iterations of the spin kernel run per
-// nanosecond. The result is cached; the first caller pays ~1ms.
-func calibrateSpin() uint64 {
-	if v := spinCalibration.Load(); v != 0 {
-		return v
-	}
-	const probe = 1 << 20
-	start := time.Now()
-	spinKernel(probe)
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		elapsed = time.Nanosecond
-	}
-	rate := uint64(probe) << 16 / uint64(elapsed)
-	if rate == 0 {
-		rate = 1
-	}
-	spinCalibration.Store(rate)
-	return rate
-}
-
 // spinSink prevents the spin kernel from being optimized away.
 var spinSink atomic.Uint64
 
@@ -135,20 +110,19 @@ func spinKernel(n uint64) {
 	spinSink.Store(acc)
 }
 
-// BusySpin burns CPU for approximately d without yielding the
+// BusySpin burns CPU for at least d of wall time without yielding the
 // processor. It is used to model poll-function overhead (paper Fig. 8)
-// and fine-grained compute phases where time.Sleep is too coarse.
-// Durations at or below zero return immediately.
+// and fine-grained compute phases where time.Sleep is too coarse. It
+// spins against the clock, so a spin the kernel deschedules still ends
+// no earlier than d after it began. Durations at or below zero return
+// immediately.
 func BusySpin(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	rate := calibrateSpin()
-	iters := uint64(d) * rate >> 16
-	if iters == 0 {
-		iters = 1
+	for start := time.Now(); time.Since(start) < d; {
+		spinKernel(16)
 	}
-	spinKernel(iters)
 }
 
 // SpinUntil burns CPU until clock.Now() >= deadline, yielding the

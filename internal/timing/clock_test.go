@@ -115,13 +115,11 @@ func TestWtime(t *testing.T) {
 }
 
 func TestBusySpinApproximatesDuration(t *testing.T) {
-	// Warm up calibration.
-	BusySpin(time.Microsecond)
 	for _, d := range []time.Duration{50 * time.Microsecond, 200 * time.Microsecond} {
 		start := time.Now()
 		BusySpin(d)
 		got := time.Since(start)
-		if got < d/4 {
+		if got < d {
 			t.Errorf("BusySpin(%v) returned too early after %v", d, got)
 		}
 		if got > 50*d {

@@ -7,7 +7,7 @@
 // decision and the MPI layer sees a single endpoint space.
 //
 // Failure semantics compose: each leg keeps its own PeerDown verdict
-// machinery (TCP's redial-then-verdict, shm's flock liveness probe),
+// machinery (TCP's lost connection, shm's flock liveness probe),
 // the merged completion drain deduplicates verdicts per rank so the
 // MPI layer sees exactly one, and the first verdict is cross-wired
 // into the other leg (MarkPeerDown) so posts fail fast on both. This

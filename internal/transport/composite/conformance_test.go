@@ -33,10 +33,7 @@ func newWorld(t *testing.T, ranks int, nodeOf func(rank int) int) (*world, *tran
 	tcps := make([]*tcp.Network, ranks)
 	addrs := make([]string, ranks)
 	for r := 0; r < ranks; r++ {
-		tn, err := tcp.New(tcp.Config{
-			Rank: r, WorldSize: ranks, Epoch: 11,
-			RedialAttempts: 2, RedialBackoff: 2 * time.Millisecond,
-		})
+		tn, err := tcp.New(tcp.Config{Rank: r, WorldSize: ranks, Epoch: 11})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"testing"
-	"time"
 
 	"gompix/internal/nic"
 	"gompix/internal/transport/transporttest"
@@ -16,10 +15,7 @@ func newConformanceWorld(t *testing.T, ranks int) *transporttest.World {
 	nets := make([]*Network, ranks)
 	addrs := make([]string, ranks)
 	for r := 0; r < ranks; r++ {
-		n, err := New(Config{
-			Rank: r, WorldSize: ranks, Epoch: 11,
-			RedialAttempts: 2, RedialBackoff: 2 * time.Millisecond,
-		})
+		n, err := New(Config{Rank: r, WorldSize: ranks, Epoch: 11})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -155,10 +155,12 @@ func (n *Network) drainConn(cs *connState, probe bool) (made bool) {
 	}
 }
 
-// reject is the stream's fault policy: the goodbye sentinel marks the
-// peer departed; corrupt lengths or payloads and unknown endpoints drop
-// the connection (counted) without panicking the rank — the re-dial
-// that follows heals a live peer. Frames parsed before the fault still
+// reject is the stream's fault policy, shm's in effect: the goodbye
+// sentinel marks the peer departed; a frame for an unknown endpoint is
+// counted and skipped; a corrupt length or payload, or a frame from
+// another rank's endpoint, is counted and drops the connection — a
+// byte stream has no resync point — and the lost connection is the
+// peer's verdict (connLost). Frames parsed before the fault still
 // deliver. Runs under cs.mu.
 func (cs *connState) reject(f framing.Fault) (skip bool) {
 	n := cs.n
@@ -166,12 +168,12 @@ func (cs *connState) reject(f framing.Fault) (skip bool) {
 	case f.Kind == framing.BadLength && f.Len == goodbyeMark:
 		n.markDeparted(cs.rank)
 		cs.fail(errPeerDeparted)
-		return false
 	case f.Kind == framing.UnknownEndpoint:
 		n.countUnknownEP()
+		return true
 	default:
 		n.countCorrupt()
+		cs.fail(fmt.Errorf("tcp: %v from rank %d", f, cs.rank))
 	}
-	cs.fail(fmt.Errorf("tcp: %v from rank %d", f, cs.rank))
 	return false
 }

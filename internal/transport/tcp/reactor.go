@@ -22,12 +22,12 @@ const (
 
 // runConn is the per-connection goroutine: it picks the readiness
 // watcher when the platform exposes a raw descriptor and the blocking
-// read driver otherwise, then funnels the exit cause into the same
-// connLost → redial → verdict machinery the old readLoop used.
+// read driver otherwise, then hands the exit cause to connLost: the
+// loss is the peer's verdict.
 func (n *Network) runConn(cs *connState) {
 	var cause error
 	defer n.wg.Done()
-	defer func() { n.connLost(cs.rank, cs.conn, cause) }()
+	defer func() { n.connLost(cs.rank, cause) }()
 	defer n.untrack(cs)
 	defer cs.release()
 	defer cs.conn.Close()

@@ -35,15 +35,16 @@
 // pair of ranks uses at most two sockets and no tie-breaking is needed.
 //
 // Failure model: losing an established connection (EOF, reset, write
-// error) starts a bounded re-dial with exponential backoff toward that
-// peer. Reconnecting within the budget is a transient reset — queued
-// frames stay queued and flush over the new socket. Exhausting the
-// budget is the per-peer failure *verdict*: every queued frame toward
-// the peer fails with nic.ErrLinkDown, and every local link receives a
-// control completion whose token is nic.PeerDown{Rank}, which the MPI
-// layer translates into process-failure semantics. Corrupt or
-// misaddressed frames never panic the rank: the offending connection is
-// dropped (triggering the same re-dial path) and the event is counted.
+// error) is the per-peer failure *verdict*, as one piece of evidence is
+// on shm: every local link receives a control completion whose token is
+// nic.PeerDown{Rank}, which the MPI layer translates into
+// process-failure semantics, and then every queued frame toward the
+// peer fails with nic.ErrLinkDown. A connection is never re-dialed: the
+// bytes a lost socket swallowed are gone, and only a verdict says so.
+// Hostile input never panics the rank: a frame for an unregistered
+// endpoint is counted and skipped; a corrupt length or payload, or a
+// frame from another rank's endpoint, is counted and drops the
+// connection, which is the verdict.
 //
 // What is not about sockets — the link core MPI progress drains, the
 // endpoint space and link table, the out-queue, the receive stream's
@@ -56,7 +57,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -77,7 +77,7 @@ const helloMagic = 0x6d706978 // "mpix"
 
 // goodbyeMark, sent in place of a frame-length prefix, announces a
 // graceful departure: the peer is closing after finalize, so the EOF
-// that follows is not a failure — no re-dial, no verdict. A crashed
+// that follows is not a failure — no verdict. A crashed
 // process never writes it, which is exactly how peers tell the two
 // apart.
 const goodbyeMark = 0xFFFFFFFF
@@ -101,29 +101,17 @@ type Config struct {
 	// DialTimeout bounds the total lazy-dial retry window per peer
 	// (default 10s).
 	DialTimeout time.Duration
-	// RedialAttempts bounds reconnection attempts after an established
-	// connection is lost (default 3). Exhausting the budget is the
-	// peer-failure verdict.
-	RedialAttempts int
-	// RedialBackoff is the sleep before the first reconnection attempt;
-	// later attempts grow it with decorrelated jitter — uniform in
-	// [RedialBackoff, 3×previous), capped at 2s — so ranks recovering
-	// from the same partition don't redial in lockstep (default 50ms).
-	// Sleeping *before* dialing also bounds the reconnect rate against
-	// a peer that accepts and immediately closes (epoch mismatch).
-	RedialBackoff time.Duration
 }
 
 // Stats is a snapshot of the transport's failure and reactor counters.
 type Stats struct {
-	// Redials counts reconnection attempts after a lost connection.
-	Redials int64
 	// PeersDown counts peer-failure verdicts.
 	PeersDown int64
-	// CorruptFrames counts connections dropped for unparseable input.
+	// CorruptFrames counts connections dropped for unparseable input or
+	// a frame from another rank's endpoint.
 	CorruptFrames int64
-	// UnknownEndpoints counts connections dropped for frames addressed
-	// to an unregistered endpoint.
+	// UnknownEndpoints counts frames skipped for an unregistered
+	// endpoint.
 	UnknownEndpoints int64
 	// ReactorWakeups counts watcher wakeups (readable-socket events).
 	ReactorWakeups int64
@@ -160,11 +148,9 @@ type Network struct {
 
 	met atomic.Pointer[netMetrics]
 
-	// closeCh aborts re-dial backoff sleeps so Close never waits out a
-	// probe's full budget.
+	// closeCh aborts the lazy dial's retry sleeps and the sweeper.
 	closeCh chan struct{}
 
-	redials        atomic.Int64
 	peersDown      atomic.Int64
 	rxCorrupt      atomic.Int64
 	rxUnknownEP    atomic.Int64
@@ -182,7 +168,6 @@ type Network struct {
 type netMetrics struct {
 	rxCorrupt   *metrics.Counter
 	rxUnknownEP *metrics.Counter
-	redials     *metrics.Counter
 	peersDown   *metrics.Counter
 
 	wakeups    *metrics.Counter   // tcp.reactor.wakeups
@@ -203,7 +188,6 @@ type peer struct {
 	rank    int
 	conn    net.Conn
 	dialing bool // initial background dial in flight
-	probing bool // bounded re-dial after a lost connection in flight
 }
 
 // New binds the rank's listener and returns the transport. The accept
@@ -215,12 +199,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.RedialAttempts <= 0 {
-		cfg.RedialAttempts = 3
-	}
-	if cfg.RedialBackoff <= 0 {
-		cfg.RedialBackoff = 50 * time.Millisecond
 	}
 	bind := "127.0.0.1:0"
 	if cfg.Rank < len(cfg.Addrs) && cfg.Addrs[cfg.Rank] != "" {
@@ -285,7 +263,6 @@ func (n *Network) PeerReader(rank int) transport.PeerReader { return nil }
 // Stats returns a snapshot of the failure and reactor counters.
 func (n *Network) Stats() Stats {
 	return Stats{
-		Redials:          n.redials.Load(),
 		PeersDown:        n.peersDown.Load(),
 		CorruptFrames:    n.rxCorrupt.Load(),
 		UnknownEndpoints: n.rxUnknownEP.Load(),
@@ -334,17 +311,16 @@ func (n *Network) Start() error {
 
 // Close shuts the transport down gracefully: it writes the goodbye
 // marker on every connection (so peers classify the coming EOFs as a
-// departure instead of a failure and skip the re-dial/verdict
-// machinery), then closes the listener and every connection; watchers
-// and re-dial probes drain out.
+// departure instead of a failure and reach no verdict), then closes
+// the listener and every connection; watchers and dials drain out.
 func (n *Network) Close() error {
 	n.shutdown(true)
 	return nil
 }
 
 // Kill is Close without the goodbye — the test hook for an abrupt
-// process death (SIGKILL): peers see raw connection resets and must go
-// through the bounded re-dial to the peer-failure verdict.
+// process death (SIGKILL): peers see raw connection resets, and each
+// reset is the peer-failure verdict.
 func (n *Network) Kill() { n.shutdown(false) }
 
 func (n *Network) shutdown(goodbye bool) {
@@ -540,125 +516,29 @@ func (n *Network) acceptLoop() {
 	}
 }
 
-// connLost handles the loss of an established connection to rank: a
-// transient failure starts the bounded re-dial unless one is already in
-// flight (or the peer already has its verdict). Runs before the read
-// driver's wg.Done, so the probe's wg.Add never races Close's Wait to
-// zero.
-func (n *Network) connLost(rank int, conn net.Conn, cause error) {
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed || rank < 0 || rank >= len(n.peers) {
+// connLost turns the loss of an established connection to rank into
+// the peer's verdict, unless the peer said goodbye first or the
+// transport itself is closing (shutdown then settles the queue).
+func (n *Network) connLost(rank int, cause error) {
+	if n.isClosed() {
 		return
 	}
 	p := n.peers[rank]
-	if p == nil {
-		return
-	}
 	p.Mu.Lock()
-	if p.conn == conn {
-		p.conn = nil
-	}
-	if p.Refusal() != nil || p.probing || p.dialing {
-		p.Mu.Unlock()
-		return
-	}
-	p.probing = true
+	departed := p.Refusal() != nil
 	p.Mu.Unlock()
-	n.wg.Add(1)
-	go n.redial(p, cause)
-}
-
-// redial attempts to re-establish connectivity to p after a loss:
-// exponential backoff before each attempt, verdict after the budget.
-// On success queued frames flush over the new socket — a transient
-// reset is invisible above the transport (the reliability layer
-// re-drives anything that died mid-wire).
-func (n *Network) redial(p *peer, cause error) {
-	defer n.wg.Done()
-	n.mu.Lock()
-	addr := n.addrs[p.rank]
-	n.mu.Unlock()
-	backoff := n.cfg.RedialBackoff
-	for attempt := 0; attempt < n.cfg.RedialAttempts; attempt++ {
-		select {
-		case <-n.closeCh:
-			p.Mu.Lock()
-			p.probing = false
-			p.Mu.Unlock()
-			return
-		case <-time.After(backoff):
-		}
-		backoff = nextRedialBackoff(n.cfg.RedialBackoff, backoff)
-		n.redials.Add(1)
-		if met := n.metricsRef(); met != nil {
-			met.redials.Inc()
-		}
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err != nil {
-			cause = err
-			continue
-		}
-		if err := n.sendHello(conn); err != nil {
-			conn.Close()
-			cause = err
-			continue
-		}
-		if !n.startConn(conn, p.rank) {
-			p.Mu.Lock()
-			p.probing = false
-			p.Mu.Unlock()
-			return // transport closed
-		}
-		p.Mu.Lock()
-		// The loss may have been an inbound conn while our own write
-		// conn stayed healthy; keep the existing one in that case (the
-		// fresh conn still serves as a liveness probe and a read path).
-		if p.conn == nil {
-			p.conn = conn
-		}
-		p.probing = false
-		p.Mu.Unlock()
-		n.tab.KickAll()
-		return
+	if !departed {
+		n.verdict(p, cause)
 	}
-	n.verdict(p, fmt.Errorf("tcp: rank %d unreachable after %d redial attempts: %v",
-		p.rank, n.cfg.RedialAttempts, cause))
-}
-
-// redialBackoffCap bounds the decorrelated-jitter backoff growth.
-const redialBackoffCap = 2 * time.Second
-
-// nextRedialBackoff computes the sleep before the next reconnection
-// attempt using decorrelated jitter (the AWS architecture-blog
-// algorithm): uniform in [base, 3*prev), capped. Plain doubling puts
-// every rank recovering from the same partition on the same redial
-// clock — they all lost the peer at the same instant — so each retry
-// wave slams the returning listener in lockstep. Jitter spreads the
-// waves while keeping the exponential envelope.
-func nextRedialBackoff(base, prev time.Duration) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	hi := 3 * prev
-	if hi <= base {
-		return base
-	}
-	d := base + time.Duration(rand.Int64N(int64(hi-base)))
-	if d > redialBackoffCap {
-		return redialBackoffCap
-	}
-	return d
 }
 
 // NotifyPeerDown tells the rank listening at addr that deadRank has
 // failed, by opening a connection whose hello carries the dead rank's
 // id and closing it immediately: the receiver's accept loop admits the
 // connection (valid magic/epoch), its read driver sees instant EOF, and
-// the loss funnels into the normal connLost → redial → verdict path —
-// the survivor reaches its own ErrProcFailed verdict without waiting
-// for an organic send toward the dead rank to time out. Used by the
+// connLost turns the loss into the verdict — the survivor reaches its
+// own ErrProcFailed verdict without waiting for an organic send toward
+// the dead rank to fail. Used by the
 // launcher's -on-failure=continue supervision to fan out a roster
 // update; best-effort (the survivor may already know, or be gone).
 func NotifyPeerDown(addr string, epoch uint64, deadRank int) error {
@@ -678,34 +558,32 @@ func NotifyPeerDown(addr string, epoch uint64, deadRank int) error {
 // verdict marks a peer permanently failed: every local link receives
 // a PeerDown control completion for the MPI layer to translate, then
 // the queued frames fail with ErrLinkDown (framing.Table.PeerDown keeps
-// that order).
+// that order). Both happen under the peer's lock, so a post the verdict
+// refuses cannot put its error completion ahead of the verdict's.
 func (n *Network) verdict(p *peer, cause error) {
-	if frames, first := n.condemn(p, cause); first {
+	p.Mu.Lock()
+	defer p.Mu.Unlock()
+	if frames, first := p.Condemn(cause); first {
+		p.dialing = false
 		n.peerDown(p.rank, cause, frames)
 	}
 }
 
 // MarkPeerDown records a peer failure learned out-of-band — the
 // composite transport cross-wires the shm leg's liveness verdict here
-// — so posts fail fast and any later organic verdict (redial
-// exhaustion) is suppressed. Queued frames fail, but no PeerDown CQE
+// — so posts fail fast and any later organic verdict (a lost
+// connection) is suppressed. Queued frames fail, but no PeerDown CQE
 // fans out: the leg that reached the verdict already delivered it.
 func (n *Network) MarkPeerDown(rank int, cause error) {
 	if rank < 0 || rank >= len(n.peers) || n.peers[rank] == nil {
 		return
 	}
-	frames, _ := n.condemn(n.peers[rank], cause)
-	n.tab.Fail(frames, cause)
-}
-
-// condemn records the verdict on p once and takes its queued frames.
-func (n *Network) condemn(p *peer, cause error) (frames []framing.Frame, first bool) {
+	p := n.peers[rank]
 	p.Mu.Lock()
-	defer p.Mu.Unlock()
-	if frames, first = p.Condemn(cause); first {
-		p.dialing, p.probing = false, false
-	}
-	return frames, first
+	frames, _ := p.Condemn(cause)
+	p.dialing = false
+	p.Mu.Unlock()
+	n.tab.Fail(frames, cause)
 }
 
 // peerDown delivers the failure verdict; when the transport itself is
@@ -730,8 +608,8 @@ func (n *Network) peerDown(rank int, cause error, frames []framing.Frame) {
 }
 
 // DropPeer forcibly closes every connection to or from the given rank —
-// a test hook simulating a transient network reset. Read drivers notice
-// and run the bounded re-dial.
+// a test hook simulating a network reset. Read drivers notice, and the
+// loss is the peer's verdict on both sides.
 func (n *Network) DropPeer(rank int) {
 	victims := make([]*connState, 0, 2)
 	for _, cs := range n.connList() {
@@ -753,8 +631,8 @@ func (n *Network) peerOf(dst fabric.EndpointID) *peer {
 // dial establishes p's outbound connection in the background, retrying
 // inside the configured window (the peer may not have launched yet). On
 // success it kicks every armed link so progress flushes the frames
-// queued while dialing; failure of the initial window is already the
-// peer-failure verdict — there is no established connection to re-dial.
+// queued while dialing; failure of the initial window is the
+// peer-failure verdict.
 func (n *Network) dial(p *peer) {
 	defer n.wg.Done()
 	n.mu.Lock()
@@ -801,10 +679,9 @@ func (n *Network) dial(p *peer) {
 // vectored write (resuming across partial writes), then settles the
 // frames behind the written watermark: CQEs for signaled sends, a
 // pending-counter release for all. waiting reports frames stuck behind
-// a dial or probe (the flush poll must keep running for them). A write
-// error is a connection loss, not a verdict: every queued frame fails
-// (the reliability layer re-drives them) and the bounded re-dial
-// starts.
+// the initial dial (the flush poll must keep running for them). A write
+// error is a lost connection, and so the peer's verdict, which reaches
+// every link ahead of the failed frames.
 func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 	p.Mu.Lock()
 	if p.Q.Pending() == 0 {
@@ -812,7 +689,7 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 		return false, false
 	}
 	if p.conn == nil {
-		waiting = p.dialing || p.probing
+		waiting = p.dialing
 		p.Mu.Unlock()
 		return false, waiting
 	}
@@ -823,37 +700,12 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 	// keeps reading (progress polls or the connection watchers) while
 	// this writev blocks.
 	wrote, nsegs, err := p.Q.FlushTo(conn)
-	if err != nil && !wrote && errors.Is(err, net.ErrClosed) && p.Refusal() == nil && !n.isClosed() {
-		// We closed this socket ourselves: the read side saw the
-		// connection die first, and its exit path (connLost) is about to
-		// clear p.conn and start the bounded re-dial. Nothing reached the
-		// wire, so the queue still stands at a frame boundary and the
-		// frames stay in it: they flush over the new socket, or fail
-		// behind the verdict — not ahead of it, which is what failing
-		// them here did once in some hundred peer deaths.
-		if p.conn == conn {
-			p.conn = nil
-		}
-		p.Mu.Unlock()
-		return false, true
-	}
 	if err != nil {
-		err = fmt.Errorf("tcp: write rank %d: %w", p.rank, err)
-		conn.Close()
-		if p.conn == conn {
-			p.conn = nil
-		}
-		probe := p.Refusal() == nil && !p.probing && !p.dialing && !n.isClosed()
-		if probe {
-			p.probing = true
-		}
-		frames := p.Q.TakeAll(nil)
 		p.Mu.Unlock()
-		n.tab.Fail(frames, err)
-		if probe {
-			n.wg.Add(1)
-			go n.redial(p, err)
-		}
+		// The verdict before the close: the watcher's exit then finds
+		// the peer condemned, and the cause stays the write's.
+		n.verdict(p, fmt.Errorf("tcp: write rank %d: %w", p.rank, err))
+		conn.Close()
 		return true, false
 	}
 	nset := p.Settle()
@@ -885,7 +737,7 @@ type Link struct {
 // prefix (e.g. "rank0.vci0.nic"): peer-failure verdicts increment
 // scope.peer_down. The first wired link also registers the transport-
 // wide instruments: the failure counters (tcp.rx.corrupt,
-// tcp.rx.unknown_ep, tcp.redials, tcp.peers_down), the reactor
+// tcp.rx.unknown_ep, tcp.peers_down), the reactor
 // counters (tcp.reactor.wakeups; tcp.reactor.pool_drains, the watcher
 // drains that delivered; tcp.reactor.probes, tcp.reactor.probe_hits),
 // the receive streams' assembly counters (tcp.rx.placed,
@@ -905,7 +757,6 @@ func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 		n.met.Store(&netMetrics{
 			rxCorrupt:   reg.Counter("tcp.rx.corrupt"),
 			rxUnknownEP: reg.Counter("tcp.rx.unknown_ep"),
-			redials:     reg.Counter("tcp.redials"),
 			peersDown:   reg.Counter("tcp.peers_down"),
 			wakeups:     reg.Counter("tcp.reactor.wakeups"),
 			poolDrains:  reg.Counter("tcp.reactor.pool_drains"),
@@ -947,7 +798,7 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 		p.Mu.Unlock()
 		return err
 	}
-	needDial := p.conn == nil && !p.dialing && !p.probing
+	needDial := p.conn == nil && !p.dialing
 	if needDial {
 		p.dialing = true
 	}
@@ -972,8 +823,8 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 // Flush drains every peer's coalescing queue to its socket: at most
 // one vectored write per peer per progress pass, the write-coalescing half of the transport. It reports whether
 // anything moved and whether this link disarmed (no pending frames of
-// its own left). Peers still dialing or probing are skipped — their
-// frames stay queued and the poll keeps running.
+// its own left). Peers still dialing are skipped — their frames stay
+// queued and the poll keeps running.
 func (l *Link) Flush() (made, idle bool) {
 	waiting := false
 	for _, p := range l.net.peers {

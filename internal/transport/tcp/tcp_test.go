@@ -15,20 +15,11 @@ import (
 // pair builds a two-rank TCP world in-process: bind :0, exchange
 // addresses, register one link each, start accept loops.
 func pair(t *testing.T) (*Network, *Network, *Link, *Link) {
-	return pairCfg(t, Config{})
-}
-
-// pairCfg is pair with failure-tuning knobs (redial budget, timeouts).
-func pairCfg(t *testing.T, cfg Config) (*Network, *Network, *Link, *Link) {
 	t.Helper()
 	nets := make([]*Network, 2)
 	addrs := make([]string, 2)
 	for r := 0; r < 2; r++ {
-		c := cfg
-		c.Rank = r
-		c.WorldSize = 2
-		c.Epoch = 7
-		n, err := New(c)
+		n, err := New(Config{Rank: r, WorldSize: 2, Epoch: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,8 +305,11 @@ func waitStat(t *testing.T, n *Network, what string, pred func(Stats) bool) {
 	}
 }
 
+// TestCorruptFrameDropsConn: a corrupt length from a peer ends its
+// connection — a byte stream has no resync point — and the lost
+// connection is the peer's verdict: posts toward it fail at once.
 func TestCorruptFrameDropsConn(t *testing.T) {
-	n0, n1, _, _ := pair(t)
+	_, n1, l0, l1 := pair(t)
 	conn := sendRaw(t, n1.Addr(), 7, 0)
 	defer conn.Close()
 	// A frame length below the header size is unparseable garbage: the
@@ -325,26 +319,34 @@ func TestCorruptFrameDropsConn(t *testing.T) {
 	if _, err := conn.Write(lenBuf[:]); err != nil {
 		t.Fatal(err)
 	}
-	waitStat(t, n1, "corrupt frame", func(s Stats) bool { return s.CorruptFrames == 1 })
-	// The drop is a connection loss toward a live rank: the re-dial
-	// heals it without a verdict.
-	waitStat(t, n1, "heal", func(s Stats) bool { return s.PeersDown == 0 })
-	_ = n0
+	waitStat(t, n1, "corrupt frame verdict", func(s Stats) bool { return s.CorruptFrames == 1 && s.PeersDown == 1 })
+	if err := l1.PostSendInline(l0.ID(), []byte("late"), 4); err == nil {
+		t.Fatal("post after the verdict should fail at once")
+	}
 }
 
-func TestUnknownEndpointDropsConn(t *testing.T) {
-	_, n1, _, _ := pair(t)
+// TestUnknownEndpointSkipped: a well-formed frame for an endpoint
+// nobody registered is counted and skipped, as on shm — no verdict —
+// and the frame behind it on the same connection is delivered.
+func TestUnknownEndpointSkipped(t *testing.T) {
+	_, n1, l0, l1 := pair(t)
 	conn := sendRaw(t, n1.Addr(), 7, 0)
 	defer conn.Close()
-	// Well-formed frame addressed to an endpoint no link registered.
-	if _, err := conn.Write(wireFrame(9999, 0, nil)); err != nil {
+	frames := append(wireFrame(9999, l0.ID(), nil), wireFrame(l1.ID(), l0.ID(), []byte("ok"))...)
+	if _, err := conn.Write(frames); err != nil {
 		t.Fatal(err)
 	}
-	waitStat(t, n1, "unknown endpoint", func(s Stats) bool { return s.UnknownEndpoints == 1 })
+	drive(t, l1, func() bool { l1.PollRecv(); return l1.QueuedRQ() == 1 })
+	if s := n1.Stats(); s.UnknownEndpoints != 1 || s.CorruptFrames != 0 || s.PeersDown != 0 {
+		t.Fatalf("stats = %+v, want 1 unknown endpoint, no corruption, no verdict", s)
+	}
+	if got := l1.DrainRQ(make([]fabric.Packet, 0, 2)); len(got) != 1 || string(got[0].Payload.([]byte)) != "ok" {
+		t.Fatalf("delivered %+v, want the one frame behind the skipped one", got)
+	}
 }
 
 func TestPeerDeathVerdict(t *testing.T) {
-	n0, n1, l0, l1 := pairCfg(t, Config{RedialAttempts: 2, RedialBackoff: 2 * time.Millisecond})
+	n0, n1, l0, l1 := pair(t)
 	// Establish the connection with real traffic first: this is a loss
 	// of an established link, not a failed first dial.
 	if err := l0.PostSendInline(l1.ID(), []byte("x"), 1); err != nil {
@@ -369,8 +371,8 @@ func TestPeerDeathVerdict(t *testing.T) {
 	if cqes[0].Token != (nic.PeerDown{Rank: 1}) || !errors.Is(cqes[0].Err, nic.ErrLinkDown) {
 		t.Fatalf("CQE = %+v, want PeerDown{1} with ErrLinkDown", cqes[0])
 	}
-	if s := n0.Stats(); s.PeersDown != 1 || s.Redials < 1 {
-		t.Fatalf("stats = %+v, want 1 verdict after >= 1 redial", s)
+	if s := n0.Stats(); s.PeersDown != 1 {
+		t.Fatalf("stats = %+v, want 1 verdict", s)
 	}
 	// Posts after the verdict fail fast.
 	if err := l0.PostSendInline(l1.ID(), []byte("late"), 4); err == nil {
@@ -379,17 +381,17 @@ func TestPeerDeathVerdict(t *testing.T) {
 }
 
 func TestGracefulDepartureNoVerdict(t *testing.T) {
-	n0, n1, l0, l1 := pairCfg(t, Config{RedialAttempts: 2, RedialBackoff: 2 * time.Millisecond})
+	n0, n1, l0, l1 := pair(t)
 	if err := l0.PostSendInline(l1.ID(), []byte("x"), 1); err != nil {
 		t.Fatal(err)
 	}
 	drive(t, l0, func() bool { return l1.QueuedRQ() == 1 })
 
 	n1.Close() // goodbye first: a clean exit, not a failure
-	// Give any (wrong) redial machinery ample time to run its budget.
+	// Give a (wrong) verdict on the EOFs that follow time to land.
 	time.Sleep(100 * time.Millisecond)
-	if s := n0.Stats(); s.Redials != 0 || s.PeersDown != 0 {
-		t.Fatalf("stats after peer departure = %+v, want no redials and no verdict", s)
+	if s := n0.Stats(); s.PeersDown != 0 {
+		t.Fatalf("stats after peer departure = %+v, want no verdict", s)
 	}
 	// Sends to a departed peer fail fast instead of burning the dial
 	// window against a closed listener.

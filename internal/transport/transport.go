@@ -38,8 +38,8 @@ type Transport interface {
 	EndpointOf(rank, vci int) fabric.EndpointID
 	// RankOfEndpoint maps an endpoint address back to the world rank
 	// that owns it (-1 when none does). The MPI layer uses it to
-	// attribute failures — a dead connection, an exhausted re-dial
-	// budget — to a process rather than a single VCI link, and
+	// attribute failures — a lost connection, a released alive lock —
+	// to a process rather than a single VCI link, and
 	// nic.Reliable to find the endpoints a nic.PeerDown verdict
 	// condemns.
 	RankOfEndpoint(ep fabric.EndpointID) int

@@ -19,8 +19,8 @@ import "gompix/internal/mpi"
 //     errors.Is(err, mpix.ErrLinkDown) detects the class and
 //     err.Error() preserves the cause.
 //   - ErrProcFailed always arrives wrapped, carrying the failed rank
-//     and the transport's diagnosis ("rank 2: tcp: rank 2 unreachable
-//     after 3 redial attempts: ..."). The simulated fabric delivers
+//     and the transport's diagnosis ("rank 2: tcp: write rank 2: ...
+//     connection reset by peer"). The simulated fabric delivers
 //     it too, once a post meets a partition that never heals (either
 //     direction of the pair cut). One
 //     caveat: sends whose bytes were already queued on the wire (or
@@ -56,8 +56,8 @@ var (
 
 	// ErrProcFailed reports that the peer *process* an operation
 	// depends on was declared failed: in remote (multiprocess) mode the
-	// transport lost its connection, exhausted the re-dial budget, and
-	// delivered a failure verdict; on the simulated fabric a post met
+	// transport lost its connection to it, which is the failure
+	// verdict; on the simulated fabric a post met
 	// a partition that never heals, cutting either direction of the
 	// pair. Pending and future operations that
 	// need the dead rank — point-to-point and collectives — complete

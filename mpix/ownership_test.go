@@ -130,7 +130,7 @@ func newOwnWorld(t *testing.T, backend string) *ownWorld {
 	addrs := make([]string, n)
 	for r := 0; r < n; r++ {
 		tr, err := mpix.NewTCPTransport(mpix.TCPConfig{
-			Rank: r, WorldSize: n, DialTimeout: 200 * time.Millisecond, RedialBackoff: 5 * time.Millisecond,
+			Rank: r, WorldSize: n, DialTimeout: 200 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("tcp transport rank %d: %v", r, err)

@@ -53,7 +53,7 @@ func newPlaceWorld(t *testing.T, backend string, spoil ...int) *placeWorld {
 	addrs := make([]string, n)
 	for r := 0; r < n; r++ {
 		tr, err := mpix.NewTCPTransport(mpix.TCPConfig{
-			Rank: r, WorldSize: n, DialTimeout: 200 * time.Millisecond, RedialBackoff: 5 * time.Millisecond,
+			Rank: r, WorldSize: n, DialTimeout: 200 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("tcp transport rank %d: %v", r, err)
