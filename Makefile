@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet check-run-lists check-capabilities invariants race race-hot race-transport race-tcp race-shm race-cont race-eager chaos chaos-sim chaos-tcp fuzz-smoke bench bench-smoke figures mpixrun-smoke ci
+.PHONY: all build test vet check-run-lists check-capabilities invariants race race-hot race-transport race-tcp race-shm race-cont race-eager chaos chaos-sim chaos-tcp fuzz-smoke bench bench-smoke bench-pairs figures mpixrun-smoke ci
 
 all: build test
 
@@ -228,6 +228,18 @@ bench:
 # compile and run without paying for a full measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkProgress' -benchtime=1x ./internal/core/ ./internal/mpi/ > /dev/null
+
+# Alternating pairs of one BENCHMARK.json workload: ./benchmark built from
+# PARENT and from the working tree, each in a temporary directory, run
+# PAIRS times each with the side that runs first alternating, then each
+# metric's medians, the parent's quartiles and the pairs the working tree
+# won. Runs last BENCHMARK.json's run_seconds unless BENCH_SECONDS is
+# set. Minutes of wall time, so not part of ci.
+PARENT ?= HEAD
+PAIRS ?= 10
+WORKLOAD ?= coll-2x2
+bench-pairs:
+	./scripts/bench-pairs.sh -p $(PARENT) -n $(PAIRS) -w $(WORKLOAD) $(if $(BENCH_SECONDS),-s $(BENCH_SECONDS))
 
 # The paper's evaluation figures (reduced sweeps).
 figures:

@@ -41,12 +41,17 @@ func Barrier(tr Transport, tag int) *Schedule {
 // Bcast builds a binomial-tree broadcast of buf from root.
 func Bcast(tr Transport, buf []byte, root, tag int) *Schedule {
 	s := newSchedule(tr, buf)
-	members := make([]int, tr.Size())
+	bcastTree(s, tr, len(buf), ranks(tr.Size()), root, tag)
+	return s
+}
+
+// ranks is the member list of a whole group of p: 0, 1, …, p-1.
+func ranks(p int) []int {
+	members := make([]int, p)
 	for i := range members {
 		members[i] = i
 	}
-	bcastTree(s, tr, len(buf), members, root, tag)
-	return s
+	return members
 }
 
 // Reduce builds a binomial-tree reduction into inout at root. Every
@@ -81,17 +86,31 @@ func Reduce(tr Transport, inout []byte, reduce func(inout, in []byte), root, tag
 	return s
 }
 
+// AllreduceLongBytes is the message size from which an allreduce
+// takes its long-message schedule: the ring on a flat communicator (as
+// MPICH does), the leaders' reduce + broadcast in Hier.Allreduce.
+const AllreduceLongBytes = 16 * 1024
+
 // AllreduceRecDbl builds the recursive-doubling allreduce (Ruefenacht
-// et al. [9] in the paper; MPICH's default for short messages),
-// including the MPICH fold-in steps for non-power-of-two sizes.
-// inout holds the local contribution and receives the global result.
+// et al. [9] in the paper; MPICH's default for short messages) over
+// every rank. inout holds the local contribution and receives the
+// global result.
 func AllreduceRecDbl(tr Transport, inout []byte, reduce func(inout, in []byte), tag int) *Schedule {
 	s := newSchedule(tr, inout)
-	p, r := tr.Size(), tr.Rank()
-	n := len(inout)
-	if p == 1 {
-		s.settle()
-		return s
+	recDbl(s, tr, len(inout), reduce, ranks(tr.Size()), tag)
+	s.settle()
+	return s
+}
+
+// recDbl appends recursive-doubling stages over members that leave the
+// reduction of their n-byte partials in each member's Out. For a count
+// that is not a power of two, MPICH's fold-in: each even one of the
+// first 2*rem members hands its partial to its odd neighbour, sits the
+// rounds out and gets the result back. Ranks outside members add nothing.
+func recDbl(s *Schedule, tr Transport, n int, reduce func(inout, in []byte), members []int, tag int) {
+	me, p := indexOf(members, tr.Rank()), len(members)
+	if me < 0 || p < 2 {
+		return
 	}
 	pof2 := 1
 	for pof2*2 <= p {
@@ -99,39 +118,33 @@ func AllreduceRecDbl(tr Transport, inout []byte, reduce func(inout, in []byte), 
 	}
 	rem := p - pof2
 	all := s.out(0, n)
-	tmp := s.scratch(n) // one landing buffer: each fold ends before the next receive
-
-	newrank := r - rem
-	if r < 2*rem {
-		if r%2 == 0 {
-			// Fold out: contribute to the odd neighbor, collect the
-			// result at the end.
-			s.AddStage(send(s.partial(0, n), r+1, tag))
-			s.AddStage(recv(s.received(all), r+1, tag))
-			return s
-		}
-		land, with := s.landing(all, tmp)
-		s.AddStage(recv(land, r-1, tag))
-		s.AddStage(s.fold(all, with, reduce))
-		newrank = r / 2
+	if me < 2*rem && me%2 == 0 {
+		s.AddStage(send(s.partial(0, n), members[me+1], tag))
+		s.AddStage(recv(s.received(all), members[me+1], tag))
+		return
 	}
-
+	tmp := s.scratch(n) // one landing buffer: each fold ends before the next receive
+	newrank := me - rem
+	if me < 2*rem {
+		land, with := s.landing(all, tmp)
+		s.AddStage(recv(land, members[me-1], tag))
+		s.AddStage(s.fold(all, with, reduce))
+		newrank = me / 2
+	}
 	for mask := 1; mask < pof2; mask <<= 1 {
 		partnerNew := newrank ^ mask
 		partner := partnerNew + rem
 		if partnerNew < rem {
 			partner = partnerNew*2 + 1
 		}
-		mine := s.partial(0, n)
+		mine := s.partial(0, n) // before landing, which moves the partial to Out
 		land, with := s.landing(all, tmp)
-		s.AddStage(send(mine, partner, tag), recv(land, partner, tag))
+		s.AddStage(send(mine, members[partner], tag), recv(land, members[partner], tag))
 		s.AddStage(s.fold(all, with, reduce))
 	}
-
-	if r < 2*rem { // r is odd here (even ranks returned above)
-		s.AddStage(send(all, r-1, tag))
+	if me < 2*rem {
+		s.AddStage(send(all, members[me-1], tag))
 	}
-	return s
 }
 
 // AllreduceRing builds the ring (reduce-scatter + allgather) allreduce

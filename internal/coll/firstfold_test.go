@@ -104,22 +104,23 @@ func TestFirstFoldReduce(t *testing.T) {
 }
 
 // TestFirstFoldHier: the two-level Allreduce and Reduce under the
-// first-fold rule, on layouts with a node of at least four ranks — so
-// a rank has two children in one stage — with that rank's first child
-// held back until its second child's payload is in: the second must
-// wait for the first to fold In before it folds.
+// first-fold rule, on every hierLayouts entry and on two nodes of four
+// ranks; a node of four gives a rank two children in one stage, and
+// rank 1 (there, that rank's first child) is held back until the
+// others have gone eight rounds: a second child must wait for the first
+// to fold In before it folds. The allreduce runs on both sides of
+// AllreduceLongBytes: the leaders' exchange, whose singleton-node
+// leader's first fold is the exchange's, and reduce + broadcast.
 func TestFirstFoldHier(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, nodes := range [][]int{
-		{0, 0, 0, 0, 1},
-		{0, 0, 0, 0, 1, 1, 1, 1},
-		{0, 0, 1, 1, 2, 2, 2, 1},
-	} {
+	for _, nodes := range append([][]int{{0, 0, 0, 0, 1, 1, 1, 1}}, hierLayouts...) {
 		h, p := NewHier(nodes), len(nodes)
 		for _, late := range []int{-1, 1} {
-			build := func(tr Transport, buf []byte) *Schedule { return h.Allreduce(tr, buf, addByte, 0) }
-			if err := runBound(t, p, 11, rng, late, build, everyRank); err != nil {
-				t.Fatalf("allreduce nodes=%v late=%d: %v", nodes, late, err)
+			for _, n := range []int{2, 11, AllreduceLongBytes} {
+				build := func(tr Transport, buf []byte) *Schedule { return h.Allreduce(tr, buf, addByte, 0) }
+				if err := runBound(t, p, n, rng, late, build, everyRank); err != nil {
+					t.Fatalf("allreduce nodes=%v late=%d n=%d: %v", nodes, late, n, err)
+				}
 			}
 			for root := 0; root < p; root++ {
 				build := func(tr Transport, buf []byte) *Schedule { return h.Reduce(tr, buf, addByte, root, 0) }

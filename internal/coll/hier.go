@@ -7,9 +7,9 @@ package coll
 // classic two-level scheme MPICH selects on multi-node jobs — crossing
 // the network min(nodes) times instead of O(p) times.
 //
-// All trees here are binomial trees generalized over an arbitrary
-// member list (comm ranks), so node groups of any size and any rank
-// composition work. A rank not in the member list contributes no
+// Every phase here is a binomial tree or recursive doubling over an
+// arbitrary member list (comm ranks), so node groups of any size and
+// any rank composition work. A rank not in the member list contributes no
 // stages — callers simply build every phase and each rank keeps the
 // ones it participates in, which preserves the schedule-stage ordering
 // the phases rely on (a leader must finish the inter-node phase before
@@ -207,20 +207,24 @@ func (h *Hier) Reduce(tr Transport, inout []byte, reduce func(inout, in []byte),
 	return s
 }
 
-// Allreduce builds the two-level allreduce: intra-node reduce to
-// leaders, inter-leader reduce to the first leader then broadcast back
-// across the leaders, and an intra-node broadcast to finish. Four
-// phases, but only the middle two touch the network. No rank copies
-// its contribution: a leaf sends it straight from In and receives the
-// result into Out, and a rank with children folds In into the first
-// child's payload, which lands in Out.
+// Allreduce builds the two-level allreduce in three phases: an
+// intra-node reduce to the leaders, the leaders' allreduce over the
+// network — below AllreduceLongBytes by recursive doubling, a round
+// crossing it once both ways at the same time; from it on a reduce onto
+// the first leader and a broadcast back, which folds once per leader,
+// not per round — and an intra-node broadcast. No rank copies In: a
+// rank's first fold reads it into the first payload, which lands in Out.
 func (h *Hier) Allreduce(tr Transport, inout []byte, reduce func(inout, in []byte), tag int) *Schedule {
 	s := NewSchedule(tr)
 	g := h.groupOf(tr.Rank())
 	lead := indexOf(h.groups[g], h.leaders[g])
 	reduceTree(s, tr, inout, reduce, h.groups[g], lead, tag)
-	reduceTree(s, tr, inout, reduce, h.leaders, 0, tag)
-	bcastTree(s, tr, len(inout), h.leaders, 0, tag)
+	if len(inout) < AllreduceLongBytes {
+		recDbl(s, tr, len(inout), reduce, h.leaders, tag)
+	} else {
+		reduceTree(s, tr, inout, reduce, h.leaders, 0, tag)
+		bcastTree(s, tr, len(inout), h.leaders, 0, tag)
+	}
 	bcastTree(s, tr, len(inout), h.groups[g], lead, tag)
 	s.settle()
 	return s

@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -87,25 +88,84 @@ func TestHierReduce(t *testing.T) {
 	}
 }
 
+// TestHierAllreduce runs the two-level allreduce on every layout, on
+// both sides of AllreduceLongBytes (the leaders exchange below it and
+// reduce + broadcast from it on), each schedule three times as a plan
+// does: In and Out distinct, in place, distinct again.
 func TestHierAllreduce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
 	for _, nodes := range hierLayouts {
-		p := len(nodes)
-		t.Run(fmt.Sprintf("nodes=%v", nodes), func(t *testing.T) {
-			trs := newMemNet(p)
-			bufs := make([][]byte, p)
-			scheds := make([]*Schedule, p)
-			var want byte
-			for r := 0; r < p; r++ {
-				bufs[r] = []byte{byte(r + 1), byte(3 * (r + 1))}
-				want += byte(r + 1)
-				scheds[r] = HierAllreduce(trs[r], bufs[r], addByte, 5, nodes)
+		h, p := NewHier(nodes), len(nodes)
+		for _, n := range []int{2, AllreduceLongBytes} {
+			build := func(tr Transport, buf []byte) *Schedule { return h.Allreduce(tr, buf, addByte, 5) }
+			if err := runBound(t, p, n, rng, -1, build, everyRank); err != nil {
+				t.Fatalf("nodes=%v n=%d: %v", nodes, n, err)
 			}
-			drive(t, scheds)
-			for r := 0; r < p; r++ {
-				if bufs[r][0] != want || bufs[r][1] != 3*want {
-					t.Fatalf("rank %d got %v, want [%d %d]", r, bufs[r], want, 3*want)
+		}
+	}
+}
+
+// TestHierAllreduceOneInterNodeRound counts, stage by stage, each
+// rank's operations toward ranks on other nodes in a small two-level
+// allreduce. A leader's stages that cross the network each hold one
+// send and one receive with the same leader — the exchange of one
+// recursive-doubling round — and there are log2(leaders) of them; a
+// rank that leads no node posts nothing across. A leaders' phase that
+// reduces onto one leader and broadcasts back receives and sends in
+// two stages instead.
+func TestHierAllreduceOneInterNodeRound(t *testing.T) {
+	for _, nodes := range [][]int{{0, 0, 1, 1}, {0, 0, 1, 1, 2, 2, 3, 3}} {
+		h := NewHier(nodes)
+		rounds := 0
+		for 1<<rounds < len(h.leaders) {
+			rounds++
+		}
+		for r, tr := range newMemNet(len(nodes)) {
+			s := h.Allreduce(tr, make([]byte, 8), addByte, 0)
+			crossing := 0
+			for i, st := range s.stages {
+				sends, recvs, peers := 0, 0, map[int]bool{}
+				for _, op := range st.ops {
+					peer, isSend, ok := peerOf(op)
+					if !ok || nodes[peer] == nodes[r] {
+						continue
+					}
+					peers[peer] = true
+					if isSend {
+						sends++
+					} else {
+						recvs++
+					}
+				}
+				if sends+recvs == 0 {
+					continue
+				}
+				crossing++
+				if sends != 1 || recvs != 1 || len(peers) != 1 {
+					t.Errorf("nodes=%v rank %d stage %d: %d sends and %d receives across, to %d ranks; want one exchange with one leader", nodes, r, i, sends, recvs, len(peers))
 				}
 			}
-		})
+			want := 0
+			if indexOf(h.leaders, r) >= 0 {
+				want = rounds
+			}
+			if crossing != want {
+				t.Errorf("nodes=%v rank %d: %d stages cross the network, want %d", nodes, r, crossing, want)
+			}
+		}
 	}
+}
+
+// peerOf names the rank a transport operation exchanges with and
+// whether it sends; ok is false for a local step.
+func peerOf(op Op) (peer int, isSend, ok bool) {
+	switch o := op.(type) {
+	case *sendOp:
+		return o.dst, true, true
+	case *recvOp:
+		return o.src, false, true
+	case *recvReduceOp:
+		return o.src, false, true
+	}
+	return 0, false, false
 }

@@ -295,7 +295,7 @@ func (c *Comm) plan(k planKey, result []byte) *collPlan {
 		switch {
 		case h != nil:
 			p.sched = h.Allreduce(tr, buf, red, 0)
-		case n >= ringThresholdBytes && k.count >= c.Size() && c.Size() > 2:
+		case n >= coll.AllreduceLongBytes && k.count >= c.Size() && c.Size() > 2:
 			p.sched = coll.AllreduceRing(tr, buf, k.dt.Size(), red, 0)
 		default:
 			p.sched = coll.AllreduceRecDbl(tr, buf, red, 0)
@@ -406,10 +406,6 @@ func (c *Comm) Reduce(sendBuf, recvBuf []byte, count int, dt *datatype.Datatype,
 	c.Ireduce(sendBuf, recvBuf, count, dt, op, root).Wait()
 }
 
-// ringThresholdBytes selects the ring algorithm for long messages, as
-// MPICH does.
-const ringThresholdBytes = 16 * 1024
-
 // Iallreduce starts a nonblocking allreduce (MPI_Iallreduce): recursive
 // doubling for short messages, ring for long ones, the two-level scheme
 // on a placement-aware transport. A nil sendBuf means MPI_IN_PLACE
@@ -434,16 +430,19 @@ func (c *Comm) Allreduce(sendBuf, recvBuf []byte, count int, dt *datatype.Dataty
 // MPI_IN_PLACE (the caller's block already sits in recvBuf).
 func (c *Comm) Iallgather(sendBuf []byte, count int, dt *datatype.Datatype, recvBuf []byte) *Request {
 	bs := datatype.PackedSize(count, dt)
-	wire := make([]byte, bs*c.Size())
+	wire := recvBuf[:bs*c.Size()] // a contiguous type's ring runs in recvBuf
+	var unpack func()
+	if !dt.Contig() {
+		wire = make([]byte, bs*c.Size())
+		unpack = func() { datatype.Unpack(recvBuf, wire, count*c.Size(), dt) }
+		if sendBuf == nil {
+			sendBuf = recvBuf[c.rank*count*dt.Extent():]
+		}
+	}
 	if sendBuf != nil {
 		datatype.Pack(wire[c.rank*bs:], sendBuf, count, dt)
-	} else {
-		datatype.Pack(wire[c.rank*bs:], recvBuf[c.rank*count*dt.Extent():], count, dt)
 	}
-	s := coll.AllgatherRing(c.transport(), wire, bs, c.nextCollTag())
-	return c.submitSched(s, func() {
-		datatype.Unpack(recvBuf, wire, count*c.Size(), dt)
-	})
+	return c.submitSched(coll.AllgatherRing(c.transport(), wire, bs, c.nextCollTag()), unpack)
 }
 
 // Allgather is the blocking allgather (MPI_Allgather).

@@ -71,7 +71,7 @@ func TestAllreduceInPlace(t *testing.T) {
 }
 
 func TestAllreduceRingLargeIntegration(t *testing.T) {
-	// Big enough to cross ringThresholdBytes and engage the ring path.
+	// Big enough to cross coll.AllreduceLongBytes and engage the ring path.
 	run2(t, Config{Procs: 4, ProcsPerNode: 1}, func(p *Proc) {
 		comm := p.CommWorld()
 		const count = 8192 // 32 KiB of int32
@@ -123,6 +123,54 @@ func TestAllgatherIntegration(t *testing.T) {
 			if got[2*r] != int32(r*10) || got[2*r+1] != int32(r*10+1) {
 				t.Errorf("rank %d: allgather got %v", p.Rank(), got)
 				return
+			}
+		}
+	})
+}
+
+// TestAllgatherLayoutsIntegration: an in-place allgather of a
+// contiguous type, whose ring runs in recvBuf (each rank's block starts
+// in its slot, every other slot holds garbage), and a vector type's,
+// from sendBuf and in place, which go through a packed wire buffer and
+// leave the gaps between its elements as they were.
+func TestAllgatherLayoutsIntegration(t *testing.T) {
+	runColl(t, []int{1, 2, 4, 6}, func(p *Proc) {
+		comm := p.CommWorld()
+		n, me := comm.Size(), int32(p.Rank())
+		vals := make([]int32, 2*n)
+		for i := range vals {
+			vals[i] = -1
+		}
+		vals[2*me], vals[2*me+1] = me*10, me*10+1
+		out := reduceop.EncodeInt32s(vals)
+		comm.Allgather(nil, 2, datatype.Int32, out)
+		got := reduceop.DecodeInt32s(out)
+		for r := int32(0); r < int32(n); r++ {
+			if got[2*r] != r*10 || got[2*r+1] != r*10+1 {
+				t.Errorf("rank %d: in-place allgather got %v", me, got)
+				return
+			}
+		}
+
+		vec := datatype.Vector(2, 1, 2, datatype.Int32) // elements 0 and 2 of three
+		for _, inPlace := range []bool{false, true} {
+			gaps := make([]int32, 3*n)
+			for i := range gaps {
+				gaps[i] = -7
+			}
+			send := reduceop.EncodeInt32s([]int32{me * 10, -9, me*10 + 1})
+			if inPlace {
+				gaps[3*me], gaps[3*me+2] = me*10, me*10+1
+				send = nil
+			}
+			out = reduceop.EncodeInt32s(gaps)
+			comm.Allgather(send, 1, vec, out)
+			got = reduceop.DecodeInt32s(out)
+			for r := int32(0); r < int32(n); r++ {
+				if got[3*r] != r*10 || got[3*r+1] != -7 || got[3*r+2] != r*10+1 {
+					t.Errorf("rank %d: vector allgather (in place %v) got %v", me, inPlace, got)
+					return
+				}
 			}
 		}
 	})

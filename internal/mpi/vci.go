@@ -428,17 +428,19 @@ func (v *VCI) netPending() int {
 
 // mapLinkErr translates a transport completion error into the public
 // ErrLinkDown surface. The bare reliability-layer sentinel maps to the
-// bare mpi sentinel (identity comparisons keep working); any other
-// transport error is wrapped so errors.Is(err, ErrLinkDown) holds while
-// the cause stays visible. An error the MPI layer reached itself — a
-// verdict's ErrProcFailed, a revocation's ErrCommRevoked — passes as it
-// is.
+// bare mpi sentinel (identity comparisons keep working); a verdict's
+// (nic.ErrPeerDown) maps to ErrProcFailed; any other is wrapped so
+// errors.Is(err, ErrLinkDown) holds while the cause stays visible. An
+// error the MPI layer reached itself — a verdict's ErrProcFailed, a
+// revocation's ErrCommRevoked — passes as it is.
 func mapLinkErr(err error) error {
 	switch {
 	case err == nil || errors.Is(err, ErrProcFailed) || errors.Is(err, ErrCommRevoked):
 		return err
 	case err == nic.ErrLinkDown:
 		return ErrLinkDown
+	case errors.Is(err, nic.ErrPeerDown):
+		return fmt.Errorf("%w: %v", ErrProcFailed, err)
 	}
 	return fmt.Errorf("%w: %v", ErrLinkDown, err)
 }

@@ -36,9 +36,14 @@ type CQE struct {
 	// Err is nil for a successful completion. A send that failed
 	// carries ErrLinkDown: bare from the Reliable layer, which fails
 	// its unacknowledged frames to a peer once a verdict condemns it;
-	// wrapped around the cause from a byte transport.
+	// from a byte transport wrapped around the cause, as ErrPeerDown
+	// after a verdict.
 	Err error
 }
+
+// ErrPeerDown, which wraps ErrLinkDown, fails a byte transport's send
+// that its destination's verdict found queued, or that came after it.
+var ErrPeerDown = fmt.Errorf("%w: peer failed", ErrLinkDown)
 
 // PeerDown is a CQE token carried by control completions that report a
 // peer-failure verdict rather than a completed send. Every transport

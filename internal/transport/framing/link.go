@@ -142,36 +142,39 @@ func (t *Table) KickAll() {
 
 // PeerDown reports the failure verdict on rank: every registered link
 // receives a control completion whose token is nic.PeerDown, and only
-// then do the frames that were queued toward the peer fail. Verdict
-// first, queued-frame failures second: the PeerDown CQE must precede
-// the per-frame ErrLinkDown CQEs in each link's CQ so the MPI layer
-// sweeps its handle tables (completing rendezvous sends with the
-// process-failure error) before the stale frame completions arrive and
-// hit the already-failed guards.
+// then do the frames that were queued toward the peer fail, with
+// nic.ErrPeerDown. Verdict first, queued-frame failures second: the
+// PeerDown CQE must precede the per-frame CQEs in each link's CQ so the
+// MPI layer sweeps its handle tables (completing rendezvous sends with
+// the process-failure error) before the stale frame completions arrive
+// and hit the already-failed guards.
 func (t *Table) PeerDown(rank int, cause error, frames []Frame) {
 	cqe := nic.CQE{Token: nic.PeerDown{Rank: rank}, At: t.clk.Now(), Err: linkDown(cause)}
 	for _, l := range t.Links() {
 		l.cq.Push(cqe)
 	}
-	t.Fail(frames, cause)
+	t.fail(frames, peerDown(fmt.Errorf("rank %d: %w", rank, cause)))
 }
 
 // Fail settles frames that can never reach the wire: signaled sends get
 // an error completion, inline ones just release their pending unit.
-func (t *Table) Fail(frames []Frame, cause error) {
+func (t *Table) Fail(frames []Frame, cause error) { t.fail(frames, linkDown(cause)) }
+
+func (t *Table) fail(frames []Frame, err error) {
 	if len(frames) == 0 {
 		return
 	}
 	now := t.clk.Now()
 	for _, f := range frames {
 		if f.Signaled {
-			f.Link.cq.Push(nic.CQE{Token: f.Token, At: now, Err: linkDown(cause)})
+			f.Link.cq.Push(nic.CQE{Token: f.Token, At: now, Err: err})
 		}
 		f.Link.pending.Add(-1)
 	}
 }
 
 func linkDown(cause error) error { return fmt.Errorf("%w: %v", nic.ErrLinkDown, cause) }
+func peerDown(cause error) error { return fmt.Errorf("%w: %v", nic.ErrPeerDown, cause) }
 
 // Link is the part of a byte transport's nic.Link that does not depend
 // on what carries the bytes: the address, the completion and receive
@@ -344,8 +347,9 @@ type Peer struct {
 	settled []Frame
 }
 
-// Refusal returns why posts toward the peer fail fast — its verdict,
-// or its departure — and nil while it is reachable. Caller holds Mu.
+// Refusal returns the error posts toward the peer fail fast with —
+// nic.ErrPeerDown around its verdict, nic.ErrLinkDown around its
+// departure — and nil while it is reachable. Caller holds Mu.
 func (p *Peer) Refusal() error {
 	if p.down != nil {
 		return p.down
@@ -362,14 +366,14 @@ func (p *Peer) Condemn(cause error) (frames []Frame, first bool) {
 	if p.down != nil {
 		return nil, false
 	}
-	p.down = cause
+	p.down = peerDown(cause)
 	return p.Q.TakeAll(nil), true
 }
 
 // Depart records the peer's goodbye: posts are refused with cause from
 // here on, and connection losses are teardown, not failure. Caller
 // holds Mu.
-func (p *Peer) Depart(cause error) { p.gone = cause }
+func (p *Peer) Depart(cause error) { p.gone = linkDown(cause) }
 
 // Settle completes the frames the written watermark has passed — a CQE
 // for a signaled send, a pending unit back for every frame — and
@@ -402,7 +406,7 @@ func (p *Peer) Settle() int {
 func (p *Peer) Post(l *Link, dst fabric.EndpointID, payload any, bytes int, token any, signaled bool) (queued bool, err error) {
 	if err := p.Refusal(); err != nil {
 		if signaled {
-			l.cq.Push(nic.CQE{Token: token, At: l.Now(), Err: linkDown(err)})
+			l.cq.Push(nic.CQE{Token: token, At: l.Now(), Err: err})
 			return false, nil
 		}
 		return false, err

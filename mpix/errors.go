@@ -13,21 +13,21 @@ import "gompix/internal/mpi"
 //     send on the peer's failure verdict: the send was unacknowledged
 //     when the verdict came, or was posted after it. The layer never
 //     gives up on a peer by itself — a slow peer is retransmitted to
-//     until it answers. When a real transport (TCP) fails — dial
-//     timeout, connection reset, write error — the operation's error
-//     wraps ErrLinkDown around the transport's own error, so
+//     until it answers. A byte transport (tcp, shm) wraps ErrLinkDown
+//     around its own error only where no verdict stands — a send to a
+//     rank that said goodbye, or one its closing transport drops — so
 //     errors.Is(err, mpix.ErrLinkDown) detects the class and
-//     err.Error() preserves the cause.
+//     err.Error() preserves the cause; a failed dial, a reset or a
+//     write error is the peer's verdict (ErrProcFailed, below).
 //   - ErrProcFailed always arrives wrapped, carrying the failed rank
 //     and the transport's diagnosis ("rank 2: tcp: write rank 2: ...
 //     connection reset by peer"). The simulated fabric delivers
 //     it too, once a post meets a partition that never heals (either
-//     direction of the pair cut). One
-//     caveat: sends whose bytes were already queued on the wire (or
-//     unacknowledged in the reliability layer) when the peer failed
-//     surface as ErrLinkDown instead — the failure raced the verdict.
-//     Everything initiated at or after the verdict reports
-//     ErrProcFailed.
+//     direction of the pair cut). A send whose frame was still queued
+//     toward the peer when its verdict came reports ErrProcFailed too;
+//     one the reliability layer held unacknowledged surfaces as bare
+//     ErrLinkDown instead (above). Everything initiated at or after
+//     the verdict reports ErrProcFailed.
 //   - ErrCommRevoked is always returned bare.
 //
 // The same rules apply unchanged to continuation-delivered statuses:
