@@ -96,12 +96,14 @@ func TestHierAllreduce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, nodes := range hierLayouts {
 		h, p := NewHier(nodes), len(nodes)
-		for _, n := range []int{2, AllreduceLongBytes} {
-			build := func(tr Transport, buf []byte) *Schedule { return h.Allreduce(tr, buf, addByte, 5) }
-			if err := runBound(t, p, n, rng, -1, build, everyRank); err != nil {
-				t.Fatalf("nodes=%v n=%d: %v", nodes, n, err)
+		t.Run(fmt.Sprintf("nodes=%v", nodes), func(t *testing.T) {
+			for _, n := range []int{2, AllreduceLongBytes} {
+				build := func(tr Transport, buf []byte) *Schedule { return h.Allreduce(tr, buf, addByte, 5) }
+				if err := runBound(t, p, n, rng, -1, build, everyRank); err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
 			}
-		}
+		})
 	}
 }
 
